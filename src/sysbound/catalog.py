@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characteristic import ChernData, a_hat, todd, total_inverse, whitney_quotient
-from .errors import (EmptyIntersection, MetadataOnlySpace, NoPrimitiveClass,
-                     PreconditionUnmet, RingMismatch)
+from .errors import (CertificateFailed, EmptyIntersection, MetadataOnlySpace,
+                     NoPrimitiveClass, PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
 
@@ -325,7 +325,10 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
     )
     _attach_tangent(space, tangent)
     expected_c1 = n * xi + (2 - 2 * genus - e) * f
-    assert space.c1 == expected_c1
+    if space.c1 != expected_c1:
+        raise CertificateFailed(
+            "first Chern class certificate: c1 = %s, closed form %s"
+            % (space.c1, expected_c1))
     return space
 
 

@@ -873,7 +873,7 @@ def run_command(argv, out=None, err=None) -> int:
                     code = 2
                 except CalculatorError as exc:
                     err.write("error: %s\n" % exc)
-                    code = 1
+                    code = max(code, 1)
             return code
         if needs_space and not args.space:
             err.write("error: --space is required (or use --batch)\n")

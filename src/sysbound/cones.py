@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from . import roots
 from .catalog import Space, integrate
-from .errors import (DegenerateClass, DimensionTooLow, InvalidNormalization,
-                     IrrationalCriticalPoint, PreconditionUnmet, UnsupportedRank)
+from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
+                     InvalidNormalization, IrrationalCriticalPoint,
+                     PreconditionUnmet, UnsupportedRank)
 from .graded import GradedClass
 
 
@@ -145,36 +146,17 @@ def s_alpha(problem: ConeProblem, alpha: GradedClass) -> Fraction:
     if top == 0:
         raise DegenerateClass("alpha^n = 0")
     value = integrate(space, space.c1 * alpha ** (n - 1)) / top
-    assert value <= nef_threshold(problem, alpha), \
-        "s(alpha) exceeded the nef threshold"
+    threshold = nef_threshold(problem, alpha)
+    if value > threshold:
+        raise CertificateFailed(
+            "nef-threshold certificate: s(alpha) = %s exceeds the nef "
+            "threshold %s" % (value, threshold))
     return value
 
 
 # ---------------------------------------------------------------------------
 # supremum of the volume functional over the nef cone
 # ---------------------------------------------------------------------------
-
-
-def _interp_coeffs(values):
-    """Coefficients of the polynomial through (i, values[i]), i = 0..len-1."""
-    n = len(values)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            denom *= Fraction(i - j)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -Fraction(j) * b
-                new[k + 1] += b
-            basis = new
-        scale = values[i] / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return roots.trim(coeffs)
 
 
 def phi_sup(problem: ConeProblem):
@@ -221,8 +203,8 @@ def phi_sup(problem: ConeProblem):
     num_vals = [integrate(space, space.c1 * at(Fraction(t)) ** (n - 1))
                 for t in range(n)]
     den_vals = [integrate(space, at(Fraction(t)) ** n) for t in range(n + 1)]
-    num = _interp_coeffs(num_vals)        # degree <= n-1
-    den = _interp_coeffs(den_vals)        # degree <= n
+    num = roots.interpolate(list(enumerate(num_vals)))   # degree <= n-1
+    den = roots.interpolate(list(enumerate(den_vals)))   # degree <= n
 
     crit = roots.multiply([Fraction(n)] , roots.multiply(roots.derivative(num), den))
     crit2 = roots.multiply([Fraction(n - 1)], roots.multiply(num, roots.derivative(den)))
@@ -289,7 +271,10 @@ def bundle_systole_profile(degrees, genus: int, a, b):
 
     # closed forms used as an internal consistency check
     expected_a_s = (n - 1) - Fraction(2 * (genus - 1) * a, a * e + n * b)
-    assert a * s_val == expected_a_s, "bundle profile disagrees with closed form"
+    if a * s_val != expected_a_s:
+        raise CertificateFailed(
+            "bundle closed-form certificate: a s(alpha) = %s, closed form %s"
+            % (a * s_val, expected_a_s))
 
     sys_value = min(a, b) if genus == 0 else a
     return sys_value, sys_value * s_val
@@ -308,7 +293,10 @@ def bundle_profile_sup(n: int) -> Fraction:
     def profile(x, e):
         return min(Fraction(1), x) * (n - 1 + Fraction(2, e + n * x))
 
-    assert profile(Fraction(1), 0) == sup
+    if profile(Fraction(1), 0) != sup:
+        raise CertificateFailed(
+            "bundle supremum certificate: the profile at (x, e) = (1, 0) "
+            "is not %s" % sup)
     # branch x >= 1: value = n-1+2/(e+nx), decreasing in x and e
     # branch x <= 1: value = x(n-1) + 2x/(e+nx), increasing in x
     grid = [Fraction(p, q) for q in range(1, 8) for p in range(1, 5 * q + 1)]
@@ -316,9 +304,14 @@ def bundle_profile_sup(n: int) -> Fraction:
         last = None
         for x in sorted(set(grid)):
             val = profile(x, e)
-            assert val <= sup, "grid point exceeded the certified supremum"
-            if x <= 1 and last is not None:
-                assert val >= last, "profile not increasing below x = 1"
+            if val > sup:
+                raise CertificateFailed(
+                    "bundle supremum certificate: grid point (x, e) = (%s, %d)"
+                    " exceeds %s" % (x, e, sup))
+            if x <= 1 and last is not None and val < last:
+                raise CertificateFailed(
+                    "bundle supremum certificate: profile decreases below "
+                    "x = 1 at (x, e) = (%s, %d)" % (x, e))
             if x <= 1:
                 last = val
     return sup

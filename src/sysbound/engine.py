@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import catalog
+from . import catalog, roots
 from .catalog import Space, integrate
 from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
@@ -83,20 +83,14 @@ class RationalPolynomial:
     """Dense univariate polynomial with Fraction coefficients."""
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(roots.trim(coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, value):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(value) + c
-        return acc
+        return roots.evaluate(self.coeffs, Fraction(value))
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
@@ -133,27 +127,6 @@ class IndexPolynomial(RationalPolynomial):
     def __init__(self, coeffs, q0: int):
         super().__init__(coeffs)
         self.q0 = q0
-
-
-def _interpolate(points) -> RationalPolynomial:
-    """Exact Lagrange interpolation through (x, y) pairs with distinct x."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= Fraction(xi) - Fraction(xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -Fraction(xj) * b
-                new[k + 1] += b
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return RationalPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,15 @@ class CalculatorError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class CertificateFailed(CalculatorError):
+    """An internal certificate failed to hold for a computed value.
+
+    The certificates are exact checks the mathematics guarantees, so a
+    failure flags an implementation bug; unlike ``assert``, it survives
+    ``python -O``.
+    """
+
+
 # ring layer
 
 class InvalidPresentation(CalculatorError):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (BoundViolated, EuclideanizationFailed, PreconditionUnmet,
-                     RankTooLarge)
+from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
+                     PreconditionUnmet, RankTooLarge)
 
 MAX_RANK = 5
 
@@ -34,10 +34,6 @@ MAX_RANK = 5
 
 def _mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def _identity(r):
-    return [[Fraction(1 if i == j else 0) for j in range(r)] for i in range(r)]
 
 
 def _mat_mul(a, b):
@@ -57,54 +53,89 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+
+    Returns ``(m, rank, det)``: the reduced rows, the number of pivots, and
+    the product of the pivots signed by the row swaps, which is the
+    determinant when the rows form a nonsingular square matrix.
+    """
+    m = _mat(rows)
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return m, rank, det
+
+
 def _mat_inv(a):
     n = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(_mat(a))]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise PreconditionUnmet("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m, rank, _ = _gauss_jordan(aug, n)
+    if rank < n:
+        raise PreconditionUnmet("matrix is singular")
+    return [row[n:] for row in m]
 
 
 def _det(a):
-    a = _mat(a)
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    _, rank, det = _gauss_jordan(a, len(a))
+    return det if rank == len(a) else Fraction(0)
+
+
+def _solve_linear(rows, rhs):
+    """The unique solution of rows x = rhs, or None if rows is singular."""
+    n = len(rows)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    m, rank, _ = _gauss_jordan(aug, n)
+    return [row[n] for row in m] if rank == n else None
+
+
+def _rank_of(rows):
+    return _gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
+
+
+def _gs_data(gram):
+    """LDL^T of a positive-definite Gram matrix: Gram-Schmidt data (mu, bstar).
+
+    gram = mu diag(bstar) mu^T with mu unit lower triangular; raises on the
+    first nonpositive pivot, so no pivot is ever divided by unless positive.
+    """
+    r = len(gram)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    bstar = [Fraction(0)] * r
+    for i in range(r):
+        mu[i][i] = Fraction(1)
+        bstar[i] = gram[i][i]
+        for j in range(i):
+            num = gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
+            mu[i][j] = num / bstar[j]
+            bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        if bstar[i] <= 0:
+            raise PreconditionUnmet("form is not positive definite")
+    return mu, bstar
 
 
 def _is_positive_definite(g):
+    """Symmetric with all LDL^T pivots positive (Sylvester's criterion)."""
     n = len(g)
-    for i in range(n):
-        for j in range(n):
-            if g[i][j] != g[j][i]:
-                return False
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in g[:k]]
-        if _det(minor) <= 0:
-            return False
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        return False
+    try:
+        _gs_data(g)
+    except PreconditionUnmet:
+        return False
     return True
 
 
@@ -226,23 +257,6 @@ class NormedLattice:
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(rows, rhs):
-    n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _facet_normals(vertices, r):
     """Supporting functionals a with <a, v> <= 1, exhaustively at rank <= 5."""
     normals = set()
@@ -314,21 +328,6 @@ def _certified_ellipsoid_form(vertices, normals, r):
 # ---------------------------------------------------------------------------
 
 
-def _decompose(g):
-    """g = U^T D U with U unit upper triangular, D positive diagonal."""
-    r = len(g)
-    d = [Fraction(0)] * r
-    u = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        u[i][i] = Fraction(1)
-        d[i] = g[i][i] - sum(d[k] * u[k][i] ** 2 for k in range(i))
-        if d[i] <= 0:
-            raise PreconditionUnmet("form is not positive definite")
-        for j in range(i + 1, r):
-            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / d[i]
-    return d, u
-
-
 def _floor_sqrt(value: Fraction) -> int:
     if value < 0:
         return -1
@@ -349,7 +348,7 @@ def _int_range(center: Fraction, budget: Fraction):
 def enumerate_short_vectors(gram, bound: Fraction):
     """All nonzero x in Z^r with x^T G x <= bound, one per +-pair."""
     r = len(gram)
-    d, u = _decompose(gram)
+    mu, bstar = _gs_data(gram)
     out = []
     coords = [0] * r
 
@@ -364,10 +363,10 @@ def enumerate_short_vectors(gram, bound: Fraction):
                     if x < 0:
                         break
             return
-        center = sum(u[level][j] * coords[j] for j in range(level + 1, r))
-        for x in _int_range(center, remaining / d[level]):
+        center = sum(mu[j][level] * coords[j] for j in range(level + 1, r))
+        for x in _int_range(center, remaining / bstar[level]):
             coords[level] = x
-            spent = d[level] * (x + center) ** 2
+            spent = bstar[level] * (x + center) ** 2
             descend(level - 1, remaining - spent)
         coords[level] = 0
 
@@ -383,24 +382,6 @@ def enumerate_short_vectors(gram, bound: Fraction):
 
 def _round_half(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def _gram_from_rows(rows, g):
-    return _gram_of_basis(rows, g)
-
-
-def _gs_data(gram):
-    r = len(gram)
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    bstar = [Fraction(0)] * r
-    for i in range(r):
-        mu[i][i] = Fraction(1)
-        bstar[i] = gram[i][i]
-        for j in range(i):
-            num = gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
-            mu[i][j] = num / bstar[j]
-            bstar[i] -= mu[i][j] ** 2 * bstar[j]
-    return mu, bstar
 
 
 def lll_transform(gram, delta=Fraction(3, 4)):
@@ -474,19 +455,23 @@ def _complete_unimodular(v):
 def shortest_vector(gram):
     """A shortest nonzero coefficient vector and its squared norm."""
     w = lll_transform(gram)
-    reduced = _gram_from_rows(w, gram)
+    reduced = _gram_of_basis(w, gram)
     bound = min(reduced[i][i] for i in range(len(gram)))
-    best_vec, best_norm = None, None
-    for vec, norm in enumerate_short_vectors(reduced, bound):
-        best_vec, best_norm = vec, norm
-        break
-    assert best_vec is not None
+    vectors = enumerate_short_vectors(reduced, bound)
+    if not vectors:
+        raise CertificateFailed(
+            "shortest-vector certificate: no vector within the shortest "
+            "reduced basis norm %s" % bound)
+    best_vec, best_norm = vectors[0]
     r = len(gram)
     coeffs = [sum(best_vec[i] * w[i][j] for i in range(r)) for j in range(r)]
     g = 0
     for c in coeffs:
         g = math.gcd(g, abs(c))
-    assert g == 1, "shortest vector must be primitive"
+    if g != 1:
+        raise CertificateFailed(
+            "primitivity certificate: shortest vector %s has content %d"
+            % (coeffs, g))
     return coeffs, best_norm
 
 
@@ -502,7 +487,7 @@ def kz_transform(gram):
         return [[1]]
     v, _ = shortest_vector(gram)
     t1 = _complete_unimodular(v)
-    g1 = _gram_from_rows(t1, gram)
+    g1 = _gram_of_basis(t1, gram)
     g11 = g1[0][0]
     projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g11
                   for j in range(1, r)] for i in range(1, r)]
@@ -512,14 +497,18 @@ def kz_transform(gram):
         w.append([sum(row[i] * t1[i + 1][j] for i in range(r - 1))
                   for j in range(r)])
     # size reduction
-    mu, _ = _gs_data(_gram_from_rows(w, gram))
+    mu, _ = _gs_data(_gram_of_basis(w, gram))
     for i in range(1, r):
         for j in range(i - 1, -1, -1):
             q = _round_half(mu[i][j])
             if q:
                 w[i] = [a - q * b for a, b in zip(w[i], w[j])]
-                mu, _ = _gs_data(_gram_from_rows(w, gram))
-    assert abs(_det(_mat(w))) == 1
+                mu, _ = _gs_data(_gram_of_basis(w, gram))
+    det = _det(w)
+    if abs(det) != 1:
+        raise CertificateFailed(
+            "unimodularity certificate: the KZ transform has determinant %s"
+            % det)
     return w
 
 
@@ -551,43 +540,27 @@ def _independent_scan(vectors, r, upto):
     return minima
 
 
-def _rank_of(rows):
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _minima(lattice: NormedLattice):
     r = lattice.rank
     if lattice.kind == "euclidean":
         gram = lattice.lattice_gram()
         w = lll_transform(gram)
-        reduced = _gram_from_rows(w, gram)
+        reduced = _gram_of_basis(w, gram)
         bound = max(reduced[i][i] for i in range(r))
         vectors = enumerate_short_vectors(reduced, bound)
         back = [(tuple(sum(vec[i] * w[i][j] for i in range(r)) for j in range(r)), n)
                 for vec, n in vectors]
         minima = _independent_scan(back, r, r)
-        assert len(minima) == r
+        if len(minima) != r:
+            raise CertificateFailed(
+                "successive-minima certificate: vectors up to the longest "
+                "reduced basis norm span rank %d < %d" % (len(minima), r))
         return minima
     # polytope: search in the certified ellipsoid metric, filter exactly
     q = lattice.euclidean_form()
     gram_q = _gram_of_basis(lattice.basis, q)
     w = lll_transform(gram_q)
-    reduced = _gram_from_rows(w, gram_q)
+    reduced = _gram_of_basis(w, gram_q)
     radius = max(lattice.norm(lattice.vector(
         [w[i][j] for j in range(r)])) for i in range(r))
     while True:

@@ -1,6 +1,8 @@
-"""Exact real-root counting and rational-root extraction over Q.
+"""The exact univariate polynomial kernel over Q.
 
 Polynomials are dense coefficient lists (constant term first) of Fractions.
+Trimming, Horner evaluation, multiplication, division with remainder,
+Lagrange interpolation and gcds live here and nowhere else in the package.
 Sturm sequences certify root counts on intervals with rational endpoints;
 rational roots are found by the rational-root theorem on the primitive
 integer form and verified by evaluation.
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import CertificateFailed
 
 
 def trim(p):
@@ -40,25 +44,48 @@ def multiply(p, q):
     return trim(out)
 
 
-def remainder(p, q):
-    """Polynomial remainder of p modulo q (q nonzero)."""
+def divide(p, q):
+    """Quotient and remainder of p by q (q nonzero)."""
     p = trim(p)
     q = trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    while len(p) >= len(q) and p:
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
         factor = p[-1] / q[-1]
         shift = len(p) - len(q)
+        quot[shift] = factor
         for i, c in enumerate(q):
             p[i + shift] -= factor * c
         p = trim(p)
-    return p
+    return quot, p
+
+
+def interpolate(points):
+    """Exact Lagrange interpolation through (x, y) pairs with distinct x."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= Fraction(xi) - Fraction(xj)
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, b in enumerate(basis):
+                new[k] += -Fraction(xj) * b
+                new[k + 1] += b
+            basis = new
+        scale = Fraction(yi) / denom
+        for k, b in enumerate(basis):
+            coeffs[k] += scale * b
+    return trim(coeffs)
 
 
 def poly_gcd(p, q):
     p, q = trim(p), trim(q)
     while q:
-        p, q = q, remainder(p, q)
+        p, q = q, divide(p, q)[1]
     if p:
         lead = p[-1]
         p = [c / lead for c in p]
@@ -72,29 +99,19 @@ def squarefree_part(p):
     g = poly_gcd(p, derivative(p))
     if len(g) <= 1:
         return p
-    # exact division p / g
-    out = []
-    rem = list(p)
-    while len(rem) >= len(g) and rem:
-        factor = rem[-1] / g[-1]
-        shift = len(rem) - len(g)
-        out.append((shift, factor))
-        for i, c in enumerate(g):
-            rem[i + shift] -= factor * c
-        rem = trim(rem)
-    assert not rem, "squarefree division failed"
-    deg = max(s for s, _ in out)
-    quot = [Fraction(0)] * (deg + 1)
-    for s, f in out:
-        quot[s] += f
-    return trim(quot)
+    quot, rem = divide(p, g)
+    if rem:
+        raise CertificateFailed(
+            "squarefree certificate: gcd(p, p') does not divide p "
+            "(remainder %s)" % rem)
+    return quot
 
 
 def sturm_sequence(p):
     p = trim(p)
     seq = [p, trim(derivative(p))]
     while seq[-1]:
-        r = remainder(seq[-2], seq[-1])
+        r = divide(seq[-2], seq[-1])[1]
         seq.append([-c for c in r])
     seq.pop()
     return seq

@@ -1,0 +1,80 @@
+"""Internal certificates raise CertificateFailed, also under ``python -O``.
+
+A bare ``assert`` vanishes under ``-O``, so every certificate in the package
+is an ordinary check that raises. The subprocess test breaks two of them on
+purpose and runs with ``-O``; the guard test keeps ``assert`` out of the
+package source.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sysbound
+
+_PACKAGE = Path(sysbound.__file__).resolve().parent
+
+_FORCE_FAILURES = r'''
+import io, json
+from fractions import Fraction
+from sysbound import catalog, cones, lattices
+from sysbound.cli import run_command
+from sysbound.errors import CertificateFailed
+
+
+def outcome(call):
+    try:
+        call()
+    except CertificateFailed as exc:
+        return ["CertificateFailed", str(exc)]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["passed", ""]
+
+
+lattices._independent_scan = lambda vectors, r, upto: []
+lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
+cones.nef_threshold = lambda problem, alpha: Fraction(-1)
+cp2 = catalog.projective_space(2)
+problem = cones.cone_problem(cp2)
+out, err = io.StringIO(), io.StringIO()
+code = run_command(["lattice", "--gram", "[[2,1],[1,2]]"], out=out, err=err)
+print(json.dumps({
+    "optimized": not __debug__,
+    "minima": outcome(lambda: lattices.successive_minima(lat, 1)),
+    "s_alpha": outcome(lambda: cones.s_alpha(problem, cp2.ring.gen("H"))),
+    "lattice": [code, err.getvalue()],
+}))
+'''
+
+
+def test_forced_certificate_failures_raise_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FORCE_FAILURES],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["optimized"] is True
+    kind, message = report["minima"]
+    assert kind == "CertificateFailed"
+    assert "successive-minima certificate" in message
+    kind, message = report["s_alpha"]
+    assert kind == "CertificateFailed"
+    assert "nef-threshold certificate" in message
+    code, err = report["lattice"]
+    assert code == 1
+    assert err.startswith("error: successive-minima certificate")
+
+
+def test_package_has_no_assert_statements():
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

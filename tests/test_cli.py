@@ -223,3 +223,14 @@ def test_batch_mode(monkeypatch):
     assert code == 0
     values = [l.split()[-1] for l in out.splitlines() if l.startswith("length")]
     assert values == ["3", "3"]
+
+
+@pytest.mark.parametrize("lines", ["CP(\nS1\n", "S1\nCP(\n"])
+def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
+    # one parse error (exit 2) and one domain error (exit 1), in either order
+    import sys as _sys
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(lines))
+    code, _, err = _run(["length", "--batch"])
+    assert code == 2
+    kinds = {line.split(":")[0] for line in err.splitlines()}
+    assert kinds == {"parse error", "error"}

@@ -42,6 +42,52 @@ def _box_minima_euclidean(lattice, j, box=6):
     raise AssertionError("box too small for the oracle")
 
 
+def _cofactor_det(m):
+    """Oracle determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum((-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:]
+                                                    for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _sylvester_positive_definite(g):
+    """Oracle: symmetric with every leading principal minor positive."""
+    n = len(g)
+    return (all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
+            and all(_cofactor_det([row[:k] for row in g[:k]]) > 0
+                    for k in range(1, n + 1)))
+
+
+def test_positive_definite_matches_sylvester_minors():
+    from sysbound.lattices import _is_positive_definite
+    rng = random.Random(31)
+    for trial in range(150):
+        kind = ("definite", "semidefinite", "indefinite", "negative",
+                "asymmetric")[trial % 5]
+        n = rng.randint(1 if kind in ("definite", "negative") else 2, 5)
+        # g = B^T diag(signs) B; by Sylvester's law of inertia the signs
+        # and the rank of B fix which kind of form g is
+        rows = n - 1 if kind == "semidefinite" else n
+        while True:
+            b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(rows)]
+            if rows < n or _cofactor_det(b) != 0:
+                break
+        signs = [-1 if kind == "negative" else 1] * rows
+        if kind == "indefinite":
+            signs[rng.randrange(1, rows)] = -1
+        g = [[sum(s * row[i] * row[j] for s, row in zip(signs, b))
+              for j in range(n)] for i in range(n)]
+        if kind == "asymmetric":
+            g[0][n - 1] += 1
+        assert _sylvester_positive_definite(g) == (kind == "definite")
+        assert _is_positive_definite(g) == (kind == "definite"), (kind, g)
+    # a zero leading pivot ahead of a positive one is not definite
+    assert not _is_positive_definite([[0, 0], [0, 1]])
+    assert not _is_positive_definite([[0, 1], [1, 0]])
+
+
 def test_integer_lattice_minima():
     for r in (1, 2, 3, 4):
         lat = NormedLattice(basis=_identity(r), gram=_identity(r))
