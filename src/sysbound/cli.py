@@ -725,7 +725,7 @@ def _cmd_pushforward(args, out):
     rows = [("k", Fraction(args.k)), ("r", Fraction(args.r)),
             ("j", Fraction(args.j))]
     sym = pushforward.localization_pushforward(args.k, args.r, args.j)
-    rows.append(("pushforward", str(sym.as_expr())))
+    rows.append(("pushforward", str(sym)))
     if args.primitive:
         rows.append(("primitive_coefficient",
                      pushforward.primitive_coefficient(args.k, args.r, args.j)))

@@ -5,23 +5,23 @@
     sum over k-subsets I of (-sum_{i in I} x_i)^(q+j) / prod (x_l - x_i)
 
 with q = k(r-k), as an exact polynomial in the formal roots x_1..x_r.  The
-sum is cleared against the full Vandermonde and divided exactly; a nonzero
-remainder would contradict polynomiality of the pushforward, so it raises.
-
-The primitive component extracts the coefficient of p_j after rewriting in
-power sums and killing p_1..p_(j-1); this needs at least j variables.
+sum is the antisymmetrization over S_r of g0 = (-(x_1+...+x_k))^(q+j)
+Delta(x_1..x_k) Delta(x_(k+1)..x_r), divided by the Vandermonde and by
+k!(r-k)!.  By the bialternant formula (Macdonald, I.3) each monomial x^alpha
+of g0 with distinct exponents adds its sorting sign times s_(sort(alpha) -
+delta), so g0's symmetry under S_k x S_(r-k) makes every raw Schur
+coefficient a multiple of k!(r-k)!; one that is not raises.  The primitive
+component, the coefficient of p_j once p_1..p_(j-1) are killed, is a hook
+sum (Murnaghan-Nakayama, I.7) and needs at least j variables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import sympy
-from sympy import Poly, Rational, Symbol, div, expand, symbols
-from sympy.polys.polyfuncs import symmetrize
 
 from .characteristic import ChernData, total_inverse
 from .errors import NonPolynomialResult, PreconditionUnmet, TooFewVariables
@@ -37,43 +37,77 @@ _MAX_J = 6
 
 @dataclass(frozen=True)
 class SymmetricPolynomial:
-    """An exact symmetric polynomial in formal roots x1..xn."""
+    """An exact symmetric polynomial in formal roots x1..xn: ``terms`` holds
+    (exponents, nonzero integer coefficient) pairs in decreasing lex order."""
 
-    poly: Poly
+    terms: tuple
     nvars: int
 
     @property
-    def gens(self):
-        return self.poly.gens
+    def poly(self):
+        import sympy
+        return sympy.Poly.from_dict(dict(self.terms) or {(0,) * self.nvars: 0},
+                                    sympy.symbols("x1:%d" % (self.nvars + 1)))
 
     def as_expr(self):
         return self.poly.as_expr()
 
     def is_symmetric(self) -> bool:
-        expr = self.poly.as_expr()
-        xs = self.poly.gens
-        for i in range(self.nvars - 1):
-            swapped = expr.subs([(xs[i], xs[i + 1]), (xs[i + 1], xs[i])],
-                                simultaneous=True)
-            if expand(swapped - expr) != 0:
-                return False
+        """Coefficients are constant on S_r orbits of exponent tuples (the
+        adjacent transpositions generate S_r)."""
+        coeffs = dict(self.terms)
+        for alpha, c in coeffs.items():
+            for i in range(self.nvars - 1):
+                swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2:]
+                if coeffs.get(swapped, 0) != c:
+                    return False
         return True
 
-    def evaluate(self, values):
+    def evaluate(self, values) -> Fraction:
         if len(values) != self.nvars:
             raise PreconditionUnmet("need one value per root")
-        subs = {g: Rational(v.numerator, v.denominator) if isinstance(v, Fraction)
-                else Rational(v) for g, v in zip(self.poly.gens, values)}
-        out = self.poly.as_expr().subs(subs)
-        return Fraction(int(out.p), int(out.q)) if out.is_Rational else out
+        values = [Fraction(v) for v in values]
+        return sum((c * math.prod(v ** e for v, e in zip(values, alpha))
+                    for alpha, c in self.terms), Fraction(0))
 
     def total_degree(self):
-        return self.poly.total_degree() if not self.poly.is_zero else 0
+        return max((sum(alpha) for alpha, _ in self.terms), default=0)
+
+    def __str__(self):
+        """The terms as sympy prints the expression: ``-x1 - x2``, ``1``."""
+        text = ""
+        for alpha, c in sorted(self.terms, reverse=True):
+            factors = ["x%d%s" % (i + 1, "**%d" % e if e > 1 else "")
+                       for i, e in enumerate(alpha) if e]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            text += " %s %s" % ("-" if c < 0 else "+", "*".join(factors))
+        # the leading term prints as "-x1" or "x1", not " - x1" or " + x1"
+        return {" + ": "", " - ": "-"}[text[:3]] + text[3:] if text else "0"
 
 
-@lru_cache(maxsize=None)
-def localization_pushforward(k: int, r: int, j: int) -> SymmetricPolynomial:
-    """The universal degree-j pushforward class for G(k, r)-bundles."""
+def _mul(a, b):
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _g0(k: int, r: int, j: int):
+    """(-(x_1+...+x_k))^(q+j) * Delta(x_1..x_k) * Delta(x_(k+1)..x_r)."""
+    x = [tuple(int(i == l) for i in range(r)) for l in range(r)]
+    factors = [{x[l]: -1 for l in range(k)}] * (k * (r - k) + j)
+    factors += [{x[b]: 1, x[a]: -1} for block in (range(k), range(k, r))
+                for a, b in itertools.combinations(block, 2)]
+    return functools.reduce(_mul, factors, {(0,) * r: 1})
+
+
+@functools.lru_cache(maxsize=None)
+def _schur_coefficients(k: int, r: int, j: int):
+    """The class as ((lambda, d_lambda), ...) in the Schur basis s_lambda."""
     if not 1 <= k < r:
         raise PreconditionUnmet("need 1 <= k < r")
     if j < 0:
@@ -81,65 +115,58 @@ def localization_pushforward(k: int, r: int, j: int) -> SymmetricPolynomial:
     if r > _MAX_R or j > _MAX_J:
         raise PreconditionUnmet(
             "desk-scale caps: r <= %d, j <= %d" % (_MAX_R, _MAX_J))
-    xs = symbols("x1:%d" % (r + 1))
-    q = k * (r - k)
-    vandermonde = sympy.Integer(1)
-    for a in range(r):
-        for b in range(a + 1, r):
-            vandermonde *= (xs[b] - xs[a])
-    vpoly = Poly(expand(vandermonde), xs)
-    numerator = Poly(0, xs)
-    for subset in itertools.combinations(range(r), k):
-        inside = set(subset)
-        denom = sympy.Integer(1)
-        for i in subset:
-            for l in range(r):
-                if l not in inside:
-                    denom *= (xs[l] - xs[i])
-        cofactor, rem = div(vpoly, Poly(expand(denom), xs))
-        if not rem.is_zero:
-            raise NonPolynomialResult("Vandermonde cofactor division failed")
-        term = Poly(expand((-sum(xs[i] for i in subset)) ** (q + j)), xs)
-        numerator = numerator + term * cofactor
-    quotient, rem = div(numerator, vpoly)
-    if not rem.is_zero:
+    raw = {}
+    for alpha, c in _g0(k, r, j).items():
+        if len(set(alpha)) < r:
+            continue
+        inversions = sum(a < b for a, b in itertools.combinations(alpha, 2))
+        lam = tuple(e - (r - 1 - i)
+                    for i, e in enumerate(sorted(alpha, reverse=True)))
+        lam = tuple(p for p in lam if p)
+        raw[lam] = raw.get(lam, 0) + (-1) ** inversions * c
+    orbit = math.factorial(k) * math.factorial(r - k)
+    if any(v % orbit for v in raw.values()):
         raise NonPolynomialResult(
             "localization sum for (k, r, j) = (%d, %d, %d) did not clear its "
             "denominator; this contradicts polynomiality of the pushforward"
             % (k, r, j))
-    return SymmetricPolynomial(poly=quotient, nvars=r)
+    sign = (-1) ** (r * (r - 1) // 2)
+    return tuple(sorted((lam, sign * v // orbit)
+                        for lam, v in raw.items() if v))
 
 
-def power_sum_expansion(sym: SymmetricPolynomial, degree: int):
-    """Rewrite a homogeneous symmetric polynomial in power sums p1..p_degree.
+def _schur_monomials(lam, n: int):
+    """s_lam(x_1..x_n) as {exponents: coefficient} by the branching rule:
+    removing a horizontal strip of size m from lam contributes x_n^m."""
+    if not lam:
+        return {(0,) * n: 1}
+    if len(lam) > n:
+        return {}
+    out = {}
+    for mu in itertools.product(*(range(nxt, part + 1) for part, nxt
+                                  in zip(lam, lam[1:] + (0,)))):
+        mu = tuple(p for p in mu if p)
+        for alpha, c in _schur_monomials(mu, n - 1).items():
+            key = alpha + (sum(lam) - sum(mu),)
+            out[key] = out.get(key, 0) + c
+    return out
 
-    Returns a sympy expression in symbols p1..p_degree.  Requires the number
-    of variables to be at least the degree, otherwise the power sums are
-    algebraically dependent and the expansion is ill-defined.
-    """
-    if degree > sym.nvars:
-        raise TooFewVariables(
-            "power-sum independence needs at least %d variables (have %d)"
-            % (degree, sym.nvars))
-    expr, remainder, mapping = symmetrize(sym.as_expr(), *sym.gens, formal=True)
-    if remainder != 0:
-        raise PreconditionUnmet("polynomial is not symmetric")
-    ps = [None] + [Symbol("p%d" % i) for i in range(1, degree + 1)]
-    elementary = [sympy.Integer(1)]
-    for i in range(1, degree + 1):
-        acc = sympy.Integer(0)
-        for m in range(1, i + 1):
-            acc += (-1) ** (m - 1) * elementary[i - m] * ps[m]
-        elementary.append(expand(acc / i))
-    subs_map = {}
-    for s_sym, _ in mapping:
-        idx = int(str(s_sym)[1:])
-        subs_map[s_sym] = elementary[idx] if idx <= degree else sympy.Integer(0)
-    return expand(expr.subs(subs_map))
+
+def localization_pushforward(k: int, r: int, j: int) -> SymmetricPolynomial:
+    """The universal degree-j pushforward class for G(k, r)-bundles."""
+    terms = {}
+    for lam, d in _schur_coefficients(k, r, j):
+        for alpha, c in _schur_monomials(lam, r).items():
+            terms[alpha] = terms.get(alpha, 0) + d * c
+    return SymmetricPolynomial(tuple(sorted(
+        ((a, c) for a, c in terms.items() if c), reverse=True)), r)
 
 
 def primitive_coefficient(k: int, r: int, b: int) -> Fraction:
     """Coefficient of p_b in the pushforward class, with p_1..p_(b-1) -> 0.
+
+    Only p_b survives in degree b, and [p_b] s_lambda is (-1)^i / b for the
+    hook lambda = (b-i, 1^i) and zero otherwise (Murnaghan-Nakayama).
 
     At r = 2k the coefficient is zero exactly for odd b >= 3.  Swapping each
     k-subset with its complement shows P_b = (-1)^b (P_b + p1 * (...)) for
@@ -153,16 +180,9 @@ def primitive_coefficient(k: int, r: int, b: int) -> Fraction:
         raise TooFewVariables(
             "the primitive component needs 1 <= b <= r (power-sum "
             "independence requires at least b variables)")
-    sym = localization_pushforward(k, r, b)
-    expr = power_sum_expansion(sym, b)
-    ps = [Symbol("p%d" % i) for i in range(1, b + 1)]
-    for p in ps[:-1]:
-        expr = expr.subs(p, 0)
-    coeff = expand(expr).coeff(ps[-1])
-    if coeff == 0:
-        return Fraction(0)
-    coeff = Rational(coeff)
-    return Fraction(int(coeff.p), int(coeff.q))
+    coeffs = dict(_schur_coefficients(k, r, b))
+    return Fraction(sum((-1) ** i * coeffs.get((b - i,) + (1,) * i, 0)
+                        for i in range(b)), b)
 
 
 def bracket_formula(k: int, r: int, b: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Internal certificates raise CertificateFailed, also under ``python -O``.
 
 A bare ``assert`` vanishes under ``-O``, so every certificate in the package
-is an ordinary check that raises. The subprocess test breaks two of them on
-purpose and runs with ``-O``; the guard test keeps ``assert`` out of the
+is an ordinary check that raises. The subprocess test breaks three of them
+on purpose and runs with ``-O``; the guard test keeps ``assert`` out of the
 package source.
 """
 
@@ -20,7 +20,7 @@ _PACKAGE = Path(sysbound.__file__).resolve().parent
 _FORCE_FAILURES = r'''
 import io, json
 from fractions import Fraction
-from sysbound import catalog, cones, lattices
+from sysbound import catalog, cones, lattices, pushforward
 from sysbound.cli import run_command
 from sysbound.errors import CertificateFailed
 
@@ -42,11 +42,28 @@ cp2 = catalog.projective_space(2)
 problem = cones.cone_problem(cp2)
 out, err = io.StringIO(), io.StringIO()
 code = run_command(["lattice", "--gram", "[[2,1],[1,2]]"], out=out, err=err)
+# drop one monomial with distinct exponents from g0: the Schur coefficients
+# then stop being multiples of k!(r-k)!
+full_g0 = pushforward._g0
+
+
+def broken_g0(k, r, j):
+    g = full_g0(k, r, j)
+    del g[min(a for a in g if len(set(a)) == r)]
+    return g
+
+
+pushforward._g0 = broken_g0
+pf_out, pf_err = io.StringIO(), io.StringIO()
+pf_code = run_command(["pushforward", "--k", "2", "--r", "4", "--j", "2"],
+                      out=pf_out, err=pf_err)
 print(json.dumps({
     "optimized": not __debug__,
     "minima": outcome(lambda: lattices.successive_minima(lat, 1)),
     "s_alpha": outcome(lambda: cones.s_alpha(problem, cp2.ring.gen("H"))),
     "lattice": [code, err.getvalue()],
+    "pushforward": outcome(lambda: pushforward.localization_pushforward(2, 4, 2)),
+    "pushforward_cli": [pf_code, pf_err.getvalue()],
 }))
 '''
 
@@ -69,6 +86,12 @@ def test_forced_certificate_failures_raise_under_optimize():
     code, err = report["lattice"]
     assert code == 1
     assert err.startswith("error: successive-minima certificate")
+    kind, message = report["pushforward"]
+    assert kind == "NonPolynomialResult"
+    assert "(k, r, j) = (2, 4, 2)" in message
+    code, err = report["pushforward_cli"]
+    assert code == 1
+    assert err.startswith("error: localization sum for (k, r, j) = (2, 4, 2)")
 
 
 def test_package_has_no_assert_statements():

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import sysbound
 
 from sysbound.cli import (CINode, CPNode, ProductNode, SphereNode, TwistNode,
                           parse_alpha, parse_json_value, parse_space,
@@ -174,6 +180,14 @@ def test_pushforward_command():
     assert "-x1 - x2" in out
 
 
+def test_pushforward_command_prints_the_class_as_sympy_does():
+    code, out, _ = _run(["pushforward", "--k", "2", "--r", "4", "--j", "2"])
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "pushforward:  9*x1**2 + 14*x1*x2 + 14*x1*x3 + 14*x1*x4 + 9*x2**2 "
+        "+ 14*x2*x3 + 14*x2*x4 + 9*x3**2 + 14*x3*x4 + 9*x4**2")
+
+
 def test_lattice_command_gram():
     code, out, _ = _run(["lattice", "--gram", "[[2,1],[1,2]]"])
     assert code == 0
@@ -234,3 +248,72 @@ def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     assert code == 2
     kinds = {line.split(":")[0] for line in err.splitlines()}
     assert kinds == {"parse error", "error"}
+
+
+# -- README examples in a fresh interpreter ---------------------------------
+
+#: the README's CLI examples, one or more per subcommand (the sweep shortened
+#: from 200 lattices to 20), plus a primitive pushforward
+_EXAMPLES = [
+    ["catalog"],
+    ["bound", "--space", "CP(3)", "--theorem", "prop5.1"],
+    ["bound", "--space", "CP(3) * S1", "--theorem", "thm1.3"],
+    ["bound", "--space", "CP(4)", "--theorem", "thm1.4"],
+    ["bound", "--space", "Q(3)", "--theorem", "rbar", "--alpha", "pi*H"],
+    ["length", "--space", "Q(4)"],
+    ["index-poly", "--space", "CI(degrees=[[3]]; ambient=[4])"],
+    ["todd", "--space", "CI(degrees=[[2],[3]]; ambient=[6])"],
+    ["phi", "--space", "BlP(3)", "--alpha", "2*H - E"],
+    ["phi-sup", "--space", "BlP(3)"],
+    ["contractions", "--space", "CI(degrees=[[2,2]]; ambient=[3,3])"],
+    ["bundle-profile", "--n", "3"],
+    ["lattice", "--gram", "[[2,1],[1,2]]"],
+    ["lattice", "--sweep", "20", "--min-rank", "2", "--max-rank", "4",
+     "--seed", "7"],
+    ["pushforward", "--k", "1", "--r", "2", "--j", "1"],
+    ["pushforward", "--k", "2", "--r", "4", "--j", "2", "--primitive"],
+]
+
+_REPLAY = r'''
+import io, json, sys
+import sysbound
+from sysbound.cli import run_command
+
+after_import = "sympy" in sys.modules
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    results.append([run_command(argv, out=out, err=err), out.getvalue()])
+print(json.dumps({"optimized": not __debug__,
+                  "sympy_after_import": after_import,
+                  "sympy_after_commands": "sympy" in sys.modules,
+                  "results": results}))
+'''
+
+
+def _replay(flags):
+    """Run every example in a fresh interpreter started with ``flags``."""
+    env = dict(os.environ)
+    package_root = Path(sysbound.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _REPLAY, json.dumps(_EXAMPLES)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runtime_never_imports_sympy():
+    report = _replay([])
+    assert report["sympy_after_import"] is False
+    assert report["sympy_after_commands"] is False
+    assert all(code == 0 for code, _ in report["results"])
+
+
+def test_outputs_are_identical_under_optimize():
+    report = _replay(["-O"])
+    assert report["optimized"] is True
+    for argv, (code, out) in zip(_EXAMPLES, report["results"]):
+        expected_code, expected_out, _ = _run(argv)
+        assert (code, out) == (expected_code, expected_out), argv

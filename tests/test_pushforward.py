@@ -1,18 +1,67 @@
 """Localization pushforwards, primitive components, Segre cross-checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from sympy import Symbol, expand, symbols
+from sympy import Integer, Rational, Symbol, expand, symbols
+from sympy.polys.polyfuncs import symmetrize
 
 from sysbound.catalog import projective_space
 from sysbound.characteristic import ChernData
 from sysbound.errors import PreconditionUnmet, TooFewVariables
-from sysbound.pushforward import (SEGRE_SIGN, bracket_formula,
-                                  localization_pushforward,
-                                  power_sum_expansion, primitive_coefficient,
-                                  segre_pushforward, segre_series_at)
+from sysbound.pushforward import (SEGRE_SIGN, SymmetricPolynomial,
+                                  bracket_formula, localization_pushforward,
+                                  primitive_coefficient, segre_pushforward,
+                                  segre_series_at)
+
+#: every case inside the caps r <= 6, j <= 6
+_ALL_CASES = [(k, r, j) for r in range(2, 7) for k in range(1, r)
+              for j in range(0, 7)]
+
+
+def power_sum_expansion(sym: SymmetricPolynomial, degree: int):
+    """Oracle: rewrite a homogeneous symmetric polynomial in power sums.
+
+    Returns a sympy expression in symbols p1..p_degree, through sympy's
+    ``symmetrize`` (elementary symmetric polynomials) and Newton's
+    identities.  Requires the number of variables to be at least the degree,
+    otherwise the power sums are algebraically dependent.
+    """
+    if degree > sym.nvars:
+        raise TooFewVariables(
+            "power-sum independence needs at least %d variables (have %d)"
+            % (degree, sym.nvars))
+    expr, remainder, mapping = symmetrize(sym.as_expr(), *sym.poly.gens,
+                                          formal=True)
+    if remainder != 0:
+        raise PreconditionUnmet("polynomial is not symmetric")
+    ps = [None] + [Symbol("p%d" % i) for i in range(1, degree + 1)]
+    elementary = [Integer(1)]
+    for i in range(1, degree + 1):
+        acc = Integer(0)
+        for m in range(1, i + 1):
+            acc += (-1) ** (m - 1) * elementary[i - m] * ps[m]
+        elementary.append(expand(acc / i))
+    subs_map = {}
+    for s_sym, _ in mapping:
+        idx = int(str(s_sym)[1:])
+        subs_map[s_sym] = elementary[idx] if idx <= degree else Integer(0)
+    return expand(expr.subs(subs_map))
+
+
+def _localization_sum(k, r, j, xs):
+    """The defining fixed-point sum, evaluated in Fractions at the roots xs."""
+    q = k * (r - k)
+    total = Fraction(0)
+    for subset in itertools.combinations(range(r), k):
+        numerator = (-sum(xs[i] for i in subset)) ** (q + j)
+        denominator = math.prod(xs[l] - xs[i] for i in subset
+                                for l in range(r) if l not in subset)
+        total += numerator / denominator
+    return total
 
 
 def test_base_case_minus_p1():
@@ -99,6 +148,48 @@ def test_primitive_vanishing_locus_at_r_equals_2k():
 def test_primitive_needs_enough_variables():
     with pytest.raises(TooFewVariables):
         primitive_coefficient(1, 2, 3)
+
+
+def test_localization_matches_the_defining_sum():
+    rng = random.Random(2024)
+    for k, r, j in _ALL_CASES:
+        sym = localization_pushforward(k, r, j)
+        for _ in range(2):
+            xs = []
+            while len(xs) < r:
+                x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                if x not in xs:
+                    xs.append(x)
+            assert sym.evaluate(xs) == _localization_sum(k, r, j, xs), \
+                (k, r, j, xs)
+
+
+def test_printed_class_matches_sympy():
+    for k, r, j in _ALL_CASES:
+        sym = localization_pushforward(k, r, j)
+        assert str(sym) == str(sym.as_expr()), (k, r, j)
+
+
+def test_primitive_coefficient_matches_power_sum_route():
+    # hook sum of the Schur coefficients against sympy's symmetrize route
+    for r in range(2, 5):
+        for k in range(1, r):
+            for b in range(1, r + 1):
+                expr = power_sum_expansion(localization_pushforward(k, r, b), b)
+                ps = [Symbol("p%d" % i) for i in range(1, b + 1)]
+                expr = expand(expr.subs({p: 0 for p in ps[:-1]}))
+                coeff = Rational(expr.coeff(ps[-1]))
+                assert primitive_coefficient(k, r, b) == \
+                    Fraction(int(coeff.p), int(coeff.q)), (k, r, b)
+
+
+def test_is_symmetric_rejects_asymmetric_polynomials():
+    # x1 alone, and x1 + 2*x2 + x3: a missing and a mismatched orbit partner
+    assert not SymmetricPolynomial(terms=(((1, 0), 1),), nvars=2).is_symmetric()
+    lopsided = SymmetricPolynomial(terms=(((1, 0, 0), 1), ((0, 1, 0), 2),
+                                          ((0, 0, 1), 1)), nvars=3)
+    assert not lopsided.is_symmetric()
+    assert SymmetricPolynomial(terms=(), nvars=3).is_symmetric()
 
 
 def test_power_sum_expansion_roundtrip():
