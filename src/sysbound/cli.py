@@ -690,20 +690,16 @@ def _cmd_lattice(args, out):
         _emit(rows, args.format, args.approx, out)
         return
     if args.gram:
-        lat = lattices.NormedLattice(
-            basis=_parse_matrix_json(args.basis) if args.basis else
-            [[1 if i == j else 0 for j in range(len(json.loads(args.gram)))]
-             for i in range(len(json.loads(args.gram)))],
-            gram=_parse_matrix_json(args.gram))
+        gram = _parse_matrix_json(args.gram)
+        form, rank = {"gram": gram}, len(gram)
     elif args.vertices:
         verts = _parse_matrix_json(args.vertices)
-        rank = len(verts[0])
-        lat = lattices.NormedLattice(
-            basis=_parse_matrix_json(args.basis) if args.basis else
-            [[1 if i == j else 0 for j in range(rank)] for i in range(rank)],
-            vertices=verts)
+        form, rank = {"vertices": verts}, len(verts[0])
     else:
         raise CalculatorError("pass --gram, --vertices, or --sweep")
+    basis = (_parse_matrix_json(args.basis) if args.basis else
+             [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
+    lat = lattices.NormedLattice(basis=basis, **form)
     rows = [("rank", Fraction(lat.rank)), ("norm", lat.kind)]
     for j in range(1, lat.rank + 1):
         label = "lambda_%d%s" % (j, "_sq" if lat.kind == "euclidean" else "")

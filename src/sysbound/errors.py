@@ -126,6 +126,10 @@ class EuclideanizationFailed(CalculatorError):
     pass
 
 
+class TooManyVertices(CalculatorError):
+    """A polytope has too many vertices for exhaustive facet enumeration."""
+
+
 # pushforward
 
 class NonPolynomialResult(CalculatorError):

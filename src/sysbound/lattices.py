@@ -22,9 +22,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
-                     PreconditionUnmet, RankTooLarge)
+                     PreconditionUnmet, RankTooLarge, TooManyVertices)
 
 MAX_RANK = 5
+#: the most r-subsets of a vertex list ``_facet_normals`` will solve, one
+#: exact r x r linear system each
+MAX_FACET_SUBSETS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +204,7 @@ class NormedLattice:
                     "polytope vertex list must be closed under negation")
             self._normals = _facet_normals(self.vertices, r)
         self._euclid_form_cache = None
+        self._minima_cache = None
 
     # -- norms ------------------------------------------------------------
 
@@ -251,6 +255,19 @@ class NormedLattice:
                 self.vertices, self._normals, self.rank)
         return self._euclid_form_cache
 
+    def _size(self, ambient_vec):
+        """The reported size: squared Euclidean norm, or polytope norm."""
+        if self.gram is not None:
+            return self.norm_sq(ambient_vec)
+        return self.norm(ambient_vec)
+
+    def _form_budget(self, size):
+        """A bound on v^T Q v, Q = euclidean_form(), for every v of at most
+        this size; for polytopes by the sandwich |v|_Q^2 <= r ||v||^2."""
+        if self.gram is not None:
+            return size
+        return self.rank * size ** 2
+
 
 # ---------------------------------------------------------------------------
 # polytopes: facets and inscribed ellipsoid
@@ -259,6 +276,12 @@ class NormedLattice:
 
 def _facet_normals(vertices, r):
     """Supporting functionals a with <a, v> <= 1, exhaustively at rank <= 5."""
+    subsets = math.comb(len(vertices), r)
+    if subsets > MAX_FACET_SUBSETS:
+        raise TooManyVertices(
+            "facet enumeration over %d vertices at rank %d needs C(%d, %d) = "
+            "%d linear solves, above the cap %d"
+            % (len(vertices), r, len(vertices), r, subsets, MAX_FACET_SUBSETS))
     normals = set()
     for subset in combinations(range(len(vertices)), r):
         rows = [vertices[i] for i in subset]
@@ -384,30 +407,31 @@ def _round_half(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
+def _size_reduce(w, gram, k):
+    """Size-reduce row k of w in place against rows k-1, ..., 0.
+
+    Returns the Gram-Schmidt data (mu, bstar) of the rows afterwards.
+    """
+    mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    for j in range(k - 1, -1, -1):
+        q = _round_half(mu[k][j])
+        if q:
+            w[k] = [a - q * b for a, b in zip(w[k], w[j])]
+            mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    return mu, bstar
+
+
 def lll_transform(gram, delta=Fraction(3, 4)):
     """Integer row transform W with W * basis LLL-reduced; exact arithmetic."""
     r = len(gram)
     w = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def inner(i, j):
-        return sum(w[i][a] * gram[a][b] * w[j][b]
-                   for a in range(r) for b in range(r))
-
-    def current_gram():
-        return [[inner(i, j) for j in range(r)] for i in range(r)]
-
     k = 1
     guard = 0
     while k < r:
         guard += 1
         if guard > 10_000:
             raise PreconditionUnmet("LLL failed to terminate")
-        mu, bstar = _gs_data(current_gram())
-        for j in range(k - 1, -1, -1):
-            q = _round_half(mu[k][j])
-            if q:
-                w[k] = [a - q * b for a, b in zip(w[k], w[j])]
-                mu, bstar = _gs_data(current_gram())
+        mu, bstar = _size_reduce(w, gram, k)
         if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
@@ -496,14 +520,8 @@ def kz_transform(gram):
     for row in sub:
         w.append([sum(row[i] * t1[i + 1][j] for i in range(r - 1))
                   for j in range(r)])
-    # size reduction
-    mu, _ = _gs_data(_gram_of_basis(w, gram))
     for i in range(1, r):
-        for j in range(i - 1, -1, -1):
-            q = _round_half(mu[i][j])
-            if q:
-                w[i] = [a - q * b for a, b in zip(w[i], w[j])]
-                mu, _ = _gs_data(_gram_of_basis(w, gram))
+        _size_reduce(w, gram, i)
     det = _det(w)
     if abs(det) != 1:
         raise CertificateFailed(
@@ -541,42 +559,31 @@ def _independent_scan(vectors, r, upto):
 
 
 def _minima(lattice: NormedLattice):
+    """All r minima, found once per lattice: enumerate in the Euclidean form
+    up to the budget of the longest LLL-reduced row, then measure exactly."""
+    if lattice._minima_cache is not None:
+        return lattice._minima_cache
     r = lattice.rank
-    if lattice.kind == "euclidean":
-        gram = lattice.lattice_gram()
-        w = lll_transform(gram)
-        reduced = _gram_of_basis(w, gram)
-        bound = max(reduced[i][i] for i in range(r))
-        vectors = enumerate_short_vectors(reduced, bound)
-        back = [(tuple(sum(vec[i] * w[i][j] for i in range(r)) for j in range(r)), n)
-                for vec, n in vectors]
-        minima = _independent_scan(back, r, r)
-        if len(minima) != r:
-            raise CertificateFailed(
-                "successive-minima certificate: vectors up to the longest "
-                "reduced basis norm span rank %d < %d" % (len(minima), r))
-        return minima
-    # polytope: search in the certified ellipsoid metric, filter exactly
-    q = lattice.euclidean_form()
-    gram_q = _gram_of_basis(lattice.basis, q)
-    w = lll_transform(gram_q)
-    reduced = _gram_of_basis(w, gram_q)
-    radius = max(lattice.norm(lattice.vector(
-        [w[i][j] for j in range(r)])) for i in range(r))
-    while True:
-        budget = Fraction(r) * radius ** 2
-        vectors = enumerate_short_vectors(reduced, budget)
-        scored = []
-        for vec, _ in vectors:
-            coeffs = [sum(vec[i] * w[i][j] for i in range(r)) for j in range(r)]
-            value = lattice.norm(lattice.vector(coeffs))
-            if value <= radius:
-                scored.append((tuple(coeffs), value))
-        scored.sort(key=lambda item: item[1])
-        minima = _independent_scan(scored, r, r)
-        if len(minima) == r:
-            return minima
-        radius *= 2
+    gram = _gram_of_basis(lattice.basis, lattice.euclidean_form())
+    w = lll_transform(gram)
+    radius = max(lattice._size(lattice.vector(row)) for row in w)
+    vectors = enumerate_short_vectors(_gram_of_basis(w, gram),
+                                      lattice._form_budget(radius))
+    scored = []
+    for vec, _ in vectors:
+        coeffs = tuple(sum(vec[i] * w[i][j] for i in range(r))
+                       for j in range(r))
+        value = lattice._size(lattice.vector(coeffs))
+        if value <= radius:
+            scored.append((coeffs, value))
+    scored.sort(key=lambda item: item[1])
+    minima = _independent_scan(scored, r, r)
+    if len(minima) != r:
+        raise CertificateFailed(
+            "successive-minima certificate: vectors up to the longest "
+            "reduced basis norm span rank %d < %d" % (len(minima), r))
+    lattice._minima_cache = minima
+    return minima
 
 
 def dual_lattice(lattice: NormedLattice) -> NormedLattice:
@@ -651,36 +658,21 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     """
     r = lattice.rank
     dual = dual_lattice(lattice)
-    if lattice.kind == "euclidean":
-        gram = dual.lattice_gram()
-        w = kz_transform(gram)
-        vectors = [tuple(dual.vector(row)) for row in w]
-        norms = tuple(_quad(dual.gram, list(v)) for v in vectors)
-        l1 = successive_minima(lattice, 1)
-        bound = Fraction(r) ** 4
-        for nsq in norms:
-            if nsq * l1 > bound:
-                raise BoundViolated(
-                    "reduced dual vector with ||u||^2 lambda1^2 = %s > r^4 = %s"
-                    % (nsq * l1, bound))
-        return ReducedDualBasis(vectors=vectors, dual_norms=norms, lambda1=l1,
-                                squared=True, rank=r)
-    # polytope path: reduce in the dual of the certified ellipsoid metric
-    q = lattice.euclidean_form()
-    q_dual = _mat_inv(q)
-    gram = _gram_of_basis(dual.basis, q_dual)
+    gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
     w = kz_transform(gram)
     vectors = [tuple(dual.vector(row)) for row in w]
-    norms = tuple(dual.norm(list(v)) for v in vectors)
+    norms = tuple(dual._size(list(v)) for v in vectors)
     l1 = successive_minima(lattice, 1)
-    bound = Fraction(r) ** 2
+    squared = lattice.kind == "euclidean"
+    power, product = ((4, "||u||^2 lambda1^2") if squared
+                      else (2, "||u||* lambda1"))
+    bound = Fraction(r) ** power
     for n in norms:
         if n * l1 > bound:
-            raise BoundViolated(
-                "reduced dual vector with ||u||* lambda1 = %s > r^2 = %s"
-                % (n * l1, bound))
+            raise BoundViolated("reduced dual vector with %s = %s > r^%d = %s"
+                                % (product, n * l1, power, bound))
     return ReducedDualBasis(vectors=vectors, dual_norms=norms, lambda1=l1,
-                            squared=False, rank=r)
+                            squared=squared, rank=r)
 
 
 def random_basis(rank: int, rng, low=-5, high=5):

@@ -37,6 +37,9 @@ def outcome(call):
 
 lattices._independent_scan = lambda vectors, r, upto: []
 lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
+hexagon = lattices.NormedLattice(
+    basis=[[1, 0], [0, 1]],
+    vertices=[[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]])
 cones.nef_threshold = lambda problem, alpha: Fraction(-1)
 cp2 = catalog.projective_space(2)
 problem = cones.cone_problem(cp2)
@@ -60,6 +63,7 @@ pf_code = run_command(["pushforward", "--k", "2", "--r", "4", "--j", "2"],
 print(json.dumps({
     "optimized": not __debug__,
     "minima": outcome(lambda: lattices.successive_minima(lat, 1)),
+    "polytope_minima": outcome(lambda: lattices.successive_minima(hexagon, 1)),
     "s_alpha": outcome(lambda: cones.s_alpha(problem, cp2.ring.gen("H"))),
     "lattice": [code, err.getvalue()],
     "pushforward": outcome(lambda: pushforward.localization_pushforward(2, 4, 2)),
@@ -77,9 +81,10 @@ def test_forced_certificate_failures_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["optimized"] is True
-    kind, message = report["minima"]
-    assert kind == "CertificateFailed"
-    assert "successive-minima certificate" in message
+    for case in ("minima", "polytope_minima"):
+        kind, message = report[case]
+        assert kind == "CertificateFailed"
+        assert "successive-minima certificate" in message
     kind, message = report["s_alpha"]
     assert kind == "CertificateFailed"
     assert "nef-threshold certificate" in message

@@ -202,6 +202,37 @@ def test_lattice_command_vertices():
     assert "polytope" in out
 
 
+def _cross_polytope(r):
+    return json.dumps([[s * int(i == j) for j in range(r)]
+                       for i in range(r) for s in (1, -1)])
+
+
+def test_lattice_vertex_cap(monkeypatch):
+    from sysbound import lattices
+    solves = []
+    real = lattices._solve_linear
+
+    def counting(rows, rhs):
+        solves.append(rows)
+        return real(rows, rhs)
+
+    monkeypatch.setattr(lattices, "_solve_linear", counting)
+    # the rank-5 cross-polytope has 10 vertices; its polar, the unit ball
+    # of the dual lattice, has 32, and C(32, 5) = 201376 is over the cap
+    code, out, err = _run(["lattice", "--vertices", _cross_polytope(5)])
+    assert code == 1 and out == ""
+    assert err == ("error: facet enumeration over 32 vertices at rank 5 "
+                   "needs C(32, 5) = 201376 linear solves, above the cap "
+                   "10000\n")
+    # only the primal's C(10, 5) subsets were solved: the cap is checked
+    # before the polar's loop starts
+    assert len(solves) == 252
+    # the rank-4 polar has C(16, 4) = 1820 subsets, under the cap
+    code, out, _ = _run(["lattice", "--vertices", _cross_polytope(4)])
+    assert code == 0
+    assert "dual_norm_4:   1" in out
+
+
 def test_catalog_command():
     code, out, _ = _run(["catalog"])
     assert code == 0

@@ -5,6 +5,7 @@ different from the Fincke-Pohst search used by the library.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,14 +22,15 @@ def _identity(r):
     return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
-def _box_minima_euclidean(lattice, j, box=6):
-    """Oracle: scan the coefficient box [-box, box]^r for successive minima."""
+def _box_minima(lattice, j, size, box=6):
+    """Oracle: scan the coefficient box [-box, box]^r for successive minima,
+    measuring each lattice vector (in ambient coordinates) with ``size``."""
     r = lattice.rank
     found = []
     for coeffs in itertools.product(range(-box, box + 1), repeat=r):
         if not any(coeffs):
             continue
-        found.append((lattice.norm_sq(lattice.vector(coeffs)), coeffs))
+        found.append((size(lattice.vector(coeffs)), coeffs))
     found.sort()
     rows, minima = [], []
     for norm, coeffs in found:
@@ -99,7 +101,7 @@ def test_hexagonal_gram_minima():
     lat = NormedLattice(basis=_identity(2), gram=[[2, 1], [1, 2]])
     assert successive_minima(lat, 1) == 2
     assert successive_minima(lat, 2) == 2
-    oracle = _box_minima_euclidean(lat, 2)
+    oracle = _box_minima(lat, 2, lat.norm_sq)
     assert oracle == [2, 2]
 
 
@@ -110,8 +112,25 @@ def test_minima_match_box_oracle_on_random_lattices():
         basis = random_basis(r, rng, -3, 3)
         lat = NormedLattice(basis=basis, gram=_identity(r))
         minima = [successive_minima(lat, j) for j in range(1, r + 1)]
-        assert minima == _box_minima_euclidean(lat, r, box=7)
+        assert minima == _box_minima(lat, r, lat.norm_sq, box=7)
         assert minima == sorted(minima)
+
+
+def test_minima_are_computed_once_per_lattice(monkeypatch):
+    from sysbound import lattices
+    calls = []
+    real = lattices.lll_transform
+
+    def counting(gram, *args):
+        calls.append(gram)
+        return real(gram, *args)
+
+    monkeypatch.setattr(lattices, "lll_transform", counting)
+    lat = NormedLattice(basis=[[1, 2, 0], [0, 1, 3], [1, 0, 1]],
+                        gram=_identity(3))
+    minima = [successive_minima(lat, j) for j in range(1, 4)]
+    assert minima == sorted(minima)
+    assert len(calls) == 1
 
 
 def test_minima_invariant_under_unimodular_change():
@@ -250,6 +269,33 @@ def test_polytope_minima_by_enumeration():
     best = min(lat.norm([a, b])
                for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0))
     assert best == 1
+
+
+_CROSS_3_VERTICES = [[s * int(i == j) for j in range(3)]
+                     for i in range(3) for s in (1, -1)]
+
+
+def test_polytope_minima_match_box_oracle_on_random_bases():
+    from sysbound.lattices import _mat_inv
+    rng = random.Random(41)
+    for trial in range(12):
+        vertices, r = ((_HEX_VERTICES, 2) if trial % 2 == 0
+                       else (_CROSS_3_VERTICES, 3))
+        lat = NormedLattice(basis=random_basis(r, rng, -2, 2),
+                            vertices=vertices)
+        # a lattice vector v = c B has c_j = <v, column j of B^-1>, and v lies
+        # in ||v|| times the unit ball, so |c_j| <= ||v|| max_u |<u, column
+        # j>| over the vertices u: once the box holds every vector up to the
+        # oracle's lambda_r, the scan is complete
+        inv = _mat_inv(lat.basis)
+        reach = max(abs(sum(u[i] * inv[i][j] for i in range(r)))
+                    for u in vertices for j in range(r))
+        box = 3
+        oracle = _box_minima(lat, r, lat.norm, box)
+        while oracle[-1] * reach > box:
+            box = math.ceil(oracle[-1] * reach)
+            oracle = _box_minima(lat, r, lat.norm, box)
+        assert [successive_minima(lat, j) for j in range(1, r + 1)] == oracle
 
 
 def test_polytope_vertex_list_must_be_symmetric():
