@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, cones, engine, lattices, pushforward
 from .catalog import Space
-from .engine import SELECTORS, ONE, PI, PiScaled
+from .engine import SELECTORS, PiScaled
 from .errors import CalculatorError, ParseError
 
 # ---------------------------------------------------------------------------
@@ -89,103 +89,86 @@ class _Parser:
     def integer(self) -> int:
         return int(self.expect("INT").text)
 
-    def int_list(self):
+    def bracketed(self, item):
+        """``[item, ...]`` as a tuple, possibly empty."""
         self.expect("[")
         out = []
         if self.peek().kind != "]":
-            out.append(self.integer())
+            out.append(item())
             while self.peek().kind == ",":
                 self.next()
-                out.append(self.integer())
+                out.append(item())
         self.expect("]")
-        return out
+        return tuple(out)
+
+    def int_list(self):
+        return self.bracketed(self.integer)
 
     def int_matrix(self):
-        self.expect("[")
-        rows = []
-        if self.peek().kind != "]":
-            rows.append(self.int_list())
-            while self.peek().kind == ",":
-                self.next()
-                rows.append(self.int_list())
-        self.expect("]")
-        return rows
+        return self.bracketed(self.int_list)
 
 
 # AST ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CPNode:
-    n: int
+class _Constructor:
+    """One descriptor constructor: how it parses, checks, builds and prints.
 
-    def build(self) -> Space:
-        return catalog.projective_space(self.n)
+    ``params`` are ``(keyword or None, _Parser method, least, message)``,
+    written in order and separated by ``;``.  An argument below ``least``
+    (an integer's value, a list's length) is reported with ``message``; the
+    first such argument wins.  ``fn`` is looked up in ``catalog`` at build
+    time, so a rebound catalog function (a tracer's wrapper) is the one
+    called.  ``alias_of`` names the ``(name, args)`` node this spelling
+    stands for; that node prints as the alias.
+    """
 
-    def unparse(self) -> str:
-        return "CP(%d)" % self.n
-
-
-@dataclass(frozen=True)
-class QNode:
-    n: int
-
-    def build(self) -> Space:
-        return catalog.quadric(self.n)
-
-    def unparse(self) -> str:
-        return "Q(%d)" % self.n
+    name: str
+    fn: str | None = None
+    params: tuple = ()
+    alias_of: tuple | None = None
 
 
-@dataclass(frozen=True)
-class SphereNode:
-    k: int
+_CI_EMPTY = "CI needs nonempty degrees and ambient"
 
-    def build(self) -> Space:
-        return catalog.sphere(self.k)
-
-    def unparse(self) -> str:
-        return "S1" if self.k == 1 else "S(%d)" % self.k
-
-
-@dataclass(frozen=True)
-class CINode:
-    degrees: tuple
-    ambient: tuple
-
-    def build(self) -> Space:
-        return catalog.complete_intersection(
-            [list(row) for row in self.degrees], list(self.ambient))
-
-    def unparse(self) -> str:
-        deg = "[%s]" % ",".join("[%s]" % ",".join(str(d) for d in row)
-                                for row in self.degrees)
-        amb = "[%s]" % ",".join(str(N) for N in self.ambient)
-        return "CI(degrees=%s; ambient=%s)" % (deg, amb)
+_CONSTRUCTORS = {row.name: row for row in (
+    _Constructor("CP", "projective_space",
+                 ((None, "integer", 1, "CP needs n >= 1"),)),
+    _Constructor("Q", "quadric", ((None, "integer", 2, "Q needs n >= 2"),)),
+    _Constructor("S", "sphere", ((None, "integer", 1, "S needs k >= 1"),)),
+    _Constructor("S1", alias_of=("S", (1,))),
+    _Constructor("CI", "complete_intersection",
+                 (("degrees", "int_matrix", 1, _CI_EMPTY),
+                  ("ambient", "int_list", 1, _CI_EMPTY))),
+    _Constructor("PB", "proj_bundle_over_curve",
+                 (("degrees", "int_list", 2, "PB needs at least two degrees"),
+                  ("genus", "integer", 0, "PB needs genus >= 0"))),
+    _Constructor("BlP", "blowup_point",
+                 ((None, "integer", 2, "BlP needs n >= 2"),)),
+)}
 
 
 @dataclass(frozen=True)
-class PBNode:
-    degrees: tuple
-    genus: int
+class AtomNode:
+    """A catalog constructor applied to its arguments (ints and tuples)."""
+
+    name: str
+    args: tuple
 
     def build(self) -> Space:
-        return catalog.proj_bundle_over_curve(list(self.degrees), self.genus)
+        return getattr(catalog, _CONSTRUCTORS[self.name].fn)(*self.args)
 
     def unparse(self) -> str:
-        return "PB(degrees=[%s]; genus=%d)" % (
-            ",".join(str(d) for d in self.degrees), self.genus)
-
-
-@dataclass(frozen=True)
-class BlPNode:
-    n: int
-
-    def build(self) -> Space:
-        return catalog.blowup_point(self.n)
-
-    def unparse(self) -> str:
-        return "BlP(%d)" % self.n
+        for row in _CONSTRUCTORS.values():
+            if row.alias_of == (self.name, self.args):
+                return row.name
+        # an integer list is written as compact JSON: [1,2] or [[2],[3]]
+        fields = [("" if keyword is None else keyword + "=")
+                  + json.dumps(value, separators=(",", ":"))
+                  for (keyword, _, _, _), value in zip(
+                      _CONSTRUCTORS[self.name].params, self.args)]
+        return "%s(%s)" % (self.name, "; ".join(fields))
 
 
 @dataclass(frozen=True)
@@ -214,67 +197,26 @@ class ProductNode:
 
 def _parse_atom(p: _Parser):
     tok = p.expect("NAME")
-    name = tok.text
-    if name == "S1":
-        return SphereNode(1)
-    if name == "CP":
-        p.expect("(")
-        n = p.integer()
-        p.expect(")")
-        if n < 1:
-            raise ParseError("CP needs n >= 1", tok.pos)
-        return CPNode(n)
-    if name == "Q":
-        p.expect("(")
-        n = p.integer()
-        p.expect(")")
-        if n < 2:
-            raise ParseError("Q needs n >= 2", tok.pos)
-        return QNode(n)
-    if name == "S":
-        p.expect("(")
-        k = p.integer()
-        p.expect(")")
-        if k < 1:
-            raise ParseError("S needs k >= 1", tok.pos)
-        return SphereNode(k)
-    if name == "BlP":
-        p.expect("(")
-        n = p.integer()
-        p.expect(")")
-        if n < 2:
-            raise ParseError("BlP needs n >= 2", tok.pos)
-        return BlPNode(n)
-    if name == "CI":
-        p.expect("(")
-        p.expect("NAME", "degrees")
-        p.expect("=")
-        rows = p.int_matrix()
-        p.expect(";")
-        p.expect("NAME", "ambient")
-        p.expect("=")
-        ambient = p.int_list()
-        p.expect(")")
-        if not rows or not ambient:
-            raise ParseError("CI needs nonempty degrees and ambient", tok.pos)
-        return CINode(tuple(tuple(r) for r in rows), tuple(ambient))
-    if name == "PB":
-        p.expect("(")
-        p.expect("NAME", "degrees")
-        p.expect("=")
-        degrees = p.int_list()
-        p.expect(";")
-        p.expect("NAME", "genus")
-        p.expect("=")
-        genus = p.integer()
-        p.expect(")")
-        if len(degrees) < 2:
-            raise ParseError("PB needs at least two degrees", tok.pos)
-        if genus < 0:
-            raise ParseError("PB needs genus >= 0", tok.pos)
-        return PBNode(tuple(degrees), genus)
-    raise ParseError("unknown space constructor %r" % name, tok.pos,
-                     expected=("CP", "Q", "S", "S1", "CI", "PB", "BlP"))
+    row = _CONSTRUCTORS.get(tok.text)
+    if row is None:
+        raise ParseError("unknown space constructor %r" % tok.text, tok.pos,
+                         expected=tuple(_CONSTRUCTORS))
+    if row.alias_of is not None:
+        return AtomNode(*row.alias_of)
+    p.expect("(")
+    args = []
+    for keyword, method, _, _ in row.params:
+        if args:
+            p.expect(";")
+        if keyword is not None:
+            p.expect("NAME", keyword)
+            p.expect("=")
+        args.append(getattr(p, method)())
+    p.expect(")")
+    for (_, _, least, message), value in zip(row.params, args):
+        if (len(value) if isinstance(value, tuple) else value) < least:
+            raise ParseError(message, tok.pos)
+    return AtomNode(row.name, tuple(args))
 
 
 def _parse_postfix(p: _Parser):
@@ -375,6 +317,8 @@ def _parse_alpha_terms(space: Space, text: str):
             den = advance()
             if den[0] != "INT":
                 raise ParseError("expected a denominator", den[-1])
+            if int(den[1]) == 0:
+                raise ParseError("zero denominator", den[-1])
             value /= int(den[1])
         return value
 
@@ -624,10 +568,10 @@ def _cmd_phi_sup(args, out):
 
 def _cmd_contractions(args, out):
     node = parse_space(args.space)
-    if not isinstance(node, CINode):
+    if not (isinstance(node, AtomNode) and node.name == "CI"):
         raise CalculatorError("contractions expects a CI(...) descriptor")
-    report = cones.multiproj_contractions(list(node.ambient),
-                                          [list(r) for r in node.degrees])
+    degrees, ambient = node.args
+    report = cones.multiproj_contractions(ambient, degrees)
     rows = [("space", node.unparse()),
             ("dim", Fraction(report.dim)),
             ("fano", report.fano),
@@ -644,9 +588,11 @@ def _cmd_contractions(args, out):
 def _cmd_bundle_profile(args, out):
     rows = []
     if args.degrees is not None:
-        degrees = json.loads(args.degrees)
+        degrees = _option_value("--degrees", args.degrees,
+                                lambda text: [int(d) for d in json.loads(text)])
         sys_value, product = cones.bundle_systole_profile(
-            degrees, args.genus, Fraction(args.a), Fraction(args.b))
+            degrees, args.genus, _option_value("--a", args.a, Fraction),
+            _option_value("--b", args.b, Fraction))
         rows += [("degrees", args.degrees), ("genus", Fraction(args.genus)),
                  ("sys_value", sys_value), ("sys_times_s", product)]
     if args.n is not None:
@@ -659,9 +605,21 @@ def _cmd_bundle_profile(args, out):
     _emit(rows, args.format, args.approx, out)
 
 
-def _parse_matrix_json(text):
-    data = json.loads(text)
-    return [[Fraction(str(x)) for x in row] for row in data]
+def _option_value(option, text, convert):
+    """``convert(text)``; malformed input raises ParseError (exit 2), at the
+    JSON offset where there is one."""
+    try:
+        return convert(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON in %s: %s" % (option, exc.msg),
+                         exc.pos) from None
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParseError("invalid value for %s" % option, 0) from None
+
+
+def _rational_matrix(text):
+    """A JSON matrix whose entries are numbers or 'p/q' strings."""
+    return [[Fraction(str(x)) for x in row] for row in json.loads(text)]
 
 
 def _cmd_lattice(args, out):
@@ -690,14 +648,17 @@ def _cmd_lattice(args, out):
         _emit(rows, args.format, args.approx, out)
         return
     if args.gram:
-        gram = _parse_matrix_json(args.gram)
+        gram = _option_value("--gram", args.gram, _rational_matrix)
         form, rank = {"gram": gram}, len(gram)
     elif args.vertices:
-        verts = _parse_matrix_json(args.vertices)
+        verts = _option_value("--vertices", args.vertices, _rational_matrix)
+        if not verts:
+            raise ParseError("--vertices needs at least one vertex", 0)
         form, rank = {"vertices": verts}, len(verts[0])
     else:
         raise CalculatorError("pass --gram, --vertices, or --sweep")
-    basis = (_parse_matrix_json(args.basis) if args.basis else
+    basis = (_option_value("--basis", args.basis, _rational_matrix)
+             if args.basis else
              [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
     lat = lattices.NormedLattice(basis=basis, **form)
     rows = [("rank", Fraction(lat.rank)), ("norm", lat.kind)]
@@ -843,6 +804,19 @@ _DISPATCH = {
 }
 
 
+def _run_handler(handler, args, out, err) -> int:
+    """Run one subcommand; a parse error exits 2, a domain error 1."""
+    try:
+        handler(args, out)
+    except ParseError as exc:
+        err.write("parse error: %s\n" % exc)
+        return 2
+    except CalculatorError as exc:
+        err.write("error: %s\n" % exc)
+        return 1
+    return 0
+
+
 def run_command(argv, out=None, err=None) -> int:
     """Run one CLI invocation; returns the exit code without exiting."""
     out = out or sys.stdout
@@ -854,34 +828,19 @@ def run_command(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     handler = _DISPATCH[args.command]
     needs_space = hasattr(args, "space")
-    try:
-        if needs_space and getattr(args, "batch", False):
-            code = 0
-            for line in sys.stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                args.space = line
-                try:
-                    handler(args, out)
-                except ParseError as exc:
-                    err.write("parse error: %s\n" % exc)
-                    code = 2
-                except CalculatorError as exc:
-                    err.write("error: %s\n" % exc)
-                    code = max(code, 1)
-            return code
-        if needs_space and not args.space:
-            err.write("error: --space is required (or use --batch)\n")
-            return 2
-        handler(args, out)
-        return 0
-    except ParseError as exc:
-        err.write("parse error: %s\n" % exc)
+    if needs_space and getattr(args, "batch", False):
+        code = 0
+        for line in sys.stdin:
+            line = line.strip()
+            if not line:
+                continue
+            args.space = line
+            code = max(code, _run_handler(handler, args, out, err))
+        return code
+    if needs_space and not args.space:
+        err.write("error: --space is required (or use --batch)\n")
         return 2
-    except CalculatorError as exc:
-        err.write("error: %s\n" % exc)
-        return 1
+    return _run_handler(handler, args, out, err)
 
 
 def main() -> None:

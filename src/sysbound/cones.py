@@ -254,7 +254,7 @@ def bundle_systole_profile(degrees, genus: int, a, b):
     if a <= 0 or b <= 0:
         raise InvalidNormalization("the class a xi + b f needs a, b > 0")
     degrees = [int(d) for d in degrees]
-    if genus == 0:
+    if genus == 0 and degrees:
         if degrees != sorted(degrees) or degrees[0] != 0:
             raise InvalidNormalization(
                 "genus-0 bundles must be normalized 0 = d_1 <= d_2 <= ...")

@@ -133,6 +133,8 @@ def _gs_data(gram):
 def _is_positive_definite(g):
     """Symmetric with all LDL^T pivots positive (Sylvester's criterion)."""
     n = len(g)
+    if any(len(row) != n for row in g):
+        return False
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         return False
     try:

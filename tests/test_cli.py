@@ -12,9 +12,9 @@ import pytest
 
 import sysbound
 
-from sysbound.cli import (CINode, CPNode, ProductNode, SphereNode, TwistNode,
-                          parse_alpha, parse_json_value, parse_space,
-                          run_command)
+from sysbound import catalog
+from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
+                          parse_json_value, parse_space, run_command)
 from sysbound.engine import PiScaled
 from sysbound.errors import ParseError
 
@@ -31,13 +31,13 @@ def _run(argv):
 def test_parse_product():
     node = parse_space("CP(3) * S1")
     assert isinstance(node, ProductNode)
-    assert isinstance(node.left, CPNode) and node.left.n == 3
-    assert isinstance(node.right, SphereNode) and node.right.k == 1
+    assert node.left == AtomNode("CP", (3,))
+    assert node.right == AtomNode("S", (1,))
 
 
 def test_parse_ci():
     node = parse_space("CI(degrees=[[3]]; ambient=[4])")
-    assert isinstance(node, CINode)
+    assert node == AtomNode("CI", (((3,),), (4,)))
     space = node.build()
     assert space.complex_dim == 3
     assert space.fano_index == 2
@@ -53,7 +53,7 @@ def test_parse_left_associative():
     node = parse_space("CP(1) * CP(2) * CP(3)")
     assert isinstance(node, ProductNode)
     assert isinstance(node.left, ProductNode)
-    assert node.right == CPNode(3)
+    assert node.right == AtomNode("CP", (3,))
 
 
 def test_parse_twist_suffix():
@@ -66,9 +66,27 @@ def test_parse_twist_suffix():
 def test_parse_print_parse_identity():
     for text in ("CP(3) * S1", "CI(degrees=[[2],[3]]; ambient=[6])",
                  "PB(degrees=[0,1]; genus=0)", "BlP(4)", "Q(5) * S(4)",
-                 "CP(2).twist(3) * S1"):
+                 "CP(2).twist(3) * S1", "S(1)", "CP(2)twist(1)",
+                 "PB(degrees=[1,1,1,1]; genus=2)"):
         node = parse_space(text)
         assert parse_space(node.unparse()) == node
+    assert parse_space("S(1)") == parse_space("S1")
+    assert parse_space("S(1)").unparse() == "S1"
+
+
+def test_build_looks_up_the_catalog_function_when_called(monkeypatch):
+    # a tracer rebinds catalog functions in the module namespace; builds
+    # must go through the rebound name to be seen
+    calls = []
+    real = catalog.projective_space
+
+    def patched(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(catalog, "projective_space", patched)
+    assert parse_space("CP(2)").build().name == "CP(2)"
+    assert calls == [2]
 
 
 def test_parse_errors_carry_position():
@@ -81,6 +99,49 @@ def test_parse_errors_carry_position():
         parse_space("CP(3) *")
     with pytest.raises(ParseError):
         parse_space("Frob(2)")
+
+
+@pytest.mark.parametrize("text, message, position, expected", [
+    # range checks point at the constructor name
+    ("CP(0)", "CP needs n >= 1 at offset 0", 0, ()),
+    ("Q(1)", "Q needs n >= 2 at offset 0", 0, ()),
+    ("S(0)", "S needs k >= 1 at offset 0", 0, ()),
+    ("BlP(1)", "BlP needs n >= 2 at offset 0", 0, ()),
+    ("CP(2) * Q(1)", "Q needs n >= 2 at offset 8", 8, ()),
+    ("CI(degrees=[]; ambient=[3])",
+     "CI needs nonempty degrees and ambient at offset 0", 0, ()),
+    ("CI(degrees=[[2]]; ambient=[])",
+     "CI needs nonempty degrees and ambient at offset 0", 0, ()),
+    ("PB(degrees=[1]; genus=0)",
+     "PB needs at least two degrees at offset 0", 0, ()),
+    ("PB(degrees=[0,1]; genus=-1)", "PB needs genus >= 0 at offset 0", 0, ()),
+    # both checks fail: the first one reports
+    ("PB(degrees=[1]; genus=-1)",
+     "PB needs at least two degrees at offset 0", 0, ()),
+    # keywords come in a fixed order, separated by ';'
+    ("CI(ambient=[4]; degrees=[[3]])",
+     "unexpected 'ambient' at offset 3 (expected degrees)", 3, ("degrees",)),
+    ("CI(degrees=[[3]], ambient=[4])",
+     "unexpected ',' at offset 16 (expected ;)", 16, (";",)),
+    ("Frob(2)",
+     "unknown space constructor 'Frob' at offset 0 "
+     "(expected CP, Q, S, S1, CI, PB, BlP)", 0,
+     ("CP", "Q", "S", "S1", "CI", "PB", "BlP")),
+    ("S1(2)", "trailing input '(' at offset 2 (expected *, end of input)",
+     2, ("*", "end of input")),
+    ("CP(3) & S1", "unexpected character '&' at offset 6", 6, ()),
+    ("CP(3) *", "unexpected 'end of input' at offset 7 (expected NAME)",
+     7, ("NAME",)),
+    ("CP(2).twist", "unexpected 'end of input' at offset 11 (expected ()",
+     11, ("(",)),
+    ("", "unexpected 'end of input' at offset 0 (expected NAME)", 0, ("NAME",)),
+])
+def test_parse_error_texts(text, message, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_space(text)
+    assert str(exc.value) == message
+    assert exc.value.position == position
+    assert exc.value.expected == expected
 
 
 def test_parse_alpha_expressions():
@@ -270,6 +331,30 @@ def test_batch_mode(monkeypatch):
     assert values == ["3", "3"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--gram", "foo"],
+    ["lattice", "--gram", '[[1,"a"],[1,2]]'],
+    ["lattice", "--vertices", "[]"],
+    ["bundle-profile", "--degrees", "foo"],
+    ["bundle-profile", "--degrees", "[0,1]", "--a", "x"],
+    ["phi", "--space", "CP(2)", "--alpha", "1/0*H"],
+])
+def test_bad_option_values_are_parse_errors(argv):
+    proc = subprocess.run([sys.executable, "-m", "sysbound", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_batch_continues_past_a_bad_alpha(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nBlP(3)\n"))
+    code, out, err = _run(["phi", "--batch", "--alpha", "1/0*H"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["parse error: zero denominator at offset 2"] * 2
+
+
 @pytest.mark.parametrize("lines", ["CP(\nS1\n", "S1\nCP(\n"])
 def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     # one parse error (exit 2) and one domain error (exit 1), in either order
@@ -322,15 +407,20 @@ print(json.dumps({"optimized": not __debug__,
 '''
 
 
-def _replay(flags):
-    """Run every example in a fresh interpreter started with ``flags``."""
+def _child_env():
+    """The environment with this checkout's package first on the path."""
     env = dict(os.environ)
     package_root = Path(sysbound.__file__).resolve().parents[1]
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return env
+
+
+def _replay(flags):
+    """Run every example in a fresh interpreter started with ``flags``."""
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _REPLAY, json.dumps(_EXAMPLES)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -219,6 +219,9 @@ def test_bundle_profile_normalization_enforced():
         bundle_systole_profile([1, 0], 0, 1, 1)
     with pytest.raises(InvalidNormalization):
         bundle_systole_profile([0, 1], 0, 0, 1)
+    # an empty splitting fails the bundle's own degree count, not an index
+    with pytest.raises(PreconditionUnmet, match="at least two degrees"):
+        bundle_systole_profile([], 0, 1, 1)
 
 
 def test_bundle_profile_sup_values():

@@ -88,6 +88,9 @@ def test_positive_definite_matches_sylvester_minors():
     # a zero leading pivot ahead of a positive one is not definite
     assert not _is_positive_definite([[0, 0], [0, 1]])
     assert not _is_positive_definite([[0, 1], [1, 0]])
+    # a matrix that is not square is not a form
+    assert not _is_positive_definite([[]])
+    assert not _is_positive_definite([[2, 1], [1]])
 
 
 def test_integer_lattice_minima():
