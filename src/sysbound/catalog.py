@@ -15,10 +15,12 @@ operations that need a ring reject them.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
+from typing import Callable
 
-from .characteristic import ChernData, a_hat, todd, total_inverse, whitney_quotient
+from .characteristic import ChernData, a_hat, todd_from_a_hat, whitney_quotient
 from .errors import (CertificateFailed, EmptyIntersection, MetadataOnlySpace,
                      NoPrimitiveClass, PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
@@ -54,7 +56,15 @@ class Curve:
 
 @dataclass
 class Space:
-    """A catalog manifold; immutable by convention after construction."""
+    """A catalog manifold; immutable by convention after construction.
+
+    ``a_hat_of`` is the recipe for the A-hat class: it runs on the first read
+    of ``a_hat_cls``, and the value is kept.  ``todd_cls`` is read off c1 and
+    A-hat the same way.  Kept values are not init fields, so
+    ``dataclasses.replace`` copies the recipe and never a value computed for
+    another space; the same holds for the index polynomial that
+    :func:`sysbound.engine.index_polynomial` keeps in ``_index_poly_cache``.
+    """
 
     name: str
     family: str
@@ -66,8 +76,7 @@ class Space:
     complex_dim: int | None = None
     tangent: ChernData | None = None
     c1: GradedClass | None = None
-    a_hat_cls: GradedClass | None = None
-    todd_cls: GradedClass | None = None
+    a_hat_of: Callable[[], GradedClass | None] | None = None
     spin_c: GradedClass | None = None
     primitive_x: GradedClass | None = None
     odd_xi: GradedClass | None = None
@@ -79,6 +88,19 @@ class Space:
     kahler_einstein: bool | None = None
     notes: str = ""
     factor_embeddings: tuple = ()  # (left, right) class maps on products
+    _index_poly_cache: object = field(default=None, init=False,
+                                      compare=False, repr=False)
+
+    @cached_property
+    def a_hat_cls(self) -> GradedClass | None:
+        return None if self.a_hat_of is None else self.a_hat_of()
+
+    @cached_property
+    def todd_cls(self) -> GradedClass | None:
+        """Todd = exp(c1/2) * A-hat on complex spaces carrying both."""
+        if not self.is_complex or self.c1 is None or self.a_hat_cls is None:
+            return None
+        return todd_from_a_hat(self.c1, self.a_hat_cls)
 
     def require_ring(self) -> Ring:
         if self.metadata_only or self.ring is None:
@@ -111,8 +133,7 @@ def integrate(space: Space, cls: GradedClass) -> Fraction:
 def _attach_tangent(space: Space, tangent: ChernData) -> None:
     space.tangent = tangent
     space.c1 = tangent.chern(1)
-    space.a_hat_cls = a_hat(tangent)
-    space.todd_cls = todd(tangent)
+    space.a_hat_of = partial(a_hat, tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +191,7 @@ def circle() -> Space:
     return Space(
         name="S1", family="S", real_dim=1, b1=1, b2=0,
         ring=ring, spin_c=ring.zero(), odd_xi=t,
-        a_hat_cls=ring.one(),
+        a_hat_of=ring.one,
     )
 
 
@@ -189,7 +210,7 @@ def sphere(k: int) -> Space:
         ring=ring, spin_c=ring.zero(),
         primitive_x=g if k == 2 else None,
         odd_xi=None,
-        a_hat_cls=ring.one(),
+        a_hat_of=ring.one,
         notes="stably trivial tangent bundle",
     )
 
@@ -214,16 +235,16 @@ def product(x: Space, y: Space) -> Space:
     both_complex = x.is_complex and y.is_complex
 
     tangent = None
-    todd_cls = None
     c1 = None
     if both_complex and x.tangent is not None and y.tangent is not None:
         tangent = ChernData(rank=x.tangent.rank + y.tangent.rank,
                             total=lmap(x.tangent.total) * rmap(y.tangent.total))
-    a_hat_cls = None
-    if x.a_hat_cls is not None and y.a_hat_cls is not None:
-        a_hat_cls = lmap(x.a_hat_cls) * rmap(y.a_hat_cls)
-    if x.todd_cls is not None and y.todd_cls is not None and both_complex:
-        todd_cls = lmap(x.todd_cls) * rmap(y.todd_cls)
+
+    def a_hat_of():
+        if x.a_hat_cls is None or y.a_hat_cls is None:
+            return None
+        return lmap(x.a_hat_cls) * rmap(y.a_hat_cls)
+
     if both_complex and x.c1 is not None and y.c1 is not None:
         c1 = lmap(x.c1) + rmap(y.c1)
 
@@ -271,7 +292,7 @@ def product(x: Space, y: Space) -> Space:
         real_dim=x.real_dim + y.real_dim, b1=b1, b2=b2,
         ring=ring, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
-        tangent=tangent, c1=c1, a_hat_cls=a_hat_cls, todd_cls=todd_cls,
+        tangent=tangent, c1=c1, a_hat_of=a_hat_of,
         spin_c=spin_c, primitive_x=primitive_x, odd_xi=odd_xi,
         fundamental_twist=twist, nef_rays=nef_rays, curves=curves,
         factor_embeddings=(lmap, rmap),
@@ -490,8 +511,9 @@ def twist_spin_c(space: Space, k: int) -> Space:
     if k == 0:
         return space
     new_c = space.spin_c + (2 * k) * space.primitive_x
+    # A-hat does not see the spin^c class: share the untwisted space's value
     return dataclasses.replace(
-        space, spin_c=new_c,
+        space, spin_c=new_c, a_hat_of=lambda: space.a_hat_cls,
         name="%s twist(%d)" % (space.name, k),
         notes=(space.notes + "; " if space.notes else "") + "twisted spin^c class",
     )

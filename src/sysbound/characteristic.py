@@ -1,10 +1,12 @@
 """Multiplicative characteristic-class calculus over a graded ring.
 
-The A-hat and Todd classes are evaluated through the logarithms of their
-generating functions: ``log((x/2)/sinh(x/2))`` and ``log(x/(1-exp(-x)))`` are
-expanded once as exact univariate Taylor series, then applied to the power
-sums of the Chern roots (Newton's identities).  This avoids symbolic root
-splitting and stays in rational arithmetic end to end.
+The A-hat class is evaluated through the logarithm of its generating
+function: ``log((x/2)/sinh(x/2))`` is expanded once as an exact univariate
+Taylor series, then applied to the power sums of the Chern roots (Newton's
+identities).  This avoids symbolic root splitting and stays in rational
+arithmetic end to end.  The Todd class follows from A-hat without a second
+series: per Chern root, x/(1-exp(-x)) = exp(x/2) * (x/2)/sinh(x/2), so
+Todd = exp(c1/2) * A-hat (Hirzebruch, multiplicative sequences).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionInconsistent, RingMismatch
-from .graded import GradedClass, exp_nilpotent
+from .graded import GradedClass, exp_class, exp_nilpotent
 
 # ---------------------------------------------------------------------------
 # exact univariate Taylor series, represented as tuples of Fractions
@@ -66,14 +68,6 @@ def _ahat_log_coeffs(prec: int):
     for k in range(0, prec // 2 + 1):
         s[2 * k] = Fraction(1, 4 ** k * math.factorial(2 * k + 1))
     return tuple(-c for c in _s_log(tuple(s), prec))
-
-
-@lru_cache(maxsize=None)
-def _todd_log_coeffs(prec: int):
-    """Coefficients of log(x/(1-exp(-x))) up to degree prec."""
-    # (1 - exp(-x))/x = sum (-1)^k x^k / (k+1)!
-    s = tuple(Fraction((-1) ** k, math.factorial(k + 1)) for k in range(prec + 1))
-    return tuple(-c for c in _s_log(s, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,15 @@ def a_hat(c: ChernData) -> GradedClass:
 
 
 def todd(c: ChernData) -> GradedClass:
-    """Truncated Todd class; equals exp(c1/2) * a_hat(c) identically."""
+    """Truncated Todd class of a complex bundle."""
     if c.flavor != "complex":
         raise DivisionInconsistent("the Todd class needs a complex structure")
-    ring = c.ring
-    ps = newton_power_sums(c)
-    return _evaluate_log_series(_todd_log_coeffs(ring.truncation // 2), ps, ring)
+    return todd_from_a_hat(c.chern(1), a_hat(c))
+
+
+def todd_from_a_hat(c1: GradedClass, a_hat_cls: GradedClass) -> GradedClass:
+    """Todd = exp(c1/2) * A-hat, from the first Chern class and A-hat."""
+    return exp_class(c1 * Fraction(1, 2)) * a_hat_cls
 
 
 def chern_character(c: ChernData) -> GradedClass:

@@ -111,6 +111,24 @@ class _Parser:
 # AST ----------------------------------------------------------------------
 
 
+class _Node:
+    """A descriptor node.  Nodes are frozen and hold only ints, tuples and
+    nodes, so a node is its own key in a build memo."""
+
+    def build(self, memo: dict | None = None) -> Space:
+        """The space this node describes.
+
+        With ``memo`` (one dict per batch), each distinct node, factors and
+        twisted spaces included, is built once; a failed build is not kept.
+        """
+        if memo is None:
+            return self._make(None)
+        space = memo.get(self)
+        if space is None:
+            space = memo[self] = self._make(memo)
+        return space
+
+
 @dataclass(frozen=True)
 class _Constructor:
     """One descriptor constructor: how it parses, checks, builds and prints.
@@ -150,13 +168,13 @@ _CONSTRUCTORS = {row.name: row for row in (
 
 
 @dataclass(frozen=True)
-class AtomNode:
+class AtomNode(_Node):
     """A catalog constructor applied to its arguments (ints and tuples)."""
 
     name: str
     args: tuple
 
-    def build(self) -> Space:
+    def _make(self, memo) -> Space:
         return getattr(catalog, _CONSTRUCTORS[self.name].fn)(*self.args)
 
     def unparse(self) -> str:
@@ -172,24 +190,24 @@ class AtomNode:
 
 
 @dataclass(frozen=True)
-class TwistNode:
+class TwistNode(_Node):
     inner: object
     k: int
 
-    def build(self) -> Space:
-        return catalog.twist_spin_c(self.inner.build(), self.k)
+    def _make(self, memo) -> Space:
+        return catalog.twist_spin_c(self.inner.build(memo), self.k)
 
     def unparse(self) -> str:
         return "%s.twist(%d)" % (self.inner.unparse(), self.k)
 
 
 @dataclass(frozen=True)
-class ProductNode:
+class ProductNode(_Node):
     left: object
     right: object
 
-    def build(self) -> Space:
-        return catalog.product(self.left.build(), self.right.build())
+    def _make(self, memo) -> Space:
+        return catalog.product(self.left.build(memo), self.right.build(memo))
 
     def unparse(self) -> str:
         return "%s * %s" % (self.left.unparse(), self.right.unparse())
@@ -474,11 +492,11 @@ def _emit(rows, fmt: str, approx: int | None, out=None):
 # ---------------------------------------------------------------------------
 
 
-def _split_product(node):
+def _split_product(node, memo):
     """X * N split at the top-level product for two-space bounds."""
     if isinstance(node, ProductNode):
-        return node.left.build(), node.right.build()
-    return node.build(), None
+        return node.left.build(memo), node.right.build(memo)
+    return node.build(memo), None
 
 
 _EXTRA_SELECTORS = ("thm1.4", "thm1.8", "rbar")
@@ -489,7 +507,7 @@ def _cmd_bound(args, out):
     theorem = args.theorem
     rows = [("space", node.unparse()), ("theorem", theorem)]
     if theorem in _EXTRA_SELECTORS:
-        space = node.build()
+        space = node.build(args.builds)
         if args.alpha:
             alpha, pi_exp = parse_alpha(space, args.alpha)
         else:
@@ -505,7 +523,7 @@ def _cmd_bound(args, out):
             value = engine.avg_scalar_curvature(space, alpha, scale)
             rows.append(("average_scalar_curvature", value))
     else:
-        x, n_factor = _split_product(node)
+        x, n_factor = _split_product(node, args.builds)
         if theorem in ("thm1.1", "thm1.2", "thm4.5", "prop5.1") \
                 and n_factor is not None:
             raise CalculatorError(
@@ -518,7 +536,7 @@ def _cmd_bound(args, out):
 
 def _cmd_index_poly(args, out):
     node = parse_space(args.space)
-    space = node.build()
+    space = node.build(args.builds)
     poly = engine.index_polynomial(space)
     rows = [("space", node.unparse()),
             ("polynomial", str(poly)),
@@ -529,21 +547,21 @@ def _cmd_index_poly(args, out):
 
 def _cmd_length(args, out):
     node = parse_space(args.space)
-    value = engine.length(node.build())
+    value = engine.length(node.build(args.builds))
     _emit([("space", node.unparse()), ("length", Fraction(value))],
           args.format, args.approx, out)
 
 
 def _cmd_todd(args, out):
     node = parse_space(args.space)
-    value = engine.todd_genus(node.build())
+    value = engine.todd_genus(node.build(args.builds))
     _emit([("space", node.unparse()), ("todd_genus", value)],
           args.format, args.approx, out)
 
 
 def _cmd_phi(args, out):
     node = parse_space(args.space)
-    space = node.build()
+    space = node.build(args.builds)
     alpha, pi_exp = parse_alpha(space, args.alpha)
     if pi_exp:
         raise CalculatorError("the volume functional is scale-invariant; "
@@ -555,7 +573,7 @@ def _cmd_phi(args, out):
 
 def _cmd_phi_sup(args, out):
     node = parse_space(args.space)
-    space = node.build()
+    space = node.build(args.builds)
     result = cones.phi_sup(cones.cone_problem(space))
     rows = [("space", node.unparse())]
     if isinstance(result, cones.Unbounded):
@@ -729,6 +747,7 @@ def _build_parser():
                            help="space descriptor, e.g. 'CP(3) * S1'")
             p.add_argument("--batch", action="store_true",
                            help="read one descriptor per line from stdin")
+            p.set_defaults(builds=None)  # a batch's build memo, not an option
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
         p.add_argument("--approx", type=int, default=None, metavar="DIGITS",
@@ -829,6 +848,7 @@ def run_command(argv, out=None, err=None) -> int:
     handler = _DISPATCH[args.command]
     needs_space = hasattr(args, "space")
     if needs_space and getattr(args, "batch", False):
+        args.builds = {}  # each distinct space is built once per batch
         code = 0
         for line in sys.stdin:
             line = line.strip()

@@ -154,7 +154,16 @@ def _xi_factor(space: Space) -> GradedClass:
 
 
 def index_polynomial(space: Space) -> IndexPolynomial:
-    """Exact coefficients of P(a) = <[X], xi e^(ax) e^(c/2) A-hat(TX)>."""
+    """Exact coefficients of P(a) = <[X], xi e^(ax) e^(c/2) A-hat(TX)>.
+
+    Computed once per space and kept on it.
+    """
+    if space._index_poly_cache is None:
+        space._index_poly_cache = _index_polynomial(space)
+    return space._index_poly_cache
+
+
+def _index_polynomial(space: Space) -> IndexPolynomial:
     space.require_ring()
     if space.primitive_x is None:
         raise NoPrimitiveClass(

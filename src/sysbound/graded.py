@@ -134,6 +134,13 @@ class Ring:
         if not self.pairing:
             raise InvalidPresentation("pairing functional vanishes on all top monomials")
 
+        #: m1 -> {m2: normal form of m1*m2 with coefficient 1}, filled by
+        #: products; a normal form is linear in its coefficient, so a
+        #: product scales the entry.  An entry is stored only once its
+        #: rewrite has finished, so a presentation that exceeds the rewrite
+        #: bound raises on every product that needs it.
+        self._products = {}
+
         # smoke-test termination on the generator caps
         for i, (cap, _) in self._power_rules.items():
             mono = tuple(cap if j == i else 0 for j in range(len(self.generators)))
@@ -156,6 +163,15 @@ class Ring:
             return None
         swaps = sum(1 for i in odd_a for j in odd_b if j < i)
         return -1 if swaps % 2 else 1
+
+    def _monomial_product(self, a: Monomial, b: Monomial):
+        """Normal form of a*b with coefficient 1, Koszul sign included, as
+        (monomial, coefficient) pairs."""
+        sign = self._koszul_sign(a, b)
+        if sign is None:
+            return ()
+        merged = tuple(x + y for x, y in zip(a, b))
+        return tuple(self._normalize_monomial(merged, Fraction(sign)).items())
 
     def _normalize_monomial(self, m: Monomial, coeff=Fraction(1)):
         """Rewrite coeff*m into normal form; returns {monomial: coeff}."""
@@ -326,13 +342,16 @@ class GradedClass:
         ring = self.ring
         acc = {}
         for m1, c1 in self.terms.items():
+            row = ring._products.get(m1)
+            if row is None:
+                row = ring._products[m1] = {}
             for m2, c2 in other.terms.items():
-                sign = ring._koszul_sign(m1, m2)
-                if sign is None:
-                    continue
-                merged = tuple(a + b for a, b in zip(m1, m2))
-                for nm, nc in ring._normalize_monomial(merged, sign * c1 * c2).items():
-                    acc[nm] = acc.get(nm, Fraction(0)) + nc
+                nf = row.get(m2)
+                if nf is None:
+                    nf = row[m2] = ring._monomial_product(m1, m2)
+                c = c1 * c2
+                for nm, nc in nf:
+                    acc[nm] = acc.get(nm, Fraction(0)) + nc * c
                     if not acc[nm]:
                         del acc[nm]
         return GradedClass(ring, acc)

@@ -166,6 +166,11 @@ def _gram_of_basis(basis, form):
 # ---------------------------------------------------------------------------
 
 
+def _lengths(rows):
+    """The distinct row lengths, as '2' or '1/2'."""
+    return "/".join(str(n) for n in sorted({len(row) for row in rows}))
+
+
 @dataclass
 class NormedLattice:
     """A rank-r lattice with a Euclidean or polytope norm.
@@ -182,6 +187,9 @@ class NormedLattice:
     def __post_init__(self):
         self.basis = _mat(self.basis)
         r = len(self.basis)
+        if r == 0:
+            raise PreconditionUnmet("the lattice basis is empty; rank must be "
+                                    "at least 1")
         if r > MAX_RANK:
             raise RankTooLarge("rank %d exceeds the desk-scale cap %d"
                                % (r, MAX_RANK))
@@ -193,6 +201,10 @@ class NormedLattice:
             raise PreconditionUnmet("give exactly one of gram and vertices")
         if self.gram is not None:
             self.gram = _mat(self.gram)
+            if len(self.gram) != r or any(len(row) != r for row in self.gram):
+                raise PreconditionUnmet(
+                    "the Gram matrix is %dx%s but the basis has rank %d"
+                    % (len(self.gram), _lengths(self.gram), r))
             if not _is_positive_definite(self.gram):
                 raise PreconditionUnmet(
                     "the Euclidean form must be symmetric positive-definite "
@@ -200,6 +212,10 @@ class NormedLattice:
             self._normals = None
         else:
             self.vertices = [[Fraction(x) for x in v] for v in self.vertices]
+            if any(len(v) != r for v in self.vertices):
+                raise PreconditionUnmet(
+                    "the vertices have %s coordinates but the basis has rank %d"
+                    % (_lengths(self.vertices), r))
             vset = {tuple(v) for v in self.vertices}
             if {tuple(-x for x in v) for v in self.vertices} != vset:
                 raise PreconditionUnmet(

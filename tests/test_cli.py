@@ -1,5 +1,6 @@
 """Descriptor grammar, command dispatch, formats, exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import sysbound
+from batch_pool import BATCH_COMMANDS, BATCH_POOL
 
-from sysbound import catalog
+from sysbound import catalog, cli
 from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
                           parse_json_value, parse_space, run_command)
 from sysbound.engine import PiScaled
@@ -348,6 +350,28 @@ def test_bad_option_values_are_parse_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gram", "[[1,0],[0,1]]", "--basis", "[[1]]"],
+     "the Gram matrix is 2x2 but the basis has rank 1"),
+    (["--gram", "[[1]]", "--basis", "[[1,0],[0,1]]"],
+     "the Gram matrix is 1x1 but the basis has rank 2"),
+    (["--vertices", "[[1,0],[-1,0]]", "--basis", "[[1]]"],
+     "the vertices have 2 coordinates but the basis has rank 1"),
+    (["--gram", "[]"], "the lattice basis is empty; rank must be at least 1"),
+    (["--gram", "[[1]]", "--basis", "[]"],
+     "the lattice basis is empty; rank must be at least 1"),
+    (["--vertices", "[[]]"],
+     "the lattice basis is empty; rank must be at least 1"),
+])
+def test_lattice_sizes_must_match_the_basis(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: %s\n" % message
+    assert "Traceback" not in proc.stderr
+
+
 def test_batch_continues_past_a_bad_alpha(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nBlP(3)\n"))
     code, out, err = _run(["phi", "--batch", "--alpha", "1/0*H"])
@@ -364,6 +388,59 @@ def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     assert code == 2
     kinds = {line.split(":")[0] for line in err.splitlines()}
     assert kinds == {"parse error", "error"}
+
+
+# -- the build memo of one batch ---------------------------------------------
+
+#: a twist between two reads of its untwisted space: a value kept on CP(3)
+#: must not reach CP(3).twist(1), nor the other way round
+_LEAD = ("CP(3)", "CP(3).twist(1)", "CP(3)")
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS, ids=" ".join)
+def test_batch_output_does_not_depend_on_order_or_repeats(monkeypatch, command):
+    single = {desc: _run([*command, "--space", desc, "--format", "json"])
+              for desc in set(_LEAD + BATCH_POOL)}
+    orders = {"pool": BATCH_POOL, "reversed": BATCH_POOL[::-1],
+              "doubled": tuple(d for d in BATCH_POOL for _ in range(2))}
+    for order, lines in orders.items():
+        lines = _LEAD + lines
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO("".join(d + "\n" for d in lines)))
+        code, out, err = _run([*command, "--batch", "--format", "json"])
+        assert code == max(single[d][0] for d in lines), order
+        assert out == "".join(single[d][1] for d in lines), order
+        assert err == "".join(single[d][2] for d in lines), order
+
+
+def test_batch_commands_leave_built_spaces_unchanged():
+    # every command of a batch runs on the same built spaces; afterwards each
+    # init field is the object it was, and only the kept values are new
+    memo = {}
+    for desc in _LEAD + BATCH_POOL:
+        parse_space(desc).build(memo)
+    built = dict(memo)
+    before = {node: {f.name: getattr(space, f.name)
+                     for f in dataclasses.fields(space) if f.init}
+              for node, space in built.items()}
+    assert any(isinstance(node, ProductNode) for node in built)
+    assert any(isinstance(node, TwistNode) for node in built)
+    parser = cli._build_parser()
+    for command in BATCH_COMMANDS:
+        for desc in _LEAD + BATCH_POOL:
+            args = parser.parse_args([*command, "--space", desc])
+            args.builds = memo
+            cli._run_handler(cli._DISPATCH[args.command], args,
+                             io.StringIO(), io.StringIO())
+    assert memo.keys() == built.keys()
+    assert all(memo[n] is s for n, s in built.items())
+    kept = {"a_hat_cls", "todd_cls", "_index_poly_cache"}
+    for node, space in built.items():
+        for name, value in before[node].items():
+            assert getattr(space, name) is value, (node.unparse(), name)
+        assert set(vars(space)) - set(before[node]) <= kept, node.unparse()
+    assert all(built[parse_space(d)].__dict__.get("a_hat_cls") is not None
+               for d in ("CP(3)", "CP(3).twist(1)", "CP(3) * S1"))
 
 
 # -- README examples in a fresh interpreter ---------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sysbound.catalog import blowup_point, circle, integrate, product, projective_space
-from sysbound.errors import InvalidPresentation, NotDegreeTwo, RingMismatch
+from sysbound.errors import (InvalidPresentation, NonTerminatingRewrite,
+                             NotDegreeTwo, RingMismatch)
 from sysbound.graded import (Generator, RingPresentation, exp_class, make_ring,
                              truncated_polynomial_ring)
 
@@ -200,3 +201,24 @@ def test_integrate_is_linear():
     H = cp3.ring.gen("H")
     a, b = H ** 3, H ** 2
     assert integrate(cp3, 2 * a + 3 * b) == 2 * integrate(cp3, a) + 3 * integrate(cp3, b)
+
+
+def test_rewrite_bound_fires_on_every_expansion():
+    # a^25 -> a^24 b + a^23 b^2 lowers the monomial order, and a^25 itself
+    # rewrites in three steps, so the ring is accepted; but a^48 = a^24 * a^24
+    # branches like the Fibonacci numbers and needs far more than the bound
+    ring = make_ring(RingPresentation(
+        generators=[Generator("a", 2, False), Generator("b", 2, False)],
+        truncation=96,
+        power_rules={"a": (25, {(24, 1): 1, (23, 2): 1})},
+        pairing={(0, 48): 1}))
+    x = ring.from_terms({(24, 0): 1})
+    for _ in range(2):
+        with pytest.raises(NonTerminatingRewrite):
+            x * x
+        # nothing of the failed expansion was kept for the next product
+        assert (24, 0) not in ring._products.get((24, 0), {})
+    # a product that stays below the cap is kept
+    y = ring.from_terms({(12, 0): 1})
+    assert y * y == ring.from_terms({(24, 0): 1})
+    assert (12, 0) in ring._products[(12, 0)]

@@ -176,8 +176,8 @@ def test_length_zero_encodes_obstruction():
     from sysbound.characteristic import a_hat
     k3 = Space(name="K3-model", family="custom", real_dim=4, b1=0, b2=1,
                ring=ring, is_complex=True, complex_dim=2, tangent=tangent,
-               c1=ring.zero(), a_hat_cls=a_hat(tangent), spin_c=ring.zero(),
-               primitive_x=x)
+               c1=ring.zero(), a_hat_of=lambda: a_hat(tangent),
+               spin_c=ring.zero(), primitive_x=x)
     assert integrate(k3, k3.a_hat_cls) == 2
     assert length(k3) == 0
     with pytest.raises(LichnerowiczObstruction):
