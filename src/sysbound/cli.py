@@ -640,8 +640,21 @@ def _rational_matrix(text):
     return [[Fraction(str(x)) for x in row] for row in json.loads(text)]
 
 
+def _check_sweep(args):
+    """A sweep draws at least one lattice, at ranks in a nonempty range
+    starting at 1 or above; ranks above the cap are left to NormedLattice."""
+    if args.sweep < 1:
+        raise ParseError("--sweep %d is not a positive count" % args.sweep, 0)
+    if args.min_rank < 1:
+        raise ParseError("--min-rank %d is below 1" % args.min_rank, 0)
+    if args.min_rank > args.max_rank:
+        raise ParseError("--min-rank %d exceeds --max-rank %d"
+                         % (args.min_rank, args.max_rank), 0)
+
+
 def _cmd_lattice(args, out):
-    if args.sweep:
+    if args.sweep is not None:
+        _check_sweep(args)
         rng = random.Random(args.seed)
         buckets = {}
         worst = Fraction(0)

@@ -6,12 +6,19 @@ Euclidean (an ambient positive-definite rational Gram form) or polytope
 quantities are exact: Euclidean minima as squared rationals, polytope minima
 as rationals.
 
-Enumeration is exact Fincke-Pohst over Fractions with integer range bounds
-derived from integer square roots; an exact LLL pass keeps the search tree
-small.  For polytope norms the search region comes from an inscribed
-ellipsoid whose sandwich certificate (E inside the ball, ball inside
-sqrt(r) E) is verified in rational arithmetic; the ellipsoid itself may be
-found by floating-point iteration since only the certificate matters.
+Gram matrices B F B^T are formed in Python ints, with the denominators of B
+and F cleared once and divided out once per entry.  Enumeration is exact
+Fincke-Pohst over Fractions with integer range bounds derived from integer
+square roots; an exact LLL pass keeps the search tree small.  LLL, and the
+size reduction that ends a KZ reduction, compute the Gram-Schmidt data
+(mu, bstar) once and update it in place under each row operation (Cohen,
+GTM 138, section 2.6), so no Gram matrix is rebuilt inside a reduction.
+Each lattice keeps its minima, its LLL run and its dual once computed.
+
+For polytope norms the search region comes from an inscribed ellipsoid
+whose sandwich certificate (E inside the ball, ball inside sqrt(r) E) is
+verified in rational arithmetic; the ellipsoid itself may be found by
+floating-point iteration since only the certificate matters.
 """
 
 from __future__ import annotations
@@ -37,19 +44,6 @@ MAX_FACET_SUBSETS = 10_000
 
 def _mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            ail = a[i][l]
-            if not ail:
-                continue
-            for j in range(m):
-                out[i][j] += ail * b[l][j]
-    return out
 
 
 def _transpose(a):
@@ -114,13 +108,14 @@ def _gs_data(gram):
 
     gram = mu diag(bstar) mu^T with mu unit lower triangular; raises on the
     first nonpositive pivot, so no pivot is ever divided by unless positive.
+    The entries may be ints or Fractions; mu and bstar are Fractions.
     """
     r = len(gram)
     mu = [[Fraction(0)] * r for _ in range(r)]
     bstar = [Fraction(0)] * r
     for i in range(r):
         mu[i][i] = Fraction(1)
-        bstar[i] = gram[i][i]
+        bstar[i] = Fraction(gram[i][i])
         for j in range(i):
             num = gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
             mu[i][j] = num / bstar[j]
@@ -156,9 +151,30 @@ def _quad(g, x):
     return total
 
 
+def _cleared(m):
+    """``(rows, d)``: integer rows with m = rows / d, d the least common
+    denominator of the entries (ints or Fractions)."""
+    d = 1
+    for row in m:
+        for x in row:
+            d = math.lcm(d, x.denominator)
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
 def _gram_of_basis(basis, form):
-    bg = _mat_mul(_mat(basis), _mat(form))
-    return _mat_mul(bg, _transpose(_mat(basis)))
+    """The exact product basis * form * basis^T.
+
+    Denominators are cleared once per matrix (basis = B / d, form = F / e),
+    B F B^T is multiplied in Python ints, and each entry is divided by
+    d^2 e once at the end.
+    """
+    b, d = _cleared(basis)
+    f, e = _cleared(form)
+    f_cols = list(zip(*f))
+    bf = [[sum(x * y for x, y in zip(row, col)) for col in f_cols] for row in b]
+    scale = d * d * e
+    return [[Fraction(sum(x * y for x, y in zip(row, other)), scale)
+             for other in b] for row in bf]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +238,9 @@ class NormedLattice:
                     "polytope vertex list must be closed under negation")
             self._normals = _facet_normals(self.vertices, r)
         self._euclid_form_cache = None
+        self._lll_cache = None
         self._minima_cache = None
+        self._dual_cache = None
 
     # -- norms ------------------------------------------------------------
 
@@ -425,35 +443,60 @@ def _round_half(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def _size_reduce(w, gram, k):
+def _reduce_row(w, mu, k):
     """Size-reduce row k of w in place against rows k-1, ..., 0.
 
-    Returns the Gram-Schmidt data (mu, bstar) of the rows afterwards.
+    Each step is row k <- row k - q row j with q = mu_kj rounded; the
+    Gram-Schmidt coefficients of row k follow in place (mu_kl -= q mu_jl
+    for l < j, mu_kj -= q) and the Gram-Schmidt norms do not change.
     """
-    mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    mu_k = mu[k]
     for j in range(k - 1, -1, -1):
-        q = _round_half(mu[k][j])
+        q = _round_half(mu_k[j])
         if q:
             w[k] = [a - q * b for a, b in zip(w[k], w[j])]
-            mu, bstar = _gs_data(_gram_of_basis(w, gram))
-    return mu, bstar
+            mu_j = mu[j]
+            for l in range(j):
+                mu_k[l] -= q * mu_j[l]
+            mu_k[j] -= q
+
+
+def _swap_rows(w, mu, bstar, k):
+    """Exchange rows k-1 and k of w, updating the Gram-Schmidt data
+    exactly (Cohen, GTM 138, Algorithm 2.6.3, sub-algorithm SWAP)."""
+    w[k], w[k - 1] = w[k - 1], w[k]
+    mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+    m = mu[k][k - 1]
+    big = bstar[k] + m * m * bstar[k - 1]
+    mu[k][k - 1] = m * bstar[k - 1] / big
+    bstar[k] = bstar[k - 1] * bstar[k] / big
+    bstar[k - 1] = big
+    for mu_i in mu[k + 1:]:
+        t = mu_i[k]
+        mu_i[k] = mu_i[k - 1] - m * t
+        mu_i[k - 1] = t + mu[k][k - 1] * mu_i[k]
 
 
 def lll_transform(gram, delta=Fraction(3, 4)):
-    """Integer row transform W with W * basis LLL-reduced; exact arithmetic."""
+    """Integer row transform W with W * basis LLL-reduced; exact arithmetic.
+
+    The Gram-Schmidt data of the rows is computed once and then updated in
+    place under each size-reduction step and each swap.
+    """
     r = len(gram)
     w = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    mu, bstar = _gs_data(gram)
     k = 1
     guard = 0
     while k < r:
         guard += 1
         if guard > 10_000:
             raise PreconditionUnmet("LLL failed to terminate")
-        mu, bstar = _size_reduce(w, gram, k)
+        _reduce_row(w, mu, k)
         if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
-            w[k], w[k - 1] = w[k - 1], w[k]
+            _swap_rows(w, mu, bstar, k)
             k = max(k - 1, 1)
     return w
 
@@ -494,9 +537,12 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(gram):
-    """A shortest nonzero coefficient vector and its squared norm."""
-    w = lll_transform(gram)
+def shortest_vector(gram, lll=None):
+    """A shortest nonzero coefficient vector and its squared norm.
+
+    ``lll`` is ``lll_transform(gram)`` when the caller already has it.
+    """
+    w = lll_transform(gram) if lll is None else lll
     reduced = _gram_of_basis(w, gram)
     bound = min(reduced[i][i] for i in range(len(gram)))
     vectors = enumerate_short_vectors(reduced, bound)
@@ -517,17 +563,18 @@ def shortest_vector(gram):
     return coeffs, best_norm
 
 
-def kz_transform(gram):
+def kz_transform(gram, lll=None):
     """Integer row transform W with W * basis KZ-reduced.
 
     The first vector is a shortest vector; recursively, each Gram-Schmidt
     vector is shortest in the projected lattice, and the final basis is
-    size-reduced (|mu_ij| <= 1/2).
+    size-reduced (|mu_ij| <= 1/2).  ``lll`` is ``lll_transform(gram)`` when
+    the caller already has it.
     """
     r = len(gram)
     if r == 1:
         return [[1]]
-    v, _ = shortest_vector(gram)
+    v, _ = shortest_vector(gram, lll)
     t1 = _complete_unimodular(v)
     g1 = _gram_of_basis(t1, gram)
     g11 = g1[0][0]
@@ -538,8 +585,9 @@ def kz_transform(gram):
     for row in sub:
         w.append([sum(row[i] * t1[i + 1][j] for i in range(r - 1))
                   for j in range(r)])
+    mu, _ = _gs_data(_gram_of_basis(w, gram))
     for i in range(1, r):
-        _size_reduce(w, gram, i)
+        _reduce_row(w, mu, i)
     det = _det(w)
     if abs(det) != 1:
         raise CertificateFailed(
@@ -563,17 +611,37 @@ def successive_minima(lattice: NormedLattice, j: int) -> Fraction:
 
 
 def _independent_scan(vectors, r, upto):
-    """Values at which the span dimension increments, scanning by norm."""
-    basis_rows = []
+    """Values at which the span dimension increments, scanning by norm.
+
+    Kept rows are held in echelon form (each with a pivot entry 1 in a
+    column where the rows kept before it vanish), so a candidate is reduced
+    against them in O(r^2) and is independent iff something is left.
+    """
+    echelon = []
     minima = []
     for coeffs, value in vectors:
-        candidate = basis_rows + [[Fraction(c) for c in coeffs]]
-        if _rank_of(candidate) > len(basis_rows):
-            basis_rows = candidate
+        row = [Fraction(c) for c in coeffs]
+        for pivot, kept in echelon:
+            f = row[pivot]
+            if f:
+                row = [x - f * y for x, y in zip(row, kept)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is not None:
+            inv = 1 / row[pivot]
+            echelon.append((pivot, [x * inv for x in row]))
             minima.append(value)
             if len(minima) == upto:
                 break
     return minima
+
+
+def _lll_data(lattice: NormedLattice):
+    """The Gram matrix of the basis in the Euclidean form and its LLL
+    transform, computed once per lattice."""
+    if lattice._lll_cache is None:
+        gram = _gram_of_basis(lattice.basis, lattice.euclidean_form())
+        lattice._lll_cache = gram, lll_transform(gram)
+    return lattice._lll_cache
 
 
 def _minima(lattice: NormedLattice):
@@ -582,8 +650,7 @@ def _minima(lattice: NormedLattice):
     if lattice._minima_cache is not None:
         return lattice._minima_cache
     r = lattice.rank
-    gram = _gram_of_basis(lattice.basis, lattice.euclidean_form())
-    w = lll_transform(gram)
+    gram, w = _lll_data(lattice)
     radius = max(lattice._size(lattice.vector(row)) for row in w)
     vectors = enumerate_short_vectors(_gram_of_basis(w, gram),
                                       lattice._form_budget(radius))
@@ -609,13 +676,17 @@ def dual_lattice(lattice: NormedLattice) -> NormedLattice:
 
     Euclidean: inverse-transpose basis with the inverse ambient form (so the
     lattice Gram inverts exactly).  Polytope: the polar polytope, whose
-    vertex list is the facet-normal list of the primal unit ball.
+    vertex list is the facet-normal list of the primal unit ball.  The dual
+    is built once per lattice and kept.
     """
-    dual_basis = _transpose(_mat_inv(lattice.basis))
-    if lattice.kind == "euclidean":
-        return NormedLattice(basis=dual_basis, gram=_mat_inv(lattice.gram))
-    return NormedLattice(basis=dual_basis,
-                         vertices=[list(a) for a in lattice._normals])
+    if lattice._dual_cache is None:
+        dual_basis = _transpose(_mat_inv(lattice.basis))
+        if lattice.kind == "euclidean":
+            form = {"gram": _mat_inv(lattice.gram)}
+        else:
+            form = {"vertices": [list(a) for a in lattice._normals]}
+        lattice._dual_cache = NormedLattice(basis=dual_basis, **form)
+    return lattice._dual_cache
 
 
 @dataclass(frozen=True)
@@ -676,8 +747,13 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     """
     r = lattice.rank
     dual = dual_lattice(lattice)
-    gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
-    w = kz_transform(gram)
+    if lattice.kind == "euclidean":
+        # the dual's own form is the inverse form: share its kept LLL run
+        gram, lll = _lll_data(dual)
+    else:
+        gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
+        lll = None
+    w = kz_transform(gram, lll)
     vectors = [tuple(dual.vector(row)) for row in w]
     norms = tuple(dual._size(list(v)) for v in vectors)
     l1 = successive_minima(lattice, 1)

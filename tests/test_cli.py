@@ -372,6 +372,35 @@ def test_lattice_sizes_must_match_the_basis(argv, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "3", "--min-rank", "4", "--max-rank", "2"],
+     "--min-rank 4 exceeds --max-rank 2"),
+    (["--sweep", "3", "--max-rank", "1"], "--min-rank 2 exceeds --max-rank 1"),
+    (["--sweep", "3", "--min-rank", "0"], "--min-rank 0 is below 1"),
+    (["--sweep", "3", "--min-rank", "-1"], "--min-rank -1 is below 1"),
+    (["--sweep", "-1"], "--sweep -1 is not a positive count"),
+    (["--sweep", "0"], "--sweep 0 is not a positive count"),
+    (["--sweep", "0", "--gram", "[[1]]"], "--sweep 0 is not a positive count"),
+])
+def test_lattice_sweep_sizes_are_parse_errors(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: %s at offset 0\n" % message
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_lattice_sweep_above_the_rank_cap_is_a_domain_error():
+    proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice",
+                           "--sweep", "2", "--min-rank", "6", "--max-rank", "6"],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: rank 6 exceeds the desk-scale cap 5\n"
+
+
 def test_batch_continues_past_a_bad_alpha(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nBlP(3)\n"))
     code, out, err = _run(["phi", "--batch", "--alpha", "1/0*H"])

@@ -1,7 +1,11 @@
 """Lattice minima, duals, transference, and the reduced dual basis.
 
-The independent oracle throughout is a naive box enumeration, deliberately
-different from the Fincke-Pohst search used by the library.
+The independent oracle for minima is a naive box enumeration, deliberately
+different from the Fincke-Pohst search used by the library.  The oracle for
+LLL and KZ reduction recomputes the Gram matrix of the rows and its
+Gram-Schmidt data after every row operation, where the library updates the
+Gram-Schmidt data in place; the integer Gram product is checked against
+plain Fraction products.
 """
 
 import itertools
@@ -209,6 +213,168 @@ def test_kz_first_vector_is_shortest():
         assert first == successive_minima(lat, 1)
 
 
+# -- the rebuild-from-scratch reduction route, as an oracle --------------------
+
+
+def _fraction_gram(basis, form):
+    """Oracle: basis * form * basis^T by Fraction products, entry by entry."""
+    basis = [[Fraction(x) for x in row] for row in basis]
+    bf = [[sum((row[k] * form[k][l] for k in range(len(form))), Fraction(0))
+           for l in range(len(form))] for row in basis]
+    return [[sum((x * y for x, y in zip(row, other)), Fraction(0))
+             for other in basis] for row in bf]
+
+
+def _oracle_size_reduce(w, gram, k):
+    """Size-reduce row k against rows k-1, ..., 0, recomputing the
+    Gram-Schmidt data of all rows after every step."""
+    from sysbound.lattices import _gs_data, _round_half
+    mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    for j in range(k - 1, -1, -1):
+        q = _round_half(mu[k][j])
+        if q:
+            w[k] = [a - q * b for a, b in zip(w[k], w[j])]
+            mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    return mu, bstar
+
+
+def _oracle_lll(gram, delta=Fraction(3, 4)):
+    r = len(gram)
+    w = _identity(r)
+    k = 1
+    while k < r:
+        mu, bstar = _oracle_size_reduce(w, gram, k)
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            w[k], w[k - 1] = w[k - 1], w[k]
+            k = max(k - 1, 1)
+    return w
+
+
+def _oracle_kz(gram):
+    from sysbound.lattices import _complete_unimodular, enumerate_short_vectors
+    r = len(gram)
+    if r == 1:
+        return [[1]]
+    w = _oracle_lll(gram)
+    reduced = _gram_of_basis(w, gram)
+    best, _ = enumerate_short_vectors(
+        reduced, min(reduced[i][i] for i in range(r)))[0]
+    t1 = _complete_unimodular([sum(best[i] * w[i][j] for i in range(r))
+                               for j in range(r)])
+    g1 = _gram_of_basis(t1, gram)
+    projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g1[0][0]
+                  for j in range(1, r)] for i in range(1, r)]
+    w = [t1[0]] + [[sum(row[i] * t1[i + 1][j] for i in range(r - 1))
+                    for j in range(r)] for row in _oracle_kz(projected)]
+    for i in range(1, r):
+        _oracle_size_reduce(w, gram, i)
+    return w
+
+
+def _seeded_grams(count, seed):
+    """Gram matrices at ranks 2-5 in turn: B B^T, B F B^T for a random
+    integral form F, (B B^T) / 7, and the dual (B B^T)^-1."""
+    from sysbound.lattices import _mat_inv
+    rng = random.Random(seed)
+    for n in range(count):
+        r = 2 + n % 4
+        gram = _fraction_gram(random_basis(r, rng), _identity(r))
+        kind = (n // 4) % 4
+        if kind == 1:
+            form = _fraction_gram(random_basis(r, rng, -2, 2), _identity(r))
+            gram = _fraction_gram(random_basis(r, rng, -3, 3), form)
+        elif kind == 2:
+            gram = [[x / 7 for x in row] for row in gram]
+        elif kind == 3:
+            gram = _mat_inv(gram)
+        yield gram
+
+
+def test_gram_product_matches_fraction_products():
+    rng = random.Random(47)
+    for trial in range(60):
+        rows, r = rng.randint(1, 6), rng.randint(1, 5)
+        basis = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(r)] for _ in range(rows)]
+        form = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(r)] for _ in range(r)]
+        if trial % 3 == 0:
+            basis = [[int(x) for x in row] for row in basis]
+        assert _gram_of_basis(basis, form) == _fraction_gram(basis, form)
+
+
+def test_lll_and_kz_match_the_rebuild_oracle():
+    grams = list(_seeded_grams(200, 59))
+    assert {len(g) for g in grams} == {2, 3, 4, 5}
+    assert any(x.denominator > 1 for g in grams for row in g for x in row)
+    for gram in grams:
+        expected = _oracle_lll(gram)
+        assert lll_transform(gram) == expected, gram
+        assert kz_transform(gram) == _oracle_kz(gram), gram
+        if all(x.denominator == 1 for row in gram for x in row):
+            # plain int entries reduce exactly as their Fractions do
+            ints = [[int(x) for x in row] for row in gram]
+            assert lll_transform(ints) == expected, gram
+
+
+def test_independent_scan_matches_the_rank_oracle():
+    from sysbound.lattices import _independent_scan, _rank_of
+    rng = random.Random(61)
+    for trial in range(200):
+        r = rng.randint(1, 5)
+        vectors = []
+        for _ in range(rng.randint(1, 14)):
+            if vectors and rng.random() < 0.4:
+                # a combination of earlier candidates: dependent on them
+                picked = rng.sample(vectors, min(len(vectors), 2))
+                coeffs = tuple(sum(rng.randint(-2, 2) * v[0][i]
+                                   for v in picked) for i in range(r))
+            else:
+                coeffs = tuple(rng.randint(-3, 3) for _ in range(r))
+            if any(coeffs):
+                vectors.append((coeffs, Fraction(len(vectors))))
+        upto = rng.randint(1, r)
+        expected, rows = [], []
+        for coeffs, value in vectors:
+            candidate = rows + [[Fraction(c) for c in coeffs]]
+            if _rank_of(candidate) > len(rows):
+                rows = candidate
+                expected.append(value)
+                if len(expected) == upto:
+                    break
+        assert _independent_scan(vectors, r, upto) == expected
+
+
+def test_each_gram_matrix_is_lll_reduced_once(monkeypatch):
+    # the lattice subcommand's sequence: the dual's minima (in the
+    # transference check) and the KZ reduction of the dual basis share one
+    # dual lattice and one LLL run on its Gram matrix
+    from sysbound import lattices
+    calls = []
+    real = lattices.lll_transform
+
+    def counting(gram, *args):
+        calls.append(tuple(tuple(row) for row in gram))
+        return real(gram, *args)
+
+    monkeypatch.setattr(lattices, "lll_transform", counting)
+    rng = random.Random(5)
+    done = []
+    for _ in range(24):
+        r = rng.randint(2, 5)
+        lat = NormedLattice(basis=random_basis(r, rng), gram=_identity(r))
+        for j in range(1, r + 1):
+            successive_minima(lat, j)
+        transference_check(lat)
+        reduced_dual_basis(lat)
+        done.append(lat)
+    assert len(calls) == len(set(calls)) == 80
+    for lat in done:
+        assert dual_lattice(lat) is dual_lattice(lat)
+
+
 def test_reduced_dual_basis_integer_lattice():
     lat = NormedLattice(basis=_identity(2), gram=_identity(2))
     result = reduced_dual_basis(lat)
@@ -237,11 +403,14 @@ def test_reduced_dual_basis_random_sweep():
         bound = Fraction(r) ** 4
         for nsq in result.dual_norms:
             assert nsq * result.lambda1 <= bound
-        # the dual vectors form a Z-basis: unimodular against the dual basis
+        # the dual vectors form a Z-basis: unimodular against the dual basis;
+        # V D^-1 is the off-diagonal block of the Gram matrix, in the
+        # standard form, of the rows of V stacked on those of (D^-1)^T
         dual = dual_lattice(lat)
-        from sysbound.lattices import _det, _mat, _mat_inv, _mat_mul
-        change = _mat_mul(_mat([list(v) for v in result.vectors]),
-                          _mat_inv(dual.basis))
+        from sysbound.lattices import _det, _mat_inv, _transpose
+        stacked = [list(v) for v in result.vectors] + _transpose(
+            _mat_inv(dual.basis))
+        change = [row[r:] for row in _gram_of_basis(stacked, _identity(r))[:r]]
         det = _det(change)
         assert abs(det) == 1
         for row in change:
