@@ -4,21 +4,22 @@ A small LL(1) parser turns descriptor strings such as ``CP(3) * S1`` or
 ``CI(degrees=[[2,3]]; ambient=[5])`` into catalog constructors.  Results are
 printed exactly (``q * pi^k``); decimals appear only with ``--approx`` and are
 labeled approximate.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+Each subcommand imports the engine it runs on first use, so one process loads
+only the modules its subcommand calls: ``lattice --gram`` never loads the
+catalog, and ``catalog`` loads no engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import catalog, cones, engine, lattices, pushforward
-from .catalog import Space
-from .engine import SELECTORS, PiScaled
 from .errors import CalculatorError, ParseError
+from .values import SELECTORS, PiScaled
 
 # ---------------------------------------------------------------------------
 # descriptor grammar
@@ -175,6 +176,7 @@ class AtomNode(_Node):
     args: tuple
 
     def _make(self, memo) -> Space:
+        from . import catalog
         return getattr(catalog, _CONSTRUCTORS[self.name].fn)(*self.args)
 
     def unparse(self) -> str:
@@ -195,6 +197,7 @@ class TwistNode(_Node):
     k: int
 
     def _make(self, memo) -> Space:
+        from . import catalog
         return catalog.twist_spin_c(self.inner.build(memo), self.k)
 
     def unparse(self) -> str:
@@ -207,6 +210,7 @@ class ProductNode(_Node):
     right: object
 
     def _make(self, memo) -> Space:
+        from . import catalog
         return catalog.product(self.left.build(memo), self.right.build(memo))
 
     def unparse(self) -> str:
@@ -503,6 +507,7 @@ _EXTRA_SELECTORS = ("thm1.4", "thm1.8", "rbar")
 
 
 def _cmd_bound(args, out):
+    from . import engine
     node = parse_space(args.space)
     theorem = args.theorem
     rows = [("space", node.unparse()), ("theorem", theorem)]
@@ -535,6 +540,7 @@ def _cmd_bound(args, out):
 
 
 def _cmd_index_poly(args, out):
+    from . import engine
     node = parse_space(args.space)
     space = node.build(args.builds)
     poly = engine.index_polynomial(space)
@@ -546,6 +552,7 @@ def _cmd_index_poly(args, out):
 
 
 def _cmd_length(args, out):
+    from . import engine
     node = parse_space(args.space)
     value = engine.length(node.build(args.builds))
     _emit([("space", node.unparse()), ("length", Fraction(value))],
@@ -553,6 +560,7 @@ def _cmd_length(args, out):
 
 
 def _cmd_todd(args, out):
+    from . import engine
     node = parse_space(args.space)
     value = engine.todd_genus(node.build(args.builds))
     _emit([("space", node.unparse()), ("todd_genus", value)],
@@ -560,6 +568,7 @@ def _cmd_todd(args, out):
 
 
 def _cmd_phi(args, out):
+    from . import cones
     node = parse_space(args.space)
     space = node.build(args.builds)
     alpha, pi_exp = parse_alpha(space, args.alpha)
@@ -572,6 +581,7 @@ def _cmd_phi(args, out):
 
 
 def _cmd_phi_sup(args, out):
+    from . import cones
     node = parse_space(args.space)
     space = node.build(args.builds)
     result = cones.phi_sup(cones.cone_problem(space))
@@ -585,6 +595,7 @@ def _cmd_phi_sup(args, out):
 
 
 def _cmd_contractions(args, out):
+    from . import cones
     node = parse_space(args.space)
     if not (isinstance(node, AtomNode) and node.name == "CI"):
         raise CalculatorError("contractions expects a CI(...) descriptor")
@@ -604,6 +615,7 @@ def _cmd_contractions(args, out):
 
 
 def _cmd_bundle_profile(args, out):
+    from . import cones
     rows = []
     if args.degrees is not None:
         degrees = _option_value("--degrees", args.degrees,
@@ -653,7 +665,9 @@ def _check_sweep(args):
 
 
 def _cmd_lattice(args, out):
+    from . import lattices
     if args.sweep is not None:
+        import random
         _check_sweep(args)
         rng = random.Random(args.seed)
         buckets = {}
@@ -710,6 +724,7 @@ def _cmd_lattice(args, out):
 
 
 def _cmd_pushforward(args, out):
+    from . import pushforward
     rows = [("k", Fraction(args.k)), ("r", Fraction(args.r)),
             ("j", Fraction(args.j))]
     sym = pushforward.localization_pushforward(args.k, args.r, args.j)
@@ -836,6 +851,12 @@ _DISPATCH = {
 }
 
 
+def _check_approx(args, out):
+    """``--approx`` is a digit count, so it is at least 0."""
+    if args.approx is not None and args.approx < 0:
+        raise ParseError("--approx %d is below 0" % args.approx, 0)
+
+
 def _run_handler(handler, args, out, err) -> int:
     """Run one subcommand; a parse error exits 2, a domain error 1."""
     try:
@@ -858,6 +879,9 @@ def run_command(argv, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = _run_handler(_check_approx, args, out, err)
+    if code:
+        return code
     handler = _DISPATCH[args.command]
     needs_space = hasattr(args, "space")
     if needs_space and getattr(args, "batch", False):

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import roots
-from .catalog import Space, integrate
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
-from .graded import GradedClass
+
+# ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
+# imported where a space is integrated or built, so the contraction report and
+# the bundle supremum, which take no space, load no catalog.
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,7 @@ def phi(space: Space, alpha: GradedClass) -> Fraction:
         raise PreconditionUnmet("%s has no first Chern class data" % space.name)
     if not alpha.is_homogeneous(2):
         raise DegenerateClass("the argument must be homogeneous of degree 2")
+    from .catalog import integrate
     n = space.complex_dim
     top = integrate(space, alpha ** n)
     if top == 0:
@@ -140,6 +143,7 @@ def nef_threshold(problem: ConeProblem, alpha: GradedClass) -> Fraction:
 def s_alpha(problem: ConeProblem, alpha: GradedClass) -> Fraction:
     """The ratio (c1 . alpha^(n-1)) / alpha^n; always <= nef_threshold."""
     _require_open_cone(problem, alpha)
+    from .catalog import integrate
     space = problem.space
     n = space.complex_dim
     top = integrate(space, alpha ** n)
@@ -165,6 +169,7 @@ def phi_sup(problem: ConeProblem):
     Returns an exact Fraction, or :class:`Unbounded` with a witness nef class
     alpha0 != 0 with alpha0^n = 0 whose c1-pairing stays positive.
     """
+    from .catalog import integrate
     space = problem.space
     n = space.complex_dim
     rays = problem.rays
@@ -248,7 +253,7 @@ def bundle_systole_profile(degrees, genus: int, a, b):
     s(alpha) for alpha = a xi + b f.  Genus 0 expects the normalization
     0 = d_1 <= d_2 <= ... of the splitting degrees.
     """
-    from .catalog import proj_bundle_over_curve
+    from .catalog import integrate, proj_bundle_over_curve
 
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
@@ -280,40 +285,83 @@ def bundle_systole_profile(degrees, genus: int, a, b):
     return sys_value, sys_value * s_val
 
 
+# Polynomials in (x, e) are dicts {(i, j): c} for the terms c x^i e^j.
+
+
+def _bi_mul(p, q):
+    out = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
+    return out
+
+
+def _bi_diff(p, var):
+    """Partial derivative in x (``var`` 0) or e (``var`` 1)."""
+    out = {}
+    for m, c in p.items():
+        if m[var]:
+            lower = (m[0] - 1, m[1]) if var == 0 else (m[0], m[1] - 1)
+            out[lower] = c * m[var]
+    return out
+
+
+def _nonnegative(p):
+    """Every coefficient >= 0, so p >= 0 wherever both variables are."""
+    return all(c >= 0 for c in p.values())
+
+
+def _slope(num, den, var):
+    """Numerator of the partial derivative of num/den; its denominator is
+    den^2."""
+    out = _bi_mul(_bi_diff(num, var), den)
+    for m, c in _bi_mul(num, _bi_diff(den, var)).items():
+        out[m] = out.get(m, 0) - c
+    return out
+
+
+def _profile_parts(n):
+    """(N, D) with N/D = n - 1 + 2/(e + n x): the profile is N/D on x >= 1
+    and x N/D on x <= 1."""
+    return ({(1, 0): Fraction(n * (n - 1)), (0, 1): Fraction(n - 1),
+             (0, 0): Fraction(2)},
+            {(1, 0): Fraction(n), (0, 1): Fraction(1)})
+
+
 def bundle_profile_sup(n: int) -> Fraction:
     """Supremum of min(1, x)(n - 1 + 2/(e + n x)) over x > 0, e >= 0.
 
-    Certified by the two monotone branches plus a rational grid sweep; the
-    value is n - 1 + 2/n, attained at (x, e) = (1, 0).
+    The value is n - 1 + 2/n, attained at (x, e) = (1, 0).  It is certified
+    exactly by the two monotone branches, read off from coefficient signs:
+    on x >= 1 the profile N/D does not increase in x or e, so it is at most
+    its value at (1, 0); on x <= 1 the profile x N/D does not decrease in x,
+    so it is at most its value at x = 1, which the first branch bounds.
     """
     if n < 2:
         raise PreconditionUnmet("bundle profiles need fiber dimension >= 1")
     sup = Fraction(n - 1) + Fraction(2, n)
+    num, den = _profile_parts(n)
 
-    def profile(x, e):
-        return min(Fraction(1), x) * (n - 1 + Fraction(2, e + n * x))
+    def fail(reason):
+        raise CertificateFailed("bundle supremum certificate: " + reason)
 
-    if profile(Fraction(1), 0) != sup:
-        raise CertificateFailed(
-            "bundle supremum certificate: the profile at (x, e) = (1, 0) "
-            "is not %s" % sup)
-    # branch x >= 1: value = n-1+2/(e+nx), decreasing in x and e
-    # branch x <= 1: value = x(n-1) + 2x/(e+nx), increasing in x
-    grid = [Fraction(p, q) for q in range(1, 8) for p in range(1, 5 * q + 1)]
-    for e in range(0, 6):
-        last = None
-        for x in sorted(set(grid)):
-            val = profile(x, e)
-            if val > sup:
-                raise CertificateFailed(
-                    "bundle supremum certificate: grid point (x, e) = (%s, %d)"
-                    " exceeds %s" % (x, e, sup))
-            if x <= 1 and last is not None and val < last:
-                raise CertificateFailed(
-                    "bundle supremum certificate: profile decreases below "
-                    "x = 1 at (x, e) = (%s, %d)" % (x, e))
-            if x <= 1:
-                last = val
+    # D > 0 for x > 0, e >= 0: no negative coefficient, and a positive term
+    # free of e
+    if not _nonnegative(den) or not any(c > 0 for (_, j), c in den.items()
+                                        if j == 0):
+        fail("the denominator may vanish for x > 0, e >= 0")
+    # at (1, 0) each term free of e is worth its coefficient, the others 0
+    if (Fraction(sum(c for (_, j), c in num.items() if j == 0))
+            / sum(c for (_, j), c in den.items() if j == 0)) != sup:
+        fail("the profile at (x, e) = (1, 0) is not %s" % sup)
+    # branch x >= 1: both slopes are <= 0 (checked for all x, e >= 0)
+    for var, name in ((0, "x"), (1, "e")):
+        if not _nonnegative({m: -c for m, c in _slope(num, den, var).items()}):
+            fail("the profile may increase in %s on x >= 1" % name)
+    # branch x <= 1: the x-slope of x N/D is >= 0
+    x_num = {(i + 1, j): c for (i, j), c in num.items()}
+    if not _nonnegative(_slope(x_num, den, 0)):
+        fail("the profile may decrease in x on x <= 1")
     return sup
 
 

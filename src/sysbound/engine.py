@@ -7,7 +7,6 @@ values q * pi^k.  Decimal rendering is left entirely to the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, roots
@@ -16,67 +15,7 @@ from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
                      PreconditionUnmet, WindowExhausted)
 from .graded import GradedClass, exp_class
-
-
-@dataclass(frozen=True)
-class PiScaled:
-    """An exact value q * pi^k with q rational.
-
-    The exponent may go negative in intermediate arithmetic; every bound and
-    volume produced by this module ends up with k >= 0.
-    """
-
-    q: Fraction
-    k: int = 0
-
-    @staticmethod
-    def of(q, k=0) -> "PiScaled":
-        return PiScaled(Fraction(q), int(k))
-
-    def __mul__(self, other):
-        if isinstance(other, PiScaled):
-            return PiScaled(self.q * other.q, self.k + other.k)
-        return PiScaled(self.q * Fraction(other), self.k)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiScaled):
-            return PiScaled(self.q / other.q, self.k - other.k)
-        return PiScaled(self.q / Fraction(other), self.k)
-
-    def __pow__(self, n: int):
-        return PiScaled(self.q ** n, self.k * n)
-
-    def __eq__(self, other):
-        if isinstance(other, PiScaled):
-            if self.q == 0 and other.q == 0:
-                return True
-            return self.q == other.q and self.k == other.k
-        return self.q == Fraction(other) and (self.k == 0 or self.q == 0)
-
-    def __hash__(self):
-        return hash((self.q, self.k if self.q else 0))
-
-    def is_zero(self):
-        return self.q == 0
-
-    def approx(self) -> float:
-        return float(self.q) * math.pi ** self.k
-
-    def __str__(self):
-        if self.k == 0 or self.q == 0:
-            return str(self.q)
-        pi = "pi" if self.k == 1 else "pi^%d" % self.k
-        if self.q == 1:
-            return pi
-        return "%s * %s" % (self.q, pi)
-
-    __repr__ = __str__
-
-
-ONE = PiScaled(Fraction(1), 0)
-PI = PiScaled(Fraction(1), 1)
+from .values import ONE, PI, SELECTORS, PiScaled
 
 
 class RationalPolynomial:
@@ -357,10 +296,6 @@ def hilbert_polynomial(space: Space, line_class: GradedClass) -> RationalPolynom
 # ---------------------------------------------------------------------------
 # the closed-form systolic bounds
 # ---------------------------------------------------------------------------
-
-#: selector tokens accepted by systolic_bound (and the CLI)
-SELECTORS = ("thm1.1", "thm1.2", "thm1.3", "prop5.1", "thm4.5", "thm5.6")
-
 
 def systolic_bound(space: Space, n_factor: Space | None = None,
                    theorem: str = "thm1.3") -> PiScaled:

@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characteristic import ChernData, total_inverse
 from .errors import NonPolynomialResult, PreconditionUnmet, TooFewVariables
-from .graded import GradedClass
+
+# ``ChernData`` and ``GradedClass`` appear in annotations only: the
+# localization sum needs no cohomology ring, so it loads none.
 
 #: global sign relating h-power pushforwards to Segre classes, fixed
 #: empirically at (k, r, j) = (1, 2, 1); all cross-checks are modulo it
@@ -201,6 +202,7 @@ def segre_pushforward(chern: ChernData, b: int) -> GradedClass:
         raise PreconditionUnmet("Segre classes need a complex bundle")
     if 2 * b > chern.ring.truncation:
         raise PreconditionUnmet("degree 2b exceeds the ring truncation")
+    from .characteristic import total_inverse
     return total_inverse(chern.total).component(2 * b)
 
 

@@ -1,4 +1,5 @@
-"""The batch-spaces benchmark's descriptors and commands, as test input.
+"""The benchmark's batch descriptors, batch commands and cold CLI invocations,
+as test input.
 
 ``perfbench/bench_inputs.py`` is loaded from its file: it is plain data and
 seeded generators, and calls no sysbound function.
@@ -14,3 +15,4 @@ _spec.loader.exec_module(_module)
 
 BATCH_POOL = _module.BATCH_POOL
 BATCH_COMMANDS = _module.BATCH_COMMANDS
+CLI_INVOCATIONS = _module.CLI_INVOCATIONS

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sysbound
-from batch_pool import BATCH_COMMANDS, BATCH_POOL
+from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS
 
 from sysbound import catalog, cli
 from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
@@ -499,16 +499,25 @@ _EXAMPLES = [
 _REPLAY = r'''
 import io, json, sys
 import sysbound
+
+
+def sysbound_modules():
+    return sorted(m for m in sys.modules if m.startswith("sysbound."))
+
+
+modules_after_import = sysbound_modules()
+after_import = "sympy" in sys.modules
 from sysbound.cli import run_command
 
-after_import = "sympy" in sys.modules
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
-    results.append([run_command(argv, out=out, err=err), out.getvalue()])
+    results.append([run_command(argv, out=out, err=err), out.getvalue(),
+                    sysbound_modules()])
 print(json.dumps({"optimized": not __debug__,
                   "sympy_after_import": after_import,
                   "sympy_after_commands": "sympy" in sys.modules,
+                  "modules_after_import": modules_after_import,
                   "results": results}))
 '''
 
@@ -522,10 +531,12 @@ def _child_env():
     return env
 
 
-def _replay(flags):
-    """Run every example in a fresh interpreter started with ``flags``."""
+def _replay(flags, examples=_EXAMPLES):
+    """Run ``examples`` in one fresh interpreter started with ``flags``;
+    each result is the exit code, the output and the ``sysbound.*`` modules
+    loaded so far."""
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", _REPLAY, json.dumps(_EXAMPLES)],
+        [sys.executable, *flags, "-c", _REPLAY, json.dumps(examples)],
         capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -535,12 +546,65 @@ def test_runtime_never_imports_sympy():
     report = _replay([])
     assert report["sympy_after_import"] is False
     assert report["sympy_after_commands"] is False
-    assert all(code == 0 for code, _ in report["results"])
+    assert all(code == 0 for code, _, _ in report["results"])
 
 
 def test_outputs_are_identical_under_optimize():
     report = _replay(["-O"])
     assert report["optimized"] is True
-    for argv, (code, out) in zip(_EXAMPLES, report["results"]):
+    for argv, (code, out, _) in zip(_EXAMPLES, report["results"]):
         expected_code, expected_out, _ = _run(argv)
         assert (code, out) == (expected_code, expected_out), argv
+
+
+#: the package's engine modules; ``cli``, ``errors`` and ``values`` are not
+_ENGINES = frozenset(("catalog", "characteristic", "cones", "engine", "graded",
+                      "lattices", "pushforward", "roots"))
+#: engines a cold process must not load, by subcommand; the subcommands that
+#: build a space load neither the lattice nor the pushforward engine
+_NOT_LOADED = {
+    "catalog": _ENGINES,
+    "lattice": _ENGINES - {"lattices"},
+    "pushforward": _ENGINES - {"pushforward"},
+    "contractions": _ENGINES - {"cones", "roots"},
+    "bundle-profile": _ENGINES - {"cones", "roots"},
+}
+
+
+def test_a_cold_process_loads_only_the_engine_its_subcommand_runs():
+    # one fresh interpreter per benchmark invocation, so nothing accumulates
+    for argv in CLI_INVOCATIONS:
+        report = _replay([], [list(argv)])
+        assert report["modules_after_import"] == []  # bare ``import sysbound``
+        [(code, _, modules)] = report["results"]
+        assert code == 0, argv
+        loaded = {m.split(".", 1)[1] for m in modules}
+        assert {"cli", "errors", "values"} <= loaded
+        forbidden = _NOT_LOADED.get(argv[0], {"lattices", "pushforward"})
+        assert not loaded & forbidden, (argv, sorted(loaded & forbidden))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--space", "CP(3)", "--theorem", "thm1.1", "--approx", "-1",
+     "--format", "json"],
+    ["bound", "--space", "CP(3)", "--theorem", "thm1.1", "--approx", "-2"],
+    ["length", "--batch", "--approx", "-1"],
+    ["lattice", "--gram", "[[2,1],[1,2]]", "--approx", "-3", "--format", "csv"],
+])
+def test_negative_approx_is_a_parse_error(argv):
+    # two batch lines on stdin: the error is raised once, before either
+    proc = subprocess.run([sys.executable, "-m", "sysbound", *argv],
+                          input="CP(2)\nQ(3)\n", capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    digits = argv[argv.index("--approx") + 1]
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: --approx %s is below 0 at offset 0\n" \
+        % digits
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_zero_approx_adds_no_decimals():
+    code, out, _ = _run(["bound", "--space", "CP(3)", "--theorem", "thm1.1",
+                         "--approx", "0"])
+    assert code == 0 and "~" not in out

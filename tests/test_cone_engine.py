@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sysbound import roots
+from sysbound import cones, roots
 from sysbound.catalog import (Curve, Space, blowup_point, complete_intersection,
                               integrate, product, proj_bundle_over_curve,
                               projective_space, quadric)
@@ -13,9 +13,9 @@ from sysbound.cones import (Unbounded, bundle_profile_sup,
                             bundle_systole_profile, cone_problem,
                             multiproj_contractions, nef_threshold, phi,
                             phi_sup, s_alpha)
-from sysbound.errors import (DegenerateClass, DimensionTooLow,
-                             InvalidNormalization, PreconditionUnmet,
-                             UnsupportedRank)
+from sysbound.errors import (CertificateFailed, DegenerateClass,
+                             DimensionTooLow, InvalidNormalization,
+                             PreconditionUnmet, UnsupportedRank)
 from sysbound.graded import Generator, RingPresentation, make_ring
 
 
@@ -246,6 +246,48 @@ def test_bundle_profile_dominated_by_sup():
             b = rng.randint(1, 5)
             _, prod_s = bundle_systole_profile(degrees, 0, a, b)
             assert prod_s <= sup
+
+
+def test_bundle_profile_sup_bounds_a_rational_grid():
+    # the grid sweep the exact certificate replaced, kept as an oracle
+    for n in range(2, 6):
+        sup = bundle_profile_sup(n)
+        grid = sorted({Fraction(p, q) for q in range(1, 8)
+                       for p in range(1, 5 * q + 1)})
+        for e in range(6):
+            values = [min(Fraction(1), x) * (n - 1 + Fraction(2, e + n * x))
+                      for x in grid]
+            # attained on the grid at (x, e) = (1, 0)
+            assert max(values) <= sup and (e > 0 or max(values) == sup)
+            rising = [v for x, v in zip(grid, values) if x <= 1]
+            assert rising == sorted(rising)
+
+
+#: (N, D) in place of _profile_parts(3), with N/D as the profile on x >= 1;
+#: each breaks one step of the certificate and passes the steps before it
+_BROKEN_PROFILES = {
+    "denominator": ({(1, 0): 6, (0, 1): -2, (0, 0): 2}, {(1, 0): 3, (0, 1): -1}),
+    "point": ({(1, 0): 8, (0, 1): 2, (0, 0): 2}, {(1, 0): 4, (0, 1): 1}),
+    "x >= 1": ({(1, 0): 6, (0, 1): 3, (0, 0): 2}, {(1, 0): 3, (0, 1): 1}),
+    "x <= 1": ({(2, 0): 6, (0, 1): 2, (0, 0): 2}, {(2, 0): 3, (0, 1): 1}),
+}
+_BROKEN_MESSAGES = {
+    "denominator": "the denominator may vanish for x > 0, e >= 0",
+    "point": "the profile at (x, e) = (1, 0) is not 8/3",
+    "x >= 1": "the profile may increase in e on x >= 1",
+    "x <= 1": "the profile may decrease in x on x <= 1",
+}
+
+
+@pytest.mark.parametrize("step", sorted(_BROKEN_PROFILES))
+def test_bundle_profile_sup_certificate_fails_on_a_broken_profile(
+        monkeypatch, step):
+    monkeypatch.setattr(cones, "_profile_parts",
+                        lambda n: _BROKEN_PROFILES[step])
+    with pytest.raises(CertificateFailed) as info:
+        bundle_profile_sup(3)
+    assert str(info.value) == ("bundle supremum certificate: "
+                               + _BROKEN_MESSAGES[step])
 
 
 # -- contractions -------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""The package's public names, loaded from their home modules on first use."""
+
+import importlib
+
+import pytest
+
+import sysbound
+
+#: the 64 public names, by home module
+_PUBLIC = {
+    "catalog": ("Space", "blowup_point", "circle", "complete_intersection",
+                "grassmann_section", "integrate", "product",
+                "proj_bundle_over_curve", "projective_space", "quadric",
+                "sphere", "twist_spin_c", "weighted_del_pezzo_x4",
+                "weighted_del_pezzo_x6", "weighted_mukai_x6"),
+    "characteristic": ("ChernData", "PowerSums", "a_hat", "chern_character",
+                       "chern_from_power_sums", "newton_power_sums", "todd",
+                       "whitney_quotient"),
+    "cones": ("ConeProblem", "ContractionReport", "Unbounded",
+              "bundle_profile_sup", "bundle_systole_profile", "cone_problem",
+              "multiproj_contractions", "nef_threshold", "phi", "phi_sup",
+              "s_alpha"),
+    "engine": ("IndexPolynomial", "RationalPolynomial", "avg_scalar_curvature",
+               "gromov_width_bound", "hilbert_polynomial", "index_polynomial",
+               "length", "product_length_bound", "systolic_bound",
+               "todd_genus", "volume"),
+    "graded": ("GradedClass", "Generator", "Ring", "RingPresentation",
+               "exp_class", "make_ring", "tensor_ring"),
+    "lattices": ("NormedLattice", "ReducedDualBasis", "TransferenceReport",
+                 "dual_lattice", "reduced_dual_basis", "successive_minima",
+                 "transference_check"),
+    "pushforward": ("SymmetricPolynomial", "localization_pushforward",
+                    "primitive_coefficient", "segre_pushforward"),
+    "values": ("PiScaled",),
+}
+_NAMES = [name for names in _PUBLIC.values() for name in names]
+
+
+def test_the_public_names_are_pinned():
+    assert len(_NAMES) == len(set(_NAMES)) == 64
+    assert sorted(sysbound.__all__) == sorted(_NAMES)
+    assert sysbound.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("home", sorted(_PUBLIC))
+def test_each_name_is_its_home_module_attribute(home):
+    module = importlib.import_module("sysbound." + home)
+    for name in _PUBLIC[home]:
+        assert getattr(sysbound, name) is getattr(module, name), name
+        assert name in vars(sysbound), name  # kept after the first access
+
+
+def test_dir_lists_every_name():
+    listed = set(dir(sysbound))
+    assert set(_NAMES) <= listed
+    assert "__version__" in listed
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from sysbound import *", namespace)
+    for name in _NAMES:
+        assert namespace[name] is getattr(sysbound, name), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sysbound.no_such_name
+    assert not hasattr(sysbound, "SELECTORS")
+
+
+def test_engine_re_exports_the_value_type():
+    from sysbound import engine, values
+    for name in ("PiScaled", "ONE", "PI", "SELECTORS"):
+        assert getattr(engine, name) is getattr(values, name), name
