@@ -1,10 +1,10 @@
 """Multiplicative characteristic-class calculus over a graded ring.
 
 The A-hat class is evaluated through the logarithm of its generating
-function: ``log((x/2)/sinh(x/2))`` is expanded once as an exact univariate
-Taylor series, then applied to the power sums of the Chern roots (Newton's
-identities).  This avoids symbolic root splitting and stays in rational
-arithmetic end to end.  The Todd class follows from A-hat without a second
+function: ``log((x/2)/sinh(x/2))`` has the closed-form Taylor coefficients
+-B_2k / (2k (2k)!) (Bernoulli numbers), which are applied to the power sums
+of the Chern roots (Newton's identities).  This avoids symbolic root
+splitting and stays in rational arithmetic end to end.  The Todd class follows from A-hat without a second
 series: per Chern root, x/(1-exp(-x)) = exp(x/2) * (x/2)/sinh(x/2), so
 Todd = exp(c1/2) * A-hat (Hirzebruch, multiplicative sequences).
 """
@@ -20,54 +20,24 @@ from .errors import DivisionInconsistent, RingMismatch
 from .graded import GradedClass, exp_class, exp_nilpotent
 
 # ---------------------------------------------------------------------------
-# exact univariate Taylor series, represented as tuples of Fractions
+# the A-hat log series
 # ---------------------------------------------------------------------------
-
-
-def _s_mul(a, b, prec):
-    out = [Fraction(0)] * (prec + 1)
-    for i, ai in enumerate(a[:prec + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[:prec + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _s_inv(a, prec):
-    if a[0] != 1:
-        raise DivisionInconsistent("series inversion needs constant term 1")
-    out = [Fraction(1)] + [Fraction(0)] * prec
-    for n in range(1, prec + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else Fraction(0)
-            acc += ak * out[n - k]
-        out[n] = -acc
-    return tuple(out)
-
-
-def _s_log(a, prec):
-    """log of a series with constant term 1, via integrating a'/a."""
-    inv = _s_inv(a, prec)
-    deriv = tuple((k + 1) * (a[k + 1] if k + 1 < len(a) else Fraction(0))
-                  for k in range(prec))
-    quot = _s_mul(deriv, inv, prec - 1) if prec else ()
-    out = [Fraction(0)] * (prec + 1)
-    for k, c in enumerate(quot):
-        out[k + 1] = c / (k + 1)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _ahat_log_coeffs(prec: int):
-    """Coefficients of log((x/2)/sinh(x/2)) up to degree prec."""
-    # sinh(x/2)/(x/2) = sum x^(2k) / (4^k (2k+1)!)
-    s = [Fraction(0)] * (prec + 1)
-    for k in range(0, prec // 2 + 1):
-        s[2 * k] = Fraction(1, 4 ** k * math.factorial(2 * k + 1))
-    return tuple(-c for c in _s_log(tuple(s), prec))
+    """Coefficients of log((x/2)/sinh(x/2)) up to degree prec.
+
+    The coefficient of x^(2k) is -B_2k / (2k (2k)!) for k >= 1, and the odd
+    ones vanish; the Bernoulli numbers come from the exact recurrence
+    sum_{j <= m} C(m+1, j) B_j = 0 for m >= 1, with B_0 = 1.
+    """
+    bern = [Fraction(1)]
+    for m in range(1, prec + 1):
+        bern.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(bern))
+                    / (m + 1))
+    return tuple(-bern[n] / (n * math.factorial(n)) if n and n % 2 == 0
+                 else Fraction(0) for n in range(prec + 1))
 
 
 # ---------------------------------------------------------------------------

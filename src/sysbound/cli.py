@@ -479,7 +479,7 @@ def _emit(rows, fmt: str, approx: int | None, out=None):
             line = "%s,%s" % (key, exact_str(value))
             ps = _as_pi_scaled(value)
             if approx and ps is not None:
-                line += ",~%.*f" % (approx, ps.approx())
+                line += ",~" + ps.decimal_str(approx)
             out.write(line + "\n")
         return
     width = max((len(k) for k, _ in rows), default=0)
@@ -487,7 +487,7 @@ def _emit(rows, fmt: str, approx: int | None, out=None):
         line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
         ps = _as_pi_scaled(value)
         if approx and ps is not None:
-            line += "   (~ %.*f)" % (approx, ps.approx())
+            line += "   (~ %s)" % ps.decimal_str(approx)
         out.write(line + "\n")
 
 

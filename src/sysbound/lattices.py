@@ -17,8 +17,9 @@ Each lattice keeps its minima, its LLL run and its dual once computed.
 
 For polytope norms the search region comes from an inscribed ellipsoid
 whose sandwich certificate (E inside the ball, ball inside sqrt(r) E) is
-verified in rational arithmetic; the ellipsoid itself may be found by
-floating-point iteration since only the certificate matters.
+verified in rational arithmetic.  The ellipsoid itself is fitted in plain
+Python floats, on the same Gauss-Jordan loop the exact algebra uses, since
+only the certificate matters.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
@@ -51,14 +53,16 @@ def _transpose(a):
 
 
 def _gauss_jordan(rows, ncols):
-    """Gauss-Jordan elimination over Q on the first ``ncols`` columns.
+    """Gauss-Jordan elimination on the first ``ncols`` columns, over the
+    field of the entries: Fractions for the exact algebra, floats for the
+    ellipsoid fit.  The pivot is the first nonzero entry of its column.
 
     Returns ``(m, rank, det)``: the reduced rows, the number of pivots, and
     the product of the pivots signed by the row swaps, which is the
     determinant when the rows form a nonsingular square matrix.
     """
-    m = _mat(rows)
-    rank, det = 0, Fraction(1)
+    m = list(rows)
+    rank, det = 0, 1
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
@@ -80,14 +84,14 @@ def _gauss_jordan(rows, ncols):
 def _mat_inv(a):
     n = len(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, rank, _ = _gauss_jordan(aug, n)
+    m, rank, _ = _gauss_jordan(_mat(aug), n)
     if rank < n:
         raise PreconditionUnmet("matrix is singular")
     return [row[n:] for row in m]
 
 
 def _det(a):
-    _, rank, det = _gauss_jordan(a, len(a))
+    _, rank, det = _gauss_jordan(_mat(a), len(a))
     return det if rank == len(a) else Fraction(0)
 
 
@@ -95,12 +99,12 @@ def _solve_linear(rows, rhs):
     """The unique solution of rows x = rhs, or None if rows is singular."""
     n = len(rows)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, rank, _ = _gauss_jordan(aug, n)
+    m, rank, _ = _gauss_jordan(_mat(aug), n)
     return [row[n] for row in m] if rank == n else None
 
 
 def _rank_of(rows):
-    return _gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
+    return _gauss_jordan(_mat(rows), len(rows[0]) if rows else 0)[1]
 
 
 def _gs_data(gram):
@@ -337,35 +341,43 @@ def _facet_normals(vertices, r):
 def _certified_ellipsoid_form(vertices, normals, r):
     """Rational PD form Q with E_Q inside K inside sqrt(r) E_Q.
 
-    A floating-point Frank-Wolfe iteration fits the minimal enclosing
-    ellipsoid of the polar vertex set (the facet normals); the result is
-    rationalized, rescaled so E_Q is exactly inscribed, and the sqrt(r)
-    containment is then checked exactly on the vertices.
+    Khachiyan's iteration (Math. Oper. Res. 21, 1996) fits, in floats, the
+    minimal enclosing ellipsoid of the polar vertex set (the facet normals):
+    weights u on the points, moment matrix M = sum u_i p_i p_i^T, and a step
+    toward the first point of largest p^T M^-1 p until that is at most r.
+    The polar set's enclosing form M^-1 / r is rationalized, rescaled so E_Q
+    is exactly inscribed, and the sqrt(r) containment is then checked
+    exactly on the vertices.
     """
-    import numpy as np
+    # p p^T of each point, flattened row by row, and each entry over the points
+    outer = [[float(x * y) for x in a for y in a] for a in normals]
+    entries = list(zip(*outer))
+    u = [1.0 / len(outer)] * len(outer)
 
-    pts = np.array([[float(x) for x in a] for a in normals], dtype=float)
-    m = len(normals)
-    u = np.full(m, 1.0 / m)
+    def moment_inverse():
+        """M^-1, flattened, by the module's Gauss-Jordan loop on float rows."""
+        flat = [sum(map(mul, u, entry)) for entry in entries]
+        aug = [flat[i * r:(i + 1) * r] + [float(i == k) for k in range(r)]
+               for i in range(r)]
+        reduced, rank, _ = _gauss_jordan(aug, r)
+        if rank < r:
+            raise EuclideanizationFailed("polar vertex set is degenerate")
+        return [x for row in reduced for x in row[r:]]
+
     for rounds in range(6):
         for _ in range(400 * (rounds + 1)):
-            mform = pts.T @ (pts * u[:, None])
-            try:
-                minv = np.linalg.inv(mform)
-            except np.linalg.LinAlgError:
-                raise EuclideanizationFailed("polar vertex set is degenerate")
-            kappa = np.einsum("ij,jk,ik->i", pts, minv, pts)
-            j = int(np.argmax(kappa))
-            kmax = kappa[j]
+            minv = moment_inverse()
+            kappa = [sum(map(mul, minv, o)) for o in outer]
+            kmax = max(kappa)
+            j = kappa.index(kmax)
             if kmax <= r * (1.0 + 1e-12):
                 break
             step = (kmax - r) / (r * (kmax - 1.0))
-            u *= (1.0 - step)
+            u = [x * (1.0 - step) for x in u]
             u[j] += step
-        mform = pts.T @ (pts * u[:, None])
-        w_float = np.linalg.inv(mform) / r  # enclosing form of the polar set
         limit = 10 ** (6 + 2 * rounds)
-        w = [[Fraction(float(w_float[i][j])).limit_denominator(limit)
+        minv = moment_inverse()
+        w = [[Fraction(minv[i * r + j] / r).limit_denominator(limit)
               for j in range(r)] for i in range(r)]
         w = [[(w[i][j] + w[j][i]) / 2 for j in range(r)] for i in range(r)]
         scale = max(_quad(w, list(a)) for a in normals)

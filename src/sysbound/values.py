@@ -58,6 +58,21 @@ class PiScaled:
     def approx(self) -> float:
         return float(self.q) * math.pi ** self.k
 
+    def decimal_str(self, places: int) -> str:
+        """q * pi^k to ``places`` decimals, rounded half-even from the exact
+        value: q is the exact Fraction and pi has guard digits beyond what
+        the integer part and the places need."""
+        value = self.q
+        if self.k and value:
+            size = len(str(abs(value.numerator) // value.denominator))
+            pi = Fraction(_pi_decimal(places + size + abs(self.k) + 10))
+            value *= pi ** self.k
+        scaled = round(value * 10 ** places)  # Fraction rounds half-even
+        text = str(abs(scaled)).rjust(places + 1, "0")
+        if places:
+            text = text[:-places] + "." + text[-places:]
+        return "-" + text if value < 0 else text
+
     def __str__(self):
         if self.k == 0 or self.q == 0:
             return str(self.q)
@@ -67,6 +82,23 @@ class PiScaled:
         return "%s * %s" % (self.q, pi)
 
     __repr__ = __str__
+
+
+def _pi_decimal(digits: int):
+    """pi to ``digits`` significant digits, by the recipe in the ``decimal``
+    module's documentation; ``decimal`` is imported only here."""
+    import decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 2  # extra digits for intermediate steps
+        lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        ctx.prec = digits
+        return +s
 
 
 ONE = PiScaled(Fraction(1), 0)

@@ -87,6 +87,16 @@ def test_ahat_line_bundle_series():
     assert a_hat(line) == expected
 
 
+def test_ahat_log_coefficients_match_the_log_of_the_line_series():
+    # the closed form -B_2k / (2k (2k)!) against the log of the inverted
+    # sinh series, degree by degree up to 20
+    from sysbound.characteristic import _ahat_log_coeffs
+    for prec in range(21):
+        oracle = _series_log(_ahat_line_series(prec), prec)
+        assert list(_ahat_log_coeffs(prec)) == oracle, prec
+    assert _ahat_log_coeffs(4)[2:] == (Fraction(-1, 24), 0, Fraction(1, 2880))
+
+
 def test_todd_line_bundle_series():
     ring, line = _line_bundle(4)
     x = ring.gen("x")

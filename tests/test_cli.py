@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,35 @@ def test_csv_and_approx():
     line = [l for l in out.splitlines() if l.startswith("bound")][0]
     assert line.split(",")[1] == "48 * pi"
     assert line.split(",")[2].startswith("~150.796")
+
+
+def test_approx_digits_are_exact_past_double_precision():
+    # rounded half-even from q * pi^k, not the decimal expansion of the
+    # nearest double (which reads 150.79644737231006956790 and
+    # 2.66666666666666651864 at 20 places)
+    code, out, _ = _run(["bound", "--space", "CP(3)", "--theorem", "thm1.1",
+                         "--approx", "20", "--format", "csv"])
+    assert code == 0
+    assert "bound,48 * pi,~150.79644737231007544621\n" in out
+    code, out, _ = _run(["bundle-profile", "--n", "3", "--approx", "20"])
+    assert code == 0
+    assert "profile_sup:  8/3   (~ 2.66666666666666666667)\n" in out
+    # JSON keeps a float
+    code, out, _ = _run(["bound", "--space", "CP(3)", "--theorem", "thm1.1",
+                         "--approx", "20", "--format", "json"])
+    assert json.loads(out)["bound_approx"] == 48 * math.pi
+
+
+def test_exact_decimals_round_half_even():
+    assert PiScaled.of(Fraction(5, 2)).decimal_str(0) == "2"
+    assert PiScaled.of(Fraction(7, 2)).decimal_str(0) == "4"
+    assert PiScaled.of(Fraction(-1, 8)).decimal_str(2) == "-0.12"
+    assert PiScaled.of(Fraction(-1, 1000)).decimal_str(2) == "-0.00"
+    assert PiScaled.of(0, 3).decimal_str(3) == "0.000"
+    assert PiScaled.of(1, 1).decimal_str(30) == \
+        "3.141592653589793238462643383280"
+    assert PiScaled.of(Fraction(1, 2), -1).decimal_str(25) == \
+        "0.1591549430918953357688838"
 
 
 def test_todd_command():
@@ -475,7 +505,8 @@ def test_batch_commands_leave_built_spaces_unchanged():
 # -- README examples in a fresh interpreter ---------------------------------
 
 #: the README's CLI examples, one or more per subcommand (the sweep shortened
-#: from 200 lattices to 20), plus a primitive pushforward
+#: from 200 lattices to 20), plus a primitive pushforward and two polytope
+#: norms, which run the ellipsoid fit
 _EXAMPLES = [
     ["catalog"],
     ["bound", "--space", "CP(3)", "--theorem", "prop5.1"],
@@ -494,6 +525,9 @@ _EXAMPLES = [
      "--seed", "7"],
     ["pushforward", "--k", "1", "--r", "2", "--j", "1"],
     ["pushforward", "--k", "2", "--r", "4", "--j", "2", "--primitive"],
+    ["lattice", "--vertices", "[[1,0],[0,1],[-1,1],[-1,0],[0,-1],[1,-1]]"],
+    ["lattice", "--vertices",
+     "[[1,0,0],[0,1,0],[0,0,1],[-1,0,0],[0,-1,0],[0,0,-1]]"],
 ]
 
 _REPLAY = r'''
@@ -517,6 +551,7 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"optimized": not __debug__,
                   "sympy_after_import": after_import,
                   "sympy_after_commands": "sympy" in sys.modules,
+                  "numpy_after_commands": "numpy" in sys.modules,
                   "modules_after_import": modules_after_import,
                   "results": results}))
 '''
@@ -546,6 +581,8 @@ def test_runtime_never_imports_sympy():
     report = _replay([])
     assert report["sympy_after_import"] is False
     assert report["sympy_after_commands"] is False
+    # the ellipsoid fit runs in plain floats: the runtime needs no numpy
+    assert report["numpy_after_commands"] is False
     assert all(code == 0 for code, _, _ in report["results"])
 
 

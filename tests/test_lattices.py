@@ -504,6 +504,29 @@ def test_polytope_sandwich_certificate():
         assert 1 <= val <= r
 
 
+def _cross_vertices(r):
+    return [[s * int(i == j) for j in range(r)] for i in range(r) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("vertices, form, polar_form", [
+    (_HEX_VERTICES, [["4/3", "-2/3"], ["-2/3", "4/3"]],
+     [["4/3", "2/3"], ["2/3", "4/3"]]),
+    (_cross_vertices(3), [["3", "0", "0"], ["0", "3", "0"], ["0", "0", "3"]],
+     [[str(int(i == j)) for j in range(3)] for i in range(3)]),
+    (_cross_vertices(4), [[str(4 * int(i == j)) for j in range(4)]
+                          for i in range(4)],
+     [[str(int(i == j)) for j in range(4)] for i in range(4)]),
+])
+def test_polytope_ellipsoid_forms_are_pinned(vertices, form, polar_form):
+    # these symmetric polytopes stop the fit at its first check, so the
+    # rationalized form is the exact John ellipsoid
+    r = len(vertices[0])
+    lat = NormedLattice(basis=_identity(r), vertices=vertices)
+    as_fractions = lambda m: [[Fraction(x) for x in row] for row in m]
+    assert lat.euclidean_form() == as_fractions(form)
+    assert dual_lattice(lat).euclidean_form() == as_fractions(polar_form)
+
+
 def test_polytope_reduced_dual_basis():
     lat = NormedLattice(basis=_identity(2), vertices=_HEX_VERTICES)
     result = reduced_dual_basis(lat)

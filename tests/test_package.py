@@ -1,6 +1,9 @@
 """The package's public names, loaded from their home modules on first use."""
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +76,39 @@ def test_engine_re_exports_the_value_type():
     from sysbound import engine, values
     for name in ("PiScaled", "ONE", "PI", "SELECTORS"):
         assert getattr(engine, name) is getattr(values, name), name
+
+
+def _absolute_imports(tree):
+    """(enclosing scope, top-level module) for every absolute import in the
+    tree, function-local ones included; relative imports are skipped."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from walk(child, scope + (child.name,))
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    yield ".".join(scope), alias.name.split(".")[0]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                yield ".".join(scope), child.module.split(".")[0]
+            else:
+                yield from walk(child, scope)
+    return walk(tree, ())
+
+
+def test_the_package_runs_on_the_standard_library_alone():
+    outside = []
+    for path in sorted(Path(sysbound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, module in _absolute_imports(tree):
+            if module != "sysbound" and module not in sys.stdlib_module_names:
+                outside.append((path.name, scope, module))
+    # the one exception: the test-only sympy accessor
+    assert outside == [("pushforward.py", "SymmetricPolynomial.poly", "sympy")]
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == []
