@@ -402,21 +402,17 @@ def complete_intersection(multidegrees, ambient) -> Space:
         hs = [ring.gen("H%d" % (i + 1)) for i in range(m)]
 
     twist = ring.one()
-    for row in rows:
-        divisor = ring.zero()
-        for d, h in zip(row, hs):
-            divisor = divisor + d * h
-        twist = twist * divisor
-
-    ambient_tangent = ring.one()
-    for N, h in zip(ns, hs):
-        ambient_tangent = ambient_tangent * (1 + h) ** (N + 1)
     normal_total = ring.one()
     for row in rows:
         divisor = ring.zero()
         for d, h in zip(row, hs):
             divisor = divisor + d * h
+        twist = twist * divisor
         normal_total = normal_total * (1 + divisor)
+
+    ambient_tangent = ring.one()
+    for N, h in zip(ns, hs):
+        ambient_tangent = ambient_tangent * (1 + h) ** (N + 1)
     tangent = whitney_quotient(ChernData(rank=sum(ns), total=ambient_tangent),
                                ChernData(rank=r, total=normal_total))
 

@@ -1,9 +1,14 @@
 """Command-line frontend.
 
 A small LL(1) parser turns descriptor strings such as ``CP(3) * S1`` or
-``CI(degrees=[[2,3]]; ambient=[5])`` into catalog constructors.  Results are
-printed exactly (``q * pi^k``); decimals appear only with ``--approx`` and are
-labeled approximate.  Exit codes: 0 success, 1 domain error, 2 usage error.
+``CI(degrees=[[2,3]]; ambient=[5])`` into catalog constructors.  One tokenizer
+and one parser class serve both descriptors and ``--alpha`` class expressions
+such as ``1/2*pi^2*H - E``.  Only the punctuation differs, and with it the
+reading of ``-``: directly before a digit it starts a negative integer in a
+descriptor (``genus=-1``), but in a class expression it is always the minus
+operator (``H1 -2*H2`` is H1 - 2*H2).  Results are printed exactly (``q * pi^k``);
+decimals appear only with ``--approx`` and are labeled approximate.  Exit
+codes: 0 success, 1 domain error, 2 usage error.
 
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
@@ -22,10 +27,11 @@ from .errors import CalculatorError, ParseError
 from .values import SELECTORS, PiScaled
 
 # ---------------------------------------------------------------------------
-# descriptor grammar
+# tokens and parser, shared by descriptors and class expressions
 # ---------------------------------------------------------------------------
 
 _PUNCT = ("(", ")", "[", "]", ",", ";", "=", "*", ".")
+_CLASS_PUNCT = ("+", "-", "*", "/", "^", "(", ")")
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,10 @@ class Token:
     pos: int
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, punct=_PUNCT, where=""):
+    """Tokens of ``text``: each character of ``punct``, names and integers.
+    A ``-`` before a digit starts a negative integer unless ``-`` is in
+    ``punct``; ``where`` ends the message for an unexpected character."""
     tokens = []
     i = 0
     while i < len(text):
@@ -43,13 +52,15 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch in _PUNCT:
+        if ch in punct:
             tokens.append(Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: int() rejects digits such as "²"
+        if ch.isdecimal() or (ch == "-" and i + 1 < len(text)
+                              and text[i + 1].isdecimal()):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], i))
             i = j
@@ -61,15 +72,14 @@ def _tokenize(text: str):
             tokens.append(Token("NAME", text[i:j], i))
             i = j
             continue
-        raise ParseError("unexpected character %r" % ch, i)
+        raise ParseError("unexpected character %r%s" % (ch, where), i)
     tokens.append(Token("END", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, punct=_PUNCT, where=""):
+        self.tokens = _tokenize(text, punct, where)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -86,6 +96,17 @@ class _Parser:
             raise ParseError("unexpected %r" % (tok.text or "end of input"),
                              tok.pos, expected=(text or kind,))
         return self.next()
+
+    def operand(self, op, what):
+        """The INT token after an ``op`` token, or None when the next token
+        is not ``op``; anything else after ``op`` is "expected <what>"."""
+        if self.peek().kind != op:
+            return None
+        self.next()
+        tok = self.next()
+        if tok.kind != "INT":
+            raise ParseError("expected " + what, tok.pos)
+        return tok
 
     def integer(self) -> int:
         return int(self.expect("INT").text)
@@ -109,7 +130,7 @@ class _Parser:
         return self.bracketed(self.int_list)
 
 
-# AST ----------------------------------------------------------------------
+# descriptor AST -----------------------------------------------------------
 
 
 class _Node:
@@ -285,132 +306,59 @@ def parse_alpha(space: Space, text: str):
     power of pi.
     """
     space.require_ring()
-    return _parse_alpha_terms(space, text)
-
-
-def _alpha_tokens(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        else:
-            raise ParseError("unexpected character %r in class expression" % ch, i)
-    tokens.append(("END", len(text)))
-    return tokens
-
-
-def _parse_alpha_terms(space: Space, text: str):
-    ring = space.ring
-    tokens = _alpha_tokens(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def parse_number():
-        tok = advance()
-        if tok[0] != "INT":
-            raise ParseError("expected a number", tok[-1])
-        value = Fraction(int(tok[1]))
-        if peek()[0] == "/":
-            advance()
-            den = advance()
-            if den[0] != "INT":
-                raise ParseError("expected a denominator", den[-1])
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", den[-1])
-            value /= int(den[1])
-        return value
-
-    def parse_term():
-        coeff = Fraction(1)
-        pi_exp = 0
-        gen_name = None
-        expect_factor = True
-        while True:
-            tok = peek()
-            if tok[0] == "INT" and expect_factor:
-                coeff *= parse_number()
-            elif tok[0] == "NAME" and expect_factor:
-                advance()
-                if tok[1] == "pi":
-                    power = 1
-                    if peek()[0] == "^":
-                        advance()
-                        ptok = advance()
-                        if ptok[0] != "INT":
-                            raise ParseError("expected an exponent", ptok[-1])
-                        power = int(ptok[1])
-                    pi_exp += power
-                else:
-                    if gen_name is not None:
-                        raise ParseError("term has two generator names", tok[-1])
-                    gen_name = tok[1]
-            else:
-                break
-            expect_factor = False
-            if peek()[0] == "*":
-                advance()
-                expect_factor = True
-        if gen_name is None:
-            raise ParseError("each term needs a degree-2 generator name",
-                             peek()[-1])
-        if gen_name not in ring.index:
-            raise ParseError("unknown generator %r (ring has %s)"
-                             % (gen_name, ", ".join(ring.gen_names())),
-                             peek()[-1])
-        return coeff, pi_exp, gen_name
-
-    total = ring.zero()
+    p = _Parser(text, _CLASS_PUNCT, " in class expression")
+    total = space.ring.zero()
     pi_exponent = None
-    sign = Fraction(1)
-    if peek()[0] == "-":
-        advance()
-        sign = Fraction(-1)
-    elif peek()[0] == "+":
-        advance()
+    tok = p.peek()
+    if tok.kind in ("+", "-"):
+        p.next()
     while True:
-        coeff, pi_exp, gen_name = parse_term()
+        sign = -1 if tok.kind == "-" else 1
+        coeff, pi_exp, gen = _parse_term(p, space.ring)
         if pi_exponent is None:
             pi_exponent = pi_exp
         elif pi_exponent != pi_exp:
             raise ParseError("all terms must carry the same power of pi",
-                             peek()[-1])
-        total = total + sign * coeff * ring.gen(gen_name)
-        tok = peek()
-        if tok[0] == "+":
-            advance()
-            sign = Fraction(1)
-        elif tok[0] == "-":
-            advance()
-            sign = Fraction(-1)
-        elif tok[0] == "END":
-            break
+                             p.peek().pos)
+        total = total + sign * coeff * gen
+        tok = p.next()
+        if tok.kind == "END":
+            return total, pi_exponent
+        if tok.kind not in ("+", "-"):
+            raise ParseError("unexpected token in class expression", tok.pos)
+
+
+def _parse_term(p: _Parser, ring):
+    """``factor (* factor)*``, a factor being ``n``, ``n/d``, ``pi``,
+    ``pi^e`` or one generator name; returns ``(coeff, pi_exp, generator)``."""
+    coeff = Fraction(1)
+    pi_exp = 0
+    name = None
+    while p.peek().kind in ("INT", "NAME"):
+        tok = p.next()
+        if tok.kind == "INT":
+            den = p.operand("/", "a denominator")
+            if den is not None and int(den.text) == 0:
+                raise ParseError("zero denominator", den.pos)
+            coeff *= Fraction(int(tok.text),
+                              1 if den is None else int(den.text))
+        elif tok.text == "pi":
+            power = p.operand("^", "an exponent")
+            pi_exp += 1 if power is None else int(power.text)
+        elif name is not None:
+            raise ParseError("term has two generator names", tok.pos)
         else:
-            raise ParseError("unexpected token in class expression", tok[-1])
-    return total, (pi_exponent or 0)
+            name = tok.text
+        if p.peek().kind != "*":
+            break
+        p.next()
+    if name is None:
+        raise ParseError("each term needs a degree-2 generator name",
+                         p.peek().pos)
+    if name not in ring.index:
+        raise ParseError("unknown generator %r (ring has %s)"
+                         % (name, ", ".join(ring.gen_names())), p.peek().pos)
+    return coeff, pi_exp, ring.gen(name)
 
 
 def _default_alpha(space: Space):

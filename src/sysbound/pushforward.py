@@ -44,15 +44,6 @@ class SymmetricPolynomial:
     terms: tuple
     nvars: int
 
-    @property
-    def poly(self):
-        import sympy
-        return sympy.Poly.from_dict(dict(self.terms) or {(0,) * self.nvars: 0},
-                                    sympy.symbols("x1:%d" % (self.nvars + 1)))
-
-    def as_expr(self):
-        return self.poly.as_expr()
-
     def is_symmetric(self) -> bool:
         """Coefficients are constant on S_r orbits of exponent tuples (the
         adjacent transpositions generate S_r)."""

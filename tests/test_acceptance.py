@@ -228,9 +228,10 @@ def test_criterion_8_lattice_suite():
 def test_criterion_9a_pushforward_base_case():
     def check():
         from sympy import expand, symbols
+        from sympy_oracle import as_expr
         sym = localization_pushforward(1, 2, 1)
         x1, x2 = symbols("x1 x2")
-        assert expand(sym.as_expr() + x1 + x2) == 0
+        assert expand(as_expr(sym) + x1 + x2) == 0
     _report("9a", "localization (1,2,1) = -p1", check)
 
 

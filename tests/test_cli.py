@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -133,6 +134,7 @@ def test_parse_errors_carry_position():
     ("S1(2)", "trailing input '(' at offset 2 (expected *, end of input)",
      2, ("*", "end of input")),
     ("CP(3) & S1", "unexpected character '&' at offset 6", 6, ()),
+    ("CP(²)", "unexpected character '²' at offset 3", 3, ()),
     ("CP(3) *", "unexpected 'end of input' at offset 7 (expected NAME)",
      7, ("NAME",)),
     ("CP(2).twist", "unexpected 'end of input' at offset 11 (expected ()",
@@ -160,6 +162,65 @@ def test_parse_alpha_expressions():
     assert cls == Fraction(1, 2) * cp2.ring.gen("H") and pi_exp == 2
     with pytest.raises(ParseError):
         parse_alpha(cp2, "2*Z")
+    # "-2" is one integer in a descriptor (genus=-1) but minus 2 here
+    p1xp1 = catalog.product(projective_space(1), projective_space(1))
+    cls, pi_exp = parse_alpha(p1xp1, "H1 -2*H2")
+    assert cls == p1xp1.ring.gen("H1") - 2 * p1xp1.ring.gen("H2")
+    assert pi_exp == 0
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("*H", "each term needs a degree-2 generator name", 0),
+    ("1/*H", "expected a denominator", 2),
+    ("1/0*H", "zero denominator", 2),
+    ("pi^*H", "expected an exponent", 3),
+    ("H*E", "term has two generator names", 2),
+    ("2*Z", "unknown generator 'Z' (ring has H, E)", 3),
+    ("pi*H - E", "all terms must carry the same power of pi", 8),
+    ("H E", "unexpected token in class expression", 2),
+    ("H & E", "unexpected character '&' in class expression", 2),
+    ("²*H", "unexpected character '²' in class expression", 0),
+])
+def test_parse_alpha_error_texts(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_alpha(catalog.blowup_point(3), text)
+    assert str(exc.value) == "%s at offset %d" % (message, position)
+    assert exc.value.position == position
+    assert exc.value.expected == ()
+
+
+_VOCABULARY = {
+    "descriptor": ("CP", "Q", "S", "S1", "CI", "PB", "BlP", "twist",
+                   "degrees", "ambient", "genus", "(", ")", "[", "]", ",",
+                   ";", "=", "*", ".", "-", "-1", "0", "2", "3", " ", "²"),
+    "class": ("H", "E", "Z", "pi", "+", "-", "*", "/", "^", "(", ")", "0",
+              "1", "2", "13", "-2", " ", "²"),
+}
+
+
+@pytest.mark.parametrize("grammar", sorted(_VOCABULARY))
+def test_random_token_strings_parse_or_raise_a_parse_error(grammar):
+    if grammar == "class":
+        space = catalog.blowup_point(3)
+        parse = lambda text: parse_alpha(space, text)  # noqa: E731
+    else:
+        parse = parse_space
+    rng = random.Random(23)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(3000):
+        words = [rng.choice(_VOCABULARY[grammar])
+                 for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.1:
+            words.insert(rng.randint(0, len(words)), "&")
+        text = "".join(words)
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text), (text, exc.position)
+            outcomes["rejected"] += 1
+        else:
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 # -- commands -----------------------------------------------------------------

@@ -103,8 +103,7 @@ def test_the_package_runs_on_the_standard_library_alone():
         for scope, module in _absolute_imports(tree):
             if module != "sysbound" and module not in sys.stdlib_module_names:
                 outside.append((path.name, scope, module))
-    # the one exception: the test-only sympy accessor
-    assert outside == [("pushforward.py", "SymmetricPolynomial.poly", "sympy")]
+    assert outside == []
 
 
 def test_pyproject_declares_no_runtime_dependency():
