@@ -8,24 +8,34 @@ as rationals.
 
 Gram matrices B F B^T are formed in Python ints, with the denominators of B
 and F cleared once and divided out once per entry.  Enumeration is exact
-Fincke-Pohst over Fractions with integer range bounds derived from integer
-square roots; an exact LLL pass keeps the search tree small.  LLL, and the
-size reduction that ends a KZ reduction, compute the Gram-Schmidt data
+Fincke-Pohst in integers over one common denominator, each range from an
+integer square root; an exact LLL pass keeps the search tree small.  LLL,
+and the size reduction that ends a KZ reduction, compute the Gram-Schmidt data
 (mu, bstar) once and update it in place under each row operation (Cohen,
 GTM 138, section 2.6), so no Gram matrix is rebuilt inside a reduction.
 Each lattice keeps its minima, its LLL run and its dual once computed.
 
-For polytope norms the search region comes from an inscribed ellipsoid
-whose sandwich certificate (E inside the ball, ball inside sqrt(r) E) is
-verified in rational arithmetic.  The ellipsoid itself is fitted in plain
-Python floats, on the same Gauss-Jordan loop the exact algebra uses, since
-only the certificate matters.
+Each enumerated vector is measured once.  A Euclidean size is the
+enumeration's own exact value x^T (W G W^T) x, which equals coeffs^T G
+coeffs.  A polytope norm is read on coefficient vectors: the facet normals
+are pulled back to lattice coordinates once per lattice, as integer rows
+over one denominator, and a norm is a max of integer dot products.
+
+For polytope norms the search region comes from an inscribed ellipsoid E
+whose sandwich (E inside the ball, ball inside sqrt(c) E) is verified in
+rational arithmetic, with c the exact largest vertex value v^T Q v; the
+search budget uses that c.  The ellipsoid itself is fitted in plain Python
+floats, on the same Gauss-Jordan loop the exact algebra uses, since only
+the certificate matters.  The dual's unit ball is the polar polytope, whose
+facet normals are the primal's extreme vertices (polar duality; Ziegler,
+Lectures on Polytopes, section 2.3), so only input polytopes enumerate
+facets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -34,8 +44,9 @@ from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
 
 MAX_RANK = 5
-#: the most r-subsets of a vertex list ``_facet_normals`` will solve, one
-#: exact r x r linear system each
+#: the most r-subsets of an input vertex list ``_facet_normals`` will solve,
+#: one exact r x r linear system each; a dual lattice's polar polytope takes
+#: its facet normals from the primal's vertices and solves none
 MAX_FACET_SUBSETS = 10_000
 
 
@@ -203,6 +214,9 @@ class NormedLattice:
     basis: list
     gram: list | None = None
     vertices: list | None = None
+    # the facet normals of the unit ball, when already known: only
+    # ``dual_lattice`` passes them, for the polar of a primal's ball
+    _normals: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = _mat(self.basis)
@@ -229,7 +243,7 @@ class NormedLattice:
                 raise PreconditionUnmet(
                     "the Euclidean form must be symmetric positive-definite "
                     "(leading principal minors positive)")
-            self._normals = None
+            self._normals = self._coeff_normals = None
         else:
             self.vertices = [[Fraction(x) for x in v] for v in self.vertices]
             if any(len(v) != r for v in self.vertices):
@@ -240,8 +254,14 @@ class NormedLattice:
             if {tuple(-x for x in v) for v in self.vertices} != vset:
                 raise PreconditionUnmet(
                     "polytope vertex list must be closed under negation")
-            self._normals = _facet_normals(self.vertices, r)
-        self._euclid_form_cache = None
+            if self._normals is None:
+                self._normals = _facet_normals(self.vertices, r)
+            # <a, c B> = <B a, c>: each normal pulled back to lattice
+            # coordinates, all over one cleared denominator
+            self._coeff_normals = _cleared(
+                [[sum(map(mul, row, a)) for row in self.basis]
+                 for a in self._normals])
+        self._ellipsoid_cache = None
         self._lll_cache = None
         self._minima_cache = None
         self._dual_cache = None
@@ -262,8 +282,15 @@ class NormedLattice:
             raise PreconditionUnmet("polytope lattices have no Gram matrix")
         return _gram_of_basis(self.basis, self.gram)
 
+    def _check_length(self, vec, what):
+        if len(vec) != self.rank:
+            raise PreconditionUnmet(
+                "the %s has %d coordinates but the basis has rank %d"
+                % (what, len(vec), self.rank))
+
     def vector(self, coeffs):
         """Ambient coordinates of an integer coefficient vector."""
+        self._check_length(coeffs, "coefficient vector")
         r = self.rank
         return [sum(Fraction(coeffs[i]) * self.basis[i][j] for i in range(r))
                 for j in range(r)]
@@ -271,42 +298,49 @@ class NormedLattice:
     def norm_sq(self, ambient_vec):
         if self.gram is None:
             raise PreconditionUnmet("polytope norms are not squared-rational")
+        self._check_length(ambient_vec, "vector")
         return _quad(self.gram, [Fraction(x) for x in ambient_vec])
 
     def norm(self, ambient_vec):
         """Exact polytope norm (Minkowski functional)."""
         if self._normals is None:
             raise PreconditionUnmet("Euclidean norms are reported squared")
+        self._check_length(ambient_vec, "vector")
         v = [Fraction(x) for x in ambient_vec]
         return max(sum(a * x for a, x in zip(normal, v))
                    for normal in self._normals)
+
+    def _coefficient_norm(self, coeffs):
+        """The polytope norm of the lattice vector with these integer
+        coefficients, from the pulled-back facet normals."""
+        rows, d = self._coeff_normals
+        return Fraction(max(sum(map(mul, row, coeffs)) for row in rows), d)
 
     def euclidean_form(self):
         """An ambient quadratic form comparable to the norm.
 
         Euclidean lattices return their own form.  Polytope lattices return a
         certified inscribed-ellipsoid form Q with
-        (1/sqrt(r)) |v|_Q <= ||v|| <= |v|_Q.
+        (1/sqrt(c)) |v|_Q <= ||v|| <= |v|_Q, c the exact largest v^T Q v
+        over the vertices.
         """
         if self.gram is not None:
             return self.gram
-        if self._euclid_form_cache is None:
-            self._euclid_form_cache = _certified_ellipsoid_form(
-                self.vertices, self._normals, self.rank)
-        return self._euclid_form_cache
+        return self._ellipsoid()[0]
 
-    def _size(self, ambient_vec):
-        """The reported size: squared Euclidean norm, or polytope norm."""
-        if self.gram is not None:
-            return self.norm_sq(ambient_vec)
-        return self.norm(ambient_vec)
+    def _ellipsoid(self):
+        """(Q, c) of the certified inscribed ellipsoid, fitted once."""
+        if self._ellipsoid_cache is None:
+            self._ellipsoid_cache = _certified_ellipsoid_form(
+                self.vertices, self._normals, self.rank)
+        return self._ellipsoid_cache
 
     def _form_budget(self, size):
         """A bound on v^T Q v, Q = euclidean_form(), for every v of at most
-        this size; for polytopes by the sandwich |v|_Q^2 <= r ||v||^2."""
+        this size; for polytopes by the sandwich |v|_Q^2 <= c ||v||^2."""
         if self.gram is not None:
             return size
-        return self.rank * size ** 2
+        return self._ellipsoid()[1] * size ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +372,30 @@ def _facet_normals(vertices, r):
     return sorted(normals)
 
 
+def _polar_normals(vertices, normals, r):
+    """The facet normals of the polar polytope, in ``_facet_normals`` order:
+    the listed vertices that are extreme, v being extreme iff the normals a
+    with <a, v> = 1 have rank r."""
+    extreme = set()
+    for v in {tuple(v) for v in vertices}:
+        tight = [a for a in normals if sum(map(mul, a, v)) == 1]
+        if len(tight) >= r and _rank_of(tight) == r:
+            extreme.add(v)
+    return sorted(extreme)
+
+
 def _certified_ellipsoid_form(vertices, normals, r):
-    """Rational PD form Q with E_Q inside K inside sqrt(r) E_Q.
+    """Rational PD form Q and the exact c = max v^T Q v over the vertices,
+    with E_Q inside K inside sqrt(c) E_Q.
 
     Khachiyan's iteration (Math. Oper. Res. 21, 1996) fits, in floats, the
     minimal enclosing ellipsoid of the polar vertex set (the facet normals):
     weights u on the points, moment matrix M = sum u_i p_i p_i^T, and a step
     toward the first point of largest p^T M^-1 p until that is at most r.
     The polar set's enclosing form M^-1 / r is rationalized, rescaled so E_Q
-    is exactly inscribed, and the sqrt(r) containment is then checked
-    exactly on the vertices.
+    is exactly inscribed, and c is then computed exactly on the vertices.
+    The first round with c <= r (John's bound) is returned; failing that,
+    the round with the smallest c.
     """
     # p p^T of each point, flattened row by row, and each entry over the points
     outer = [[float(x * y) for x in a for y in a] for a in normals]
@@ -364,6 +412,7 @@ def _certified_ellipsoid_form(vertices, normals, r):
             raise EuclideanizationFailed("polar vertex set is degenerate")
         return [x for row in reduced for x in row[r:]]
 
+    best = None
     for rounds in range(6):
         for _ in range(400 * (rounds + 1)):
             minv = moment_inverse()
@@ -387,11 +436,15 @@ def _certified_ellipsoid_form(vertices, normals, r):
         if not _is_positive_definite(w):
             continue
         q = _mat_inv(w)
-        # certificate: every vertex satisfies v^T Q v <= r
-        if all(_quad(q, v) <= r for v in vertices):
-            return q
-    raise EuclideanizationFailed(
-        "no inscribed ellipsoid with a sqrt(r) sandwich certificate found")
+        c = max(_quad(q, v) for v in vertices)
+        if c <= r:
+            return q, c
+        if best is None or c < best[1]:
+            best = q, c
+    if best is None:
+        raise EuclideanizationFailed(
+            "no positive-definite inscribed ellipsoid form found")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -399,51 +452,55 @@ def _certified_ellipsoid_form(vertices, normals, r):
 # ---------------------------------------------------------------------------
 
 
-def _floor_sqrt(value: Fraction) -> int:
-    if value < 0:
-        return -1
-    return math.isqrt(value.numerator // value.denominator)
-
-
-def _int_range(center: Fraction, budget: Fraction):
-    """Integers x with (x + center)^2 <= budget."""
-    if budget < 0:
-        return range(0, 0)
-    p, q = center.numerator, center.denominator
-    w = _floor_sqrt(budget * q * q)
-    lo = -(p + w)
-    hi = w - p
-    return range(-((-lo) // q) if lo < 0 else (lo + q - 1) // q, hi // q + 1)
-
-
 def enumerate_short_vectors(gram, bound: Fraction):
-    """All nonzero x in Z^r with x^T G x <= bound, one per +-pair."""
+    """All nonzero x in Z^r with x^T G x <= bound, one per +-pair, with
+    their exact values, sorted by value.
+
+    Fincke-Pohst in integers.  From G = mu diag(bstar) mu^T, level l adds
+    bstar_l (x_l + c_l)^2 with c_l = n_l / e_l, e_l the common denominator
+    of column l of mu and n_l an integer combination of the deeper
+    coordinates.  Over one common denominator s that term is
+    m_l (e_l x_l + n_l)^2 / s with m_l an integer, so the budget is kept as
+    floor(s bound) minus integer terms and each level's range comes from
+    one integer square root.
+    """
     r = len(gram)
     mu, bstar = _gs_data(gram)
+    e = [math.lcm(*(mu[j][l].denominator for j in range(l + 1, r)))
+         for l in range(r)]
+    lam = [[int(mu[j][l] * e[l]) for l in range(j)] for j in range(r)]
+    weights = [bstar[l] / (e[l] * e[l]) for l in range(r)]
+    s = math.lcm(*(w.denominator for w in weights))
+    m = [w.numerator * (s // w.denominator) for w in weights]
+    budget = math.floor(bound * s)
     out = []
     coords = [0] * r
 
     def descend(level, remaining):
         if level < 0:
-            if any(coords):
-                vec = list(coords)
-                for x in vec:
-                    if x > 0:
-                        out.append((tuple(vec), bound - remaining))
-                        break
-                    if x < 0:
-                        break
+            for x in coords:
+                if x > 0:
+                    out.append((tuple(coords), budget - remaining))
+                    break
+                if x < 0:
+                    break
             return
-        center = sum(mu[j][level] * coords[j] for j in range(level + 1, r))
-        for x in _int_range(center, remaining / bstar[level]):
+        n = 0
+        for j in range(level + 1, r):
+            n += lam[j][level] * coords[j]
+        e_l, m_l = e[level], m[level]
+        w = math.isqrt(remaining // m_l)
+        # the x with |e_l x + n| <= w
+        for x in range(-((w + n) // e_l), (w - n) // e_l + 1):
             coords[level] = x
-            spent = bstar[level] * (x + center) ** 2
-            descend(level - 1, remaining - spent)
+            t = e_l * x + n
+            descend(level - 1, remaining - m_l * t * t)
         coords[level] = 0
 
-    descend(r - 1, bound)
+    if budget >= 0:
+        descend(r - 1, budget)
     out.sort(key=lambda item: item[1])
-    return out
+    return [(vec, Fraction(spent, s)) for vec, spent in out]
 
 
 # ---------------------------------------------------------------------------
@@ -656,25 +713,41 @@ def _lll_data(lattice: NormedLattice):
     return lattice._lll_cache
 
 
+def _scored_vectors(lattice: NormedLattice):
+    """Every nonzero lattice vector no larger than the longest LLL-reduced
+    row, one per +-pair, as (coefficients, exact size) sorted by size.
+
+    The search is in the Euclidean form.  A Euclidean size is the
+    enumeration's own value; a polytope norm is measured on the coefficients.
+    """
+    r = lattice.rank
+    gram, w = _lll_data(lattice)
+    reduced = _gram_of_basis(w, gram)
+    if lattice.gram is not None:
+        radius = max(reduced[i][i] for i in range(r))
+    else:
+        radius = max(lattice._coefficient_norm(row) for row in w)
+    scored = []
+    for vec, value in enumerate_short_vectors(reduced,
+                                              lattice._form_budget(radius)):
+        coeffs = tuple(sum(vec[i] * w[i][j] for i in range(r))
+                       for j in range(r))
+        if lattice.gram is None:
+            value = lattice._coefficient_norm(coeffs)
+            if value > radius:
+                continue
+        scored.append((coeffs, value))
+    scored.sort(key=lambda item: item[1])
+    return scored
+
+
 def _minima(lattice: NormedLattice):
-    """All r minima, found once per lattice: enumerate in the Euclidean form
-    up to the budget of the longest LLL-reduced row, then measure exactly."""
+    """All r minima, found once per lattice: scan the vectors up to the
+    longest LLL-reduced row in order of size."""
     if lattice._minima_cache is not None:
         return lattice._minima_cache
     r = lattice.rank
-    gram, w = _lll_data(lattice)
-    radius = max(lattice._size(lattice.vector(row)) for row in w)
-    vectors = enumerate_short_vectors(_gram_of_basis(w, gram),
-                                      lattice._form_budget(radius))
-    scored = []
-    for vec, _ in vectors:
-        coeffs = tuple(sum(vec[i] * w[i][j] for i in range(r))
-                       for j in range(r))
-        value = lattice._size(lattice.vector(coeffs))
-        if value <= radius:
-            scored.append((coeffs, value))
-    scored.sort(key=lambda item: item[1])
-    minima = _independent_scan(scored, r, r)
+    minima = _independent_scan(_scored_vectors(lattice), r, r)
     if len(minima) != r:
         raise CertificateFailed(
             "successive-minima certificate: vectors up to the longest "
@@ -688,15 +761,18 @@ def dual_lattice(lattice: NormedLattice) -> NormedLattice:
 
     Euclidean: inverse-transpose basis with the inverse ambient form (so the
     lattice Gram inverts exactly).  Polytope: the polar polytope, whose
-    vertex list is the facet-normal list of the primal unit ball.  The dual
-    is built once per lattice and kept.
+    vertex list is the facet-normal list of the primal unit ball and whose
+    facet normals are the primal's extreme vertices.  The dual is built once
+    per lattice and kept.
     """
     if lattice._dual_cache is None:
         dual_basis = _transpose(_mat_inv(lattice.basis))
         if lattice.kind == "euclidean":
             form = {"gram": _mat_inv(lattice.gram)}
         else:
-            form = {"vertices": [list(a) for a in lattice._normals]}
+            form = {"vertices": [list(a) for a in lattice._normals],
+                    "_normals": _polar_normals(lattice.vertices,
+                                               lattice._normals, lattice.rank)}
         lattice._dual_cache = NormedLattice(basis=dual_basis, **form)
     return lattice._dual_cache
 
@@ -762,12 +838,13 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     if lattice.kind == "euclidean":
         # the dual's own form is the inverse form: share its kept LLL run
         gram, lll = _lll_data(dual)
+        w = kz_transform(gram, lll)
+        norms = tuple(_quad(gram, row) for row in w)
     else:
         gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
-        lll = None
-    w = kz_transform(gram, lll)
+        w = kz_transform(gram)
+        norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]
-    norms = tuple(dual._size(list(v)) for v in vectors)
     l1 = successive_minima(lattice, 1)
     squared = lattice.kind == "euclidean"
     power, product = ((4, "||u||^2 lambda1^2") if squared

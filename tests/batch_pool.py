@@ -1,18 +1,49 @@
-"""The benchmark's batch descriptors, batch commands and cold CLI invocations,
-as test input.
+"""The benchmark's inputs and recorded outputs, as test input.
 
-``perfbench/bench_inputs.py`` is loaded from its file: it is plain data and
-seeded generators, and calls no sysbound function.
+The modules under ``perfbench/`` are loaded from their files: ``bench_inputs``
+is plain data and seeded generators, and ``bench_child.lattice_op`` is the
+``lattice`` subcommand's call sequence on a module passed to it; neither
+calls a sysbound function on import.  ``golden.json`` is only read.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench_inputs.py"
-_spec = importlib.util.spec_from_file_location("bench_inputs", _PATH)
-_module = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_module)
+_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
+
+def _load(name):
+    """``perfbench/<name>.py``, kept in ``sys.modules`` under its own name so
+    that the benchmark's modules import one another as they do when run."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name,
+                                                      _DIR / (name + ".py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def bench_child():
+    """``perfbench/bench_child.py``, after the benchmark modules it imports."""
+    for name in ("bench_inputs", "bench_reference", "bench_trace"):
+        _load(name)
+    return _load("bench_child")
+
+
+def golden_lattices():
+    """The recorded result of every pool lattice: kind -> results in pool
+    order."""
+    with open(_DIR / "golden.json") as fh:
+        recorded = json.load(fh)["lattices"]
+    return {kind: [entry["result"] for entry in entries]
+            for kind, entries in recorded.items()}
+
+
+_module = _load("bench_inputs")
 BATCH_POOL = _module.BATCH_POOL
 BATCH_COMMANDS = _module.BATCH_COMMANDS
 CLI_INVOCATIONS = _module.CLI_INVOCATIONS

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -361,6 +362,10 @@ def _cross_polytope(r):
                        for i in range(r) for s in (1, -1)])
 
 
+def _cube(r):
+    return json.dumps([list(v) for v in itertools.product((1, -1), repeat=r)])
+
+
 def test_lattice_vertex_cap(monkeypatch):
     from sysbound import lattices
     solves = []
@@ -371,17 +376,25 @@ def test_lattice_vertex_cap(monkeypatch):
         return real(rows, rhs)
 
     monkeypatch.setattr(lattices, "_solve_linear", counting)
-    # the rank-5 cross-polytope has 10 vertices; its polar, the unit ball
-    # of the dual lattice, has 32, and C(32, 5) = 201376 is over the cap
-    code, out, err = _run(["lattice", "--vertices", _cross_polytope(5)])
+    # the 5-cube has 32 vertices, and C(32, 5) = 201376 is over the cap
+    code, out, err = _run(["lattice", "--vertices", _cube(5)])
     assert code == 1 and out == ""
     assert err == ("error: facet enumeration over 32 vertices at rank 5 "
                    "needs C(32, 5) = 201376 linear solves, above the cap "
                    "10000\n")
-    # only the primal's C(10, 5) subsets were solved: the cap is checked
-    # before the polar's loop starts
+    # the cap is checked before any subset is solved
+    assert solves == []
+    # the rank-5 cross-polytope's polar, the unit ball of its dual lattice,
+    # is that cube; it takes its facets from the primal's vertices, so only
+    # the primal's C(10, 5) = 252 subsets are solved
+    code, out, _ = _run(["lattice", "--vertices", _cross_polytope(5)])
+    assert code == 0
     assert len(solves) == 252
-    # the rank-4 polar has C(16, 4) = 1820 subsets, under the cap
+    rows = dict(line.split(":", 1) for line in out.splitlines())
+    for j in range(1, 6):
+        assert rows["lambda_%d" % j].strip() == "1"
+        # the dual norm is the max-norm, 1 on every KZ-reduced dual vector
+        assert rows["dual_norm_%d" % j].strip() == "1"
     code, out, _ = _run(["lattice", "--vertices", _cross_polytope(4)])
     assert code == 0
     assert "dual_norm_4:   1" in out

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from sysbound import lattices
 from sysbound.errors import BoundViolated, PreconditionUnmet, RankTooLarge
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
                                lll_transform, random_basis, reduced_dual_basis,
@@ -292,6 +293,33 @@ def _seeded_grams(count, seed):
         yield gram
 
 
+def test_enumeration_matches_a_box_scan():
+    from sysbound.lattices import _mat_inv, enumerate_short_vectors
+    rng = random.Random(67)
+    scanned = 0
+    for gram in _seeded_grams(40, 71):
+        r = len(gram)
+        bound = min(gram[i][i] for i in range(r)) * Fraction(
+            rng.randint(2, 6), 3)
+        # |x_i| <= sqrt(bound (G^-1)_ii) on the ellipsoid x^T G x <= bound
+        inv = _mat_inv(gram)
+        box = max(math.isqrt(math.floor(bound * inv[i][i]))
+                  for i in range(r))
+        if (2 * box + 1) ** r > 4_000:
+            continue
+        expected = []
+        for x in itertools.product(range(-box, box + 1), repeat=r):
+            value = _quad(gram, list(x))
+            first = next((c for c in x if c), 0)
+            if first > 0 and value <= bound:
+                expected.append((x, value))
+        found = enumerate_short_vectors(gram, bound)
+        assert sorted(found) == sorted(expected)
+        assert [v for _, v in found] == sorted(v for _, v in found)
+        scanned += 1
+    assert scanned >= 20
+
+
 def test_gram_product_matches_fraction_products():
     rng = random.Random(47)
     for trial in range(60):
@@ -418,6 +446,19 @@ def test_reduced_dual_basis_random_sweep():
                 assert x.denominator == 1
 
 
+def test_pool_outputs_match_the_golden_record():
+    # the benchmark's 288 pool lattices through its own call sequence
+    from batch_pool import bench_child, golden_lattices
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    golden = golden_lattices()
+    assert sorted(pool) == sorted(golden)
+    for kind, specs in pool.items():
+        assert len(specs) == len(golden[kind])
+        for pos, (spec, expected) in enumerate(zip(specs, golden[kind])):
+            assert child.lattice_op(lattices, spec) == expected, (kind, pos)
+
+
 # -- polytope norms -----------------------------------------------------------
 
 
@@ -447,27 +488,157 @@ _CROSS_3_VERTICES = [[s * int(i == j) for j in range(3)]
                      for i in range(3) for s in (1, -1)]
 
 
-def test_polytope_minima_match_box_oracle_on_random_bases():
+def _complete_box_minima(lat):
+    """The box oracle's minima of a polytope lattice, on a box large enough
+    to hold every vector up to the oracle's lambda_r."""
     from sysbound.lattices import _mat_inv
+    r = lat.rank
+    # a lattice vector v = c B has c_j = <v, column j of B^-1>, and v lies
+    # in ||v|| times the unit ball, so |c_j| <= ||v|| max_u |<u, column
+    # j>| over the vertices u: once the box holds every vector up to the
+    # oracle's lambda_r, the scan is complete
+    inv = _mat_inv(lat.basis)
+    reach = max(abs(sum(u[i] * inv[i][j] for i in range(r)))
+                for u in lat.vertices for j in range(r))
+    box = 3
+    oracle = _box_minima(lat, r, lat.norm, box)
+    while oracle[-1] * reach > box:
+        box = math.ceil(oracle[-1] * reach)
+        oracle = _box_minima(lat, r, lat.norm, box)
+    return oracle
+
+
+def test_polytope_minima_match_box_oracle_on_random_bases():
     rng = random.Random(41)
     for trial in range(12):
         vertices, r = ((_HEX_VERTICES, 2) if trial % 2 == 0
                        else (_CROSS_3_VERTICES, 3))
         lat = NormedLattice(basis=random_basis(r, rng, -2, 2),
                             vertices=vertices)
-        # a lattice vector v = c B has c_j = <v, column j of B^-1>, and v lies
-        # in ||v|| times the unit ball, so |c_j| <= ||v|| max_u |<u, column
-        # j>| over the vertices u: once the box holds every vector up to the
-        # oracle's lambda_r, the scan is complete
-        inv = _mat_inv(lat.basis)
-        reach = max(abs(sum(u[i] * inv[i][j] for i in range(r)))
-                    for u in vertices for j in range(r))
-        box = 3
-        oracle = _box_minima(lat, r, lat.norm, box)
-        while oracle[-1] * reach > box:
-            box = math.ceil(oracle[-1] * reach)
-            oracle = _box_minima(lat, r, lat.norm, box)
-        assert [successive_minima(lat, j) for j in range(1, r + 1)] == oracle
+        assert ([successive_minima(lat, j) for j in range(1, r + 1)]
+                == _complete_box_minima(lat))
+
+
+#: a polytope whose ellipsoid fit stops short of John's bound: the certified
+#: constant c is about 1.0002 r, and a search budget of r ||v||^2 misses a
+#: vector that the successive-minima certificate then asks for
+_SLACK_VERTICES = [[s * x for x in v] for v in
+                   ([-3, 0, -3], [-1, -3, -1], [-1, 2, -2], [-1, 3, -1],
+                    [3, -2, 3])
+                   for s in (1, -1)]
+
+
+def test_slack_ellipsoid_fit_keeps_the_minima_exact():
+    from sysbound.lattices import _mat_inv
+    rng = random.Random(43)
+    for basis in (_identity(3), random_basis(3, rng, -2, 2)):
+        lat = NormedLattice(basis=basis, vertices=_SLACK_VERTICES)
+        q, c = lat._ellipsoid()
+        assert c > 3
+        # the sandwich with the certified constant: E_Q inside K, K inside
+        # sqrt(c) E_Q, with c attained at a vertex
+        qinv = _mat_inv(q)
+        assert all(_quad(qinv, list(a)) <= 1 for a in lat._normals)
+        assert max(_quad(q, v) for v in lat.vertices) == c
+        for each in (lat, dual_lattice(lat)):
+            assert ([successive_minima(each, j) for j in range(1, 4)]
+                    == _complete_box_minima(each))
+
+
+def test_vector_lengths_are_checked():
+    hexagon = NormedLattice(basis=_identity(2), vertices=_HEX_VERTICES)
+    form = NormedLattice(basis=_identity(2), gram=[[2, 1], [1, 2]])
+    calls = [(hexagon.norm, [1]), (hexagon.norm, [1, 0, 5]),
+             (form.norm_sq, [1]), (form.norm_sq, [1, 0, 1])]
+    for fn, vec in calls:
+        with pytest.raises(PreconditionUnmet) as err:
+            fn(vec)
+        assert str(err.value) == ("the vector has %d coordinates but the "
+                                  "basis has rank 2" % len(vec))
+    for lat in (hexagon, form):
+        with pytest.raises(PreconditionUnmet) as err:
+            lat.vector([1])
+        assert str(err.value) == ("the coefficient vector has 1 coordinates "
+                                  "but the basis has rank 2")
+
+
+def _random_polytope(rng, r, pairs, low=-3, high=3):
+    """A centrally symmetric vertex list of ``pairs`` random +-pairs, redrawn
+    until it spans R^r."""
+    from sysbound.lattices import _rank_of
+    while True:
+        half = [[rng.randint(low, high) for _ in range(r)]
+                for _ in range(pairs)]
+        if _rank_of(half) == r:
+            return half + [[-x for x in v] for v in half]
+
+
+def test_measured_sizes_match_the_ambient_norms():
+    from sysbound.lattices import _scored_vectors
+    rng = random.Random(47)
+    cases = []
+    for r in (2, 3, 4, 5):
+        basis = random_basis(r, rng, -4, 4)
+        cases.append(NormedLattice(basis=basis, gram=_identity(r)))
+        form = [[Fraction(x) for x in row] for row in random_basis(r, rng)]
+        form = _gram_of_basis(form, _identity(r))
+        cases.append(NormedLattice(basis=[[Fraction(x, 3) for x in row]
+                                          for row in basis], gram=form))
+    for r in (2, 3):
+        cases.append(NormedLattice(basis=random_basis(r, rng, -2, 2),
+                                   vertices=_random_polytope(rng, r, r + 1)))
+    cases.append(NormedLattice(basis=random_basis(3, rng, -2, 2),
+                               vertices=_CROSS_3_VERTICES))
+    for lat in cases:
+        size = lat.norm_sq if lat.kind == "euclidean" else lat.norm
+        scored = _scored_vectors(lat)
+        assert len(scored) >= lat.rank
+        for coeffs, value in scored:
+            assert value == size(lat.vector(coeffs))
+
+
+def test_coefficient_norm_matches_the_ambient_norm():
+    rng = random.Random(53)
+    cases = [(_HEX_VERTICES, 2), (_CROSS_3_VERTICES, 3),
+             (_cross_vertices(4), 4)]
+    cases += [(_random_polytope(rng, r, r + 1), r) for r in (2, 3, 4)]
+    # rational vertices give rational normals
+    cases.append(([[Fraction(x, 2) for x in v] for v in _HEX_VERTICES], 2))
+    for vertices, r in cases:
+        basis = [[Fraction(x, rng.randint(1, 3)) for x in row]
+                 for row in random_basis(r, rng, -3, 3)]
+        lat = NormedLattice(basis=basis, vertices=vertices)
+        for _ in range(30):
+            coeffs = [rng.randint(-5, 5) for _ in range(r)]
+            assert lat._coefficient_norm(coeffs) == lat.norm(
+                lat.vector(coeffs))
+
+
+def test_polar_normals_are_the_primal_extreme_vertices():
+    from sysbound.lattices import (MAX_FACET_SUBSETS, _facet_normals,
+                                   _polar_normals)
+    rng = random.Random(59)
+    # a boundary point and an interior point listed with the hexagon
+    padded = _HEX_VERTICES + [[1, Fraction(1, 2)], [-1, Fraction(-1, 2)],
+                              [Fraction(1, 2), 0], [Fraction(-1, 2), 0]]
+    cases = [_HEX_VERTICES, padded, _CROSS_3_VERTICES, _cross_vertices(4)]
+    # a polar at rank 4 often has C(16, 4) = 1820 subsets, about a second
+    cases += [_random_polytope(rng, r, rng.randint(r, r + 2))
+              for r, count in ((2, 6), (3, 6), (4, 2)) for _ in range(count)]
+    checked = 0
+    for vertices in cases:
+        r = len(vertices[0])
+        lat = NormedLattice(basis=_identity(r), vertices=vertices)
+        polar = [list(a) for a in lat._normals]
+        if math.comb(len(polar), r) > MAX_FACET_SUBSETS:
+            continue
+        expected = _facet_normals(polar, r)
+        assert _polar_normals(lat.vertices, lat._normals, r) == expected
+        assert dual_lattice(lat)._normals == expected
+        if vertices is padded:
+            assert len(expected) == 6
+        checked += 1
+    assert checked >= 16
 
 
 def test_polytope_vertex_list_must_be_symmetric():
