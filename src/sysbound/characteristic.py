@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionInconsistent, RingMismatch
-from .graded import GradedClass, exp_class, exp_nilpotent
+from .graded import GradedClass, _nilpotent_series, exp_class, exp_nilpotent
 
 # ---------------------------------------------------------------------------
 # the A-hat log series
@@ -161,18 +161,11 @@ def chern_character(c: ChernData) -> GradedClass:
 
 
 def total_inverse(total: GradedClass) -> GradedClass:
-    """Inverse of a total class 1 + (positive-degree part), truncated."""
+    """Inverse of a total class 1 + (positive-degree part), truncated: the
+    geometric series in 1 - total."""
     if total.scalar_part() != 1:
         raise DivisionInconsistent("can only invert total classes starting with 1")
-    u = total - 1
-    out = total.ring.one()
-    term = total.ring.one()
-    for _ in range(total.ring.truncation // 2 + 1):
-        term = term * (-u)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return _nilpotent_series(1 - total, lambda k: 1)
 
 
 def whitney_quotient(ambient: ChernData, normal: ChernData) -> ChernData:

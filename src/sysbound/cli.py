@@ -399,8 +399,6 @@ def _json_value(value):
                 "pi_exponent": ps.k}
     if isinstance(value, (list, tuple)):
         return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
     return str(value) if not isinstance(value, (str, bool)) else value
 
 

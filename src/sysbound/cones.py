@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import comb
 
 from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
+from .kernel import _gauss_jordan, _sparse_mul
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
 # imported where a space is integrated or built, so the contraction report and
@@ -80,33 +83,22 @@ def phi(space: Space, alpha: GradedClass) -> Fraction:
 
 
 def _ray_coordinates(problem: ConeProblem, alpha: GradedClass):
-    """Coordinates of a degree-2 class in the ray basis, or None."""
+    """Coordinates of a degree-2 class in the ray basis, or None when the
+    rays are dependent or alpha lies outside their span.
+
+    One row per monomial, [ray coefficients | alpha coefficient], reduced
+    by Gauss-Jordan: a row past the rank with a nonzero last entry is an
+    inconsistent equation.
+    """
     rays = problem.rays
-    ring = problem.space.ring
-    # collect degree-2 monomial coordinates
     monos = sorted({m for r in rays for m in r.terms} | set(alpha.terms))
-    rows = [[r.coefficient(m) for r in rays] for m in monos]
-    target = [alpha.coefficient(m) for m in monos]
-    if len(rays) == 1:
-        base = next((i for i, row in enumerate(rows) if row[0]), None)
-        if base is None:
-            return None
-        c = target[base] / rows[base][0]
-        if any(target[i] != c * rows[i][0] for i in range(len(monos))):
-            return None
-        return (c,)
-    # two rays: solve the 2-variable linear system
-    for i in range(len(monos)):
-        for j in range(i + 1, len(monos)):
-            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            if det:
-                c0 = (target[i] * rows[j][1] - target[j] * rows[i][1]) / det
-                c1 = (rows[i][0] * target[j] - rows[j][0] * target[i]) / det
-                for k in range(len(monos)):
-                    if target[k] != c0 * rows[k][0] + c1 * rows[k][1]:
-                        return None
-                return (c0, c1)
-    return None
+    rows = [[r.coefficient(m) for r in rays] + [alpha.coefficient(m)]
+            for m in monos]
+    reduced, rank, _ = _gauss_jordan(rows, len(rays))
+    if rank < len(rays) or any(row[-1] for row in reduced[rank:]):
+        return None
+    return tuple(row[-1] for row in reduced[:rank])
+
 
 def _require_open_cone(problem: ConeProblem, alpha: GradedClass):
     if not alpha.is_homogeneous(2):
@@ -201,21 +193,23 @@ def phi_sup(problem: ConeProblem):
                     "catalogued Fano families")
             return Unbounded(witness=ray)
 
-    # both rays big: optimize on the segment alpha_t = (1-t) R0 + t R1
-    def at(t):
-        return (1 - t) * rays[0] + t * rays[1]
+    # both rays big: optimize on the segment alpha_t = R0 + t d, d = R1 - R0.
+    # The t^k coefficient of <c1 alpha_t^(n-1)> is C(n-1, k) <c1 d^k
+    # R0^(n-1-k)>, and that of <alpha_t^n> is C(n, k) <d^k R0^(n-k)>.
+    base, d = rays[0], rays[1] - rays[0]
+    base_pows, d_pows = [space.ring.one()], [space.ring.one()]
+    for _ in range(n):
+        base_pows.append(base_pows[-1] * base)
+        d_pows.append(d_pows[-1] * d)
+    num = roots.trim([comb(n - 1, k) * integrate(
+        space, space.c1 * d_pows[k] * base_pows[n - 1 - k]) for k in range(n)])
+    den = roots.trim([comb(n, k) * integrate(
+        space, d_pows[k] * base_pows[n - k]) for k in range(n + 1)])
 
-    num_vals = [integrate(space, space.c1 * at(Fraction(t)) ** (n - 1))
-                for t in range(n)]
-    den_vals = [integrate(space, at(Fraction(t)) ** n) for t in range(n + 1)]
-    num = roots.interpolate(list(enumerate(num_vals)))   # degree <= n-1
-    den = roots.interpolate(list(enumerate(den_vals)))   # degree <= n
-
-    crit = roots.multiply([Fraction(n)] , roots.multiply(roots.derivative(num), den))
-    crit2 = roots.multiply([Fraction(n - 1)], roots.multiply(num, roots.derivative(den)))
-    g = roots.trim([a - b for a, b in
-                    zip(crit + [Fraction(0)] * len(crit2),
-                        crit2 + [Fraction(0)] * len(crit))])
+    # the critical equation of num^n / den^(n-1): n num' den - (n-1) num den'
+    g = roots.trim([n * a - (n - 1) * b for a, b in zip_longest(
+        roots.multiply(roots.derivative(num), den),
+        roots.multiply(num, roots.derivative(den)), fillvalue=0)])
 
     candidates = [Fraction(0), Fraction(1)]
     if g:
@@ -288,14 +282,6 @@ def bundle_systole_profile(degrees, genus: int, a, b):
 # Polynomials in (x, e) are dicts {(i, j): c} for the terms c x^i e^j.
 
 
-def _bi_mul(p, q):
-    out = {}
-    for (i, j), a in p.items():
-        for (k, l), b in q.items():
-            out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
-    return out
-
-
 def _bi_diff(p, var):
     """Partial derivative in x (``var`` 0) or e (``var`` 1)."""
     out = {}
@@ -314,8 +300,8 @@ def _nonnegative(p):
 def _slope(num, den, var):
     """Numerator of the partial derivative of num/den; its denominator is
     den^2."""
-    out = _bi_mul(_bi_diff(num, var), den)
-    for m, c in _bi_mul(num, _bi_diff(den, var)).items():
+    out = _sparse_mul(_bi_diff(num, var), den)
+    for m, c in _sparse_mul(num, _bi_diff(den, var)).items():
         out[m] = out.get(m, 0) - c
     return out
 

@@ -14,7 +14,7 @@ from .catalog import Space, integrate
 from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
                      PreconditionUnmet, WindowExhausted)
-from .graded import GradedClass, exp_class
+from .graded import GradedClass, _format_terms, exp_class
 from .values import ONE, PI, SELECTORS, PiScaled
 
 
@@ -43,19 +43,9 @@ class RationalPolynomial:
         return not self.coeffs
 
     def __str__(self, var="a"):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                bits.append(str(c))
-            else:
-                mono = var if j == 1 else "%s^%d" % (var, j)
-                bits.append(mono if c == 1 else ("-" + mono if c == -1
-                                                 else "%s*%s" % (c, mono)))
-        return " + ".join(bits).replace("+ -", "- ")
+        return _format_terms(
+            (c, "1" if j == 0 else var if j == 1 else "%s^%d" % (var, j))
+            for j, c in enumerate(self.coeffs) if c)
 
     __repr__ = __str__
 

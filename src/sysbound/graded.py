@@ -386,22 +386,19 @@ class GradedClass:
         return hash((id(self.ring), tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (self.ring.monomial_degree(m), m)):
-            c = self.terms[m]
-            ms = self.ring.monomial_str(m)
-            if ms == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(ms)
-            elif c == -1:
-                bits.append("-" + ms)
-            else:
-                bits.append("%s*%s" % (c, ms))
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+        ring = self.ring
+        order = sorted(self.terms, key=lambda m: (ring.monomial_degree(m), m))
+        return _format_terms((self.terms[m], ring.monomial_str(m))
+                             for m in order)
+
+
+def _format_terms(terms):
+    """``c*m + ...`` from (coefficient, monomial text) pairs with nonzero
+    coefficients, the monomial "1" standing for the unit: a unit coefficient
+    is left out, and "+ -" reads "- ".  No terms print as "0"."""
+    bits = [str(c) if m == "1" else m if c == 1 else "-" + m if c == -1
+            else "%s*%s" % (c, m) for c, m in terms]
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
 def make_ring(presentation: RingPresentation) -> Ring:
@@ -424,17 +421,19 @@ def exp_nilpotent(x: GradedClass) -> GradedClass:
     """
     if 0 in x.degrees():
         raise NotDegreeTwo("exp argument must have no degree-0 part")
-    out = x.ring.one()
-    term = x.ring.one()
-    k = 0
-    while True:
-        k += 1
+    return _nilpotent_series(x, lambda k: Fraction(1, math.factorial(k)))
+
+
+def _nilpotent_series(x: GradedClass, coeff) -> GradedClass:
+    """1 + sum over k >= 1 of coeff(k) x^k, for a class x with no degree-0
+    part: the sum stops at the first x^k = 0, which a truncated ring reaches
+    by k = truncation + 1."""
+    out = term = x.ring.one()
+    for k in range(1, x.ring.truncation + 2):
         term = term * x
         if term.is_zero():
             break
-        out = out + term * Fraction(1, math.factorial(k))
-        if k > x.ring.truncation:
-            break
+        out = out + term * coeff(k)
     return out
 
 

@@ -25,11 +25,11 @@ For polytope norms the search region comes from an inscribed ellipsoid E
 whose sandwich (E inside the ball, ball inside sqrt(c) E) is verified in
 rational arithmetic, with c the exact largest vertex value v^T Q v; the
 search budget uses that c.  The ellipsoid itself is fitted in plain Python
-floats, on the same Gauss-Jordan loop the exact algebra uses, since only
-the certificate matters.  The dual's unit ball is the polar polytope, whose
-facet normals are the primal's extreme vertices (polar duality; Ziegler,
-Lectures on Polytopes, section 2.3), so only input polytopes enumerate
-facets.
+floats, on the Gauss-Jordan loop of ``kernel`` that the exact algebra uses,
+since only the certificate matters.  The dual's unit ball is the polar
+polytope, whose facet normals are the primal's extreme vertices (polar
+duality; Ziegler, Lectures on Polytopes, section 2.3), so only input
+polytopes enumerate facets.
 """
 
 from __future__ import annotations
@@ -37,85 +37,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
+from .kernel import (_det, _gauss_jordan, _mat, _mat_inv, _rank_of,
+                     _solve_linear)
 
 MAX_RANK = 5
 #: the most r-subsets of an input vertex list ``_facet_normals`` will solve,
 #: one exact r x r linear system each; a dual lattice's polar polytope takes
 #: its facet normals from the primal's vertices and solves none
 MAX_FACET_SUBSETS = 10_000
+#: the Lovasz constant of the LLL exchange condition
+LLL_DELTA = Fraction(3, 4)
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra
+# Gram forms
 # ---------------------------------------------------------------------------
-
-
-def _mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def _transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def _gauss_jordan(rows, ncols):
-    """Gauss-Jordan elimination on the first ``ncols`` columns, over the
-    field of the entries: Fractions for the exact algebra, floats for the
-    ellipsoid fit.  The pivot is the first nonzero entry of its column.
-
-    Returns ``(m, rank, det)``: the reduced rows, the number of pivots, and
-    the product of the pivots signed by the row swaps, which is the
-    determinant when the rows form a nonsingular square matrix.
-    """
-    m = list(rows)
-    rank, det = 0, 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        det *= m[rank][col]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return m, rank, det
-
-
-def _mat_inv(a):
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, rank, _ = _gauss_jordan(_mat(aug), n)
-    if rank < n:
-        raise PreconditionUnmet("matrix is singular")
-    return [row[n:] for row in m]
-
-
-def _det(a):
-    _, rank, det = _gauss_jordan(_mat(a), len(a))
-    return det if rank == len(a) else Fraction(0)
-
-
-def _solve_linear(rows, rhs):
-    """The unique solution of rows x = rhs, or None if rows is singular."""
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, rank, _ = _gauss_jordan(_mat(aug), n)
-    return [row[n] for row in m] if rank == n else None
-
-
-def _rank_of(rows):
-    return _gauss_jordan(_mat(rows), len(rows[0]) if rows else 0)[1]
 
 
 def _gs_data(gram):
@@ -261,10 +207,6 @@ class NormedLattice:
             self._coeff_normals = _cleared(
                 [[sum(map(mul, row, a)) for row in self.basis]
                  for a in self._normals])
-        self._ellipsoid_cache = None
-        self._lll_cache = None
-        self._minima_cache = None
-        self._dual_cache = None
 
     # -- norms ------------------------------------------------------------
 
@@ -326,21 +268,53 @@ class NormedLattice:
         """
         if self.gram is not None:
             return self.gram
-        return self._ellipsoid()[0]
-
-    def _ellipsoid(self):
-        """(Q, c) of the certified inscribed ellipsoid, fitted once."""
-        if self._ellipsoid_cache is None:
-            self._ellipsoid_cache = _certified_ellipsoid_form(
-                self.vertices, self._normals, self.rank)
-        return self._ellipsoid_cache
+        return self._ellipsoid[0]
 
     def _form_budget(self, size):
         """A bound on v^T Q v, Q = euclidean_form(), for every v of at most
         this size; for polytopes by the sandwich |v|_Q^2 <= c ||v||^2."""
         if self.gram is not None:
             return size
-        return self._ellipsoid()[1] * size ** 2
+        return self._ellipsoid[1] * size ** 2
+
+    # -- computed once per lattice ------------------------------------------
+
+    @cached_property
+    def _ellipsoid(self):
+        """(Q, c) of the certified inscribed ellipsoid."""
+        return _certified_ellipsoid_form(self.vertices, self._normals,
+                                         self.rank)
+
+    @cached_property
+    def _lll(self):
+        """The Gram matrix of the basis in the Euclidean form and its LLL
+        transform."""
+        gram = _gram_of_basis(self.basis, self.euclidean_form())
+        return gram, lll_transform(gram)
+
+    @cached_property
+    def _minima(self):
+        """All r minima: scan the vectors up to the longest LLL-reduced row
+        in order of size."""
+        r = self.rank
+        minima = _independent_scan(_scored_vectors(self), r, r)
+        if len(minima) != r:
+            raise CertificateFailed(
+                "successive-minima certificate: vectors up to the longest "
+                "reduced basis norm span rank %d < %d" % (len(minima), r))
+        return minima
+
+    @cached_property
+    def _dual(self):
+        """The dual lattice with the dual norm; see :func:`dual_lattice`."""
+        dual_basis = _transpose(_mat_inv(self.basis))
+        if self.kind == "euclidean":
+            form = {"gram": _mat_inv(self.gram)}
+        else:
+            form = {"vertices": [list(a) for a in self._normals],
+                    "_normals": _polar_normals(self.vertices, self._normals,
+                                               self.rank)}
+        return NormedLattice(basis=dual_basis, **form)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +520,7 @@ def _swap_rows(w, mu, bstar, k):
         mu_i[k - 1] = t + mu[k][k - 1] * mu_i[k]
 
 
-def lll_transform(gram, delta=Fraction(3, 4)):
+def lll_transform(gram):
     """Integer row transform W with W * basis LLL-reduced; exact arithmetic.
 
     The Gram-Schmidt data of the rows is computed once and then updated in
@@ -562,7 +536,7 @@ def lll_transform(gram, delta=Fraction(3, 4)):
         if guard > 10_000:
             raise PreconditionUnmet("LLL failed to terminate")
         _reduce_row(w, mu, k)
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        if bstar[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
             _swap_rows(w, mu, bstar, k)
@@ -676,7 +650,7 @@ def successive_minima(lattice: NormedLattice, j: int) -> Fraction:
     r = lattice.rank
     if not 1 <= j <= r:
         raise PreconditionUnmet("index j must satisfy 1 <= j <= rank")
-    return _minima(lattice)[j - 1]
+    return lattice._minima[j - 1]
 
 
 def _independent_scan(vectors, r, upto):
@@ -704,15 +678,6 @@ def _independent_scan(vectors, r, upto):
     return minima
 
 
-def _lll_data(lattice: NormedLattice):
-    """The Gram matrix of the basis in the Euclidean form and its LLL
-    transform, computed once per lattice."""
-    if lattice._lll_cache is None:
-        gram = _gram_of_basis(lattice.basis, lattice.euclidean_form())
-        lattice._lll_cache = gram, lll_transform(gram)
-    return lattice._lll_cache
-
-
 def _scored_vectors(lattice: NormedLattice):
     """Every nonzero lattice vector no larger than the longest LLL-reduced
     row, one per +-pair, as (coefficients, exact size) sorted by size.
@@ -721,7 +686,7 @@ def _scored_vectors(lattice: NormedLattice):
     enumeration's own value; a polytope norm is measured on the coefficients.
     """
     r = lattice.rank
-    gram, w = _lll_data(lattice)
+    gram, w = lattice._lll
     reduced = _gram_of_basis(w, gram)
     if lattice.gram is not None:
         radius = max(reduced[i][i] for i in range(r))
@@ -741,21 +706,6 @@ def _scored_vectors(lattice: NormedLattice):
     return scored
 
 
-def _minima(lattice: NormedLattice):
-    """All r minima, found once per lattice: scan the vectors up to the
-    longest LLL-reduced row in order of size."""
-    if lattice._minima_cache is not None:
-        return lattice._minima_cache
-    r = lattice.rank
-    minima = _independent_scan(_scored_vectors(lattice), r, r)
-    if len(minima) != r:
-        raise CertificateFailed(
-            "successive-minima certificate: vectors up to the longest "
-            "reduced basis norm span rank %d < %d" % (len(minima), r))
-    lattice._minima_cache = minima
-    return minima
-
-
 def dual_lattice(lattice: NormedLattice) -> NormedLattice:
     """The dual lattice with the dual norm.
 
@@ -765,16 +715,7 @@ def dual_lattice(lattice: NormedLattice) -> NormedLattice:
     facet normals are the primal's extreme vertices.  The dual is built once
     per lattice and kept.
     """
-    if lattice._dual_cache is None:
-        dual_basis = _transpose(_mat_inv(lattice.basis))
-        if lattice.kind == "euclidean":
-            form = {"gram": _mat_inv(lattice.gram)}
-        else:
-            form = {"vertices": [list(a) for a in lattice._normals],
-                    "_normals": _polar_normals(lattice.vertices,
-                                               lattice._normals, lattice.rank)}
-        lattice._dual_cache = NormedLattice(basis=dual_basis, **form)
-    return lattice._dual_cache
+    return lattice._dual
 
 
 @dataclass(frozen=True)
@@ -837,7 +778,7 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     dual = dual_lattice(lattice)
     if lattice.kind == "euclidean":
         # the dual's own form is the inverse form: share its kept LLL run
-        gram, lll = _lll_data(dual)
+        gram, lll = dual._lll
         w = kz_transform(gram, lll)
         norms = tuple(_quad(gram, row) for row in w)
     else:

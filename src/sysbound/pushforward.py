@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPolynomialResult, PreconditionUnmet, TooFewVariables
+from .kernel import _sparse_mul
 
 # ``ChernData`` and ``GradedClass`` appear in annotations only: the
 # localization sum needs no cohomology ring, so it loads none.
@@ -78,23 +79,13 @@ class SymmetricPolynomial:
         return {" + ": "", " - ": "-"}[text[:3]] + text[3:] if text else "0"
 
 
-def _mul(a, b):
-    """Product of two polynomials given as {exponent tuple: coefficient}."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def _g0(k: int, r: int, j: int):
     """(-(x_1+...+x_k))^(q+j) * Delta(x_1..x_k) * Delta(x_(k+1)..x_r)."""
     x = [tuple(int(i == l) for i in range(r)) for l in range(r)]
     factors = [{x[l]: -1 for l in range(k)}] * (k * (r - k) + j)
     factors += [{x[b]: 1, x[a]: -1} for block in (range(k), range(k, r))
                 for a, b in itertools.combinations(block, 2)]
-    return functools.reduce(_mul, factors, {(0,) * r: 1})
+    return functools.reduce(_sparse_mul, factors, {(0,) * r: 1})
 
 
 @functools.lru_cache(maxsize=None)

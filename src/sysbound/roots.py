@@ -1,8 +1,8 @@
 """The exact univariate polynomial kernel over Q.
 
 Polynomials are dense coefficient lists (constant term first) of Fractions.
-Trimming, Horner evaluation, multiplication, division with remainder,
-Lagrange interpolation and gcds live here and nowhere else in the package.
+Trimming, Horner evaluation, multiplication, division with remainder and
+gcds live here and nowhere else in the package.
 Sturm sequences certify root counts on intervals with rational endpoints;
 rational roots are found by the rational-root theorem on the primitive
 integer form and verified by evaluation.
@@ -59,27 +59,6 @@ def divide(p, q):
             p[i + shift] -= factor * c
         p = trim(p)
     return quot, p
-
-
-def interpolate(points):
-    """Exact Lagrange interpolation through (x, y) pairs with distinct x."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= Fraction(xi) - Fraction(xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -Fraction(xj) * b
-                new[k + 1] += b
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return trim(coeffs)
 
 
 def poly_gcd(p, q):

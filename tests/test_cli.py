@@ -329,6 +329,25 @@ def test_bundle_profile_command():
     assert "8/3" in out
 
 
+@pytest.mark.parametrize("degrees, genus, a, b", [
+    ("[0,1]", 0, "3", "2"),      # genus 0: sys_value = min(a, b) = b
+    ("[0,2,3]", 1, "3/2", "1"),  # genus 1: sys_value = a
+])
+def test_bundle_profile_command_profile_rows(degrees, genus, a, b):
+    from sysbound import cones
+    code, out, err = _run(["bundle-profile", "--degrees", degrees,
+                           "--genus", str(genus), "--a", a, "--b", b])
+    assert (code, err) == (0, "")
+    rows = dict(line.split(":", 1) for line in out.splitlines())
+    sys_value, product = cones.bundle_systole_profile(
+        json.loads(degrees), genus, Fraction(a), Fraction(b))
+    assert sys_value == (min(Fraction(a), Fraction(b)) if genus == 0
+                         else Fraction(a))
+    assert {key: value.strip() for key, value in rows.items()} == {
+        "degrees": degrees, "genus": str(genus),
+        "sys_value": str(sys_value), "sys_times_s": str(product)}
+
+
 def test_pushforward_command():
     code, out, _ = _run(["pushforward", "--k", "1", "--r", "2", "--j", "1"])
     assert code == 0

@@ -9,7 +9,7 @@ from sysbound import cones, roots
 from sysbound.catalog import (Curve, Space, blowup_point, complete_intersection,
                               integrate, product, proj_bundle_over_curve,
                               projective_space, quadric)
-from sysbound.cones import (Unbounded, bundle_profile_sup,
+from sysbound.cones import (ConeProblem, Unbounded, bundle_profile_sup,
                             bundle_systole_profile, cone_problem,
                             multiproj_contractions, nef_threshold, phi,
                             phi_sup, s_alpha)
@@ -176,6 +176,28 @@ def test_nef_threshold_two_ray_lp():
     assert s_alpha(prob, alpha) == Fraction(3, 2)
     with pytest.raises(DegenerateClass):
         nef_threshold(prob, h1 - h2)
+
+
+def test_classes_off_the_open_cone_are_degenerate():
+    bl = blowup_point(3)
+    prob = cone_problem(bl)
+    H, E = bl.ring.gen("H"), bl.ring.gen("E")
+    assert prob.rays == (H, H - E)
+    # the single ray H: E lies outside its span
+    single = ConeProblem(space=bl, rays=(H,), curves=prob.curves)
+    assert cones._ray_coordinates(single, E) is None
+    # dependent rays have no coordinates
+    assert cones._ray_coordinates(
+        ConeProblem(space=bl, rays=(H, 2 * H), curves=prob.curves), H) is None
+    # H is the boundary ray of the cone (H, H - E)
+    assert cones._ray_coordinates(prob, H) == (1, 0)
+    for problem, alpha in ((single, E), (prob, H)):
+        for function in (nef_threshold, s_alpha):
+            with pytest.raises(DegenerateClass, match="open nef cone"):
+                function(problem, alpha)
+    # 2H - E = H + (H - E) is interior
+    assert cones._ray_coordinates(prob, 2 * H - E) == (1, 1)
+    assert s_alpha(prob, 2 * H - E) == nef_threshold(prob, 2 * H - E) == 2
 
 
 def test_s_below_r_on_random_samples():

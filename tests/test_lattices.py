@@ -533,7 +533,7 @@ def test_slack_ellipsoid_fit_keeps_the_minima_exact():
     rng = random.Random(43)
     for basis in (_identity(3), random_basis(3, rng, -2, 2)):
         lat = NormedLattice(basis=basis, vertices=_SLACK_VERTICES)
-        q, c = lat._ellipsoid()
+        q, c = lat._ellipsoid
         assert c > 3
         # the sandwich with the certified constant: E_Q inside K, K inside
         # sqrt(c) E_Q, with c attained at a vertex
