@@ -47,11 +47,10 @@ def _ahat_log_coeffs(prec: int):
 
 @dataclass(frozen=True)
 class ChernData:
-    """Total Chern class of a bundle, with its rank and flavor."""
+    """Total Chern class of a complex bundle, with its rank."""
 
     rank: int
     total: GradedClass
-    flavor: str = "complex"
 
     def __post_init__(self):
         if self.total.scalar_part() != 1:
@@ -98,8 +97,8 @@ def newton_power_sums(c: ChernData, upto: int | None = None) -> PowerSums:
     return PowerSums(tuple(ps))
 
 
-def chern_from_power_sums(ring, rank: int, ps: PowerSums, upto=None,
-                          flavor="complex") -> ChernData:
+def chern_from_power_sums(ring, rank: int, ps: PowerSums,
+                          upto=None) -> ChernData:
     """Inverse of :func:`newton_power_sums` (used as a round-trip oracle)."""
     m = upto if upto is not None else ring.truncation // 2
     cs = []
@@ -112,7 +111,7 @@ def chern_from_power_sums(ring, rank: int, ps: PowerSums, upto=None,
     total = ring.one()
     for ck in cs:
         total = total + ck
-    return ChernData(rank=rank, total=total, flavor=flavor)
+    return ChernData(rank=rank, total=total)
 
 
 def _evaluate_log_series(coeffs, ps: PowerSums, ring) -> GradedClass:
@@ -138,8 +137,6 @@ def a_hat(c: ChernData) -> GradedClass:
 
 def todd(c: ChernData) -> GradedClass:
     """Truncated Todd class of a complex bundle."""
-    if c.flavor != "complex":
-        raise DivisionInconsistent("the Todd class needs a complex structure")
     return todd_from_a_hat(c.chern(1), a_hat(c))
 
 
@@ -150,8 +147,6 @@ def todd_from_a_hat(c1: GradedClass, a_hat_cls: GradedClass) -> GradedClass:
 
 def chern_character(c: ChernData) -> GradedClass:
     """rk + p_1 + p_2/2! + ... with p_k the Newton power sums."""
-    if c.flavor != "complex":
-        raise DivisionInconsistent("the Chern character needs a complex structure")
     ring = c.ring
     ps = newton_power_sums(c)
     out = ring.scalar(c.rank)
@@ -175,5 +170,4 @@ def whitney_quotient(ambient: ChernData, normal: ChernData) -> ChernData:
     if normal.rank > ambient.rank:
         raise DivisionInconsistent("normal rank exceeds ambient rank")
     total = ambient.total * total_inverse(normal.total)
-    return ChernData(rank=ambient.rank - normal.rank, total=total,
-                     flavor=ambient.flavor)
+    return ChernData(rank=ambient.rank - normal.rank, total=total)

@@ -564,8 +564,7 @@ def _cmd_bundle_profile(args, out):
     from . import cones
     rows = []
     if args.degrees is not None:
-        degrees = _option_value("--degrees", args.degrees,
-                                lambda text: [int(d) for d in json.loads(text)])
+        degrees = _option_value("--degrees", args.degrees, _int_list)
         sys_value, product = cones.bundle_systole_profile(
             degrees, args.genus, _option_value("--a", args.a, Fraction),
             _option_value("--b", args.b, Fraction))
@@ -591,6 +590,14 @@ def _option_value(option, text, convert):
                          exc.pos) from None
     except (TypeError, ValueError, ZeroDivisionError):
         raise ParseError("invalid value for %s" % option, 0) from None
+
+
+def _int_list(text):
+    """A JSON list of integers: floats, booleans and strings are refused."""
+    values = json.loads(text)
+    if not isinstance(values, list) or any(type(d) is not int for d in values):
+        raise ValueError("not a list of integers")
+    return values
 
 
 def _rational_matrix(text):

@@ -392,6 +392,8 @@ def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
         if any(d < 0 for d in row) or not any(row):
             raise PreconditionUnmet("multidegrees must be nonnegative and "
                                     "each row nonzero")
+    if any(N < 1 for N in ns):
+        raise PreconditionUnmet("ambient factors must have positive dimension")
     dim = sum(ns) - r
     if dim < 3:
         raise DimensionTooLow(

@@ -92,7 +92,7 @@ class Ring:
                 if self.monomial_degree(m) > lhs_deg:
                     raise InvalidPresentation(
                         "degree-raising rule %s^%d -> %s" % (name, cap, m))
-                if not self._lex_less(m, lhs_mono):
+                if not m < lhs_mono:
                     raise InvalidPresentation(
                         "rule %s^%d does not lower the monomial order" % (name, cap))
             if rhs_terms and gen.odd:
@@ -150,10 +150,6 @@ class Ring:
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(e * g.degree for e, g in zip(m, self.generators))
-
-    @staticmethod
-    def _lex_less(a: Monomial, b: Monomial) -> bool:
-        return a < b
 
     def _koszul_sign(self, a: Monomial, b: Monomial):
         """Sign of the product of normal-form monomials a*b, or None if zero."""
@@ -526,10 +522,9 @@ def tensor_ring(left: Ring, right: Ring):
 
 
 def truncated_polynomial_ring(name: str, degree_of_gen: int, max_power: int,
-                              pairing_value=1, parity_odd=None) -> Ring:
+                              pairing_value=1) -> Ring:
     """Convenience: Q[g]/(g^(max_power+1)) with <g^max_power> = pairing_value."""
-    odd = (degree_of_gen % 2 == 1) if parity_odd is None else parity_odd
-    gen = Generator(name, degree_of_gen, odd)
+    gen = Generator(name, degree_of_gen, degree_of_gen % 2 == 1)
     top = (max_power,)
     rules = {name: (max_power + 1, {})}
     return make_ring(RingPresentation(

@@ -12,8 +12,9 @@ Fincke-Pohst in integers over one common denominator, each range from an
 integer square root; an exact LLL pass keeps the search tree small.  LLL,
 and the size reduction that ends a KZ reduction, compute the Gram-Schmidt data
 (mu, bstar) once and update it in place under each row operation (Cohen,
-GTM 138, section 2.6), so no Gram matrix is rebuilt inside a reduction.
-Each lattice keeps its minima, its LLL run and its dual once computed.
+GTM 138, section 2.6), and LLL hands the data of its reduced rows to the
+enumeration, the shortest vector and KZ: no Gram matrix is rebuilt or
+factored twice.  Each lattice keeps its minima, its LLL run and its dual.
 
 Each enumerated vector is measured once.  A Euclidean size is the
 enumeration's own exact value x^T (W G W^T) x, which equals coeffs^T G
@@ -288,7 +289,7 @@ class NormedLattice:
     @cached_property
     def _lll(self):
         """The Gram matrix of the basis in the Euclidean form and its LLL
-        transform."""
+        run (see :func:`lll_transform`)."""
         gram = _gram_of_basis(self.basis, self.euclidean_form())
         return gram, lll_transform(gram)
 
@@ -426,20 +427,18 @@ def _certified_ellipsoid_form(vertices, normals, r):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_short_vectors(gram, bound: Fraction):
-    """All nonzero x in Z^r with x^T G x <= bound, one per +-pair, with
-    their exact values, sorted by value.
+def enumerate_short_vectors(mu, bstar, bound: Fraction):
+    """All nonzero x in Z^r with x^T G x <= bound, G = mu diag(bstar) mu^T,
+    one per +-pair, with their exact values, sorted by value.
 
-    Fincke-Pohst in integers.  From G = mu diag(bstar) mu^T, level l adds
-    bstar_l (x_l + c_l)^2 with c_l = n_l / e_l, e_l the common denominator
-    of column l of mu and n_l an integer combination of the deeper
-    coordinates.  Over one common denominator s that term is
-    m_l (e_l x_l + n_l)^2 / s with m_l an integer, so the budget is kept as
-    floor(s bound) minus integer terms and each level's range comes from
-    one integer square root.
+    Fincke-Pohst in integers.  Level l adds bstar_l (x_l + c_l)^2 with
+    c_l = n_l / e_l, e_l the common denominator of column l of mu and n_l
+    an integer combination of the deeper coordinates.  Over one common
+    denominator s that term is m_l (e_l x_l + n_l)^2 / s with m_l an
+    integer, so the budget is kept as floor(s bound) minus integer terms
+    and each level's range comes from one integer square root.
     """
-    r = len(gram)
-    mu, bstar = _gs_data(gram)
+    r = len(bstar)
     e = [math.lcm(*(mu[j][l].denominator for j in range(l + 1, r)))
          for l in range(r)]
     lam = [[int(mu[j][l] * e[l]) for l in range(j)] for j in range(r)]
@@ -521,16 +520,16 @@ def _swap_rows(w, mu, bstar, k):
 
 
 def lll_transform(gram):
-    """Integer row transform W with W * basis LLL-reduced; exact arithmetic.
+    """The LLL run ``(w, mu, bstar)``: integer rows W with W * basis
+    LLL-reduced and W G W^T = mu diag(bstar) mu^T; exact arithmetic.
 
-    The Gram-Schmidt data of the rows is computed once and then updated in
-    place under each size-reduction step and each swap.
+    The Gram-Schmidt data is computed once and then updated in place under
+    each size-reduction step and each swap.
     """
     r = len(gram)
     w = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     mu, bstar = _gs_data(gram)
-    k = 1
-    guard = 0
+    k, guard = 1, 0
     while k < r:
         guard += 1
         if guard > 10_000:
@@ -541,7 +540,18 @@ def lll_transform(gram):
         else:
             _swap_rows(w, mu, bstar, k)
             k = max(k - 1, 1)
-    return w
+    return w, mu, bstar
+
+
+def _row_norms(mu, bstar):
+    """The diagonal of mu diag(bstar) mu^T, sum_(k<=i) mu_ik^2 bstar_k."""
+    return [sum(mu_i[k] ** 2 * bstar[k] for k in range(i + 1))
+            for i, mu_i in enumerate(mu)]
+
+
+def _combine(x, w):
+    """The integer combination sum_i x_i w_i of the rows of w."""
+    return [sum(map(mul, x, col)) for col in zip(*w)]
 
 
 def _xgcd(a, b):
@@ -580,25 +590,19 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(gram, lll=None):
-    """A shortest nonzero coefficient vector and its squared norm.
-
-    ``lll`` is ``lll_transform(gram)`` when the caller already has it.
-    """
-    w = lll_transform(gram) if lll is None else lll
-    reduced = _gram_of_basis(w, gram)
-    bound = min(reduced[i][i] for i in range(len(gram)))
-    vectors = enumerate_short_vectors(reduced, bound)
+def shortest_vector(lll):
+    """A shortest nonzero coefficient vector and its squared norm, from the
+    LLL run ``lll_transform(gram)``."""
+    w, mu, bstar = lll
+    bound = min(_row_norms(mu, bstar))
+    vectors = enumerate_short_vectors(mu, bstar, bound)
     if not vectors:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
             "reduced basis norm %s" % bound)
     best_vec, best_norm = vectors[0]
-    r = len(gram)
-    coeffs = [sum(best_vec[i] * w[i][j] for i in range(r)) for j in range(r)]
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
+    coeffs = _combine(best_vec, w)
+    g = math.gcd(*coeffs)
     if g != 1:
         raise CertificateFailed(
             "primitivity certificate: shortest vector %s has content %d"
@@ -606,28 +610,26 @@ def shortest_vector(gram, lll=None):
     return coeffs, best_norm
 
 
-def kz_transform(gram, lll=None):
-    """Integer row transform W with W * basis KZ-reduced.
+def kz_transform(gram, lll):
+    """Integer row transform W with W * basis KZ-reduced; ``lll`` is the
+    LLL run ``lll_transform(gram)``.
 
     The first vector is a shortest vector; recursively, each Gram-Schmidt
     vector is shortest in the projected lattice, and the final basis is
-    size-reduced (|mu_ij| <= 1/2).  ``lll`` is ``lll_transform(gram)`` when
-    the caller already has it.
+    size-reduced (|mu_ij| <= 1/2).
     """
     r = len(gram)
     if r == 1:
         return [[1]]
-    v, _ = shortest_vector(gram, lll)
+    v, _ = shortest_vector(lll)
     t1 = _complete_unimodular(v)
     g1 = _gram_of_basis(t1, gram)
-    g11 = g1[0][0]
-    projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g11
+    projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g1[0][0]
                   for j in range(1, r)] for i in range(1, r)]
-    sub = kz_transform(projected)
-    w = [t1[0]]
-    for row in sub:
-        w.append([sum(row[i] * t1[i + 1][j] for i in range(r - 1))
-                  for j in range(r)])
+    # a rank-1 projection needs no LLL run: it is KZ-reduced as it stands
+    sub = (kz_transform(projected, lll_transform(projected)) if r > 2
+           else [[1]])
+    w = [t1[0]] + [_combine(row, t1[1:]) for row in sub]
     mu, _ = _gs_data(_gram_of_basis(w, gram))
     for i in range(1, r):
         _reduce_row(w, mu, i)
@@ -685,18 +687,15 @@ def _scored_vectors(lattice: NormedLattice):
     The search is in the Euclidean form.  A Euclidean size is the
     enumeration's own value; a polytope norm is measured on the coefficients.
     """
-    r = lattice.rank
-    gram, w = lattice._lll
-    reduced = _gram_of_basis(w, gram)
+    _, (w, mu, bstar) = lattice._lll
     if lattice.gram is not None:
-        radius = max(reduced[i][i] for i in range(r))
+        radius = max(_row_norms(mu, bstar))
     else:
         radius = max(lattice._coefficient_norm(row) for row in w)
     scored = []
-    for vec, value in enumerate_short_vectors(reduced,
+    for vec, value in enumerate_short_vectors(mu, bstar,
                                               lattice._form_budget(radius)):
-        coeffs = tuple(sum(vec[i] * w[i][j] for i in range(r))
-                       for j in range(r))
+        coeffs = tuple(_combine(vec, w))
         if lattice.gram is None:
             value = lattice._coefficient_norm(coeffs)
             if value > radius:
@@ -783,7 +782,7 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
         norms = tuple(_quad(gram, row) for row in w)
     else:
         gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
-        w = kz_transform(gram)
+        w = kz_transform(gram, lll_transform(gram))
         norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]
     l1 = successive_minima(lattice, 1)

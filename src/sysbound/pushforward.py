@@ -180,8 +180,6 @@ def bracket_formula(k: int, r: int, b: int) -> Fraction:
 
 def segre_pushforward(chern: ChernData, b: int) -> GradedClass:
     """Degree-2b component of the inverse total Chern series."""
-    if chern.flavor != "complex":
-        raise PreconditionUnmet("Segre classes need a complex bundle")
     if 2 * b > chern.ring.truncation:
         raise PreconditionUnmet("degree 2b exceeds the ring truncation")
     from .characteristic import total_inverse

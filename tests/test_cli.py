@@ -323,6 +323,14 @@ def test_contractions_command():
     assert "fano" in out and "True" in out
 
 
+@pytest.mark.parametrize("ambient", ["[0,5]", "[-2,7]"])
+def test_contractions_refuses_nonpositive_ambient_factors(ambient):
+    code, out, err = _run(["contractions", "--space",
+                           "CI(degrees=[[0,1]]; ambient=%s)" % ambient])
+    assert (code, out) == (1, "")
+    assert err == "error: ambient factors must have positive dimension\n"
+
+
 def test_bundle_profile_command():
     code, out, _ = _run(["bundle-profile", "--n", "3"])
     assert code == 0
@@ -463,6 +471,9 @@ def test_batch_mode(monkeypatch):
     ["bundle-profile", "--degrees", "foo"],
     ["bundle-profile", "--degrees", "[0,1]", "--a", "x"],
     ["phi", "--space", "CP(2)", "--alpha", "1/0*H"],
+    ["bundle-profile", "--degrees", "[0, 1.7]"],
+    ["bundle-profile", "--degrees", "[0, true]"],
+    ["bundle-profile", "--degrees", '[0, "1"]'],
 ])
 def test_bad_option_values_are_parse_errors(argv):
     proc = subprocess.run([sys.executable, "-m", "sysbound", *argv],

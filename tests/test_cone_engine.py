@@ -334,6 +334,22 @@ def test_contractions_dimension_guard():
         multiproj_contractions([2, 1], [[1, 1]])
 
 
+def test_contractions_ambient_factors_must_be_positive():
+    # the same precondition and message as building the space
+    message = "ambient factors must have positive dimension"
+    for ambient in ([0, 5], [-2, 7]):
+        with pytest.raises(PreconditionUnmet) as err:
+            multiproj_contractions(ambient, [[0, 1]])
+        assert str(err.value) == message
+        with pytest.raises(PreconditionUnmet) as err:
+            complete_intersection([[0, 1]], ambient)
+        assert str(err.value) == message
+    # the other preconditions keep their messages
+    with pytest.raises(PreconditionUnmet) as err:
+        multiproj_contractions([0, 5], [[0, 1, 1]])
+    assert str(err.value) == "each multidegree row needs 2 entries"
+
+
 def test_contractions_dominance_relation():
     # (d, e) <= (a, b) componentwise makes every projection K-negative
     rng = random.Random(8)

@@ -198,7 +198,8 @@ def test_lll_and_kz_are_unimodular():
         r = rng.randint(2, 4)
         basis = random_basis(r, rng)
         gram = _gram_of_basis(basis, _identity(r))
-        for transform in (lll_transform(gram), kz_transform(gram)):
+        lll = lll_transform(gram)
+        for transform in (lll[0], kz_transform(gram, lll)):
             assert abs(_det(_mat(transform))) == 1
 
 
@@ -209,7 +210,7 @@ def test_kz_first_vector_is_shortest():
         basis = random_basis(r, rng, -4, 4)
         lat = NormedLattice(basis=basis, gram=_identity(r))
         gram = lat.lattice_gram()
-        w = kz_transform(gram)
+        w = kz_transform(gram, lll_transform(gram))
         first = _quad(gram, [Fraction(c) for c in w[0]])
         assert first == successive_minima(lat, 1)
 
@@ -254,14 +255,15 @@ def _oracle_lll(gram, delta=Fraction(3, 4)):
 
 
 def _oracle_kz(gram):
-    from sysbound.lattices import _complete_unimodular, enumerate_short_vectors
+    from sysbound.lattices import (_complete_unimodular, _gs_data,
+                                   enumerate_short_vectors)
     r = len(gram)
     if r == 1:
         return [[1]]
     w = _oracle_lll(gram)
     reduced = _gram_of_basis(w, gram)
     best, _ = enumerate_short_vectors(
-        reduced, min(reduced[i][i] for i in range(r)))[0]
+        *_gs_data(reduced), min(reduced[i][i] for i in range(r)))[0]
     t1 = _complete_unimodular([sum(best[i] * w[i][j] for i in range(r))
                                for j in range(r)])
     g1 = _gram_of_basis(t1, gram)
@@ -294,7 +296,7 @@ def _seeded_grams(count, seed):
 
 
 def test_enumeration_matches_a_box_scan():
-    from sysbound.lattices import _mat_inv, enumerate_short_vectors
+    from sysbound.lattices import _gs_data, _mat_inv, enumerate_short_vectors
     rng = random.Random(67)
     scanned = 0
     for gram in _seeded_grams(40, 71):
@@ -313,7 +315,7 @@ def test_enumeration_matches_a_box_scan():
             first = next((c for c in x if c), 0)
             if first > 0 and value <= bound:
                 expected.append((x, value))
-        found = enumerate_short_vectors(gram, bound)
+        found = enumerate_short_vectors(*_gs_data(gram), bound)
         assert sorted(found) == sorted(expected)
         assert [v for _, v in found] == sorted(v for _, v in found)
         scanned += 1
@@ -337,14 +339,47 @@ def test_lll_and_kz_match_the_rebuild_oracle():
     grams = list(_seeded_grams(200, 59))
     assert {len(g) for g in grams} == {2, 3, 4, 5}
     assert any(x.denominator > 1 for g in grams for row in g for x in row)
+    from sysbound.lattices import _gs_data
     for gram in grams:
         expected = _oracle_lll(gram)
-        assert lll_transform(gram) == expected, gram
-        assert kz_transform(gram) == _oracle_kz(gram), gram
+        lll = lll_transform(gram)
+        w, mu, bstar = lll
+        assert w == expected, gram
+        # the Gram-Schmidt data kept through the run is that of the rows
+        assert (mu, bstar) == _gs_data(_gram_of_basis(w, gram)), gram
+        assert kz_transform(gram, lll) == _oracle_kz(gram), gram
         if all(x.denominator == 1 for row in gram for x in row):
             # plain int entries reduce exactly as their Fractions do
             ints = [[int(x) for x in row] for row in gram]
-            assert lll_transform(ints) == expected, gram
+            assert lll_transform(ints) == lll, gram
+
+
+def test_minima_read_the_kept_lll_run(monkeypatch):
+    # once a lattice holds its LLL run, the minima scan neither rebuilds
+    # the reduced Gram matrix nor factors it again
+    rng = random.Random(7)
+    cases = [NormedLattice(basis=random_basis(r, rng), gram=_identity(r))
+             for r in (2, 3, 4, 5)]
+    cases.append(NormedLattice(basis=random_basis(3, rng, -2, 2),
+                               vertices=_CROSS_3_VERTICES))
+    for lat in cases:
+        lat._lll
+    calls = []
+
+    def counted(name):
+        real = getattr(lattices, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("_gs_data", "_gram_of_basis"):
+        monkeypatch.setattr(lattices, name, counted(name))
+    for lat in cases:
+        minima = [successive_minima(lat, j) for j in range(1, lat.rank + 1)]
+        assert minima == sorted(minima)
+    assert calls == []
 
 
 def test_independent_scan_matches_the_rank_oracle():
