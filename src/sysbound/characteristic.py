@@ -3,10 +3,11 @@
 The A-hat class is evaluated through the logarithm of its generating
 function: ``log((x/2)/sinh(x/2))`` has the closed-form Taylor coefficients
 -B_2k / (2k (2k)!) (Bernoulli numbers), which are applied to the power sums
-of the Chern roots (Newton's identities).  This avoids symbolic root
-splitting and stays in rational arithmetic end to end.  The Todd class follows from A-hat without a second
-series: per Chern root, x/(1-exp(-x)) = exp(x/2) * (x/2)/sinh(x/2), so
-Todd = exp(c1/2) * A-hat (Hirzebruch, multiplicative sequences).
+of the Chern roots, read off log c(E) (Newton's identities).  This avoids
+symbolic root splitting and stays in rational arithmetic end to end.  The
+Todd class follows from A-hat without a second series: per Chern root,
+x/(1-exp(-x)) = exp(x/2) * (x/2)/sinh(x/2), so Todd = exp(c1/2) * A-hat
+(Hirzebruch, multiplicative sequences).
 """
 
 from __future__ import annotations
@@ -81,20 +82,14 @@ class PowerSums:
 
 
 def newton_power_sums(c: ChernData, upto: int | None = None) -> PowerSums:
-    """Power sums from Chern classes via Newton's identities.
-
-    p_k - c_1 p_{k-1} + ... + (-1)^(k-1) c_{k-1} p_1 + (-1)^k k c_k = 0.
+    """Power sums from Chern classes via Newton's identities in
+    generating-function form (Macdonald, Symmetric Functions, I.2):
+    log c = sum over k of (-1)^(k-1) p_k / k, so p_k = (-1)^(k-1) k [log c]_2k.
     """
-    ring = c.ring
-    m = upto if upto is not None else ring.truncation // 2
-    ps = []
-    for k in range(1, m + 1):
-        acc = ring.zero()
-        for j in range(1, k):
-            acc = acc + (-1) ** (j - 1) * c.chern(j) * ps[k - j - 1]
-        acc = acc - ((-1) ** k * k) * c.chern(k)
-        ps.append(acc)
-    return PowerSums(tuple(ps))
+    m = upto if upto is not None else c.ring.truncation // 2
+    log_c = _nilpotent_series(c.total - 1, lambda k: Fraction((-1) ** (k + 1), k))
+    return PowerSums(tuple((-1) ** (k - 1) * k * log_c.component(2 * k)
+                           for k in range(1, m + 1)))
 
 
 def chern_from_power_sums(ring, rank: int, ps: PowerSums,

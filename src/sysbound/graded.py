@@ -8,8 +8,9 @@ without general Groebner machinery: every rule strictly lowers the
 lexicographic monomial order, so normalization terminates.
 
 Monomials are exponent tuples aligned with the generator list.  Coefficients
-are ``fractions.Fraction`` throughout; no floating point enters any ring
-operation.
+are stored as ``fractions.Fraction``; a product runs on the integer
+numerators of its operands over one common denominator each and divides
+once per output term.  No floating point enters any ring operation.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class Ring:
 
     def __init__(self, presentation: RingPresentation):
         self.generators = tuple(presentation.generators)
+        self._degrees = tuple(g.degree for g in self.generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise InvalidPresentation("duplicate generator names: %r" % names)
@@ -149,7 +151,7 @@ class Ring:
     # -- monomial helpers -------------------------------------------------
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(m, self.generators))
+        return sum(e * d for e, d in zip(m, self._degrees))
 
     def _koszul_sign(self, a: Monomial, b: Monomial):
         """Sign of the product of normal-form monomials a*b, or None if zero."""
@@ -162,17 +164,18 @@ class Ring:
 
     def _monomial_product(self, a: Monomial, b: Monomial):
         """Normal form of a*b with coefficient 1, Koszul sign included, as
-        (monomial, coefficient) pairs."""
-        sign = self._koszul_sign(a, b)
-        if sign is None:
-            return ()
+        (monomial, coefficient) pairs; integral coefficients are ints."""
         merged = tuple(x + y for x, y in zip(a, b))
-        return tuple(self._normalize_monomial(merged, Fraction(sign)).items())
+        sign = self._koszul_sign(a, b)
+        if sign is None or self.monomial_degree(merged) > self.truncation:
+            return ()
+        return tuple((m, c.numerator if c.denominator == 1 else c)
+                     for m, c in self._normalize_monomial(merged, sign).items())
 
     def _normalize_monomial(self, m: Monomial, coeff=Fraction(1)):
         """Rewrite coeff*m into normal form; returns {monomial: coeff}."""
         out = {}
-        stack = [(tuple(m), Fraction(coeff))]
+        stack = [(tuple(m), coeff)]
         steps = 0
         while stack:
             mono, c = stack.pop()
@@ -195,7 +198,7 @@ class Ring:
                     hit = (i, cap, rhs)
                     break
             if hit is None:
-                out[mono] = out.get(mono, Fraction(0)) + c
+                out[mono] = out.get(mono, 0) + c
                 if not out[mono]:
                     del out[mono]
                 continue
@@ -336,21 +339,24 @@ class GradedClass:
             return GradedClass(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check(other)
         ring = self.ring
+        d1, left = _numerators(self.terms)
+        d2, right = _numerators(other.terms)
         acc = {}
-        for m1, c1 in self.terms.items():
+        for m1, n1 in left:
             row = ring._products.get(m1)
             if row is None:
                 row = ring._products[m1] = {}
-            for m2, c2 in other.terms.items():
+            for m2, n2 in right:
                 nf = row.get(m2)
                 if nf is None:
                     nf = row[m2] = ring._monomial_product(m1, m2)
-                c = c1 * c2
+                if not nf:
+                    continue
+                n = n1 * n2
                 for nm, nc in nf:
-                    acc[nm] = acc.get(nm, Fraction(0)) + nc * c
-                    if not acc[nm]:
-                        del acc[nm]
-        return GradedClass(ring, acc)
+                    acc[nm] = acc.get(nm, 0) + nc * n
+        d = d1 * d2
+        return GradedClass(ring, {m: Fraction(n, d) for m, n in acc.items() if n})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,6 +392,13 @@ class GradedClass:
         order = sorted(self.terms, key=lambda m: (ring.monomial_degree(m), m))
         return _format_terms((self.terms[m], ring.monomial_str(m))
                              for m in order)
+
+
+def _numerators(terms):
+    """(d, [(monomial, c * d)]) with d the lcm of the coefficients'
+    denominators, so every c * d is an int."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
 def _format_terms(terms):

@@ -62,14 +62,30 @@ def _todd_log_coeffs(prec):
     return [-c for c in _series_log(s, prec)]
 
 
+def _newton_oracle(c, upto=None):
+    """Power sums p_1..p_upto by Newton's recursion
+    p_k - c_1 p_{k-1} + ... + (-1)^(k-1) c_{k-1} p_1 + (-1)^k k c_k = 0;
+    the library reads them off log c instead."""
+    ring = c.ring
+    m = upto if upto is not None else ring.truncation // 2
+    ps = []
+    for k in range(1, m + 1):
+        acc = ring.zero()
+        for j in range(1, k):
+            acc = acc + (-1) ** (j - 1) * c.chern(j) * ps[k - j - 1]
+        acc = acc - ((-1) ** k * k) * c.chern(k)
+        ps.append(acc)
+    return ps
+
+
 def _todd_oracle(c):
     """Todd by its own log series on the Chern roots' power sums; the
     library reads Todd off A-hat instead."""
-    ps = newton_power_sums(c)
+    ps = _newton_oracle(c)
     coeffs = _todd_log_coeffs(len(ps))
     z = c.ring.zero()
-    for m in range(1, len(ps) + 1):
-        z = z + coeffs[m] * ps[m]
+    for m, p in enumerate(ps, 1):
+        z = z + coeffs[m] * p
     return exp_nilpotent(z)
 
 
@@ -140,6 +156,37 @@ def test_newton_concentrated_class():
         for j in range(1, b):
             assert ps[j].is_zero()
         assert ps[b] == ((-1) ** (b - 1) * b * N) * H ** b
+
+
+def _sample_bundle(space):
+    """The tangent bundle, or on a space without one the sum over each
+    degree-2 generator g of O(g)^3 + O(-2g)."""
+    if space.tangent is not None:
+        return space.tangent
+    ring = space.ring
+    total, rank = ring.one(), 0
+    for gen in ring.generators:
+        if gen.degree == 2:
+            g = ring.gen(gen.name)
+            total, rank = total * (1 + g) ** 3 * (1 - 2 * g), rank + 4
+    return ChernData(rank=rank, total=total)
+
+
+def test_power_sums_match_newton_recursion():
+    descriptors = ["CP(1)", "CP(4)", "CP(7)", "Q(3)", "Q(6)",
+                   "CI(degrees=[[3]]; ambient=[5])",
+                   "CI(degrees=[[2],[3]]; ambient=[6])",
+                   "CI(degrees=[[1,1],[1,1]]; ambient=[4,4])",
+                   "PB(degrees=[0,1,2]; genus=0)",
+                   "PB(degrees=[1,1,1,1]; genus=2)",
+                   "CP(5) * S1", "CP(2) * S(2)", "CP(3) * CP(3)"]
+    for d in descriptors:
+        c = _sample_bundle(parse_space(d).build())
+        half = c.ring.truncation // 2
+        for upto in (None, 1, half, half + 2):
+            assert list(newton_power_sums(c, upto).sums) == \
+                _newton_oracle(c, upto), (d, upto)
+        assert newton_power_sums(c, half + 2)[half + 1].is_zero()
 
 
 def test_power_sum_round_trip():

@@ -222,3 +222,49 @@ def test_rewrite_bound_fires_on_every_expansion():
     y = ring.from_terms({(12, 0): 1})
     assert y * y == ring.from_terms({(24, 0): 1})
     assert (12, 0) in ring._products[(12, 0)]
+
+
+def _naive_product(a, b):
+    """a*b term by term in Fraction arithmetic: the Koszul sign counted here,
+    the normal form through from_terms, the sum through +."""
+    ring = a.ring
+    odd = [i for i, g in enumerate(ring.generators) if g.odd]
+    acc = ring.zero()
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            swaps = sum(m1[i] * m2[j] for i in odd for j in odd if j < i)
+            merged = tuple(x + y for x, y in zip(m1, m2))
+            acc = acc + ring.from_terms({merged: (-1) ** swaps * c1 * c2})
+    return acc
+
+
+def test_integer_product_kernel_matches_naive_fraction_product():
+    # odd generators t, s (Koszul signs) and a rule with a non-integral
+    # right-hand side, xi^2 -> 1/2 xi f
+    ring = make_ring(RingPresentation(
+        generators=[Generator("xi", 2, False), Generator("f", 2, False),
+                    Generator("t", 1, True), Generator("s", 1, True)],
+        truncation=6,
+        power_rules={"xi": (2, {(1, 1, 0, 0): Fraction(1, 2)}), "f": (2, {})},
+        pairing={(1, 1, 1, 1): 1}))
+    monos = [(a, b, c, d) for a in (0, 1) for b in (0, 1)
+             for c in (0, 1) for d in (0, 1)]
+    rng = random.Random(5)
+
+    def random_class():
+        return ring.from_terms({m: Fraction(rng.randint(-9, 9),
+                                            rng.choice((1, 2, 3, 4, 6, 9)))
+                                for m in monos if rng.random() < 0.6})
+
+    products = []
+    for _ in range(60):
+        a, b = random_class(), random_class()
+        products.append(a * b)
+        assert products[-1] == _naive_product(a, b)
+    xi, f, t, s = (ring.gen(n) for n in ("xi", "f", "t", "s"))
+    assert xi * xi == Fraction(1, 2) * xi * f
+    for a, b in ((xi, xi - Fraction(1, 2) * f), (t + s, t + s)):
+        products.append(a * b)
+        assert products[-1].is_zero() and _naive_product(a, b).is_zero()
+    for p in products:
+        assert all(type(c) is Fraction and c for c in p.terms.values())
