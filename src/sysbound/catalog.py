@@ -1,11 +1,13 @@
 """Constructors for the manifold catalog.
 
 A :class:`Space` bundles a ring presentation with the topological data the
-bound calculators consume: fundamental-class pairing, tangent Chern data (or
-an explicit A-hat class for non-complex factors), the distinguished
-characteristic class ``spin_c``, a primitive degree-2 generator when b2 = 1,
-an optional degree-1 class for odd dimensions, nef-cone data for the rank <= 2
-families, and Betti/index metadata.
+bound calculators consume: tangent Chern data (or an explicit A-hat class for
+non-complex factors), the distinguished characteristic class ``spin_c``, a
+primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
+dimensions, nef-cone data for the rank <= 2 families, and Betti/index
+metadata.  Each ring pairs its own top degree with the fundamental class.
+Projective spaces, quadrics and complete intersections share one model,
+built by :func:`_projective_model`.
 
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
@@ -15,6 +17,7 @@ operations that need a ring reject them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -25,6 +28,7 @@ from .errors import (CertificateFailed, EmptyIntersection, MetadataOnlySpace,
                      NoPrimitiveClass, PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
+from .kernel import _sparse_mul
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ class Space:
     """A catalog manifold; immutable by convention after construction.
 
     ``a_hat_of`` is the recipe for the A-hat class: it runs on the first read
-    of ``a_hat_cls``, and the value is kept.  ``todd_cls`` is read off c1 and
+    of ``a_hat_cls``, and the value is kept; given ``tangent``, ``c1`` and
+    the recipe default to the tangent's.  ``todd_cls`` is read off c1 and
     A-hat the same way.  Kept values are not init fields, so
     ``dataclasses.replace`` copies the recipe and never a value computed for
     another space; the same holds for the index polynomial that
@@ -82,7 +87,6 @@ class Space:
     odd_xi: GradedClass | None = None
     fano_index: int | None = None
     metadata_only: bool = False
-    fundamental_twist: GradedClass | None = None
     nef_rays: tuple = ()
     curves: tuple = ()
     kahler_einstein: bool | None = None
@@ -113,6 +117,9 @@ class Space:
         return self.real_dim // 2
 
     def __post_init__(self):
+        if self.tangent is not None:
+            self.c1 = self.tangent.chern(1) if self.c1 is None else self.c1
+            self.a_hat_of = self.a_hat_of or partial(a_hat, self.tangent)
         if self.metadata_only:
             return
         if self.odd_xi is not None and self.real_dim % 2 == 0:
@@ -121,19 +128,11 @@ class Space:
 
 
 def integrate(space: Space, cls: GradedClass) -> Fraction:
-    """Fundamental-class pairing <cls, [space]>; zero below the top degree."""
+    """Fundamental-class pairing <cls, [space]>, read off the ring's top degree."""
     ring = space.require_ring()
     if cls.ring is not ring:
         raise RingMismatch("class does not live on %s" % space.name)
-    if space.fundamental_twist is not None:
-        cls = cls * space.fundamental_twist
     return ring.integrate_top(cls)
-
-
-def _attach_tangent(space: Space, tangent: ChernData) -> None:
-    space.tangent = tangent
-    space.c1 = tangent.chern(1)
-    space.a_hat_of = partial(a_hat, tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +145,14 @@ def projective_space(n: int) -> Space:
     if n < 1:
         raise PreconditionUnmet("projective space needs n >= 1; the point "
                                 "enters through the product identity instead")
-    ring = truncated_polynomial_ring("H", 2, n, 1)
-    H = ring.gen("H")
-    space = Space(
+    ring, (H,), tangent = _projective_model([], [n])
+    return Space(
         name="CP(%d)" % n, family="CP", real_dim=2 * n, b1=0, b2=1,
-        ring=ring, is_complex=True, complex_dim=n,
+        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
         spin_c=(n + 1) * H, primitive_x=H, fano_index=n + 1,
         nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
         kahler_einstein=True,
     )
-    _attach_tangent(space, ChernData(rank=n, total=(1 + H) ** (n + 1)))
-    return space
 
 
 def quadric(n: int) -> Space:
@@ -168,20 +164,15 @@ def quadric(n: int) -> Space:
     """
     if n < 2:
         raise PreconditionUnmet("quadric needs n >= 2")
-    ring = truncated_polynomial_ring("H", 2, n, 2)
-    H = ring.gen("H")
-    ambient = ChernData(rank=n + 1, total=(1 + H) ** (n + 2))
-    normal = ChernData(rank=1, total=1 + 2 * H)
-    space = Space(
+    ring, (H,), tangent = _projective_model([[2]], [n + 1])
+    return Space(
         name="Q(%d)" % n, family="Q", real_dim=2 * n, b1=0, b2=1,
-        ring=ring, is_complex=True, complex_dim=n,
+        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
         spin_c=n * H, primitive_x=H, fano_index=n,
         nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
         kahler_einstein=True,
         notes="H-subring model; middle cohomology omitted",
     )
-    _attach_tangent(space, whitney_quotient(ambient, normal))
-    return space
 
 
 def circle() -> Space:
@@ -248,8 +239,6 @@ def product(x: Space, y: Space) -> Space:
     if both_complex and x.c1 is not None and y.c1 is not None:
         c1 = lmap(x.c1) + rmap(y.c1)
 
-    spin_c = lmap(x.spin_c) + rmap(y.spin_c)
-
     primitive_x = None
     if x.b2 == 1 and y.b2 == 0 and x.primitive_x is not None and x.b1 * y.b1 == 0:
         primitive_x = lmap(x.primitive_x)
@@ -266,14 +255,6 @@ def product(x: Space, y: Space) -> Space:
         elif y.odd_xi is not None and x.real_dim % 2 == 0:
             odd_xi = rmap(y.odd_xi)
 
-    twist = None
-    if x.fundamental_twist is not None or y.fundamental_twist is not None:
-        twist = ring.one()
-        if x.fundamental_twist is not None:
-            twist = twist * lmap(x.fundamental_twist)
-        if y.fundamental_twist is not None:
-            twist = twist * rmap(y.fundamental_twist)
-
     nef_rays = ()
     curves = ()
     if both_complex and x.b2 + y.b2 <= 2 and x.nef_rays and y.nef_rays \
@@ -287,17 +268,16 @@ def product(x: Space, y: Space) -> Space:
             for c in y.curves
         )
 
-    space = Space(
+    return Space(
         name="%s * %s" % (x.name, y.name), family="product",
         real_dim=x.real_dim + y.real_dim, b1=b1, b2=b2,
         ring=ring, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
         tangent=tangent, c1=c1, a_hat_of=a_hat_of,
-        spin_c=spin_c, primitive_x=primitive_x, odd_xi=odd_xi,
-        fundamental_twist=twist, nef_rays=nef_rays, curves=curves,
+        spin_c=lmap(x.spin_c) + rmap(y.spin_c), primitive_x=primitive_x,
+        odd_xi=odd_xi, nef_rays=nef_rays, curves=curves,
         factor_embeddings=(lmap, rmap),
     )
-    return space
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +317,13 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
     space = Space(
         name="PB(degrees=%s; genus=%d)" % (degrees, genus), family="PB",
         real_dim=2 * n, b1=2 * genus, b2=2,
-        ring=ring, is_complex=True, complex_dim=n,
+        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
         spin_c=tangent.chern(1),
         nef_rays=(xi, f),
         curves=(Curve("fiber_line", {"xi": Fraction(1)}),
                 Curve("section", {"f": Fraction(1)})),
         notes="ring ignores the odd cohomology of the base curve",
     )
-    _attach_tangent(space, tangent)
     expected_c1 = n * xi + (2 - 2 * genus - e) * f
     if space.c1 != expected_c1:
         raise CertificateFailed(
@@ -358,23 +337,64 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
 # ---------------------------------------------------------------------------
 
 
+def _projective_model(rows, ns):
+    """Ring, hyperplane classes and tangent Chern data of the complete
+    intersection X of the divisors ``rows`` (multidegrees) in
+    CP(N_1) x ... x CP(N_m).  The ring stops at X's top degree 2 dim, with
+    H_i^(min(N_i, dim)+1) = 0; by the projection formula
+    <a, [X]> = <a D_1...D_r, [ambient]> (Fulton, Intersection Theory, 2.5),
+    a top monomial H^e pairs to the coefficient of H^(N-e) in D_1...D_r.
+    The tangent is the Euler sequences' class over (1 + D_1)...(1 + D_r).
+    """
+    m, r = len(ns), len(rows)
+    dim = sum(ns) - r
+    if dim < 1:
+        raise EmptyIntersection(
+            "codimension %d leaves nothing of the %d-dimensional ambient space"
+            % (r, sum(ns)))
+    divisors = {(0,) * m: 1}
+    for row in rows:
+        divisors = _sparse_mul(divisors, {
+            tuple(int(i == j) for j in range(m)): d for i, d in enumerate(row) if d})
+    pairing = {tuple(N - e for N, e in zip(ns, mono)): c
+               for mono, c in divisors.items()
+               if all(e <= N for e, N in zip(mono, ns))}
+    if not pairing:
+        raise EmptyIntersection(
+            "the hypersurfaces do not meet: the product of their divisors "
+            "vanishes on %s" % "x".join("CP(%d)" % N for N in ns))
+    names = ["H"] if m == 1 else ["H%d" % (i + 1) for i in range(m)]
+    ring = make_ring(RingPresentation(
+        generators=[Generator(name, 2, False) for name in names],
+        truncation=2 * dim,
+        power_rules={name: (min(N, dim) + 1, {}) for name, N in zip(names, ns)},
+        pairing=pairing))
+    hs = [ring.gen(name) for name in names]
+    ambient = math.prod(((1 + h) ** (N + 1) for N, h in zip(ns, hs)),
+                        start=ring.one())
+    normal = math.prod((1 + sum(d * h for d, h in zip(row, hs)) for row in rows),
+                       start=ring.one())
+    return ring, hs, whitney_quotient(ChernData(rank=sum(ns), total=ambient),
+                                      ChernData(rank=r, total=normal))
+
+
 def complete_intersection(multidegrees, ambient) -> Space:
     """Smooth complete intersection in a product of projective spaces.
 
     ``multidegrees`` is an r x m matrix (one row per hypersurface) and
-    ``ambient`` the list of factor dimensions [N_1..N_m].  Classes live in the
-    ambient truncated ring; the pairing against the fundamental class twists
-    by the product of the defining divisors.  Lefschetz makes the degree <= 2
-    data faithful once the intersection has complex dimension >= 3, so the
-    b2/index metadata and the primitive class are only claimed there.
+    ``ambient`` the list of factor dimensions [N_1..N_m].  Classes restrict
+    from the ambient space to a ring that stops at X's own top degree;
+    hypersurfaces that do not meet raise :class:`EmptyIntersection`.
+    Lefschetz makes the degree <= 2 data faithful once the intersection has
+    complex dimension >= 3, so the b2/index metadata and the primitive class
+    are only claimed there.
     """
     rows = [[int(d) for d in row] for row in multidegrees]
     ns = [int(N) for N in ambient]
     if not ns or any(N < 1 for N in ns):
         raise PreconditionUnmet("ambient factors must have positive dimension")
     m = len(ns)
-    r = len(rows)
-    if r == 0:
+    if not rows:
         raise PreconditionUnmet("need at least one hypersurface")
     for row in rows:
         if len(row) != m:
@@ -383,81 +403,38 @@ def complete_intersection(multidegrees, ambient) -> Space:
             raise PreconditionUnmet("multidegrees must be nonnegative")
         if not any(row):
             raise PreconditionUnmet("each hypersurface needs a nonzero multidegree")
-    dim = sum(ns) - r
-    if dim < 1:
-        raise EmptyIntersection(
-            "codimension %d leaves nothing of the %d-dimensional ambient space"
-            % (r, sum(ns)))
+    ring, hs, tangent = _projective_model(rows, ns)
+    dim = ring.truncation // 2
 
-    if m == 1:
-        ring = truncated_polynomial_ring("H", 2, ns[0], 1)
-        hs = [ring.gen("H")]
-    else:
-        gens = [Generator("H%d" % (i + 1), 2, False) for i in range(m)]
-        rules = {"H%d" % (i + 1): (ns[i] + 1, {}) for i in range(m)}
-        top = tuple(ns)
-        ring = make_ring(RingPresentation(
-            generators=gens, truncation=2 * sum(ns),
-            power_rules=rules, pairing={top: Fraction(1)}))
-        hs = [ring.gen("H%d" % (i + 1)) for i in range(m)]
-
-    twist = ring.one()
-    normal_total = ring.one()
-    for row in rows:
-        divisor = ring.zero()
-        for d, h in zip(row, hs):
-            divisor = divisor + d * h
-        twist = twist * divisor
-        normal_total = normal_total * (1 + divisor)
-
-    ambient_tangent = ring.one()
-    for N, h in zip(ns, hs):
-        ambient_tangent = ambient_tangent * (1 + h) ** (N + 1)
-    tangent = whitney_quotient(ChernData(rank=sum(ns), total=ambient_tangent),
-                               ChernData(rank=r, total=normal_total))
-
-    anticanonical = [ns[i] + 1 - sum(row[i] for row in rows) for i in range(m)]
     lefschetz = dim >= 3
-    index = None
-    if m == 1 and lefschetz and anticanonical[0] >= 1:
-        index = anticanonical[0]
+    index = ns[0] + 1 - sum(row[0] for row in rows)  # -K = index * H if m = 1
 
-    if m == 1:
-        degree_names = ",".join(str(sum(row)) for row in rows)
-        name = "X_{%s} in CP(%d)" % (degree_names, ns[0])
-    else:
-        degree_names = ";".join("(%s)" % ",".join(str(d) for d in row) for row in rows)
-        name = "X_{%s} in %s" % (degree_names, "x".join("CP(%d)" % N for N in ns))
+    degree_names = (",".join(str(row[0]) for row in rows) if m == 1 else
+                    ";".join("(%s)" % ",".join(map(str, row)) for row in rows))
+    name = "X_{%s} in %s" % (degree_names, "x".join("CP(%d)" % N for N in ns))
 
-    ke = None
-    if m == 1 and lefschetz:
-        degs = sorted(sum(row) for row in rows)
-        if degs in ([3], [4]):
-            ke = True          # general member
-        elif degs == [2, 2]:
-            ke = True          # every smooth member
+    # the general cubic and quartic and every smooth X_{2,2} are KE
+    ke = m == 1 and lefschetz and sorted(row[0] for row in rows) in (
+        [3], [4], [2, 2])
 
-    space = Space(
+    return Space(
         name=name, family="CI", real_dim=2 * dim, b1=0, b2=m,
-        ring=ring, is_complex=True, complex_dim=dim,
+        ring=ring, tangent=tangent, is_complex=True, complex_dim=dim,
         spin_c=tangent.chern(1),
         primitive_x=hs[0] if (m == 1 and lefschetz) else None,
-        fano_index=index,
-        fundamental_twist=twist,
+        fano_index=index if m == 1 and lefschetz and index >= 1 else None,
         nef_rays=tuple(hs) if (m <= 2 and lefschetz) else (),
         curves=(
             tuple(Curve("line_%d" % (i + 1),
-                        {hs[i].ring.generators[j].name:
-                         Fraction(1 if j == i else 0) for j in range(m)})
+                        {g: Fraction(1 if j == i else 0)
+                         for j, g in enumerate(ring.gen_names())})
                   for i in range(m))
             if (m <= 2 and lefschetz) else ()),
-        kahler_einstein=ke,
+        kahler_einstein=ke or None,
         notes="" if lefschetz else
               "ambient H-subring model; b2/index metadata unreliable below "
               "complex dimension 3",
     )
-    _attach_tangent(space, tangent)
-    return space
 
 
 # ---------------------------------------------------------------------------

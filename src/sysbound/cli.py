@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CalculatorError, ParseError
+from .errors import CalculatorError, ParseError, ValueTooLarge
 from .values import SELECTORS, PiScaled
 
 # ---------------------------------------------------------------------------
@@ -32,6 +32,10 @@ from .values import SELECTORS, PiScaled
 
 _PUNCT = ("(", ")", "[", "]", ",", ";", "=", "*", ".")
 _CLASS_PUNCT = ("+", "-", "*", "/", "^", "(", ")")
+
+
+#: the most digits the interpreter converts between an int and text; 0: none
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,9 @@ def _tokenize(text: str, punct=_PUNCT, where=""):
             j = i + 1
             while j < len(text) and text[j].isdecimal():
                 j += 1
+            if 0 < _digit_limit() < j - i - (ch == "-"):
+                raise ParseError("integer exceeds the %d-digit limit"
+                                 % _digit_limit(), i)
             tokens.append(Token("INT", text[i:j], i))
             i = j
             continue
@@ -409,7 +416,17 @@ def parse_json_value(obj):
 
 
 def _emit(rows, fmt: str, approx: int | None, out=None):
-    out = out or sys.stdout
+    """Write ``rows`` in ``fmt``, rendered whole first: a failure prints nothing."""
+    try:
+        text = _render(rows, fmt, approx)
+    except (ValueError, OverflowError):  # see ValueTooLarge
+        raise ValueTooLarge(
+            "a result is too large to print: more than %d digits, or past "
+            "the float range of a JSON _approx field" % _digit_limit()) from None
+    (out or sys.stdout).write(text)
+
+
+def _render(rows, fmt, approx) -> str:
     if fmt == "json":
         payload = {}
         for key, value in rows:
@@ -417,24 +434,20 @@ def _emit(rows, fmt: str, approx: int | None, out=None):
             ps = _as_pi_scaled(value)
             if approx and ps is not None:
                 payload[key + "_approx"] = round(ps.approx(), approx)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-        return
-    if fmt == "csv":
-        for key, value in rows:
-            line = "%s,%s" % (key, exact_str(value))
-            ps = _as_pi_scaled(value)
-            if approx and ps is not None:
-                line += ",~" + ps.decimal_str(approx)
-            out.write(line + "\n")
-        return
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     width = max((len(k) for k, _ in rows), default=0)
+    text = ""
     for key, value in rows:
-        line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
+        if fmt == "csv":
+            line, tail = "%s,%s" % (key, exact_str(value)), ",~%s"
+        else:
+            line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
+            tail = "   (~ %s)"
         ps = _as_pi_scaled(value)
         if approx and ps is not None:
-            line += "   (~ %s)" % ps.decimal_str(approx)
-        out.write(line + "\n")
+            line += tail % ps.decimal_str(approx)
+        text += line + "\n"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +504,7 @@ def _cmd_index_poly(args, out):
     space = node.build(args.builds)
     poly = engine.index_polynomial(space)
     rows = [("space", node.unparse()),
-            ("polynomial", str(poly)),
+            ("polynomial", poly),
             ("coefficients", [Fraction(c) for c in poly.coeffs]),
             ("q0", Fraction(poly.q0))]
     _emit(rows, args.format, args.approx, out)
@@ -805,9 +818,13 @@ _DISPATCH = {
 
 
 def _check_approx(args, out):
-    """``--approx`` is a digit count, so it is at least 0."""
+    """``--approx`` is a digit count: at least 0, and at most the digits the
+    interpreter prints of an integer."""
     if args.approx is not None and args.approx < 0:
         raise ParseError("--approx %d is below 0" % args.approx, 0)
+    if args.approx is not None and 0 < _digit_limit() < args.approx:
+        raise ParseError("--approx %d exceeds the %d-digit limit"
+                         % (args.approx, _digit_limit()), 0)
 
 
 def _run_handler(handler, args, out, err) -> int:

@@ -145,6 +145,11 @@ class TooFewVariables(CalculatorError):
 
 # cli
 
+class ValueTooLarge(CalculatorError):
+    """A result has more digits than the interpreter converts to text, or its
+    JSON ``_approx`` float overflows (``float``, ``pi ** k``, or to inf)."""
+
+
 class ParseError(CalculatorError):
     def __init__(self, message, position, expected=()):
         super().__init__(message)

@@ -1,18 +1,27 @@
 """Catalog constructors: pairings, metadata, products, twists."""
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from batch_pool import BATCH_POOL
 
+from sysbound import catalog, cones, engine
+from sysbound.characteristic import ChernData, a_hat, whitney_quotient
+from sysbound.cli import parse_space
 from sysbound.catalog import (blowup_point, circle, complete_intersection,
                               grassmann_section, integrate, product,
                               proj_bundle_over_curve, projective_space,
                               quadric, sphere, twist_spin_c,
                               weighted_del_pezzo_x4, weighted_del_pezzo_x6,
                               weighted_mukai_x6)
-from sysbound.errors import (EmptyIntersection, MetadataOnlySpace,
-                             NoPrimitiveClass, PreconditionUnmet)
+from sysbound.errors import (CalculatorError, EmptyIntersection,
+                             MetadataOnlySpace, NoPrimitiveClass,
+                             PreconditionUnmet)
+from sysbound.graded import Generator, RingPresentation, make_ring
 
 
 def test_projective_space_data():
@@ -207,3 +216,134 @@ def test_todd_genus_one_on_fano_sweep():
     for space in spaces:
         if space.fano_index is not None and space.fano_index > 0:
             assert integrate(space, space.todd_cls) == 1
+
+
+# -- the ambient route: the projection formula as an oracle ------------------
+#
+# A complete intersection X of divisors D_1..D_r in CP(N_1) x ... x CP(N_m)
+# can also be computed in the whole ambient ring, truncated at 2 sum N with
+# <H^N> = 1, by pairing a class a with [X] as <a D_1...D_r, [ambient]>.  The
+# catalog's ring stops at X's own top degree instead; both must agree.
+
+
+def _ambient_model(rows, ns):
+    """(ring, hyperplane classes, D_1...D_r, tangent) in the ambient ring."""
+    names = ["H"] if len(ns) == 1 else ["H%d" % (i + 1) for i in range(len(ns))]
+    ring = make_ring(RingPresentation(
+        generators=[Generator(name, 2, False) for name in names],
+        truncation=2 * sum(ns),
+        power_rules={name: (N + 1, {}) for name, N in zip(names, ns)},
+        pairing={tuple(ns): 1}))
+    hs = [ring.gen(name) for name in names]
+    twist, ambient, normal = ring.one(), ring.one(), ring.one()
+    for N, h in zip(ns, hs):
+        ambient = ambient * (1 + h) ** (N + 1)
+    for row in rows:
+        divisor = sum(d * h for d, h in zip(row, hs))
+        twist, normal = twist * divisor, normal * (1 + divisor)
+    tangent = whitney_quotient(ChernData(rank=sum(ns), total=ambient),
+                               ChernData(rank=len(rows), total=normal))
+    return ring, hs, twist, tangent
+
+
+#: (family, rows, ambient) of every CI of the batch pool, then CP(3) and Q(4)
+_MODELS = [("CI", [list(r) for r in rows], list(ns)) for rows, ns in
+           (parse_space(d).args for d in BATCH_POOL if d.startswith("CI("))] \
+    + [("CP", [], [3]), ("Q", [[2]], [5])]
+
+
+@pytest.mark.parametrize("family, rows, ns", _MODELS, ids=str)
+def test_projection_formula_gives_the_pairing_and_the_tangent(family, rows, ns):
+    x = {"CI": lambda: complete_intersection(rows, ns),
+         "CP": lambda: projective_space(ns[0]),
+         "Q": lambda: quadric(ns[0] - 1)}[family]()
+    ring, _, twist, tangent = _ambient_model(rows, ns)
+    dim = x.complex_dim
+    assert x.ring.truncation == 2 * dim
+    for k in range(dim + 1):
+        for e in itertools.product(range(dim - k + 1), repeat=len(ns)):
+            if sum(e) != dim - k:
+                continue
+            ours = integrate(x, x.tangent.chern(k) * x.ring.from_terms({e: 1}))
+            oracle = ring.integrate_top(
+                tangent.chern(k) * ring.from_terms({e: 1}) * twist)
+            assert ours == oracle, (k, e)
+
+
+def _on_ambient_model(rows, ns, twists):
+    """``complete_intersection(rows, ns)`` with its classes moved to the
+    ambient ring; ``twists`` records the ring's fundamental-class twist."""
+    x = complete_intersection(rows, ns)
+    ring, _, twist, tangent = _ambient_model(rows, ns)
+    twists[ring] = twist
+
+    def move(cls):
+        return None if cls is None else ring.from_terms(cls.terms)
+    return dataclasses.replace(
+        x, ring=ring, tangent=tangent, c1=tangent.chern(1),
+        a_hat_of=partial(a_hat, tangent), spin_c=move(x.spin_c),
+        primitive_x=move(x.primitive_x),
+        nef_rays=tuple(move(r) for r in x.nef_rays))
+
+
+@pytest.fixture
+def ambient_route(monkeypatch):
+    """Every integral over a ring in the returned dict pairs through its
+    twist, as the ambient model does."""
+    twists = {}
+
+    def twisted_integrate(space, cls):
+        twist = twists.get(space.require_ring())
+        return space.ring.integrate_top(cls if twist is None else cls * twist)
+    monkeypatch.setattr(catalog, "integrate", twisted_integrate)
+    monkeypatch.setattr(engine, "integrate", twisted_integrate)
+    return twists
+
+
+def _outcomes(space):
+    """What index-poly, todd and phi-sup compute on ``space``, errors
+    included."""
+    out = []
+    for run in (lambda s: (engine.index_polynomial(s), engine.index_polynomial(s).q0),
+                engine.todd_genus,
+                lambda s: cones.phi_sup(cones.cone_problem(s))):
+        try:
+            out.append(repr(run(space)))
+        except CalculatorError as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+_ROUTE_CASES = [(rows, ns, None) for f, rows, ns in _MODELS if f == "CI"] + [
+    ([[3]], [5], sphere(1)), ([[2, 2]], [3, 3], projective_space(2)),
+    ([[3]], [5], 1), ([[2], [2]], [6], -2)]
+
+
+@pytest.mark.parametrize("rows, ns, extra", _ROUTE_CASES,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_index_todd_and_phi_sup_agree_with_the_ambient_route(rows, ns, extra,
+                                                             ambient_route):
+    def finish(x):
+        if extra is None:
+            return x
+        if isinstance(extra, int):
+            return twist_spin_c(x, extra)
+        p = product(x, extra)
+        twist = ambient_route.get(x.ring)
+        if twist is not None:
+            ambient_route[p.ring] = p.factor_embeddings[0](twist)
+        return p
+    ours = _outcomes(finish(complete_intersection(rows, ns)))
+    oracle = _outcomes(finish(_on_ambient_model(rows, ns, ambient_route)))
+    assert ours == oracle
+    assert not all(": " in o for o in ours)  # something was computed
+
+
+def test_divisors_that_do_not_meet_are_refused():
+    # H1^2 = 0 on CP(1) x CP(5): the two hyperplanes of CP(1) are disjoint
+    with pytest.raises(EmptyIntersection) as err:
+        complete_intersection([[1, 0], [1, 0]], [1, 5])
+    assert str(err.value) == ("the hypersurfaces do not meet: the product of "
+                              "their divisors vanishes on CP(1)xCP(5)")
+    # one hyperplane of each factor meets in a point times CP(4)
+    assert complete_intersection([[1, 0], [0, 1]], [1, 5]).complex_dim == 4

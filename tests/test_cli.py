@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -749,3 +750,126 @@ def test_zero_approx_adds_no_decimals():
     code, out, _ = _run(["bound", "--space", "CP(3)", "--theorem", "thm1.1",
                          "--approx", "0"])
     assert code == 0 and "~" not in out
+
+
+# -- refusals: an empty intersection, values past the interpreter's limits ----
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int/text digit limit, set for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_an_empty_intersection_is_refused():
+    message = ("error: the hypersurfaces do not meet: the product of their "
+               "divisors vanishes on CP(1)xCP(5)\n")
+    for argv in (["todd"], ["bound", "--theorem", "thm1.1"]):
+        code, out, err = _run([*argv, "--space",
+                               "CI(degrees=[[1,0],[1,0]]; ambient=[1,5])"])
+        assert (code, out, err) == (1, "", message)
+
+
+_PAST_FLOAT = ["bound", "--theorem", "thm1.8", "--alpha", "1000000000*H",
+               "--approx", "3"]
+_TOO_LARGE = ("error: a result is too large to print: more than 4300 digits, "
+              "or past the float range of a JSON _approx field\n")
+
+
+def test_an_approximation_past_the_float_range_is_a_domain_error(
+        monkeypatch, digit_limit):
+    code, out, err = _run([*_PAST_FLOAT, "--space", "CP(40)", "--format",
+                           "json"])
+    assert (code, out, err) == (1, "", _TOO_LARGE)
+    # float(q) is finite here, but q * pi^10 is not
+    assert _run(["bound", "--theorem", "thm1.8", "--space", "CP(10)",
+                 "--alpha", "%d*pi*H" % 10 ** 31, "--approx", "3",
+                 "--format", "json"]) == (1, "", _TOO_LARGE)
+    code, out, _ = _run([*_PAST_FLOAT, "--space", "CP(40)"])
+    assert code == 0 and "(~ " in out  # the table prints its decimals
+    # a batch answers the lines after it
+    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(40)\nCP(2)\n"))
+    code, out, err = _run([*_PAST_FLOAT, "--batch", "--format", "json"])
+    assert (code, err) == (1, _TOO_LARGE)
+    assert out == _run([*_PAST_FLOAT, "--space", "CP(2)", "--format",
+                        "json"])[1]
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, offset", [
+    (["length", "--space", "CP(%s)" % _LONG], 3),
+    (["length", "--space", "CP(2).twist(-%s)" % _LONG], 12),
+    (["bound", "--theorem", "thm1.8", "--space", "CP(2)", "--alpha",
+      "%s*H" % _LONG], 0),
+    (["bound", "--theorem", "thm1.8", "--space", "CP(2)", "--alpha",
+      "1/%s*H" % _LONG], 2),
+    (["bound", "--theorem", "thm1.8", "--space", "CP(2)", "--alpha",
+      "pi^%s*H" % _LONG], 3),
+])
+def test_an_integer_past_the_digit_limit_is_a_parse_error(argv, offset,
+                                                          digit_limit):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: integer exceeds the 4300-digit limit at "
+                   "offset %d\n" % offset)
+
+
+def test_a_batch_continues_past_a_long_integer(monkeypatch, digit_limit):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(%s)\nCP(2)\n" % _LONG))
+    code, out, err = _run(["length", "--batch"])
+    assert (code, out) == (2, _run(["length", "--space", "CP(2)"])[1])
+    assert err == "parse error: integer exceeds the 4300-digit limit at offset 3\n"
+
+
+_BIG_TWIST = "CP(2).twist(%s)" % ("1" * 2200)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_result_past_the_digit_limit_is_a_domain_error(fmt, monkeypatch,
+                                                         digit_limit):
+    # the coefficients of the index polynomial hold the square of the twist
+    argv = ["index-poly", "--format", fmt]
+    assert _run([*argv, "--space", _BIG_TWIST]) == (1, "", _TOO_LARGE)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_BIG_TWIST + "\nCP(2)\n"))
+    code, out, err = _run([*argv, "--batch"])
+    assert (code, err) == (1, _TOO_LARGE)
+    assert out == _run([*argv, "--space", "CP(2)"])[1]
+
+
+def test_approx_past_the_digit_limit(monkeypatch, digit_limit):
+    # refused once, before a batch reads a line
+    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nQ(3)\n"))
+    assert _run(["length", "--batch", "--approx", "4301"]) == (
+        2, "", "parse error: --approx 4301 exceeds the 4300-digit limit at "
+               "offset 0\n")
+    # at the limit, a value whose integer part adds digits is a domain error
+    argv = ["bound", "--space", "CP(3)", "--theorem", "prop5.1", "--approx"]
+    assert _run([*argv, "4300"]) == (1, "", _TOO_LARGE)
+    code, out, _ = _run([*argv, "4297"])  # 48 pi = 150.79...: 4300 digits
+    assert code == 0 and "(~ 150.7964473723" in out
+
+
+# -- the README's documented values ------------------------------------------
+
+
+def test_readme_cli_values():
+    # every example line of the README's CLI block that ends in "# value"
+    # prints each ", "-separated fragment of that value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    checked = 0
+    for line in block.splitlines():
+        command, _, values = line.partition(" #")
+        if not values:
+            continue
+        code, out, err = _run(shlex.split(command)[1:])
+        assert (code, err) == (0, ""), line
+        for fragment in values.strip().split(", "):
+            assert fragment in out, (line, fragment)
+        checked += 1
+    assert checked >= 9
