@@ -24,11 +24,11 @@ from functools import cached_property, partial
 from typing import Callable
 
 from .characteristic import ChernData, a_hat, todd_from_a_hat, whitney_quotient
-from .errors import (CertificateFailed, EmptyIntersection, MetadataOnlySpace,
-                     NoPrimitiveClass, PreconditionUnmet, RingMismatch)
+from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
+                     PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
-from .kernel import _sparse_mul
+from .kernel import _intersection_pairing
 
 
 @dataclass(frozen=True)
@@ -341,28 +341,12 @@ def _projective_model(rows, ns):
     """Ring, hyperplane classes and tangent Chern data of the complete
     intersection X of the divisors ``rows`` (multidegrees) in
     CP(N_1) x ... x CP(N_m).  The ring stops at X's top degree 2 dim, with
-    H_i^(min(N_i, dim)+1) = 0; by the projection formula
-    <a, [X]> = <a D_1...D_r, [ambient]> (Fulton, Intersection Theory, 2.5),
-    a top monomial H^e pairs to the coefficient of H^(N-e) in D_1...D_r.
+    H_i^(min(N_i, dim)+1) = 0 and the pairing of
+    :func:`kernel._intersection_pairing`, which refuses an empty X.
     The tangent is the Euler sequences' class over (1 + D_1)...(1 + D_r).
     """
     m, r = len(ns), len(rows)
-    dim = sum(ns) - r
-    if dim < 1:
-        raise EmptyIntersection(
-            "codimension %d leaves nothing of the %d-dimensional ambient space"
-            % (r, sum(ns)))
-    divisors = {(0,) * m: 1}
-    for row in rows:
-        divisors = _sparse_mul(divisors, {
-            tuple(int(i == j) for j in range(m)): d for i, d in enumerate(row) if d})
-    pairing = {tuple(N - e for N, e in zip(ns, mono)): c
-               for mono, c in divisors.items()
-               if all(e <= N for e, N in zip(mono, ns))}
-    if not pairing:
-        raise EmptyIntersection(
-            "the hypersurfaces do not meet: the product of their divisors "
-            "vanishes on %s" % "x".join("CP(%d)" % N for N in ns))
+    dim, pairing = _intersection_pairing(rows, ns)
     names = ["H"] if m == 1 else ["H%d" % (i + 1) for i in range(m)]
     ring = make_ring(RingPresentation(
         generators=[Generator(name, 2, False) for name in names],

@@ -10,6 +10,13 @@ operator (``H1 -2*H2`` is H1 - 2*H2).  Results are printed exactly (``q * pi^k``
 decimals appear only with ``--approx`` and are labeled approximate.  Exit
 codes: 0 success, 1 domain error, 2 usage error.
 
+A run is a value.  Each subcommand handler maps its arguments to rows
+(label, value), and a space subcommand is handed its parsed descriptor; one
+``_render`` turns rows into the text of ``--format``; and one ``_reply``
+turns a run into ``(exit code, stdout text, stderr text)``, mapping a parse
+error to 2 and a domain error to 1.  ``run_command`` only writes the replies:
+the ``--approx`` check's, then one run's, or one per ``--batch`` line.
+
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
 catalog, and ``catalog`` loads no engine.
@@ -415,39 +422,35 @@ def parse_json_value(obj):
                     obj["pi_exponent"])
 
 
-def _emit(rows, fmt: str, approx: int | None, out=None):
-    """Write ``rows`` in ``fmt``, rendered whole first: a failure prints nothing."""
+def _render(rows, fmt: str, approx: int | None) -> str:
+    """The text of ``rows`` in ``fmt``, made whole before anything is
+    written, so a value too large to print prints nothing."""
     try:
-        text = _render(rows, fmt, approx)
+        if fmt == "json":
+            payload = {}
+            for key, value in rows:
+                payload[key] = _json_value(value)
+                ps = _as_pi_scaled(value)
+                if approx and ps is not None:
+                    payload[key + "_approx"] = round(ps.approx(), approx)
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        width = max((len(k) for k, _ in rows), default=0)
+        text = ""
+        for key, value in rows:
+            if fmt == "csv":
+                line, tail = "%s,%s" % (key, exact_str(value)), ",~%s"
+            else:
+                line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
+                tail = "   (~ %s)"
+            ps = _as_pi_scaled(value)
+            if approx and ps is not None:
+                line += tail % ps.decimal_str(approx)
+            text += line + "\n"
+        return text
     except (ValueError, OverflowError):  # see ValueTooLarge
         raise ValueTooLarge(
             "a result is too large to print: more than %d digits, or past "
             "the float range of a JSON _approx field" % _digit_limit()) from None
-    (out or sys.stdout).write(text)
-
-
-def _render(rows, fmt, approx) -> str:
-    if fmt == "json":
-        payload = {}
-        for key, value in rows:
-            payload[key] = _json_value(value)
-            ps = _as_pi_scaled(value)
-            if approx and ps is not None:
-                payload[key + "_approx"] = round(ps.approx(), approx)
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    width = max((len(k) for k, _ in rows), default=0)
-    text = ""
-    for key, value in rows:
-        if fmt == "csv":
-            line, tail = "%s,%s" % (key, exact_str(value)), ",~%s"
-        else:
-            line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
-            tail = "   (~ %s)"
-        ps = _as_pi_scaled(value)
-        if approx and ps is not None:
-            line += tail % ps.decimal_str(approx)
-        text += line + "\n"
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -455,113 +458,83 @@ def _render(rows, fmt, approx) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _split_product(node, memo):
-    """X * N split at the top-level product for two-space bounds."""
-    if isinstance(node, ProductNode):
-        return node.left.build(memo), node.right.build(memo)
-    return node.build(memo), None
+#: --theorem choices that take a degree-2 class: the ``engine`` function,
+#: looked up when called, and the label of its row
+_ALPHA_SELECTORS = {
+    "thm1.4": ("gromov_width_bound", "gromov_width_bound"),
+    "thm1.8": ("volume", "volume"),
+    "rbar": ("avg_scalar_curvature", "average_scalar_curvature"),
+}
 
 
-_EXTRA_SELECTORS = ("thm1.4", "thm1.8", "rbar")
-
-
-def _cmd_bound(args, out):
+def _cmd_bound(node, args):
     from . import engine
-    node = parse_space(args.space)
     theorem = args.theorem
-    rows = [("space", node.unparse()), ("theorem", theorem)]
-    if theorem in _EXTRA_SELECTORS:
+    if theorem in _ALPHA_SELECTORS:
+        fn, label = _ALPHA_SELECTORS[theorem]
         space = node.build(args.builds)
         if args.alpha:
             alpha, pi_exp = parse_alpha(space, args.alpha)
         else:
             alpha, pi_exp = _default_alpha(space)
-        scale = PiScaled(Fraction(1), pi_exp)
-        if theorem == "thm1.4":
-            value = engine.gromov_width_bound(space, alpha, scale)
-            rows.append(("gromov_width_bound", value))
-        elif theorem == "thm1.8":
-            value = engine.volume(space, alpha, scale)
-            rows.append(("volume", value))
-        else:
-            value = engine.avg_scalar_curvature(space, alpha, scale)
-            rows.append(("average_scalar_curvature", value))
+        value = getattr(engine, fn)(space, alpha, PiScaled(Fraction(1), pi_exp))
+        return [("theorem", theorem), (label, value)]
+    if isinstance(node, ProductNode):  # X * N: a two-space bound
+        x, n_factor = node.left.build(args.builds), node.right.build(args.builds)
     else:
-        x, n_factor = _split_product(node, args.builds)
-        if theorem in ("thm1.1", "thm1.2", "thm4.5", "prop5.1") \
-                and n_factor is not None:
-            raise CalculatorError(
-                "selector %s takes a single space; drop the product factor"
-                % theorem)
-        value = engine.systolic_bound(x, n_factor, theorem)
-        rows.append(("bound", value))
-    _emit(rows, args.format, args.approx, out)
+        x, n_factor = node.build(args.builds), None
+    if theorem in ("thm1.1", "thm1.2", "thm4.5", "prop5.1") \
+            and n_factor is not None:
+        raise CalculatorError(
+            "selector %s takes a single space; drop the product factor"
+            % theorem)
+    return [("theorem", theorem),
+            ("bound", engine.systolic_bound(x, n_factor, theorem))]
 
 
-def _cmd_index_poly(args, out):
+def _cmd_index_poly(node, args):
     from . import engine
-    node = parse_space(args.space)
-    space = node.build(args.builds)
-    poly = engine.index_polynomial(space)
-    rows = [("space", node.unparse()),
-            ("polynomial", poly),
+    poly = engine.index_polynomial(node.build(args.builds))
+    return [("polynomial", poly),
             ("coefficients", [Fraction(c) for c in poly.coeffs]),
             ("q0", Fraction(poly.q0))]
-    _emit(rows, args.format, args.approx, out)
 
 
-def _cmd_length(args, out):
+def _cmd_length(node, args):
     from . import engine
-    node = parse_space(args.space)
-    value = engine.length(node.build(args.builds))
-    _emit([("space", node.unparse()), ("length", Fraction(value))],
-          args.format, args.approx, out)
+    return [("length", Fraction(engine.length(node.build(args.builds))))]
 
 
-def _cmd_todd(args, out):
+def _cmd_todd(node, args):
     from . import engine
-    node = parse_space(args.space)
-    value = engine.todd_genus(node.build(args.builds))
-    _emit([("space", node.unparse()), ("todd_genus", value)],
-          args.format, args.approx, out)
+    return [("todd_genus", engine.todd_genus(node.build(args.builds)))]
 
 
-def _cmd_phi(args, out):
+def _cmd_phi(node, args):
     from . import cones
-    node = parse_space(args.space)
     space = node.build(args.builds)
     alpha, pi_exp = parse_alpha(space, args.alpha)
     if pi_exp:
         raise CalculatorError("the volume functional is scale-invariant; "
                               "drop the pi factor")
-    value = cones.phi(space, alpha)
-    _emit([("space", node.unparse()), ("alpha", args.alpha.strip()),
-           ("phi", value)], args.format, args.approx, out)
+    return [("alpha", args.alpha.strip()), ("phi", cones.phi(space, alpha))]
 
 
-def _cmd_phi_sup(args, out):
+def _cmd_phi_sup(node, args):
     from . import cones
-    node = parse_space(args.space)
-    space = node.build(args.builds)
-    result = cones.phi_sup(cones.cone_problem(space))
-    rows = [("space", node.unparse())]
+    result = cones.phi_sup(cones.cone_problem(node.build(args.builds)))
     if isinstance(result, cones.Unbounded):
-        rows.append(("phi_sup", "UNBOUNDED"))
-        rows.append(("witness", repr(result.witness)))
-    else:
-        rows.append(("phi_sup", result))
-    _emit(rows, args.format, args.approx, out)
+        return [("phi_sup", "UNBOUNDED"), ("witness", repr(result.witness))]
+    return [("phi_sup", result)]
 
 
-def _cmd_contractions(args, out):
+def _cmd_contractions(node, args):
     from . import cones
-    node = parse_space(args.space)
     if not (isinstance(node, AtomNode) and node.name == "CI"):
         raise CalculatorError("contractions expects a CI(...) descriptor")
     degrees, ambient = node.args
     report = cones.multiproj_contractions(ambient, degrees)
-    rows = [("space", node.unparse()),
-            ("dim", Fraction(report.dim)),
+    rows = [("dim", Fraction(report.dim)),
             ("fano", report.fano),
             ("admissible_p", Fraction(report.admissible_p))]
     for f in report.factors:
@@ -570,10 +543,10 @@ def _cmd_contractions(args, out):
                      "anticanonical=%d" % (f.ambient_dim, f.degree_sum,
                                            f.k_negative, f.fiber_dim,
                                            f.anticanonical_coeff)))
-    _emit(rows, args.format, args.approx, out)
+    return rows
 
 
-def _cmd_bundle_profile(args, out):
+def _cmd_bundle_profile(args):
     from . import cones
     rows = []
     if args.degrees is not None:
@@ -590,7 +563,7 @@ def _cmd_bundle_profile(args, out):
     if not rows:
         raise CalculatorError("pass --n for the supremum or --degrees/--genus "
                               "for a profile value")
-    _emit(rows, args.format, args.approx, out)
+    return rows
 
 
 def _option_value(option, text, convert):
@@ -620,7 +593,8 @@ def _rational_matrix(text):
 
 def _check_sweep(args):
     """A sweep draws at least one lattice, at ranks in a nonempty range
-    starting at 1 or above; ranks above the cap are left to NormedLattice."""
+    starting at 1 or above, and is given no lattice of its own; ranks above
+    the cap are left to NormedLattice."""
     if args.sweep < 1:
         raise ParseError("--sweep %d is not a positive count" % args.sweep, 0)
     if args.min_rank < 1:
@@ -628,9 +602,12 @@ def _check_sweep(args):
     if args.min_rank > args.max_rank:
         raise ParseError("--min-rank %d exceeds --max-rank %d"
                          % (args.min_rank, args.max_rank), 0)
+    if args.gram or args.vertices or args.basis:
+        raise ParseError("--sweep draws its own lattices; drop --gram, "
+                         "--vertices and --basis", 0)
 
 
-def _cmd_lattice(args, out):
+def _cmd_lattice(args):
     from . import lattices
     if args.sweep is not None:
         import random
@@ -656,8 +633,9 @@ def _cmd_lattice(args, out):
             lo, hi = bucket / 10, (bucket + 1) / 10
             rows.append(("achieved/bound in [%.1f, %.1f)" % (lo, hi),
                          Fraction(buckets[bucket])))
-        _emit(rows, args.format, args.approx, out)
-        return
+        return rows
+    if args.gram and args.vertices:
+        raise ParseError("pass one of --gram and --vertices, not both", 0)
     if args.gram:
         gram = _option_value("--gram", args.gram, _rational_matrix)
         form, rank = {"gram": gram}, len(gram)
@@ -686,10 +664,10 @@ def _cmd_lattice(args, out):
                      "(%s)" % ", ".join(str(x) for x in vec)))
         rows.append(("dual_norm%s_%d" % ("_sq" if reduced.squared else "", i + 1),
                      norm))
-    _emit(rows, args.format, args.approx, out)
+    return rows
 
 
-def _cmd_pushforward(args, out):
+def _cmd_pushforward(args):
     from . import pushforward
     rows = [("k", Fraction(args.k)), ("r", Fraction(args.r)),
             ("j", Fraction(args.j))]
@@ -698,7 +676,7 @@ def _cmd_pushforward(args, out):
     if args.primitive:
         rows.append(("primitive_coefficient",
                      pushforward.primitive_coefficient(args.k, args.r, args.j)))
-    _emit(rows, args.format, args.approx, out)
+    return rows
 
 
 _CATALOG_LINES = (
@@ -718,9 +696,8 @@ _CATALOG_LINES = (
 )
 
 
-def _cmd_catalog(args, out):
-    rows = [(pattern, desc) for pattern, desc in _CATALOG_LINES]
-    _emit(rows, args.format, args.approx, out)
+def _cmd_catalog(args):
+    return _CATALOG_LINES
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +726,7 @@ def _build_parser():
 
     p = sub.add_parser("bound", help="evaluate a closed-form bound")
     p.add_argument("--theorem", required=True,
-                   choices=SELECTORS + _EXTRA_SELECTORS)
+                   choices=SELECTORS + tuple(_ALPHA_SELECTORS))
     p.add_argument("--alpha", help="degree-2 class, e.g. 'pi*H' (thm1.4, "
                                    "thm1.8, rbar)")
     common(p)
@@ -802,72 +779,90 @@ def _build_parser():
     return parser
 
 
+def _command(handler, space=False):
+    """The whole subcommand as one callable, from parse to render; a space
+    subcommand's rows follow the row of its parsed ``--space``."""
+    def command(args):
+        if not space:
+            return _render(handler(args), args.format, args.approx)
+        node = parse_space(args.space)
+        return _render([("space", node.unparse())] + handler(node, args),
+                       args.format, args.approx)
+    return command
+
+
+#: one callable per subcommand: args -> stdout text, from parse to render
 _DISPATCH = {
-    "bound": _cmd_bound,
-    "index-poly": _cmd_index_poly,
-    "length": _cmd_length,
-    "todd": _cmd_todd,
-    "phi": _cmd_phi,
-    "phi-sup": _cmd_phi_sup,
-    "contractions": _cmd_contractions,
-    "bundle-profile": _cmd_bundle_profile,
-    "lattice": _cmd_lattice,
-    "pushforward": _cmd_pushforward,
-    "catalog": _cmd_catalog,
+    "bound": _command(_cmd_bound, space=True),
+    "index-poly": _command(_cmd_index_poly, space=True),
+    "length": _command(_cmd_length, space=True),
+    "todd": _command(_cmd_todd, space=True),
+    "phi": _command(_cmd_phi, space=True),
+    "phi-sup": _command(_cmd_phi_sup, space=True),
+    "contractions": _command(_cmd_contractions, space=True),
+    "bundle-profile": _command(_cmd_bundle_profile),
+    "lattice": _command(_cmd_lattice),
+    "pushforward": _command(_cmd_pushforward),
+    "catalog": _command(_cmd_catalog),
 }
 
 
-def _check_approx(args, out):
+def _check_approx(args):
     """``--approx`` is a digit count: at least 0, and at most the digits the
-    interpreter prints of an integer."""
+    interpreter prints of an integer.  The check prints nothing."""
     if args.approx is not None and args.approx < 0:
         raise ParseError("--approx %d is below 0" % args.approx, 0)
     if args.approx is not None and 0 < _digit_limit() < args.approx:
         raise ParseError("--approx %d exceeds the %d-digit limit"
                          % (args.approx, _digit_limit()), 0)
+    return ""
 
 
-def _run_handler(handler, args, out, err) -> int:
-    """Run one subcommand; a parse error exits 2, a domain error 1."""
+def _reply(command, args):
+    """``(exit code, stdout text, stderr text)`` of ``command(args)``: a
+    parse error exits 2, a domain error 1."""
     try:
-        handler(args, out)
+        return 0, command(args), ""
     except ParseError as exc:
-        err.write("parse error: %s\n" % exc)
-        return 2
+        return 2, "", "parse error: %s\n" % exc
     except CalculatorError as exc:
-        err.write("error: %s\n" % exc)
-        return 1
-    return 0
+        return 1, "", "error: %s\n" % exc
+
+
+def _replies(args):
+    """The reply of each run one invocation makes: the ``--approx`` check,
+    then the subcommand once, or once per nonblank line of a ``--batch``."""
+    check = _reply(_check_approx, args)
+    yield check
+    if check[0]:
+        return
+    command = _DISPATCH[args.command]
+    if getattr(args, "batch", False):
+        args.builds = {}  # each distinct space is built once per batch
+        for line in sys.stdin:
+            args.space = line.strip()
+            if args.space:
+                yield _reply(command, args)
+    elif hasattr(args, "space") and not args.space:
+        yield 2, "", "error: --space is required (or use --batch)\n"
+    else:
+        yield _reply(command, args)
 
 
 def run_command(argv, out=None, err=None) -> int:
     """Run one CLI invocation; returns the exit code without exiting."""
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    code = _run_handler(_check_approx, args, out, err)
-    if code:
-        return code
-    handler = _DISPATCH[args.command]
-    needs_space = hasattr(args, "space")
-    if needs_space and getattr(args, "batch", False):
-        args.builds = {}  # each distinct space is built once per batch
-        code = 0
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            args.space = line
-            code = max(code, _run_handler(handler, args, out, err))
-        return code
-    if needs_space and not args.space:
-        err.write("error: --space is required (or use --batch)\n")
-        return 2
-    return _run_handler(handler, args, out, err)
+    code = 0
+    for reply_code, text, error in _replies(args):
+        out.write(text)
+        err.write(error)
+        code = max(code, reply_code)
+    return code
 
 
 def main() -> None:

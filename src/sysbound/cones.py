@@ -18,7 +18,7 @@ from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
-from .kernel import _gauss_jordan, _sparse_mul
+from .kernel import _gauss_jordan, _intersection_pairing, _sparse_mul
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
 # imported where a space is integrated or built, so the contraction report and
@@ -379,6 +379,8 @@ def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
 
     A projection is K-negative exactly when the column degree sum is at most
     the factor dimension; the intersection is Fano when every projection is.
+    Hypersurfaces that do not meet raise EmptyIntersection, as building the
+    space does.
     """
     ns = [int(N) for N in ambient]
     rows = [[int(d) for d in row] for row in multidegrees]
@@ -399,6 +401,7 @@ def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
         raise DimensionTooLow(
             "the contraction enumeration needs complex dimension >= 3 "
             "(degree <= 2 cohomology must restrict from the ambient space)")
+    _intersection_pairing(rows, ns)  # hypersurfaces that do not meet: refused
     factors = []
     for i, N in enumerate(ns):
         dsum = sum(row[i] for row in rows)

@@ -3,8 +3,9 @@
 Gauss-Jordan elimination serves every inverse, determinant, linear solve and
 rank in the package, over the field of its entries (Fractions for the exact
 algebra, floats for the lattice ellipsoid fit).  Sparse polynomials are dicts
-{exponent tuple: coefficient} with one product.  Dense univariate
-polynomials live in ``roots``.
+{exponent tuple: coefficient} with one product, which also gives the
+intersection numbers of a complete intersection in a product of projective
+spaces.  Dense univariate polynomials live in ``roots``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import PreconditionUnmet
+from .errors import EmptyIntersection, PreconditionUnmet
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
@@ -92,3 +93,32 @@ def _sparse_mul(a, b):
             e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+def _intersection_pairing(rows, ns):
+    """``(dim, pairing)`` of the complete intersection X of the divisors
+    ``rows`` (multidegrees) in CP(N_1) x ... x CP(N_m): X's complex
+    dimension, and each top monomial H^e of X mapped to <H^e, [X]>.  By the
+    projection formula <a, [X]> = <a D_1...D_r, [ambient]> (Fulton,
+    Intersection Theory, 2.5), that is the coefficient of H^(N-e) in
+    D_1...D_r.  Raises EmptyIntersection when X is empty: the codimension
+    leaves nothing, or the product of the divisors vanishes on the ambient.
+    """
+    m, r = len(ns), len(rows)
+    dim = sum(ns) - r
+    if dim < 1:
+        raise EmptyIntersection(
+            "codimension %d leaves nothing of the %d-dimensional ambient space"
+            % (r, sum(ns)))
+    divisors = {(0,) * m: 1}
+    for row in rows:
+        divisors = _sparse_mul(divisors, {
+            tuple(int(i == j) for j in range(m)): d for i, d in enumerate(row) if d})
+    pairing = {tuple(N - e for N, e in zip(ns, mono)): c
+               for mono, c in divisors.items()
+               if all(e <= N for e, N in zip(mono, ns))}
+    if not pairing:
+        raise EmptyIntersection(
+            "the hypersurfaces do not meet: the product of their divisors "
+            "vanishes on %s" % "x".join("CP(%d)" % N for N in ns))
+    return dim, pairing

@@ -34,16 +34,33 @@ def bench_child():
     return _load("bench_child")
 
 
+def _golden(section):
+    with open(_DIR / "golden.json") as fh:
+        return json.load(fh)[section]
+
+
 def golden_lattices():
     """The recorded result of every pool lattice: kind -> results in pool
     order."""
-    with open(_DIR / "golden.json") as fh:
-        recorded = json.load(fh)["lattices"]
     return {kind: [entry["result"] for entry in entries]
-            for kind, entries in recorded.items()}
+            for kind, entries in _golden("lattices").items()}
+
+
+def golden_cli():
+    """The recorded run of each CLI invocation, in order: its argv, exit
+    code and stdout."""
+    return _golden("cli")
+
+
+def golden_batch():
+    """The recorded reply of each batch command to each pool descriptor,
+    in ``--format json``: batch key -> descriptor -> {"kind": "ok" (a JSON
+    document on stdout) or "err" (one line on stderr), "out": its text}."""
+    return _golden("batch")
 
 
 _module = _load("bench_inputs")
 BATCH_POOL = _module.BATCH_POOL
 BATCH_COMMANDS = _module.BATCH_COMMANDS
 CLI_INVOCATIONS = _module.CLI_INVOCATIONS
+batch_key = _module.batch_key

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import sysbound
-from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS
+from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
+                        batch_key, golden_batch, golden_cli)
 
 from sysbound import catalog, cli
 from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
@@ -527,6 +528,22 @@ def test_lattice_sweep_sizes_are_parse_errors(argv, message):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gram", "[[2,1],[1,2]]", "--vertices", "[[1,0],[0,1]]"],
+     "pass one of --gram and --vertices, not both"),
+    (["--sweep", "5", "--gram", "[[1]]"],
+     "--sweep draws its own lattices; drop --gram, --vertices and --basis"),
+    (["--sweep", "5", "--vertices", "[[1,0],[-1,0]]"],
+     "--sweep draws its own lattices; drop --gram, --vertices and --basis"),
+    (["--sweep", "5", "--basis", "[[1]]"],
+     "--sweep draws its own lattices; drop --gram, --vertices and --basis"),
+])
+def test_lattice_takes_one_source(argv, message):
+    # a second source is refused, not dropped
+    assert _run(["lattice", *argv]) == (
+        2, "", "parse error: %s at offset 0\n" % message)
+
+
 def test_lattice_sweep_above_the_rank_cap_is_a_domain_error():
     proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice",
                            "--sweep", "2", "--min-rank", "6", "--max-rank", "6"],
@@ -594,8 +611,7 @@ def test_batch_commands_leave_built_spaces_unchanged():
         for desc in _LEAD + BATCH_POOL:
             args = parser.parse_args([*command, "--space", desc])
             args.builds = memo
-            cli._run_handler(cli._DISPATCH[args.command], args,
-                             io.StringIO(), io.StringIO())
+            cli._reply(cli._DISPATCH[args.command], args)
     assert memo.keys() == built.keys()
     assert all(memo[n] is s for n, s in built.items())
     kept = {"a_hat_cls", "todd_cls", "_index_poly_cache"}
@@ -605,6 +621,31 @@ def test_batch_commands_leave_built_spaces_unchanged():
         assert set(vars(space)) - set(before[node]) <= kept, node.unparse()
     assert all(built[parse_space(d)].__dict__.get("a_hat_cls") is not None
                for d in ("CP(3)", "CP(3).twist(1)", "CP(3) * S1"))
+
+
+# -- the benchmark's recorded outputs -----------------------------------------
+
+
+def test_cli_invocations_print_the_recorded_bytes():
+    recorded = golden_cli()
+    assert [entry["argv"] for entry in recorded] == \
+        [list(argv) for argv in CLI_INVOCATIONS]
+    for entry in recorded:
+        code, out, _ = _run(entry["argv"])
+        assert (code, out) == (entry["code"], entry["stdout"]), entry["argv"]
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS, ids=" ".join)
+def test_batch_commands_print_the_recorded_lines(command):
+    # each pool descriptor run alone gives the line its batch recorded: a
+    # JSON document on stdout, or one domain error on stderr
+    recorded = golden_batch()[batch_key(command)]
+    assert sorted(recorded) == sorted(BATCH_POOL)
+    for desc, entry in recorded.items():
+        reply = _run([*command, "--space", desc, "--format", "json"])
+        expect = ((0, entry["out"], "") if entry["kind"] == "ok"
+                  else (1, "", entry["out"]))
+        assert reply == expect, desc
 
 
 # -- README examples in a fresh interpreter ---------------------------------
@@ -767,10 +808,21 @@ def digit_limit():
 def test_an_empty_intersection_is_refused():
     message = ("error: the hypersurfaces do not meet: the product of their "
                "divisors vanishes on CP(1)xCP(5)\n")
-    for argv in (["todd"], ["bound", "--theorem", "thm1.1"]):
+    for argv in (["todd"], ["bound", "--theorem", "thm1.1"],
+                 ["contractions"]):
         code, out, err = _run([*argv, "--space",
                                "CI(degrees=[[1,0],[1,0]]; ambient=[1,5])"])
         assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("desc, message", [
+    ("CI(degrees=[[1,2]]; ambient=[3])", "each multidegree row needs 1 entries"),
+    ("CI(degrees=[[-1]]; ambient=[3])", "multidegrees must be nonnegative"),
+    ("CI(degrees=[[0]]; ambient=[3])",
+     "each hypersurface needs a nonzero multidegree"),
+])
+def test_complete_intersection_rows_are_checked(desc, message):
+    assert _run(["todd", "--space", desc]) == (1, "", "error: %s\n" % message)
 
 
 _PAST_FLOAT = ["bound", "--theorem", "thm1.8", "--alpha", "1000000000*H",

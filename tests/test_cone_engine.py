@@ -14,8 +14,9 @@ from sysbound.cones import (ConeProblem, Unbounded, bundle_profile_sup,
                             multiproj_contractions, nef_threshold, phi,
                             phi_sup, s_alpha)
 from sysbound.errors import (CertificateFailed, DegenerateClass,
-                             DimensionTooLow, InvalidNormalization,
-                             PreconditionUnmet, UnsupportedRank)
+                             DimensionTooLow, EmptyIntersection,
+                             InvalidNormalization, PreconditionUnmet,
+                             UnsupportedRank)
 from sysbound.graded import Generator, RingPresentation, make_ring
 
 
@@ -332,6 +333,19 @@ def test_contractions_non_fano_factor():
 def test_contractions_dimension_guard():
     with pytest.raises(DimensionTooLow):
         multiproj_contractions([2, 1], [[1, 1]])
+
+
+def test_contractions_refuses_hypersurfaces_that_do_not_meet():
+    # dimension 4 passes the dimension guard, but two hyperplanes of CP(1)
+    # do not meet: the same refusal as building the space
+    message = ("the hypersurfaces do not meet: the product of their "
+               "divisors vanishes on CP(1)xCP(5)")
+    with pytest.raises(EmptyIntersection) as err:
+        multiproj_contractions([1, 5], [[1, 0], [1, 0]])
+    assert str(err.value) == message
+    with pytest.raises(EmptyIntersection) as err:
+        complete_intersection([[1, 0], [1, 0]], [1, 5])
+    assert str(err.value) == message
 
 
 def test_contractions_ambient_factors_must_be_positive():
