@@ -1,13 +1,15 @@
 """Constructors for the manifold catalog.
 
 A :class:`Space` bundles a ring presentation with the topological data the
-bound calculators consume: tangent Chern data (or an explicit A-hat class for
-non-complex factors), the distinguished characteristic class ``spin_c``, a
+bound calculators consume: tangent Chern data, built on first read (or an
+explicit A-hat class for non-complex factors), the Koszul data of complete
+intersections, the distinguished characteristic class ``spin_c``, a
 primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
 dimensions, nef-cone data for the rank <= 2 families, and Betti/index
 metadata.  Each ring pairs its own top degree with the fundamental class.
 Projective spaces, quadrics and complete intersections share one model,
-built by :func:`_projective_model`.
+built by :func:`_projective_model`.  ``sysbound.characteristic`` is imported
+only where a tangent or an A-hat class is built.
 
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
@@ -20,15 +22,17 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
-from .characteristic import ChernData, a_hat, todd_from_a_hat, whitney_quotient
 from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
                      PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
 from .kernel import _intersection_pairing
+
+if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
+    from .characteristic import ChernData
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,25 @@ class Curve:
 class Space:
     """A catalog manifold; immutable by convention after construction.
 
-    ``a_hat_of`` is the recipe for the A-hat class: it runs on the first read
-    of ``a_hat_cls``, and the value is kept; given ``tangent``, ``c1`` and
-    the recipe default to the tangent's.  ``todd_cls`` is read off c1 and
-    A-hat the same way.  Kept values are not init fields, so
-    ``dataclasses.replace`` copies the recipe and never a value computed for
-    another space; the same holds for the index polynomial that
-    :func:`sysbound.engine.index_polynomial` keeps in ``_index_poly_cache``.
+    Recipes run on the first read of the value they make, and the value is
+    kept: ``tangent_of`` makes ``tangent`` (the tangent Chern data), and
+    ``a_hat_of`` makes ``a_hat_cls``, which without a recipe is the A-hat
+    class of the tangent.  ``todd_cls`` is read off c1 and A-hat the same
+    way.  ``c1`` defaults to the tangent's first Chern class, which builds
+    the tangent; projective spaces, quadrics and complete intersections give
+    it in closed form, so their tangent waits for its first reader.
+
+    ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
+    are those of the complete intersection of the divisors ``rows`` in
+    CP(N_1) x ... x CP(N_m): on that space and its twists, on a product of
+    such spaces (cut out by both sets of rows), and, for the index
+    polynomial, on its product with the circle.  :mod:`sysbound.engine`
+    reads them from the Riemann-Roch closed form, with no tangent data.
+
+    Kept values are not init fields, so ``dataclasses.replace`` copies the
+    recipes and never a value computed for another space; the same holds for
+    the index polynomial that :func:`sysbound.engine.index_polynomial` keeps
+    in ``_index_poly_cache``.
     """
 
     name: str
@@ -79,9 +95,10 @@ class Space:
     ring: Ring | None = None
     is_complex: bool = False
     complex_dim: int | None = None
-    tangent: ChernData | None = None
+    tangent_of: Callable[[], ChernData] | None = None
     c1: GradedClass | None = None
     a_hat_of: Callable[[], GradedClass | None] | None = None
+    koszul: tuple | None = None
     spin_c: GradedClass | None = None
     primitive_x: GradedClass | None = None
     odd_xi: GradedClass | None = None
@@ -96,14 +113,24 @@ class Space:
                                       compare=False, repr=False)
 
     @cached_property
+    def tangent(self) -> ChernData | None:
+        return None if self.tangent_of is None else self.tangent_of()
+
+    @cached_property
     def a_hat_cls(self) -> GradedClass | None:
-        return None if self.a_hat_of is None else self.a_hat_of()
+        if self.a_hat_of is not None:
+            return self.a_hat_of()
+        if self.tangent is None:
+            return None
+        from .characteristic import a_hat
+        return a_hat(self.tangent)
 
     @cached_property
     def todd_cls(self) -> GradedClass | None:
         """Todd = exp(c1/2) * A-hat on complex spaces carrying both."""
         if not self.is_complex or self.c1 is None or self.a_hat_cls is None:
             return None
+        from .characteristic import todd_from_a_hat
         return todd_from_a_hat(self.c1, self.a_hat_cls)
 
     def require_ring(self) -> Ring:
@@ -117,9 +144,8 @@ class Space:
         return self.real_dim // 2
 
     def __post_init__(self):
-        if self.tangent is not None:
-            self.c1 = self.tangent.chern(1) if self.c1 is None else self.c1
-            self.a_hat_of = self.a_hat_of or partial(a_hat, self.tangent)
+        if self.c1 is None and self.tangent_of is not None:
+            self.c1 = self.tangent.chern(1)
         if self.metadata_only:
             return
         if self.odd_xi is not None and self.real_dim % 2 == 0:
@@ -145,10 +171,10 @@ def projective_space(n: int) -> Space:
     if n < 1:
         raise PreconditionUnmet("projective space needs n >= 1; the point "
                                 "enters through the product identity instead")
-    ring, (H,), tangent = _projective_model([], [n])
+    (H,), model = _projective_model([], [n])
     return Space(
         name="CP(%d)" % n, family="CP", real_dim=2 * n, b1=0, b2=1,
-        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
+        **model, is_complex=True, complex_dim=n,
         spin_c=(n + 1) * H, primitive_x=H, fano_index=n + 1,
         nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
         kahler_einstein=True,
@@ -164,10 +190,10 @@ def quadric(n: int) -> Space:
     """
     if n < 2:
         raise PreconditionUnmet("quadric needs n >= 2")
-    ring, (H,), tangent = _projective_model([[2]], [n + 1])
+    (H,), model = _projective_model([[2]], [n + 1])
     return Space(
         name="Q(%d)" % n, family="Q", real_dim=2 * n, b1=0, b2=1,
-        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
+        **model, is_complex=True, complex_dim=n,
         spin_c=n * H, primitive_x=H, fano_index=n,
         nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
         kahler_einstein=True,
@@ -225,11 +251,14 @@ def product(x: Space, y: Space) -> Space:
     b2 = x.b2 + y.b2 + x.b1 * y.b1
     both_complex = x.is_complex and y.is_complex
 
-    tangent = None
+    tangent_of = None
     c1 = None
-    if both_complex and x.tangent is not None and y.tangent is not None:
-        tangent = ChernData(rank=x.tangent.rank + y.tangent.rank,
-                            total=lmap(x.tangent.total) * rmap(y.tangent.total))
+    if both_complex and x.tangent_of is not None and y.tangent_of is not None:
+        def tangent_of():
+            from .characteristic import ChernData
+            return ChernData(
+                rank=x.tangent.rank + y.tangent.rank,
+                total=lmap(x.tangent.total) * rmap(y.tangent.total))
 
     def a_hat_of():
         if x.a_hat_cls is None or y.a_hat_cls is None:
@@ -238,6 +267,15 @@ def product(x: Space, y: Space) -> Space:
 
     if both_complex and x.c1 is not None and y.c1 is not None:
         c1 = lmap(x.c1) + rmap(y.c1)
+
+    koszul = None
+    if both_complex and x.koszul is not None and y.koszul is not None:
+        # X x Y is cut out in the product of the ambients by both sets of rows
+        (xrows, xns), (yrows, yns) = x.koszul, y.koszul
+        koszul = (tuple(row + (0,) * len(yns) for row in xrows)
+                  + tuple((0,) * len(xns) + row for row in yrows), xns + yns)
+    elif x.is_complex and y.family == "S" and y.real_dim == 1:
+        koszul = x.koszul  # <t, [S1]> = 1: X x S1 has X's index polynomial
 
     primitive_x = None
     if x.b2 == 1 and y.b2 == 0 and x.primitive_x is not None and x.b1 * y.b1 == 0:
@@ -273,7 +311,7 @@ def product(x: Space, y: Space) -> Space:
         real_dim=x.real_dim + y.real_dim, b1=b1, b2=b2,
         ring=ring, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
-        tangent=tangent, c1=c1, a_hat_of=a_hat_of,
+        tangent_of=tangent_of, c1=c1, a_hat_of=a_hat_of, koszul=koszul,
         spin_c=lmap(x.spin_c) + rmap(y.spin_c), primitive_x=primitive_x,
         odd_xi=odd_xi, nef_rays=nef_rays, curves=curves,
         factor_embeddings=(lmap, rmap),
@@ -310,21 +348,24 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         pairing={top: Fraction(1)},
     ))
     xi, f = ring.gen("xi"), ring.gen("f")
-    total = 1 + (2 - 2 * genus) * f
-    for d in degrees:
-        total = total * (1 + xi - d * f)
-    tangent = ChernData(rank=n, total=total)
+
+    def tangent_of():
+        from .characteristic import ChernData
+        total = 1 + (2 - 2 * genus) * f
+        for d in degrees:
+            total = total * (1 + xi - d * f)
+        return ChernData(rank=n, total=total)
+    expected_c1 = n * xi + (2 - 2 * genus - e) * f
     space = Space(
         name="PB(degrees=%s; genus=%d)" % (degrees, genus), family="PB",
         real_dim=2 * n, b1=2 * genus, b2=2,
-        ring=ring, tangent=tangent, is_complex=True, complex_dim=n,
-        spin_c=tangent.chern(1),
+        ring=ring, tangent_of=tangent_of, is_complex=True, complex_dim=n,
+        spin_c=expected_c1,
         nef_rays=(xi, f),
         curves=(Curve("fiber_line", {"xi": Fraction(1)}),
                 Curve("section", {"f": Fraction(1)})),
         notes="ring ignores the odd cohomology of the base curve",
     )
-    expected_c1 = n * xi + (2 - 2 * genus - e) * f
     if space.c1 != expected_c1:
         raise CertificateFailed(
             "first Chern class certificate: c1 = %s, closed form %s"
@@ -338,15 +379,19 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
 
 
 def _projective_model(rows, ns):
-    """Ring, hyperplane classes and tangent Chern data of the complete
+    """Hyperplane classes and the :class:`Space` fields of the complete
     intersection X of the divisors ``rows`` (multidegrees) in
-    CP(N_1) x ... x CP(N_m).  The ring stops at X's top degree 2 dim, with
-    H_i^(min(N_i, dim)+1) = 0 and the pairing of
-    :func:`kernel._intersection_pairing`, which refuses an empty X.
-    The tangent is the Euler sequences' class over (1 + D_1)...(1 + D_r).
+    CP(N_1) x ... x CP(N_m).
+
+    The ring stops at X's top degree 2 dim, with H_i^(min(N_i, dim)+1) = 0
+    and the pairing of :func:`kernel._intersection_pairing`, which refuses an
+    empty X.  c1 = sum_i (N_i + 1 - sum of the rows' d_i) H_i by adjunction.
+    The tangent, the Euler sequences' class over (1 + D_1)...(1 + D_r), is
+    built on first read.  ``koszul`` records (rows, ns) for the engine's
+    Riemann-Roch closed forms.
     """
-    m, r = len(ns), len(rows)
     dim, pairing = _intersection_pairing(rows, ns)
+    m = len(ns)
     names = ["H"] if m == 1 else ["H%d" % (i + 1) for i in range(m)]
     ring = make_ring(RingPresentation(
         generators=[Generator(name, 2, False) for name in names],
@@ -354,12 +399,20 @@ def _projective_model(rows, ns):
         power_rules={name: (min(N, dim) + 1, {}) for name, N in zip(names, ns)},
         pairing=pairing))
     hs = [ring.gen(name) for name in names]
-    ambient = math.prod(((1 + h) ** (N + 1) for N, h in zip(ns, hs)),
-                        start=ring.one())
-    normal = math.prod((1 + sum(d * h for d, h in zip(row, hs)) for row in rows),
-                       start=ring.one())
-    return ring, hs, whitney_quotient(ChernData(rank=sum(ns), total=ambient),
-                                      ChernData(rank=r, total=normal))
+    c1 = sum(((N + 1 - sum(row[i] for row in rows)) * h
+              for i, (N, h) in enumerate(zip(ns, hs))), ring.zero())
+
+    def tangent_of():
+        from .characteristic import ChernData, whitney_quotient
+        ambient = math.prod(((1 + h) ** (N + 1) for N, h in zip(ns, hs)),
+                            start=ring.one())
+        normal = math.prod(
+            (1 + sum(d * h for d, h in zip(row, hs)) for row in rows),
+            start=ring.one())
+        return whitney_quotient(ChernData(rank=sum(ns), total=ambient),
+                                ChernData(rank=len(rows), total=normal))
+    return hs, {"ring": ring, "c1": c1, "tangent_of": tangent_of,
+                "koszul": (tuple(map(tuple, rows)), tuple(ns))}
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -387,7 +440,8 @@ def complete_intersection(multidegrees, ambient) -> Space:
             raise PreconditionUnmet("multidegrees must be nonnegative")
         if not any(row):
             raise PreconditionUnmet("each hypersurface needs a nonzero multidegree")
-    ring, hs, tangent = _projective_model(rows, ns)
+    hs, model = _projective_model(rows, ns)
+    ring = model["ring"]
     dim = ring.truncation // 2
 
     lefschetz = dim >= 3
@@ -403,8 +457,7 @@ def complete_intersection(multidegrees, ambient) -> Space:
 
     return Space(
         name=name, family="CI", real_dim=2 * dim, b1=0, b2=m,
-        ring=ring, tangent=tangent, is_complex=True, complex_dim=dim,
-        spin_c=tangent.chern(1),
+        **model, is_complex=True, complex_dim=dim, spin_c=model["c1"],
         primitive_x=hs[0] if (m == 1 and lefschetz) else None,
         fano_index=index if m == 1 and lefschetz and index >= 1 else None,
         nef_rays=tuple(hs) if (m <= 2 and lefschetz) else (),
@@ -468,9 +521,11 @@ def twist_spin_c(space: Space, k: int) -> Space:
     if k == 0:
         return space
     new_c = space.spin_c + (2 * k) * space.primitive_x
-    # A-hat does not see the spin^c class: share the untwisted space's value
+    # the tangent and A-hat do not see the spin^c class: share the untwisted
+    # space's values
     return dataclasses.replace(
         space, spin_c=new_c, a_hat_of=lambda: space.a_hat_cls,
+        tangent_of=space.tangent_of and (lambda: space.tangent),
         name="%s twist(%d)" % (space.name, k),
         notes=(space.notes + "; " if space.notes else "") + "twisted spin^c class",
     )

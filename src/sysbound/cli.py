@@ -602,7 +602,7 @@ def _check_sweep(args):
     if args.min_rank > args.max_rank:
         raise ParseError("--min-rank %d exceeds --max-rank %d"
                          % (args.min_rank, args.max_rank), 0)
-    if args.gram or args.vertices or args.basis:
+    if (args.gram, args.vertices, args.basis) != (None, None, None):
         raise ParseError("--sweep draws its own lattices; drop --gram, "
                          "--vertices and --basis", 0)
 
@@ -634,12 +634,13 @@ def _cmd_lattice(args):
             rows.append(("achieved/bound in [%.1f, %.1f)" % (lo, hi),
                          Fraction(buckets[bucket])))
         return rows
-    if args.gram and args.vertices:
+    # an empty value is a value, malformed like any other
+    if args.gram is not None and args.vertices is not None:
         raise ParseError("pass one of --gram and --vertices, not both", 0)
-    if args.gram:
+    if args.gram is not None:
         gram = _option_value("--gram", args.gram, _rational_matrix)
         form, rank = {"gram": gram}, len(gram)
-    elif args.vertices:
+    elif args.vertices is not None:
         verts = _option_value("--vertices", args.vertices, _rational_matrix)
         if not verts:
             raise ParseError("--vertices needs at least one vertex", 0)
@@ -647,7 +648,7 @@ def _cmd_lattice(args):
     else:
         raise CalculatorError("pass --gram, --vertices, or --sweep")
     basis = (_option_value("--basis", args.basis, _rational_matrix)
-             if args.basis else
+             if args.basis is not None else
              [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
     lat = lattices.NormedLattice(basis=basis, **form)
     rows = [("rank", Fraction(lat.rank)), ("norm", lat.kind)]

@@ -15,6 +15,7 @@ from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
                      PreconditionUnmet, WindowExhausted)
 from .graded import GradedClass, _format_terms, exp_class
+from .kernel import _sparse_mul
 from .values import ONE, PI, SELECTORS, PiScaled
 
 
@@ -66,6 +67,8 @@ class IndexPolynomial(RationalPolynomial):
 def todd_genus(space: Space) -> Fraction:
     """Integral of the Todd class; the holomorphic Euler characteristic."""
     space.require_ring()
+    if space.is_complex and space.koszul is not None:
+        return _koszul_chi(*space.koszul)[0]
     if not space.is_complex or space.todd_cls is None:
         raise MetadataOnlySpace(
             "%s carries no complex tangent data for a Todd genus" % space.name)
@@ -85,7 +88,8 @@ def _xi_factor(space: Space) -> GradedClass:
 def index_polynomial(space: Space) -> IndexPolynomial:
     """Exact coefficients of P(a) = <[X], xi e^(ax) e^(c/2) A-hat(TX)>.
 
-    Computed once per space and kept on it.
+    Computed once per space and kept on it: on a space with ``koszul`` data
+    from the Riemann-Roch closed form, elsewhere in the ring.
     """
     if space._index_poly_cache is None:
         space._index_poly_cache = _index_polynomial(space)
@@ -98,18 +102,58 @@ def _index_polynomial(space: Space) -> IndexPolynomial:
         raise NoPrimitiveClass(
             "%s has no recorded primitive degree-2 class (b2 = 1 required)"
             % space.name)
-    if space.a_hat_cls is None:
+    if space.koszul is None and space.a_hat_cls is None:
         raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
     xi = _xi_factor(space)
+    q0 = _spin_c_multiple(space)
+    if space.koszul is not None:
+        # x = H and c1 = (N + 1 - d_1 - ... - d_r) H, so c = c1 + 2s x with
+        # 2s = q0 - (N + 1 - sum d): e^(c/2) A-hat = e^(sx) Td, and by
+        # Hirzebruch-Riemann-Roch P(a) = chi(X, O(a + s))
+        rows, ns = space.koszul
+        twice_shift = q0 - ns[0] - 1 + sum(row[0] for row in rows)
+        return IndexPolynomial(_koszul_chi(rows, ns, twice_shift), q0)
     x = space.primitive_x
     base = xi * exp_class(space.spin_c * Fraction(1, 2)) * space.a_hat_cls
-    n = space.half_dim
     coeffs = []
     xpow = space.ring.one()
-    for k in range(n + 1):
+    for k in range(space.half_dim + 1):
         coeffs.append(integrate(space, base * xpow) / math.factorial(k))
         xpow = xpow * x
-    return IndexPolynomial(coeffs, _spin_c_multiple(space))
+    return IndexPolynomial(coeffs, q0)
+
+
+def _koszul_chi(rows, ns, twice_shift=0):
+    """Coefficients in a of chi(X, O((a + twice_shift / 2) H_1)) on the
+    complete intersection X of the divisors ``rows`` in CP(N_1) x ... x
+    CP(N_m), ``twice_shift`` an integer.
+
+    The Koszul resolution of O_X by the sums of the divisors D_S over the
+    subsets S of the rows gives chi(X, O(t H_1)) = sum over S of
+    (-1)^|S| C(N_1 + t - d_S1, N_1) prod_{i >= 2} C(N_i - d_Si, N_i), each
+    binomial C(N + u, N) = (u + 1)...(u + N) / N! read as a polynomial in u
+    (Hirzebruch, Topological Methods in Algebraic Geometry).
+    The signed multidegrees d_S are the terms of prod_rows (1 - z^row).  The
+    sum runs over the integers, scaled by den^N_1 N_1! ... N_m! with den = 2
+    for a half-integral shift, and is divided once at the end.
+    """
+    m = len(ns)
+    den = 1 + twice_shift % 2
+    signed = {(0,) * m: 1}
+    for row in rows:
+        signed = _sparse_mul(signed, {(0,) * m: 1, tuple(row): -1})
+    total = [0] * (ns[0] + 1)
+    for d, sign in signed.items():
+        poly = [sign * math.prod(j - di for N, di in zip(ns[1:], d[1:])
+                                 for j in range(1, N + 1))]
+        if not poly[0]:
+            continue
+        for j in range(1, ns[0] + 1):  # times (den a + den (j - d_1 + shift))
+            c = den * (j - d[0]) + den * twice_shift // 2
+            poly = [c * p + den * q for p, q in zip(poly + [0], [0] + poly)]
+        total = [t + p for t, p in zip(total, poly)]
+    scale = den ** ns[0] * math.prod(math.factorial(N) for N in ns)
+    return [Fraction(t, scale) for t in total]
 
 
 def _spin_c_multiple(space: Space) -> int:

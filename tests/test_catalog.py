@@ -270,6 +270,15 @@ def test_projection_formula_gives_the_pairing_and_the_tangent(family, rows, ns):
             assert ours == oracle, (k, e)
 
 
+@pytest.mark.parametrize("desc", [d for d in BATCH_POOL
+                                  if d.startswith(("CP(", "Q(", "CI("))
+                                  and " * S" not in d])
+def test_closed_form_c1_is_the_first_chern_class_of_the_tangent(desc):
+    space = parse_space(desc).build()
+    assert "tangent" not in vars(space)  # built on first read only
+    assert space.c1 == space.tangent.chern(1)
+
+
 def _on_ambient_model(rows, ns, twists):
     """``complete_intersection(rows, ns)`` with its classes moved to the
     ambient ring; ``twists`` records the ring's fundamental-class twist."""
@@ -280,8 +289,8 @@ def _on_ambient_model(rows, ns, twists):
     def move(cls):
         return None if cls is None else ring.from_terms(cls.terms)
     return dataclasses.replace(
-        x, ring=ring, tangent=tangent, c1=tangent.chern(1),
-        a_hat_of=partial(a_hat, tangent), spin_c=move(x.spin_c),
+        x, ring=ring, tangent_of=lambda: tangent, c1=tangent.chern(1),
+        a_hat_of=partial(a_hat, tangent), koszul=None, spin_c=move(x.spin_c),
         primitive_x=move(x.primitive_x),
         nef_rays=tuple(move(r) for r in x.nef_rays))
 

@@ -19,7 +19,7 @@ import sysbound
 from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
-from sysbound import catalog, cli
+from sysbound import catalog, characteristic, cli
 from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
                           parse_json_value, parse_space, run_command)
 from sysbound.engine import PiScaled
@@ -544,6 +544,22 @@ def test_lattice_takes_one_source(argv, message):
         2, "", "parse error: %s at offset 0\n" % message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--gram", ""], "invalid JSON in --gram: Expecting value"),
+    (["--vertices", ""], "invalid JSON in --vertices: Expecting value"),
+    (["--gram", "", "--vertices", "[[1,0],[0,1]]"],
+     "pass one of --gram and --vertices, not both"),
+    (["--gram", "[[1]]", "--basis", ""],
+     "invalid JSON in --basis: Expecting value"),
+    (["--sweep", "3", "--gram", ""],
+     "--sweep draws its own lattices; drop --gram, --vertices and --basis"),
+])
+def test_an_empty_lattice_option_is_a_malformed_value(argv, message):
+    # an empty value was passed, so it is read, not taken for an absent one
+    assert _run(["lattice", *argv]) == (
+        2, "", "parse error: %s at offset 0\n" % message)
+
+
 def test_lattice_sweep_above_the_rank_cap_is_a_domain_error():
     proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice",
                            "--sweep", "2", "--min-rank", "6", "--max-rank", "6"],
@@ -614,12 +630,13 @@ def test_batch_commands_leave_built_spaces_unchanged():
             cli._reply(cli._DISPATCH[args.command], args)
     assert memo.keys() == built.keys()
     assert all(memo[n] is s for n, s in built.items())
-    kept = {"a_hat_cls", "todd_cls", "_index_poly_cache"}
+    kept = {"tangent", "a_hat_cls", "todd_cls", "_index_poly_cache"}
     for node, space in built.items():
         for name, value in before[node].items():
             assert getattr(space, name) is value, (node.unparse(), name)
         assert set(vars(space)) - set(before[node]) <= kept, node.unparse()
-    assert all(built[parse_space(d)].__dict__.get("a_hat_cls") is not None
+    # the Riemann-Roch closed forms answer without tangent data
+    assert all("a_hat_cls" not in vars(built[parse_space(d)])
                for d in ("CP(3)", "CP(3).twist(1)", "CP(3) * S1"))
 
 
@@ -646,6 +663,26 @@ def test_batch_commands_print_the_recorded_lines(command):
         expect = ((0, entry["out"], "") if entry["kind"] == "ok"
                   else (1, "", entry["out"]))
         assert reply == expect, desc
+
+
+def test_projective_spaces_answer_without_tangent_data(monkeypatch):
+    # the Riemann-Roch closed forms and the closed-form c1 leave the tangent
+    # of CP, Q, CI, their twists and their products with S1 unbuilt
+    def refuse(*args):
+        raise AssertionError("tangent data built")
+    monkeypatch.setattr(characteristic, "whitney_quotient", refuse)
+    monkeypatch.setattr(characteristic, "a_hat", refuse)
+    pool = [d for d in BATCH_POOL
+            if d.startswith(("CP(", "Q(", "CI("))
+            and (" * " not in d or d.endswith(" * S1"))]
+    for command in BATCH_COMMANDS:
+        recorded = golden_batch()[batch_key(command)]
+        for desc in pool:
+            entry = recorded[desc]
+            expect = ((0, entry["out"], "") if entry["kind"] == "ok"
+                      else (1, "", entry["out"]))
+            reply = _run([*command, "--space", desc, "--format", "json"])
+            assert reply == expect, (command, desc)
 
 
 # -- README examples in a fresh interpreter ---------------------------------
@@ -744,8 +781,12 @@ def test_outputs_are_identical_under_optimize():
 _ENGINES = frozenset(("catalog", "characteristic", "cones", "engine", "graded",
                       "lattices", "pushforward", "roots"))
 #: engines a cold process must not load, by subcommand; the subcommands that
-#: build a space load neither the lattice nor the pushforward engine
+#: build a space load neither the lattice nor the pushforward engine, and
+#: the benchmark's spaces answer them without characteristic classes
 _NOT_LOADED = {
+    **dict.fromkeys(("bound", "length", "index-poly", "todd", "phi",
+                     "phi-sup"),
+                    frozenset(("characteristic", "lattices", "pushforward"))),
     "catalog": _ENGINES,
     "lattice": _ENGINES - {"lattices"},
     "pushforward": _ENGINES - {"pushforward"},

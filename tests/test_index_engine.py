@@ -1,23 +1,27 @@
 """Index polynomials, lengths, and the closed-form bound evaluations."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from batch_pool import BATCH_POOL
 
 from sysbound.catalog import (blowup_point, circle, complete_intersection,
                               integrate, product, projective_space, quadric,
                               sphere, twist_spin_c, weighted_mukai_x6, Space)
 from sysbound.characteristic import ChernData
+from sysbound.cli import parse_space
 from sysbound.engine import (ONE, PI, IndexPolynomial, PiScaled,
                              avg_scalar_curvature, gromov_width_bound,
                              hilbert_polynomial, index_polynomial, length,
                              product_length_bound, systolic_bound, todd_genus,
                              volume)
-from sysbound.errors import (DegenerateClass, KunnethViolation,
-                             LichnerowiczObstruction, MetadataOnlySpace,
-                             MissingOddClass, PreconditionUnmet)
+from sysbound.errors import (CalculatorError, DegenerateClass,
+                             KunnethViolation, LichnerowiczObstruction,
+                             MetadataOnlySpace, MissingOddClass,
+                             PreconditionUnmet)
 from sysbound.graded import exp_class, truncated_polynomial_ring
 
 
@@ -175,8 +179,9 @@ def test_length_zero_encodes_obstruction():
     tangent = ChernData(rank=2, total=1 + 24 * x ** 2)
     from sysbound.characteristic import a_hat
     k3 = Space(name="K3-model", family="custom", real_dim=4, b1=0, b2=1,
-               ring=ring, is_complex=True, complex_dim=2, tangent=tangent,
-               c1=ring.zero(), a_hat_of=lambda: a_hat(tangent),
+               ring=ring, is_complex=True, complex_dim=2,
+               tangent_of=lambda: tangent, c1=ring.zero(),
+               a_hat_of=lambda: a_hat(tangent),
                spin_c=ring.zero(), primitive_x=x)
     assert integrate(k3, k3.a_hat_cls) == 2
     assert length(k3) == 0
@@ -328,3 +333,61 @@ def test_hilbert_fano_value_at_zero():
     for space in (projective_space(5), quadric(4),
                   complete_intersection([[2], [2], [2]], [6])):
         assert hilbert_polynomial(space, space.primitive_x)(0) == 1
+
+
+# -- the Riemann-Roch closed form against the ring route ----------------------
+
+#: the benchmark pool, larger spaces, complete intersections with two and
+#: three rows, twists by +-1 and +-2, and products of complete intersections
+_KOSZUL_CASES = BATCH_POOL + (
+    "CP(40)", "Q(30)", "CI(degrees=[[2,2]]; ambient=[8,8])",
+    "CI(degrees=[[2],[2],[3]]; ambient=[8])",
+    "CI(degrees=[[1,1],[1,2],[2,1]]; ambient=[3,4])",
+    "CP(5).twist(2)", "CP(6).twist(-2)", "CP(2).twist(-1)", "Q(5).twist(1)",
+    "Q(6).twist(-2)", "Q(7).twist(2)",
+    "CI(degrees=[[3]]; ambient=[5]).twist(-1)",
+    "CI(degrees=[[2],[3]]; ambient=[6]).twist(2)",
+    "CI(degrees=[[2],[2],[3]]; ambient=[8]).twist(-2)",
+    "CI(degrees=[[5]]; ambient=[4]).twist(1)",
+    "CP(3).twist(1) * S1", "Q(4).twist(-2) * S1",
+    "CP(2) * CI(degrees=[[2,2]]; ambient=[3,3])", "Q(3) * CP(1) * CP(1)")
+
+
+def _chi_outcomes(space):
+    """Index polynomial coefficients, q0 and Todd genus, errors included."""
+    out = []
+    for run in (lambda s: index_polynomial(s).coeffs,
+                lambda s: index_polynomial(s).q0, todd_genus):
+        try:
+            out.append(run(space))
+        except CalculatorError as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+@pytest.mark.parametrize("desc", _KOSZUL_CASES)
+def test_riemann_roch_closed_form_agrees_with_the_ring_route(desc):
+    space = parse_space(desc).build()
+    ring_route = dataclasses.replace(space, koszul=None)
+    assert _chi_outcomes(space) == _chi_outcomes(ring_route)
+
+
+def test_closed_form_takes_a_half_integral_shift():
+    # a class c = c1 + j x with j odd is no spin^c class, but the index
+    # polynomial is still chi at a + j/2
+    for space in (projective_space(2), quadric(4),
+                  complete_intersection([[2], [3]], [6])):
+        for j in (-3, -1, 1):
+            moved = dataclasses.replace(space,
+                                        spin_c=space.c1 + j * space.primitive_x)
+            ring_route = dataclasses.replace(moved, koszul=None)
+            assert _chi_outcomes(moved) == _chi_outcomes(ring_route)
+
+
+def test_the_closed_form_serves_the_projective_cases():
+    # every CP, Q and CI case, their twists, products and products with S1
+    spaces = [parse_space(desc).build() for desc in _KOSZUL_CASES]
+    closed = [s for s in spaces if s.koszul is not None]
+    polynomials = [s for s in closed
+                   if not isinstance(_chi_outcomes(s)[0], str)]
+    assert (len(closed), len(polynomials)) == (78, 63)
