@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -70,7 +70,7 @@ class Space:
     kept: ``tangent_of`` makes ``tangent`` (the tangent Chern data), and
     ``a_hat_of`` makes ``a_hat_cls``, which without a recipe is the A-hat
     class of the tangent.  ``todd_cls`` is read off c1 and A-hat the same
-    way.  ``c1`` defaults to the tangent's first Chern class, which builds
+    way.  ``c1`` defaults to the tangent's first Chern class, which makes
     the tangent; projective spaces, quadrics and complete intersections give
     it in closed form, so their tangent waits for its first reader.
 
@@ -82,9 +82,7 @@ class Space:
     reads them from the Riemann-Roch closed form, with no tangent data.
 
     Kept values are not init fields, so ``dataclasses.replace`` copies the
-    recipes and never a value computed for another space; the same holds for
-    the index polynomial that :func:`sysbound.engine.index_polynomial` keeps
-    in ``_index_poly_cache``.
+    recipes and never a value computed for another space.
     """
 
     name: str
@@ -109,8 +107,6 @@ class Space:
     kahler_einstein: bool | None = None
     notes: str = ""
     factor_embeddings: tuple = ()  # (left, right) class maps on products
-    _index_poly_cache: object = field(default=None, init=False,
-                                      compare=False, repr=False)
 
     @cached_property
     def tangent(self) -> ChernData | None:
@@ -521,12 +517,10 @@ def twist_spin_c(space: Space, k: int) -> Space:
     if k == 0:
         return space
     new_c = space.spin_c + (2 * k) * space.primitive_x
-    # the tangent and A-hat do not see the spin^c class: share the untwisted
-    # space's values
+    # the copied recipes make the untwisted tangent and A-hat, which do not
+    # see the spin^c class
     return dataclasses.replace(
-        space, spin_c=new_c, a_hat_of=lambda: space.a_hat_cls,
-        tangent_of=space.tangent_of and (lambda: space.tangent),
-        name="%s twist(%d)" % (space.name, k),
+        space, spin_c=new_c, name="%s twist(%d)" % (space.name, k),
         notes=(space.notes + "; " if space.notes else "") + "twisted spin^c class",
     )
 

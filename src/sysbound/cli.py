@@ -15,7 +15,10 @@ A run is a value.  Each subcommand handler maps its arguments to rows
 ``_render`` turns rows into the text of ``--format``; and one ``_reply``
 turns a run into ``(exit code, stdout text, stderr text)``, mapping a parse
 error to 2 and a domain error to 1.  ``run_command`` only writes the replies:
-the ``--approx`` check's, then one run's, or one per ``--batch`` line.
+the ``--approx`` check's, then one run's, or one per ``--batch`` line.  A
+reply depends on its line alone, so a batch keeps each line's reply and a
+repeated line replays it, errors included; nothing else is shared between
+lines.
 
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
@@ -147,27 +150,9 @@ class _Parser:
 # descriptor AST -----------------------------------------------------------
 
 
-class _Node:
-    """A descriptor node.  Nodes are frozen and hold only ints, tuples and
-    nodes, so a node is its own key in a build memo."""
-
-    def build(self, memo: dict | None = None) -> Space:
-        """The space this node describes.
-
-        With ``memo`` (one dict per batch), each distinct node, factors and
-        twisted spaces included, is built once; a failed build is not kept.
-        """
-        if memo is None:
-            return self._make(None)
-        space = memo.get(self)
-        if space is None:
-            space = memo[self] = self._make(memo)
-        return space
-
-
 @dataclass(frozen=True)
 class _Constructor:
-    """One descriptor constructor: how it parses, checks, builds and prints.
+    """One descriptor constructor: how it parses, checks, makes and prints.
 
     ``params`` are ``(keyword or None, _Parser method, least, message)``,
     written in order and separated by ``;``.  An argument below ``least``
@@ -204,13 +189,13 @@ _CONSTRUCTORS = {row.name: row for row in (
 
 
 @dataclass(frozen=True)
-class AtomNode(_Node):
+class AtomNode:
     """A catalog constructor applied to its arguments (ints and tuples)."""
 
     name: str
     args: tuple
 
-    def _make(self, memo) -> Space:
+    def build(self) -> Space:
         from . import catalog
         return getattr(catalog, _CONSTRUCTORS[self.name].fn)(*self.args)
 
@@ -227,26 +212,26 @@ class AtomNode(_Node):
 
 
 @dataclass(frozen=True)
-class TwistNode(_Node):
+class TwistNode:
     inner: object
     k: int
 
-    def _make(self, memo) -> Space:
+    def build(self) -> Space:
         from . import catalog
-        return catalog.twist_spin_c(self.inner.build(memo), self.k)
+        return catalog.twist_spin_c(self.inner.build(), self.k)
 
     def unparse(self) -> str:
         return "%s.twist(%d)" % (self.inner.unparse(), self.k)
 
 
 @dataclass(frozen=True)
-class ProductNode(_Node):
+class ProductNode:
     left: object
     right: object
 
-    def _make(self, memo) -> Space:
+    def build(self) -> Space:
         from . import catalog
-        return catalog.product(self.left.build(memo), self.right.build(memo))
+        return catalog.product(self.left.build(), self.right.build())
 
     def unparse(self) -> str:
         return "%s * %s" % (self.left.unparse(), self.right.unparse())
@@ -472,7 +457,7 @@ def _cmd_bound(node, args):
     theorem = args.theorem
     if theorem in _ALPHA_SELECTORS:
         fn, label = _ALPHA_SELECTORS[theorem]
-        space = node.build(args.builds)
+        space = node.build()
         if args.alpha:
             alpha, pi_exp = parse_alpha(space, args.alpha)
         else:
@@ -480,9 +465,9 @@ def _cmd_bound(node, args):
         value = getattr(engine, fn)(space, alpha, PiScaled(Fraction(1), pi_exp))
         return [("theorem", theorem), (label, value)]
     if isinstance(node, ProductNode):  # X * N: a two-space bound
-        x, n_factor = node.left.build(args.builds), node.right.build(args.builds)
+        x, n_factor = node.left.build(), node.right.build()
     else:
-        x, n_factor = node.build(args.builds), None
+        x, n_factor = node.build(), None
     if theorem in ("thm1.1", "thm1.2", "thm4.5", "prop5.1") \
             and n_factor is not None:
         raise CalculatorError(
@@ -494,7 +479,7 @@ def _cmd_bound(node, args):
 
 def _cmd_index_poly(node, args):
     from . import engine
-    poly = engine.index_polynomial(node.build(args.builds))
+    poly = engine.index_polynomial(node.build())
     return [("polynomial", poly),
             ("coefficients", [Fraction(c) for c in poly.coeffs]),
             ("q0", Fraction(poly.q0))]
@@ -502,17 +487,17 @@ def _cmd_index_poly(node, args):
 
 def _cmd_length(node, args):
     from . import engine
-    return [("length", Fraction(engine.length(node.build(args.builds))))]
+    return [("length", Fraction(engine.length(node.build())))]
 
 
 def _cmd_todd(node, args):
     from . import engine
-    return [("todd_genus", engine.todd_genus(node.build(args.builds)))]
+    return [("todd_genus", engine.todd_genus(node.build()))]
 
 
 def _cmd_phi(node, args):
     from . import cones
-    space = node.build(args.builds)
+    space = node.build()
     alpha, pi_exp = parse_alpha(space, args.alpha)
     if pi_exp:
         raise CalculatorError("the volume functional is scale-invariant; "
@@ -522,7 +507,7 @@ def _cmd_phi(node, args):
 
 def _cmd_phi_sup(node, args):
     from . import cones
-    result = cones.phi_sup(cones.cone_problem(node.build(args.builds)))
+    result = cones.phi_sup(cones.cone_problem(node.build()))
     if isinstance(result, cones.Unbounded):
         return [("phi_sup", "UNBOUNDED"), ("witness", repr(result.witness))]
     return [("phi_sup", result)]
@@ -719,7 +704,6 @@ def _build_parser():
                            help="space descriptor, e.g. 'CP(3) * S1'")
             p.add_argument("--batch", action="store_true",
                            help="read one descriptor per line from stdin")
-            p.set_defaults(builds=None)  # a batch's build memo, not an option
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
         p.add_argument("--approx", type=int, default=None, metavar="DIGITS",
@@ -832,18 +816,21 @@ def _reply(command, args):
 
 def _replies(args):
     """The reply of each run one invocation makes: the ``--approx`` check,
-    then the subcommand once, or once per nonblank line of a ``--batch``."""
+    then the subcommand once, or once per distinct nonblank line of a
+    ``--batch``, a repeated line yielding its first reply again."""
     check = _reply(_check_approx, args)
     yield check
     if check[0]:
         return
     command = _DISPATCH[args.command]
     if getattr(args, "batch", False):
-        args.builds = {}  # each distinct space is built once per batch
+        replies = {}  # a line's reply depends on the line alone
         for line in sys.stdin:
             args.space = line.strip()
             if args.space:
-                yield _reply(command, args)
+                if args.space not in replies:
+                    replies[args.space] = _reply(command, args)
+                yield replies[args.space]
     elif hasattr(args, "space") and not args.space:
         yield 2, "", "error: --space is required (or use --batch)\n"
     else:

@@ -86,17 +86,10 @@ def _xi_factor(space: Space) -> GradedClass:
 
 
 def index_polynomial(space: Space) -> IndexPolynomial:
-    """Exact coefficients of P(a) = <[X], xi e^(ax) e^(c/2) A-hat(TX)>.
-
-    Computed once per space and kept on it: on a space with ``koszul`` data
-    from the Riemann-Roch closed form, elsewhere in the ring.
+    """Exact coefficients of P(a) = <[X], xi e^(ax) e^(c/2) A-hat(TX)>: on a
+    space with ``koszul`` data from the Riemann-Roch closed form, elsewhere
+    in the ring.
     """
-    if space._index_poly_cache is None:
-        space._index_poly_cache = _index_polynomial(space)
-    return space._index_poly_cache
-
-
-def _index_polynomial(space: Space) -> IndexPolynomial:
     space.require_ring()
     if space.primitive_x is None:
         raise NoPrimitiveClass(
@@ -193,6 +186,7 @@ def length(space: Space) -> int:
         raise WindowExhausted(
             "index polynomial of %s vanishes identically; the space does not "
             "satisfy the nonvanishing hypothesis" % space.name)
+    nums = roots.numerators(poly.coeffs)  # same zeros, integer Horner
     best = None
     # window |q0 + 2a| <= n + 1 suffices: the polynomial has degree <= n, and
     # the window contains more twist points than possible zeros
@@ -202,7 +196,7 @@ def length(space: Space) -> int:
             if (target - q0) % 2:
                 continue
             a = (target - q0) // 2
-            if poly(a) != 0:
+            if roots.evaluate(nums, a) != 0:
                 best = value
                 break
         if best is not None:
@@ -223,16 +217,8 @@ def product_length_bound(x: Space, n_factor: Space) -> int:
     """
     if x.b2 != 1:
         raise PreconditionUnmet("b2(X) = 1 is required for the product bound")
-    if n_factor.b2 != 0:
-        raise PreconditionUnmet("b2(N) = 0 is required for the product bound")
-    if x.real_dim % 2 == 1 and n_factor.real_dim % 2 == 1:
-        raise PreconditionUnmet(
-            "dim X and dim N cannot both be odd for the product bound")
-    if not _n_factor_admissible(n_factor):
-        raise PreconditionUnmet(
-            "the factor %s has vanishing index pairing "
-            "<eta e^(c/2) A-hat(TN), [N]>; the product bound does not apply"
-            % n_factor.name)
+    _require_condition_b(n_factor)
+    _require_parity(x, n_factor)
     prod = catalog.product(x, n_factor)
     if prod.b2 != 1:
         raise KunnethViolation("b2(X x N) = %d, expected 1" % prod.b2)

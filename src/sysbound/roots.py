@@ -11,7 +11,7 @@ integer form and verified by evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CertificateFailed
 
@@ -24,10 +24,19 @@ def trim(p):
 
 
 def evaluate(p, x):
-    acc = Fraction(0)
+    """p(x) by Horner's rule, in the arithmetic of p and x: on integers it
+    stays in the integers."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def numerators(p):
+    """p times the lcm of its coefficients' denominators: integer
+    coefficients and the same roots."""
+    d = lcm(*(c.denominator for c in p))
+    return [int(c * d) for c in p]
 
 
 def derivative(p):
@@ -132,10 +141,7 @@ def rational_roots(p):
         roots.add(Fraction(0))
     if len(p) <= 1:
         return sorted(roots)
-    denoms = 1
-    for c in p:
-        denoms = denoms * c.denominator // gcd(denoms, c.denominator)
-    ip = [int(c * denoms) for c in p]
+    ip = numerators(p)
     content = 0
     for c in ip:
         content = gcd(content, abs(c))

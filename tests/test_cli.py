@@ -560,6 +560,13 @@ def test_an_empty_lattice_option_is_a_malformed_value(argv, message):
         2, "", "parse error: %s at offset 0\n" % message)
 
 
+def test_length_refuses_a_vanishing_index_polynomial():
+    # b2 = 1 from CP(2), but e^(ax) A-hat has no S(4) volume component
+    assert _run(["length", "--space", "CP(2) * S(4)"]) == (
+        1, "", "error: index polynomial of CP(2) * S(4) vanishes identically; "
+               "the space does not satisfy the nonvanishing hypothesis\n")
+
+
 def test_lattice_sweep_above_the_rank_cap_is_a_domain_error():
     proc = subprocess.run([sys.executable, "-m", "sysbound", "lattice",
                            "--sweep", "2", "--min-rank", "6", "--max-rank", "6"],
@@ -587,7 +594,7 @@ def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     assert kinds == {"parse error", "error"}
 
 
-# -- the build memo of one batch ---------------------------------------------
+# -- one batch keeps each line's reply ----------------------------------------
 
 #: a twist between two reads of its untwisted space: a value kept on CP(3)
 #: must not reach CP(3).twist(1), nor the other way round
@@ -610,33 +617,61 @@ def test_batch_output_does_not_depend_on_order_or_repeats(monkeypatch, command):
         assert err == "".join(single[d][2] for d in lines), order
 
 
-def test_batch_commands_leave_built_spaces_unchanged():
-    # every command of a batch runs on the same built spaces; afterwards each
-    # init field is the object it was, and only the kept values are new
-    memo = {}
+def test_a_repeated_batch_line_replays_its_first_reply(monkeypatch):
+    # an answer, a parse error, a domain error and the vanishing branch,
+    # each twice but the last: one run per distinct line
+    lines = ("CP(2)", "CP(2)", "CP(", "CP(", "BlP(3)", "BlP(3)",
+             "CP(2) * S(4)")
+    single = {desc: _run(["length", "--space", desc]) for desc in lines}
+    calls = []
+    handler = cli._DISPATCH["length"]
+
+    def counted(args):
+        calls.append(args.space)
+        return handler(args)
+    monkeypatch.setitem(cli._DISPATCH, "length", counted)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("".join(d + "\n" for d in lines)))
+    code, out, err = _run(["length", "--batch"])
+    assert calls == list(dict.fromkeys(lines))
+    assert out == "".join(single[d][1] for d in lines)
+    assert err == "".join(single[d][2] for d in lines)
+    assert code == max(single[d][0] for d in lines) == 2
+
+
+def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
+    # every command runs on the same built spaces, each node built once and
+    # handed to every handler that names it; afterwards each init field is
+    # the object it was, and only the kept values are new
+    built = {}
+    for cls in (AtomNode, TwistNode, ProductNode):
+        def build(node, make=cls.build):
+            if node not in built:
+                built[node] = make(node)
+            return built[node]
+        monkeypatch.setattr(cls, "build", build)
     for desc in _LEAD + BATCH_POOL:
-        parse_space(desc).build(memo)
-    built = dict(memo)
+        parse_space(desc).build()
+    spaces = dict(built)
     before = {node: {f.name: getattr(space, f.name)
                      for f in dataclasses.fields(space) if f.init}
-              for node, space in built.items()}
-    assert any(isinstance(node, ProductNode) for node in built)
-    assert any(isinstance(node, TwistNode) for node in built)
+              for node, space in spaces.items()}
+    assert any(isinstance(node, ProductNode) for node in spaces)
+    assert any(isinstance(node, TwistNode) for node in spaces)
     parser = cli._build_parser()
     for command in BATCH_COMMANDS:
         for desc in _LEAD + BATCH_POOL:
             args = parser.parse_args([*command, "--space", desc])
-            args.builds = memo
             cli._reply(cli._DISPATCH[args.command], args)
-    assert memo.keys() == built.keys()
-    assert all(memo[n] is s for n, s in built.items())
-    kept = {"tangent", "a_hat_cls", "todd_cls", "_index_poly_cache"}
-    for node, space in built.items():
+    assert built.keys() == spaces.keys()
+    assert all(built[n] is s for n, s in spaces.items())
+    kept = {"tangent", "a_hat_cls", "todd_cls"}
+    for node, space in spaces.items():
         for name, value in before[node].items():
             assert getattr(space, name) is value, (node.unparse(), name)
         assert set(vars(space)) - set(before[node]) <= kept, node.unparse()
     # the Riemann-Roch closed forms answer without tangent data
-    assert all("a_hat_cls" not in vars(built[parse_space(d)])
+    assert all("a_hat_cls" not in vars(spaces[parse_space(d)])
                for d in ("CP(3)", "CP(3).twist(1)", "CP(3) * S1"))
 
 

@@ -111,3 +111,13 @@ def test_pyproject_declares_no_runtime_dependency():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_the_package_holds_no_assert_statement():
+    # certificates raise typed errors, so they still run under python -O
+    found = []
+    for path in sorted(Path(sysbound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
