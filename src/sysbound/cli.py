@@ -631,7 +631,7 @@ def _cmd_lattice(args):
             raise ParseError("--vertices needs at least one vertex", 0)
         form, rank = {"vertices": verts}, len(verts[0])
     else:
-        raise CalculatorError("pass --gram, --vertices, or --sweep")
+        raise ParseError("pass --gram, --vertices, or --sweep", 0)
     basis = (_option_value("--basis", args.basis, _rational_matrix)
              if args.basis is not None else
              [[1 if i == j else 0 for j in range(rank)] for i in range(rank)])

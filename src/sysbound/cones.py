@@ -18,7 +18,7 @@ from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
-from .kernel import _gauss_jordan, _intersection_pairing, _sparse_mul
+from .kernel import _intersection_pairing, _solve_linear, _sparse_mul
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
 # imported where a space is integrated or built, so the contraction report and
@@ -84,20 +84,13 @@ def phi(space: Space, alpha: GradedClass) -> Fraction:
 
 def _ray_coordinates(problem: ConeProblem, alpha: GradedClass):
     """Coordinates of a degree-2 class in the ray basis, or None when the
-    rays are dependent or alpha lies outside their span.
-
-    One row per monomial, [ray coefficients | alpha coefficient], reduced
-    by Gauss-Jordan: a row past the rank with a nonzero last entry is an
-    inconsistent equation.
-    """
+    rays are dependent or alpha lies outside their span: one equation per
+    monomial, solved exactly by ``kernel._solve_linear``."""
     rays = problem.rays
     monos = sorted({m for r in rays for m in r.terms} | set(alpha.terms))
-    rows = [[r.coefficient(m) for r in rays] + [alpha.coefficient(m)]
-            for m in monos]
-    reduced, rank, _ = _gauss_jordan(rows, len(rays))
-    if rank < len(rays) or any(row[-1] for row in reduced[rank:]):
-        return None
-    return tuple(row[-1] for row in reduced[:rank])
+    coords = _solve_linear([[r.coefficient(m) for r in rays] for m in monos],
+                           [alpha.coefficient(m) for m in monos])
+    return None if coords is None else tuple(coords)
 
 
 def _require_open_cone(problem: ConeProblem, alpha: GradedClass):

@@ -1,15 +1,18 @@
 """Exact primitives shared by the engines, each implemented once.
 
-Gauss-Jordan elimination serves every inverse, determinant, linear solve and
-rank in the package, over the field of its entries (Fractions for the exact
-algebra, floats for the lattice ellipsoid fit).  Sparse polynomials are dicts
-{exponent tuple: coefficient} with one product, which also gives the
-intersection numbers of a complete intersection in a product of projective
-spaces.  Dense univariate polynomials live in ``roots``.
+One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968;
+Cohen, GTM 138, section 2.2) serves every exact inverse, determinant, linear
+solve and rank in the package.  Each input row is cleared once by its own
+denominator, the elimination runs on Python ints, and a result entry becomes
+one Fraction at the end.  Sparse polynomials are dicts {exponent tuple:
+coefficient} with one product, which also gives the intersection numbers of
+a complete intersection in a product of projective spaces.  Dense univariate
+polynomials live in ``roots``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -24,59 +27,97 @@ def _mat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _gauss_jordan(rows, ncols):
-    """Gauss-Jordan elimination on the first ``ncols`` columns, over the
-    field of the entries: Fractions for the exact algebra, floats for the
-    ellipsoid fit.  The pivot is the first nonzero entry of its column.
+def _cleared(m):
+    """``(rows, d)``: integer rows with m = rows / d, d the least common
+    denominator of the entries (ints or Fractions)."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
-    Returns ``(m, rank, det)``: the reduced rows, the number of pivots, and
-    the product of the pivots signed by the row swaps, which is the
-    determinant when the rows form a nonsingular square matrix.
+
+def _cleared_row(row):
+    """``(ints, d)``: the row as integers over its own least common
+    denominator d."""
+    (ints,), d = _cleared([row])
+    return ints, d
+
+
+def _eliminate(rows, ncols, jordan=True):
+    """Fraction-free elimination of integer rows on their first ``ncols``
+    columns; the pivot is the first nonzero entry of its column.
+
+    Each step with pivot a, after a previous pivot p, replaces every other
+    row by (a row - f pivot_row) / p, f the row's entry in the pivot column.
+    The division is exact: after k steps every entry is a minor of the input
+    of order k or k+1 (Sylvester's identity), and the k-th pivot is the
+    leading k x k minor of the pivot rows and columns.  With ``jordan`` the
+    rows above the pivot are reduced too, so the result is the reduced row
+    echelon form times the last pivot; without it only the rows below are.
+
+    Returns ``(m, rank, det)``: the rows, the number of pivots, and the last
+    pivot signed by the row swaps, which is the determinant when the rows
+    form a nonsingular square matrix.
     """
     m = list(rows)
-    rank, det = 0, 1
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
-            det = -det
-        det *= m[rank][col]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
+            sign = -sign
+        top = m[rank]
+        a = top[col]
+        for i in range(0 if jordan else rank + 1, len(m)):
+            if i != rank:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+                m[i] = [(a * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = a
         rank += 1
-    return m, rank, det
+    return m, rank, sign * prev
 
 
 def _mat_inv(a):
+    """The inverse of a nonsingular square matrix, as Fractions.
+
+    With a = D^-1 R, R the cleared rows and D the diagonal of their
+    denominators, [R | D] reduces to det * [I | R^-1 D] = det * [I | a^-1].
+    """
     n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, rank, _ = _gauss_jordan(_mat(aug), n)
+    aug = []
+    for i, row in enumerate(a):
+        ints, d = _cleared_row(row)
+        aug.append(ints + [d if i == j else 0 for j in range(n)])
+    m, rank, _ = _eliminate(aug, n)
     if rank < n:
         raise PreconditionUnmet("matrix is singular")
-    return [row[n:] for row in m]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 def _det(a):
-    _, rank, det = _gauss_jordan(_mat(a), len(a))
-    return det if rank == len(a) else Fraction(0)
+    cleared = [_cleared_row(row) for row in a]
+    _, rank, det = _eliminate([ints for ints, _ in cleared], len(a),
+                              jordan=False)
+    if rank < len(a):
+        return Fraction(0)
+    return Fraction(det, math.prod(d for _, d in cleared))
 
 
 def _solve_linear(rows, rhs):
-    """The unique solution of rows x = rhs, or None if rows is singular."""
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, rank, _ = _gauss_jordan(_mat(aug), n)
-    return [row[n] for row in m] if rank == n else None
+    """The unique solution of rows x = rhs, or None if there is none or more
+    than one: rows of rank below the number of unknowns (the row length),
+    or an inconsistent equation."""
+    n = len(rows[0]) if rows else 0
+    m, rank, _ = _eliminate(
+        [_cleared_row(list(row) + [b])[0] for row, b in zip(rows, rhs)], n)
+    if rank < n or any(row[n] for row in m[rank:]):
+        return None
+    return [Fraction(row[n], row[i]) for i, row in enumerate(m[:n])]
 
 
 def _rank_of(rows):
-    return _gauss_jordan(_mat(rows), len(rows[0]) if rows else 0)[1]
+    return _eliminate([_cleared_row(row)[0] for row in rows],
+                      len(rows[0]) if rows else 0, jordan=False)[1]
 
 
 # ---------------------------------------------------------------------------

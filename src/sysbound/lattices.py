@@ -7,16 +7,20 @@ quantities are exact: Euclidean minima as squared rationals, polytope minima
 as rationals.
 
 Gram matrices B F B^T are formed in Python ints, with the denominators of B
-and F cleared once and divided out once per entry.  Enumeration is exact
-Fincke-Pohst in integers over one common denominator, each range from an
-integer square root; an exact LLL pass keeps the search tree small.  LLL,
-and the size reduction that ends a KZ reduction, compute the Gram-Schmidt data
-(mu, bstar) once and update it in place under each row operation (Cohen,
-GTM 138, section 2.6), and LLL hands the data of its reduced rows to the
-enumeration, the shortest vector and KZ: no Gram matrix is rebuilt or
-factored twice.  Each lattice keeps its minima, its LLL run and its dual.
+and F cleared once and divided out once per entry; lattice vectors and
+quadratic forms x^T F x are evaluated the same way, and inverses,
+determinants, solves and ranks run on the integer elimination of ``kernel``.
+Enumeration is exact Fincke-Pohst in integers over one common denominator,
+each range from an integer square root; an exact LLL pass keeps the search
+tree small.  LLL, and the size reduction that ends a KZ reduction, compute
+the Gram-Schmidt data (mu, bstar) once and update it in place under each row
+operation (Cohen, GTM 138, section 2.6), and LLL hands the data of its
+reduced rows to the enumeration, the shortest vector and KZ: no Gram matrix
+is rebuilt or factored twice.  Each lattice keeps its minima, its LLL run
+and its dual.
 
-Each enumerated vector is measured once.  A Euclidean size is the
+Each enumerated vector is measured once, and the minima are read off by an
+independence scan that keeps integer echelon rows.  A Euclidean size is the
 enumeration's own exact value x^T (W G W^T) x, which equals coeffs^T G
 coeffs.  A polytope norm is read on coefficient vectors: the facet normals
 are pulled back to lattice coordinates once per lattice, as integer rows
@@ -26,11 +30,10 @@ For polytope norms the search region comes from an inscribed ellipsoid E
 whose sandwich (E inside the ball, ball inside sqrt(c) E) is verified in
 rational arithmetic, with c the exact largest vertex value v^T Q v; the
 search budget uses that c.  The ellipsoid itself is fitted in plain Python
-floats, on the Gauss-Jordan loop of ``kernel`` that the exact algebra uses,
-since only the certificate matters.  The dual's unit ball is the polar
-polytope, whose facet normals are the primal's extreme vertices (polar
-duality; Ziegler, Lectures on Polytopes, section 2.3), so only input
-polytopes enumerate facets.
+floats, with a float Gauss-Jordan loop of its own, since only the
+certificate matters.  The dual's unit ball is the polar polytope, whose
+facet normals are the primal's extreme vertices (polar duality; Ziegler,
+Lectures on Polytopes, section 2.3), so only input polytopes enumerate facets.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from operator import mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
-from .kernel import (_det, _gauss_jordan, _mat, _mat_inv, _rank_of,
+from .kernel import (_cleared, _cleared_row, _det, _mat, _mat_inv, _rank_of,
                      _solve_linear)
 
 MAX_RANK = 5
@@ -102,25 +105,12 @@ def _is_positive_definite(g):
 
 
 def _quad(g, x):
-    n = len(x)
-    total = Fraction(0)
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            if x[j]:
-                total += x[i] * g[i][j] * x[j]
-    return total
-
-
-def _cleared(m):
-    """``(rows, d)``: integer rows with m = rows / d, d the least common
-    denominator of the entries (ints or Fractions)."""
-    d = 1
-    for row in m:
-        for x in row:
-            d = math.lcm(d, x.denominator)
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+    """The exact value x^T g x: with g = G / e and x = X / d cleared,
+    X^T G X / (d^2 e), one Fraction."""
+    xs, d = _cleared_row(x)
+    rows, e = _cleared(g)
+    return Fraction(sum(xi * sum(map(mul, row, xs))
+                        for xi, row in zip(xs, rows) if xi), d * d * e)
 
 
 def _gram_of_basis(basis, form):
@@ -234,9 +224,8 @@ class NormedLattice:
     def vector(self, coeffs):
         """Ambient coordinates of an integer coefficient vector."""
         self._check_length(coeffs, "coefficient vector")
-        r = self.rank
-        return [sum(Fraction(coeffs[i]) * self.basis[i][j] for i in range(r))
-                for j in range(r)]
+        rows, d = self._cleared_basis
+        return [Fraction(sum(map(mul, coeffs, col)), d) for col in zip(*rows)]
 
     def norm_sq(self, ambient_vec):
         if self.gram is None:
@@ -258,6 +247,11 @@ class NormedLattice:
         coefficients, from the pulled-back facet normals."""
         rows, d = self._coeff_normals
         return Fraction(max(sum(map(mul, row, coeffs)) for row in rows), d)
+
+    @cached_property
+    def _cleared_basis(self):
+        """The basis as integer rows over one denominator."""
+        return _cleared(self.basis)
 
     def euclidean_form(self):
         """An ambient quadratic form comparable to the norm.
@@ -359,6 +353,30 @@ def _polar_normals(vertices, normals, r):
     return sorted(extreme)
 
 
+def _gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination of float rows on their first ``ncols``
+    columns, for the ellipsoid fit; the pivot is the first nonzero entry of
+    its column.  Returns ``(m, rank)``: the reduced rows and the number of
+    pivots.
+    """
+    m = list(rows)
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return m, rank
+
+
 def _certified_ellipsoid_form(vertices, normals, r):
     """Rational PD form Q and the exact c = max v^T Q v over the vertices,
     with E_Q inside K inside sqrt(c) E_Q.
@@ -378,11 +396,11 @@ def _certified_ellipsoid_form(vertices, normals, r):
     u = [1.0 / len(outer)] * len(outer)
 
     def moment_inverse():
-        """M^-1, flattened, by the module's Gauss-Jordan loop on float rows."""
+        """M^-1, flattened, by the float Gauss-Jordan loop."""
         flat = [sum(map(mul, u, entry)) for entry in entries]
         aug = [flat[i * r:(i + 1) * r] + [float(i == k) for k in range(r)]
                for i in range(r)]
-        reduced, rank, _ = _gauss_jordan(aug, r)
+        reduced, rank = _gauss_jordan(aug, r)
         if rank < r:
             raise EuclideanizationFailed("polar vertex set is degenerate")
         return [x for row in reduced for x in row[r:]]
@@ -658,22 +676,25 @@ def successive_minima(lattice: NormedLattice, j: int) -> Fraction:
 def _independent_scan(vectors, r, upto):
     """Values at which the span dimension increments, scanning by norm.
 
-    Kept rows are held in echelon form (each with a pivot entry 1 in a
-    column where the rows kept before it vanish), so a candidate is reduced
-    against them in O(r^2) and is independent iff something is left.
+    Kept rows are held in echelon form as integer rows with content 1, each
+    with a pivot column where the rows kept before it vanish.  A candidate
+    is reduced against them in order by row <- a row - f kept (a the kept
+    pivot entry, f the candidate's), which zeroes the pivot column and keeps
+    the earlier ones zero, so it is independent iff something is left.
     """
     echelon = []
     minima = []
     for coeffs, value in vectors:
-        row = [Fraction(c) for c in coeffs]
+        row = list(coeffs)
         for pivot, kept in echelon:
             f = row[pivot]
             if f:
-                row = [x - f * y for x, y in zip(row, kept)]
+                a = kept[pivot]
+                row = [a * x - f * y for x, y in zip(row, kept)]
         pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is not None:
-            inv = 1 / row[pivot]
-            echelon.append((pivot, [x * inv for x in row]))
+            g = math.gcd(*row)
+            echelon.append((pivot, [x // g for x in row]))
             minima.append(value)
             if len(minima) == upto:
                 break

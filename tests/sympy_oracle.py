@@ -1,5 +1,9 @@
-"""sympy views of a ``SymmetricPolynomial``, for the tests that use sympy as
-an independent oracle.  The package itself never imports sympy."""
+"""sympy views of the package's values, for the tests that use sympy as an
+independent oracle: a ``SymmetricPolynomial`` as a polynomial, a matrix of
+ints and Fractions as a ``sympy.Matrix``.  The package itself never imports
+sympy."""
+
+from fractions import Fraction
 
 import sympy
 
@@ -13,3 +17,29 @@ def as_poly(sym):
 
 def as_expr(sym):
     return as_poly(sym).as_expr()
+
+
+def as_matrix(rows):
+    """Rows of ints or Fractions as a ``sympy.Matrix`` of Rationals."""
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator,
+                                         Fraction(x).denominator) for x in row]
+                         for row in rows])
+
+
+def as_fraction(x):
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(x.p), int(x.q))
+
+
+def solve(rows, rhs):
+    """The unique solution of rows x = rhs as Fractions, or None when the
+    rows have rank below the number of unknowns or the system is
+    inconsistent; by ``sympy.Matrix.LUsolve``."""
+    a = as_matrix(rows)
+    if a.rank() < a.cols:
+        return None
+    try:
+        x = a.LUsolve(as_matrix([[b] for b in rhs]))
+    except ValueError:          # "The system is inconsistent."
+        return None
+    return [as_fraction(v) for v in x]

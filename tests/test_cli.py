@@ -560,6 +560,14 @@ def test_an_empty_lattice_option_is_a_malformed_value(argv, message):
         2, "", "parse error: %s at offset 0\n" % message)
 
 
+@pytest.mark.parametrize("argv", [[], ["--basis", "[[1]]"]])
+def test_lattice_without_a_source_is_a_usage_error(argv):
+    # no --gram, --vertices or --sweep: misuse of the options, like two
+    # sources, so exit 2 and not a domain error
+    assert _run(["lattice", *argv]) == (
+        2, "", "parse error: pass --gram, --vertices, or --sweep at offset 0\n")
+
+
 def test_length_refuses_a_vanishing_index_polynomial():
     # b2 = 1 from CP(2), but e^(ax) A-hat has no S(4) volume component
     assert _run(["length", "--space", "CP(2) * S(4)"]) == (

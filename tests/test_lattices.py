@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympy_oracle import as_matrix
 from sysbound import lattices
 from sysbound.errors import BoundViolated, PreconditionUnmet, RankTooLarge
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
@@ -29,19 +30,21 @@ def _identity(r):
 
 def _box_minima(lattice, j, size, box=6):
     """Oracle: scan the coefficient box [-box, box]^r for successive minima,
-    measuring each lattice vector (in ambient coordinates) with ``size``."""
+    measuring each lattice vector (in ambient coordinates, a plain Fraction
+    product with the basis) with ``size``; independence is sympy's rank."""
     r = lattice.rank
     found = []
     for coeffs in itertools.product(range(-box, box + 1), repeat=r):
         if not any(coeffs):
             continue
-        found.append((size(lattice.vector(coeffs)), coeffs))
+        vec = [sum(c * row[k] for c, row in zip(coeffs, lattice.basis))
+               for k in range(r)]
+        found.append((size(vec), coeffs))
     found.sort()
     rows, minima = [], []
     for norm, coeffs in found:
-        candidate = rows + [[Fraction(c) for c in coeffs]]
-        from sysbound.lattices import _rank_of
-        if _rank_of(candidate) > len(rows):
+        candidate = rows + [list(coeffs)]
+        if as_matrix(candidate).rank() > len(rows):
             rows = candidate
             minima.append(norm)
             if len(minima) == j:
@@ -383,7 +386,7 @@ def test_minima_read_the_kept_lll_run(monkeypatch):
 
 
 def test_independent_scan_matches_the_rank_oracle():
-    from sysbound.lattices import _independent_scan, _rank_of
+    from sysbound.lattices import _independent_scan
     rng = random.Random(61)
     for trial in range(200):
         r = rng.randint(1, 5)
@@ -401,8 +404,8 @@ def test_independent_scan_matches_the_rank_oracle():
         upto = rng.randint(1, r)
         expected, rows = [], []
         for coeffs, value in vectors:
-            candidate = rows + [[Fraction(c) for c in coeffs]]
-            if _rank_of(candidate) > len(rows):
+            candidate = rows + [list(coeffs)]
+            if as_matrix(candidate).rank() > len(rows):
                 rows = candidate
                 expected.append(value)
                 if len(expected) == upto:
@@ -492,6 +495,50 @@ def test_pool_outputs_match_the_golden_record():
         assert len(specs) == len(golden[kind])
         for pos, (spec, expected) in enumerate(zip(specs, golden[kind])):
             assert child.lattice_op(lattices, spec) == expected, (kind, pos)
+
+
+def test_the_float_loop_sees_only_floats(monkeypatch):
+    # the exact algebra runs on kernel's integer elimination; the float
+    # Gauss-Jordan loop belongs to the ellipsoid fit alone.  Every module
+    # binding it gets a checker, then the polytope pool lattices and the
+    # cone engine over the batch pool run through it.
+    import importlib
+    import io
+    import pkgutil
+    import sysbound
+    from batch_pool import BATCH_POOL, bench_child
+    from sysbound.cli import run_command
+    real = lattices._gauss_jordan
+    calls = []
+
+    def checked(rows, ncols):
+        entries = [x for row in rows for x in row]
+        assert all(type(x) is float for x in entries), entries
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    binding = []
+    for info in pkgutil.iter_modules(sysbound.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("sysbound." + info.name)
+        if hasattr(module, "_gauss_jordan"):
+            binding.append(info.name)
+            monkeypatch.setattr(module, "_gauss_jordan", checked)
+    assert binding == ["lattices"]
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    for kind in ("hexagon", "cross"):
+        for spec in pool[kind]:
+            child.lattice_op(lattices, spec)
+    assert len(calls) > len(pool["hexagon"]) + len(pool["cross"])
+    fitted = len(calls)
+    for descriptor in BATCH_POOL:
+        for argv in (["phi-sup", "--space", descriptor],
+                     ["contractions", "--space", descriptor],
+                     ["bound", "--space", descriptor, "--theorem", "thm1.4"]):
+            run_command(argv, out=io.StringIO(), err=io.StringIO())
+    assert len(calls) == fitted
 
 
 # -- polytope norms -----------------------------------------------------------
