@@ -133,9 +133,10 @@ class TooManyVertices(CalculatorError):
 # pushforward
 
 class NonPolynomialResult(CalculatorError):
-    """A localization sum failed to clear its denominator.
+    """A pushforward's closed-form Schur coefficients disagree with its
+    localization sum at the check point x_i = 2^(i-1).
 
-    Polynomiality of the pushforward is a theorem; failure is a hard error.
+    The closed form is a theorem; failure is a hard error.
     """
 
 

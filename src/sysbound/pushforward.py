@@ -4,15 +4,16 @@
 
     sum over k-subsets I of (-sum_{i in I} x_i)^(q+j) / prod (x_l - x_i)
 
-with q = k(r-k), as an exact polynomial in the formal roots x_1..x_r.  The
-sum is the antisymmetrization over S_r of g0 = (-(x_1+...+x_k))^(q+j)
-Delta(x_1..x_k) Delta(x_(k+1)..x_r), divided by the Vandermonde and by
-k!(r-k)!.  By the bialternant formula (Macdonald, I.3) each monomial x^alpha
-of g0 with distinct exponents adds its sorting sign times s_(sort(alpha) -
-delta), so g0's symmetry under S_k x S_(r-k) makes every raw Schur
-coefficient a multiple of k!(r-k)!; one that is not raises.  The primitive
-component, the coefficient of p_j once p_1..p_(j-1) are killed, is a hook
-sum (Murnaghan-Nakayama, I.7) and needs at least j variables.
+with q = k(r-k), as an exact polynomial in the formal roots x_1..x_r.  Its
+Schur coefficients are closed: d_lambda = (-1)^j f^mu for each partition
+lambda of j with at most k rows, mu = lambda + (r-k)^k, and f^mu the number
+of standard tableaux of shape mu (hook length formula, Frame, Robinson and
+Thrall 1954).  By the bialternant formula (Macdonald, I.3), (sum x_I)^M is
+sum_mu f^mu s_mu(x_I), and the other r-k roots must contribute exactly
+delta_(r-k).  Each (k, r, j) is checked once against the fixed-point sum
+at x_i = 2^(i-1); a mismatch raises.  The primitive component, the
+coefficient of p_j once p_1..p_(j-1) are killed, is a hook sum
+(Murnaghan-Nakayama, I.7) and needs at least j variables.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPolynomialResult, PreconditionUnmet, TooFewVariables
-from .kernel import _sparse_mul
 
 # ``ChernData`` and ``GradedClass`` appear in annotations only: the
 # localization sum needs no cohomology ring, so it loads none.
@@ -79,18 +79,49 @@ class SymmetricPolynomial:
         return {" + ": "", " - ": "-"}[text[:3]] + text[3:] if text else "0"
 
 
-def _g0(k: int, r: int, j: int):
-    """(-(x_1+...+x_k))^(q+j) * Delta(x_1..x_k) * Delta(x_(k+1)..x_r)."""
-    x = [tuple(int(i == l) for i in range(r)) for l in range(r)]
-    factors = [{x[l]: -1 for l in range(k)}] * (k * (r - k) + j)
-    factors += [{x[b]: 1, x[a]: -1} for block in (range(k), range(k, r))
-                for a, b in itertools.combinations(block, 2)]
-    return functools.reduce(_sparse_mul, factors, {(0,) * r: 1})
+def _cells(mu):
+    """(hook length, content) of each cell of the Young diagram mu."""
+    conjugate = [sum(p > c for p in mu) for c in range(mu[0] if mu else 0)]
+    return [(p - c + conjugate[c] - i - 1, c - i)
+            for i, p in enumerate(mu) for c in range(p)]
+
+
+def _standard_tableaux(mu) -> int:
+    """f^mu = |mu|! / prod of the hook lengths (Frame-Robinson-Thrall)."""
+    return math.factorial(sum(mu)) // math.prod(h for h, _ in _cells(mu))
+
+
+def _check_at_fixed_point(k: int, r: int, j: int, coeffs):
+    """Raise unless V(x) sum d_lambda s_lambda(x) equals V(x) times the
+    localization sum at x_i = 2^(i-1), V the Vandermonde.  V is a multiple
+    of every fixed point's denominator, so the left side is a sum of
+    integers with no Schur function in it.  On the right, s_lambda there is
+    2^n(lambda) prod (2^(r+c) - 1) / (2^h - 1) over the contents c and hook
+    lengths h of its cells (Macdonald, I.3 Example 1), never zero, so a
+    change to any one coefficient breaks the match."""
+    xs = [2 ** i for i in range(r)]
+    vandermonde = math.prod(b - a for a, b in itertools.combinations(xs, 2))
+    left = sum((-sum(xs[i] for i in subset)) ** (k * (r - k) + j) * vandermonde
+               // math.prod(xs[l] - xs[i] for i in subset
+                            for l in range(r) if l not in subset)
+               for subset in itertools.combinations(range(r), k))
+    right = 0
+    for lam, d in coeffs:
+        cells = _cells(lam)
+        right += ((d << sum(i * p for i, p in enumerate(lam)))
+                  * math.prod(2 ** (r + c) - 1 for _, c in cells)
+                  // math.prod(2 ** h - 1 for h, _ in cells))
+    if left != vandermonde * right:
+        raise NonPolynomialResult(
+            "localization sum for (k, r, j) = (%d, %d, %d) does not match "
+            "its Schur coefficients at x_i = 2^(i-1); this contradicts the "
+            "hook length formula for the pushforward" % (k, r, j))
 
 
 @functools.lru_cache(maxsize=None)
 def _schur_coefficients(k: int, r: int, j: int):
-    """The class as ((lambda, d_lambda), ...) in the Schur basis s_lambda."""
+    """The class as ((lambda, d_lambda), ...) in the Schur basis s_lambda:
+    d_lambda = (-1)^j f^(lambda + (r-k)^k) for lambda of j in <= k rows."""
     if not 1 <= k < r:
         raise PreconditionUnmet("need 1 <= k < r")
     if j < 0:
@@ -98,24 +129,14 @@ def _schur_coefficients(k: int, r: int, j: int):
     if r > _MAX_R or j > _MAX_J:
         raise PreconditionUnmet(
             "desk-scale caps: r <= %d, j <= %d" % (_MAX_R, _MAX_J))
-    raw = {}
-    for alpha, c in _g0(k, r, j).items():
-        if len(set(alpha)) < r:
-            continue
-        inversions = sum(a < b for a, b in itertools.combinations(alpha, 2))
-        lam = tuple(e - (r - 1 - i)
-                    for i, e in enumerate(sorted(alpha, reverse=True)))
-        lam = tuple(p for p in lam if p)
-        raw[lam] = raw.get(lam, 0) + (-1) ** inversions * c
-    orbit = math.factorial(k) * math.factorial(r - k)
-    if any(v % orbit for v in raw.values()):
-        raise NonPolynomialResult(
-            "localization sum for (k, r, j) = (%d, %d, %d) did not clear its "
-            "denominator; this contradicts polynomiality of the pushforward"
-            % (k, r, j))
-    sign = (-1) ** (r * (r - 1) // 2)
-    return tuple(sorted((lam, sign * v // orbit)
-                        for lam, v in raw.items() if v))
+    # lam runs over the partitions of j padded with zeros to k rows
+    coeffs = tuple(sorted(
+        (tuple(p for p in lam if p),
+         (-1) ** j * _standard_tableaux([p + r - k for p in lam]))
+        for lam in itertools.combinations_with_replacement(
+            range(j, -1, -1), k) if sum(lam) == j))
+    _check_at_fixed_point(k, r, j, coeffs)
+    return coeffs
 
 
 def _schur_monomials(lam, n: int):

@@ -568,6 +568,14 @@ def test_lattice_without_a_source_is_a_usage_error(argv):
         2, "", "parse error: pass --gram, --vertices, or --sweep at offset 0\n")
 
 
+@pytest.mark.parametrize("argv", [[], ["--genus", "1"], ["--a", "2"]])
+def test_bundle_profile_without_n_or_degrees_is_a_usage_error(argv):
+    # nothing to compute: misuse of the options, as with a bare ``lattice``
+    assert _run(["bundle-profile", *argv]) == (
+        2, "", "parse error: pass --n for the supremum or --degrees/--genus "
+               "for a profile value at offset 0\n")
+
+
 def test_length_refuses_a_vanishing_index_polynomial():
     # b2 = 1 from CP(2), but e^(ax) A-hat has no S(4) volume component
     assert _run(["length", "--space", "CP(2) * S(4)"]) == (
@@ -832,7 +840,7 @@ _NOT_LOADED = {
                     frozenset(("characteristic", "lattices", "pushforward"))),
     "catalog": _ENGINES,
     "lattice": _ENGINES - {"lattices"},
-    "pushforward": _ENGINES - {"pushforward"},
+    "pushforward": _ENGINES - {"pushforward"} | {"kernel"},
     "contractions": _ENGINES - {"cones", "roots"},
     "bundle-profile": _ENGINES - {"cones", "roots"},
 }

@@ -1,5 +1,6 @@
 """Localization pushforwards, primitive components, Segre cross-checks."""
 
+import functools
 import itertools
 import math
 import random
@@ -12,8 +13,11 @@ from sympy_oracle import as_expr, as_poly
 
 from sysbound.catalog import projective_space
 from sysbound.characteristic import ChernData
-from sysbound.errors import PreconditionUnmet, TooFewVariables
+from sysbound.errors import (NonPolynomialResult, PreconditionUnmet,
+                             TooFewVariables)
+from sysbound.kernel import _sparse_mul
 from sysbound.pushforward import (SEGRE_SIGN, SymmetricPolynomial,
+                                  _check_at_fixed_point, _schur_coefficients,
                                   bracket_formula, localization_pushforward,
                                   primitive_coefficient, segre_pushforward,
                                   segre_series_at)
@@ -63,6 +67,60 @@ def _localization_sum(k, r, j, xs):
                                 for l in range(r) if l not in subset)
         total += numerator / denominator
     return total
+
+
+def _g0(k, r, j):
+    """(-(x_1+...+x_k))^(q+j) * Delta(x_1..x_k) * Delta(x_(k+1)..x_r)."""
+    x = [tuple(int(i == l) for i in range(r)) for l in range(r)]
+    factors = [{x[l]: -1 for l in range(k)}] * (k * (r - k) + j)
+    factors += [{x[b]: 1, x[a]: -1} for block in (range(k), range(k, r))
+                for a, b in itertools.combinations(block, 2)]
+    return functools.reduce(_sparse_mul, factors, {(0,) * r: 1})
+
+
+def _antisymmetrized_coefficients(k, r, j):
+    """Oracle: k!(r-k)! times the Schur coefficients, from the expansion.
+
+    The localization sum is the antisymmetrization of g0 over S_r divided
+    by the Vandermonde and by k!(r-k)!.  By the bialternant formula
+    (Macdonald, I.3) each monomial x^alpha of g0 with distinct exponents
+    adds its sorting sign times s_(sort(alpha) - delta).
+    """
+    raw = {}
+    for alpha, c in _g0(k, r, j).items():
+        if len(set(alpha)) < r:
+            continue
+        inversions = sum(a < b for a, b in itertools.combinations(alpha, 2))
+        lam = tuple(e - (r - 1 - i)
+                    for i, e in enumerate(sorted(alpha, reverse=True)))
+        lam = tuple(p for p in lam if p)
+        raw[lam] = raw.get(lam, 0) + (-1) ** inversions * c
+    sign = (-1) ** (r * (r - 1) // 2)
+    return {lam: sign * v for lam, v in raw.items() if v}
+
+
+def test_closed_form_matches_the_antisymmetrized_expansion():
+    for k, r, j in _ALL_CASES:
+        orbit = math.factorial(k) * math.factorial(r - k)
+        expected = {lam: Fraction(v, orbit) for lam, v
+                    in _antisymmetrized_coefficients(k, r, j).items()}
+        assert dict(_schur_coefficients(k, r, j)) == expected, (k, r, j)
+
+
+def test_fixed_point_check_catches_each_changed_coefficient():
+    changed_cases = 0
+    for k, r, j in _ALL_CASES:
+        coeffs = _schur_coefficients(k, r, j)
+        _check_at_fixed_point(k, r, j, coeffs)
+        prefix = r"^localization sum for \(k, r, j\) = \(%d, %d, %d\) " \
+            % (k, r, j)
+        for i, (lam, d) in enumerate(coeffs):
+            for delta in (1, -1):
+                changed = coeffs[:i] + ((lam, d + delta),) + coeffs[i + 1:]
+                with pytest.raises(NonPolynomialResult, match=prefix):
+                    _check_at_fixed_point(k, r, j, changed)
+                changed_cases += 1
+    assert changed_cases == 502
 
 
 def test_base_case_minus_p1():
