@@ -546,8 +546,8 @@ def _cmd_bundle_profile(args):
                  ("profile_sup", cones.bundle_profile_sup(args.n)),
                  ("maximizer", "(x, e) = (1, 0)")]
     if not rows:
-        raise ParseError("pass --n for the supremum or --degrees/--genus "
-                         "for a profile value", 0)
+        raise ParseError("pass --n for the supremum or --degrees (with "
+                         "optional --genus, --a, --b) for a profile value", 0)
     return rows
 
 

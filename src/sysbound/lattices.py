@@ -7,17 +7,23 @@ quantities are exact: Euclidean minima as squared rationals, polytope minima
 as rationals.
 
 Gram matrices B F B^T are formed in Python ints, with the denominators of B
-and F cleared once and divided out once per entry; lattice vectors and
-quadratic forms x^T F x are evaluated the same way, and inverses,
-determinants, solves and ranks run on the integer elimination of ``kernel``.
-Enumeration is exact Fincke-Pohst in integers over one common denominator,
-each range from an integer square root; an exact LLL pass keeps the search
-tree small.  LLL, and the size reduction that ends a KZ reduction, compute
-the Gram-Schmidt data (mu, bstar) once and update it in place under each row
-operation (Cohen, GTM 138, section 2.6), and LLL hands the data of its
-reduced rows to the enumeration, the shortest vector and KZ: no Gram matrix
-is rebuilt or factored twice.  Each lattice keeps its minima, its LLL run
-and its dual.
+and F cleared once; lattice vectors and quadratic forms x^T F x are
+evaluated the same way, and inverses, determinants, solves and ranks run on
+the integer elimination of ``kernel``.
+
+The reduction engine runs on integers from the Gram matrix through the
+enumeration, on Cohen's integral Gram-Schmidt data (GTM 138, Algorithm
+2.6.7): the leading principal minors d_i of the integer Gram matrix and
+lam_ij = d_(j+1) mu_ij, mu the Gram-Schmidt coefficients.  One pass computes
+them and is also the positive-definiteness test (every d_i > 0, Sylvester's
+criterion).  LLL's size reduction, Lovasz test and swaps, and the size
+reduction that ends a KZ reduction, update them in place with exact integer
+divisions; LLL hands the data of its reduced rows to the enumeration, the
+shortest vector and KZ, so no Gram matrix is rebuilt or factored twice.
+Enumeration is exact Fincke-Pohst on the same data, each range from an
+integer square root.  A value becomes a Fraction only where it leaves the
+engine: a minimum, a norm.  Each lattice keeps its minima, its LLL run and
+its dual.
 
 Each enumerated vector is measured once, and the minima are read off by an
 independence scan that keeps integer echelon rows.  A Euclidean size is the
@@ -68,40 +74,53 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _gs_data(gram):
-    """LDL^T of a positive-definite Gram matrix: Gram-Schmidt data (mu, bstar).
+def _integral_gs(gram):
+    """Cohen's integral Gram-Schmidt data ``(lam, d)`` of a symmetric
+    integer matrix (GTM 138, Algorithm 2.6.7, step 2).
 
-    gram = mu diag(bstar) mu^T with mu unit lower triangular; raises on the
-    first nonpositive pivot, so no pivot is ever divided by unless positive.
-    The entries may be ints or Fractions; mu and bstar are Fractions.
+    d_0 = 1 and d_i is the leading i x i minor; row i of lam holds
+    lam_ij = d_(j+1) mu_ij for j < i, where gram = mu diag(bstar) mu^T with
+    mu unit lower triangular and bstar_i = d_(i+1) / d_i.  Every division is
+    exact.  Raises on the first d_i that is not positive, so none is ever
+    divided by unless positive: the form is positive definite iff no d_i
+    raises (Sylvester's criterion).
     """
-    r = len(gram)
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    bstar = [Fraction(0)] * r
-    for i in range(r):
-        mu[i][i] = Fraction(1)
-        bstar[i] = Fraction(gram[i][i])
-        for j in range(i):
-            num = gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k] for k in range(j))
-            mu[i][j] = num / bstar[j]
-            bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        if bstar[i] <= 0:
+    d = [1]
+    lam = []
+    for k, g_k in enumerate(gram):
+        row = []
+        for j in range(k + 1):
+            other = lam[j] if j < k else row
+            u = g_k[j]
+            for i in range(j):
+                u = (d[i + 1] * u - row[i] * other[i]) // d[i]
+            if j < k:
+                row.append(u)
+        if u <= 0:
             raise PreconditionUnmet("form is not positive definite")
-    return mu, bstar
+        d.append(u)
+        lam.append(row)
+    return lam, d
 
 
 def _is_positive_definite(g):
-    """Symmetric with all LDL^T pivots positive (Sylvester's criterion)."""
+    """Symmetric with every leading principal minor positive (Sylvester's
+    criterion), read off the integral Gram-Schmidt pass."""
     n = len(g)
     if any(len(row) != n for row in g):
         return False
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         return False
     try:
-        _gs_data(g)
+        _integral_gs(_cleared(g)[0])
     except PreconditionUnmet:
         return False
     return True
+
+
+def _int_quad(rows, xs):
+    """x^T G x for integer rows G and an integer vector x, in ints."""
+    return sum(xi * sum(map(mul, row, xs)) for xi, row in zip(xs, rows) if xi)
 
 
 def _quad(g, x):
@@ -109,24 +128,29 @@ def _quad(g, x):
     X^T G X / (d^2 e), one Fraction."""
     xs, d = _cleared_row(x)
     rows, e = _cleared(g)
-    return Fraction(sum(xi * sum(map(mul, row, xs))
-                        for xi, row in zip(xs, rows) if xi), d * d * e)
+    return Fraction(_int_quad(rows, xs), d * d * e)
+
+
+def _int_gram(b, f):
+    """B F B^T for integer rows B and F, in ints."""
+    f_cols = list(zip(*f))
+    bf = [[sum(map(mul, row, col)) for col in f_cols] for row in b]
+    return [[sum(map(mul, row, other)) for other in b] for row in bf]
+
+
+def _integral_gram(basis, form):
+    """``(gram, scale)``: basis * form * basis^T = gram / scale, gram in
+    integer rows.  Denominators are cleared once per matrix (basis = B / d,
+    form = F / e), so gram = B F B^T and scale = d^2 e."""
+    b, d = _cleared(basis)
+    f, e = _cleared(form)
+    return _int_gram(b, f), d * d * e
 
 
 def _gram_of_basis(basis, form):
-    """The exact product basis * form * basis^T.
-
-    Denominators are cleared once per matrix (basis = B / d, form = F / e),
-    B F B^T is multiplied in Python ints, and each entry is divided by
-    d^2 e once at the end.
-    """
-    b, d = _cleared(basis)
-    f, e = _cleared(form)
-    f_cols = list(zip(*f))
-    bf = [[sum(x * y for x, y in zip(row, col)) for col in f_cols] for row in b]
-    scale = d * d * e
-    return [[Fraction(sum(x * y for x, y in zip(row, other)), scale)
-             for other in b] for row in bf]
+    """The exact product basis * form * basis^T, one Fraction per entry."""
+    gram, scale = _integral_gram(basis, form)
+    return [[Fraction(x, scale) for x in row] for row in gram]
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +306,12 @@ class NormedLattice:
 
     @cached_property
     def _lll(self):
-        """The Gram matrix of the basis in the Euclidean form and its LLL
-        run (see :func:`lll_transform`)."""
-        gram = _gram_of_basis(self.basis, self.euclidean_form())
-        return gram, lll_transform(gram)
+        """``(gram, scale, run)``: the Gram matrix of the basis in the
+        Euclidean form as integer rows over ``scale`` (see
+        :func:`_integral_gram`), and the LLL run of those rows (see
+        :func:`lll_transform`)."""
+        gram, scale = _integral_gram(self.basis, self.euclidean_form())
+        return gram, scale, lll_transform(gram)
 
     @cached_property
     def _minima(self):
@@ -445,25 +471,25 @@ def _certified_ellipsoid_form(vertices, normals, r):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_short_vectors(mu, bstar, bound: Fraction):
-    """All nonzero x in Z^r with x^T G x <= bound, G = mu diag(bstar) mu^T,
-    one per +-pair, with their exact values, sorted by value.
+def enumerate_short_vectors(lam, d, bound, scale=1):
+    """All nonzero x in Z^r with x^T G x <= bound, one per +-pair, with
+    their exact values, sorted by value; G = gram / scale, and ``(lam, d)``
+    is the integral Gram-Schmidt data of the integer rows ``gram``.
 
-    Fincke-Pohst in integers.  Level l adds bstar_l (x_l + c_l)^2 with
-    c_l = n_l / e_l, e_l the common denominator of column l of mu and n_l
-    an integer combination of the deeper coordinates.  Over one common
-    denominator s that term is m_l (e_l x_l + n_l)^2 / s with m_l an
-    integer, so the budget is kept as floor(s bound) minus integer terms
-    and each level's range comes from one integer square root.
+    Fincke-Pohst in integers.  With mu_jl = lam_jl / e_l, e_l = d_(l+1),
+    and bstar_l = d_(l+1) / d_l, level l adds to x^T gram x the term
+    bstar_l (x_l + n_l / e_l)^2 = (e_l x_l + n_l)^2 / (d_l d_(l+1)), n_l the
+    integer sum of lam_jl x_j over the deeper coordinates.  Over the common
+    denominator s = lcm(d_l d_(l+1)) it is m_l (e_l x_l + n_l)^2 / s with
+    m_l an integer, so the budget is kept as floor(s scale bound) minus
+    integer terms and each level's range comes from one integer square root.
     """
-    r = len(bstar)
-    e = [math.lcm(*(mu[j][l].denominator for j in range(l + 1, r)))
-         for l in range(r)]
-    lam = [[int(mu[j][l] * e[l]) for l in range(j)] for j in range(r)]
-    weights = [bstar[l] / (e[l] * e[l]) for l in range(r)]
-    s = math.lcm(*(w.denominator for w in weights))
-    m = [w.numerator * (s // w.denominator) for w in weights]
-    budget = math.floor(bound * s)
+    r = len(lam)
+    e = d[1:]
+    s = math.lcm(*(a * b for a, b in zip(d, e)))
+    m = [s // (a * b) for a, b in zip(d, e)]
+    s *= scale
+    budget = bound.numerator * s // bound.denominator
     out = []
     coords = [0] * r
 
@@ -499,72 +525,74 @@ def enumerate_short_vectors(mu, bstar, bound: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _round_half(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def _reduce_row(w, mu, k):
+def _reduce_row(w, lam, d, k):
     """Size-reduce row k of w in place against rows k-1, ..., 0.
 
-    Each step is row k <- row k - q row j with q = mu_kj rounded; the
-    Gram-Schmidt coefficients of row k follow in place (mu_kl -= q mu_jl
-    for l < j, mu_kj -= q) and the Gram-Schmidt norms do not change.
+    Each step is row k <- row k - q row j with q = mu_kj rounded half up,
+    mu_kj = lam_kj / d_(j+1), that is q = (2 lam_kj + d_(j+1)) // (2 d_(j+1));
+    row k's lam follow in place (lam_kl -= q lam_jl for l < j,
+    lam_kj -= q d_(j+1)) and the d do not change.
     """
-    mu_k = mu[k]
+    lam_k = lam[k]
     for j in range(k - 1, -1, -1):
-        q = _round_half(mu_k[j])
+        e = d[j + 1]
+        q = (2 * lam_k[j] + e) // (2 * e)
         if q:
             w[k] = [a - q * b for a, b in zip(w[k], w[j])]
-            mu_j = mu[j]
+            lam_j = lam[j]
             for l in range(j):
-                mu_k[l] -= q * mu_j[l]
-            mu_k[j] -= q
+                lam_k[l] -= q * lam_j[l]
+            lam_k[j] -= q * e
 
 
-def _swap_rows(w, mu, bstar, k):
-    """Exchange rows k-1 and k of w, updating the Gram-Schmidt data
-    exactly (Cohen, GTM 138, Algorithm 2.6.3, sub-algorithm SWAP)."""
+def _swap_rows(w, lam, d, k):
+    """Exchange rows k-1 and k of w, updating the integral data with exact
+    divisions (Cohen, GTM 138, Algorithm 2.6.7, sub-algorithm SWAPI)."""
     w[k], w[k - 1] = w[k - 1], w[k]
-    mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
-    m = mu[k][k - 1]
-    big = bstar[k] + m * m * bstar[k - 1]
-    mu[k][k - 1] = m * bstar[k - 1] / big
-    bstar[k] = bstar[k - 1] * bstar[k] / big
-    bstar[k - 1] = big
-    for mu_i in mu[k + 1:]:
-        t = mu_i[k]
-        mu_i[k] = mu_i[k - 1] - m * t
-        mu_i[k - 1] = t + mu[k][k - 1] * mu_i[k]
+    lam[k][:k - 1], lam[k - 1] = lam[k - 1], lam[k][:k - 1]
+    m = lam[k][k - 1]
+    d0, d1, d2 = d[k - 1], d[k], d[k + 1]
+    b = (d0 * d2 + m * m) // d1
+    for lam_i in lam[k + 1:]:
+        t = lam_i[k]
+        lam_i[k] = (d2 * lam_i[k - 1] - m * t) // d1
+        lam_i[k - 1] = (b * t + m * lam_i[k]) // d2
+    d[k] = b
 
 
 def lll_transform(gram):
-    """The LLL run ``(w, mu, bstar)``: integer rows W with W * basis
-    LLL-reduced and W G W^T = mu diag(bstar) mu^T; exact arithmetic.
+    """The LLL run ``(w, lam, d)`` of a positive-definite integer Gram
+    matrix: integer rows W with W * basis LLL-reduced, and the integral
+    Gram-Schmidt data (see :func:`_integral_gs`) of W gram W^T.
 
-    The Gram-Schmidt data is computed once and then updated in place under
-    each size-reduction step and each swap.
+    The run depends only on the form, so any positive multiple of it gives
+    the same W.  The data is computed once and then updated in place under
+    each size-reduction step and each swap.  The Lovasz test with
+    LLL_DELTA = p / q, bstar_k >= (p/q - mu_(k,k-1)^2) bstar_(k-1), reads
+    q (d_(k+1) d_(k-1) + lam_(k,k-1)^2) >= p d_k^2 on the integral data.
     """
     r = len(gram)
     w = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    mu, bstar = _gs_data(gram)
+    lam, d = _integral_gs(gram)
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     k, guard = 1, 0
     while k < r:
         guard += 1
         if guard > 10_000:
             raise PreconditionUnmet("LLL failed to terminate")
-        _reduce_row(w, mu, k)
-        if bstar[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * bstar[k - 1]:
+        _reduce_row(w, lam, d, k)
+        m = lam[k][k - 1]
+        if q * (d[k + 1] * d[k - 1] + m * m) >= p * d[k] * d[k]:
             k += 1
         else:
-            _swap_rows(w, mu, bstar, k)
+            _swap_rows(w, lam, d, k)
             k = max(k - 1, 1)
-    return w, mu, bstar
+    return w, lam, d
 
 
-def _row_norms(mu, bstar):
-    """The diagonal of mu diag(bstar) mu^T, sum_(k<=i) mu_ik^2 bstar_k."""
-    return [sum(mu_i[k] ** 2 * bstar[k] for k in range(i + 1))
-            for i, mu_i in enumerate(mu)]
+def _row_norms(w, gram):
+    """The diagonal of W gram W^T, in ints."""
+    return [_int_quad(gram, row) for row in w]
 
 
 def _combine(x, w):
@@ -608,49 +636,53 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(lll):
-    """A shortest nonzero coefficient vector and its squared norm, from the
-    LLL run ``lll_transform(gram)``."""
-    w, mu, bstar = lll
-    bound = min(_row_norms(mu, bstar))
-    vectors = enumerate_short_vectors(mu, bstar, bound)
+def shortest_vector(gram, lll):
+    """A shortest nonzero coefficient vector of the integer Gram matrix
+    ``gram``, from its LLL run ``lll_transform(gram)``."""
+    w, lam, d = lll
+    bound = min(_row_norms(w, gram))
+    vectors = enumerate_short_vectors(lam, d, bound)
     if not vectors:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
             "reduced basis norm %s" % bound)
-    best_vec, best_norm = vectors[0]
-    coeffs = _combine(best_vec, w)
+    coeffs = _combine(vectors[0][0], w)
     g = math.gcd(*coeffs)
     if g != 1:
         raise CertificateFailed(
             "primitivity certificate: shortest vector %s has content %d"
             % (coeffs, g))
-    return coeffs, best_norm
+    return coeffs
 
 
 def kz_transform(gram, lll):
-    """Integer row transform W with W * basis KZ-reduced; ``lll`` is the
-    LLL run ``lll_transform(gram)``.
+    """Integer row transform W with W * basis KZ-reduced, for a
+    positive-definite integer Gram matrix; ``lll`` is the LLL run
+    ``lll_transform(gram)``.
 
     The first vector is a shortest vector; recursively, each Gram-Schmidt
     vector is shortest in the projected lattice, and the final basis is
-    size-reduced (|mu_ij| <= 1/2).
+    size-reduced (|mu_ij| <= 1/2).  The projected form is the Schur
+    complement g_00 g_ij - g_i0 g_j0 of the first vector, in integers,
+    divided by its content; a positive multiple of a form reduces alike.
     """
     r = len(gram)
     if r == 1:
         return [[1]]
-    v, _ = shortest_vector(lll)
-    t1 = _complete_unimodular(v)
-    g1 = _gram_of_basis(t1, gram)
-    projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g1[0][0]
-                  for j in range(1, r)] for i in range(1, r)]
+    t1 = _complete_unimodular(shortest_vector(gram, lll))
+    g1 = _int_gram(t1, gram)
+    a = g1[0][0]
+    projected = [[a * g1[i][j] - g1[i][0] * g1[j][0] for j in range(1, r)]
+                 for i in range(1, r)]
+    content = math.gcd(*(x for row in projected for x in row))
+    projected = [[x // content for x in row] for row in projected]
     # a rank-1 projection needs no LLL run: it is KZ-reduced as it stands
     sub = (kz_transform(projected, lll_transform(projected)) if r > 2
            else [[1]])
     w = [t1[0]] + [_combine(row, t1[1:]) for row in sub]
-    mu, _ = _gs_data(_gram_of_basis(w, gram))
+    lam, d = _integral_gs(_int_gram(w, gram))
     for i in range(1, r):
-        _reduce_row(w, mu, i)
+        _reduce_row(w, lam, d, i)
     det = _det(w)
     if abs(det) != 1:
         raise CertificateFailed(
@@ -708,14 +740,14 @@ def _scored_vectors(lattice: NormedLattice):
     The search is in the Euclidean form.  A Euclidean size is the
     enumeration's own value; a polytope norm is measured on the coefficients.
     """
-    _, (w, mu, bstar) = lattice._lll
+    gram, scale, (w, lam, d) = lattice._lll
     if lattice.gram is not None:
-        radius = max(_row_norms(mu, bstar))
+        radius = Fraction(max(_row_norms(w, gram)), scale)
     else:
         radius = max(lattice._coefficient_norm(row) for row in w)
     scored = []
-    for vec, value in enumerate_short_vectors(mu, bstar,
-                                              lattice._form_budget(radius)):
+    for vec, value in enumerate_short_vectors(
+            lam, d, lattice._form_budget(radius), scale):
         coeffs = tuple(_combine(vec, w))
         if lattice.gram is None:
             value = lattice._coefficient_norm(coeffs)
@@ -798,11 +830,12 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     dual = dual_lattice(lattice)
     if lattice.kind == "euclidean":
         # the dual's own form is the inverse form: share its kept LLL run
-        gram, lll = dual._lll
+        gram, scale, lll = dual._lll
         w = kz_transform(gram, lll)
-        norms = tuple(_quad(gram, row) for row in w)
+        norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
-        gram = _gram_of_basis(dual.basis, _mat_inv(lattice.euclidean_form()))
+        gram, _ = _integral_gram(dual.basis,
+                                 _mat_inv(lattice.euclidean_form()))
         w = kz_transform(gram, lll_transform(gram))
         norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]

@@ -139,28 +139,30 @@ def _schur_coefficients(k: int, r: int, j: int):
     return coeffs
 
 
+@functools.lru_cache(maxsize=None)
 def _schur_monomials(lam, n: int):
-    """s_lam(x_1..x_n) as {exponents: coefficient} by the branching rule:
-    removing a horizontal strip of size m from lam contributes x_n^m."""
+    """s_lam(x_1..x_n) as a tuple of (exponents, coefficient) pairs, by the
+    branching rule: removing a horizontal strip of size m from lam
+    contributes x_n^m.  Cached, so each Schur function is expanded once."""
     if not lam:
-        return {(0,) * n: 1}
+        return (((0,) * n, 1),)
     if len(lam) > n:
-        return {}
+        return ()
     out = {}
     for mu in itertools.product(*(range(nxt, part + 1) for part, nxt
                                   in zip(lam, lam[1:] + (0,)))):
         mu = tuple(p for p in mu if p)
-        for alpha, c in _schur_monomials(mu, n - 1).items():
+        for alpha, c in _schur_monomials(mu, n - 1):
             key = alpha + (sum(lam) - sum(mu),)
             out[key] = out.get(key, 0) + c
-    return out
+    return tuple(out.items())
 
 
 def localization_pushforward(k: int, r: int, j: int) -> SymmetricPolynomial:
     """The universal degree-j pushforward class for G(k, r)-bundles."""
     terms = {}
     for lam, d in _schur_coefficients(k, r, j):
-        for alpha, c in _schur_monomials(lam, r).items():
+        for alpha, c in _schur_monomials(lam, r):
             terms[alpha] = terms.get(alpha, 0) + d * c
     return SymmetricPolynomial(tuple(sorted(
         ((a, c) for a, c in terms.items() if c), reverse=True)), r)

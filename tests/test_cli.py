@@ -568,12 +568,14 @@ def test_lattice_without_a_source_is_a_usage_error(argv):
         2, "", "parse error: pass --gram, --vertices, or --sweep at offset 0\n")
 
 
-@pytest.mark.parametrize("argv", [[], ["--genus", "1"], ["--a", "2"]])
+@pytest.mark.parametrize("argv", [[], ["--genus", "1"], ["--a", "2"],
+                                  ["--b", "1"]])
 def test_bundle_profile_without_n_or_degrees_is_a_usage_error(argv):
-    # nothing to compute: misuse of the options, as with a bare ``lattice``
+    # nothing to compute: misuse of the options, as with a bare ``lattice``;
+    # --genus, --a and --b only qualify --degrees
     assert _run(["bundle-profile", *argv]) == (
-        2, "", "parse error: pass --n for the supremum or --degrees/--genus "
-               "for a profile value at offset 0\n")
+        2, "", "parse error: pass --n for the supremum or --degrees (with "
+               "optional --genus, --a, --b) for a profile value at offset 0\n")
 
 
 def test_length_refuses_a_vanishing_index_polynomial():

@@ -2,15 +2,19 @@
 
 The independent oracle for minima is a naive box enumeration, deliberately
 different from the Fincke-Pohst search used by the library.  The oracle for
-LLL and KZ reduction recomputes the Gram matrix of the rows and its
-Gram-Schmidt data after every row operation, where the library updates the
-Gram-Schmidt data in place; the integer Gram product is checked against
-plain Fraction products.
+LLL and KZ reduction has its own Fraction LDL^T, rounding and shortest-vector
+search, and recomputes the Gram matrix of the rows and its Gram-Schmidt data
+after every row operation, where the library keeps Cohen's integral data
+and updates it in place; the integer Gram product is checked against plain
+Fraction products.
 """
 
+import ast
+import inspect
 import itertools
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -21,7 +25,8 @@ from sysbound.errors import BoundViolated, PreconditionUnmet, RankTooLarge
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
                                lll_transform, random_basis, reduced_dual_basis,
                                successive_minima, transference_check,
-                               _gram_of_basis, _quad)
+                               _gram_of_basis, _integral_gram, _integral_gs,
+                               _quad)
 
 
 def _identity(r):
@@ -200,7 +205,7 @@ def test_lll_and_kz_are_unimodular():
     for _ in range(8):
         r = rng.randint(2, 4)
         basis = random_basis(r, rng)
-        gram = _gram_of_basis(basis, _identity(r))
+        gram, _ = _integral_gram(basis, _identity(r))
         lll = lll_transform(gram)
         for transform in (lll[0], kz_transform(gram, lll)):
             assert abs(_det(_mat(transform))) == 1
@@ -212,9 +217,9 @@ def test_kz_first_vector_is_shortest():
         r = rng.randint(2, 4)
         basis = random_basis(r, rng, -4, 4)
         lat = NormedLattice(basis=basis, gram=_identity(r))
-        gram = lat.lattice_gram()
-        w = kz_transform(gram, lll_transform(gram))
-        first = _quad(gram, [Fraction(c) for c in w[0]])
+        ints, _ = _integral_gram(lat.basis, lat.gram)
+        w = kz_transform(ints, lll_transform(ints))
+        first = _quad(lat.lattice_gram(), [Fraction(c) for c in w[0]])
         assert first == successive_minima(lat, 1)
 
 
@@ -230,16 +235,54 @@ def _fraction_gram(basis, form):
              for other in basis] for row in bf]
 
 
+def _oracle_gs(gram):
+    """Oracle: LDL^T of a positive-definite Gram matrix in Fractions,
+    gram = mu diag(bstar) mu^T with mu unit lower triangular."""
+    r = len(gram)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    bstar = [Fraction(0)] * r
+    for i in range(r):
+        mu[i][i] = Fraction(1)
+        bstar[i] = Fraction(gram[i][i])
+        for j in range(i):
+            num = gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k]
+                                   for k in range(j))
+            mu[i][j] = num / bstar[j]
+            bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        assert bstar[i] > 0, gram
+    return mu, bstar
+
+
+def _oracle_round_half(x: Fraction) -> int:
+    """Oracle: x rounded to the nearest integer, halves up."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def _as_fractions(lam, d):
+    """The Gram-Schmidt data (mu, bstar) that the integral data (lam, d)
+    stands for: mu_ij = lam_ij / d_(j+1), bstar_i = d_(i+1) / d_i."""
+    r = len(lam)
+    mu = [[Fraction(lam[i][j], d[j + 1]) if j < i else Fraction(int(i == j))
+           for j in range(r)] for i in range(r)]
+    return mu, [Fraction(d[i + 1], d[i]) for i in range(r)]
+
+
+def _cleared_ints(gram):
+    """``(ints, c)``: the Gram matrix times c, the least common denominator
+    of its entries, as integer rows."""
+    c = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
+    return [[int(x * c) for x in row] for row in gram], c
+
+
 def _oracle_size_reduce(w, gram, k):
     """Size-reduce row k against rows k-1, ..., 0, recomputing the
     Gram-Schmidt data of all rows after every step."""
-    from sysbound.lattices import _gs_data, _round_half
-    mu, bstar = _gs_data(_gram_of_basis(w, gram))
+    mu, bstar = _oracle_gs(_gram_of_basis(w, gram))
     for j in range(k - 1, -1, -1):
-        q = _round_half(mu[k][j])
+        q = _oracle_round_half(mu[k][j])
         if q:
             w[k] = [a - q * b for a, b in zip(w[k], w[j])]
-            mu, bstar = _gs_data(_gram_of_basis(w, gram))
+            mu, bstar = _oracle_gs(_gram_of_basis(w, gram))
     return mu, bstar
 
 
@@ -257,16 +300,47 @@ def _oracle_lll(gram, delta=Fraction(3, 4)):
     return w
 
 
+def _oracle_shortest(mu, bstar, bound):
+    """Oracle: the first shortest nonzero x with x^T G x <= bound,
+    G = mu diag(bstar) mu^T, in the library's order: by value, then by
+    (x_(r-1), ..., x_0) ascending, the first nonzero x_i positive.
+
+    A Fraction depth-first search, level l adding bstar_l (x_l - c_l)^2
+    with the center c_l read off the deeper coordinates; each level scans
+    a window around its center and keeps the x inside the budget.
+    """
+    r = len(bstar)
+    best = []
+    x = [0] * r
+
+    def descend(level, spent):
+        if level < 0:
+            first = next((c for c in x if c), 0)
+            if first > 0 and (not best or spent < best[1]):
+                best[:] = [list(x), spent]
+            return
+        c = -sum(mu[j][level] * x[j] for j in range(level + 1, r))
+        reach = math.isqrt(math.floor((bound - spent) / bstar[level])) + 1
+        for x_l in range(math.floor(c) - reach, math.floor(c) + reach + 2):
+            value = spent + bstar[level] * (x_l - c) ** 2
+            if value <= bound:
+                x[level] = x_l
+                descend(level - 1, value)
+        x[level] = 0
+
+    descend(r - 1, Fraction(0))
+    return best[0]
+
+
 def _oracle_kz(gram):
-    from sysbound.lattices import (_complete_unimodular, _gs_data,
-                                   enumerate_short_vectors)
+    from sysbound.lattices import _complete_unimodular
     r = len(gram)
     if r == 1:
         return [[1]]
     w = _oracle_lll(gram)
     reduced = _gram_of_basis(w, gram)
-    best, _ = enumerate_short_vectors(
-        *_gs_data(reduced), min(reduced[i][i] for i in range(r)))[0]
+    best = _oracle_shortest(*_oracle_gs(reduced),
+                            min(reduced[i][i] for i in range(r)))
     t1 = _complete_unimodular([sum(best[i] * w[i][j] for i in range(r))
                                for j in range(r)])
     g1 = _gram_of_basis(t1, gram)
@@ -299,7 +373,7 @@ def _seeded_grams(count, seed):
 
 
 def test_enumeration_matches_a_box_scan():
-    from sysbound.lattices import _gs_data, _mat_inv, enumerate_short_vectors
+    from sysbound.lattices import _mat_inv, enumerate_short_vectors
     rng = random.Random(67)
     scanned = 0
     for gram in _seeded_grams(40, 71):
@@ -318,7 +392,8 @@ def test_enumeration_matches_a_box_scan():
             first = next((c for c in x if c), 0)
             if first > 0 and value <= bound:
                 expected.append((x, value))
-        found = enumerate_short_vectors(*_gs_data(gram), bound)
+        ints, scale = _cleared_ints(gram)
+        found = enumerate_short_vectors(*_integral_gs(ints), bound, scale)
         assert sorted(found) == sorted(expected)
         assert [v for _, v in found] == sorted(v for _, v in found)
         scanned += 1
@@ -342,19 +417,114 @@ def test_lll_and_kz_match_the_rebuild_oracle():
     grams = list(_seeded_grams(200, 59))
     assert {len(g) for g in grams} == {2, 3, 4, 5}
     assert any(x.denominator > 1 for g in grams for row in g for x in row)
-    from sysbound.lattices import _gs_data
     for gram in grams:
         expected = _oracle_lll(gram)
-        lll = lll_transform(gram)
-        w, mu, bstar = lll
+        ints, _ = _cleared_ints(gram)
+        lll = lll_transform(ints)
+        w, lam, d = lll
         assert w == expected, gram
-        # the Gram-Schmidt data kept through the run is that of the rows
-        assert (mu, bstar) == _gs_data(_gram_of_basis(w, gram)), gram
-        assert kz_transform(gram, lll) == _oracle_kz(gram), gram
-        if all(x.denominator == 1 for row in gram for x in row):
-            # plain int entries reduce exactly as their Fractions do
-            ints = [[int(x) for x in row] for row in gram]
-            assert lll_transform(ints) == lll, gram
+        # the integral data kept through the run is that of the rows
+        reduced = _gram_of_basis(w, ints)
+        assert _as_fractions(lam, d) == _oracle_gs(reduced), gram
+        assert kz_transform(ints, lll) == _oracle_kz(gram), gram
+        # a positive multiple of the form reduces exactly alike
+        tripled = [[3 * x for x in row] for row in ints]
+        assert lll_transform(tripled)[0] == w, gram
+        assert kz_transform(tripled, lll_transform(tripled)) == kz_transform(
+            ints, lll), gram
+
+
+def _checking_copy(fn, divisions):
+    """A copy of ``fn`` in which every ``a // b`` asserts that b divides a
+    and records b in ``divisions``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    found = []
+
+    class Exact(ast.NodeTransformer):
+        def visit_BinOp(self, node):
+            self.generic_visit(node)
+            if not isinstance(node.op, ast.FloorDiv):
+                return node
+            found.append(node)
+            return ast.Call(ast.Name("_exact_div", ast.Load()),
+                            [node.left, node.right], [])
+
+    tree = ast.fix_missing_locations(Exact().visit(tree))
+    assert found, fn.__name__
+
+    def exact_div(a, b):
+        q, rem = divmod(a, b)
+        assert rem == 0, (fn.__name__, a, b)
+        divisions.append(b)
+        return q
+
+    namespace = dict(vars(lattices), _exact_div=exact_div)
+    exec(compile(tree, inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_integral_divisions_are_exact(monkeypatch):
+    # every // in the integral Gram-Schmidt pass and in the swap divides
+    # exactly, over seeded Grams at ranks 2-5 of each kind: integer B B^T
+    # and B F B^T, (B B^T) / 7 and the inverse (B B^T)^-1, cleared
+    divisions = {"_integral_gs": [], "_swap_rows": []}
+    for name, seen in divisions.items():
+        monkeypatch.setattr(lattices, name,
+                            _checking_copy(getattr(lattices, name), seen))
+    grams = list(_seeded_grams(64, 83))
+    assert {len(g) for g in grams} == {2, 3, 4, 5}
+    for gram in grams:
+        ints, _ = _cleared_ints(gram)
+        lll = lll_transform(ints)
+        kz_transform(ints, lll)
+    assert all(len(seen) > 100 for seen in divisions.values()), {
+        name: len(seen) for name, seen in divisions.items()}
+
+
+def test_size_reduction_rounds_halves_up():
+    from sysbound.lattices import _reduce_row
+    # mu = +1/2 rounds to q = 1, mu = -1/2 to q = 0
+    for gram, q in (([[2, 1], [1, 2]], 1), ([[2, -1], [-1, 2]], 0)):
+        w = _identity(2)
+        _reduce_row(w, *_integral_gs(gram), 1)
+        assert w == [[1, 0], [-q, 1]]
+        assert q == _oracle_round_half(Fraction(gram[0][1], 2))
+    # mu = b / a over a grid that holds every half from -5/2 to 5/2
+    for a in range(1, 7):
+        for b in range(-15, 16):
+            gram = [[a, b], [b, b * b + 1]]
+            lam, d = _integral_gs(gram)
+            w = _identity(2)
+            _reduce_row(w, lam, d, 1)
+            q = _oracle_round_half(Fraction(b, a))
+            assert w[1] == [-q, 1], (a, b)
+            assert _as_fractions(lam, d)[0][1][0] == Fraction(b, a) - q
+
+
+def test_the_lll_data_are_ints(monkeypatch):
+    # Fractions appear only where a value leaves the engine: every LLL run
+    # over the benchmark's pool lattices, those on KZ's projected forms
+    # included, reads an integer Gram matrix and keeps integer lam and d
+    from batch_pool import bench_child
+    real = lattices.lll_transform
+    ranks = []
+
+    def checked(gram):
+        run = real(gram)
+        w, lam, d = run
+        entries = [x for m in (gram, w, lam, [d]) for row in m for x in row]
+        assert all(type(x) is int for x in entries), entries
+        ranks.append(len(gram))
+        return run
+
+    monkeypatch.setattr(lattices, "lll_transform", checked)
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    for specs in pool.values():
+        for spec in specs:
+            child.lattice_op(lattices, spec)
+    assert len(ranks) > 2 * sum(len(specs) for specs in pool.values())
+    assert set(ranks) == {2, 3, 4, 5}
 
 
 def test_minima_read_the_kept_lll_run(monkeypatch):
@@ -377,7 +547,7 @@ def test_minima_read_the_kept_lll_run(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("_gs_data", "_gram_of_basis"):
+    for name in ("_integral_gs", "_integral_gram", "_int_gram"):
         monkeypatch.setattr(lattices, name, counted(name))
     for lat in cases:
         minima = [successive_minima(lat, j) for j in range(1, lat.rank + 1)]
