@@ -32,11 +32,15 @@ coeffs.  A polytope norm is read on coefficient vectors: the facet normals
 are pulled back to lattice coordinates once per lattice, as integer rows
 over one denominator, and a norm is a max of integer dot products.
 
-For polytope norms the search region comes from an inscribed ellipsoid E
-whose sandwich (E inside the ball, ball inside sqrt(c) E) is verified in
-rational arithmetic, with c the exact largest vertex value v^T Q v; the
-search budget uses that c.  The ellipsoid itself is fitted in plain Python
-floats, with a float Gauss-Jordan loop of its own, since only the
+The polytope half runs on cleared rows too: a polytope's vertices, and then
+its facet normals, are cleared once to integer rows over one denominator.
+Facet enumeration solves each r-subset by one integer elimination and tests
+support in ints; the polar test, the pull-back and the ellipsoid sandwich
+read the same rows.  For polytope norms the search region comes from an
+inscribed ellipsoid E whose sandwich (E inside the ball, ball inside
+sqrt(c) E) is verified exactly, with c the largest vertex value v^T Q v;
+the search budget uses that c.  The ellipsoid itself is fitted in plain
+Python floats, with a float Gauss-Jordan loop of its own, since only the
 certificate matters.  The dual's unit ball is the polar polytope, whose
 facet normals are the primal's extreme vertices (polar duality; Ziegler,
 Lectures on Polytopes, section 2.3), so only input polytopes enumerate facets.
@@ -53,8 +57,8 @@ from operator import mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
-from .kernel import (_cleared, _cleared_row, _det, _mat, _mat_inv, _rank_of,
-                     _solve_linear)
+from .kernel import (_cleared, _cleared_row, _det, _eliminate, _mat, _mat_inv,
+                     _rank_of)
 
 MAX_RANK = 5
 #: the most r-subsets of an input vertex list ``_facet_normals`` will solve,
@@ -211,17 +215,20 @@ class NormedLattice:
                 raise PreconditionUnmet(
                     "the vertices have %s coordinates but the basis has rank %d"
                     % (_lengths(self.vertices), r))
-            vset = {tuple(v) for v in self.vertices}
-            if {tuple(-x for x in v) for v in self.vertices} != vset:
+            rows, _ = _cleared(self.vertices)
+            vset = {tuple(v) for v in rows}
+            if {tuple(-x for x in v) for v in rows} != vset:
                 raise PreconditionUnmet(
                     "polytope vertex list must be closed under negation")
             if self._normals is None:
                 self._normals = _facet_normals(self.vertices, r)
-            # <a, c B> = <B a, c>: each normal pulled back to lattice
-            # coordinates, all over one cleared denominator
-            self._coeff_normals = _cleared(
-                [[sum(map(mul, row, a)) for row in self.basis]
-                 for a in self._normals])
+            # <a, c B> = <B a, c>: with basis = B / d and normals = A / e
+            # cleared once, each normal pulled back to lattice coordinates
+            # is the integer row B a over d e
+            b, d = self._cleared_basis
+            normals, e = _cleared(self._normals)
+            self._coeff_normals = (
+                [[sum(map(mul, row, a)) for row in b] for a in normals], d * e)
 
     # -- norms ------------------------------------------------------------
 
@@ -344,39 +351,64 @@ class NormedLattice:
 
 
 def _facet_normals(vertices, r):
-    """Supporting functionals a with <a, v> <= 1, exhaustively at rank <= 5."""
+    """Supporting functionals a with <a, v> <= 1, exhaustively at rank <= 5,
+    sorted.
+
+    The vertices are cleared once to integer rows V over one denominator D.
+    For each r-subset S one fraction-free elimination of [V_S | D] solves
+    V_S a = D 1: when V_S has rank r, Gauss-Jordan leaves p [I | n], p the
+    common diagonal (the determinant up to the sign of the row swaps), so
+    a = n / p.  With p made positive, a supports the polytope iff
+    n . V_i <= p D for every vertex, in ints.  Normals are deduplicated on
+    (n, p) over their gcd and become Fractions only at the end.
+    """
     subsets = math.comb(len(vertices), r)
     if subsets > MAX_FACET_SUBSETS:
         raise TooManyVertices(
             "facet enumeration over %d vertices at rank %d needs C(%d, %d) = "
             "%d linear solves, above the cap %d"
             % (len(vertices), r, len(vertices), r, subsets, MAX_FACET_SUBSETS))
+    rows, den = _cleared(vertices)
     normals = set()
-    for subset in combinations(range(len(vertices)), r):
-        rows = [vertices[i] for i in subset]
-        a = _solve_linear(rows, [1] * r)
-        if a is None:
+    for subset in combinations(rows, r):
+        m, rank, _ = _eliminate([v + [den] for v in subset], r)
+        if rank < r:
             continue
-        if all(sum(ai * vi for ai, vi in zip(a, v)) <= 1 for v in vertices):
-            normals.add(tuple(a))
+        p = m[0][0]
+        n = [row[r] for row in m]
+        if p < 0:
+            p, n = -p, [-x for x in n]
+        bound = p * den
+        if all(sum(map(mul, n, v)) <= bound for v in rows):
+            g = math.gcd(p, *n)
+            normals.add((p // g, *(x // g for x in n)))
     if not normals:
         raise PreconditionUnmet("polytope is not full-dimensional")
-    span = [list(a) for a in normals]
+    span = [key[1:] for key in normals]
     if len(span) < r or _rank_of(span) < r:
         raise PreconditionUnmet("polytope is not full-dimensional")
-    return sorted(normals)
+    return sorted(tuple(Fraction(x, p) for x in n) for p, *n in normals)
 
 
 def _polar_normals(vertices, normals, r):
     """The facet normals of the polar polytope, in ``_facet_normals`` order:
     the listed vertices that are extreme, v being extreme iff the normals a
-    with <a, v> = 1 have rank r."""
-    extreme = set()
-    for v in {tuple(v) for v in vertices}:
-        tight = [a for a in normals if sum(map(mul, a, v)) == 1]
+    with <a, v> = 1 have rank r.
+
+    Vertices and normals are cleared once, vertices = V / D and
+    normals = A / E, so a normal is tight at a vertex iff A_j . V_i = E D,
+    in ints, and the rank test runs on the integer tight rows.  Sorting the
+    distinct rows V_i sorts the vertices, D being positive.
+    """
+    rows, den = _cleared(vertices)
+    normal_rows, e = _cleared(normals)
+    one = e * den
+    extreme = []
+    for v in sorted({tuple(v) for v in rows}):
+        tight = [a for a in normal_rows if sum(map(mul, a, v)) == one]
         if len(tight) >= r and _rank_of(tight) == r:
-            extreme.add(v)
-    return sorted(extreme)
+            extreme.append(tuple(Fraction(x, den) for x in v))
+    return extreme
 
 
 def _gauss_jordan(rows, ncols):
@@ -416,8 +448,13 @@ def _certified_ellipsoid_form(vertices, normals, r):
     The first round with c <= r (John's bound) is returned; failing that,
     the round with the smallest c.
     """
-    # p p^T of each point, flattened row by row, and each entry over the points
-    outer = [[float(x * y) for x in a for y in a] for a in normals]
+    points, e = _cleared(normals)
+    rows, den = _cleared(vertices)
+    # p p^T of each point, flattened row by row, and each entry over the
+    # points; int / int true division is correctly rounded, as float() of
+    # the exact Fraction is
+    e2 = e * e
+    outer = [[x * y / e2 for x in a for y in a] for a in points]
     entries = list(zip(*outer))
     u = [1.0 / len(outer)] * len(outer)
 
@@ -448,14 +485,18 @@ def _certified_ellipsoid_form(vertices, normals, r):
         w = [[Fraction(minv[i * r + j] / r).limit_denominator(limit)
               for j in range(r)] for i in range(r)]
         w = [[(w[i][j] + w[j][i]) / 2 for j in range(r)] for i in range(r)]
-        scale = max(_quad(w, list(a)) for a in normals)
+        # w = W / f: the largest a^T w a over the normals A / e is one
+        # Fraction, and so is c over the vertices V / D
+        wrows, f = _cleared(w)
+        scale = Fraction(max(_int_quad(wrows, a) for a in points), e2 * f)
         if scale <= 0:
             continue
         w = [[x / scale for x in row] for row in w]
         if not _is_positive_definite(w):
             continue
         q = _mat_inv(w)
-        c = max(_quad(q, v) for v in vertices)
+        qrows, f = _cleared(q)
+        c = Fraction(max(_int_quad(qrows, v) for v in rows), den * den * f)
         if c <= r:
             return q, c
         if best is None or c < best[1]:

@@ -397,14 +397,16 @@ def _cube(r):
 
 def test_lattice_vertex_cap(monkeypatch):
     from sysbound import lattices
+    # facet enumeration solves each r-subset by one elimination of its
+    # cleared rows; the rank tests go through the kernel's own binding
     solves = []
-    real = lattices._solve_linear
+    real = lattices._eliminate
 
-    def counting(rows, rhs):
+    def counting(rows, ncols, jordan=True):
         solves.append(rows)
-        return real(rows, rhs)
+        return real(rows, ncols, jordan)
 
-    monkeypatch.setattr(lattices, "_solve_linear", counting)
+    monkeypatch.setattr(lattices, "_eliminate", counting)
     # the 5-cube has 32 vertices, and C(32, 5) = 201376 is over the cap
     code, out, err = _run(["lattice", "--vertices", _cube(5)])
     assert code == 1 and out == ""

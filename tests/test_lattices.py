@@ -6,7 +6,9 @@ LLL and KZ reduction has its own Fraction LDL^T, rounding and shortest-vector
 search, and recomputes the Gram matrix of the rows and its Gram-Schmidt data
 after every row operation, where the library keeps Cohen's integral data
 and updates it in place; the integer Gram product is checked against plain
-Fraction products.
+Fraction products.  The facet oracle solves each vertex subset in Fractions
+and tests support with Fraction dot products, where the library eliminates
+cleared integer rows.
 """
 
 import ast
@@ -866,9 +868,97 @@ def test_coefficient_norm_matches_the_ambient_norm():
                 lat.vector(coeffs))
 
 
+def _oracle_facet_normals(vertices, r):
+    """Oracle: the supporting functionals with <a, v> <= 1 through r of the
+    vertices, sorted; one Fraction solve per r-subset (the kernel's
+    ``_solve_linear``), each candidate tested with Fraction dot products
+    against every vertex, duplicates merged as Fraction tuples."""
+    from sysbound.kernel import _solve_linear
+    normals = set()
+    for subset in itertools.combinations(vertices, r):
+        a = _solve_linear([list(v) for v in subset], [1] * r)
+        if a is None:
+            continue
+        if all(sum(ai * vi for ai, vi in zip(a, v)) <= 1 for v in vertices):
+            normals.add(tuple(a))
+    return sorted(normals)
+
+
+def _rational_polytope(rng, r, pairs):
+    """A centrally symmetric vertex list of random +-pairs whose entries
+    have mixed denominators, redrawn until it spans R^r."""
+    from sysbound.lattices import _rank_of
+    while True:
+        half = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                 for _ in range(r)] for _ in range(pairs)]
+        if _rank_of(half) == r:
+            return half + [[-x for x in v] for v in half]
+
+
+def _padded(vertices, r):
+    """The vertex list with a duplicated vertex, a boundary point (the mean
+    of the vertices on one facet) and an interior point, each with its
+    negative: the same polytope."""
+    a = _oracle_facet_normals(vertices, r)[0]
+    tight = [v for v in vertices if sum(x * y for x, y in zip(a, v)) == 1]
+    boundary = [sum(col, Fraction(0)) / len(tight) for col in zip(*tight)]
+    interior = [Fraction(x, 2) for x in vertices[0]]
+    extra = [list(vertices[0]), boundary, interior]
+    return list(vertices) + extra + [[-x for x in v] for v in extra]
+
+
+def test_facet_normals_match_the_fraction_oracle(monkeypatch):
+    from sysbound.lattices import _facet_normals
+    rng = random.Random(67)
+    # the hexagon and the cross listed in reversed order swap rows
+    cases = [_HEX_VERTICES, _HEX_VERTICES[::-1], _CROSS_3_VERTICES,
+             _CROSS_3_VERTICES[::-1], _cross_vertices(4)[::-1],
+             [[Fraction(x, 2) for x in v] for v in _HEX_VERTICES]]
+    for r, pairs in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5)):
+        cases.append(_random_polytope(rng, r, pairs))
+        cases.append(_rational_polytope(rng, r, pairs))
+    # record the elimination of every full-rank subset: its diagonal and
+    # the determinant it returns, signed by the row swaps
+    real = lattices._eliminate
+    pivots = []
+
+    def recorded(rows, ncols, jordan=True):
+        m, rank, det = real(rows, ncols, jordan)
+        if rank == ncols:
+            pivots.append((m[0][0], det))
+        return m, rank, det
+
+    monkeypatch.setattr(lattices, "_eliminate", recorded)
+    for vertices in cases:
+        r = len(vertices[0])
+        normals = _facet_normals(vertices, r)
+        assert normals == _oracle_facet_normals(vertices, r), vertices
+        if r < 5:
+            # duplicated, boundary and interior points change nothing
+            padded = _padded(vertices, r)
+            assert _facet_normals(padded, r) == normals
+            assert _oracle_facet_normals(padded, r) == normals
+    assert any(p < 0 for p, _ in pivots)
+    assert any((p < 0) != (det < 0) for p, det in pivots)
+
+
+def test_pulled_back_normals_match_the_fraction_pull_back():
+    rng = random.Random(71)
+    cases = [_HEX_VERTICES, _CROSS_3_VERTICES]
+    cases += [_rational_polytope(rng, r, r + 1) for r in (2, 3, 4)]
+    for vertices in cases:
+        r = len(vertices[0])
+        basis = [[Fraction(x, rng.randint(1, 5)) for x in row]
+                 for row in random_basis(r, rng, -3, 3)]
+        lat = NormedLattice(basis=basis, vertices=vertices)
+        rows, d = lat._coeff_normals
+        assert [[Fraction(x, d) for x in row] for row in rows] == [
+            [sum(b * a for b, a in zip(row, normal)) for row in lat.basis]
+            for normal in lat._normals]
+
+
 def test_polar_normals_are_the_primal_extreme_vertices():
-    from sysbound.lattices import (MAX_FACET_SUBSETS, _facet_normals,
-                                   _polar_normals)
+    from sysbound.lattices import MAX_FACET_SUBSETS, _polar_normals
     rng = random.Random(59)
     # a boundary point and an interior point listed with the hexagon
     padded = _HEX_VERTICES + [[1, Fraction(1, 2)], [-1, Fraction(-1, 2)],
@@ -884,13 +974,83 @@ def test_polar_normals_are_the_primal_extreme_vertices():
         polar = [list(a) for a in lat._normals]
         if math.comb(len(polar), r) > MAX_FACET_SUBSETS:
             continue
-        expected = _facet_normals(polar, r)
+        expected = _oracle_facet_normals(polar, r)
         assert _polar_normals(lat.vertices, lat._normals, r) == expected
         assert dual_lattice(lat)._normals == expected
         if vertices is padded:
             assert len(expected) == 6
         checked += 1
     assert checked >= 16
+
+
+class _Opaque(Fraction):
+    """A Fraction whose value can be read only through ``numerator`` and
+    ``denominator``: its arithmetic, comparisons, conversions and hash
+    raise."""
+
+
+def _refuse(*args):
+    raise AssertionError("Fraction arithmetic on an input entry")
+
+
+for _name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow",
+              "divmod"):
+    setattr(_Opaque, "__%s__" % _name, _refuse)
+    setattr(_Opaque, "__r%s__" % _name, _refuse)
+for _name in ("neg", "pos", "abs", "eq", "ne", "lt", "le", "gt", "ge", "bool",
+              "float", "int", "hash", "round", "trunc", "floor", "ceil"):
+    setattr(_Opaque, "__%s__" % _name, _refuse)
+
+
+def _opaque(rows):
+    """The rows with each entry an ``_Opaque`` of the same value."""
+    return [[_Opaque(f.numerator, f.denominator)
+             for f in map(Fraction, row)] for row in rows]
+
+
+def test_polytope_entries_are_read_as_cleared_ints():
+    # facet enumeration, the polar test and the ellipsoid sandwich read
+    # their vertex and normal entries only as numerator and denominator:
+    # every test, solve and maximum runs on cleared integer rows
+    from sysbound.lattices import (_certified_ellipsoid_form, _facet_normals,
+                                   _polar_normals)
+    probe = _Opaque(1, 2)
+    for op in (lambda: probe + 1, lambda: 1 - probe, lambda: probe * probe,
+               lambda: probe == probe, lambda: probe < 1, lambda: -probe,
+               lambda: float(probe), lambda: hash(probe)):
+        with pytest.raises(AssertionError):
+            op()
+    rng = random.Random(73)
+    cases = [_HEX_VERTICES, _CROSS_3_VERTICES[::-1],
+             _padded([[Fraction(x, 3) for x in v] for v in _HEX_VERTICES], 2),
+             _rational_polytope(rng, 3, 4), _random_polytope(rng, 4, 5)]
+    for vertices in cases:
+        r = len(vertices[0])
+        normals = _facet_normals(_opaque(vertices), r)
+        assert normals == _oracle_facet_normals(vertices, r)
+        polar = _polar_normals(_opaque(vertices), _opaque(normals), r)
+        assert polar == _polar_normals(vertices, normals, r)
+        assert (_certified_ellipsoid_form(_opaque(vertices), _opaque(normals),
+                                          r)
+                == _certified_ellipsoid_form(vertices, normals, r))
+
+
+def test_ellipsoid_sandwich_on_rational_polytopes():
+    # the certified form is exactly inscribed (the largest a^T Q^-1 a over
+    # the normals is 1) and c is the largest v^T Q v over the vertices,
+    # both recomputed here in Fractions, on vertices with denominators
+    from sysbound.lattices import _certified_ellipsoid_form, _mat_inv
+    rng = random.Random(79)
+    cases = [[[Fraction(x, 2) for x in v] for v in _HEX_VERTICES],
+             [[Fraction(x, 5) for x in v] for v in _SLACK_VERTICES]]
+    cases += [_rational_polytope(rng, r, r + 1) for r in (2, 3, 4)]
+    for vertices in cases:
+        r = len(vertices[0])
+        normals = _oracle_facet_normals(vertices, r)
+        q, c = _certified_ellipsoid_form(vertices, normals, r)
+        qinv = _mat_inv(q)
+        assert max(_quad(qinv, list(a)) for a in normals) == 1
+        assert max(_quad(q, list(v)) for v in vertices) == c
 
 
 def test_polytope_vertex_list_must_be_symmetric():
