@@ -344,29 +344,30 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         pairing={top: Fraction(1)},
     ))
     xi, f = ring.gen("xi"), ring.gen("f")
+    # the tangent's total Chern class; it becomes ChernData on first read
+    total = 1 + (2 - 2 * genus) * f
+    for d in degrees:
+        total = total * (1 + xi - d * f)
 
     def tangent_of():
         from .characteristic import ChernData
-        total = 1 + (2 - 2 * genus) * f
-        for d in degrees:
-            total = total * (1 + xi - d * f)
         return ChernData(rank=n, total=total)
+    c1 = total.component(2)
     expected_c1 = n * xi + (2 - 2 * genus - e) * f
-    space = Space(
+    if c1 != expected_c1:
+        raise CertificateFailed(
+            "first Chern class certificate: c1 = %s, closed form %s"
+            % (c1, expected_c1))
+    return Space(
         name="PB(degrees=%s; genus=%d)" % (degrees, genus), family="PB",
         real_dim=2 * n, b1=2 * genus, b2=2,
-        ring=ring, tangent_of=tangent_of, is_complex=True, complex_dim=n,
-        spin_c=expected_c1,
+        ring=ring, tangent_of=tangent_of, c1=c1, is_complex=True,
+        complex_dim=n, spin_c=expected_c1,
         nef_rays=(xi, f),
         curves=(Curve("fiber_line", {"xi": Fraction(1)}),
                 Curve("section", {"f": Fraction(1)})),
         notes="ring ignores the odd cohomology of the base curve",
     )
-    if space.c1 != expected_c1:
-        raise CertificateFailed(
-            "first Chern class certificate: c1 = %s, closed form %s"
-            % (space.c1, expected_c1))
-    return space
 
 
 # ---------------------------------------------------------------------------

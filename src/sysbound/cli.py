@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,9 @@ _CLASS_PUNCT = ("+", "-", "*", "/", "^", "(", ")")
 
 #: the most digits the interpreter converts between an int and text; 0: none
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+#: a JSON string literal, escaped to ASCII as ``json.dumps`` writes it
+_json_string = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -407,6 +411,35 @@ def parse_json_value(obj):
                     obj["pi_exponent"])
 
 
+def _json_text(value, indent="\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for the values a
+    reply holds (dicts with string keys, lists, strings, booleans, ints and
+    floats), written in one pass: with an indent, ``json.dumps`` runs the
+    standard library's pure-Python encoder.  A non-finite float or an int
+    past the digit limit raises ``ValueError``, as it does there."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_json_string(k) + ": " + _json_text(v, inner)
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _render(rows, fmt: str, approx: int | None) -> str:
     """The text of ``rows`` in ``fmt``, made whole before anything is
     written, so a value too large to print prints nothing."""
@@ -415,10 +448,10 @@ def _render(rows, fmt: str, approx: int | None) -> str:
             payload = {}
             for key, value in rows:
                 payload[key] = _json_value(value)
-                ps = _as_pi_scaled(value)
-                if approx and ps is not None:
+                ps = _as_pi_scaled(value) if approx else None
+                if ps is not None:
                     payload[key + "_approx"] = round(ps.approx(), approx)
-            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            return _json_text(payload) + "\n"
         width = max((len(k) for k, _ in rows), default=0)
         text = ""
         for key, value in rows:

@@ -68,7 +68,7 @@ def todd_genus(space: Space) -> Fraction:
     """Integral of the Todd class; the holomorphic Euler characteristic."""
     space.require_ring()
     if space.is_complex and space.koszul is not None:
-        return _koszul_chi(*space.koszul)[0]
+        return Fraction(_koszul_value(*space.koszul, 0))
     if not space.is_complex or space.todd_cls is None:
         raise MetadataOnlySpace(
             "%s carries no complex tangent data for a Todd genus" % space.name)
@@ -90,22 +90,10 @@ def index_polynomial(space: Space) -> IndexPolynomial:
     space with ``koszul`` data from the Riemann-Roch closed form, elsewhere
     in the ring.
     """
-    space.require_ring()
-    if space.primitive_x is None:
-        raise NoPrimitiveClass(
-            "%s has no recorded primitive degree-2 class (b2 = 1 required)"
-            % space.name)
-    if space.koszul is None and space.a_hat_cls is None:
-        raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
-    xi = _xi_factor(space)
-    q0 = _spin_c_multiple(space)
+    xi, q0 = _index_data(space)
     if space.koszul is not None:
-        # x = H and c1 = (N + 1 - d_1 - ... - d_r) H, so c = c1 + 2s x with
-        # 2s = q0 - (N + 1 - sum d): e^(c/2) A-hat = e^(sx) Td, and by
-        # Hirzebruch-Riemann-Roch P(a) = chi(X, O(a + s))
-        rows, ns = space.koszul
-        twice_shift = q0 - ns[0] - 1 + sum(row[0] for row in rows)
-        return IndexPolynomial(_koszul_chi(rows, ns, twice_shift), q0)
+        return IndexPolynomial(
+            _koszul_chi(*space.koszul, _twice_shift(space, q0)), q0)
     x = space.primitive_x
     base = xi * exp_class(space.spin_c * Fraction(1, 2)) * space.a_hat_cls
     coeffs = []
@@ -114,6 +102,39 @@ def index_polynomial(space: Space) -> IndexPolynomial:
         coeffs.append(integrate(space, base * xpow) / math.factorial(k))
         xpow = xpow * x
     return IndexPolynomial(coeffs, q0)
+
+
+def _index_data(space: Space):
+    """``(xi, q0)`` of a space with an index polynomial: the degree-1 factor
+    (1 in even dimensions) and the integer q0 with c = q0 x."""
+    space.require_ring()
+    if space.primitive_x is None:
+        raise NoPrimitiveClass(
+            "%s has no recorded primitive degree-2 class (b2 = 1 required)"
+            % space.name)
+    if space.koszul is None and space.a_hat_cls is None:
+        raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
+    return _xi_factor(space), _spin_c_multiple(space)
+
+
+def _twice_shift(space: Space, q0: int) -> int:
+    """2s for a space with ``koszul`` data, where P(a) = chi(X, O(a + s)).
+
+    x = H and c1 = (N + 1 - d_1 - ... - d_r) H, so c = c1 + 2s x with
+    2s = q0 - (N + 1 - sum d): e^(c/2) A-hat = e^(sx) Td, and by
+    Hirzebruch-Riemann-Roch P(a) = chi(X, O(a + s)).
+    """
+    rows, ns = space.koszul
+    return q0 - ns[0] - 1 + sum(row[0] for row in rows)
+
+
+def _signed_degrees(rows, m):
+    """The signed multidegrees d_S of the Koszul sum: the terms of
+    prod over the rows of (1 - z^row), in m variables."""
+    signed = {(0,) * m: 1}
+    for row in rows:
+        signed = _sparse_mul(signed, {(0,) * m: 1, tuple(row): -1})
+    return signed
 
 
 def _koszul_chi(rows, ns, twice_shift=0):
@@ -130,13 +151,9 @@ def _koszul_chi(rows, ns, twice_shift=0):
     sum runs over the integers, scaled by den^N_1 N_1! ... N_m! with den = 2
     for a half-integral shift, and is divided once at the end.
     """
-    m = len(ns)
     den = 1 + twice_shift % 2
-    signed = {(0,) * m: 1}
-    for row in rows:
-        signed = _sparse_mul(signed, {(0,) * m: 1, tuple(row): -1})
     total = [0] * (ns[0] + 1)
-    for d, sign in signed.items():
+    for d, sign in _signed_degrees(rows, len(ns)).items():
         poly = [sign * math.prod(j - di for N, di in zip(ns[1:], d[1:])
                                  for j in range(1, N + 1))]
         if not poly[0]:
@@ -147,6 +164,24 @@ def _koszul_chi(rows, ns, twice_shift=0):
         total = [t + p for t, p in zip(total, poly)]
     scale = den ** ns[0] * math.prod(math.factorial(N) for N in ns)
     return [Fraction(t, scale) for t in total]
+
+
+def _koszul_value(rows, ns, t: int) -> int:
+    """chi(X, O(t H_1)) at an integer t, for X as in :func:`_koszul_chi`:
+    the same Koszul sum, each binomial evaluated where it stands."""
+    return sum(sign * _binomial(ns[0], t - d[0])
+               * math.prod(_binomial(N, -di) for N, di in zip(ns[1:], d[1:]))
+               for d, sign in _signed_degrees(rows, len(ns)).items())
+
+
+def _binomial(n: int, u: int) -> int:
+    """The polynomial C(n + u, n) = (u + 1)...(u + n) / n! at an integer u:
+    it vanishes at u = -n, ..., -1, and is (-1)^n C(-u - 1, n) below."""
+    if u >= 0:
+        return math.comb(n + u, n)
+    if u >= -n:
+        return 0
+    return (-1) ** n * math.comb(-u - 1, n)
 
 
 def _spin_c_multiple(space: Space) -> int:
@@ -178,34 +213,33 @@ def length(space: Space) -> int:
     Returns 0 in the even-q0 case where the untwisted pairing is already
     nonzero: that is the obstruction case, and callers asking for a positive
     bound must surface it instead of quoting 0.
+
+    With ``koszul`` data and an integral shift s, P(a) = chi(X, O(a + s)) is
+    read off the Koszul sum at each twist; elsewhere the index polynomial is
+    expanded once and evaluated on its integer numerators (same zeros).
     """
-    poly = index_polynomial(space)
-    q0 = poly.q0
+    _, q0 = _index_data(space)
+    if space.koszul is not None and _twice_shift(space, q0) % 2 == 0:
+        rows, ns = space.koszul
+        shift = _twice_shift(space, q0) // 2
+
+        def pairing(a):
+            return _koszul_value(rows, ns, a + shift)
+    else:
+        nums = roots.numerators(index_polynomial(space).coeffs)
+
+        def pairing(a):
+            return roots.evaluate(nums, a)
     n = space.half_dim
-    if poly.is_zero():
-        raise WindowExhausted(
-            "index polynomial of %s vanishes identically; the space does not "
-            "satisfy the nonvanishing hypothesis" % space.name)
-    nums = roots.numerators(poly.coeffs)  # same zeros, integer Horner
-    best = None
-    # window |q0 + 2a| <= n + 1 suffices: the polynomial has degree <= n, and
-    # the window contains more twist points than possible zeros
+    # window |q0 + 2a| <= n + 1 suffices: it holds at least n + 1 twist
+    # points, more than a nonzero polynomial of degree <= n has zeros
     for value in range(0, n + 2):
-        for sign in ((1,) if value == 0 else (1, -1)):
-            target = sign * value
-            if (target - q0) % 2:
-                continue
-            a = (target - q0) // 2
-            if roots.evaluate(nums, a) != 0:
-                best = value
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise WindowExhausted(
-            "no nonvanishing twist with |q0 + 2a| <= %d on %s; this "
-            "contradicts the parity argument" % (n + 1, space.name))
-    return best
+        for target in ((0,) if value == 0 else (value, -value)):
+            if (target - q0) % 2 == 0 and pairing((target - q0) // 2) != 0:
+                return value
+    raise WindowExhausted(
+        "index polynomial of %s vanishes identically; the space does not "
+        "satisfy the nonvanishing hypothesis" % space.name)
 
 
 def product_length_bound(x: Space, n_factor: Space) -> int:

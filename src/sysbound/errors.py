@@ -25,10 +25,6 @@ class InvalidPresentation(CalculatorError):
     pass
 
 
-class NonTerminatingRewrite(CalculatorError):
-    pass
-
-
 class RingMismatch(CalculatorError):
     pass
 

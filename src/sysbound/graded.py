@@ -4,13 +4,16 @@ A ring is presented by generators with degrees and parities, bounded-exponent
 rewrite rules, and a pairing functional on top-degree monomials.  This covers
 every presentation used by the manifold catalog (projective spaces, quadric
 H-subrings, tensor products, projective bundles over curves, point blowups)
-without general Groebner machinery: every rule strictly lowers the
-lexicographic monomial order, so normalization terminates.
+without general Groebner machinery: a rule sends a power of one generator to
+at most one monomial of lower lexicographic order, so the normal form of a
+monomial is one monomial times a coefficient, or zero, reached along one
+rewrite path.
 
-Monomials are exponent tuples aligned with the generator list.  Coefficients
-are stored as ``fractions.Fraction``; a product runs on the integer
-numerators of its operands over one common denominator each and divides
-once per output term.  No floating point enters any ring operation.
+Monomials are exponent tuples aligned with the generator list.  An integral
+coefficient is stored as an ``int`` and any other as a ``fractions.Fraction``;
+a product runs on the integer numerators of its operands over one common
+denominator each and divides once per output term, and only where that
+denominator is not 1.  No floating point enters any ring operation.
 """
 
 from __future__ import annotations
@@ -18,15 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (InvalidPresentation, NonTerminatingRewrite, NotDegreeTwo,
-                     RingMismatch)
+from .errors import InvalidPresentation, NotDegreeTwo, RingMismatch
 
 Monomial = tuple  # tuple[int, ...], exponents per generator
-
-#: iteration cap for the rewrite loop, per term
-_REWRITE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class Ring:
     def __init__(self, presentation: RingPresentation):
         self.generators = tuple(presentation.generators)
         self._degrees = tuple(g.degree for g in self.generators)
+        self._odd = tuple(i for i, g in enumerate(self.generators) if g.odd)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise InvalidPresentation("duplicate generator names: %r" % names)
@@ -85,10 +86,14 @@ class Ring:
             gen = self.generators[i]
             if cap < 1:
                 raise InvalidPresentation("power cap for %r must be >= 1" % name)
-            rhs_terms = {tuple(m): Fraction(c) for m, c in dict(rhs).items() if c}
+            rhs_terms = {tuple(m): _exact(c) for m, c in dict(rhs).items() if c}
+            if len(rhs_terms) > 1:
+                raise InvalidPresentation(
+                    "rule %s^%d has %d monomials on its right side; at most "
+                    "one is supported" % (name, cap, len(rhs_terms)))
             lhs_mono = tuple(cap if j == i else 0 for j in range(len(self.generators)))
             lhs_deg = cap * gen.degree
-            for m, _ in rhs_terms.items():
+            for m in rhs_terms:
                 if len(m) != len(self.generators):
                     raise InvalidPresentation("rule RHS monomial has wrong arity")
                 if self.monomial_degree(m) > lhs_deg:
@@ -119,96 +124,64 @@ class Ring:
                     "odd generator %r squares to zero already; a cap below 2 "
                     "would erase the generator" % g.name)
 
+        #: monomial -> its normal form, filled by products; a product's
+        #: terms meet the same monomials again and again
+        self._forms = {}
+
         self.pairing = {}
         for m, v in dict(presentation.pairing).items():
             m = tuple(m)
-            v = Fraction(v)
+            v = _exact(v)
             if len(m) != len(self.generators):
                 raise InvalidPresentation("pairing monomial has wrong arity")
             if self.monomial_degree(m) != self.truncation:
                 raise InvalidPresentation(
                     "pairing monomial %r is not of top degree %d" % (m, self.truncation))
-            nf = self._normalize_monomial(m)
-            if dict(nf) != {m: Fraction(1)}:
+            if self._normal_form(m) != (m, 1):
                 raise InvalidPresentation("pairing monomial %r is not in normal form" % (m,))
             if v:
                 self.pairing[m] = v
         if not self.pairing:
             raise InvalidPresentation("pairing functional vanishes on all top monomials")
 
-        #: m1 -> {m2: normal form of m1*m2 with coefficient 1}, filled by
-        #: products; a normal form is linear in its coefficient, so a
-        #: product scales the entry.  An entry is stored only once its
-        #: rewrite has finished, so a presentation that exceeds the rewrite
-        #: bound raises on every product that needs it.
-        self._products = {}
-
-        # smoke-test termination on the generator caps
-        for i, (cap, _) in self._power_rules.items():
-            mono = tuple(cap if j == i else 0 for j in range(len(self.generators)))
-            self._normalize_monomial(mono)
-
     # -- monomial helpers -------------------------------------------------
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(e * d for e, d in zip(m, self._degrees))
 
-    def _koszul_sign(self, a: Monomial, b: Monomial):
-        """Sign of the product of normal-form monomials a*b, or None if zero."""
-        odd_a = [i for i, g in enumerate(self.generators) if g.odd and a[i]]
-        odd_b = [i for i, g in enumerate(self.generators) if g.odd and b[i]]
-        if set(odd_a) & set(odd_b):
-            return None
-        swaps = sum(1 for i in odd_a for j in odd_b if j < i)
-        return -1 if swaps % 2 else 1
+    def _normal_form(self, mono: Monomial):
+        """``(monomial, coefficient)`` with mono = coefficient * monomial in
+        normal form, or None when mono is zero.
 
-    def _monomial_product(self, a: Monomial, b: Monomial):
-        """Normal form of a*b with coefficient 1, Koszul sign included, as
-        (monomial, coefficient) pairs; integral coefficients are ints."""
-        merged = tuple(x + y for x, y in zip(a, b))
-        sign = self._koszul_sign(a, b)
-        if sign is None or self.monomial_degree(merged) > self.truncation:
-            return ()
-        return tuple((m, c.numerator if c.denominator == 1 else c)
-                     for m, c in self._normalize_monomial(merged, sign).items())
-
-    def _normalize_monomial(self, m: Monomial, coeff=Fraction(1)):
-        """Rewrite coeff*m into normal form; returns {monomial: coeff}."""
-        out = {}
-        stack = [(tuple(m), coeff)]
-        steps = 0
-        while stack:
-            mono, c = stack.pop()
-            steps += 1
-            if steps > _REWRITE_BOUND:
-                raise NonTerminatingRewrite(
-                    "rewrite exceeded %d steps; presentation is not terminating"
-                    % _REWRITE_BOUND)
-            if not c:
-                continue
-            if self.monomial_degree(mono) > self.truncation:
-                continue
-            if any(mono[i] >= 2 for i, g in enumerate(self.generators) if g.odd):
-                continue
+        A rule sends a monomial to at most one monomial of no higher degree
+        and lower lexicographic order, and that order is kept by
+        multiplication, so the rewrite follows one path through the finitely
+        many monomials of degree at most the truncation, and stops.
+        """
+        coeff = 1
+        while True:
+            if sum(e * d for e, d in zip(mono, self._degrees)) > self.truncation:
+                return None
+            if any(mono[i] >= 2 for i in self._odd):
+                return None
             if any(all(mono[i] for i in pair) for pair in self._pair_rules):
-                continue
-            hit = None
+                return None
             for i, (cap, rhs) in self._power_rules.items():
                 if mono[i] >= cap:
-                    hit = (i, cap, rhs)
                     break
-            if hit is None:
-                out[mono] = out.get(mono, 0) + c
-                if not out[mono]:
-                    del out[mono]
-                continue
-            i, cap, rhs = hit
-            rest = list(mono)
-            rest[i] -= cap
-            for rm, rc in rhs.items():
-                merged = tuple(x + y for x, y in zip(rest, rm))
-                stack.append((merged, c * rc))
-        return out
+            else:
+                return mono, coeff
+            if not rhs:
+                return None
+            [(rm, rc)] = rhs.items()
+            mono = tuple(e + r - (cap if j == i else 0)
+                         for j, (e, r) in enumerate(zip(mono, rm)))
+            coeff *= rc
+
+    def _koszul_sign(self, a: Monomial, b: Monomial) -> int:
+        """Sign of moving the odd generators of b past those of a."""
+        swaps = sum(a[i] * b[j] for i in self._odd for j in self._odd if j < i)
+        return -1 if swaps % 2 else 1
 
     # -- class constructors ------------------------------------------------
 
@@ -216,8 +189,7 @@ class Ring:
         return GradedClass(self, {})
 
     def one(self) -> "GradedClass":
-        unit = tuple(0 for _ in self.generators)
-        return GradedClass(self, {unit: Fraction(1)})
+        return GradedClass(self, {(0,) * len(self.generators): 1})
 
     def gen(self, name: str) -> "GradedClass":
         if name not in self.index:
@@ -232,25 +204,20 @@ class Ring:
     def from_terms(self, terms: Mapping[Monomial, object]) -> "GradedClass":
         acc = {}
         for m, c in terms.items():
-            for nm, nc in self._normalize_monomial(tuple(m), Fraction(c)).items():
-                acc[nm] = acc.get(nm, Fraction(0)) + nc
-                if not acc[nm]:
-                    del acc[nm]
-        return GradedClass(self, acc)
+            nf = self._normal_form(tuple(m))
+            if nf is not None:
+                acc[nf[0]] = acc.get(nf[0], 0) + nf[1] * _exact(c)
+        return GradedClass(self, {m: _exact(c) for m, c in acc.items() if c})
 
     def scalar(self, value) -> "GradedClass":
-        unit = tuple(0 for _ in self.generators)
-        v = Fraction(value)
-        return GradedClass(self, {unit: v} if v else {})
+        v = _exact(value)
+        return GradedClass(self, {(0,) * len(self.generators): v} if v else {})
 
     def integrate_top(self, cls: "GradedClass") -> Fraction:
         if cls.ring is not self:
             raise RingMismatch("class belongs to a different ring")
-        total = Fraction(0)
-        for m, c in cls.terms.items():
-            if self.monomial_degree(m) == self.truncation:
-                total += c * self.pairing.get(m, Fraction(0))
-        return total
+        return Fraction(sum(c * self.pairing.get(m, 0)
+                            for m, c in cls.terms.items()))
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []
@@ -266,7 +233,9 @@ class GradedClass:
     """Sparse normal-form element of a :class:`Ring`.
 
     Instances are immutable; arithmetic returns new objects.  Zero
-    coefficients are never stored.
+    coefficients are never stored.  A coefficient is an ``int`` when it is
+    integral and a ``Fraction`` otherwise; the queries below return
+    ``Fraction``s.
     """
 
     __slots__ = ("ring", "terms")
@@ -295,11 +264,10 @@ class GradedClass:
         return degs == [] or degs == [degree]
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return Fraction(self.terms.get(tuple(mono), 0))
 
     def scalar_part(self) -> Fraction:
-        unit = tuple(0 for _ in self.ring.generators)
-        return self.terms.get(unit, Fraction(0))
+        return self.coefficient((0,) * len(self.ring.generators))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -313,8 +281,10 @@ class GradedClass:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-            if not acc[m]:
+            c = _exact(acc.get(m, 0) + c)
+            if c:
+                acc[m] = c
+            else:
                 del acc[m]
         return GradedClass(self.ring, acc)
 
@@ -333,30 +303,33 @@ class GradedClass:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return self.ring.zero()
-            return GradedClass(self.ring, {m: v * c for m, v in self.terms.items()})
+            return GradedClass(self.ring, {m: _exact(v * c)
+                                           for m, v in self.terms.items()})
         self._check(other)
         ring = self.ring
         d1, left = _numerators(self.terms)
         d2, right = _numerators(other.terms)
+        forms = ring._forms
+        signed = bool(ring._odd)
         acc = {}
         for m1, n1 in left:
-            row = ring._products.get(m1)
-            if row is None:
-                row = ring._products[m1] = {}
             for m2, n2 in right:
-                nf = row.get(m2)
+                merged = tuple(map(add, m1, m2))
+                nf = forms.get(merged, False)
+                if nf is False:
+                    nf = forms[merged] = ring._normal_form(merged)
                 if nf is None:
-                    nf = row[m2] = ring._monomial_product(m1, m2)
-                if not nf:
                     continue
-                n = n1 * n2
-                for nm, nc in nf:
-                    acc[nm] = acc.get(nm, 0) + nc * n
+                n = n1 * n2 * nf[1]
+                if signed:
+                    n *= ring._koszul_sign(m1, m2)
+                acc[nf[0]] = acc.get(nf[0], 0) + n
         d = d1 * d2
-        return GradedClass(ring, {m: Fraction(n, d) for m, n in acc.items() if n})
+        return GradedClass(ring, {m: _exact(n if d == 1 else Fraction(n, d))
+                                  for m, n in acc.items() if n})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -398,7 +371,17 @@ def _numerators(terms):
     """(d, [(monomial, c * d)]) with d the lcm of the coefficients'
     denominators, so every c * d is an int."""
     d = math.lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return 1, list(terms.items())
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
+def _exact(c):
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _format_terms(terms):

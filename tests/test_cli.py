@@ -850,13 +850,23 @@ _NOT_LOADED = {
 }
 
 
+#: a projective bundle answers these without characteristic classes, or
+#: refuses them (exit 1: b2 = 2, no primitive class); only ``todd`` reads
+#: its tangent
+_PB_INVOCATIONS = tuple(
+    (command, *options, "--space", "PB(degrees=[0,1,2]; genus=1)")
+    for command, *options in (("bound", "--theorem", "thm1.1"), ("phi-sup",),
+                              ("length",), ("index-poly",)))
+
+
 def test_a_cold_process_loads_only_the_engine_its_subcommand_runs():
     # one fresh interpreter per benchmark invocation, so nothing accumulates
-    for argv in CLI_INVOCATIONS:
+    for argv in CLI_INVOCATIONS + _PB_INVOCATIONS:
         report = _replay([], [list(argv)])
         assert report["modules_after_import"] == []  # bare ``import sysbound``
         [(code, _, modules)] = report["results"]
-        assert code == 0, argv
+        refused = argv in _PB_INVOCATIONS and argv[0] in ("length", "index-poly")
+        assert code == (1 if refused else 0), argv
         loaded = {m.split(".", 1)[1] for m in modules}
         assert {"cli", "errors", "values"} <= loaded
         forbidden = _NOT_LOADED.get(argv[0], {"lattices", "pushforward"})
@@ -944,6 +954,56 @@ def test_an_approximation_past_the_float_range_is_a_domain_error(
     assert (code, err) == (1, _TOO_LARGE)
     assert out == _run([*_PAST_FLOAT, "--space", "CP(2)", "--format",
                         "json"])[1]
+
+
+def _stdlib_json(text):
+    """``text`` parsed and written again by ``json.dumps``, as a reply."""
+    return json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
+def test_json_replies_are_written_as_the_standard_library_writes_them():
+    for command in BATCH_COMMANDS:
+        for entry in golden_batch()[batch_key(command)].values():
+            if entry["kind"] == "ok":
+                assert entry["out"] == _stdlib_json(entry["out"])
+        for desc in BATCH_POOL:  # with decimals
+            code, out, _ = _run([*command, "--space", desc, "--format", "json",
+                                 "--approx", "4"])
+            assert code or out == _stdlib_json(out), desc
+    for argv in (["lattice", "--gram", "[[2,1],[1,2]]"],
+                 ["lattice", "--vertices", "[[1,0],[0,1],[-1,0],[0,-1]]"],
+                 ["lattice", "--sweep", "5", "--seed", "3"],
+                 ["pushforward", "--k", "2", "--r", "4", "--j", "2",
+                  "--primitive"],
+                 ["bundle-profile", "--degrees", "[0,2]", "--n", "3"]):
+        code, out, _ = _run([*argv, "--format", "json", "--approx", "3"])
+        assert code == 0 and out == _stdlib_json(out), argv
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], [{}], {"a": [], "b": {}}, [[1, [2, []]], {"c": {"d": [3]}}],
+    "plain", "d\u00e9j\u00e0 \u2211 \U0001d54f \u2028 \"q\" \\ \t\x7f\x00",
+    {"\u043a\u043b\u044e\u0447": ["\u00fc", 1.5, -0.0, 1e16, 2.5e-7, True, False]},
+    10 ** 40, -7, {"numerator": -3, "denominator": 4, "pi_exponent": 2},
+])
+def test_the_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2,
+                                               allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   {"x_approx": [float("inf")]}])
+def test_the_json_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        cli._json_text(value)
+
+
+def test_the_todd_genus_of_a_huge_projective_space_prints_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sysbound", "todd", "--space", "CP(100000000)"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "space:       CP(100000000)\ntodd_genus:  1\n"
 
 
 _LONG = "1" * 5000

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sysbound.catalog import blowup_point, circle, integrate, product, projective_space
-from sysbound.errors import (InvalidPresentation, NonTerminatingRewrite,
-                             NotDegreeTwo, RingMismatch)
+from sysbound.errors import InvalidPresentation, NotDegreeTwo, RingMismatch
 from sysbound.graded import (Generator, RingPresentation, exp_class, make_ring,
                              truncated_polynomial_ring)
 
@@ -203,25 +202,46 @@ def test_integrate_is_linear():
     assert integrate(cp3, 2 * a + 3 * b) == 2 * integrate(cp3, a) + 3 * integrate(cp3, b)
 
 
-def test_rewrite_bound_fires_on_every_expansion():
-    # a^25 -> a^24 b + a^23 b^2 lowers the monomial order, and a^25 itself
-    # rewrites in three steps, so the ring is accepted; but a^48 = a^24 * a^24
-    # branches like the Fibonacci numbers and needs far more than the bound
+def test_a_rule_with_more_than_one_monomial_is_refused():
+    # a^25 -> a^24 b + a^23 b^2 lowers the monomial order, but its right
+    # side has two monomials, so a normal form would branch
+    gens = [Generator("a", 2, False), Generator("b", 2, False)]
+    with pytest.raises(InvalidPresentation, match="2 monomials"):
+        make_ring(RingPresentation(
+            generators=gens, truncation=96,
+            power_rules={"a": (25, {(24, 1): 1, (23, 2): 1})},
+            pairing={(0, 48): 1}))
+    # one of its monomials alone is a rule; a^48 = a^24 * a^24 rewrites
+    # along one path, a^48 -> a^47 b -> ... -> a^24 b^24, in 24 steps
     ring = make_ring(RingPresentation(
-        generators=[Generator("a", 2, False), Generator("b", 2, False)],
-        truncation=96,
-        power_rules={"a": (25, {(24, 1): 1, (23, 2): 1})},
-        pairing={(0, 48): 1}))
+        generators=gens, truncation=96,
+        power_rules={"a": (25, {(24, 1): 1}), "b": (25, {})},
+        pairing={(24, 24): 1}))
     x = ring.from_terms({(24, 0): 1})
-    for _ in range(2):
-        with pytest.raises(NonTerminatingRewrite):
-            x * x
-        # nothing of the failed expansion was kept for the next product
-        assert (24, 0) not in ring._products.get((24, 0), {})
-    # a product that stays below the cap is kept
-    y = ring.from_terms({(12, 0): 1})
-    assert y * y == ring.from_terms({(24, 0): 1})
-    assert (12, 0) in ring._products[(12, 0)]
+    assert x * x == ring.from_terms({(24, 24): 1})
+    assert ring.integrate_top(x * x) == 1
+    y = ring.from_terms({(13, 0): 1})
+    assert y * y == ring.from_terms({(24, 2): 1})
+
+
+def test_one_monomial_rules_that_do_not_lower_the_order_are_refused():
+    # a^2 -> b^2 lowers the lexicographic order; b^2 -> a^2 does not, and
+    # together the two would rewrite a^2 forever
+    gens = [Generator("a", 2, False), Generator("b", 2, False)]
+    lowering = {"a": (2, {(0, 2): 1})}
+    ring = make_ring(RingPresentation(
+        generators=gens, truncation=8, power_rules=lowering,
+        pairing={(1, 3): 1}))
+    assert ring.gen("a") ** 2 == ring.gen("b") ** 2
+    with pytest.raises(InvalidPresentation, match="does not lower"):
+        make_ring(RingPresentation(
+            generators=gens, truncation=8,
+            power_rules={**lowering, "b": (2, {(2, 0): 1})},
+            pairing={(1, 3): 1}))
+    with pytest.raises(InvalidPresentation, match="does not lower"):
+        make_ring(RingPresentation(
+            generators=gens, truncation=8,
+            power_rules={"b": (2, {(2, 0): 1})}, pairing={(1, 3): 1}))
 
 
 def _naive_product(a, b):
@@ -266,5 +286,9 @@ def test_integer_product_kernel_matches_naive_fraction_product():
     for a, b in ((xi, xi - Fraction(1, 2) * f), (t + s, t + s)):
         products.append(a * b)
         assert products[-1].is_zero() and _naive_product(a, b).is_zero()
+    # an integral coefficient is an int, any other a Fraction
     for p in products:
-        assert all(type(c) is Fraction and c for c in p.terms.values())
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+                   for c in p.terms.values())
+        assert all(p.terms.values())
+    assert any(type(c) is int for p in products for c in p.terms.values())

@@ -22,6 +22,8 @@ from sysbound.errors import (CalculatorError, DegenerateClass,
                              KunnethViolation, LichnerowiczObstruction,
                              MetadataOnlySpace, MissingOddClass,
                              PreconditionUnmet)
+from sysbound import roots
+from sysbound.engine import _binomial, _koszul_chi, _koszul_value
 from sysbound.graded import exp_class, truncated_polynomial_ring
 
 
@@ -354,10 +356,11 @@ _KOSZUL_CASES = BATCH_POOL + (
 
 
 def _chi_outcomes(space):
-    """Index polynomial coefficients, q0 and Todd genus, errors included."""
+    """Index polynomial coefficients, q0, Todd genus and length, errors
+    included."""
     out = []
     for run in (lambda s: index_polynomial(s).coeffs,
-                lambda s: index_polynomial(s).q0, todd_genus):
+                lambda s: index_polynomial(s).q0, todd_genus, length):
         try:
             out.append(run(space))
         except CalculatorError as exc:
@@ -391,3 +394,63 @@ def test_the_closed_form_serves_the_projective_cases():
     polynomials = [s for s in closed
                    if not isinstance(_chi_outcomes(s)[0], str)]
     assert (len(closed), len(polynomials)) == (78, 63)
+
+
+#: spaces with ``koszul`` data: one factor and two, up to three rows, and
+#: ambient dimensions small enough that t = -10 puts u below -N
+_KOSZUL_VALUE_CASES = (
+    "CP(1)", "CP(3)", "CP(7)", "Q(2)", "Q(5)", "CI(degrees=[[3]]; ambient=[4])",
+    "CI(degrees=[[2],[3]]; ambient=[6])", "CI(degrees=[[2],[2],[2]]; ambient=[7])",
+    "CI(degrees=[[5]]; ambient=[3])", "CP(2) * CP(3)",
+    "CI(degrees=[[1,1]]; ambient=[2,2])", "CI(degrees=[[1,2]]; ambient=[2,3])",
+    "CI(degrees=[[1,1],[1,1]]; ambient=[4,4])", "CP(2) * Q(3)")
+
+
+@pytest.mark.parametrize("desc", _KOSZUL_VALUE_CASES)
+def test_koszul_values_agree_with_the_expansion_and_the_ring(desc):
+    # chi(X, O(t H_1)) at each integer t in [-10, 10]: the Koszul sum read at
+    # t, the expanded polynomial at t, and <e^(t H_1) Td(X), [X]> in the ring
+    space = parse_space(desc).build()
+    rows, ns = space.koszul
+    expanded = _koszul_chi(rows, ns)
+    ring_route = hilbert_polynomial(space, space.ring.gen(space.ring.gen_names()[0]))
+    for t in range(-10, 11):
+        value = _koszul_value(rows, ns, t)
+        assert value == roots.evaluate(expanded, t) == ring_route(t), t
+    assert todd_genus(space) == _koszul_value(rows, ns, 0)
+
+
+def test_koszul_binomial_below_the_ambient_dimension():
+    # C(N + u, N) read as (u + 1)...(u + N) / N!: zero at -N <= u <= -1,
+    # and (-1)^N C(-u - 1, N) below -N
+    for n in range(1, 6):
+        for u in range(-12, 8):
+            assert _binomial(n, u) == math.prod(range(u + 1, u + n + 1)) \
+                // math.factorial(n)
+
+
+def test_length_of_a_large_projective_space():
+    # chi(CP(n), O(u)) vanishes for -n <= u <= -1, so the first nonzero
+    # twist is at |q0 + 2a| = n + 1
+    assert length(projective_space(1000)) == 1001
+
+
+@pytest.mark.parametrize("desc", BATCH_POOL)
+def test_exact_queries_return_fractions(desc):
+    # integral ring coefficients are stored as ints, but coefficient,
+    # scalar_part, integrate and todd_genus hand out Fractions: callers
+    # divide them, and int / int is a float
+    space = parse_space(desc).build()
+    ring = space.ring
+    cls = 3 * space.spin_c + 2
+    assert type(cls.scalar_part()) is Fraction and cls.scalar_part() == 2
+    assert all(type(cls.coefficient(m)) is Fraction for m in cls.terms)
+    assert type(ring.zero().scalar_part()) is Fraction
+    top = ring.from_terms({m: 1 for m in ring.pairing})
+    assert type(integrate(space, top)) is Fraction
+    assert type(integrate(space, ring.one())) is Fraction
+    try:
+        genus = todd_genus(space)
+    except CalculatorError:
+        return
+    assert type(genus) is Fraction
