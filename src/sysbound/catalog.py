@@ -18,9 +18,7 @@ operations that need a ring reject them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -30,17 +28,17 @@ from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
 from .kernel import _intersection_pairing
+from .values import Record
 
 if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
     from .characteristic import ChernData
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """An extremal curve class as a linear functional on degree-2 classes."""
 
-    name: str
-    pairings: dict
+    def __init__(self, name: str, pairings: dict):
+        self.__dict__.update(name=name, pairings=pairings)
 
     def dot(self, cls: GradedClass) -> Fraction:
         if not cls.is_homogeneous(2):
@@ -62,8 +60,7 @@ class Curve:
         return hash((self.name, tuple(sorted(self.pairings.items()))))
 
 
-@dataclass
-class Space:
+class Space(Record, frozen=False):
     """A catalog manifold; immutable by convention after construction.
 
     Recipes run on the first read of the value they make, and the value is
@@ -80,33 +77,50 @@ class Space:
     such spaces (cut out by both sets of rows), and, for the index
     polynomial, on its product with the circle.  :mod:`sysbound.engine`
     reads them from the Riemann-Roch closed form, with no tangent data.
+    ``factor_embeddings`` are the (left, right) class maps on products.
 
-    Kept values are not init fields, so ``dataclasses.replace`` copies the
-    recipes and never a value computed for another space.
+    Kept values are not fields, so ``Space.replace`` copies the recipes
+    and never a value computed for another space.
     """
 
-    name: str
-    family: str
-    real_dim: int
-    b1: int
-    b2: int
-    ring: Ring | None = None
-    is_complex: bool = False
-    complex_dim: int | None = None
-    tangent_of: Callable[[], ChernData] | None = None
-    c1: GradedClass | None = None
-    a_hat_of: Callable[[], GradedClass | None] | None = None
-    koszul: tuple | None = None
-    spin_c: GradedClass | None = None
-    primitive_x: GradedClass | None = None
-    odd_xi: GradedClass | None = None
-    fano_index: int | None = None
-    metadata_only: bool = False
-    nef_rays: tuple = ()
-    curves: tuple = ()
-    kahler_einstein: bool | None = None
-    notes: str = ""
-    factor_embeddings: tuple = ()  # (left, right) class maps on products
+    def __init__(self, name: str, family: str, real_dim: int, b1: int,
+                 b2: int, ring: Ring | None = None, is_complex=False,
+                 complex_dim=None,
+                 tangent_of: Callable[[], ChernData] | None = None,
+                 c1: GradedClass | None = None,
+                 a_hat_of: Callable[[], GradedClass | None] | None = None,
+                 koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
+                 fano_index=None, metadata_only=False, nef_rays=(), curves=(),
+                 kahler_einstein=None, notes="", factor_embeddings=()):
+        self.name = name
+        self.family = family
+        self.real_dim = real_dim
+        self.b1 = b1
+        self.b2 = b2
+        self.ring = ring
+        self.is_complex = is_complex
+        self.complex_dim = complex_dim
+        self.tangent_of = tangent_of
+        self.c1 = c1
+        self.a_hat_of = a_hat_of
+        self.koszul = koszul
+        self.spin_c = spin_c
+        self.primitive_x = primitive_x
+        self.odd_xi = odd_xi
+        self.fano_index = fano_index
+        self.metadata_only = metadata_only
+        self.nef_rays = nef_rays
+        self.curves = curves
+        self.kahler_einstein = kahler_einstein
+        self.notes = notes
+        self.factor_embeddings = factor_embeddings
+        if c1 is None and tangent_of is not None:
+            self.c1 = self.tangent.chern(1)
+        if metadata_only:
+            return
+        if odd_xi is not None and real_dim % 2 == 0:
+            raise PreconditionUnmet(
+                "%s: a degree-1 class is only recorded in odd dimensions" % name)
 
     @cached_property
     def tangent(self) -> ChernData | None:
@@ -138,15 +152,6 @@ class Space:
     @property
     def half_dim(self) -> int:
         return self.real_dim // 2
-
-    def __post_init__(self):
-        if self.c1 is None and self.tangent_of is not None:
-            self.c1 = self.tangent.chern(1)
-        if self.metadata_only:
-            return
-        if self.odd_xi is not None and self.real_dim % 2 == 0:
-            raise PreconditionUnmet(
-                "%s: a degree-1 class is only recorded in odd dimensions" % self.name)
 
 
 def integrate(space: Space, cls: GradedClass) -> Fraction:
@@ -520,8 +525,8 @@ def twist_spin_c(space: Space, k: int) -> Space:
     new_c = space.spin_c + (2 * k) * space.primitive_x
     # the copied recipes make the untwisted tangent and A-hat, which do not
     # see the spin^c class
-    return dataclasses.replace(
-        space, spin_c=new_c, name="%s twist(%d)" % (space.name, k),
+    return space.replace(
+        spin_c=new_c, name="%s twist(%d)" % (space.name, k),
         notes=(space.notes + "; " if space.notes else "") + "twisted spin^c class",
     )
 

@@ -13,12 +13,12 @@ x/(1-exp(-x)) = exp(x/2) * (x/2)/sinh(x/2), so Todd = exp(c1/2) * A-hat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionInconsistent, RingMismatch
 from .graded import GradedClass, _nilpotent_series, exp_class, exp_nilpotent
+from .values import Record
 
 # ---------------------------------------------------------------------------
 # the A-hat log series
@@ -46,19 +46,16 @@ def _ahat_log_coeffs(prec: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Total Chern class of a complex bundle, with its rank."""
 
-    rank: int
-    total: GradedClass
-
-    def __post_init__(self):
-        if self.total.scalar_part() != 1:
+    def __init__(self, rank: int, total: GradedClass):
+        if total.scalar_part() != 1:
             raise DivisionInconsistent("total Chern class must start with 1")
-        for d in self.total.degrees():
+        for d in total.degrees():
             if d % 2:
                 raise DivisionInconsistent("Chern classes live in even degrees")
+        self.__dict__.update(rank=rank, total=total)
 
     def chern(self, k: int) -> GradedClass:
         return self.total.component(2 * k)
@@ -68,11 +65,11 @@ class ChernData:
         return self.total.ring
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(Record):
     """Power sums p_1..p_m of the Chern roots; p_k has degree 2k."""
 
-    sums: tuple
+    def __init__(self, sums: tuple):
+        self.__dict__.update(sums=sums)
 
     def __getitem__(self, k: int) -> GradedClass:
         return self.sums[k - 1]

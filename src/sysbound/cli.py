@@ -22,20 +22,21 @@ lines.
 
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
-catalog, and ``catalog`` loads no engine.
+catalog, and ``catalog`` loads no engine.  No data class generates code at
+import (they are plain classes on ``values.Record``), and ``json`` loads only
+where JSON is written (``--format json``, a list argument in a descriptor)
+or read (``--gram``, ``--vertices``, ``--basis``, ``--degrees``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CalculatorError, ParseError, ValueTooLarge
-from .values import SELECTORS, PiScaled
+from .values import SELECTORS, PiScaled, Record
 
 # ---------------------------------------------------------------------------
 # tokens and parser, shared by descriptors and class expressions
@@ -48,15 +49,12 @@ _CLASS_PUNCT = ("+", "-", "*", "/", "^", "(", ")")
 #: the most digits the interpreter converts between an int and text; 0: none
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-#: a JSON string literal, escaped to ASCII as ``json.dumps`` writes it
-_json_string = json.encoder.encode_basestring_ascii
 
+class Token(Record, frozen=False):
+    __slots__ = ("kind", "text", "pos")  # kind: NAME, INT, punctuation, END
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, INT, punctuation, END
-    text: str
-    pos: int
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 def _tokenize(text: str, punct=_PUNCT, where=""):
@@ -154,8 +152,7 @@ class _Parser:
 # descriptor AST -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Constructor:
+class _Constructor(Record):
     """One descriptor constructor: how it parses, checks, makes and prints.
 
     ``params`` are ``(keyword or None, _Parser method, least, message)``,
@@ -167,10 +164,10 @@ class _Constructor:
     stands for; that node prints as the alias.
     """
 
-    name: str
-    fn: str | None = None
-    params: tuple = ()
-    alias_of: tuple | None = None
+    def __init__(self, name: str, fn: str | None = None, params: tuple = (),
+                 alias_of: tuple | None = None):
+        self.__dict__.update(name=name, fn=fn, params=params,
+                             alias_of=alias_of)
 
 
 _CI_EMPTY = "CI needs nonempty degrees and ambient"
@@ -192,12 +189,11 @@ _CONSTRUCTORS = {row.name: row for row in (
 )}
 
 
-@dataclass(frozen=True)
-class AtomNode:
+class AtomNode(Record):
     """A catalog constructor applied to its arguments (ints and tuples)."""
 
-    name: str
-    args: tuple
+    def __init__(self, name: str, args: tuple):
+        self.__dict__.update(name=name, args=args)
 
     def build(self) -> Space:
         from . import catalog
@@ -207,18 +203,19 @@ class AtomNode:
         for row in _CONSTRUCTORS.values():
             if row.alias_of == (self.name, self.args):
                 return row.name
-        # an integer list is written as compact JSON: [1,2] or [[2],[3]]
-        fields = [("" if keyword is None else keyword + "=")
-                  + json.dumps(value, separators=(",", ":"))
-                  for (keyword, _, _, _), value in zip(
-                      _CONSTRUCTORS[self.name].params, self.args)]
+        fields = []
+        for (keyword, _, _, _), value in zip(_CONSTRUCTORS[self.name].params,
+                                             self.args):
+            if isinstance(value, tuple):  # compact JSON: [1,2] or [[2],[3]]
+                import json
+                value = json.dumps(value, separators=(",", ":"))
+            fields.append(("" if keyword is None else keyword + "=") + str(value))
         return "%s(%s)" % (self.name, "; ".join(fields))
 
 
-@dataclass(frozen=True)
-class TwistNode:
-    inner: object
-    k: int
+class TwistNode(Record):
+    def __init__(self, inner, k: int):
+        self.__dict__.update(inner=inner, k=k)
 
     def build(self) -> Space:
         from . import catalog
@@ -228,10 +225,9 @@ class TwistNode:
         return "%s.twist(%d)" % (self.inner.unparse(), self.k)
 
 
-@dataclass(frozen=True)
-class ProductNode:
-    left: object
-    right: object
+class ProductNode(Record):
+    def __init__(self, left, right):
+        self.__dict__.update(left=left, right=right)
 
     def build(self) -> Space:
         from . import catalog
@@ -411,33 +407,37 @@ def parse_json_value(obj):
                     obj["pi_exponent"])
 
 
-def _json_text(value, indent="\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2, allow_nan=False)`` for the values a
     reply holds (dicts with string keys, lists, strings, booleans, ints and
     floats), written in one pass: with an indent, ``json.dumps`` runs the
     standard library's pure-Python encoder.  A non-finite float or an int
     past the digit limit raises ``ValueError``, as it does there."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("Out of range float values are not JSON compliant")
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [_json_string(k) + ": " + _json_text(v, inner)
-                 for k, v in value.items()]
-        brackets = "{}"
-    else:
-        items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    # a JSON string literal, escaped to ASCII as ``json.dumps`` writes it
+    from json.encoder import encode_basestring_ascii as string
+
+    def text(value, indent):
+        if isinstance(value, str):
+            return string(value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError("Out of range float values are not JSON compliant")
+            return float.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [string(k) + ": " + text(v, inner) for k, v in value.items()]
+            brackets = "{}"
+        else:
+            items = [text(v, inner) for v in value]
+            brackets = "[]"
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    return text(value, "\n")
 
 
 def _render(rows, fmt: str, approx: int | None) -> str:
@@ -587,6 +587,7 @@ def _cmd_bundle_profile(args):
 def _option_value(option, text, convert):
     """``convert(text)``; malformed input raises ParseError (exit 2), at the
     JSON offset where there is one."""
+    import json
     try:
         return convert(text)
     except json.JSONDecodeError as exc:
@@ -598,6 +599,7 @@ def _option_value(option, text, convert):
 
 def _int_list(text):
     """A JSON list of integers: floats, booleans and strings are refused."""
+    import json
     values = json.loads(text)
     if not isinstance(values, list) or any(type(d) is not int for d in values):
         raise ValueError("not a list of integers")
@@ -606,6 +608,7 @@ def _int_list(text):
 
 def _rational_matrix(text):
     """A JSON matrix whose entries are numbers or 'p/q' strings."""
+    import json
     return [[Fraction(str(x)) for x in row] for row in json.loads(text)]
 
 

@@ -9,7 +9,6 @@ is solved by rational-root extraction certified complete by Sturm counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -19,26 +18,25 @@ from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
 from .kernel import _intersection_pairing, _solve_linear, _sparse_mul
+from .values import Record
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
 # imported where a space is integrated or built, so the contraction report and
 # the bundle supremum, which take no space, load no catalog.
 
 
-@dataclass(frozen=True)
-class ConeProblem:
+class ConeProblem(Record):
     """A space of Picard rank <= 2 with its nef rays and extremal curves."""
 
-    space: Space
-    rays: tuple
-    curves: tuple
+    def __init__(self, space: Space, rays: tuple, curves: tuple):
+        self.__dict__.update(space=space, rays=rays, curves=curves)
 
 
-@dataclass(frozen=True)
-class Unbounded:
+class Unbounded(Record):
     """Verdict of phi_sup on a cone containing a non-big nef direction."""
 
-    witness: GradedClass
+    def __init__(self, witness: GradedClass):
+        self.__dict__.update(witness=witness)
 
     def __str__(self):
         return "UNBOUNDED"
@@ -349,22 +347,20 @@ def bundle_profile_sup(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorReport:
-    factor: int
-    ambient_dim: int
-    degree_sum: int
-    k_negative: bool
-    fiber_dim: int
-    anticanonical_coeff: int
+class FactorReport(Record):
+    def __init__(self, factor: int, ambient_dim: int, degree_sum: int,
+                 k_negative: bool, fiber_dim: int, anticanonical_coeff: int):
+        self.__dict__.update(
+            factor=factor, ambient_dim=ambient_dim, degree_sum=degree_sum,
+            k_negative=k_negative, fiber_dim=fiber_dim,
+            anticanonical_coeff=anticanonical_coeff)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    dim: int
-    fano: bool
-    admissible_p: int
-    factors: tuple
+class ContractionReport(Record):
+    def __init__(self, dim: int, fano: bool, admissible_p: int,
+                 factors: tuple):
+        self.__dict__.update(dim=dim, fano=fano, admissible_p=admissible_p,
+                             factors=factors)
 
 
 def multiproj_contractions(ambient, multidegrees) -> ContractionReport:

@@ -217,14 +217,23 @@ def length(space: Space) -> int:
     With ``koszul`` data and an integral shift s, P(a) = chi(X, O(a + s)) is
     read off the Koszul sum at each twist; elsewhere the index polynomial is
     expanded once and evaluated on its integer numerators (same zeros).
+    A Koszul term of first degree d is zero for a + s in [d - N_1, d - 1],
+    and where every term is zero around q0 + 2a = 0 the scan starts past.
     """
     _, q0 = _index_data(space)
+    start = 0
     if space.koszul is not None and _twice_shift(space, q0) % 2 == 0:
         rows, ns = space.koszul
         shift = _twice_shift(space, q0) // 2
 
         def pairing(a):
             return _koszul_value(rows, ns, a + shift)
+        live = [d[0] for d in _signed_degrees(rows, len(ns))
+                if math.prod(_binomial(N, -di) for N, di in zip(ns[1:], d[1:]))]
+        if live:
+            lo, hi = max(live) - ns[0] - shift, min(live) - 1 - shift
+            if 2 * lo <= -q0 <= 2 * hi:
+                start = min(q0 + 2 * hi, -q0 - 2 * lo) + 1
     else:
         nums = roots.numerators(index_polynomial(space).coeffs)
 
@@ -233,7 +242,7 @@ def length(space: Space) -> int:
     n = space.half_dim
     # window |q0 + 2a| <= n + 1 suffices: it holds at least n + 1 twist
     # points, more than a nonzero polynomial of degree <= n has zeros
-    for value in range(0, n + 2):
+    for value in range(start, n + 2):
         for target in ((0,) if value == 0 else (value, -value)):
             if (target - q0) % 2 == 0 and pairing((target - q0) // 2) != 0:
                 return value

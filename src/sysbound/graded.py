@@ -19,33 +19,28 @@ denominator is not 1.  No floating point enters any ring operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidPresentation, NotDegreeTwo, RingMismatch
+from .values import Record
 
 Monomial = tuple  # tuple[int, ...], exponents per generator
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-    odd: bool
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidPresentation("generator %r must have positive degree" % self.name)
-        if self.odd != (self.degree % 2 == 1):
+class Generator(Record):
+    def __init__(self, name: str, degree: int, odd: bool):
+        if degree < 1:
+            raise InvalidPresentation("generator %r must have positive degree" % name)
+        if odd != (degree % 2 == 1):
             raise InvalidPresentation(
                 "generator %r: parity flag must match degree parity in a "
-                "graded-commutative ring over Q" % self.name)
+                "graded-commutative ring over Q" % name)
+        self.__dict__.update(name=name, degree=degree, odd=odd)
 
 
-@dataclass
-class RingPresentation:
+class RingPresentation(Record, frozen=False):
     """Input data for :func:`make_ring`.
 
     ``power_rules`` maps a generator name to ``(cap, rhs)`` meaning
@@ -56,11 +51,14 @@ class RingPresentation:
     normal-form monomials.
     """
 
-    generators: Sequence[Generator]
-    truncation: int
-    power_rules: Mapping[str, tuple] = field(default_factory=dict)
-    pair_rules: Iterable[tuple] = field(default_factory=tuple)
-    pairing: Mapping[Monomial, Fraction] = field(default_factory=dict)
+    def __init__(self, generators: Sequence[Generator], truncation: int,
+                 power_rules: Mapping[str, tuple] | None = None,
+                 pair_rules: Iterable[tuple] = (),
+                 pairing: Mapping[Monomial, Fraction] | None = None):
+        self.generators, self.truncation = generators, truncation
+        self.power_rules = {} if power_rules is None else power_rules
+        self.pair_rules = pair_rules
+        self.pairing = {} if pairing is None else pairing
 
 
 class Ring:

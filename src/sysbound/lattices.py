@@ -49,7 +49,6 @@ Lectures on Polytopes, section 2.3), so only input polytopes enumerate facets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -59,6 +58,7 @@ from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
 from .kernel import (_cleared, _cleared_row, _det, _eliminate, _mat, _mat_inv,
                      _rank_of)
+from .values import Record
 
 MAX_RANK = 5
 #: the most r-subsets of an input vertex list ``_facet_normals`` will solve,
@@ -167,8 +167,7 @@ def _lengths(rows):
     return "/".join(str(n) for n in sorted({len(row) for row in rows}))
 
 
-@dataclass
-class NormedLattice:
+class NormedLattice(Record, frozen=False):
     """A rank-r lattice with a Euclidean or polytope norm.
 
     ``basis`` rows generate the lattice in ambient coordinates.  Exactly one
@@ -176,15 +175,13 @@ class NormedLattice:
     list, closed under negation) must be given.
     """
 
-    basis: list
-    gram: list | None = None
-    vertices: list | None = None
-    # the facet normals of the unit ball, when already known: only
-    # ``dual_lattice`` passes them, for the polar of a primal's ball
-    _normals: list | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.basis = _mat(self.basis)
+    # ``_normals``, which ``==`` and the repr leave out, are the facet
+    # normals of the unit ball, when already known: only ``dual_lattice``
+    # passes them, for the polar of a primal's ball
+    def __init__(self, basis: list, gram: list | None = None,
+                 vertices: list | None = None, _normals: list | None = None):
+        self.basis = _mat(basis)
+        self.gram, self.vertices, self._normals = gram, vertices, _normals
         r = len(self.basis)
         if r == 0:
             raise PreconditionUnmet("the lattice basis is empty; rank must be "
@@ -811,12 +808,12 @@ def dual_lattice(lattice: NormedLattice) -> NormedLattice:
     return lattice._dual
 
 
-@dataclass(frozen=True)
-class TransferenceReport:
-    lambda1_sq: Fraction
-    dual_lambda_r_sq: Fraction
-    product_sq: Fraction
-    rank: int
+class TransferenceReport(Record):
+    def __init__(self, lambda1_sq: Fraction, dual_lambda_r_sq: Fraction,
+                 product_sq: Fraction, rank: int):
+        self.__dict__.update(lambda1_sq=lambda1_sq,
+                             dual_lambda_r_sq=dual_lambda_r_sq,
+                             product_sq=product_sq, rank=rank)
 
     @property
     def ok(self):
@@ -839,8 +836,7 @@ def transference_check(lattice: NormedLattice) -> TransferenceReport:
     return report
 
 
-@dataclass(frozen=True)
-class ReducedDualBasis:
+class ReducedDualBasis(Record):
     """A Z-basis of the dual lattice with certified norm bounds.
 
     ``dual_norms`` are exact squared dual norms for Euclidean lattices and
@@ -850,11 +846,10 @@ class ReducedDualBasis:
     case), each certified <= rank^2 (rank^4 squared).
     """
 
-    vectors: tuple
-    dual_norms: tuple
-    lambda1: Fraction
-    squared: bool
-    rank: int
+    def __init__(self, vectors: tuple, dual_norms: tuple, lambda1: Fraction,
+                 squared: bool, rank: int):
+        self.__dict__.update(vectors=vectors, dual_norms=dual_norms,
+                             lambda1=lambda1, squared=squared, rank=rank)
 
     @property
     def achieved(self):

@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPolynomialResult, PreconditionUnmet, TooFewVariables
+from .values import Record
 
 # ``ChernData`` and ``GradedClass`` appear in annotations only: the
 # localization sum needs no cohomology ring, so it loads none.
@@ -37,13 +37,12 @@ _MAX_R = 6
 _MAX_J = 6
 
 
-@dataclass(frozen=True)
-class SymmetricPolynomial:
+class SymmetricPolynomial(Record):
     """An exact symmetric polynomial in formal roots x1..xn: ``terms`` holds
     (exponents, nonzero integer coefficient) pairs in decreasing lex order."""
 
-    terms: tuple
-    nvars: int
+    def __init__(self, terms: tuple, nvars: int):
+        self.__dict__.update(terms=terms, nvars=nvars)
 
     def is_symmetric(self) -> bool:
         """Coefficients are constant on S_r orbits of exponent tuples (the

@@ -2,26 +2,73 @@
 
 A leaf module: it imports only the standard library, so the CLI can parse
 its arguments and print any result without loading an engine.  ``engine``
-re-exports every name defined here.
+re-exports the value type and the selectors; ``Record`` serves data classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class PiScaled:
+class Record:
+    """Value semantics from ``_fields``, the class's ``__init__`` parameters
+    but ``_private`` ones: ``==`` and the hash compare the fields, within one
+    class; the repr is ``Name(field=value, ...)``; assignment raises
+    ``AttributeError``, so ``__init__`` fills ``self.__dict__``, unless the
+    class is declared ``class C(Record, frozen=False)``, which is unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = tuple(name for name in
+                            code.co_varnames[1:code.co_argcount]
+                            if not name.startswith("_"))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def replace(self, **changes):
+        """A copy with ``changes``, made by ``__init__`` from the fields, so
+        the class's checks run on it again."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)
+
+
+class PiScaled(Record):
     """An exact value q * pi^k with q rational.
 
     The exponent may go negative in intermediate arithmetic; every bound and
     volume produced by ``engine`` ends up with k >= 0.
     """
 
-    q: Fraction
-    k: int = 0
+    def __init__(self, q: Fraction, k: int = 0):
+        self.__dict__.update(q=q, k=k)
 
     @staticmethod
     def of(q, k=0) -> "PiScaled":

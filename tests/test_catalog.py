@@ -1,6 +1,5 @@
 """Catalog constructors: pairings, metadata, products, twists."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -288,8 +287,8 @@ def _on_ambient_model(rows, ns, twists):
 
     def move(cls):
         return None if cls is None else ring.from_terms(cls.terms)
-    return dataclasses.replace(
-        x, ring=ring, tangent_of=lambda: tangent, c1=tangent.chern(1),
+    return x.replace(
+        ring=ring, tangent_of=lambda: tangent, c1=tangent.chern(1),
         a_hat_of=partial(a_hat, tangent), koszul=None, spin_c=move(x.spin_c),
         primitive_x=move(x.primitive_x),
         nef_rays=tuple(move(r) for r in x.nef_rays))

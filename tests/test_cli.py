@@ -1,6 +1,5 @@
 """Descriptor grammar, command dispatch, formats, exit codes."""
 
-import dataclasses
 import io
 import itertools
 import json
@@ -673,8 +672,7 @@ def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
     for desc in _LEAD + BATCH_POOL:
         parse_space(desc).build()
     spaces = dict(built)
-    before = {node: {f.name: getattr(space, f.name)
-                     for f in dataclasses.fields(space) if f.init}
+    before = {node: {name: getattr(space, name) for name in space._fields}
               for node, space in spaces.items()}
     assert any(isinstance(node, ProductNode) for node in spaces)
     assert any(isinstance(node, TwistNode) for node in spaces)
@@ -802,6 +800,16 @@ def _child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")]))
     return env
+
+
+def test_length_of_a_huge_projective_space_answers():
+    # chi(CP(n), O(u)) is zero for u in [-n, -1], which holds the scan's
+    # centre: the first twist read is the answer, with no 10^8 zeros first
+    proc = subprocess.run([sys.executable, "-m", "sysbound", "length",
+                           "--space", "CP(100000000)"], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "space:   CP(100000000)\nlength:  100000001\n"
 
 
 def _replay(flags, examples=_EXAMPLES):

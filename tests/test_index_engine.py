@@ -1,6 +1,5 @@
 """Index polynomials, lengths, and the closed-form bound evaluations."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -371,7 +370,7 @@ def _chi_outcomes(space):
 @pytest.mark.parametrize("desc", _KOSZUL_CASES)
 def test_riemann_roch_closed_form_agrees_with_the_ring_route(desc):
     space = parse_space(desc).build()
-    ring_route = dataclasses.replace(space, koszul=None)
+    ring_route = space.replace(koszul=None)
     assert _chi_outcomes(space) == _chi_outcomes(ring_route)
 
 
@@ -381,9 +380,8 @@ def test_closed_form_takes_a_half_integral_shift():
     for space in (projective_space(2), quadric(4),
                   complete_intersection([[2], [3]], [6])):
         for j in (-3, -1, 1):
-            moved = dataclasses.replace(space,
-                                        spin_c=space.c1 + j * space.primitive_x)
-            ring_route = dataclasses.replace(moved, koszul=None)
+            moved = space.replace(spin_c=space.c1 + j * space.primitive_x)
+            ring_route = moved.replace(koszul=None)
             assert _chi_outcomes(moved) == _chi_outcomes(ring_route)
 
 
@@ -433,6 +431,37 @@ def test_length_of_a_large_projective_space():
     # chi(CP(n), O(u)) vanishes for -n <= u <= -1, so the first nonzero
     # twist is at |q0 + 2a| = n + 1
     assert length(projective_space(1000)) == 1001
+
+
+def _plain_scan(space):
+    """``length`` by the scan from |q0 + 2a| = 0 over the whole window, on
+    the index polynomial, or the name of the error raised instead."""
+    try:
+        poly = index_polynomial(space)
+    except CalculatorError as exc:
+        return type(exc).__name__
+    for value in range(space.half_dim + 2):
+        for target in (value, -value):
+            if (target - poly.q0) % 2 == 0 and poly((target - poly.q0) // 2):
+                return value
+    return "WindowExhausted"
+
+
+@pytest.mark.parametrize("desc", _KOSZUL_CASES)
+def test_length_skips_only_twists_where_every_koszul_term_vanishes(desc):
+    # the scan starts past the interval where every Koszul term is zero;
+    # each twist by -2..2 must still find the plain scan's first value
+    base = parse_space(desc).build()
+    for k in range(-2, 3):
+        try:
+            space = twist_spin_c(base, k)
+        except CalculatorError:
+            continue
+        try:
+            found = length(space)
+        except CalculatorError as exc:
+            found = type(exc).__name__
+        assert found == _plain_scan(space), k
 
 
 @pytest.mark.parametrize("desc", BATCH_POOL)

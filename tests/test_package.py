@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from batch_pool import CLI_INVOCATIONS
+from test_cli import _PB_INVOCATIONS, _child_env
 
 import sysbound
 
@@ -104,6 +107,39 @@ def test_the_package_runs_on_the_standard_library_alone():
             if module != "sysbound" and module not in sys.stdlib_module_names:
                 outside.append((path.name, scope, module))
     assert outside == []
+
+
+def test_no_module_imports_dataclasses_or_json_at_import():
+    # a decorated dataclass execs generated source at import, and
+    # ``dataclasses`` loads ``inspect``; ``json`` loads where JSON is read
+    # or written
+    found = []
+    for path in sorted(Path(sysbound.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, module in _absolute_imports(tree):
+            if module == "dataclasses" or (module == "json" and not scope):
+                found.append((path.name, scope, module))
+    assert found == []
+
+
+#: the benchmark's invocations that read and write no JSON
+_NO_JSON = ("catalog", "bound", "length", "phi", "phi-sup", "bundle-profile",
+            "pushforward")
+
+
+def test_a_cold_process_imports_no_dataclasses_and_json_only_for_json():
+    for argv in CLI_INVOCATIONS + _PB_INVOCATIONS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "sysbound", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode in (0, 1), (argv, proc.stderr)
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "sysbound.cli" in imported, argv
+        assert not imported & {"dataclasses", "inspect"}, argv
+        if argv in CLI_INVOCATIONS and argv[0] in _NO_JSON:
+            assert "json" not in imported, argv
 
 
 def test_pyproject_declares_no_runtime_dependency():
