@@ -2,12 +2,15 @@
 
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968;
 Cohen, GTM 138, section 2.2) serves every exact inverse, determinant, linear
-solve and rank in the package.  Each input row is cleared once by its own
-denominator, the elimination runs on Python ints, and a result entry becomes
-one Fraction at the end.  Sparse polynomials are dicts {exponent tuple:
-coefficient} with one product, which also gives the intersection numbers of
-a complete intersection in a product of projective spaces.  Dense univariate
-polynomials live in ``roots``.
+solve and rank in the package.  A matrix is held as ``(rows, den)``, integer
+rows over one denominator; ``_cleared`` is the one place where rational
+entries become that pair.  The determinant, inverse and rank take integer
+rows and run on Python ints throughout, the inverse coming back as integer
+rows over one denominator; only ``_solve_linear``, for the cone engine,
+clears its rational rows itself.  Sparse polynomials are dicts {exponent
+tuple: coefficient} with one product, which also gives the intersection
+numbers of a complete intersection in a product of projective spaces.
+Dense univariate polynomials live in ``roots``.
 """
 
 from __future__ import annotations
@@ -23,22 +26,11 @@ from .errors import EmptyIntersection, PreconditionUnmet
 # ---------------------------------------------------------------------------
 
 
-def _mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _cleared(m):
     """``(rows, d)``: integer rows with m = rows / d, d the least common
     denominator of the entries (ints or Fractions)."""
     d = math.lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
-def _cleared_row(row):
-    """``(ints, d)``: the row as integers over its own least common
-    denominator d."""
-    (ints,), d = _cleared([row])
-    return ints, d
 
 
 def _eliminate(rows, ncols, jordan=True):
@@ -77,47 +69,49 @@ def _eliminate(rows, ncols, jordan=True):
     return m, rank, sign * prev
 
 
-def _mat_inv(a):
-    """The inverse of a nonsingular square matrix, as Fractions.
+def _mat_inv(rows, d=1):
+    """``(inv, den)``: the inverse of the nonsingular matrix rows / d, as
+    integer rows over their least common denominator.
 
-    With a = D^-1 R, R the cleared rows and D the diagonal of their
-    denominators, [R | D] reduces to det * [I | R^-1 D] = det * [I | a^-1].
+    Gauss-Jordan reduces [B | I] to p [I | B^-1], p the last pivot, so the
+    inverse d B^-1 = d adj(B) / det B is d times the right half over p, with
+    the sign made positive and the common content divided out.
     """
-    n = len(a)
-    aug = []
-    for i, row in enumerate(a):
-        ints, d = _cleared_row(row)
-        aug.append(ints + [d if i == j else 0 for j in range(n)])
-    m, rank, _ = _eliminate(aug, n)
+    n = len(rows)
+    m, rank, _ = _eliminate(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)],
+        n)
     if rank < n:
         raise PreconditionUnmet("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    p = m[0][0]
+    if p < 0:
+        d = -d
+    inv = [[d * x for x in row[n:]] for row in m]
+    g = math.gcd(p, *(x for row in inv for x in row))
+    return [[x // g for x in row] for row in inv], abs(p) // g
 
 
-def _det(a):
-    cleared = [_cleared_row(row) for row in a]
-    _, rank, det = _eliminate([ints for ints, _ in cleared], len(a),
-                              jordan=False)
-    if rank < len(a):
-        return Fraction(0)
-    return Fraction(det, math.prod(d for _, d in cleared))
-
-
-def _solve_linear(rows, rhs):
-    """The unique solution of rows x = rhs, or None if there is none or more
-    than one: rows of rank below the number of unknowns (the row length),
-    or an inconsistent equation."""
-    n = len(rows[0]) if rows else 0
-    m, rank, _ = _eliminate(
-        [_cleared_row(list(row) + [b])[0] for row, b in zip(rows, rhs)], n)
-    if rank < n or any(row[n] for row in m[rank:]):
-        return None
-    return [Fraction(row[n], row[i]) for i, row in enumerate(m[:n])]
+def _det(rows):
+    """The determinant of a square matrix of integer rows."""
+    _, rank, det = _eliminate(rows, len(rows), jordan=False)
+    return det if rank == len(rows) else 0
 
 
 def _rank_of(rows):
-    return _eliminate([_cleared_row(row)[0] for row in rows],
-                      len(rows[0]) if rows else 0, jordan=False)[1]
+    """The rank of a matrix of integer rows."""
+    return _eliminate(rows, len(rows[0]) if rows else 0, jordan=False)[1]
+
+
+def _solve_linear(rows, rhs):
+    """The unique solution of rows x = rhs, for rational rows and rhs, or
+    None if there is none or more than one: rows of rank below the number of
+    unknowns (the row length), or an inconsistent equation."""
+    n = len(rows[0]) if rows else 0
+    m, rank, _ = _eliminate(
+        _cleared([list(row) + [b] for row, b in zip(rows, rhs)])[0], n)
+    if rank < n or any(row[n] for row in m[rank:]):
+        return None
+    return [Fraction(row[n], row[i]) for i, row in enumerate(m[:n])]
 
 
 # ---------------------------------------------------------------------------

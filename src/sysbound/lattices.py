@@ -6,10 +6,15 @@ Euclidean (an ambient positive-definite rational Gram form) or polytope
 quantities are exact: Euclidean minima as squared rationals, polytope minima
 as rationals.
 
-Gram matrices B F B^T are formed in Python ints, with the denominators of B
-and F cleared once; lattice vectors and quadratic forms x^T F x are
-evaluated the same way, and inverses, determinants, solves and ranks run on
-the integer elimination of ``kernel``.
+A lattice holds each of its matrices once, as integer rows over one
+denominator: ``NormedLattice`` clears its basis, its Euclidean form or its
+vertices, and its facet normals when it is built, and every routine after
+that reads those rows.  Gram matrices B F B^T are products of them in Python
+ints; inverses, determinants and ranks run on the integer elimination of
+``kernel``, the inverse coming back as integer rows over one denominator,
+which is how the dual's basis and form are made.  A value becomes a Fraction
+only where it leaves the engine: the public basis, form and vertices, a
+minimum, a norm, a dual vector, ``euclidean_form()`` and ``lattice_gram()``.
 
 The reduction engine runs on integers from the Gram matrix through the
 enumeration, on Cohen's integral Gram-Schmidt data (GTM 138, Algorithm
@@ -21,9 +26,8 @@ reduction that ends a KZ reduction, update them in place with exact integer
 divisions; LLL hands the data of its reduced rows to the enumeration, the
 shortest vector and KZ, so no Gram matrix is rebuilt or factored twice.
 Enumeration is exact Fincke-Pohst on the same data, each range from an
-integer square root.  A value becomes a Fraction only where it leaves the
-engine: a minimum, a norm.  Each lattice keeps its minima, its LLL run and
-its dual.
+integer square root.  Each lattice keeps its minima, its LLL run and its
+dual.
 
 Each enumerated vector is measured once, and the minima are read off by an
 independence scan that keeps integer echelon rows.  A Euclidean size is the
@@ -32,18 +36,18 @@ coeffs.  A polytope norm is read on coefficient vectors: the facet normals
 are pulled back to lattice coordinates once per lattice, as integer rows
 over one denominator, and a norm is a max of integer dot products.
 
-The polytope half runs on cleared rows too: a polytope's vertices, and then
-its facet normals, are cleared once to integer rows over one denominator.
-Facet enumeration solves each r-subset by one integer elimination and tests
-support in ints; the polar test, the pull-back and the ellipsoid sandwich
-read the same rows.  For polytope norms the search region comes from an
-inscribed ellipsoid E whose sandwich (E inside the ball, ball inside
-sqrt(c) E) is verified exactly, with c the largest vertex value v^T Q v;
-the search budget uses that c.  The ellipsoid itself is fitted in plain
-Python floats, with a float Gauss-Jordan loop of its own, since only the
-certificate matters.  The dual's unit ball is the polar polytope, whose
-facet normals are the primal's extreme vertices (polar duality; Ziegler,
-Lectures on Polytopes, section 2.3), so only input polytopes enumerate facets.
+The polytope half runs on the same rows.  Facet enumeration solves each
+r-subset of the vertex rows by one integer elimination, tests support in
+ints and returns the normals as integer rows over one denominator; the
+polar test, the pull-back and the ellipsoid sandwich read those rows.  For
+polytope norms the search region comes from an inscribed ellipsoid E whose
+sandwich (E inside the ball, ball inside sqrt(c) E) is verified exactly,
+with c the largest vertex value v^T Q v; the search budget uses that c.
+The ellipsoid itself is fitted in plain Python floats, with a float
+Gauss-Jordan loop of its own, since only the certificate matters.  The
+dual's unit ball is the polar polytope, whose facet normals are the primal's
+extreme vertices (polar duality; Ziegler, Lectures on Polytopes, section
+2.3), so only input polytopes enumerate facets.
 """
 
 from __future__ import annotations
@@ -56,8 +60,7 @@ from operator import mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
-from .kernel import (_cleared, _cleared_row, _det, _eliminate, _mat, _mat_inv,
-                     _rank_of)
+from .kernel import _cleared, _det, _eliminate, _mat_inv, _rank_of
 from .values import Record
 
 MAX_RANK = 5
@@ -72,10 +75,6 @@ LLL_DELTA = Fraction(3, 4)
 # ---------------------------------------------------------------------------
 # Gram forms
 # ---------------------------------------------------------------------------
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def _integral_gs(gram):
@@ -107,16 +106,17 @@ def _integral_gs(gram):
     return lam, d
 
 
-def _is_positive_definite(g):
-    """Symmetric with every leading principal minor positive (Sylvester's
-    criterion), read off the integral Gram-Schmidt pass."""
-    n = len(g)
-    if any(len(row) != n for row in g):
+def _is_positive_definite(rows):
+    """Integer rows that are symmetric with every leading principal minor
+    positive (Sylvester's criterion), read off the integral Gram-Schmidt
+    pass."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         return False
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         return False
     try:
-        _integral_gs(_cleared(g)[0])
+        _integral_gs(rows)
     except PreconditionUnmet:
         return False
     return True
@@ -127,14 +127,6 @@ def _int_quad(rows, xs):
     return sum(xi * sum(map(mul, row, xs)) for xi, row in zip(xs, rows) if xi)
 
 
-def _quad(g, x):
-    """The exact value x^T g x: with g = G / e and x = X / d cleared,
-    X^T G X / (d^2 e), one Fraction."""
-    xs, d = _cleared_row(x)
-    rows, e = _cleared(g)
-    return Fraction(_int_quad(rows, xs), d * d * e)
-
-
 def _int_gram(b, f):
     """B F B^T for integer rows B and F, in ints."""
     f_cols = list(zip(*f))
@@ -142,19 +134,9 @@ def _int_gram(b, f):
     return [[sum(map(mul, row, other)) for other in b] for row in bf]
 
 
-def _integral_gram(basis, form):
-    """``(gram, scale)``: basis * form * basis^T = gram / scale, gram in
-    integer rows.  Denominators are cleared once per matrix (basis = B / d,
-    form = F / e), so gram = B F B^T and scale = d^2 e."""
-    b, d = _cleared(basis)
-    f, e = _cleared(form)
-    return _int_gram(b, f), d * d * e
-
-
-def _gram_of_basis(basis, form):
-    """The exact product basis * form * basis^T, one Fraction per entry."""
-    gram, scale = _integral_gram(basis, form)
-    return [[Fraction(x, scale) for x in row] for row in gram]
+def _fractions(rows, den):
+    """The matrix rows / den, one Fraction per entry."""
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +158,14 @@ class NormedLattice(Record, frozen=False):
     """
 
     # ``_normals``, which ``==`` and the repr leave out, are the facet
-    # normals of the unit ball, when already known: only ``dual_lattice``
-    # passes them, for the polar of a primal's ball
+    # normals of the unit ball as ``(rows, den)``, when already known: only
+    # ``dual_lattice`` passes them, for the polar of a primal's ball.  The
+    # basis, the form or the vertices, and the normals are each cleared once
+    # here to ``(rows, den)``, kept as ``_basis``, ``_form``, ``_vertices``
+    # and ``_normals``.
     def __init__(self, basis: list, gram: list | None = None,
-                 vertices: list | None = None, _normals: list | None = None):
-        self.basis = _mat(basis)
+                 vertices: list | None = None, _normals: tuple | None = None):
+        self.basis = [[Fraction(x) for x in row] for row in basis]
         self.gram, self.vertices, self._normals = gram, vertices, _normals
         r = len(self.basis)
         if r == 0:
@@ -191,17 +176,19 @@ class NormedLattice(Record, frozen=False):
                                % (r, MAX_RANK))
         if any(len(row) != r for row in self.basis):
             raise PreconditionUnmet("basis must be a square matrix")
-        if _det(self.basis) == 0:
+        self._basis = _cleared(self.basis)
+        if _det(self._basis[0]) == 0:
             raise PreconditionUnmet("basis must be nonsingular")
         if (self.gram is None) == (self.vertices is None):
             raise PreconditionUnmet("give exactly one of gram and vertices")
         if self.gram is not None:
-            self.gram = _mat(self.gram)
+            self.gram = [[Fraction(x) for x in row] for row in self.gram]
             if len(self.gram) != r or any(len(row) != r for row in self.gram):
                 raise PreconditionUnmet(
                     "the Gram matrix is %dx%s but the basis has rank %d"
                     % (len(self.gram), _lengths(self.gram), r))
-            if not _is_positive_definite(self.gram):
+            self._form = _cleared(self.gram)
+            if not _is_positive_definite(self._form[0]):
                 raise PreconditionUnmet(
                     "the Euclidean form must be symmetric positive-definite "
                     "(leading principal minors positive)")
@@ -212,18 +199,18 @@ class NormedLattice(Record, frozen=False):
                 raise PreconditionUnmet(
                     "the vertices have %s coordinates but the basis has rank %d"
                     % (_lengths(self.vertices), r))
-            rows, _ = _cleared(self.vertices)
+            self._vertices = _cleared(self.vertices)
+            rows = self._vertices[0]
             vset = {tuple(v) for v in rows}
             if {tuple(-x for x in v) for v in rows} != vset:
                 raise PreconditionUnmet(
                     "polytope vertex list must be closed under negation")
             if self._normals is None:
-                self._normals = _facet_normals(self.vertices, r)
-            # <a, c B> = <B a, c>: with basis = B / d and normals = A / e
-            # cleared once, each normal pulled back to lattice coordinates
-            # is the integer row B a over d e
-            b, d = self._cleared_basis
-            normals, e = _cleared(self._normals)
+                self._normals = _facet_normals(self._vertices, r)
+            # <a, c B> = <B a, c>: with basis = B / d and normals = A / e,
+            # each normal pulled back to lattice coordinates is the integer
+            # row B a over d e
+            (b, d), (normals, e) = self._basis, self._normals
             self._coeff_normals = (
                 [[sum(map(mul, row, a)) for row in b] for a in normals], d * e)
 
@@ -241,7 +228,8 @@ class NormedLattice(Record, frozen=False):
         """Gram matrix of the basis vectors (Euclidean norm only)."""
         if self.gram is None:
             raise PreconditionUnmet("polytope lattices have no Gram matrix")
-        return _gram_of_basis(self.basis, self.gram)
+        (b, d), (f, e) = self._basis, self._form
+        return _fractions(_int_gram(b, f), d * d * e)
 
     def _check_length(self, vec, what):
         if len(vec) != self.rank:
@@ -252,34 +240,31 @@ class NormedLattice(Record, frozen=False):
     def vector(self, coeffs):
         """Ambient coordinates of an integer coefficient vector."""
         self._check_length(coeffs, "coefficient vector")
-        rows, d = self._cleared_basis
+        rows, d = self._basis
         return [Fraction(sum(map(mul, coeffs, col)), d) for col in zip(*rows)]
 
     def norm_sq(self, ambient_vec):
         if self.gram is None:
             raise PreconditionUnmet("polytope norms are not squared-rational")
         self._check_length(ambient_vec, "vector")
-        return _quad(self.gram, [Fraction(x) for x in ambient_vec])
+        (xs,), d = _cleared([[Fraction(x) for x in ambient_vec]])
+        rows, e = self._form
+        return Fraction(_int_quad(rows, xs), d * d * e)
 
     def norm(self, ambient_vec):
         """Exact polytope norm (Minkowski functional)."""
         if self._normals is None:
             raise PreconditionUnmet("Euclidean norms are reported squared")
         self._check_length(ambient_vec, "vector")
-        v = [Fraction(x) for x in ambient_vec]
-        return max(sum(a * x for a, x in zip(normal, v))
-                   for normal in self._normals)
+        (xs,), d = _cleared([[Fraction(x) for x in ambient_vec]])
+        rows, e = self._normals
+        return Fraction(max(sum(map(mul, a, xs)) for a in rows), d * e)
 
     def _coefficient_norm(self, coeffs):
         """The polytope norm of the lattice vector with these integer
         coefficients, from the pulled-back facet normals."""
         rows, d = self._coeff_normals
         return Fraction(max(sum(map(mul, row, coeffs)) for row in rows), d)
-
-    @cached_property
-    def _cleared_basis(self):
-        """The basis as integer rows over one denominator."""
-        return _cleared(self.basis)
 
     def euclidean_form(self):
         """An ambient quadratic form comparable to the norm.
@@ -291,7 +276,7 @@ class NormedLattice(Record, frozen=False):
         """
         if self.gram is not None:
             return self.gram
-        return self._ellipsoid[0]
+        return _fractions(*self._ellipsoid[0])
 
     def _form_budget(self, size):
         """A bound on v^T Q v, Q = euclidean_form(), for every v of at most
@@ -304,18 +289,20 @@ class NormedLattice(Record, frozen=False):
 
     @cached_property
     def _ellipsoid(self):
-        """(Q, c) of the certified inscribed ellipsoid."""
-        return _certified_ellipsoid_form(self.vertices, self._normals,
+        """((rows, den), c) of the certified inscribed ellipsoid."""
+        return _certified_ellipsoid_form(self._vertices, self._normals,
                                          self.rank)
 
     @cached_property
     def _lll(self):
         """``(gram, scale, run)``: the Gram matrix of the basis in the
-        Euclidean form as integer rows over ``scale`` (see
-        :func:`_integral_gram`), and the LLL run of those rows (see
+        Euclidean form, B F B^T over scale = d^2 e for basis = B / d and
+        form = F / e, and the LLL run of those rows (see
         :func:`lll_transform`)."""
-        gram, scale = _integral_gram(self.basis, self.euclidean_form())
-        return gram, scale, lll_transform(gram)
+        form = self._form if self.gram is not None else self._ellipsoid[0]
+        (b, d), (f, e) = self._basis, form
+        gram = _int_gram(b, f)
+        return gram, d * d * e, lll_transform(gram)
 
     @cached_property
     def _minima(self):
@@ -332,12 +319,13 @@ class NormedLattice(Record, frozen=False):
     @cached_property
     def _dual(self):
         """The dual lattice with the dual norm; see :func:`dual_lattice`."""
-        dual_basis = _transpose(_mat_inv(self.basis))
+        rows, den = _mat_inv(*self._basis)
+        dual_basis = _fractions(zip(*rows), den)
         if self.kind == "euclidean":
-            form = {"gram": _mat_inv(self.gram)}
+            form = {"gram": _fractions(*_mat_inv(*self._form))}
         else:
-            form = {"vertices": [list(a) for a in self._normals],
-                    "_normals": _polar_normals(self.vertices, self._normals,
+            form = {"vertices": _fractions(*self._normals),
+                    "_normals": _polar_normals(self._vertices, self._normals,
                                                self.rank)}
         return NormedLattice(basis=dual_basis, **form)
 
@@ -349,23 +337,24 @@ class NormedLattice(Record, frozen=False):
 
 def _facet_normals(vertices, r):
     """Supporting functionals a with <a, v> <= 1, exhaustively at rank <= 5,
-    sorted.
+    as sorted integer rows over one denominator.
 
-    The vertices are cleared once to integer rows V over one denominator D.
-    For each r-subset S one fraction-free elimination of [V_S | D] solves
+    ``vertices`` are integer rows V over one denominator D.  For each
+    r-subset S one fraction-free elimination of [V_S | D] solves
     V_S a = D 1: when V_S has rank r, Gauss-Jordan leaves p [I | n], p the
     common diagonal (the determinant up to the sign of the row swaps), so
     a = n / p.  With p made positive, a supports the polytope iff
     n . V_i <= p D for every vertex, in ints.  Normals are deduplicated on
-    (n, p) over their gcd and become Fractions only at the end.
+    (n, p) over their gcd and put over the lcm of their p at the end, which
+    sorts them as the rationals they stand for.
     """
-    subsets = math.comb(len(vertices), r)
+    rows, den = vertices
+    subsets = math.comb(len(rows), r)
     if subsets > MAX_FACET_SUBSETS:
         raise TooManyVertices(
             "facet enumeration over %d vertices at rank %d needs C(%d, %d) = "
             "%d linear solves, above the cap %d"
-            % (len(vertices), r, len(vertices), r, subsets, MAX_FACET_SUBSETS))
-    rows, den = _cleared(vertices)
+            % (len(rows), r, len(rows), r, subsets, MAX_FACET_SUBSETS))
     normals = set()
     for subset in combinations(rows, r):
         m, rank, _ = _eliminate([v + [den] for v in subset], r)
@@ -384,7 +373,8 @@ def _facet_normals(vertices, r):
     span = [key[1:] for key in normals]
     if len(span) < r or _rank_of(span) < r:
         raise PreconditionUnmet("polytope is not full-dimensional")
-    return sorted(tuple(Fraction(x, p) for x in n) for p, *n in normals)
+    lcm = math.lcm(*(p for p, *_ in normals))
+    return sorted([x * (lcm // p) for x in n] for p, *n in normals), lcm
 
 
 def _polar_normals(vertices, normals, r):
@@ -392,20 +382,21 @@ def _polar_normals(vertices, normals, r):
     the listed vertices that are extreme, v being extreme iff the normals a
     with <a, v> = 1 have rank r.
 
-    Vertices and normals are cleared once, vertices = V / D and
-    normals = A / E, so a normal is tight at a vertex iff A_j . V_i = E D,
-    in ints, and the rank test runs on the integer tight rows.  Sorting the
-    distinct rows V_i sorts the vertices, D being positive.
+    Both arguments are integer rows over one denominator, vertices = V / D
+    and normals = A / E, so a normal is tight at a vertex iff
+    A_j . V_i = E D, in ints, and the rank test runs on the integer tight
+    rows.  The result is the distinct extreme rows V_i over D, sorted, which
+    sorts the vertices, D being positive.
     """
-    rows, den = _cleared(vertices)
-    normal_rows, e = _cleared(normals)
+    rows, den = vertices
+    normal_rows, e = normals
     one = e * den
     extreme = []
     for v in sorted({tuple(v) for v in rows}):
         tight = [a for a in normal_rows if sum(map(mul, a, v)) == one]
         if len(tight) >= r and _rank_of(tight) == r:
-            extreme.append(tuple(Fraction(x, den) for x in v))
-    return extreme
+            extreme.append(list(v))
+    return extreme, den
 
 
 def _gauss_jordan(rows, ncols):
@@ -433,8 +424,9 @@ def _gauss_jordan(rows, ncols):
 
 
 def _certified_ellipsoid_form(vertices, normals, r):
-    """Rational PD form Q and the exact c = max v^T Q v over the vertices,
-    with E_Q inside K inside sqrt(c) E_Q.
+    """``((rows, den), c)``: a rational PD form Q = rows / den and the exact
+    c = max v^T Q v over the vertices, with E_Q inside K inside sqrt(c) E_Q;
+    the vertices and normals are integer rows over one denominator each.
 
     Khachiyan's iteration (Math. Oper. Res. 21, 1996) fits, in floats, the
     minimal enclosing ellipsoid of the polar vertex set (the facet normals):
@@ -445,8 +437,8 @@ def _certified_ellipsoid_form(vertices, normals, r):
     The first round with c <= r (John's bound) is returned; failing that,
     the round with the smallest c.
     """
-    points, e = _cleared(normals)
-    rows, den = _cleared(vertices)
+    points, e = normals
+    rows, den = vertices
     # p p^T of each point, flattened row by row, and each entry over the
     # points; int / int true division is correctly rounded, as float() of
     # the exact Fraction is
@@ -483,16 +475,17 @@ def _certified_ellipsoid_form(vertices, normals, r):
               for j in range(r)] for i in range(r)]
         w = [[(w[i][j] + w[j][i]) / 2 for j in range(r)] for i in range(r)]
         # w = W / f: the largest a^T w a over the normals A / e is one
-        # Fraction, and so is c over the vertices V / D
+        # Fraction, and w / scale = W s / (f t) for scale = t / s; c over
+        # the vertices V / D is one Fraction too
         wrows, f = _cleared(w)
         scale = Fraction(max(_int_quad(wrows, a) for a in points), e2 * f)
         if scale <= 0:
             continue
-        w = [[x / scale for x in row] for row in w]
-        if not _is_positive_definite(w):
+        wrows = [[x * scale.denominator for x in row] for row in wrows]
+        if not _is_positive_definite(wrows):
             continue
-        q = _mat_inv(w)
-        qrows, f = _cleared(q)
+        q = _mat_inv(wrows, f * scale.numerator)
+        qrows, f = q
         c = Fraction(max(_int_quad(qrows, v) for v in rows), den * den * f)
         if c <= r:
             return q, c
@@ -870,8 +863,8 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
         w = kz_transform(gram, lll)
         norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
-        gram, _ = _integral_gram(dual.basis,
-                                 _mat_inv(lattice.euclidean_form()))
+        gram = _int_gram(dual._basis[0],
+                         _mat_inv(*lattice._ellipsoid[0])[0])
         w = kz_transform(gram, lll_transform(gram))
         norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]

@@ -2,8 +2,10 @@
 
 A bare ``assert`` vanishes under ``-O``, so every certificate in the package
 is an ordinary check that raises. The subprocess test breaks several of
-them on purpose and runs with ``-O``; the guard test keeps ``assert`` out of
-the package source.
+them on purpose and runs with ``-O``, among them the successive-minima
+certificate and, on a reduced dual basis, KZ's unimodularity,
+shortest-vector and primitivity certificates. The guard test keeps
+``assert`` out of the package source.
 """
 
 import ast
@@ -36,6 +38,29 @@ def outcome(call):
     return ["passed", ""]
 
 
+def broken(name, replacement):
+    """The reduced dual basis of a fresh hexagonal lattice, with
+    ``lattices.<name>`` replaced while it runs."""
+    real = getattr(lattices, name)
+    setattr(lattices, name, replacement(real))
+    try:
+        return outcome(lambda: lattices.reduced_dual_basis(
+            lattices.NormedLattice(basis=[[1, 0], [0, 1]],
+                                   gram=[[2, 1], [1, 2]])))
+    finally:
+        setattr(lattices, name, real)
+
+
+# the KZ transform's last row doubled, so its determinant is 2; the
+# enumeration finding nothing; its first vector doubled, so not primitive
+kz_reports = {
+    "unimodularity": broken("_complete_unimodular", lambda real: lambda v: (
+        lambda t: t[:-1] + [[2 * x for x in t[-1]]])(real(v))),
+    "shortest_vector": broken("enumerate_short_vectors",
+                              lambda real: lambda *args: []),
+    "primitivity": broken("enumerate_short_vectors", lambda real: lambda *args: [
+        (tuple(2 * x for x in vec), value) for vec, value in real(*args)]),
+}
 lattices._independent_scan = lambda vectors, r, upto: []
 lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
 hexagon = lattices.NormedLattice(
@@ -71,6 +96,7 @@ print(json.dumps({
     "pushforward_cli": [pf_code, pf_err.getvalue()],
     "bundle": bundle,
     "bundle_cli": [bp_code, bp_err.getvalue()],
+    "kz": kz_reports,
 }))
 '''
 
@@ -104,6 +130,14 @@ def test_forced_certificate_failures_raise_under_optimize():
     assert report["bundle"] == {
         step: ["CertificateFailed", "bundle supremum certificate: " + message]
         for step, message in _BROKEN_MESSAGES.items()}
+    assert report["kz"] == {
+        "unimodularity": ["CertificateFailed", "unimodularity certificate: "
+                          "the KZ transform has determinant 2"],
+        "shortest_vector": ["CertificateFailed", "shortest-vector "
+                            "certificate: no vector within the shortest "
+                            "reduced basis norm 2"],
+        "primitivity": ["CertificateFailed", "primitivity certificate: "
+                        "shortest vector [2, 0] has content 2"]}
     code, err = report["bundle_cli"]
     assert code == 1
     assert err == ("error: bundle supremum certificate: the profile may "

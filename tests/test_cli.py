@@ -595,6 +595,31 @@ def test_lattice_sweep_above_the_rank_cap_is_a_domain_error():
     assert proc.stderr == "error: rank 6 exceeds the desk-scale cap 5\n"
 
 
+def test_a_thin_rhombus_is_refused_fast_in_bounded_memory():
+    # the ellipsoid fit rounds the rhombus's M^-1 / r entries near 1e-18
+    # to 0 in every round, so no positive-definite form is found; ROADMAP
+    # item 21 (a scale-aware fit) will turn this refusal into an answer.
+    # The child runs under its own address-space limit and a timeout
+    import resource
+    import time
+    limit = 512 * 2 ** 20
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sysbound", "lattice", "--vertices",
+         '[["1/1000000007",0],[0,1],["-1/1000000007",0],[0,-1]]'],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+        preexec_fn=bounded)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: no positive-definite inscribed ellipsoid "
+                           "form found\n")
+
+
 def test_batch_continues_past_a_bad_alpha(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nBlP(3)\n"))
     code, out, err = _run(["phi", "--batch", "--alpha", "1/0*H"])

@@ -4,9 +4,12 @@
 fraction-free elimination on integer rows; sympy's ``Matrix.det``, ``inv``,
 ``rank`` and ``LUsolve`` are the independent oracle.  The inputs are seeded
 random rational matrices with duplicated and scaled rows, zero columns (a
-skipped pivot) and singular ones among them.
+skipped pivot) and singular ones among them.  ``_det``, ``_mat_inv`` and
+``_rank_of`` take integer rows, so each matrix is cleared here, m = rows / d,
+and their results are read back over d.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -60,12 +63,24 @@ def _is_fraction_list(xs):
     return all(type(x) is Fraction for x in xs)
 
 
+def _is_int_list(xs):
+    return all(type(x) is int for x in xs)
+
+
+def _ints(m):
+    """``(rows, d)``: m = rows / d with integer rows, d the least common
+    denominator of m's entries."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return [[int(x * d) for x in row] for row in m], d
+
+
 def test_det_matches_sympy():
     singular = 0
     for m in _square(101, 240):
-        det = _det(m)
-        assert type(det) is Fraction
-        assert det == as_fraction(as_matrix(m).det()), m
+        rows, d = _ints(m)
+        det = _det(rows)
+        assert type(det) is int
+        assert Fraction(det, d ** len(m)) == as_fraction(as_matrix(m).det()), m
         singular += det == 0
     assert 40 <= singular <= 200
 
@@ -74,16 +89,29 @@ def test_inverse_matches_sympy_and_refuses_singular_matrices():
     refused = 0
     for m in _square(102, 240):
         oracle = as_matrix(m)
+        rows, d = _ints(m)
         if oracle.det() == 0:
             with pytest.raises(PreconditionUnmet, match="matrix is singular"):
-                _mat_inv(m)
+                _mat_inv(rows, d)
             refused += 1
             continue
-        inv = _mat_inv(m)
-        assert all(_is_fraction_list(row) for row in inv)
-        assert inv == [[as_fraction(x) for x in oracle.inv().row(i)]
-                       for i in range(oracle.rows)], m
+        inv, den = _mat_inv(rows, d)
+        assert all(_is_int_list(row) for row in inv)
+        assert type(den) is int and den > 0
+        # one denominator, the least: no common factor is left over
+        assert math.gcd(den, *(x for row in inv for x in row)) == 1, m
+        assert [[Fraction(x, den) for x in row] for row in inv] == [
+            [as_fraction(x) for x in oracle.inv().row(i)]
+            for i in range(oracle.rows)], m
+        # (inv / den) (rows / d) = I, that is inv rows = den d I, in ints
+        n = len(m)
+        assert [[sum(inv[i][k] * rows[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] == [
+            [den * d * int(i == j) for j in range(n)] for i in range(n)], m
     assert 40 <= refused <= 200
+    # an integer matrix is its own rows over d = 1
+    assert _mat_inv([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert _mat_inv([[2]]) == ([[1]], 2)
 
 
 def test_solve_matches_sympy_on_consistent_and_inconsistent_systems():
@@ -112,7 +140,7 @@ def test_solve_matches_sympy_on_consistent_and_inconsistent_systems():
 def test_rank_matches_sympy():
     ranks = set()
     for m in _any_shape(105, 400):
-        rank = _rank_of(m)
+        rank = _rank_of(_ints(m)[0])
         assert rank == as_matrix(m).rank(), m
         ranks.add(rank)
     assert ranks == {0, 1, 2, 3, 4, 5, 6}

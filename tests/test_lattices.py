@@ -8,7 +8,9 @@ after every row operation, where the library keeps Cohen's integral data
 and updates it in place; the integer Gram product is checked against plain
 Fraction products.  The facet oracle solves each vertex subset in Fractions
 and tests support with Fraction dot products, where the library eliminates
-cleared integer rows.
+cleared integer rows.  The library keeps each matrix as integer rows over one
+denominator, ``(rows, den)``; the tests clear their inputs with
+``_cleared_ints`` and read results back as Fractions with ``_over``.
 """
 
 import ast
@@ -27,12 +29,50 @@ from sysbound.errors import BoundViolated, PreconditionUnmet, RankTooLarge
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
                                lll_transform, random_basis, reduced_dual_basis,
                                successive_minima, transference_check,
-                               _gram_of_basis, _integral_gram, _integral_gs,
-                               _quad)
+                               _int_gram, _integral_gs, _mat_inv)
 
 
 def _identity(r):
     return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+
+
+def _cleared_ints(gram):
+    """``(ints, c)``: the matrix times c, the least common denominator of
+    its entries, as integer rows."""
+    c = math.lcm(*(x.denominator for row in gram for x in row))
+    return [[x.numerator * (c // x.denominator) for x in row]
+            for row in gram], c
+
+
+def _over(pair):
+    """The matrix ``rows / den`` of a ``(rows, den)`` pair, as Fractions."""
+    rows, den = pair
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _tuples(pair):
+    """The rows of a ``(rows, den)`` pair as tuples of Fractions."""
+    return [tuple(row) for row in _over(pair)]
+
+
+def _gram_product(basis, form):
+    """basis * form * basis^T as Fractions, by the library's integer product
+    of the cleared rows: with basis = B / d and form = F / e it is
+    B F B^T / d^2 e."""
+    (b, d), (f, e) = _cleared_ints(basis), _cleared_ints(form)
+    return _over((_int_gram(b, f), d * d * e))
+
+
+def _inverse(m):
+    """m^-1 as Fractions, by the integer inverse of m's cleared rows."""
+    return _over(_mat_inv(*_cleared_ints(m)))
+
+
+def _fraction_quad(g, x):
+    """Oracle: x^T g x by Fraction products, entry by entry."""
+    x = [Fraction(c) for c in x]
+    return sum((xi * gij * xj for xi, row in zip(x, g)
+                for gij, xj in zip(row, x)), Fraction(0))
 
 
 def _box_minima(lattice, j, size, box=6):
@@ -99,7 +139,8 @@ def test_positive_definite_matches_sylvester_minors():
         if kind == "asymmetric":
             g[0][n - 1] += 1
         assert _sylvester_positive_definite(g) == (kind == "definite")
-        assert _is_positive_definite(g) == (kind == "definite"), (kind, g)
+        assert _is_positive_definite(_cleared_ints(g)[0]) == (
+            kind == "definite"), (kind, g)
     # a zero leading pivot ahead of a positive one is not definite
     assert not _is_positive_definite([[0, 0], [0, 1]])
     assert not _is_positive_definite([[0, 1], [1, 0]])
@@ -203,14 +244,14 @@ def test_transference_integer_and_diagonal():
 
 def test_lll_and_kz_are_unimodular():
     rng = random.Random(31)
-    from sysbound.lattices import _det, _mat
+    from sysbound.lattices import _det
     for _ in range(8):
         r = rng.randint(2, 4)
         basis = random_basis(r, rng)
-        gram, _ = _integral_gram(basis, _identity(r))
+        gram = _int_gram(basis, _identity(r))
         lll = lll_transform(gram)
         for transform in (lll[0], kz_transform(gram, lll)):
-            assert abs(_det(_mat(transform))) == 1
+            assert abs(_det(transform)) == 1
 
 
 def test_kz_first_vector_is_shortest():
@@ -219,9 +260,9 @@ def test_kz_first_vector_is_shortest():
         r = rng.randint(2, 4)
         basis = random_basis(r, rng, -4, 4)
         lat = NormedLattice(basis=basis, gram=_identity(r))
-        ints, _ = _integral_gram(lat.basis, lat.gram)
+        ints, _ = _cleared_ints(lat.lattice_gram())
         w = kz_transform(ints, lll_transform(ints))
-        first = _quad(lat.lattice_gram(), [Fraction(c) for c in w[0]])
+        first = _fraction_quad(lat.lattice_gram(), w[0])
         assert first == successive_minima(lat, 1)
 
 
@@ -269,22 +310,15 @@ def _as_fractions(lam, d):
     return mu, [Fraction(d[i + 1], d[i]) for i in range(r)]
 
 
-def _cleared_ints(gram):
-    """``(ints, c)``: the Gram matrix times c, the least common denominator
-    of its entries, as integer rows."""
-    c = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
-    return [[int(x * c) for x in row] for row in gram], c
-
-
 def _oracle_size_reduce(w, gram, k):
     """Size-reduce row k against rows k-1, ..., 0, recomputing the
     Gram-Schmidt data of all rows after every step."""
-    mu, bstar = _oracle_gs(_gram_of_basis(w, gram))
+    mu, bstar = _oracle_gs(_gram_product(w, gram))
     for j in range(k - 1, -1, -1):
         q = _oracle_round_half(mu[k][j])
         if q:
             w[k] = [a - q * b for a, b in zip(w[k], w[j])]
-            mu, bstar = _oracle_gs(_gram_of_basis(w, gram))
+            mu, bstar = _oracle_gs(_gram_product(w, gram))
     return mu, bstar
 
 
@@ -340,12 +374,12 @@ def _oracle_kz(gram):
     if r == 1:
         return [[1]]
     w = _oracle_lll(gram)
-    reduced = _gram_of_basis(w, gram)
+    reduced = _gram_product(w, gram)
     best = _oracle_shortest(*_oracle_gs(reduced),
                             min(reduced[i][i] for i in range(r)))
     t1 = _complete_unimodular([sum(best[i] * w[i][j] for i in range(r))
                                for j in range(r)])
-    g1 = _gram_of_basis(t1, gram)
+    g1 = _gram_product(t1, gram)
     projected = [[g1[i][j] - g1[i][0] * g1[j][0] / g1[0][0]
                   for j in range(1, r)] for i in range(1, r)]
     w = [t1[0]] + [[sum(row[i] * t1[i + 1][j] for i in range(r - 1))
@@ -358,7 +392,6 @@ def _oracle_kz(gram):
 def _seeded_grams(count, seed):
     """Gram matrices at ranks 2-5 in turn: B B^T, B F B^T for a random
     integral form F, (B B^T) / 7, and the dual (B B^T)^-1."""
-    from sysbound.lattices import _mat_inv
     rng = random.Random(seed)
     for n in range(count):
         r = 2 + n % 4
@@ -370,12 +403,12 @@ def _seeded_grams(count, seed):
         elif kind == 2:
             gram = [[x / 7 for x in row] for row in gram]
         elif kind == 3:
-            gram = _mat_inv(gram)
+            gram = _inverse(gram)
         yield gram
 
 
 def test_enumeration_matches_a_box_scan():
-    from sysbound.lattices import _mat_inv, enumerate_short_vectors
+    from sysbound.lattices import enumerate_short_vectors
     rng = random.Random(67)
     scanned = 0
     for gram in _seeded_grams(40, 71):
@@ -383,18 +416,18 @@ def test_enumeration_matches_a_box_scan():
         bound = min(gram[i][i] for i in range(r)) * Fraction(
             rng.randint(2, 6), 3)
         # |x_i| <= sqrt(bound (G^-1)_ii) on the ellipsoid x^T G x <= bound
-        inv = _mat_inv(gram)
+        inv = _inverse(gram)
         box = max(math.isqrt(math.floor(bound * inv[i][i]))
                   for i in range(r))
         if (2 * box + 1) ** r > 4_000:
             continue
         expected = []
+        ints, scale = _cleared_ints(gram)
         for x in itertools.product(range(-box, box + 1), repeat=r):
-            value = _quad(gram, list(x))
+            value = Fraction(lattices._int_quad(ints, x), scale)
             first = next((c for c in x if c), 0)
             if first > 0 and value <= bound:
                 expected.append((x, value))
-        ints, scale = _cleared_ints(gram)
         found = enumerate_short_vectors(*_integral_gs(ints), bound, scale)
         assert sorted(found) == sorted(expected)
         assert [v for _, v in found] == sorted(v for _, v in found)
@@ -412,7 +445,7 @@ def test_gram_product_matches_fraction_products():
                  for _ in range(r)] for _ in range(r)]
         if trial % 3 == 0:
             basis = [[int(x) for x in row] for row in basis]
-        assert _gram_of_basis(basis, form) == _fraction_gram(basis, form)
+        assert _gram_product(basis, form) == _fraction_gram(basis, form)
 
 
 def test_lll_and_kz_match_the_rebuild_oracle():
@@ -426,7 +459,7 @@ def test_lll_and_kz_match_the_rebuild_oracle():
         w, lam, d = lll
         assert w == expected, gram
         # the integral data kept through the run is that of the rows
-        reduced = _gram_of_basis(w, ints)
+        reduced = _gram_product(w, ints)
         assert _as_fractions(lam, d) == _oracle_gs(reduced), gram
         assert kz_transform(ints, lll) == _oracle_kz(gram), gram
         # a positive multiple of the form reduces exactly alike
@@ -549,7 +582,7 @@ def test_minima_read_the_kept_lll_run(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("_integral_gs", "_integral_gram", "_int_gram"):
+    for name in ("_integral_gs", "_cleared", "_int_gram"):
         monkeypatch.setattr(lattices, name, counted(name))
     for lat in cases:
         minima = [successive_minima(lat, j) for j in range(1, lat.rank + 1)]
@@ -645,15 +678,15 @@ def test_reduced_dual_basis_random_sweep():
         # V D^-1 is the off-diagonal block of the Gram matrix, in the
         # standard form, of the rows of V stacked on those of (D^-1)^T
         dual = dual_lattice(lat)
-        from sysbound.lattices import _det, _mat_inv, _transpose
-        stacked = [list(v) for v in result.vectors] + _transpose(
-            _mat_inv(dual.basis))
-        change = [row[r:] for row in _gram_of_basis(stacked, _identity(r))[:r]]
-        det = _det(change)
-        assert abs(det) == 1
+        from sysbound.lattices import _det
+        stacked = [list(v) for v in result.vectors] + [
+            list(col) for col in zip(*_inverse(dual.basis))]
+        change = [row[r:] for row in _gram_product(stacked, _identity(r))[:r]]
         for row in change:
             for x in row:
                 assert x.denominator == 1
+        det = _det([[x.numerator for x in row] for row in change])
+        assert abs(det) == 1
 
 
 def test_pool_outputs_match_the_golden_record():
@@ -667,6 +700,31 @@ def test_pool_outputs_match_the_golden_record():
         assert len(specs) == len(golden[kind])
         for pos, (spec, expected) in enumerate(zip(specs, golden[kind])):
             assert child.lattice_op(lattices, spec) == expected, (kind, pos)
+
+
+def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
+    # a lattice clears its basis, its form or its vertices once when it is
+    # built, and the ellipsoid fit clears each rationalized round once;
+    # nothing clears again.  A pool pass made 11,136 calls when every
+    # routine cleared its own input; the ceiling is a fifth of that
+    from batch_pool import bench_child, golden_lattices
+    from sysbound import kernel
+    real = kernel._cleared
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    for module in (kernel, lattices):
+        monkeypatch.setattr(module, "_cleared", counted)
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    golden = golden_lattices()
+    for kind, specs in pool.items():
+        for spec, expected in zip(specs, golden[kind]):
+            assert child.lattice_op(lattices, spec) == expected, kind
+    assert 0 < len(calls) <= 2_227, len(calls)
 
 
 def test_the_float_loop_sees_only_floats(monkeypatch):
@@ -745,13 +803,12 @@ _CROSS_3_VERTICES = [[s * int(i == j) for j in range(3)]
 def _complete_box_minima(lat):
     """The box oracle's minima of a polytope lattice, on a box large enough
     to hold every vector up to the oracle's lambda_r."""
-    from sysbound.lattices import _mat_inv
     r = lat.rank
     # a lattice vector v = c B has c_j = <v, column j of B^-1>, and v lies
     # in ||v|| times the unit ball, so |c_j| <= ||v|| max_u |<u, column
     # j>| over the vertices u: once the box holds every vector up to the
     # oracle's lambda_r, the scan is complete
-    inv = _mat_inv(lat.basis)
+    inv = _inverse(lat.basis)
     reach = max(abs(sum(u[i] * inv[i][j] for i in range(r)))
                 for u in lat.vertices for j in range(r))
     box = 3
@@ -783,17 +840,17 @@ _SLACK_VERTICES = [[s * x for x in v] for v in
 
 
 def test_slack_ellipsoid_fit_keeps_the_minima_exact():
-    from sysbound.lattices import _mat_inv
     rng = random.Random(43)
     for basis in (_identity(3), random_basis(3, rng, -2, 2)):
         lat = NormedLattice(basis=basis, vertices=_SLACK_VERTICES)
-        q, c = lat._ellipsoid
+        q, c = _over(lat._ellipsoid[0]), lat._ellipsoid[1]
+        assert q == lat.euclidean_form()
         assert c > 3
         # the sandwich with the certified constant: E_Q inside K, K inside
         # sqrt(c) E_Q, with c attained at a vertex
-        qinv = _mat_inv(q)
-        assert all(_quad(qinv, list(a)) <= 1 for a in lat._normals)
-        assert max(_quad(q, v) for v in lat.vertices) == c
+        qinv = _inverse(q)
+        assert all(_fraction_quad(qinv, a) <= 1 for a in _over(lat._normals))
+        assert max(_fraction_quad(q, v) for v in lat.vertices) == c
         for each in (lat, dual_lattice(lat)):
             assert ([successive_minima(each, j) for j in range(1, 4)]
                     == _complete_box_minima(each))
@@ -835,7 +892,7 @@ def test_measured_sizes_match_the_ambient_norms():
         basis = random_basis(r, rng, -4, 4)
         cases.append(NormedLattice(basis=basis, gram=_identity(r)))
         form = [[Fraction(x) for x in row] for row in random_basis(r, rng)]
-        form = _gram_of_basis(form, _identity(r))
+        form = _gram_product(form, _identity(r))
         cases.append(NormedLattice(basis=[[Fraction(x, 3) for x in row]
                                           for row in basis], gram=form))
     for r in (2, 3):
@@ -891,7 +948,7 @@ def _rational_polytope(rng, r, pairs):
     while True:
         half = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7))
                  for _ in range(r)] for _ in range(pairs)]
-        if _rank_of(half) == r:
+        if _rank_of(_cleared_ints(half)[0]) == r:
             return half + [[-x for x in v] for v in half]
 
 
@@ -931,13 +988,15 @@ def test_facet_normals_match_the_fraction_oracle(monkeypatch):
     monkeypatch.setattr(lattices, "_eliminate", recorded)
     for vertices in cases:
         r = len(vertices[0])
-        normals = _facet_normals(vertices, r)
-        assert normals == _oracle_facet_normals(vertices, r), vertices
+        normals = _facet_normals(_cleared_ints(vertices), r)
+        assert _tuples(normals) == _oracle_facet_normals(vertices, r), vertices
+        # integer rows over their least common denominator, as cleared
+        assert normals == _cleared_ints(_tuples(normals))
         if r < 5:
             # duplicated, boundary and interior points change nothing
             padded = _padded(vertices, r)
-            assert _facet_normals(padded, r) == normals
-            assert _oracle_facet_normals(padded, r) == normals
+            assert _facet_normals(_cleared_ints(padded), r) == normals
+            assert _oracle_facet_normals(padded, r) == _tuples(normals)
     assert any(p < 0 for p, _ in pivots)
     assert any((p < 0) != (det < 0) for p, det in pivots)
 
@@ -951,10 +1010,9 @@ def test_pulled_back_normals_match_the_fraction_pull_back():
         basis = [[Fraction(x, rng.randint(1, 5)) for x in row]
                  for row in random_basis(r, rng, -3, 3)]
         lat = NormedLattice(basis=basis, vertices=vertices)
-        rows, d = lat._coeff_normals
-        assert [[Fraction(x, d) for x in row] for row in rows] == [
+        assert _over(lat._coeff_normals) == [
             [sum(b * a for b, a in zip(row, normal)) for row in lat.basis]
-            for normal in lat._normals]
+            for normal in _over(lat._normals)]
 
 
 def test_polar_normals_are_the_primal_extreme_vertices():
@@ -971,12 +1029,13 @@ def test_polar_normals_are_the_primal_extreme_vertices():
     for vertices in cases:
         r = len(vertices[0])
         lat = NormedLattice(basis=_identity(r), vertices=vertices)
-        polar = [list(a) for a in lat._normals]
+        polar = _over(lat._normals)
         if math.comb(len(polar), r) > MAX_FACET_SUBSETS:
             continue
         expected = _oracle_facet_normals(polar, r)
-        assert _polar_normals(lat.vertices, lat._normals, r) == expected
-        assert dual_lattice(lat)._normals == expected
+        assert _tuples(_polar_normals(_cleared_ints(vertices), lat._normals,
+                                      r)) == expected
+        assert _tuples(dual_lattice(lat)._normals) == expected
         if vertices is padded:
             assert len(expected) == 6
         checked += 1
@@ -1008,10 +1067,18 @@ def _opaque(rows):
              for f in map(Fraction, row)] for row in rows]
 
 
+def _is_int_pair(pair):
+    rows, den = pair
+    return type(den) is int and all(type(x) is int for row in rows
+                                    for x in row)
+
+
 def test_polytope_entries_are_read_as_cleared_ints():
-    # facet enumeration, the polar test and the ellipsoid sandwich read
-    # their vertex and normal entries only as numerator and denominator:
-    # every test, solve and maximum runs on cleared integer rows
+    # kernel._cleared reads each vertex entry only as numerator and
+    # denominator; facet enumeration, the polar test and the ellipsoid
+    # sandwich run on the integer rows it returns and return integer rows,
+    # and a lattice keeps every matrix, its dual's too, as such rows
+    from sysbound.kernel import _cleared
     from sysbound.lattices import (_certified_ellipsoid_form, _facet_normals,
                                    _polar_normals)
     probe = _Opaque(1, 2)
@@ -1026,20 +1093,34 @@ def test_polytope_entries_are_read_as_cleared_ints():
              _rational_polytope(rng, 3, 4), _random_polytope(rng, 4, 5)]
     for vertices in cases:
         r = len(vertices[0])
-        normals = _facet_normals(_opaque(vertices), r)
-        assert normals == _oracle_facet_normals(vertices, r)
-        polar = _polar_normals(_opaque(vertices), _opaque(normals), r)
-        assert polar == _polar_normals(vertices, normals, r)
-        assert (_certified_ellipsoid_form(_opaque(vertices), _opaque(normals),
-                                          r)
-                == _certified_ellipsoid_form(vertices, normals, r))
+        cleared = _cleared(_opaque(vertices))
+        assert _is_int_pair(cleared)
+        assert cleared == _cleared_ints(vertices)
+        normals = _facet_normals(cleared, r)
+        assert _is_int_pair(normals)
+        assert _tuples(normals) == _oracle_facet_normals(vertices, r)
+        polar = _polar_normals(cleared, normals, r)
+        assert _is_int_pair(polar)
+        assert polar == _polar_normals(
+            _cleared_ints(vertices), _cleared_ints(_tuples(normals)), r)
+        form = _certified_ellipsoid_form(cleared, normals, r)
+        assert _is_int_pair(form[0])
+        assert form == _certified_ellipsoid_form(
+            _cleared_ints(vertices), _cleared_ints(_tuples(normals)), r)
+        lat = NormedLattice(basis=_opaque(_identity(r)),
+                            vertices=_opaque(vertices))
+        assert lat._ellipsoid == form
+        dual = dual_lattice(lat)
+        assert all(_is_int_pair(pair) for pair in (
+            lat._basis, lat._vertices, lat._normals, lat._coeff_normals,
+            dual._basis, dual._vertices, dual._normals, dual._coeff_normals))
 
 
 def test_ellipsoid_sandwich_on_rational_polytopes():
     # the certified form is exactly inscribed (the largest a^T Q^-1 a over
     # the normals is 1) and c is the largest v^T Q v over the vertices,
     # both recomputed here in Fractions, on vertices with denominators
-    from sysbound.lattices import _certified_ellipsoid_form, _mat_inv
+    from sysbound.lattices import _certified_ellipsoid_form
     rng = random.Random(79)
     cases = [[[Fraction(x, 2) for x in v] for v in _HEX_VERTICES],
              [[Fraction(x, 5) for x in v] for v in _SLACK_VERTICES]]
@@ -1047,10 +1128,12 @@ def test_ellipsoid_sandwich_on_rational_polytopes():
     for vertices in cases:
         r = len(vertices[0])
         normals = _oracle_facet_normals(vertices, r)
-        q, c = _certified_ellipsoid_form(vertices, normals, r)
-        qinv = _mat_inv(q)
-        assert max(_quad(qinv, list(a)) for a in normals) == 1
-        assert max(_quad(q, list(v)) for v in vertices) == c
+        form, c = _certified_ellipsoid_form(_cleared_ints(vertices),
+                                            _cleared_ints(normals), r)
+        q = _over(form)
+        qinv = _inverse(q)
+        assert max(_fraction_quad(qinv, a) for a in normals) == 1
+        assert max(_fraction_quad(q, v) for v in vertices) == c
 
 
 def test_polytope_vertex_list_must_be_symmetric():
@@ -1074,16 +1157,15 @@ def test_polytope_sandwich_certificate():
     q = lat.euclidean_form()
     r = lat.rank
     # E inside K: every facet normal has a^T Q^-1 a <= 1
-    from sysbound.lattices import _mat_inv
-    qinv = _mat_inv(q)
-    for a in lat._normals:
-        assert _quad(qinv, list(a)) <= 1
+    qinv = _inverse(q)
+    for a in _over(lat._normals):
+        assert _fraction_quad(qinv, a) <= 1
     # K inside sqrt(r) E: vertices satisfy v^T Q v <= r
     for v in lat.vertices:
-        assert _quad(q, v) <= r
+        assert _fraction_quad(q, v) <= r
     # the sandwich on the vertices: 1 <= |v|_Q <= sqrt(r) for norm-1 vertices
     for v in lat.vertices:
-        val = _quad(q, v)
+        val = _fraction_quad(q, v)
         assert 1 <= val <= r
 
 
