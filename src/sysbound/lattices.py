@@ -11,10 +11,12 @@ denominator: ``NormedLattice`` clears its basis, its Euclidean form or its
 vertices, and its facet normals when it is built, and every routine after
 that reads those rows.  Gram matrices B F B^T are products of them in Python
 ints; inverses, determinants and ranks run on the integer elimination of
-``kernel``, the inverse coming back as integer rows over one denominator,
-which is how the dual's basis and form are made.  A value becomes a Fraction
-only where it leaves the engine: the public basis, form and vertices, a
-minimum, a norm, a dual vector, ``euclidean_form()`` and ``lattice_gram()``.
+``kernel``, the inverse coming back as integer rows over one denominator.
+The dual lattice is built directly from the inverse's rows, which are
+already cleared, without going through the constructor again.  Values are
+ints until they leave the engine, where they become Fractions: the public
+basis, form and vertices, a minimum, a norm, a dual vector,
+``euclidean_form()`` and ``lattice_gram()``.
 
 The reduction engine runs on integers from the Gram matrix through the
 enumeration, on Cohen's integral Gram-Schmidt data (GTM 138, Algorithm
@@ -29,12 +31,14 @@ Enumeration is exact Fincke-Pohst on the same data, each range from an
 integer square root.  Each lattice keeps its minima, its LLL run and its
 dual.
 
-Each enumerated vector is measured once, and the minima are read off by an
-independence scan that keeps integer echelon rows.  A Euclidean size is the
-enumeration's own exact value x^T (W G W^T) x, which equals coeffs^T G
-coeffs.  A polytope norm is read on coefficient vectors: the facet normals
-are pulled back to lattice coordinates once per lattice, as integer rows
-over one denominator, and a norm is a max of integer dot products.
+The minima are scanned in LLL coordinates: each enumerated vector x is
+measured once, as an integer over one scale, and the minima are read off by
+an independence scan that keeps integer echelon rows; W being unimodular, x
+is independent of earlier vectors iff x W is.  A Euclidean size is the
+enumeration's own budget spent, x^T (W G W^T) x over its scale.  A polytope
+norm is a max of integer dot products: the facet normals are pulled back to
+lattice coordinates once per lattice and through W once per minima scan, as
+integer rows over one denominator.  Only the r minima become Fractions.
 
 The polytope half runs on the same rows.  Facet enumeration solves each
 r-subset of the vertex rows by one integer elimination, tests support in
@@ -139,6 +143,14 @@ def _fractions(rows, den):
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
+def _pulled_back(basis, normals):
+    """Functionals a pulled back through the rows of a basis, as integer
+    rows over one denominator: <a, c B> = <B a, c>, so with basis = B / d
+    and normals = A / e each pulled-back row is B a over d e."""
+    (b, d), (rows, e) = basis, normals
+    return [[sum(map(mul, row, a)) for row in b] for a in rows], d * e
+
+
 # ---------------------------------------------------------------------------
 # the lattice type
 # ---------------------------------------------------------------------------
@@ -157,16 +169,15 @@ class NormedLattice(Record, frozen=False):
     list, closed under negation) must be given.
     """
 
-    # ``_normals``, which ``==`` and the repr leave out, are the facet
-    # normals of the unit ball as ``(rows, den)``, when already known: only
-    # ``dual_lattice`` passes them, for the polar of a primal's ball.  The
-    # basis, the form or the vertices, and the normals are each cleared once
-    # here to ``(rows, den)``, kept as ``_basis``, ``_form``, ``_vertices``
-    # and ``_normals``.
+    # The basis, the form or the vertices are each cleared once here to
+    # ``(rows, den)``, kept as ``_basis``, ``_form`` or ``_vertices``; a
+    # polytope's facet normals and their pull-back to lattice coordinates
+    # are kept as ``_normals`` and ``_coeff_normals``, which ``==`` and the
+    # repr leave out.  A dual lattice is built from its rows by ``_dual``.
     def __init__(self, basis: list, gram: list | None = None,
-                 vertices: list | None = None, _normals: tuple | None = None):
+                 vertices: list | None = None):
         self.basis = [[Fraction(x) for x in row] for row in basis]
-        self.gram, self.vertices, self._normals = gram, vertices, _normals
+        self.gram, self.vertices = gram, vertices
         r = len(self.basis)
         if r == 0:
             raise PreconditionUnmet("the lattice basis is empty; rank must be "
@@ -205,14 +216,8 @@ class NormedLattice(Record, frozen=False):
             if {tuple(-x for x in v) for v in rows} != vset:
                 raise PreconditionUnmet(
                     "polytope vertex list must be closed under negation")
-            if self._normals is None:
-                self._normals = _facet_normals(self._vertices, r)
-            # <a, c B> = <B a, c>: with basis = B / d and normals = A / e,
-            # each normal pulled back to lattice coordinates is the integer
-            # row B a over d e
-            (b, d), (normals, e) = self._basis, self._normals
-            self._coeff_normals = (
-                [[sum(map(mul, row, a)) for row in b] for a in normals], d * e)
+            self._normals = _facet_normals(self._vertices, r)
+            self._coeff_normals = _pulled_back(self._basis, self._normals)
 
     # -- norms ------------------------------------------------------------
 
@@ -278,13 +283,6 @@ class NormedLattice(Record, frozen=False):
             return self.gram
         return _fractions(*self._ellipsoid[0])
 
-    def _form_budget(self, size):
-        """A bound on v^T Q v, Q = euclidean_form(), for every v of at most
-        this size; for polytopes by the sandwich |v|_Q^2 <= c ||v||^2."""
-        if self.gram is not None:
-            return size
-        return self._ellipsoid[1] * size ** 2
-
     # -- computed once per lattice ------------------------------------------
 
     @cached_property
@@ -307,27 +305,66 @@ class NormedLattice(Record, frozen=False):
     @cached_property
     def _minima(self):
         """All r minima: scan the vectors up to the longest LLL-reduced row
-        in order of size."""
+        in order of size, in the LLL run's own coordinates x.
+
+        W is unimodular, so the x are independent iff the coefficient
+        vectors x W are.  A Euclidean size is the enumeration's budget spent
+        on x, over its scale; a polytope norm is a max of integer dot
+        products with the coefficient normals pulled back through W, over
+        their denominator.  Sizes stay ints until the r minima are found.
+        """
         r = self.rank
-        minima = _independent_scan(_scored_vectors(self), r, r)
+        gram, scale, (w, lam, d) = self._lll
+        if self.gram is not None:
+            radius = Fraction(max(_row_norms(w, gram)), scale)
+            vectors, s = enumerate_short_vectors(lam, d, radius, scale)
+        else:
+            normals, s = _pulled_back((w, 1), self._coeff_normals)
+            # row i of W is the unit vector e_i in these coordinates; every
+            # vector of norm at most top / s has v^T Q v <= c (top / s)^2,
+            # Q = euclidean_form(), by the sandwich |v|_Q^2 <= c ||v||^2
+            top = max(map(max, normals))
+            found, _ = enumerate_short_vectors(
+                lam, d, self._ellipsoid[1] * Fraction(top, s) ** 2, scale)
+            vectors = []
+            for x, _ in found:
+                size = max(sum(map(mul, a, x)) for a in normals)
+                if size <= top:
+                    vectors.append((x, size))
+            vectors.sort(key=lambda item: item[1])
+        minima = _independent_scan(vectors, r, r)
         if len(minima) != r:
             raise CertificateFailed(
                 "successive-minima certificate: vectors up to the longest "
                 "reduced basis norm span rank %d < %d" % (len(minima), r))
-        return minima
+        return [Fraction(size, s) for size in minima]
 
     @cached_property
     def _dual(self):
-        """The dual lattice with the dual norm; see :func:`dual_lattice`."""
+        """The dual lattice with the dual norm; see :func:`dual_lattice`.
+
+        Built from the inverse's integer rows, not by ``__init__``: they are
+        already cleared, and the checks hold by construction (the inverse of
+        a nonsingular matrix is nonsingular, of a symmetric form symmetric,
+        and a symmetric polytope's normals are closed under negation).  The
+        dual form's positive-definiteness is certified again by its own LLL
+        run, whose integral Gram-Schmidt pass raises on a minor <= 0.
+        """
+        dual = NormedLattice.__new__(NormedLattice)
         rows, den = _mat_inv(*self._basis)
-        dual_basis = _fractions(zip(*rows), den)
-        if self.kind == "euclidean":
-            form = {"gram": _fractions(*_mat_inv(*self._form))}
+        dual._basis = [list(col) for col in zip(*rows)], den
+        dual.basis = _fractions(*dual._basis)
+        dual.gram = dual.vertices = dual._normals = dual._coeff_normals = None
+        if self.gram is not None:
+            dual._form = _mat_inv(*self._form)
+            dual.gram = _fractions(*dual._form)
         else:
-            form = {"vertices": _fractions(*self._normals),
-                    "_normals": _polar_normals(self._vertices, self._normals,
-                                               self.rank)}
-        return NormedLattice(basis=dual_basis, **form)
+            dual._vertices = self._normals
+            dual.vertices = _fractions(*self._normals)
+            dual._normals = _polar_normals(self._vertices, self._normals,
+                                           self.rank)
+            dual._coeff_normals = _pulled_back(dual._basis, dual._normals)
+        return dual
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +540,10 @@ def _certified_ellipsoid_form(vertices, normals, r):
 
 
 def enumerate_short_vectors(lam, d, bound, scale=1):
-    """All nonzero x in Z^r with x^T G x <= bound, one per +-pair, with
-    their exact values, sorted by value; G = gram / scale, and ``(lam, d)``
-    is the integral Gram-Schmidt data of the integer rows ``gram``.
+    """``(vectors, s)``: all nonzero x in Z^r with x^T G x <= bound, one per
+    +-pair, each as ``(x, n)`` with x^T G x = n / s exactly, sorted by n;
+    G = gram / scale, and ``(lam, d)`` is the integral Gram-Schmidt data of
+    the integer rows ``gram``.
 
     Fincke-Pohst in integers.  With mu_jl = lam_jl / e_l, e_l = d_(l+1),
     and bstar_l = d_(l+1) / d_l, level l adds to x^T gram x the term
@@ -548,7 +586,7 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     if budget >= 0:
         descend(r - 1, budget)
     out.sort(key=lambda item: item[1])
-    return [(vec, Fraction(spent, s)) for vec, spent in out]
+    return out, s
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +710,7 @@ def shortest_vector(gram, lll):
     ``gram``, from its LLL run ``lll_transform(gram)``."""
     w, lam, d = lll
     bound = min(_row_norms(w, gram))
-    vectors = enumerate_short_vectors(lam, d, bound)
+    vectors, _ = enumerate_short_vectors(lam, d, bound)
     if not vectors:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
@@ -737,7 +775,8 @@ def successive_minima(lattice: NormedLattice, j: int) -> Fraction:
 
 
 def _independent_scan(vectors, r, upto):
-    """Values at which the span dimension increments, scanning by norm.
+    """The sizes at which the span dimension increments, scanning
+    ``(coeffs, size)`` pairs in order of size.
 
     Kept rows are held in echelon form as integer rows with content 1, each
     with a pivot column where the rows kept before it vanish.  A candidate
@@ -762,31 +801,6 @@ def _independent_scan(vectors, r, upto):
             if len(minima) == upto:
                 break
     return minima
-
-
-def _scored_vectors(lattice: NormedLattice):
-    """Every nonzero lattice vector no larger than the longest LLL-reduced
-    row, one per +-pair, as (coefficients, exact size) sorted by size.
-
-    The search is in the Euclidean form.  A Euclidean size is the
-    enumeration's own value; a polytope norm is measured on the coefficients.
-    """
-    gram, scale, (w, lam, d) = lattice._lll
-    if lattice.gram is not None:
-        radius = Fraction(max(_row_norms(w, gram)), scale)
-    else:
-        radius = max(lattice._coefficient_norm(row) for row in w)
-    scored = []
-    for vec, value in enumerate_short_vectors(
-            lam, d, lattice._form_budget(radius), scale):
-        coeffs = tuple(_combine(vec, w))
-        if lattice.gram is None:
-            value = lattice._coefficient_norm(coeffs)
-            if value > radius:
-                continue
-        scored.append((coeffs, value))
-    scored.sort(key=lambda item: item[1])
-    return scored
 
 
 def dual_lattice(lattice: NormedLattice) -> NormedLattice:

@@ -57,9 +57,10 @@ kz_reports = {
     "unimodularity": broken("_complete_unimodular", lambda real: lambda v: (
         lambda t: t[:-1] + [[2 * x for x in t[-1]]])(real(v))),
     "shortest_vector": broken("enumerate_short_vectors",
-                              lambda real: lambda *args: []),
-    "primitivity": broken("enumerate_short_vectors", lambda real: lambda *args: [
-        (tuple(2 * x for x in vec), value) for vec, value in real(*args)]),
+                              lambda real: lambda *args: ([], 1)),
+    "primitivity": broken("enumerate_short_vectors", lambda real: lambda *args: (
+        lambda vectors, s: ([(tuple(2 * x for x in vec), spent)
+                             for vec, spent in vectors], s))(*real(*args))),
 }
 lattices._independent_scan = lambda vectors, r, upto: []
 lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])

@@ -8,9 +8,12 @@ after every row operation, where the library keeps Cohen's integral data
 and updates it in place; the integer Gram product is checked against plain
 Fraction products.  The facet oracle solves each vertex subset in Fractions
 and tests support with Fraction dot products, where the library eliminates
-cleared integer rows.  The library keeps each matrix as integer rows over one
-denominator, ``(rows, den)``; the tests clear their inputs with
-``_cleared_ints`` and read results back as Fractions with ``_over``.
+cleared integer rows.  A second minima oracle, ``_scored_vectors``,
+combines each enumerated vector back to its coefficients and measures it
+there in Fractions, where the library scans LLL coordinates in ints.  The
+library keeps each matrix as integer rows over one denominator,
+``(rows, den)``; the tests clear their inputs with ``_cleared_ints`` and
+read results back as Fractions with ``_over``.
 """
 
 import ast
@@ -18,6 +21,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -428,7 +432,8 @@ def test_enumeration_matches_a_box_scan():
             first = next((c for c in x if c), 0)
             if first > 0 and value <= bound:
                 expected.append((x, value))
-        found = enumerate_short_vectors(*_integral_gs(ints), bound, scale)
+        spent, s = enumerate_short_vectors(*_integral_gs(ints), bound, scale)
+        found = [(x, Fraction(n, s)) for x, n in spent]
         assert sorted(found) == sorted(expected)
         assert [v for _, v in found] == sorted(v for _, v in found)
         scanned += 1
@@ -705,26 +710,47 @@ def test_pool_outputs_match_the_golden_record():
 def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
     # a lattice clears its basis, its form or its vertices once when it is
     # built, and the ellipsoid fit clears each rationalized round once;
-    # nothing clears again.  A pool pass made 11,136 calls when every
-    # routine cleared its own input; the ceiling is a fifth of that
+    # nothing clears again, and a dual is built from the inverse's rows
+    # without the constructor.  A pool pass made 11,136 calls when every
+    # routine cleared its own input, and 1,248 when the dual went through
+    # the constructor; the ceiling sits just above the count without it.
+    # The minima are scanned in LLL coordinates, so no vector is combined
+    # back to its coefficients on the way; what combines is KZ
     from batch_pool import bench_child, golden_lattices
     from sysbound import kernel
-    real = kernel._cleared
-    calls = []
+    real_cleared, real_init = kernel._cleared, NormedLattice.__init__
+    real_combine = lattices._combine
+    calls, built, combined = [], [], []
 
     def counted(m):
         calls.append(len(m))
-        return real(m)
+        return real_cleared(m)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counted_combine(x, w):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        combined.append("_minima" in callers)
+        return real_combine(x, w)
 
     for module in (kernel, lattices):
         monkeypatch.setattr(module, "_cleared", counted)
+    monkeypatch.setattr(NormedLattice, "__init__", counted_init)
+    monkeypatch.setattr(lattices, "_combine", counted_combine)
     child = bench_child()
     pool = child.bench_inputs.lattice_pool()
     golden = golden_lattices()
     for kind, specs in pool.items():
         for spec, expected in zip(specs, golden[kind]):
             assert child.lattice_op(lattices, spec) == expected, kind
-    assert 0 < len(calls) <= 2_227, len(calls)
+    assert 0 < len(calls) <= 680, len(calls)
+    assert len(built) == 288
+    assert combined and not any(combined), combined.count(True)
 
 
 def test_the_float_loop_sees_only_floats(monkeypatch):
@@ -884,8 +910,117 @@ def _random_polytope(rng, r, pairs, low=-3, high=3):
             return half + [[-x for x in v] for v in half]
 
 
+def _scored_vectors(lattice):
+    """Oracle: every nonzero lattice vector no larger than the longest
+    LLL-reduced row, one per +-pair, as (coefficients, exact size) sorted by
+    size.  Each enumerated vector is combined back to its coefficients and
+    measured there as a Fraction, where the library measures it in LLL
+    coordinates in ints."""
+    gram, scale, (w, lam, d) = lattice._lll
+    if lattice.gram is not None:
+        radius = budget = Fraction(max(lattices._row_norms(w, gram)), scale)
+    else:
+        radius = max(lattice._coefficient_norm(row) for row in w)
+        budget = lattice._ellipsoid[1] * radius ** 2
+    vectors, s = lattices.enumerate_short_vectors(lam, d, budget, scale)
+    scored = []
+    for vec, spent in vectors:
+        coeffs = tuple(lattices._combine(vec, w))
+        value = Fraction(spent, s)
+        if lattice.gram is None:
+            value = lattice._coefficient_norm(coeffs)
+            if value > radius:
+                continue
+        scored.append((coeffs, value))
+    scored.sort(key=lambda item: item[1])
+    return scored
+
+
+def _oracle_minima(lattice):
+    """Oracle: the minima by the independence scan over ``_scored_vectors``."""
+    r = lattice.rank
+    return lattices._independent_scan(_scored_vectors(lattice), r, r)
+
+
+def _pool_lattices():
+    """The benchmark's 288 pool lattices, built as its ``lattice_op`` builds
+    them."""
+    from batch_pool import bench_child
+    out = []
+    for specs in bench_child().bench_inputs.lattice_pool().values():
+        for spec in specs:
+            if spec["kind"] == "euclidean":
+                out.append(NormedLattice(basis=spec["basis"],
+                                         gram=_identity(spec["rank"])))
+            else:
+                out.append(NormedLattice(basis=spec["basis"],
+                                         vertices=spec["vertices"]))
+    return out
+
+
+def test_minima_in_lll_coordinates_match_the_combine_then_scan_oracle():
+    # the pool, then lattices whose minima tie: the identity at each rank,
+    # the hexagon and the cross-polytopes, on unimodular bases too, and
+    # their duals
+    pool = _pool_lattices()
+    assert len(pool) == 288
+    rng = random.Random(89)
+    tied = []
+    for r in (1, 2, 3, 4, 5):
+        tied.append(NormedLattice(basis=_identity(r), gram=_identity(r)))
+    for vertices in (_HEX_VERTICES, _cross_vertices(2), _CROSS_3_VERTICES,
+                     _cross_vertices(4)):
+        r = len(vertices[0])
+        tied.append(NormedLattice(basis=_identity(r), vertices=vertices))
+    for r in (2, 3, 4):
+        t = lattices._complete_unimodular([1] + [rng.randint(-3, 3)
+                                                 for _ in range(r - 1)])
+        tied.append(NormedLattice(basis=t, gram=_identity(r)))
+        tied.append(NormedLattice(basis=t, vertices=_cross_vertices(r)))
+    tied.append(NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]]))
+    tied += [dual_lattice(lat) for lat in tied if lat.rank < 4]
+    for lat in pool + tied:
+        minima = [successive_minima(lat, j) for j in range(1, lat.rank + 1)]
+        assert minima == _oracle_minima(lat), lat
+    assert any(len(set(lat._minima)) < lat.rank for lat in tied)
+
+
+def test_the_direct_dual_matches_the_constructor():
+    # the dual is built from the inverse's rows; the constructor, given the
+    # dual's public basis and form or vertices, clears and checks them anew
+    rng = random.Random(83)
+
+    def rational_basis(r):
+        return [[Fraction(x, k) for x in row]
+                for row, k in zip(random_basis(r, rng, -3, 3),
+                                  rng.choices(range(1, 5), k=r))]
+
+    cases = []
+    for r in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            form = _gram_product(rational_basis(r), _identity(r))
+            cases.append(NormedLattice(basis=rational_basis(r), gram=form))
+    halved_hexagon = [[Fraction(x, 2) for x in v] for v in _HEX_VERTICES]
+    for vertices in (_HEX_VERTICES, halved_hexagon, _cross_vertices(1),
+                     _cross_vertices(2), _CROSS_3_VERTICES):
+        for _ in range(3):
+            cases.append(NormedLattice(basis=rational_basis(len(vertices[0])),
+                                       vertices=vertices))
+    for lat in cases:
+        dual = dual_lattice(lat)
+        if lat.kind == "euclidean":
+            built = NormedLattice(basis=dual.basis, gram=dual.gram)
+            assert dual._form == built._form
+        else:
+            built = NormedLattice(basis=dual.basis, vertices=dual.vertices)
+            assert dual._vertices == built._vertices
+        assert dual == built
+        assert dual._basis == built._basis
+        assert dual._normals == built._normals
+        assert dual._coeff_normals == built._coeff_normals
+
+
 def test_measured_sizes_match_the_ambient_norms():
-    from sysbound.lattices import _scored_vectors
     rng = random.Random(47)
     cases = []
     for r in (2, 3, 4, 5):

@@ -168,9 +168,9 @@ def test_construction_checks_raise_typed_errors():
 def test_the_polytope_normals_are_left_out_of_equality_and_repr():
     square = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
     lattice = NormedLattice([[1, 0], [0, 1]], vertices=square)
-    rows, den = lattice._normals
-    again = NormedLattice([[1, 0], [0, 1]], vertices=square,
-                          _normals=(rows[::-1], den))
+    again = NormedLattice([[1, 0], [0, 1]], vertices=square)
+    rows, den = again._normals
+    again._normals = (rows[::-1], den)
     assert lattice == again
     assert "_normals" not in repr(lattice)
 
