@@ -7,16 +7,28 @@ quantities are exact: Euclidean minima as squared rationals, polytope minima
 as rationals.
 
 A lattice holds each of its matrices once, as integer rows over one
-denominator: ``NormedLattice`` clears its basis, its Euclidean form or its
-vertices, and its facet normals when it is built, and every routine after
-that reads those rows.  Gram matrices B F B^T are products of them in Python
-ints; inverses, determinants and ranks run on the integer elimination of
-``kernel``, the inverse coming back as integer rows over one denominator.
-The dual lattice is built directly from the inverse's rows, which are
-already cleared, without going through the constructor again.  Values are
-ints until they leave the engine, where they become Fractions: the public
-basis, form and vertices, a minimum, a norm, a dual vector,
-``euclidean_form()`` and ``lattice_gram()``.
+denominator: ``NormedLattice`` clears its basis and its Euclidean form or
+its vertices when it is built, and every routine after that reads those
+rows.  Gram matrices B F B^T are products of them in Python ints; inverses,
+determinants and ranks run on the integer elimination of ``kernel``, the
+inverse coming back as integer rows over one denominator.  The dual lattice
+is built directly from the inverse's rows, which are already cleared,
+without going through the constructor again.  Values are ints until they
+leave the engine, where they become Fractions: the public basis, form and
+vertices, a minimum, a norm, a dual vector, ``euclidean_form()`` and
+``lattice_gram()``.
+
+What depends on the unit ball alone is computed once per distinct norm in
+a process and shared by every lattice, and every dual, built on it: the
+positive-definiteness check and the inverse form of a Euclidean norm; the
+negation check, the facet normals, the certified ellipsoid and its inverse,
+and the polar norm of a polytope.  They live in a bounded memo keyed on the
+cleared rows (at most ``MAX_NORMS`` norms, the least recently used dropped
+first), and a lattice's dual takes its norm's dual.  The sandwich
+certificate is a property of the norm, so it holds for every lattice that
+reuses it; a check or fit that fails is not kept and raises again on the
+next call.  The basis, the pull-back of the normals, LLL, the enumeration
+and KZ stay per lattice.
 
 The reduction engine runs on integers from the Gram matrix through the
 enumeration, on Cohen's integral Gram-Schmidt data (GTM 138, Algorithm
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -74,6 +86,9 @@ MAX_RANK = 5
 MAX_FACET_SUBSETS = 10_000
 #: the Lovasz constant of the LLL exchange condition
 LLL_DELTA = Fraction(3, 4)
+#: the most distinct norms the memo keeps at once, which bounds the norm
+#: data a long-lived process holds
+MAX_NORMS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +181,18 @@ class NormedLattice(Record, frozen=False):
 
     ``basis`` rows generate the lattice in ambient coordinates.  Exactly one
     of ``gram`` (ambient Euclidean form) and ``vertices`` (unit-ball vertex
-    list, closed under negation) must be given.
+    list, closed under negation) must be given.  The norm's data (facets,
+    polar, certified ellipsoid and its inverse, inverse form) is computed
+    once per distinct norm in a process, in a bounded memo, and shared by
+    every lattice on it; the basis and its reductions are the lattice's own.
     """
 
-    # The basis, the form or the vertices are each cleared once here to
-    # ``(rows, den)``, kept as ``_basis``, ``_form`` or ``_vertices``; a
-    # polytope's facet normals and their pull-back to lattice coordinates
-    # are kept as ``_normals`` and ``_coeff_normals``, which ``==`` and the
-    # repr leave out.  A dual lattice is built from its rows by ``_dual``.
+    # The basis is cleared once here to ``(rows, den)``, kept as ``_basis``.
+    # The form or the vertices are cleared once too and looked up in the
+    # norm memo; the shared ``_Norm`` is kept as ``_norm``, and a polytope's
+    # facet normals pulled back to lattice coordinates as ``_coeff_normals``.
+    # ``==`` and the repr leave these out.  A dual lattice is built from its
+    # rows by ``_dual``.
     def __init__(self, basis: list, gram: list | None = None,
                  vertices: list | None = None):
         self.basis = [[Fraction(x) for x in row] for row in basis]
@@ -198,26 +217,19 @@ class NormedLattice(Record, frozen=False):
                 raise PreconditionUnmet(
                     "the Gram matrix is %dx%s but the basis has rank %d"
                     % (len(self.gram), _lengths(self.gram), r))
-            self._form = _cleared(self.gram)
-            if not _is_positive_definite(self._form[0]):
-                raise PreconditionUnmet(
-                    "the Euclidean form must be symmetric positive-definite "
-                    "(leading principal minors positive)")
-            self._normals = self._coeff_normals = None
+            rows, den = _cleared(self.gram)
+            self._norm = _norm("euclidean", tuple(map(tuple, rows)), den, r)
+            self._coeff_normals = None
         else:
             self.vertices = [[Fraction(x) for x in v] for v in self.vertices]
             if any(len(v) != r for v in self.vertices):
                 raise PreconditionUnmet(
                     "the vertices have %s coordinates but the basis has rank %d"
                     % (_lengths(self.vertices), r))
-            self._vertices = _cleared(self.vertices)
-            rows = self._vertices[0]
-            vset = {tuple(v) for v in rows}
-            if {tuple(-x for x in v) for v in rows} != vset:
-                raise PreconditionUnmet(
-                    "polytope vertex list must be closed under negation")
-            self._normals = _facet_normals(self._vertices, r)
-            self._coeff_normals = _pulled_back(self._basis, self._normals)
+            rows, den = _cleared(self.vertices)
+            self._norm = _norm("polytope", tuple(sorted(map(tuple, rows))),
+                               den, r)
+            self._coeff_normals = _pulled_back(self._basis, self._norm.normals)
 
     # -- norms ------------------------------------------------------------
 
@@ -233,7 +245,7 @@ class NormedLattice(Record, frozen=False):
         """Gram matrix of the basis vectors (Euclidean norm only)."""
         if self.gram is None:
             raise PreconditionUnmet("polytope lattices have no Gram matrix")
-        (b, d), (f, e) = self._basis, self._form
+        (b, d), (f, e) = self._basis, self._norm.rows
         return _fractions(_int_gram(b, f), d * d * e)
 
     def _check_length(self, vec, what):
@@ -253,16 +265,16 @@ class NormedLattice(Record, frozen=False):
             raise PreconditionUnmet("polytope norms are not squared-rational")
         self._check_length(ambient_vec, "vector")
         (xs,), d = _cleared([[Fraction(x) for x in ambient_vec]])
-        rows, e = self._form
+        rows, e = self._norm.rows
         return Fraction(_int_quad(rows, xs), d * d * e)
 
     def norm(self, ambient_vec):
         """Exact polytope norm (Minkowski functional)."""
-        if self._normals is None:
+        if self._norm.normals is None:
             raise PreconditionUnmet("Euclidean norms are reported squared")
         self._check_length(ambient_vec, "vector")
         (xs,), d = _cleared([[Fraction(x) for x in ambient_vec]])
-        rows, e = self._normals
+        rows, e = self._norm.normals
         return Fraction(max(sum(map(mul, a, xs)) for a in rows), d * e)
 
     def _coefficient_norm(self, coeffs):
@@ -281,15 +293,9 @@ class NormedLattice(Record, frozen=False):
         """
         if self.gram is not None:
             return self.gram
-        return _fractions(*self._ellipsoid[0])
+        return _fractions(*self._norm.ellipsoid[0])
 
     # -- computed once per lattice ------------------------------------------
-
-    @cached_property
-    def _ellipsoid(self):
-        """((rows, den), c) of the certified inscribed ellipsoid."""
-        return _certified_ellipsoid_form(self._vertices, self._normals,
-                                         self.rank)
 
     @cached_property
     def _lll(self):
@@ -297,7 +303,8 @@ class NormedLattice(Record, frozen=False):
         Euclidean form, B F B^T over scale = d^2 e for basis = B / d and
         form = F / e, and the LLL run of those rows (see
         :func:`lll_transform`)."""
-        form = self._form if self.gram is not None else self._ellipsoid[0]
+        norm = self._norm
+        form = norm.rows if self.gram is not None else norm.ellipsoid[0]
         (b, d), (f, e) = self._basis, form
         gram = _int_gram(b, f)
         return gram, d * d * e, lll_transform(gram)
@@ -325,14 +332,15 @@ class NormedLattice(Record, frozen=False):
             # Q = euclidean_form(), by the sandwich |v|_Q^2 <= c ||v||^2
             top = max(map(max, normals))
             found, _ = enumerate_short_vectors(
-                lam, d, self._ellipsoid[1] * Fraction(top, s) ** 2, scale)
+                lam, d, self._norm.ellipsoid[1] * Fraction(top, s) ** 2,
+                scale)
             vectors = []
             for x, _ in found:
                 size = max(sum(map(mul, a, x)) for a in normals)
                 if size <= top:
                     vectors.append((x, size))
             vectors.sort(key=lambda item: item[1])
-        minima = _independent_scan(vectors, r, r)
+        minima = _independent_scan(vectors, r)
         if len(minima) != r:
             raise CertificateFailed(
                 "successive-minima certificate: vectors up to the longest "
@@ -346,25 +354,89 @@ class NormedLattice(Record, frozen=False):
         Built from the inverse's integer rows, not by ``__init__``: they are
         already cleared, and the checks hold by construction (the inverse of
         a nonsingular matrix is nonsingular, of a symmetric form symmetric,
-        and a symmetric polytope's normals are closed under negation).  The
-        dual form's positive-definiteness is certified again by its own LLL
+        and a symmetric polytope's normals are closed under negation).  Its
+        norm is ``self._norm.dual``, shared by every dual on the same norm.
+        The dual form's positive-definiteness is certified again by its own LLL
         run, whose integral Gram-Schmidt pass raises on a minor <= 0.
         """
         dual = NormedLattice.__new__(NormedLattice)
         rows, den = _mat_inv(*self._basis)
         dual._basis = [list(col) for col in zip(*rows)], den
         dual.basis = _fractions(*dual._basis)
-        dual.gram = dual.vertices = dual._normals = dual._coeff_normals = None
-        if self.gram is not None:
-            dual._form = _mat_inv(*self._form)
-            dual.gram = _fractions(*dual._form)
+        dual._norm = norm = self._norm.dual
+        dual.gram = dual.vertices = dual._coeff_normals = None
+        if norm.normals is None:
+            dual.gram = _fractions(*norm.rows)
         else:
-            dual._vertices = self._normals
-            dual.vertices = _fractions(*self._normals)
-            dual._normals = _polar_normals(self._vertices, self._normals,
-                                           self.rank)
-            dual._coeff_normals = _pulled_back(dual._basis, dual._normals)
+            dual.vertices = _fractions(*norm.rows)
+            dual._coeff_normals = _pulled_back(dual._basis, norm.normals)
         return dual
+
+
+# ---------------------------------------------------------------------------
+# norms: the data of one unit ball, computed once per process
+# ---------------------------------------------------------------------------
+
+
+class _Norm:
+    """What a unit ball alone determines, shared by every lattice on it.
+
+    ``rows`` is the Euclidean form or the vertex list and ``normals`` a
+    polytope's facet normals (None for a Euclidean norm), each as integer
+    rows over one denominator that no routine mutates.  The certified
+    ellipsoid, its inverse and the dual norm are computed on first read and
+    kept; one that raises keeps nothing and raises again on the next read.
+    """
+
+    def __init__(self, rows, normals, r):
+        self.rows, self.normals, self.r = rows, normals, r
+
+    @cached_property
+    def ellipsoid(self):
+        """((rows, den), c) of the certified inscribed ellipsoid."""
+        return _certified_ellipsoid_form(self.rows, self.normals, self.r)
+
+    @cached_property
+    def ellipsoid_inverse(self):
+        """Q^-1 for the certified form Q, as integer rows over one
+        denominator: the form of the polar ellipsoid, comparable to the
+        dual norm."""
+        return _mat_inv(*self.ellipsoid[0])
+
+    @cached_property
+    def dual(self):
+        """The dual norm: the inverse form, or the polar polytope, whose
+        vertices are this polytope's facet normals and whose facet normals
+        are its extreme vertices."""
+        if self.normals is None:
+            return _Norm(_mat_inv(*self.rows), None, self.r)
+        return _Norm(self.normals,
+                     _polar_normals(self.rows, self.normals, self.r), self.r)
+
+
+@lru_cache(maxsize=MAX_NORMS)
+def _norm(kind, rows, den, r):
+    """The shared ``_Norm`` of the rank-r Euclidean form or vertex list
+    ``rows`` / den, rows a tuple of integer tuples; a lattice sorts a vertex
+    list, whose order does not change the unit ball.
+
+    Checks the form positive definite, or the vertices closed under
+    negation, and enumerates a polytope's facets.  Memoized on the
+    arguments, at most MAX_NORMS at once; a check or an enumeration that
+    raises is not memoized, so it raises again on the next call.
+    """
+    if kind == "euclidean":
+        form = [list(row) for row in rows], den
+        if not _is_positive_definite(form[0]):
+            raise PreconditionUnmet(
+                "the Euclidean form must be symmetric positive-definite "
+                "(leading principal minors positive)")
+        return _Norm(form, None, r)
+    if {tuple(-x for x in v) for v in rows} != set(rows):
+        raise PreconditionUnmet(
+            "polytope vertex list must be closed under negation")
+    vertices = [list(v) for v in rows], den
+    return _Norm(vertices, _facet_normals(vertices, r), r)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +846,7 @@ def successive_minima(lattice: NormedLattice, j: int) -> Fraction:
     return lattice._minima[j - 1]
 
 
-def _independent_scan(vectors, r, upto):
+def _independent_scan(vectors, upto):
     """The sizes at which the span dimension increments, scanning
     ``(coeffs, size)`` pairs in order of size.
 
@@ -810,7 +882,8 @@ def dual_lattice(lattice: NormedLattice) -> NormedLattice:
     lattice Gram inverts exactly).  Polytope: the polar polytope, whose
     vertex list is the facet-normal list of the primal unit ball and whose
     facet normals are the primal's extreme vertices.  The dual is built once
-    per lattice and kept.
+    per lattice and kept, and its norm is the primal norm's dual, computed
+    once per distinct norm in a process and shared by every dual on it.
     """
     return lattice._dual
 
@@ -877,8 +950,7 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
         w = kz_transform(gram, lll)
         norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
-        gram = _int_gram(dual._basis[0],
-                         _mat_inv(*lattice._ellipsoid[0])[0])
+        gram = _int_gram(dual._basis[0], lattice._norm.ellipsoid_inverse[0])
         w = kz_transform(gram, lll_transform(gram))
         norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]

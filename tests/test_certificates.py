@@ -3,9 +3,9 @@
 A bare ``assert`` vanishes under ``-O``, so every certificate in the package
 is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
-certificate and, on a reduced dual basis, KZ's unimodularity,
-shortest-vector and primitivity certificates. The guard test keeps
-``assert`` out of the package source.
+certificate, the ellipsoid fit's positive-definiteness check and, on a
+reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
+certificates. The guard test keeps ``assert`` out of the package source.
 """
 
 import ast
@@ -62,7 +62,7 @@ kz_reports = {
         lambda vectors, s: ([(tuple(2 * x for x in vec), spent)
                              for vec, spent in vectors], s))(*real(*args))),
 }
-lattices._independent_scan = lambda vectors, r, upto: []
+lattices._independent_scan = lambda vectors, upto: []
 lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
 hexagon = lattices.NormedLattice(
     basis=[[1, 0], [0, 1]],
@@ -87,6 +87,20 @@ for step, parts in ast.literal_eval(sys.argv[1]).items():
 # the CLI runs with the last broken profile ("x <= 1") still in place
 bp_out, bp_err = io.StringIO(), io.StringIO()
 bp_code = run_command(["bundle-profile", "--n", "3"], out=bp_out, err=bp_err)
+# the ellipsoid fit on a polytope this process has not seen, with every
+# rationalized round refused as not positive definite; the failure is not
+# memoized, so once the check is whole the same norm answers, and a lattice
+# on the same vertices in another order shares it
+definite = lattices._is_positive_definite
+lattices._is_positive_definite = lambda rows: False
+square = lattices.NormedLattice(basis=[[1, 0], [0, 1]],
+                                vertices=[[1, 0], [0, 1], [-1, 0], [0, -1]])
+broken_fit = outcome(square.euclidean_form)
+lattices._is_positive_definite = definite
+again = lattices.NormedLattice(basis=[[1, 1], [0, 1]],
+                               vertices=[[0, -1], [-1, 0], [0, 1], [1, 0]])
+fit = [broken_fit, [[str(x) for x in row] for row in square.euclidean_form()],
+       again._norm is square._norm]
 print(json.dumps({
     "optimized": not __debug__,
     "minima": outcome(lambda: lattices.successive_minima(lat, 1)),
@@ -98,6 +112,7 @@ print(json.dumps({
     "bundle": bundle,
     "bundle_cli": [bp_code, bp_err.getvalue()],
     "kz": kz_reports,
+    "fit": fit,
 }))
 '''
 
@@ -139,6 +154,10 @@ def test_forced_certificate_failures_raise_under_optimize():
                             "reduced basis norm 2"],
         "primitivity": ["CertificateFailed", "primitivity certificate: "
                         "shortest vector [2, 0] has content 2"]}
+    assert report["fit"] == [
+        ["EuclideanizationFailed",
+         "no positive-definite inscribed ellipsoid form found"],
+        [["2", "0"], ["0", "2"]], True]
     code, err = report["bundle_cli"]
     assert code == 1
     assert err == ("error: bundle supremum certificate: the profile may "

@@ -397,7 +397,9 @@ def _cube(r):
 def test_lattice_vertex_cap(monkeypatch):
     from sysbound import lattices
     # facet enumeration solves each r-subset by one elimination of its
-    # cleared rows; the rank tests go through the kernel's own binding
+    # cleared rows; the rank tests go through the kernel's own binding.
+    # An empty norm memo, so no earlier test has enumerated these facets
+    lattices._norm.cache_clear()
     solves = []
     real = lattices._eliminate
 

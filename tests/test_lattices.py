@@ -29,7 +29,8 @@ import pytest
 
 from sympy_oracle import as_matrix
 from sysbound import lattices
-from sysbound.errors import BoundViolated, PreconditionUnmet, RankTooLarge
+from sysbound.errors import (BoundViolated, PreconditionUnmet, RankTooLarge,
+                             TooManyVertices)
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
                                lll_transform, random_basis, reduced_dual_basis,
                                successive_minima, transference_check,
@@ -620,7 +621,7 @@ def test_independent_scan_matches_the_rank_oracle():
                 expected.append(value)
                 if len(expected) == upto:
                     break
-        assert _independent_scan(vectors, r, upto) == expected
+        assert _independent_scan(vectors, upto) == expected
 
 
 def test_each_gram_matrix_is_lll_reduced_once(monkeypatch):
@@ -709,13 +710,15 @@ def test_pool_outputs_match_the_golden_record():
 
 def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
     # a lattice clears its basis, its form or its vertices once when it is
-    # built, and the ellipsoid fit clears each rationalized round once;
-    # nothing clears again, and a dual is built from the inverse's rows
-    # without the constructor.  A pool pass made 11,136 calls when every
-    # routine cleared its own input, and 1,248 when the dual went through
-    # the constructor; the ceiling sits just above the count without it.
-    # The minima are scanned in LLL coordinates, so no vector is combined
-    # back to its coefficients on the way; what combines is KZ
+    # built, and the ellipsoid fit clears each rationalized round once, once
+    # per distinct polytope from an empty norm memo; nothing clears again,
+    # and a dual is built from the inverse's rows without the constructor.
+    # A pool pass made 11,136 calls when every routine cleared its own
+    # input, 1,248 when the dual went through the constructor and 672 when
+    # each lattice fitted its own ellipsoid; the ceiling sits just above
+    # the 578 of two per lattice and one per fit.  The minima are scanned in
+    # LLL coordinates, so no vector is combined back to its coefficients on
+    # the way; what combines is KZ
     from batch_pool import bench_child, golden_lattices
     from sysbound import kernel
     real_cleared, real_init = kernel._cleared, NormedLattice.__init__
@@ -742,13 +745,14 @@ def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
         monkeypatch.setattr(module, "_cleared", counted)
     monkeypatch.setattr(NormedLattice, "__init__", counted_init)
     monkeypatch.setattr(lattices, "_combine", counted_combine)
+    lattices._norm.cache_clear()
     child = bench_child()
     pool = child.bench_inputs.lattice_pool()
     golden = golden_lattices()
     for kind, specs in pool.items():
         for spec, expected in zip(specs, golden[kind]):
             assert child.lattice_op(lattices, spec) == expected, kind
-    assert 0 < len(calls) <= 680, len(calls)
+    assert 0 < len(calls) <= 580, len(calls)
     assert len(built) == 288
     assert combined and not any(combined), combined.count(True)
 
@@ -756,8 +760,10 @@ def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
 def test_the_float_loop_sees_only_floats(monkeypatch):
     # the exact algebra runs on kernel's integer elimination; the float
     # Gauss-Jordan loop belongs to the ellipsoid fit alone.  Every module
-    # binding it gets a checker, then the polytope pool lattices and the
-    # cone engine over the batch pool run through it.
+    # binding it gets a checker, then the polytope pool lattices, from an
+    # empty norm memo, and the cone engine over the batch pool run through
+    # it.  The memo fits each distinct polytope once, the hexagon and the
+    # cross-polytope, and the loop runs in each fit.
     import importlib
     import io
     import pkgutil
@@ -782,13 +788,26 @@ def test_the_float_loop_sees_only_floats(monkeypatch):
             binding.append(info.name)
             monkeypatch.setattr(module, "_gauss_jordan", checked)
     assert binding == ["lattices"]
+    real_fit = lattices._certified_ellipsoid_form
+    loops = []
+
+    def counted_fit(vertices, normals, r):
+        before = len(calls)
+        try:
+            return real_fit(vertices, normals, r)
+        finally:
+            loops.append(len(calls) - before)
+
+    monkeypatch.setattr(lattices, "_certified_ellipsoid_form", counted_fit)
+    lattices._norm.cache_clear()
     child = bench_child()
     pool = child.bench_inputs.lattice_pool()
     for kind in ("hexagon", "cross"):
         for spec in pool[kind]:
             child.lattice_op(lattices, spec)
-    assert len(calls) > len(pool["hexagon"]) + len(pool["cross"])
+    assert len(loops) == 2 and all(loops), loops
     fitted = len(calls)
+    assert fitted == sum(loops)
     for descriptor in BATCH_POOL:
         for argv in (["phi-sup", "--space", descriptor],
                      ["contractions", "--space", descriptor],
@@ -869,13 +888,13 @@ def test_slack_ellipsoid_fit_keeps_the_minima_exact():
     rng = random.Random(43)
     for basis in (_identity(3), random_basis(3, rng, -2, 2)):
         lat = NormedLattice(basis=basis, vertices=_SLACK_VERTICES)
-        q, c = _over(lat._ellipsoid[0]), lat._ellipsoid[1]
+        q, c = _over(lat._norm.ellipsoid[0]), lat._norm.ellipsoid[1]
         assert q == lat.euclidean_form()
         assert c > 3
         # the sandwich with the certified constant: E_Q inside K, K inside
         # sqrt(c) E_Q, with c attained at a vertex
         qinv = _inverse(q)
-        assert all(_fraction_quad(qinv, a) <= 1 for a in _over(lat._normals))
+        assert all(_fraction_quad(qinv, a) <= 1 for a in _over(lat._norm.normals))
         assert max(_fraction_quad(q, v) for v in lat.vertices) == c
         for each in (lat, dual_lattice(lat)):
             assert ([successive_minima(each, j) for j in range(1, 4)]
@@ -921,7 +940,7 @@ def _scored_vectors(lattice):
         radius = budget = Fraction(max(lattices._row_norms(w, gram)), scale)
     else:
         radius = max(lattice._coefficient_norm(row) for row in w)
-        budget = lattice._ellipsoid[1] * radius ** 2
+        budget = lattice._norm.ellipsoid[1] * radius ** 2
     vectors, s = lattices.enumerate_short_vectors(lam, d, budget, scale)
     scored = []
     for vec, spent in vectors:
@@ -939,7 +958,7 @@ def _scored_vectors(lattice):
 def _oracle_minima(lattice):
     """Oracle: the minima by the independence scan over ``_scored_vectors``."""
     r = lattice.rank
-    return lattices._independent_scan(_scored_vectors(lattice), r, r)
+    return lattices._independent_scan(_scored_vectors(lattice), r)
 
 
 def _pool_lattices():
@@ -1010,13 +1029,12 @@ def test_the_direct_dual_matches_the_constructor():
         dual = dual_lattice(lat)
         if lat.kind == "euclidean":
             built = NormedLattice(basis=dual.basis, gram=dual.gram)
-            assert dual._form == built._form
         else:
             built = NormedLattice(basis=dual.basis, vertices=dual.vertices)
-            assert dual._vertices == built._vertices
         assert dual == built
         assert dual._basis == built._basis
-        assert dual._normals == built._normals
+        assert dual._norm.rows == built._norm.rows
+        assert dual._norm.normals == built._norm.normals
         assert dual._coeff_normals == built._coeff_normals
 
 
@@ -1147,7 +1165,7 @@ def test_pulled_back_normals_match_the_fraction_pull_back():
         lat = NormedLattice(basis=basis, vertices=vertices)
         assert _over(lat._coeff_normals) == [
             [sum(b * a for b, a in zip(row, normal)) for row in lat.basis]
-            for normal in _over(lat._normals)]
+            for normal in _over(lat._norm.normals)]
 
 
 def test_polar_normals_are_the_primal_extreme_vertices():
@@ -1164,13 +1182,13 @@ def test_polar_normals_are_the_primal_extreme_vertices():
     for vertices in cases:
         r = len(vertices[0])
         lat = NormedLattice(basis=_identity(r), vertices=vertices)
-        polar = _over(lat._normals)
+        polar = _over(lat._norm.normals)
         if math.comb(len(polar), r) > MAX_FACET_SUBSETS:
             continue
         expected = _oracle_facet_normals(polar, r)
-        assert _tuples(_polar_normals(_cleared_ints(vertices), lat._normals,
+        assert _tuples(_polar_normals(_cleared_ints(vertices), lat._norm.normals,
                                       r)) == expected
-        assert _tuples(dual_lattice(lat)._normals) == expected
+        assert _tuples(dual_lattice(lat)._norm.normals) == expected
         if vertices is padded:
             assert len(expected) == 6
         checked += 1
@@ -1244,11 +1262,12 @@ def test_polytope_entries_are_read_as_cleared_ints():
             _cleared_ints(vertices), _cleared_ints(_tuples(normals)), r)
         lat = NormedLattice(basis=_opaque(_identity(r)),
                             vertices=_opaque(vertices))
-        assert lat._ellipsoid == form
+        assert lat._norm.ellipsoid == form
         dual = dual_lattice(lat)
         assert all(_is_int_pair(pair) for pair in (
-            lat._basis, lat._vertices, lat._normals, lat._coeff_normals,
-            dual._basis, dual._vertices, dual._normals, dual._coeff_normals))
+            lat._basis, lat._norm.rows, lat._norm.normals, lat._coeff_normals,
+            dual._basis, dual._norm.rows, dual._norm.normals,
+            dual._coeff_normals))
 
 
 def test_ellipsoid_sandwich_on_rational_polytopes():
@@ -1293,7 +1312,7 @@ def test_polytope_sandwich_certificate():
     r = lat.rank
     # E inside K: every facet normal has a^T Q^-1 a <= 1
     qinv = _inverse(q)
-    for a in _over(lat._normals):
+    for a in _over(lat._norm.normals):
         assert _fraction_quad(qinv, a) <= 1
     # K inside sqrt(r) E: vertices satisfy v^T Q v <= r
     for v in lat.vertices:
@@ -1333,3 +1352,137 @@ def test_polytope_reduced_dual_basis():
     assert not result.squared
     for norm in result.dual_norms:
         assert norm * result.lambda1 <= 4
+
+
+# -- the norm memo ------------------------------------------------------------
+
+
+def _answers(lat):
+    """What the engine reports for a lattice and its duals: the minima of
+    the lattice, its dual and its dual's dual, those duals themselves, the
+    reduced dual basis and, for a polytope, both certified ellipsoids."""
+    dual = dual_lattice(lat)
+    twice = dual_lattice(dual)
+    out = [dual, twice, reduced_dual_basis(lat)]
+    out += [[successive_minima(each, j) for j in range(1, lat.rank + 1)]
+            for each in (lat, dual, twice)]
+    if lat.kind == "polytope":
+        out += [lat._norm.ellipsoid, dual._norm.ellipsoid]
+    return out
+
+
+def test_a_warm_norm_memo_answers_as_a_cold_one():
+    # each lattice is answered on a memo warmed by another lattice on the
+    # same norm, then again after the memo is cleared
+    from batch_pool import bench_child
+    rng = random.Random(97)
+    cases = [(spec["basis"], {"gram": _identity(spec["rank"])}
+              if spec["kind"] == "euclidean" else
+              {"vertices": spec["vertices"]})
+             for specs in bench_child().bench_inputs.lattice_pool().values()
+             for spec in specs]
+    vertex_lists = [_HEX_VERTICES, _CROSS_3_VERTICES]
+    vertex_lists += [_rational_polytope(rng, r, r + 1) for r in (2, 3)]
+    vertex_lists += [_random_polytope(rng, r, r + 1) for r in (2, 3)]
+    for vertices in vertex_lists:
+        r = len(vertices[0])
+        cases.append((random_basis(r, rng, -2, 2), {"vertices": vertices}))
+    for gram in _seeded_grams(8, 97):
+        cases.append((random_basis(len(gram), rng, -3, 3), {"gram": gram}))
+    for basis, norm in cases:
+        r = len(basis)
+        warmer = NormedLattice(basis=_identity(r), **norm)
+        _answers(warmer)
+        lat = NormedLattice(basis=basis, **norm)
+        assert lat._norm is warmer._norm
+        warm = _answers(lat)
+        lattices._norm.cache_clear()
+        lat = NormedLattice(basis=basis, **norm)
+        assert lat._norm is not warmer._norm
+        assert _answers(lat) == warm, (basis, norm)
+
+
+def test_a_cold_pool_pass_enumerates_and_fits_each_polytope_once(
+        monkeypatch):
+    # the pool's polytope lattices share two vertex lists, the hexagon and
+    # the cross-polytope; a hexagon listed in another order is the same
+    # norm.  The shared rows are read, never written: after the pass they
+    # still equal what the inputs clear to, and the kept facets and fits
+    # what a fresh enumeration and fit return
+    from batch_pool import bench_child, golden_lattices
+    from sysbound.kernel import _cleared
+    enumerated, fitted = [], []
+    real_facets = lattices._facet_normals
+    real_fit = lattices._certified_ellipsoid_form
+
+    def counted_facets(vertices, r):
+        enumerated.append(frozenset(map(tuple, vertices[0])))
+        return real_facets(vertices, r)
+
+    def counted_fit(vertices, normals, r):
+        fitted.append(frozenset(map(tuple, vertices[0])))
+        return real_fit(vertices, normals, r)
+
+    monkeypatch.setattr(lattices, "_facet_normals", counted_facets)
+    monkeypatch.setattr(lattices, "_certified_ellipsoid_form", counted_fit)
+    lattices._norm.cache_clear()
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    golden = golden_lattices()
+    for kind, specs in pool.items():
+        for spec, expected in zip(specs, golden[kind]):
+            assert child.lattice_op(lattices, spec) == expected, kind
+    reordered = NormedLattice(basis=_identity(2),
+                              vertices=pool["hexagon"][0]["vertices"][::-1])
+    successive_minima(reordered, 1)
+    distinct = {frozenset(map(tuple, spec["vertices"]))
+                for kind in ("hexagon", "cross") for spec in pool[kind]}
+    assert len(enumerated) == len(set(enumerated)) == len(distinct) == 2
+    assert len(fitted) == len(set(fitted)) == 2
+    assert set(enumerated) == set(fitted) == distinct
+    for kind in ("hexagon", "cross"):
+        spec = pool[kind][0]
+        norm = NormedLattice(basis=spec["basis"],
+                             vertices=spec["vertices"])._norm
+        rows, den = _cleared([[Fraction(x) for x in v]
+                              for v in spec["vertices"]])
+        assert norm.rows == (sorted(rows), den)
+        assert norm.normals == real_facets(norm.rows, spec["rank"])
+        assert norm.ellipsoid == real_fit(norm.rows, norm.normals,
+                                          spec["rank"])
+
+
+@pytest.mark.parametrize("norm, error, message", [
+    ({"vertices": [[1, 0], [0, 1]]}, PreconditionUnmet,
+     "polytope vertex list must be closed under negation"),
+    ({"vertices": [[1, 0], [-1, 0]]}, PreconditionUnmet,
+     "polytope is not full-dimensional"),
+    ({"vertices": [[int(bit) * 2 - 1 for bit in format(n, "05b")]
+                   for n in range(32)]}, TooManyVertices,
+     "facet enumeration over 32 vertices at rank 5 needs C(32, 5) = 201376 "
+     "linear solves, above the cap 10000"),
+    ({"gram": [[1, 2], [2, 1]]}, PreconditionUnmet,
+     "the Euclidean form must be symmetric positive-definite (leading "
+     "principal minors positive)"),
+])
+def test_a_failed_norm_is_not_memoized(norm, error, message):
+    r = len(next(iter(norm.values()))[0])
+    misses = lattices._norm.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            NormedLattice(basis=_identity(r), **norm)
+        assert str(err.value) == message
+    # each call computed the norm again: nothing was kept
+    assert lattices._norm.cache_info().misses == misses + 2
+
+
+def test_the_norm_memo_is_bounded():
+    from sysbound.lattices import MAX_NORMS
+    assert lattices._norm.cache_info().maxsize == MAX_NORMS
+    lattices._norm.cache_clear()
+    built = [NormedLattice(basis=[[1]], gram=[[n]])
+             for n in range(1, MAX_NORMS + 9)]
+    assert lattices._norm.cache_info().currsize == MAX_NORMS
+    # a lattice keeps its norm after the memo drops it
+    assert [successive_minima(lat, 1) for lat in built] == list(
+        range(1, MAX_NORMS + 9))

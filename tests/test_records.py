@@ -169,10 +169,12 @@ def test_the_polytope_normals_are_left_out_of_equality_and_repr():
     square = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
     lattice = NormedLattice([[1, 0], [0, 1]], vertices=square)
     again = NormedLattice([[1, 0], [0, 1]], vertices=square)
-    rows, den = again._normals
-    again._normals = (rows[::-1], den)
+    rows, den = again._coeff_normals
+    again._coeff_normals = (rows[::-1], den)
+    # the shared norm data, swapped for the polar square's
+    again._norm = again._norm.dual
     assert lattice == again
-    assert "_normals" not in repr(lattice)
+    assert "normals" not in repr(lattice) and "_norm" not in repr(lattice)
 
 
 def test_space_replace_keeps_recipes_and_drops_kept_values():
