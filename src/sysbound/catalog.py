@@ -7,9 +7,15 @@ intersections, the distinguished characteristic class ``spin_c``, a
 primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
 dimensions, nef-cone data for the rank <= 2 families, and Betti/index
 metadata.  Each ring pairs its own top degree with the fundamental class.
-Projective spaces, quadrics and complete intersections share one model,
-built by :func:`_projective_model`.  ``sysbound.characteristic`` is imported
-only where a tangent or an A-hat class is built.
+Projective spaces, quadrics and complete intersections share one
+:class:`_ProjectiveModel` of the divisors in a product of projective spaces.
+Such a space is its rows: its dimension, Betti and index data, Koszul data
+and q0 are integers set at construction, where an empty intersection is
+refused by a matching, and the model builds the ring, its pairing and the
+classes on their first read; a twist shares its base's model.  So the
+Todd genus, the length, the index polynomial and every bound read off the
+dimension, the length or the Fano index of these spaces build no ring.  ``sysbound.characteristic`` is imported only
+where a tangent or an A-hat class is built.
 
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
@@ -27,7 +33,7 @@ from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
                      PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
                      tensor_ring, truncated_polynomial_ring)
-from .kernel import _intersection_pairing
+from .kernel import _intersection_dim, _intersection_pairing
 from .values import Record
 
 if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
@@ -68,8 +74,17 @@ class Space(Record, frozen=False):
     ``a_hat_of`` makes ``a_hat_cls``, which without a recipe is the A-hat
     class of the tangent.  ``todd_cls`` is read off c1 and A-hat the same
     way.  ``c1`` defaults to the tangent's first Chern class, which makes
-    the tangent; projective spaces, quadrics and complete intersections give
-    it in closed form, so their tangent waits for its first reader.
+    the tangent.
+
+    Projective spaces, quadrics, complete intersections and their twists
+    are made from a projective model (``_model``): their integers are set at
+    construction, and ``ring``, ``c1``, ``spin_c``, ``primitive_x``,
+    ``nef_rays`` and ``curves`` are read off the model on first read and
+    kept, the ring built once per model.  ``_q0`` is the integer with
+    spin_c = q0 H, recorded exactly when the space has a primitive class;
+    without one, spin_c is c1.  :meth:`lacks` and :meth:`check_ring` answer
+    without building anything, so the replies that read only integers build
+    no ring.
 
     ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
     are those of the complete intersection of the divisors ``rows`` in
@@ -80,7 +95,9 @@ class Space(Record, frozen=False):
     ``factor_embeddings`` are the (left, right) class maps on products.
 
     Kept values are not fields, so ``Space.replace`` copies the recipes
-    and never a value computed for another space.
+    and never a value computed for another space.  It reads every field,
+    model or not, so the copy has no model: its classes are the original's
+    and its q0 is read off its own spin_c.
     """
 
     def __init__(self, name: str, family: str, real_dim: int, b1: int,
@@ -91,36 +108,70 @@ class Space(Record, frozen=False):
                  a_hat_of: Callable[[], GradedClass | None] | None = None,
                  koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
                  fano_index=None, metadata_only=False, nef_rays=(), curves=(),
-                 kahler_einstein=None, notes="", factor_embeddings=()):
+                 kahler_einstein=None, notes="", factor_embeddings=(),
+                 _model: _ProjectiveModel | None = None,
+                 _q0: int | None = None):
         self.name = name
         self.family = family
         self.real_dim = real_dim
         self.b1 = b1
         self.b2 = b2
-        self.ring = ring
         self.is_complex = is_complex
         self.complex_dim = complex_dim
         self.tangent_of = tangent_of
-        self.c1 = c1
         self.a_hat_of = a_hat_of
         self.koszul = koszul
-        self.spin_c = spin_c
-        self.primitive_x = primitive_x
         self.odd_xi = odd_xi
         self.fano_index = fano_index
         self.metadata_only = metadata_only
-        self.nef_rays = nef_rays
-        self.curves = curves
         self.kahler_einstein = kahler_einstein
         self.notes = notes
         self.factor_embeddings = factor_embeddings
-        if c1 is None and tangent_of is not None:
-            self.c1 = self.tangent.chern(1)
+        self._model = _model
+        self._q0 = _q0
+        if _model is None:  # a model makes these fields on first read
+            self.ring = ring
+            self.c1 = c1
+            self.spin_c = spin_c
+            self.primitive_x = primitive_x
+            self.nef_rays = nef_rays
+            self.curves = curves
+            if c1 is None and tangent_of is not None:
+                self.c1 = self.tangent.chern(1)
         if metadata_only:
             return
         if odd_xi is not None and real_dim % 2 == 0:
             raise PreconditionUnmet(
                 "%s: a degree-1 class is only recorded in odd dimensions" % name)
+
+    # the fields a projective model makes; every other space sets them in
+    # __init__, which hides these recipes
+
+    @cached_property
+    def ring(self) -> Ring:
+        return self._model.ring
+
+    @cached_property
+    def c1(self) -> GradedClass:
+        return self._model.c1
+
+    @cached_property
+    def primitive_x(self) -> GradedClass | None:
+        return None if self._q0 is None else self._model.hs[0]
+
+    @cached_property
+    def spin_c(self) -> GradedClass:
+        if self._q0 is None:
+            return self._model.c1
+        return self._q0 * self._model.hs[0]
+
+    @cached_property
+    def nef_rays(self) -> tuple:
+        return self._model.nef_rays
+
+    @cached_property
+    def curves(self) -> tuple:
+        return self._model.curves
 
     @cached_property
     def tangent(self) -> ChernData | None:
@@ -143,15 +194,31 @@ class Space(Record, frozen=False):
         from .characteristic import todd_from_a_hat
         return todd_from_a_hat(self.c1, self.a_hat_cls)
 
-    def require_ring(self) -> Ring:
-        if self.metadata_only or self.ring is None:
+    def lacks(self, name: str) -> bool:
+        """Whether the field ``name`` is None, answered without building a
+        model: a model always makes a ring, c1 and spin_c, and a primitive
+        class exactly when q0 is recorded."""
+        if self._model is None or name in self.__dict__:
+            return getattr(self, name) is None
+        return name == "primitive_x" and self._q0 is None
+
+    def check_ring(self) -> None:
+        """Refuse a space stored without a cohomology ring; builds none."""
+        if self.metadata_only or self.lacks("ring"):
             raise MetadataOnlySpace(
                 "%s is stored as index data only (no cohomology ring)" % self.name)
+
+    def require_ring(self) -> Ring:
+        self.check_ring()
         return self.ring
 
     @property
     def half_dim(self) -> int:
         return self.real_dim // 2
+
+
+#: the fields of a model space that its model makes
+_MODEL_FIELDS = ("ring", "c1", "spin_c", "primitive_x", "nef_rays", "curves")
 
 
 def integrate(space: Space, cls: GradedClass) -> Fraction:
@@ -172,13 +239,9 @@ def projective_space(n: int) -> Space:
     if n < 1:
         raise PreconditionUnmet("projective space needs n >= 1; the point "
                                 "enters through the product identity instead")
-    (H,), model = _projective_model([], [n])
-    return Space(
-        name="CP(%d)" % n, family="CP", real_dim=2 * n, b1=0, b2=1,
-        **model, is_complex=True, complex_dim=n,
-        spin_c=(n + 1) * H, primitive_x=H, fano_index=n + 1,
-        nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
-        kahler_einstein=True,
+    return _model_space(
+        [], [n], ("line",), n + 1,
+        name="CP(%d)" % n, family="CP", fano_index=n + 1, kahler_einstein=True,
     )
 
 
@@ -191,13 +254,9 @@ def quadric(n: int) -> Space:
     """
     if n < 2:
         raise PreconditionUnmet("quadric needs n >= 2")
-    (H,), model = _projective_model([[2]], [n + 1])
-    return Space(
-        name="Q(%d)" % n, family="Q", real_dim=2 * n, b1=0, b2=1,
-        **model, is_complex=True, complex_dim=n,
-        spin_c=n * H, primitive_x=H, fano_index=n,
-        nef_rays=(H,), curves=(Curve("line", {"H": Fraction(1)}),),
-        kahler_einstein=True,
+    return _model_space(
+        [[2]], [n + 1], ("line",), n,
+        name="Q(%d)" % n, family="Q", fano_index=n, kahler_einstein=True,
         notes="H-subring model; middle cohomology omitted",
     )
 
@@ -380,41 +439,83 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
 # ---------------------------------------------------------------------------
 
 
-def _projective_model(rows, ns):
-    """Hyperplane classes and the :class:`Space` fields of the complete
-    intersection X of the divisors ``rows`` (multidegrees) in
-    CP(N_1) x ... x CP(N_m).
+class _ProjectiveModel:
+    """The ring side of the complete intersection X of the divisors ``rows``
+    (multidegrees) in CP(N_1) x ... x CP(N_m), of complex dimension ``dim``,
+    each part made on first read and kept.
 
     The ring stops at X's top degree 2 dim, with H_i^(min(N_i, dim)+1) = 0
-    and the pairing of :func:`kernel._intersection_pairing`, which refuses an
-    empty X.  c1 = sum_i (N_i + 1 - sum of the rows' d_i) H_i by adjunction.
-    The tangent, the Euler sequences' class over (1 + D_1)...(1 + D_r), is
-    built on first read.  ``koszul`` records (rows, ns) for the engine's
-    Riemann-Roch closed forms.
-    """
-    dim, pairing = _intersection_pairing(rows, ns)
-    m = len(ns)
-    names = ["H"] if m == 1 else ["H%d" % (i + 1) for i in range(m)]
-    ring = make_ring(RingPresentation(
-        generators=[Generator(name, 2, False) for name in names],
-        truncation=2 * dim,
-        power_rules={name: (min(N, dim) + 1, {}) for name, N in zip(names, ns)},
-        pairing=pairing))
-    hs = [ring.gen(name) for name in names]
-    c1 = sum(((N + 1 - sum(row[i] for row in rows)) * h
-              for i, (N, h) in enumerate(zip(ns, hs))), ring.zero())
+    and the pairing of :func:`kernel._intersection_pairing`.  c1 = sum_i
+    (N_i + 1 - sum of the rows' d_i) H_i by adjunction.  The tangent is the
+    Euler sequences' class over (1 + D_1)...(1 + D_r).  ``lines`` names one
+    extremal curve per factor, the line of that factor, where X records its
+    nef cone; the nef rays are then the H_i.
 
-    def tangent_of():
+    A model refers to no space, so a space and its twists share one, and
+    dropping them frees it without the cycle collector.
+    """
+
+    def __init__(self, rows, ns, dim: int, lines: tuple):
+        self.rows, self.ns, self.dim, self.lines = rows, ns, dim, lines
+        self.names = (("H",) if len(ns) == 1 else
+                      tuple("H%d" % (i + 1) for i in range(len(ns))))
+
+    @cached_property
+    def hs(self) -> tuple:
+        """The hyperplane classes, in the ring built here."""
+        ring = make_ring(RingPresentation(
+            generators=[Generator(name, 2, False) for name in self.names],
+            truncation=2 * self.dim,
+            power_rules={name: (min(N, self.dim) + 1, {})
+                         for name, N in zip(self.names, self.ns)},
+            pairing=_intersection_pairing(self.rows, self.ns)))
+        return tuple(ring.gen(name) for name in self.names)
+
+    @property
+    def ring(self) -> Ring:
+        return self.hs[0].ring
+
+    @cached_property
+    def c1(self) -> GradedClass:
+        return sum(((N + 1 - sum(row[i] for row in self.rows)) * h
+                    for i, (N, h) in enumerate(zip(self.ns, self.hs))),
+                   self.ring.zero())
+
+    @property
+    def nef_rays(self) -> tuple:
+        return self.hs if self.lines else ()
+
+    @cached_property
+    def curves(self) -> tuple:
+        return tuple(Curve(line, {g: Fraction(1 if j == i else 0)
+                                  for j, g in enumerate(self.names)})
+                     for i, line in enumerate(self.lines))
+
+    def tangent(self) -> ChernData:
         from .characteristic import ChernData, whitney_quotient
-        ambient = math.prod(((1 + h) ** (N + 1) for N, h in zip(ns, hs)),
+        ring, hs = self.ring, self.hs
+        ambient = math.prod(((1 + h) ** (N + 1) for N, h in zip(self.ns, hs)),
                             start=ring.one())
         normal = math.prod(
-            (1 + sum(d * h for d, h in zip(row, hs)) for row in rows),
+            (1 + sum(d * h for d, h in zip(row, hs)) for row in self.rows),
             start=ring.one())
-        return whitney_quotient(ChernData(rank=sum(ns), total=ambient),
-                                ChernData(rank=len(rows), total=normal))
-    return hs, {"ring": ring, "c1": c1, "tangent_of": tangent_of,
-                "koszul": (tuple(map(tuple, rows)), tuple(ns))}
+        return whitney_quotient(ChernData(rank=sum(self.ns), total=ambient),
+                                ChernData(rank=len(self.rows), total=normal))
+
+
+def _model_space(rows, ns, lines, q0, **fields) -> Space:
+    """The space of the complete intersection of ``rows`` in CP(ns), an empty
+    one refused: its integers now, its ring and classes from a
+    :class:`_ProjectiveModel` on first read.  ``q0`` is None for a space
+    without a primitive class; ``koszul`` records (rows, ns) for the
+    engine's Riemann-Roch closed forms."""
+    dim = _intersection_dim(rows, ns)
+    model = _ProjectiveModel(rows, ns, dim, lines)
+    return Space(
+        real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
+        tangent_of=model.tangent,
+        koszul=(tuple(map(tuple, rows)), tuple(ns)),
+        _model=model, _q0=q0, **fields)
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -442,10 +543,7 @@ def complete_intersection(multidegrees, ambient) -> Space:
             raise PreconditionUnmet("multidegrees must be nonnegative")
         if not any(row):
             raise PreconditionUnmet("each hypersurface needs a nonzero multidegree")
-    hs, model = _projective_model(rows, ns)
-    ring = model["ring"]
-    dim = ring.truncation // 2
-
+    dim = sum(ns) - len(rows)
     lefschetz = dim >= 3
     index = ns[0] + 1 - sum(row[0] for row in rows)  # -K = index * H if m = 1
 
@@ -457,18 +555,13 @@ def complete_intersection(multidegrees, ambient) -> Space:
     ke = m == 1 and lefschetz and sorted(row[0] for row in rows) in (
         [3], [4], [2, 2])
 
-    return Space(
-        name=name, family="CI", real_dim=2 * dim, b1=0, b2=m,
-        **model, is_complex=True, complex_dim=dim, spin_c=model["c1"],
-        primitive_x=hs[0] if (m == 1 and lefschetz) else None,
+    return _model_space(
+        rows, ns,
+        tuple("line_%d" % (i + 1) for i in range(m))
+        if (m <= 2 and lefschetz) else (),
+        index if (m == 1 and lefschetz) else None,
+        name=name, family="CI",
         fano_index=index if m == 1 and lefschetz and index >= 1 else None,
-        nef_rays=tuple(hs) if (m <= 2 and lefschetz) else (),
-        curves=(
-            tuple(Curve("line_%d" % (i + 1),
-                        {g: Fraction(1 if j == i else 0)
-                         for j, g in enumerate(ring.gen_names())})
-                  for i in range(m))
-            if (m <= 2 and lefschetz) else ()),
         kahler_einstein=ke or None,
         notes="" if lefschetz else
               "ambient H-subring model; b2/index metadata unreliable below "
@@ -516,19 +609,26 @@ def blowup_point(n: int) -> Space:
 
 def twist_spin_c(space: Space, k: int) -> Space:
     """Replace the characteristic class c by c + 2k x; parity is preserved."""
-    space.require_ring()
-    if space.b2 != 1 or space.primitive_x is None:
+    space.check_ring()
+    if space.b2 != 1 or space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "twisting needs b2 = 1 with a recorded primitive degree-2 class")
     if k == 0:
         return space
-    new_c = space.spin_c + (2 * k) * space.primitive_x
     # the copied recipes make the untwisted tangent and A-hat, which do not
     # see the spin^c class
-    return space.replace(
-        spin_c=new_c, name="%s twist(%d)" % (space.name, k),
-        notes=(space.notes + "; " if space.notes else "") + "twisted spin^c class",
-    )
+    changes = {"name": "%s twist(%d)" % (space.name, k),
+               "notes": (space.notes + "; " if space.notes else "")
+               + "twisted spin^c class"}
+    if space._model is None:
+        return space.replace(
+            spin_c=space.spin_c + (2 * k) * space.primitive_x, **changes)
+    # the twist shares the model, so its ring and classes are the base's,
+    # and only q0 moves
+    fields = {name: getattr(space, name) for name in space._fields
+              if name not in _MODEL_FIELDS}
+    fields.update(changes)
+    return Space(**fields, _model=space._model, _q0=space._q0 + 2 * k)
 
 
 # ---------------------------------------------------------------------------

@@ -391,53 +391,70 @@ def exact_str(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    ps = _as_pi_scaled(value)
-    if ps is not None:
-        return {"numerator": ps.q.numerator, "denominator": ps.q.denominator,
-                "pi_exponent": ps.k}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return str(value) if not isinstance(value, (str, bool)) else value
-
-
 def parse_json_value(obj):
     """Inverse of the JSON encoding: reconstruct an exact PiScaled."""
     return PiScaled(Fraction(obj["numerator"], obj["denominator"]),
                     obj["pi_exponent"])
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)`` for the values a
-    reply holds (dicts with string keys, lists, strings, booleans, ints and
-    floats), written in one pass: with an indent, ``json.dumps`` runs the
-    standard library's pure-Python encoder.  A non-finite float or an int
-    past the digit limit raises ``ValueError``, as it does there."""
+def _json_rows(rows, approx: int | None) -> str:
+    """The ``--format json`` text of ``rows``: ``json.dumps(payload,
+    indent=2)`` of the object mapping each label to its value's encoding,
+    and, with ``approx``, each exact number's label plus ``_approx`` to its
+    rounded float, written in one pass (with an indent ``json.dumps`` runs
+    the standard library's pure-Python encoder).
+
+    An exact number (an int, a Fraction or a PiScaled q * pi^k) is encoded
+    as ``{"numerator", "denominator", "pi_exponent"}``, a list or tuple
+    item by item, a string or a boolean as itself, anything else as its
+    ``str``.  A non-finite float or an int past the digit limit raises
+    ``ValueError``, as in ``json.dumps``.
+    """
     # a JSON string literal, escaped to ASCII as ``json.dumps`` writes it
     from json.encoder import encode_basestring_ascii as string
 
+    def exact(value):
+        """``(q, k)`` of an exact number, or None."""
+        if isinstance(value, PiScaled):
+            return value.q, value.k
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return value, 0
+        return None
+
     def text(value, indent):
-        if isinstance(value, str):
-            return string(value)
+        inner = indent + "  "
+        number = exact(value)
+        if number is not None:
+            q, k = number
+            return ('{%s"numerator": %s,%s"denominator": %s,'
+                    '%s"pi_exponent": %s%s}' % (
+                        inner, int.__repr__(q.numerator), inner,
+                        int.__repr__(q.denominator), inner, int.__repr__(k),
+                        indent))
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            return "[%s%s%s]" % (inner, ("," + inner).join(
+                text(v, inner) for v in value), indent)
         if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError("Out of range float values are not JSON compliant")
-            return float.__repr__(value)
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = [string(k) + ": " + text(v, inner) for k, v in value.items()]
-            brackets = "{}"
-        else:
-            items = [text(v, inner) for v in value]
-            brackets = "[]"
-        if not items:
-            return brackets
-        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-    return text(value, "\n")
+        return string(value if isinstance(value, str) else str(value))
+
+    items = []
+    for key, value in rows:
+        items.append(string(key) + ": " + text(value, "\n  "))
+        number = exact(value) if approx else None
+        if number is not None:
+            q, k = number
+            rounded = round(float(q) * math.pi ** k, approx)
+            if not math.isfinite(rounded):
+                raise ValueError(
+                    "Out of range float values are not JSON compliant")
+            items.append(string(key + "_approx") + ": "
+                         + float.__repr__(rounded))
+    if not items:
+        return "{}\n"
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _render(rows, fmt: str, approx: int | None) -> str:
@@ -445,13 +462,7 @@ def _render(rows, fmt: str, approx: int | None) -> str:
     written, so a value too large to print prints nothing."""
     try:
         if fmt == "json":
-            payload = {}
-            for key, value in rows:
-                payload[key] = _json_value(value)
-                ps = _as_pi_scaled(value) if approx else None
-                if ps is not None:
-                    payload[key + "_approx"] = round(ps.approx(), approx)
-            return _json_text(payload) + "\n"
+            return _json_rows(rows, approx)
         width = max((len(k) for k, _ in rows), default=0)
         text = ""
         for key, value in rows:

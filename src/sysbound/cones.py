@@ -17,7 +17,7 @@ from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, UnsupportedRank)
-from .kernel import _intersection_pairing, _solve_linear, _sparse_mul
+from .kernel import _intersection_dim, _solve_linear, _sparse_mul
 from .values import Record
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
@@ -43,8 +43,10 @@ class Unbounded(Record):
 
 
 def cone_problem(space: Space) -> ConeProblem:
-    space.require_ring()
-    if not space.is_complex or space.c1 is None:
+    """The space's cone data; a space of Picard rank above 2 is refused
+    before any ring is built."""
+    space.check_ring()
+    if not space.is_complex or space.lacks("c1"):
         raise UnsupportedRank("%s is not a complex catalog space with c1 data"
                               % space.name)
     if space.b2 > 2:
@@ -390,7 +392,7 @@ def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
         raise DimensionTooLow(
             "the contraction enumeration needs complex dimension >= 3 "
             "(degree <= 2 cohomology must restrict from the ambient space)")
-    _intersection_pairing(rows, ns)  # hypersurfaces that do not meet: refused
+    _intersection_dim(rows, ns)  # hypersurfaces that do not meet: refused
     factors = []
     for i, N in enumerate(ns):
         dsum = sum(row[i] for row in rows)

@@ -66,7 +66,7 @@ class IndexPolynomial(RationalPolynomial):
 
 def todd_genus(space: Space) -> Fraction:
     """Integral of the Todd class; the holomorphic Euler characteristic."""
-    space.require_ring()
+    space.check_ring()
     if space.is_complex and space.koszul is not None:
         return Fraction(_koszul_value(*space.koszul, 0))
     if not space.is_complex or space.todd_cls is None:
@@ -90,12 +90,13 @@ def index_polynomial(space: Space) -> IndexPolynomial:
     space with ``koszul`` data from the Riemann-Roch closed form, elsewhere
     in the ring.
     """
-    xi, q0 = _index_data(space)
+    q0 = _index_data(space)
     if space.koszul is not None:
         return IndexPolynomial(
             _koszul_chi(*space.koszul, _twice_shift(space, q0)), q0)
     x = space.primitive_x
-    base = xi * exp_class(space.spin_c * Fraction(1, 2)) * space.a_hat_cls
+    base = (_xi_factor(space) * exp_class(space.spin_c * Fraction(1, 2))
+            * space.a_hat_cls)
     coeffs = []
     xpow = space.ring.one()
     for k in range(space.half_dim + 1):
@@ -104,17 +105,20 @@ def index_polynomial(space: Space) -> IndexPolynomial:
     return IndexPolynomial(coeffs, q0)
 
 
-def _index_data(space: Space):
-    """``(xi, q0)`` of a space with an index polynomial: the degree-1 factor
-    (1 in even dimensions) and the integer q0 with c = q0 x."""
-    space.require_ring()
-    if space.primitive_x is None:
+def _index_data(space: Space) -> int:
+    """The integer q0 with c = q0 x, on a space with an index polynomial;
+    an odd space must carry its degree-1 factor xi.  A space made from a
+    projective model answers from its integers, with no ring built."""
+    space.check_ring()
+    if space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "%s has no recorded primitive degree-2 class (b2 = 1 required)"
             % space.name)
     if space.koszul is None and space.a_hat_cls is None:
         raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
-    return _xi_factor(space), _spin_c_multiple(space)
+    if space.real_dim % 2:
+        _xi_factor(space)  # refuses an odd space without its class
+    return _spin_c_multiple(space)
 
 
 def _twice_shift(space: Space, q0: int) -> int:
@@ -185,7 +189,10 @@ def _binomial(n: int, u: int) -> int:
 
 
 def _spin_c_multiple(space: Space) -> int:
-    """The integer q0 with c = q0 * x in real cohomology."""
+    """The integer q0 with c = q0 * x in real cohomology: recorded on a
+    space made from a projective model, elsewhere read off the classes."""
+    if space._q0 is not None:
+        return space._q0
     x = space.primitive_x
     c = space.spin_c
     if c.is_zero():
@@ -220,7 +227,7 @@ def length(space: Space) -> int:
     A Koszul term of first degree d is zero for a + s in [d - N_1, d - 1],
     and where every term is zero around q0 + 2a = 0 the scan starts past.
     """
-    _, q0 = _index_data(space)
+    q0 = _index_data(space)
     start = 0
     if space.koszul is not None and _twice_shift(space, q0) % 2 == 0:
         rows, ns = space.koszul
@@ -441,7 +448,7 @@ def _require_point(n_factor, theorem):
 
 
 def _require_kahler(space: Space) -> int:
-    space.require_ring()
+    space.check_ring()
     if not space.is_complex or space.complex_dim is None:
         raise PreconditionUnmet(
             "%s is not a complex (Kaehler) catalog space" % space.name)

@@ -8,8 +8,10 @@ entries become that pair.  The determinant, inverse and rank take integer
 rows and run on Python ints throughout, the inverse coming back as integer
 rows over one denominator; only ``_solve_linear``, for the cone engine,
 clears its rational rows itself.  Sparse polynomials are dicts {exponent
-tuple: coefficient} with one product, which also gives the intersection
-numbers of a complete intersection in a product of projective spaces.
+tuple: coefficient} with one product.  The intersection numbers of a
+complete intersection in a product of projective spaces come from a product
+truncated as it goes, after a matching has decided that the intersection is
+not empty.
 Dense univariate polynomials live in ``roots``.
 """
 
@@ -130,30 +132,67 @@ def _sparse_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _intersection_pairing(rows, ns):
-    """``(dim, pairing)`` of the complete intersection X of the divisors
-    ``rows`` (multidegrees) in CP(N_1) x ... x CP(N_m): X's complex
-    dimension, and each top monomial H^e of X mapped to <H^e, [X]>.  By the
-    projection formula <a, [X]> = <a D_1...D_r, [ambient]> (Fulton,
-    Intersection Theory, 2.5), that is the coefficient of H^(N-e) in
-    D_1...D_r.  Raises EmptyIntersection when X is empty: the codimension
-    leaves nothing, or the product of the divisors vanishes on the ambient.
+def _intersection_dim(rows, ns):
+    """The complex dimension of the complete intersection X of the divisors
+    ``rows`` (multidegrees) in CP(N_1) x ... x CP(N_m), after refusing an
+    empty X with EmptyIntersection: the codimension leaves nothing, or the
+    product of the divisors vanishes on the ambient.
+
+    Every coefficient of D_1...D_r is a sum of nonnegative terms, one per
+    choice of a factor for each row with the row's degree positive there,
+    and the choice lands on H^e with e_i the rows put on factor i.  So the
+    product survives H_i^(N_i + 1) = 0 exactly when some choice puts at most
+    N_i rows on each factor i: a matching of rows to factors of capacity
+    N_i, found by augmenting paths.
     """
-    m, r = len(ns), len(rows)
-    dim = sum(ns) - r
+    dim = sum(ns) - len(rows)
     if dim < 1:
         raise EmptyIntersection(
             "codimension %d leaves nothing of the %d-dimensional ambient space"
-            % (r, sum(ns)))
-    divisors = {(0,) * m: 1}
-    for row in rows:
-        divisors = _sparse_mul(divisors, {
-            tuple(int(i == j) for j in range(m)): d for i, d in enumerate(row) if d})
-    pairing = {tuple(N - e for N, e in zip(ns, mono)): c
-               for mono, c in divisors.items()
-               if all(e <= N for e, N in zip(mono, ns))}
-    if not pairing:
+            % (len(rows), sum(ns)))
+    placed = [[] for _ in ns]  # the rows put on each factor
+    if not all(_place(j, rows, ns, placed, set())
+               for j in range(len(rows))):
         raise EmptyIntersection(
             "the hypersurfaces do not meet: the product of their divisors "
             "vanishes on %s" % "x".join("CP(%d)" % N for N in ns))
-    return dim, pairing
+    return dim
+
+
+def _place(j, rows, ns, placed, seen):
+    """Put row j on a factor not in ``seen`` with its degree positive there,
+    moving rows already placed along an augmenting path if the factor is
+    full; False when no such path exists."""
+    for i, d in enumerate(rows[j]):
+        if d and i not in seen:
+            seen.add(i)
+            if len(placed[i]) < ns[i]:
+                placed[i].append(j)
+                return True
+            for k, other in enumerate(placed[i]):
+                if _place(other, rows, ns, placed, seen):
+                    placed[i][k] = j
+                    return True
+    return False
+
+
+def _intersection_pairing(rows, ns):
+    """Each top monomial H^e of the nonempty complete intersection X of the
+    divisors ``rows`` in CP(N_1) x ... x CP(N_m), mapped to <H^e, [X]>.  By
+    the projection formula <a, [X]> = <a D_1...D_r, [ambient]> (Fulton,
+    Intersection Theory, 2.5), that is the coefficient of H^(N-e) in
+    D_1...D_r.  The product is taken one row at a time and truncated at
+    e_i <= N_i as it goes; no coefficient cancels, so every term kept is
+    nonzero.
+    """
+    products = {(0,) * len(ns): 1}
+    for row in rows:
+        out = {}
+        for mono, c in products.items():
+            for i, d in enumerate(row):
+                if d and mono[i] < ns[i]:
+                    e = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    out[e] = out.get(e, 0) + c * d
+        products = out
+    return {tuple(N - e for N, e in zip(ns, mono)): c
+            for mono, c in products.items()}

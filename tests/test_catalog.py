@@ -189,6 +189,33 @@ def test_twist_spin_c():
         twist_spin_c(blowup_point(2), 1)
 
 
+def test_a_twist_shares_its_base_model():
+    # the twist is made before either ring is read: one model, one ring,
+    # the same classes, and spin^c moved by 2k H
+    q4 = quadric(4)
+    up = twist_spin_c(twist_spin_c(q4, 1), 1)
+    assert up.ring is q4.ring
+    for name in ("c1", "primitive_x", "nef_rays", "curves"):
+        assert getattr(up, name) is getattr(q4, name), name
+    H = q4.primitive_x
+    assert (q4.spin_c, up.spin_c) == (4 * H, 8 * H)
+    assert engine.index_polynomial(up).q0 == 8
+    assert up.tangent == q4.tangent
+
+
+def test_an_explicit_spin_c_class_wins_over_the_recorded_q0():
+    # replace reads every field, so the copy has no model and its q0 is
+    # read off the class it is given
+    cp3 = twist_spin_c(projective_space(3), 1)
+    H = cp3.primitive_x
+    moved = cp3.replace(spin_c=2 * H)
+    assert moved.ring is cp3.ring
+    assert engine.index_polynomial(cp3).q0 == 6
+    assert engine.index_polynomial(moved).q0 == 2
+    assert engine.length(moved) == engine.length(
+        twist_spin_c(projective_space(3), -1))
+
+
 def test_metadata_spaces_reject_ring_operations():
     for space in (weighted_del_pezzo_x6(4), weighted_del_pezzo_x4(5),
                   weighted_mukai_x6(4), grassmann_section(3)):

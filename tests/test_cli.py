@@ -1,5 +1,6 @@
 """Descriptor grammar, command dispatch, formats, exit codes."""
 
+import gc
 import io
 import itertools
 import json
@@ -18,11 +19,11 @@ import sysbound
 from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
-from sysbound import catalog, characteristic, cli
+from sysbound import catalog, characteristic, cli, graded
 from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
                           parse_json_value, parse_space, run_command)
 from sysbound.engine import PiScaled
-from sysbound.errors import ParseError
+from sysbound.errors import CalculatorError, ParseError
 
 
 def _run(argv):
@@ -701,6 +702,7 @@ def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
     spaces = dict(built)
     before = {node: {name: getattr(space, name) for name in space._fields}
               for node, space in spaces.items()}
+    names = {node: set(vars(space)) for node, space in spaces.items()}
     assert any(isinstance(node, ProductNode) for node in spaces)
     assert any(isinstance(node, TwistNode) for node in spaces)
     parser = cli._build_parser()
@@ -714,7 +716,7 @@ def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
     for node, space in spaces.items():
         for name, value in before[node].items():
             assert getattr(space, name) is value, (node.unparse(), name)
-        assert set(vars(space)) - set(before[node]) <= kept, node.unparse()
+        assert set(vars(space)) - names[node] <= kept, node.unparse()
     # the Riemann-Roch closed forms answer without tangent data
     assert all("a_hat_cls" not in vars(spaces[parse_space(d)])
                for d in ("CP(3)", "CP(3).twist(1)", "CP(3) * S1"))
@@ -763,6 +765,128 @@ def test_projective_spaces_answer_without_tangent_data(monkeypatch):
                       else (1, "", entry["out"]))
             reply = _run([*command, "--space", desc, "--format", "json"])
             assert reply == expect, (command, desc)
+
+
+# -- projective models: integer replies build no ring -------------------------
+
+#: every CP, Q and CI of the pool and its twists by -2, -1 and 1 (a twist of
+#: a space without a primitive class is refused as it is built)
+_PROJECTIVE = [variant for d in BATCH_POOL
+               if d.startswith(("CP(", "Q(", "CI(")) and " * " not in d
+               for variant in (d, d + ".twist(-2)", d + ".twist(-1)",
+                               d + ".twist(1)")]
+
+
+@pytest.fixture
+def ring_builds(monkeypatch):
+    """The presentation of each ``graded.Ring`` built, in order."""
+    built = []
+    init = graded.Ring.__init__
+
+    def counted(ring, presentation):
+        built.append(presentation)
+        init(ring, presentation)
+    monkeypatch.setattr(graded.Ring, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", [("todd",), ("length",), ("index-poly",),
+                                     ("bound", "--theorem", "thm1.1")])
+def test_closed_form_replies_build_no_ring(command, ring_builds):
+    codes = set()
+    for desc in _PROJECTIVE:
+        code, out, err = _run([*command, "--space", desc])
+        assert (code, bool(out), bool(err)) in ((0, True, False),
+                                                 (1, False, True)), desc
+        assert ring_builds == [], desc
+        codes.add(code)
+    assert codes == {0, 1}
+
+
+def test_phi_sup_builds_one_ring(ring_builds):
+    # the answer integrates in the model's ring; a space without a nef cone
+    # is refused before it is built
+    answered = 0
+    for desc in _PROJECTIVE:
+        code, _, err = _run(["phi-sup", "--space", desc])
+        if code == 0:
+            answered += 1
+        else:
+            assert "no recorded nef-cone" in err or "twisting" in err, desc
+        assert len(ring_builds) == (code == 0), desc
+        del ring_builds[:]
+    assert answered > len(_PROJECTIVE) // 2
+
+
+def test_dropped_spaces_leave_no_reference_cycles():
+    # a space, its twists and its model refer to one another in one
+    # direction only, so reference counting frees them: the cycle collector
+    # finds nothing, whether the model was built or not
+    gc.collect()
+    gc.disable()
+    try:
+        for desc in BATCH_POOL:
+            space = parse_space(desc).build()
+            del space
+            assert gc.collect() == 0, desc
+            space = parse_space(desc).build()
+            twisted = (catalog.twist_spin_c(space, 1)
+                       if space.b2 == 1 and not space.lacks("primitive_x")
+                       else space)
+            repr(twisted), repr(space), space.tangent, space.a_hat_cls
+            del space, twisted
+            assert gc.collect() == 0, desc
+    finally:
+        gc.enable()
+    assert gc.garbage == []
+
+
+#: the Baseline's complete intersection of m = 12 random 0/1 rows (seeded
+#: with random.seed(12), a zero row given a 1 at a random factor) in 12
+#: copies of CP(2): the whole product of its divisors took seconds
+_LARGE_CI = (
+    "CI(degrees=[[1,1,1,0,1,0,1,1,1,1,0,0],[0,1,1,0,1,0,0,0,0,1,1,0],"
+    "[0,0,0,0,1,1,0,1,0,1,0,0],[0,0,1,1,1,1,1,0,0,0,1,1],"
+    "[1,1,1,0,1,0,1,1,1,0,0,1],[1,0,0,0,1,0,1,0,0,0,0,0],"
+    "[1,0,1,1,1,1,0,1,1,0,1,1],[1,1,1,0,0,1,1,0,0,0,0,1],"
+    "[1,0,0,0,0,0,0,1,0,0,1,1],[0,0,1,1,1,1,1,0,1,1,0,1],"
+    "[1,1,0,1,1,0,0,0,0,1,1,0],[0,0,1,1,0,1,0,1,1,0,1,0]]; "
+    "ambient=[2,2,2,2,2,2,2,2,2,2,2,2])")
+
+_TIMED = r'''
+import io, json, sys, time
+from sysbound.cli import run_command
+replies = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = run_command(argv, out=out, err=err)
+    replies.append([code, out.getvalue(), err.getvalue(),
+                    time.perf_counter() - start])
+print(json.dumps(replies))
+'''
+
+
+def test_a_large_complete_intersection_answers_from_its_rows():
+    # todd reads the Koszul sum and phi-sup refuses b2 = 12 before any
+    # ring is built; each takes well under half a second
+    random.seed(12)
+    rows = [[random.randint(0, 1) for _ in range(12)] for _ in range(12)]
+    assert all(any(row) for row in rows)
+    assert _LARGE_CI.startswith("CI(degrees=%s;" % json.dumps(
+        rows, separators=(",", ":")))
+    argvs = [["todd", "--space", _LARGE_CI], ["phi-sup", "--space", _LARGE_CI]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    (todd_code, todd_out, _, todd_s), (sup_code, _, sup_err, sup_s) = \
+        json.loads(proc.stdout)
+    assert (todd_code, todd_out.splitlines()[-1]) == (
+        0, "todd_genus:  393694619419")
+    assert (sup_code, sup_err) == (
+        1, "error: nef-cone optimization is catalogued for Picard rank <= 2 "
+           "only (b2 = 12)\n")
+    assert todd_s < 0.5 and sup_s < 0.5, (todd_s, sup_s)
 
 
 # -- README examples in a fresh interpreter ---------------------------------
@@ -1015,22 +1139,70 @@ def test_json_replies_are_written_as_the_standard_library_writes_them():
         assert code == 0 and out == _stdlib_json(out), argv
 
 
+def _encoded(value):
+    """A reply value as the JSON writer encodes it: an exact number as a
+    {numerator, denominator, pi_exponent} object, a sequence item by item,
+    a string or a boolean as itself, anything else as its ``str``."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        value = PiScaled(Fraction(value), 0)
+    if isinstance(value, PiScaled):
+        return {"numerator": value.q.numerator,
+                "denominator": value.q.denominator, "pi_exponent": value.k}
+    if isinstance(value, (list, tuple)):
+        return [_encoded(v) for v in value]
+    return value if isinstance(value, (str, bool)) else str(value)
+
+
+def _payload(rows, approx):
+    """The object a JSON reply holds: each label mapped to its value's
+    encoding and, with ``approx``, each exact number's label plus
+    ``_approx`` to its float rounded to that many places."""
+    payload = {}
+    for key, value in rows:
+        payload[key] = _encoded(value)
+        number = _encoded(value) if approx else None
+        if isinstance(number, dict):
+            q = Fraction(number["numerator"], number["denominator"])
+            payload[key + "_approx"] = round(
+                PiScaled(q, number["pi_exponent"]).approx(), approx)
+    return payload
+
+
+_PI = PiScaled(Fraction(1), 1)
+
+#: reply rows of each kind of value a handler returns
+_JSON_ROWS = [
+    [],
+    [("space", "CP(3)"), ("length", Fraction(4))],
+    [("bound", PiScaled(Fraction(-7, 3), 2)), ("zero", PiScaled(Fraction(0), 3)),
+     ("pi", _PI), ("int", -7), ("big", 10 ** 40), ("half", Fraction(1, 2))],
+    [("coefficients", [Fraction(1), Fraction(-3, 4), 0]),
+     ("empty", []), ("nested", [[], [1, [_PI, "x"]], ()]),
+     ("tuple", (Fraction(2), "two"))],
+    [("fano", True), ("k_negative", False), ("polynomial", object()),
+     ("float", 1.5), ("none", None)],
+    [("plain", "d\u00e9j\u00e0 \u2211 \U0001d54f \u2028 \"q\" \\ \t\x7f\x00"),
+     ("\u043a\u043b\u044e\u0447", "\u00fc")],
+]
+
+
+@pytest.mark.parametrize("approx", [None, 0, 3, 12])
+@pytest.mark.parametrize("rows", _JSON_ROWS)
+def test_the_json_writer_matches_json_dumps(rows, approx):
+    assert cli._render(rows, "json", approx) == json.dumps(
+        _payload(rows, approx), indent=2, allow_nan=False) + "\n"
+
+
 @pytest.mark.parametrize("value", [
-    {}, [], [[]], [{}], {"a": [], "b": {}}, [[1, [2, []]], {"c": {"d": [3]}}],
-    "plain", "d\u00e9j\u00e0 \u2211 \U0001d54f \u2028 \"q\" \\ \t\x7f\x00",
-    {"\u043a\u043b\u044e\u0447": ["\u00fc", 1.5, -0.0, 1e16, 2.5e-7, True, False]},
-    10 ** 40, -7, {"numerator": -3, "denominator": 4, "pi_exponent": 2},
-])
-def test_the_json_writer_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2,
-                                               allow_nan=False)
-
-
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
-                                   {"x_approx": [float("inf")]}])
-def test_the_json_writer_refuses_non_finite_floats(value):
-    with pytest.raises(ValueError):
-        cli._json_text(value)
+    PiScaled(Fraction(10 ** 300), 60),  # finite q, infinite q * pi^k
+    Fraction(10 ** 400, 3), 10 ** 400])  # q past the float range
+def test_the_json_writer_refuses_values_past_the_float_range(value):
+    rows = [("space", "CP(1)"), ("value", value)]
+    assert json.loads(cli._render(rows, "json", None))["value"]
+    with pytest.raises((ValueError, OverflowError)):
+        json.dumps(_payload(rows, 3), allow_nan=False)
+    with pytest.raises(CalculatorError, match="too large to print"):
+        cli._render(rows, "json", 3)
 
 
 def test_the_todd_genus_of_a_huge_projective_space_prints_at_once():
