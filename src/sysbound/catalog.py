@@ -212,6 +212,15 @@ class Space(Record, frozen=False):
         self.check_ring()
         return self.ring
 
+    def model_top_pairing(self) -> int | None:
+        """<x^n, [X]> of the primitive class x = H, n = half_dim, on a space
+        made from a projective model with one, read from the model's rows
+        with no ring built: a positive integer, X being nonempty.  None on
+        any other space."""
+        if self._model is None or self._q0 is None:
+            return None
+        return self._model.pairing[(self._model.dim,)]
+
     @property
     def half_dim(self) -> int:
         return self.real_dim // 2
@@ -461,6 +470,11 @@ class _ProjectiveModel:
                       tuple("H%d" % (i + 1) for i in range(len(ns))))
 
     @cached_property
+    def pairing(self) -> dict:
+        """<H^e, [X]> of each top monomial H^e, read from the rows."""
+        return _intersection_pairing(self.rows, self.ns)
+
+    @cached_property
     def hs(self) -> tuple:
         """The hyperplane classes, in the ring built here."""
         ring = make_ring(RingPresentation(
@@ -468,7 +482,7 @@ class _ProjectiveModel:
             truncation=2 * self.dim,
             power_rules={name: (min(N, self.dim) + 1, {})
                          for name, N in zip(self.names, self.ns)},
-            pairing=_intersection_pairing(self.rows, self.ns)))
+            pairing=self.pairing))
         return tuple(ring.gen(name) for name in self.names)
 
     @property

@@ -1,14 +1,13 @@
 """Command-line frontend.
 
-A small LL(1) parser turns descriptor strings such as ``CP(3) * S1`` or
-``CI(degrees=[[2,3]]; ambient=[5])`` into catalog constructors.  One tokenizer
-and one parser class serve both descriptors and ``--alpha`` class expressions
-such as ``1/2*pi^2*H - E``.  Only the punctuation differs, and with it the
-reading of ``-``: directly before a digit it starts a negative integer in a
-descriptor (``genus=-1``), but in a class expression it is always the minus
-operator (``H1 -2*H2`` is H1 - 2*H2).  Results are printed exactly (``q * pi^k``);
-decimals appear only with ``--approx`` and are labeled approximate.  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+Space descriptors such as ``CP(3) * S1`` and ``--alpha`` class expressions
+such as ``1/2*pi^2*H - E`` are parsed by :mod:`sysbound.grammar`, which
+``parse_space`` and ``parse_alpha`` import on their first call, so a process
+that parses neither (``catalog``, ``lattice``, ``pushforward``,
+``bundle-profile``, an empty ``--batch``) never compiles it.  Results are
+printed exactly (``q * pi^k``); decimals appear only with ``--approx`` and
+are labeled approximate.  Exit codes: 0 success, 1 domain error, 2 usage
+error.
 
 A run is a value.  Each subcommand handler maps its arguments to rows
 (label, value), and a space subcommand is handed its parsed descriptor; one
@@ -20,12 +19,18 @@ reply depends on its line alone, so a batch keeps each line's reply and a
 repeated line replays it, errors included; nothing else is shared between
 lines.
 
+One table, ``_SUBCOMMANDS``, gives each subcommand its handler and its
+arguments.  When the first argument names a subcommand, ``run_command``
+builds the parser of that subcommand alone, whose usage still lists every
+choice, so help, usage and errors read as the full parser's; bare
+``sysbound``, a leading ``-h`` and an unknown command get the full parser.
+
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
 catalog, and ``catalog`` loads no engine.  No data class generates code at
 import (they are plain classes on ``values.Record``), and ``json`` loads only
-where JSON is written (``--format json``, a list argument in a descriptor)
-or read (``--gram``, ``--vertices``, ``--basis``, ``--degrees``).
+where JSON is written (``--format json``) or read (``--gram``,
+``--vertices``, ``--basis``, ``--degrees``).
 """
 
 from __future__ import annotations
@@ -36,266 +41,17 @@ import sys
 from fractions import Fraction
 
 from .errors import CalculatorError, ParseError, ValueTooLarge
-from .values import SELECTORS, PiScaled, Record
+from .values import SELECTORS, PiScaled, _digit_limit
 
 # ---------------------------------------------------------------------------
-# tokens and parser, shared by descriptors and class expressions
+# descriptors and class expressions, parsed by sysbound.grammar
 # ---------------------------------------------------------------------------
-
-_PUNCT = ("(", ")", "[", "]", ",", ";", "=", "*", ".")
-_CLASS_PUNCT = ("+", "-", "*", "/", "^", "(", ")")
-
-
-#: the most digits the interpreter converts between an int and text; 0: none
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-class Token(Record, frozen=False):
-    __slots__ = ("kind", "text", "pos")  # kind: NAME, INT, punctuation, END
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-def _tokenize(text: str, punct=_PUNCT, where=""):
-    """Tokens of ``text``: each character of ``punct``, names and integers.
-    A ``-`` before a digit starts a negative integer unless ``-`` is in
-    ``punct``; ``where`` ends the message for an unexpected character."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in punct:
-            tokens.append(Token(ch, ch, i))
-            i += 1
-            continue
-        # isdecimal, not isdigit: int() rejects digits such as "²"
-        if ch.isdecimal() or (ch == "-" and i + 1 < len(text)
-                              and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            if 0 < _digit_limit() < j - i - (ch == "-"):
-                raise ParseError("integer exceeds the %d-digit limit"
-                                 % _digit_limit(), i)
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character %r%s" % (ch, where), i)
-    tokens.append(Token("END", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, punct=_PUNCT, where=""):
-        self.tokens = _tokenize(text, punct, where)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, text=None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError("unexpected %r" % (tok.text or "end of input"),
-                             tok.pos, expected=(text or kind,))
-        return self.next()
-
-    def operand(self, op, what):
-        """The INT token after an ``op`` token, or None when the next token
-        is not ``op``; anything else after ``op`` is "expected <what>"."""
-        if self.peek().kind != op:
-            return None
-        self.next()
-        tok = self.next()
-        if tok.kind != "INT":
-            raise ParseError("expected " + what, tok.pos)
-        return tok
-
-    def integer(self) -> int:
-        return int(self.expect("INT").text)
-
-    def bracketed(self, item):
-        """``[item, ...]`` as a tuple, possibly empty."""
-        self.expect("[")
-        out = []
-        if self.peek().kind != "]":
-            out.append(item())
-            while self.peek().kind == ",":
-                self.next()
-                out.append(item())
-        self.expect("]")
-        return tuple(out)
-
-    def int_list(self):
-        return self.bracketed(self.integer)
-
-    def int_matrix(self):
-        return self.bracketed(self.int_list)
-
-
-# descriptor AST -----------------------------------------------------------
-
-
-class _Constructor(Record):
-    """One descriptor constructor: how it parses, checks, makes and prints.
-
-    ``params`` are ``(keyword or None, _Parser method, least, message)``,
-    written in order and separated by ``;``.  An argument below ``least``
-    (an integer's value, a list's length) is reported with ``message``; the
-    first such argument wins.  ``fn`` is looked up in ``catalog`` at build
-    time, so a rebound catalog function (a tracer's wrapper) is the one
-    called.  ``alias_of`` names the ``(name, args)`` node this spelling
-    stands for; that node prints as the alias.
-    """
-
-    def __init__(self, name: str, fn: str | None = None, params: tuple = (),
-                 alias_of: tuple | None = None):
-        self.__dict__.update(name=name, fn=fn, params=params,
-                             alias_of=alias_of)
-
-
-_CI_EMPTY = "CI needs nonempty degrees and ambient"
-
-_CONSTRUCTORS = {row.name: row for row in (
-    _Constructor("CP", "projective_space",
-                 ((None, "integer", 1, "CP needs n >= 1"),)),
-    _Constructor("Q", "quadric", ((None, "integer", 2, "Q needs n >= 2"),)),
-    _Constructor("S", "sphere", ((None, "integer", 1, "S needs k >= 1"),)),
-    _Constructor("S1", alias_of=("S", (1,))),
-    _Constructor("CI", "complete_intersection",
-                 (("degrees", "int_matrix", 1, _CI_EMPTY),
-                  ("ambient", "int_list", 1, _CI_EMPTY))),
-    _Constructor("PB", "proj_bundle_over_curve",
-                 (("degrees", "int_list", 2, "PB needs at least two degrees"),
-                  ("genus", "integer", 0, "PB needs genus >= 0"))),
-    _Constructor("BlP", "blowup_point",
-                 ((None, "integer", 2, "BlP needs n >= 2"),)),
-)}
-
-
-class AtomNode(Record):
-    """A catalog constructor applied to its arguments (ints and tuples)."""
-
-    def __init__(self, name: str, args: tuple):
-        self.__dict__.update(name=name, args=args)
-
-    def build(self) -> Space:
-        from . import catalog
-        return getattr(catalog, _CONSTRUCTORS[self.name].fn)(*self.args)
-
-    def unparse(self) -> str:
-        for row in _CONSTRUCTORS.values():
-            if row.alias_of == (self.name, self.args):
-                return row.name
-        fields = []
-        for (keyword, _, _, _), value in zip(_CONSTRUCTORS[self.name].params,
-                                             self.args):
-            if isinstance(value, tuple):  # compact JSON: [1,2] or [[2],[3]]
-                import json
-                value = json.dumps(value, separators=(",", ":"))
-            fields.append(("" if keyword is None else keyword + "=") + str(value))
-        return "%s(%s)" % (self.name, "; ".join(fields))
-
-
-class TwistNode(Record):
-    def __init__(self, inner, k: int):
-        self.__dict__.update(inner=inner, k=k)
-
-    def build(self) -> Space:
-        from . import catalog
-        return catalog.twist_spin_c(self.inner.build(), self.k)
-
-    def unparse(self) -> str:
-        return "%s.twist(%d)" % (self.inner.unparse(), self.k)
-
-
-class ProductNode(Record):
-    def __init__(self, left, right):
-        self.__dict__.update(left=left, right=right)
-
-    def build(self) -> Space:
-        from . import catalog
-        return catalog.product(self.left.build(), self.right.build())
-
-    def unparse(self) -> str:
-        return "%s * %s" % (self.left.unparse(), self.right.unparse())
-
-
-def _parse_atom(p: _Parser):
-    tok = p.expect("NAME")
-    row = _CONSTRUCTORS.get(tok.text)
-    if row is None:
-        raise ParseError("unknown space constructor %r" % tok.text, tok.pos,
-                         expected=tuple(_CONSTRUCTORS))
-    if row.alias_of is not None:
-        return AtomNode(*row.alias_of)
-    p.expect("(")
-    args = []
-    for keyword, method, _, _ in row.params:
-        if args:
-            p.expect(";")
-        if keyword is not None:
-            p.expect("NAME", keyword)
-            p.expect("=")
-        args.append(getattr(p, method)())
-    p.expect(")")
-    for (_, _, least, message), value in zip(row.params, args):
-        if (len(value) if isinstance(value, tuple) else value) < least:
-            raise ParseError(message, tok.pos)
-    return AtomNode(row.name, tuple(args))
-
-
-def _parse_postfix(p: _Parser):
-    node = _parse_atom(p)
-    while True:
-        tok = p.peek()
-        if tok.kind == ".":
-            p.next()
-        elif tok.kind == "NAME" and tok.text == "twist":
-            pass  # bare twist(k) suffix, no dot
-        else:
-            break
-        p.expect("NAME", "twist")
-        p.expect("(")
-        k = p.integer()
-        p.expect(")")
-        node = TwistNode(node, k)
-    return node
 
 
 def parse_space(text: str):
     """Parse a space descriptor into its AST; ``*`` is left-associative."""
-    p = _Parser(text)
-    node = _parse_postfix(p)
-    while p.peek().kind == "*":
-        p.next()
-        node = ProductNode(node, _parse_postfix(p))
-    end = p.peek()
-    if end.kind != "END":
-        raise ParseError("trailing input %r" % end.text, end.pos,
-                         expected=("*", "end of input"))
-    return node
-
-
-# ---------------------------------------------------------------------------
-# degree-2 class expressions ("pi*H", "2*H1 - E", "1/2*H")
-# ---------------------------------------------------------------------------
+    from . import grammar
+    return grammar.parse_space(text)
 
 
 def parse_alpha(space: Space, text: str):
@@ -304,67 +60,8 @@ def parse_alpha(space: Space, text: str):
     Returns ``(GradedClass, pi_exponent)``; all terms must carry the same
     power of pi.
     """
-    space.require_ring()
-    p = _Parser(text, _CLASS_PUNCT, " in class expression")
-    total = space.ring.zero()
-    pi_exponent = None
-    tok = p.peek()
-    if tok.kind in ("+", "-"):
-        p.next()
-    while True:
-        sign = -1 if tok.kind == "-" else 1
-        coeff, pi_exp, gen = _parse_term(p, space.ring)
-        if pi_exponent is None:
-            pi_exponent = pi_exp
-        elif pi_exponent != pi_exp:
-            raise ParseError("all terms must carry the same power of pi",
-                             p.peek().pos)
-        total = total + sign * coeff * gen
-        tok = p.next()
-        if tok.kind == "END":
-            return total, pi_exponent
-        if tok.kind not in ("+", "-"):
-            raise ParseError("unexpected token in class expression", tok.pos)
-
-
-def _parse_term(p: _Parser, ring):
-    """``factor (* factor)*``, a factor being ``n``, ``n/d``, ``pi``,
-    ``pi^e`` or one generator name; returns ``(coeff, pi_exp, generator)``."""
-    coeff = Fraction(1)
-    pi_exp = 0
-    name = None
-    while p.peek().kind in ("INT", "NAME"):
-        tok = p.next()
-        if tok.kind == "INT":
-            den = p.operand("/", "a denominator")
-            if den is not None and int(den.text) == 0:
-                raise ParseError("zero denominator", den.pos)
-            coeff *= Fraction(int(tok.text),
-                              1 if den is None else int(den.text))
-        elif tok.text == "pi":
-            power = p.operand("^", "an exponent")
-            pi_exp += 1 if power is None else int(power.text)
-        elif name is not None:
-            raise ParseError("term has two generator names", tok.pos)
-        else:
-            name = tok.text
-        if p.peek().kind != "*":
-            break
-        p.next()
-    if name is None:
-        raise ParseError("each term needs a degree-2 generator name",
-                         p.peek().pos)
-    if name not in ring.index:
-        raise ParseError("unknown generator %r (ring has %s)"
-                         % (name, ", ".join(ring.gen_names())), p.peek().pos)
-    return coeff, pi_exp, ring.gen(name)
-
-
-def _default_alpha(space: Space):
-    if space.primitive_x is not None:
-        return space.primitive_x, 1
-    raise CalculatorError(
-        "no default class on %s; pass --alpha explicitly" % space.name)
+    from . import grammar
+    return grammar.parse_alpha(space, text)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +194,7 @@ _ALPHA_SELECTORS = {
 
 
 def _cmd_bound(node, args):
-    from . import engine
+    from . import engine, grammar
     theorem = args.theorem
     if theorem in _ALPHA_SELECTORS:
         fn, label = _ALPHA_SELECTORS[theorem]
@@ -505,10 +202,10 @@ def _cmd_bound(node, args):
         if args.alpha:
             alpha, pi_exp = parse_alpha(space, args.alpha)
         else:
-            alpha, pi_exp = _default_alpha(space)
+            alpha, pi_exp = grammar._default_alpha(space)
         value = getattr(engine, fn)(space, alpha, PiScaled(Fraction(1), pi_exp))
         return [("theorem", theorem), (label, value)]
-    if isinstance(node, ProductNode):  # X * N: a two-space bound
+    if isinstance(node, grammar.ProductNode):  # X * N: a two-space bound
         x, n_factor = node.left.build(), node.right.build()
     else:
         x, n_factor = node.build(), None
@@ -558,8 +255,8 @@ def _cmd_phi_sup(node, args):
 
 
 def _cmd_contractions(node, args):
-    from . import cones
-    if not (isinstance(node, AtomNode) and node.name == "CI"):
+    from . import cones, grammar
+    if not (isinstance(node, grammar.AtomNode) and node.name == "CI"):
         raise CalculatorError("contractions expects a CI(...) descriptor")
     degrees, ambient = node.args
     report = cones.multiproj_contractions(ambient, degrees)
@@ -738,79 +435,6 @@ def _cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sysbound",
-        description="Exact curvature-systole, volume, and width bounds on a "
-                    "catalog of explicit manifolds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, space=True):
-        if space:
-            p.add_argument("--space", required=False,
-                           help="space descriptor, e.g. 'CP(3) * S1'")
-            p.add_argument("--batch", action="store_true",
-                           help="read one descriptor per line from stdin")
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
-        p.add_argument("--approx", type=int, default=None, metavar="DIGITS",
-                       help="add decimal approximations (labeled approximate)")
-
-    p = sub.add_parser("bound", help="evaluate a closed-form bound")
-    p.add_argument("--theorem", required=True,
-                   choices=SELECTORS + tuple(_ALPHA_SELECTORS))
-    p.add_argument("--alpha", help="degree-2 class, e.g. 'pi*H' (thm1.4, "
-                                   "thm1.8, rbar)")
-    common(p)
-
-    p = sub.add_parser("index-poly", help="twist polynomial of a b2 = 1 space")
-    common(p)
-    p = sub.add_parser("length", help="minimal nonvanishing twist distance")
-    common(p)
-    p = sub.add_parser("todd", help="Todd genus")
-    common(p)
-
-    p = sub.add_parser("phi", help="volume functional at a class")
-    p.add_argument("--alpha", required=True)
-    common(p)
-    p = sub.add_parser("phi-sup", help="supremum of the volume functional")
-    common(p)
-
-    p = sub.add_parser("contractions",
-                       help="projection report for a multiprojective CI")
-    common(p)
-
-    p = sub.add_parser("bundle-profile",
-                       help="projective-bundle systole profile and supremum")
-    p.add_argument("--n", type=int)
-    p.add_argument("--degrees", help="JSON list, e.g. '[0,2]'")
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", default="1")
-    common(p, space=False)
-
-    p = sub.add_parser("lattice", help="minima, duals, reduction, transference")
-    p.add_argument("--gram", help="JSON matrix (entries int or 'p/q')")
-    p.add_argument("--vertices", help="JSON list of unit-ball vertices")
-    p.add_argument("--basis", help="JSON basis matrix (rows; default identity)")
-    p.add_argument("--sweep", type=int, help="random sweep of this many lattices")
-    p.add_argument("--min-rank", type=int, default=2)
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, space=False)
-
-    p = sub.add_parser("pushforward", help="Grassmannian-bundle pushforward")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--primitive", action="store_true")
-    common(p, space=False)
-
-    p = sub.add_parser("catalog", help="list the catalog families")
-    common(p, space=False)
-    return parser
-
-
 def _command(handler, space=False):
     """The whole subcommand as one callable, from parse to render; a space
     subcommand's rows follow the row of its parsed ``--space``."""
@@ -823,20 +447,87 @@ def _command(handler, space=False):
     return command
 
 
-#: one callable per subcommand: args -> stdout text, from parse to render
-_DISPATCH = {
-    "bound": _command(_cmd_bound, space=True),
-    "index-poly": _command(_cmd_index_poly, space=True),
-    "length": _command(_cmd_length, space=True),
-    "todd": _command(_cmd_todd, space=True),
-    "phi": _command(_cmd_phi, space=True),
-    "phi-sup": _command(_cmd_phi_sup, space=True),
-    "contractions": _command(_cmd_contractions, space=True),
-    "bundle-profile": _command(_cmd_bundle_profile),
-    "lattice": _command(_cmd_lattice),
-    "pushforward": _command(_cmd_pushforward),
-    "catalog": _command(_cmd_catalog),
+#: each subcommand: its handler, whether it reads ``--space`` (and
+#: ``--batch``), its help line, and its own arguments as ``(flag,
+#: add_argument keywords)``, added ahead of ``--format`` and ``--approx``
+_SUBCOMMANDS = {
+    "bound": (_cmd_bound, True, "evaluate a closed-form bound", (
+        ("--theorem", {"required": True,
+                       "choices": SELECTORS + tuple(_ALPHA_SELECTORS)}),
+        ("--alpha", {"help": "degree-2 class, e.g. 'pi*H' (thm1.4, thm1.8, "
+                             "rbar)"}))),
+    "index-poly": (_cmd_index_poly, True,
+                   "twist polynomial of a b2 = 1 space", ()),
+    "length": (_cmd_length, True, "minimal nonvanishing twist distance", ()),
+    "todd": (_cmd_todd, True, "Todd genus", ()),
+    "phi": (_cmd_phi, True, "volume functional at a class",
+            (("--alpha", {"required": True}),)),
+    "phi-sup": (_cmd_phi_sup, True, "supremum of the volume functional", ()),
+    "contractions": (_cmd_contractions, True,
+                     "projection report for a multiprojective CI", ()),
+    "bundle-profile": (_cmd_bundle_profile, False,
+                       "projective-bundle systole profile and supremum", (
+        ("--n", {"type": int}),
+        ("--degrees", {"help": "JSON list, e.g. '[0,2]'"}),
+        ("--genus", {"type": int, "default": 0}),
+        ("--a", {"default": "1"}),
+        ("--b", {"default": "1"}))),
+    "lattice": (_cmd_lattice, False,
+                "minima, duals, reduction, transference", (
+        ("--gram", {"help": "JSON matrix (entries int or 'p/q')"}),
+        ("--vertices", {"help": "JSON list of unit-ball vertices"}),
+        ("--basis", {"help": "JSON basis matrix (rows; default identity)"}),
+        ("--sweep", {"type": int,
+                     "help": "random sweep of this many lattices"}),
+        ("--min-rank", {"type": int, "default": 2}),
+        ("--max-rank", {"type": int, "default": 4}),
+        ("--seed", {"type": int, "default": 0}))),
+    "pushforward": (_cmd_pushforward, False,
+                    "Grassmannian-bundle pushforward", (
+        ("--k", {"type": int, "required": True}),
+        ("--r", {"type": int, "required": True}),
+        ("--j", {"type": int, "required": True}),
+        ("--primitive", {"action": "store_true"}))),
+    "catalog": (_cmd_catalog, False, "list the catalog families", ()),
 }
+
+#: one callable per subcommand: args -> stdout text, from parse to render
+_DISPATCH = {name: _command(handler, space)
+             for name, (handler, space, _, _) in _SUBCOMMANDS.items()}
+
+
+def _build_parser(command=None):
+    """The parser of every subcommand, or of ``command`` alone.
+
+    The parser of one subcommand names every choice in its usage, as
+    argparse writes them, so the usage printed with a top-level error
+    (``unrecognized arguments``) reads as the full parser's.  Only the full
+    parser can report a missing or unknown command; it keeps argparse's own
+    name for the argument, ``command``, in those messages.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sysbound",
+        description="Exact curvature-systole, volume, and width bounds on a "
+                    "catalog of explicit manifolds.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_DISPATCH))
+    for name, (_, space, summary, arguments) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if space:
+            p.add_argument("--space", required=False,
+                           help="space descriptor, e.g. 'CP(3) * S1'")
+            p.add_argument("--batch", action="store_true",
+                           help="read one descriptor per line from stdin")
+        p.add_argument("--format", choices=("table", "json", "csv"),
+                       default="table")
+        p.add_argument("--approx", type=int, default=None, metavar="DIGITS",
+                       help="add decimal approximations (labeled approximate)")
+    return parser
 
 
 def _check_approx(args):
@@ -888,8 +579,9 @@ def run_command(argv, out=None, err=None) -> int:
     """Run one CLI invocation; returns the exit code without exiting."""
     out = out or sys.stdout
     err = err or sys.stderr
+    command = argv[0] if argv and argv[0] in _DISPATCH else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     code = 0

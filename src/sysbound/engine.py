@@ -456,15 +456,18 @@ def _require_kahler(space: Space) -> int:
 
 
 def _require_condition_a(space: Space) -> int:
-    """u^n nonzero (with xi in odd dimension); returns n = half_dim."""
-    space.require_ring()
+    """u^n nonzero (with xi in odd dimension); returns n = half_dim.  A space
+    made from a projective model reads <u^n, [X]> from its rows."""
+    space.check_ring()
     n = space.half_dim
-    if space.b2 != 1 or space.primitive_x is None:
+    if space.b2 != 1 or space.lacks("primitive_x"):
         raise PreconditionUnmet(
             "%s must have b2 = 1 with a degree-2 class u, u^n nonzero"
             % space.name)
-    xi = _xi_factor(space)
-    if integrate(space, xi * space.primitive_x ** n) == 0:
+    pairing = space.model_top_pairing()
+    if pairing is None:
+        pairing = integrate(space, _xi_factor(space) * space.primitive_x ** n)
+    if pairing == 0:
         raise PreconditionUnmet(
             "the top pairing of the degree-2 class of %s vanishes"
             % space.name)

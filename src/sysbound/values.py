@@ -3,11 +3,14 @@
 A leaf module: it imports only the standard library, so the CLI can parse
 its arguments and print any result without loading an engine.  ``engine``
 re-exports the value type and the selectors; ``Record`` serves data classes.
+``_digit_limit`` is the interpreter's int/text digit limit, which both the
+descriptor tokenizer and the CLI's printing check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -150,6 +153,9 @@ def _pi_decimal(digits: int):
 
 ONE = PiScaled(Fraction(1), 0)
 PI = PiScaled(Fraction(1), 1)
+
+#: the most digits the interpreter converts between an int and text; 0: none
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 #: selector tokens accepted by systolic_bound (and the CLI)
 SELECTORS = ("thm1.1", "thm1.2", "thm1.3", "prop5.1", "thm4.5", "thm5.6")

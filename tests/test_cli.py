@@ -1,5 +1,6 @@
 """Descriptor grammar, command dispatch, formats, exit codes."""
 
+import argparse
 import gc
 import io
 import itertools
@@ -20,8 +21,9 @@ from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
 from sysbound import catalog, characteristic, cli, graded
-from sysbound.cli import (AtomNode, ProductNode, TwistNode, parse_alpha,
-                          parse_json_value, parse_space, run_command)
+from sysbound.cli import (parse_alpha, parse_json_value, parse_space,
+                          run_command)
+from sysbound.grammar import AtomNode, ProductNode, TwistNode
 from sysbound.engine import PiScaled
 from sysbound.errors import CalculatorError, ParseError
 
@@ -641,6 +643,70 @@ def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     assert kinds == {"parse error", "error"}
 
 
+# -- a subcommand's process parses with that subcommand's parser alone -------
+
+
+def _parser_inputs(command):
+    """``--help``, the subcommand alone (missing its required options where
+    it has any), an invalid ``--format`` and a trailing unrecognized
+    argument after the benchmark's invocation of ``command``."""
+    [valid] = [list(argv) for argv in CLI_INVOCATIONS if argv[0] == command]
+    return ([command, "--help"], [command], [command, "--format", "xml"],
+            valid + ["extra"])
+
+
+def _parses(argv, capsys, monkeypatch, full):
+    """``(parser built, code, stdout, stderr)`` of ``run_command(argv)`` on
+    the process's streams, where argparse writes help, usage and errors;
+    with ``full``, every run builds the parser of all subcommands."""
+    build = cli._build_parser
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build(None if full else command)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", spy)
+        code = run_command(argv)
+    return (built, code) + capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_one_subparser_replies_as_the_full_parser(command, capsys,
+                                                  monkeypatch):
+    for argv in _parser_inputs(command):
+        one = _parses(argv, capsys, monkeypatch, full=False)
+        full = _parses(argv, capsys, monkeypatch, full=True)
+        assert one[0] == [command], argv
+        assert one[1:] == full[1:], argv
+        assert one[1] in (0, 2) and (one[2] or one[3]), argv
+    # the last input's trailing argument is the top-level parser's error,
+    # printed under the top-level usage
+    assert "usage: sysbound [-h]\n" in one[3]
+    assert one[3].endswith("error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "length"],
+                                  ["bogus"]])
+def test_without_a_leading_subcommand_the_full_parser_replies(argv, capsys,
+                                                              monkeypatch):
+    reply = _parses(argv, capsys, monkeypatch, full=False)
+    assert reply[0] == [None]
+    assert reply == _parses(argv, capsys, monkeypatch, full=True)
+    assert reply[1] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+def test_dispatch_and_parser_name_the_same_subcommands():
+    # a subcommand missing from either table would split the two parsers
+    full = cli._build_parser()
+    [action] = [a for a in full._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    assert list(action.choices) == list(cli._DISPATCH)
+    for command in cli._DISPATCH:
+        assert cli._build_parser(command).format_usage() == \
+            full.format_usage()
+
+
 # -- one batch keeps each line's reply ----------------------------------------
 
 #: a twist between two reads of its untwisted space: a value kept on CP(3)
@@ -791,7 +857,8 @@ def ring_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("command", [("todd",), ("length",), ("index-poly",),
-                                     ("bound", "--theorem", "thm1.1")])
+                                     ("bound", "--theorem", "thm1.1"),
+                                     ("bound", "--theorem", "thm1.3")])
 def test_closed_form_replies_build_no_ring(command, ring_builds):
     codes = set()
     for desc in _PROJECTIVE:
@@ -801,6 +868,16 @@ def test_closed_form_replies_build_no_ring(command, ring_builds):
         assert ring_builds == [], desc
         codes.add(code)
     assert codes == {0, 1}
+
+
+def test_thm1_3_reads_the_top_pairing_from_the_rows(ring_builds):
+    # <u^n, [X]> != 0 is the degree of X, read from its rows
+    for desc, bound in (("CP(3)", "48 * pi"), ("Q(4)", "80 * pi"),
+                        ("CI(degrees=[[3]]; ambient=[5])", "80 * pi")):
+        assert _run(["bound", "--theorem", "thm1.3", "--space", desc]) == (
+            0, "space:    %s\ntheorem:  thm1.3\nbound:    %s\n"
+            % (desc, bound), "")
+    assert ring_builds == []
 
 
 def test_phi_sup_builds_one_ring(ring_builds):

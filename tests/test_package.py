@@ -123,8 +123,10 @@ def test_no_module_imports_dataclasses_or_json_at_import():
 
 
 #: the benchmark's invocations that read and write no JSON
-_NO_JSON = ("catalog", "bound", "length", "phi", "phi-sup", "bundle-profile",
-            "pushforward")
+_NO_JSON = ("catalog", "bound", "length", "index-poly", "todd", "phi",
+            "phi-sup", "contractions", "bundle-profile", "pushforward")
+#: the benchmark's invocations that parse no descriptor or class expression
+_NO_GRAMMAR = ("catalog", "lattice", "pushforward", "bundle-profile")
 
 
 def test_a_cold_process_imports_no_dataclasses_and_json_only_for_json():
@@ -140,6 +142,37 @@ def test_a_cold_process_imports_no_dataclasses_and_json_only_for_json():
         assert not imported & {"dataclasses", "inspect"}, argv
         if argv in CLI_INVOCATIONS and argv[0] in _NO_JSON:
             assert "json" not in imported, argv
+        if argv[0] in _NO_GRAMMAR:
+            assert "sysbound.grammar" not in imported, argv
+
+
+_BATCH = r'''
+import io, sys
+from sysbound.cli import run_command
+
+held = []
+
+
+def lines():
+    held.append("sysbound.grammar" in sys.modules)
+    yield "CP(1)\n"
+    held.append("sysbound.grammar" in sys.modules)
+    yield "Q(3)\n"
+
+
+sys.stdin = lines()
+run_command(["length", "--batch"], out=io.StringIO())
+print(held)
+'''
+
+
+def test_a_batch_compiles_the_grammar_with_its_first_line():
+    # an empty batch parses nothing; the first line imports what the later
+    # ones use, so they do not compile it
+    proc = subprocess.run([sys.executable, "-c", _BATCH], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[False, True]\n"), \
+        proc.stderr
 
 
 def test_pyproject_declares_no_runtime_dependency():

@@ -7,12 +7,13 @@ import pytest
 
 from sysbound.catalog import Curve, Space, projective_space, quadric
 from sysbound.characteristic import ChernData, PowerSums
-from sysbound.cli import AtomNode, ProductNode, Token, TwistNode, _Constructor
 from sysbound.cones import (ConeProblem, ContractionReport, FactorReport,
                             Unbounded)
 from sysbound.errors import (DivisionInconsistent, InvalidPresentation,
                              PreconditionUnmet)
 from sysbound.graded import Generator, RingPresentation
+from sysbound.grammar import (AtomNode, ProductNode, Token, TwistNode,
+                              _Constructor)
 from sysbound.lattices import (NormedLattice, ReducedDualBasis,
                                TransferenceReport)
 from sysbound.pushforward import SymmetricPolynomial
