@@ -6,7 +6,9 @@ such as ``1/2*pi^2*H - E`` are parsed by :mod:`sysbound.grammar`, which
 that parses neither (``catalog``, ``lattice``, ``pushforward``,
 ``bundle-profile``, an empty ``--batch``) never compiles it.  Results are
 printed exactly (``q * pi^k``); decimals appear only with ``--approx`` and
-are labeled approximate.  Exit codes: 0 success, 1 domain error, 2 usage
+are labeled approximate.  Every decimal is ``values.decimal_text``, q * pi^k
+correctly rounded at ``--approx`` places; a JSON ``_approx`` field is the
+float of that same text.  Exit codes: 0 success, 1 domain error, 2 usage
 error.
 
 A run is a value.  Each subcommand handler maps its arguments to rows
@@ -41,7 +43,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CalculatorError, ParseError, ValueTooLarge
-from .values import SELECTORS, PiScaled, _digit_limit
+from .values import SELECTORS, PiScaled, _digit_limit, decimal_text
 
 # ---------------------------------------------------------------------------
 # descriptors and class expressions, parsed by sysbound.grammar
@@ -69,20 +71,17 @@ def parse_alpha(space: Space, text: str):
 # ---------------------------------------------------------------------------
 
 
-def _as_pi_scaled(value):
+def _q_k(value):
+    """``(q, k)`` of an exact number q * pi^k (an int, a Fraction or a
+    PiScaled, not a bool), or None."""
     if isinstance(value, PiScaled):
-        return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, Fraction)):
-        return PiScaled(Fraction(value), 0)
+        return value.q, value.k
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value, 0
     return None
 
 
 def exact_str(value) -> str:
-    ps = _as_pi_scaled(value)
-    if ps is not None:
-        return str(ps)
     if isinstance(value, (list, tuple)):
         return "[%s]" % ", ".join(exact_str(v) for v in value)
     return str(value)
@@ -97,30 +96,22 @@ def parse_json_value(obj):
 def _json_rows(rows, approx: int | None) -> str:
     """The ``--format json`` text of ``rows``: ``json.dumps(payload,
     indent=2)`` of the object mapping each label to its value's encoding,
-    and, with ``approx``, each exact number's label plus ``_approx`` to its
-    rounded float, written in one pass (with an indent ``json.dumps`` runs
-    the standard library's pure-Python encoder).
+    and, with ``approx``, each exact number's label plus ``_approx`` to the
+    float of its decimal text, written in one pass (with an indent
+    ``json.dumps`` runs the standard library's pure-Python encoder).
 
     An exact number (an int, a Fraction or a PiScaled q * pi^k) is encoded
     as ``{"numerator", "denominator", "pi_exponent"}``, a list or tuple
     item by item, a string or a boolean as itself, anything else as its
-    ``str``.  A non-finite float or an int past the digit limit raises
-    ``ValueError``, as in ``json.dumps``.
+    ``str``.  An ``_approx`` past the float range or a number past the digit
+    limit raises ``ValueError``, as in ``json.dumps``.
     """
     # a JSON string literal, escaped to ASCII as ``json.dumps`` writes it
     from json.encoder import encode_basestring_ascii as string
 
-    def exact(value):
-        """``(q, k)`` of an exact number, or None."""
-        if isinstance(value, PiScaled):
-            return value.q, value.k
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return value, 0
-        return None
-
     def text(value, indent):
         inner = indent + "  "
-        number = exact(value)
+        number = _q_k(value)
         if number is not None:
             q, k = number
             return ('{%s"numerator": %s,%s"denominator": %s,'
@@ -140,10 +131,9 @@ def _json_rows(rows, approx: int | None) -> str:
     items = []
     for key, value in rows:
         items.append(string(key) + ": " + text(value, "\n  "))
-        number = exact(value) if approx else None
+        number = _q_k(value) if approx else None
         if number is not None:
-            q, k = number
-            rounded = round(float(q) * math.pi ** k, approx)
+            rounded = float(decimal_text(*number, approx))
             if not math.isfinite(rounded):
                 raise ValueError(
                     "Out of range float values are not JSON compliant")
@@ -168,9 +158,9 @@ def _render(rows, fmt: str, approx: int | None) -> str:
             else:
                 line = "%-*s  %s" % (width + 1, key + ":", exact_str(value))
                 tail = "   (~ %s)"
-            ps = _as_pi_scaled(value)
-            if approx and ps is not None:
-                line += tail % ps.decimal_str(approx)
+            number = _q_k(value) if approx else None
+            if number is not None:
+                line += tail % decimal_text(*number, approx)
             text += line + "\n"
         return text
     except (ValueError, OverflowError):  # see ValueTooLarge

@@ -94,30 +94,42 @@ def index_polynomial(space: Space) -> IndexPolynomial:
     if space.koszul is not None:
         return IndexPolynomial(
             _koszul_chi(*space.koszul, _twice_shift(space, q0)), q0)
-    x = space.primitive_x
-    base = (_xi_factor(space) * exp_class(space.spin_c * Fraction(1, 2))
+    return IndexPolynomial(_twist_series(
+        space, _index_class(space), space.primitive_x, space.half_dim), q0)
+
+
+def _index_class(space: Space) -> GradedClass:
+    """xi e^(c/2) A-hat(TX), xi = 1 on an even space."""
+    return (_xi_factor(space) * exp_class(space.spin_c * Fraction(1, 2))
             * space.a_hat_cls)
+
+
+def _twist_series(space: Space, base: GradedClass, cls: GradedClass,
+                  top: int) -> list:
+    """[<base cls^k, [X]> / k! for k = 0, ..., top]: the coefficients of
+    a -> <base e^(a cls), [X]>."""
     coeffs = []
-    xpow = space.ring.one()
-    for k in range(space.half_dim + 1):
-        coeffs.append(integrate(space, base * xpow) / math.factorial(k))
-        xpow = xpow * x
-    return IndexPolynomial(coeffs, q0)
+    power = space.ring.one()
+    for k in range(top + 1):
+        coeffs.append(integrate(space, base * power) / math.factorial(k))
+        power = power * cls
+    return coeffs
 
 
 def _index_data(space: Space) -> int:
     """The integer q0 with c = q0 x, on a space with an index polynomial;
-    an odd space must carry its degree-1 factor xi.  A space made from a
-    projective model answers from its integers, with no ring built."""
+    an odd space must carry its degree-1 factor xi, checked before the
+    A-hat class is read.  A space made from a projective model answers from
+    its integers, with no ring built."""
     space.check_ring()
     if space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "%s has no recorded primitive degree-2 class (b2 = 1 required)"
             % space.name)
-    if space.koszul is None and space.a_hat_cls is None:
-        raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
     if space.real_dim % 2:
         _xi_factor(space)  # refuses an odd space without its class
+    if space.koszul is None and space.a_hat_cls is None:
+        raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
     return _spin_c_multiple(space)
 
 
@@ -282,18 +294,11 @@ def product_length_bound(x: Space, n_factor: Space) -> int:
 
 def _n_factor_admissible(n_factor: Space) -> bool:
     """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor."""
-    if n_factor.metadata_only or n_factor.a_hat_cls is None:
+    if n_factor.metadata_only or n_factor.a_hat_cls is None \
+            or n_factor.real_dim % 2 and n_factor.odd_xi is None:
         return False
-    if n_factor.real_dim == 0:
-        return True
-    if n_factor.real_dim % 2 == 1:
-        if n_factor.odd_xi is None:
-            return False
-        eta = n_factor.odd_xi
-    else:
-        eta = n_factor.ring.one()
-    cls = eta * exp_class(n_factor.spin_c * Fraction(1, 2)) * n_factor.a_hat_cls
-    return integrate(n_factor, cls) != 0
+    return n_factor.real_dim == 0 \
+        or integrate(n_factor, _index_class(n_factor)) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +359,8 @@ def hilbert_polynomial(space: Space, line_class: GradedClass) -> RationalPolynom
         raise MetadataOnlySpace("%s has no Todd data" % space.name)
     if not line_class.is_homogeneous(2):
         raise DegenerateClass("the twisting class must be of degree 2")
-    n = space.complex_dim
-    coeffs = []
-    lpow = space.ring.one()
-    for k in range(n + 1):
-        coeffs.append(integrate(space, lpow * space.todd_cls) / math.factorial(k))
-        lpow = lpow * line_class
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial(
+        _twist_series(space, space.todd_cls, line_class, space.complex_dim))
 
 
 # ---------------------------------------------------------------------------

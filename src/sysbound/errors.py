@@ -144,7 +144,7 @@ class TooFewVariables(CalculatorError):
 
 class ValueTooLarge(CalculatorError):
     """A result has more digits than the interpreter converts to text, or its
-    JSON ``_approx`` float overflows (``float``, ``pi ** k``, or to inf)."""
+    JSON ``_approx`` is past the float range."""
 
 
 class ParseError(CalculatorError):

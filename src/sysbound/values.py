@@ -1,10 +1,11 @@
-"""The exact value type every result is printed from, and the bound selectors.
+"""The exact value type every result is printed from, its one decimal
+writer, and the bound selectors.
 
-A leaf module: it imports only the standard library, so the CLI can parse
-its arguments and print any result without loading an engine.  ``engine``
-re-exports the value type and the selectors; ``Record`` serves data classes.
-``_digit_limit`` is the interpreter's int/text digit limit, which both the
-descriptor tokenizer and the CLI's printing check.
+A leaf module: it imports only the standard library and ``errors``, so the
+CLI can parse its arguments and print any result without loading an engine.
+``engine`` re-exports the value type and the selectors; ``Record`` serves
+data classes.  ``_digit_limit`` is the interpreter's int/text digit limit,
+which both the descriptor tokenizer and the CLI's printing check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+
+from .errors import CertificateFailed
 
 
 class Record:
@@ -109,19 +112,8 @@ class PiScaled(Record):
         return float(self.q) * math.pi ** self.k
 
     def decimal_str(self, places: int) -> str:
-        """q * pi^k to ``places`` decimals, rounded half-even from the exact
-        value: q is the exact Fraction and pi has guard digits beyond what
-        the integer part and the places need."""
-        value = self.q
-        if self.k and value:
-            size = len(str(abs(value.numerator) // value.denominator))
-            pi = Fraction(_pi_decimal(places + size + abs(self.k) + 10))
-            value *= pi ** self.k
-        scaled = round(value * 10 ** places)  # Fraction rounds half-even
-        text = str(abs(scaled)).rjust(places + 1, "0")
-        if places:
-            text = text[:-places] + "." + text[-places:]
-        return "-" + text if value < 0 else text
+        """q * pi^k to ``places`` decimals: :func:`decimal_text`."""
+        return decimal_text(self.q, self.k, places)
 
     def __str__(self):
         if self.k == 0 or self.q == 0:
@@ -134,21 +126,63 @@ class PiScaled(Record):
     __repr__ = __str__
 
 
-def _pi_decimal(digits: int):
-    """pi to ``digits`` significant digits, by the recipe in the ``decimal``
-    module's documentation; ``decimal`` is imported only here."""
-    import decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + 2  # extra digits for intermediate steps
-        lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
-        while s != lasts:
-            lasts = s
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            s += t
-        ctx.prec = digits
-        return +s
+def decimal_text(q, k: int, places: int) -> str:
+    """q * pi^k, q rational, to ``places`` decimals rounded half-even: the
+    one decimal writer of table, CSV and JSON."""
+    n, d = abs(q.numerator) * 10 ** places, q.denominator
+    # refused as str() would refuse it, before any work on pi, when a lower
+    # bound on the bits of n pi^k / d (1.65 < log2 pi < 1.66) passes the
+    # limit's (log2 10 < 3.33)
+    if 0 < 3.33 * _digit_limit() < (n.bit_length() - d.bit_length() - 1
+                                    + (1.65 if k > 0 else 1.66) * k):
+        raise ValueError("more than %d digits" % _digit_limit())
+    digits = _rounded_pi_power(n, d, k) if k and n else round(Fraction(n, d))
+    text = str(digits).rjust(places + 1, "0")
+    if places:
+        text = text[:-places] + "." + text[-places:]
+    return "-" + text if q < 0 else text
+
+
+def _rounded_pi_power(n: int, d: int, k: int) -> int:
+    """n pi^k / d rounded to an integer, for n and k nonzero.  The value is
+    irrational (Lindemann), so it is no tie: both ends of an enclosure from
+    :func:`_pi_bounds` are rounded half up, and the precision doubles until
+    they agree (Ziv, ACM TOMS 17, 1991), at most 8 times."""
+    # the bits of n pi^k / d, over-estimated, and guard bits
+    bits = max(n.bit_length() - d.bit_length() + 2 * abs(k), 0) + 40
+    for _ in range(8):
+        lo = hi = 1 << bits  # lo <= pi^i 2^bits <= hi, i the bits of |k| read
+        pi_lo, pi_hi = _pi_bounds(bits)
+        for bit in bin(abs(k))[2:]:
+            lo, hi = lo * lo >> bits, -(-hi * hi >> bits)
+            if bit == "1":
+                lo, hi = lo * pi_lo >> bits, -(-hi * pi_hi >> bits)
+        ends = ((n * lo, d << bits), (n * hi, d << bits)) if k > 0 else \
+            ((n << bits, d * hi), (n << bits, d * lo))
+        low, high = [(2 * a + b) // (2 * b) for a, b in ends]
+        if low == high:
+            return low
+        bits *= 2
+    raise CertificateFailed("decimal certificate: 8 refinements of the pi "
+                            "enclosure did not round q * pi^%d" % k)
+
+
+def _pi_bounds(bits: int):
+    """Integers lo <= pi 2^bits <= hi by Machin's formula, pi = 16 atan(1/5)
+    - 4 atan(1/239), summed in integers at w = bits + guard bits.  Term j of
+    atan(1/x) 2^w, floor(floor(2^w / x^(2j+1)) / (2j+1)), is under the exact
+    term by less than a unit, and so is the alternating tail from the first
+    zero term on: J terms sum to within J + 1 units of atan(1/x) 2^w."""
+    guard = bits.bit_length() + 8
+    total = error = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, j = (1 << (bits + guard)) // x, 0
+        while power:
+            total += weight * (power // (2 * j + 1))
+            power //= x * x
+            weight, j = -weight, j + 1
+        error += abs(weight) * (j + 1)
+    return (total - error) >> guard, -(-(total + error) >> guard)
 
 
 ONE = PiScaled(Fraction(1), 0)

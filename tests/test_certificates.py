@@ -5,7 +5,7 @@ is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
 certificate, the ellipsoid fit's positive-definiteness check and, on a
 reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
-certificates. The guard test keeps ``assert`` out of the package source.
+certificates, and the decimal writer's refinement of its pi enclosure. The guard test keeps ``assert`` out of the package source.
 """
 
 import ast
@@ -23,7 +23,7 @@ _PACKAGE = Path(sysbound.__file__).resolve().parent
 _FORCE_FAILURES = r'''
 import ast, io, json, sys
 from fractions import Fraction
-from sysbound import catalog, cones, lattices, pushforward
+from sysbound import catalog, cones, lattices, pushforward, values
 from sysbound.cli import run_command
 from sysbound.errors import CertificateFailed
 
@@ -101,8 +101,19 @@ again = lattices.NormedLattice(basis=[[1, 1], [0, 1]],
                                vertices=[[0, -1], [-1, 0], [0, 1], [1, 0]])
 fit = [broken_fit, [[str(x) for x in row] for row in square.euclidean_form()],
        again._norm is square._norm]
+# an enclosure of pi that never narrows: the decimal writer stops refining
+pi_bounds = values._pi_bounds
+values._pi_bounds = lambda bits: (3 << bits, 4 << bits)
+dec_out, dec_err = io.StringIO(), io.StringIO()
+decimal = [outcome(lambda: values.decimal_text(Fraction(1), 1, 3)),
+           run_command(["bound", "--theorem", "thm1.1", "--space", "CP(1)",
+                        "--approx", "3", "--format", "json"],
+                       out=dec_out, err=dec_err),
+           dec_out.getvalue(), dec_err.getvalue()]
+values._pi_bounds = pi_bounds
 print(json.dumps({
     "optimized": not __debug__,
+    "decimal": decimal,
     "minima": outcome(lambda: lattices.successive_minima(lat, 1)),
     "polytope_minima": outcome(lambda: lattices.successive_minima(hexagon, 1)),
     "s_alpha": outcome(lambda: cones.s_alpha(problem, cp2.ring.gen("H"))),
@@ -158,6 +169,10 @@ def test_forced_certificate_failures_raise_under_optimize():
         ["EuclideanizationFailed",
          "no positive-definite inscribed ellipsoid form found"],
         [["2", "0"], ["0", "2"]], True]
+    message = ("decimal certificate: 8 refinements of the pi enclosure did "
+               "not round q * pi^1")
+    assert report["decimal"] == [["CertificateFailed", message], 1, "",
+                                 "error: %s\n" % message]
     code, err = report["bundle_cli"]
     assert code == 1
     assert err == ("error: bundle supremum certificate: the profile may "

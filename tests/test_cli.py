@@ -1,7 +1,7 @@
 """Descriptor grammar, command dispatch, formats, exit codes."""
 
 import argparse
-import gc
+import decimal
 import io
 import itertools
 import json
@@ -20,7 +20,7 @@ import sysbound
 from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
-from sysbound import catalog, characteristic, cli, graded
+from sysbound import catalog, characteristic, cli, graded, values
 from sysbound.cli import (parse_alpha, parse_json_value, parse_space,
                           run_command)
 from sysbound.grammar import AtomNode, ProductNode, TwistNode
@@ -306,6 +306,100 @@ def test_exact_decimals_round_half_even():
         "3.141592653589793238462643383280"
     assert PiScaled.of(Fraction(1, 2), -1).decimal_str(25) == \
         "0.1591549430918953357688838"
+
+
+def _pi_reference(digits):
+    """pi to ``digits`` significant digits as a Fraction, by the recipe in
+    the ``decimal`` module's documentation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 2  # extra digits for intermediate steps
+        lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        ctx.prec = digits
+        return Fraction(+s)
+
+
+_PI_200 = _pi_reference(200)
+
+
+def _reference_decimal(q, k, places):
+    """q * pi^k to ``places`` decimals, rounded half-even from q times a
+    200-digit pi: right unless the value lies within about 10^-150 of a
+    rounding boundary."""
+    scaled = round(q * _PI_200 ** k * 10 ** places)
+    text = str(abs(scaled)).rjust(places + 1, "0")
+    if places:
+        text = text[:-places] + "." + text[-places:]
+    return "-" + text if q < 0 else text
+
+
+def test_pi_bounds_enclose_pi():
+    pi = _pi_reference(250)
+    for bits in range(1, 700):
+        lo, hi = values._pi_bounds(bits)
+        assert lo <= pi * 2 ** bits <= hi and hi - lo <= 2, bits
+
+
+def test_decimal_text_matches_a_200_digit_reference():
+    rng = random.Random(31)
+    for _ in range(3000):
+        q = Fraction(rng.randint(-10 ** rng.randint(0, 12),
+                                 10 ** rng.randint(0, 12)),
+                     rng.randint(1, 10 ** rng.randint(0, 8)))
+        k, places = rng.randint(-4, 4), rng.randint(0, 40)
+        assert values.decimal_text(q, k, places) == \
+            _reference_decimal(q, k, places), (q, k, places)
+
+
+def test_a_near_tie_refines_the_pi_enclosure(monkeypatch):
+    # q pi lies within about 10^-295 of 1.00005, the midpoint of two
+    # 4-place decimals; a 400-digit pi tells which side
+    midpoint = Fraction(100005, 100000)
+    q = midpoint / _pi_reference(300)
+    above = q * _pi_reference(400) > midpoint
+    precisions = []
+    pi_bounds = values._pi_bounds
+    monkeypatch.setattr(values, "_pi_bounds", lambda bits: (
+        precisions.append(bits), pi_bounds(bits))[1])
+    assert values.decimal_text(q, 1, 4) == ("1.0001" if above else "1.0000")
+    assert len(precisions) > 1
+    assert precisions == [precisions[0] * 2 ** i
+                          for i in range(len(precisions))]
+
+
+def test_a_decimal_past_the_digit_limit_is_refused_before_pi(monkeypatch,
+                                                            digit_limit):
+    # pi^100000 has 49,715 integer digits; str() would refuse them
+    def no_pi(bits):
+        raise AssertionError("pi enclosed at %d bits" % bits)
+    monkeypatch.setattr(values, "_pi_bounds", no_pi)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        values.decimal_text(Fraction(1), 100000, 3)
+    code, out, err = _run(["bound", "--theorem", "thm1.8", "--space", "CP(1)",
+                           "--alpha", "pi^100000*H", "--approx", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a result is too large to print")
+
+
+@pytest.mark.parametrize("space, alpha, places, text", [
+    ("CP(2)", "25*pi*H", 12, "3084.251375340425"),  # 625/2 pi^2
+    ("CP(3)", "6*pi*H", 12, "1116.225960490794"),  # 36 pi^3
+    ("CP(3)", "16*pi*H", 11, "21166.95154708468")])  # 2048/3 pi^3
+def test_json_approx_is_the_float_of_the_table_decimal(space, alpha, places,
+                                                        text):
+    # values whose JSON _approx, when it was rounded in floats as
+    # round(q * math.pi ** k, places), missed the table's last digit
+    argv = ["bound", "--theorem", "thm1.8", "--space", space, "--alpha",
+            alpha, "--approx", str(places)]
+    code, out, _ = _run(argv)
+    assert code == 0 and out.endswith("   (~ %s)\n" % text)
+    code, out, _ = _run(argv + ["--format", "json"])
+    assert json.loads(out)["volume_approx"] == float(text)
 
 
 def test_todd_command():
@@ -895,27 +989,48 @@ def test_phi_sup_builds_one_ring(ring_builds):
     assert answered > len(_PROJECTIVE) // 2
 
 
+_NO_CYCLES = r'''
+import gc, json
+from batch_pool import BATCH_POOL
+from sysbound import catalog
+from sysbound.cli import parse_space
+
+collected = []
+gc.collect()
+gc.disable()
+try:
+    for desc in BATCH_POOL:
+        space = parse_space(desc).build()
+        del space
+        collected.append([desc, gc.collect()])
+        space = parse_space(desc).build()
+        twisted = (catalog.twist_spin_c(space, 1)
+                   if space.b2 == 1 and not space.lacks("primitive_x")
+                   else space)
+        repr(twisted), repr(space), space.tangent, space.a_hat_cls
+        del space, twisted
+        collected.append([desc, gc.collect()])
+finally:
+    gc.enable()
+print(json.dumps([collected, len(gc.garbage)]))
+'''
+
+
 def test_dropped_spaces_leave_no_reference_cycles():
     # a space, its twists and its model refer to one another in one
     # direction only, so reference counting frees them: the cycle collector
-    # finds nothing, whether the model was built or not
-    gc.collect()
-    gc.disable()
-    try:
-        for desc in BATCH_POOL:
-            space = parse_space(desc).build()
-            del space
-            assert gc.collect() == 0, desc
-            space = parse_space(desc).build()
-            twisted = (catalog.twist_spin_c(space, 1)
-                       if space.b2 == 1 and not space.lacks("primitive_x")
-                       else space)
-            repr(twisted), repr(space), space.tangent, space.a_hat_cls
-            del space, twisted
-            assert gc.collect() == 0, desc
-    finally:
-        gc.enable()
-    assert gc.garbage == []
+    # finds nothing, whether the model was built or not.  A fresh process,
+    # so each collection walks this check's heap and not the suite's.
+    env = _child_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", _NO_CYCLES],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    collected, garbage = json.loads(proc.stdout)
+    assert [desc for desc, _ in collected] == [
+        desc for desc in BATCH_POOL for _ in range(2)]
+    assert [(desc, found) for desc, found in collected if found] == []
+    assert garbage == 0
 
 
 #: the Baseline's complete intersection of m = 12 random 0/1 rows (seeded
@@ -1233,15 +1348,15 @@ def _encoded(value):
 def _payload(rows, approx):
     """The object a JSON reply holds: each label mapped to its value's
     encoding and, with ``approx``, each exact number's label plus
-    ``_approx`` to its float rounded to that many places."""
+    ``_approx`` to the float of its decimal text at that many places."""
     payload = {}
     for key, value in rows:
         payload[key] = _encoded(value)
         number = _encoded(value) if approx else None
         if isinstance(number, dict):
             q = Fraction(number["numerator"], number["denominator"])
-            payload[key + "_approx"] = round(
-                PiScaled(q, number["pi_exponent"]).approx(), approx)
+            payload[key + "_approx"] = float(
+                PiScaled(q, number["pi_exponent"]).decimal_str(approx))
     return payload
 
 
