@@ -7,15 +7,19 @@ intersections, the distinguished characteristic class ``spin_c``, a
 primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
 dimensions, nef-cone data for the rank <= 2 families, and Betti/index
 metadata.  Each ring pairs its own top degree with the fundamental class.
-Projective spaces, quadrics and complete intersections share one
-:class:`_ProjectiveModel` of the divisors in a product of projective spaces.
-Such a space is its rows: its dimension, Betti and index data, Koszul data
-and q0 are integers set at construction, where an empty intersection is
-refused by a matching, and the model builds the ring, its pairing and the
-classes on their first read; a twist shares its base's model.  So the
-Todd genus, the length, the index polynomial and every bound read off the
-dimension, the length or the Fano index of these spaces build no ring.  ``sysbound.characteristic`` is imported only
-where a tangent or an A-hat class is built.
+
+Projective spaces, quadrics, complete intersections, spheres, the circle,
+their products and twists are lazy: each is its integers (dimension, Betti
+and index data, Koszul data, q0), set at construction, where an empty
+intersection is refused by a matching and a ring-less factor of a product
+at once.  The ring and classes are built on first read: the first three
+share one :class:`_ProjectiveModel` of the divisors in a product of
+projective spaces, a product tensors its factors' rings, and a twist shares
+its base's.  So the Todd genus, the length, the index polynomial and every
+bound read off the dimension, the length or the Fano index of these spaces
+build no ring; projective bundles and point blowups are built whole.
+``sysbound.characteristic`` is imported only where a tangent or an A-hat
+class is built.
 
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
@@ -66,6 +70,26 @@ class Curve(Record):
         return hash((self.name, tuple(sorted(self.pairings.items()))))
 
 
+class _Made:
+    """A ring-side field of :class:`Space`, set by an eager space's
+    ``__init__``.  On a lazy space the first read runs the recipe for it
+    (``default`` without one) and keeps the value in the instance dict:
+    later reads are plain hits."""
+
+    def __init__(self, default=None):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, space, owner=None):
+        if space is None:
+            return self
+        value = space._recipes.get(self.name, lambda: self.default)()
+        space.__dict__[self.name] = value
+        return value
+
+
 class Space(Record, frozen=False):
     """A catalog manifold; immutable by convention after construction.
 
@@ -73,32 +97,34 @@ class Space(Record, frozen=False):
     kept: ``tangent_of`` makes ``tangent`` (the tangent Chern data), and
     ``a_hat_of`` makes ``a_hat_cls``, which without a recipe is the A-hat
     class of the tangent.  ``todd_cls`` is read off c1 and A-hat the same
-    way.  ``c1`` defaults to the tangent's first Chern class, which makes
-    the tangent.
+    way.  ``c1`` defaults to the tangent's first Chern class.
 
-    Projective spaces, quadrics, complete intersections and their twists
-    are made from a projective model (``_model``): their integers are set at
-    construction, and ``ring``, ``c1``, ``spin_c``, ``primitive_x``,
-    ``nef_rays`` and ``curves`` are read off the model on first read and
-    kept, the ring built once per model.  ``_q0`` is the integer with
-    spin_c = q0 H, recorded exactly when the space has a primitive class;
-    without one, spin_c is c1.  :meth:`lacks` and :meth:`check_ring` answer
-    without building anything, so the replies that read only integers build
-    no ring.
+    The public constructor is eager: it is given the ring and the classes.
+    The catalog's lazy spaces are given ``_recipes`` instead: their integers
+    (b1, b2, dimensions, complexness, ``koszul``, q0) are set at
+    construction, and each ring-side field (``ring``, ``c1``, ``spin_c``,
+    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``curves``,
+    ``factor_embeddings``) is made by its recipe on first read, None (or
+    empty) without one.  ``_q0``, recorded on lazy spaces only, is the
+    integer with spin_c = q0 x for the primitive class x: a twist shares the
+    other recipes and moves q0 and spin_c.  :meth:`lacks` and
+    :meth:`check_ring` answer from the recipes and build nothing.
 
     ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
     are those of the complete intersection of the divisors ``rows`` in
     CP(N_1) x ... x CP(N_m): on that space and its twists, on a product of
-    such spaces (cut out by both sets of rows), and, for the index
-    polynomial, on its product with the circle.  :mod:`sysbound.engine`
-    reads them from the Riemann-Roch closed form, with no tangent data.
-    ``factor_embeddings`` are the (left, right) class maps on products.
+    such spaces, and, for the index polynomial, on its product with the
+    circle in either order.  :mod:`sysbound.engine` reads them from the
+    Riemann-Roch closed form.  ``factor_embeddings`` are the (left, right)
+    class maps on products.
 
-    Kept values are not fields, so ``Space.replace`` copies the recipes
-    and never a value computed for another space.  It reads every field,
-    model or not, so the copy has no model: its classes are the original's
-    and its q0 is read off its own spin_c.
+    ``Space.replace`` reads every field, so the copy is eager: its classes
+    are the original's and its q0 is read off its own spin_c.  Kept values
+    are not fields, so it never copies a value computed for another space.
     """
+
+    ring, c1, spin_c, primitive_x, odd_xi = (_Made() for _ in range(5))
+    nef_rays, curves, factor_embeddings = (_Made(()) for _ in range(3))
 
     def __init__(self, name: str, family: str, real_dim: int, b1: int,
                  b2: int, ring: Ring | None = None, is_complex=False,
@@ -109,69 +135,25 @@ class Space(Record, frozen=False):
                  koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
                  fano_index=None, metadata_only=False, nef_rays=(), curves=(),
                  kahler_einstein=None, notes="", factor_embeddings=(),
-                 _model: _ProjectiveModel | None = None,
-                 _q0: int | None = None):
-        self.name = name
-        self.family = family
-        self.real_dim = real_dim
-        self.b1 = b1
-        self.b2 = b2
-        self.is_complex = is_complex
-        self.complex_dim = complex_dim
-        self.tangent_of = tangent_of
-        self.a_hat_of = a_hat_of
-        self.koszul = koszul
-        self.odd_xi = odd_xi
-        self.fano_index = fano_index
-        self.metadata_only = metadata_only
-        self.kahler_einstein = kahler_einstein
-        self.notes = notes
-        self.factor_embeddings = factor_embeddings
-        self._model = _model
-        self._q0 = _q0
-        if _model is None:  # a model makes these fields on first read
-            self.ring = ring
-            self.c1 = c1
-            self.spin_c = spin_c
-            self.primitive_x = primitive_x
-            self.nef_rays = nef_rays
-            self.curves = curves
+                 _recipes: dict | None = None, _q0: int | None = None,
+                 _top_pairing: Callable[[], int] | None = None):
+        self.__dict__.update(
+            name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
+            is_complex=is_complex, complex_dim=complex_dim,
+            tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
+            fano_index=fano_index, metadata_only=metadata_only,
+            kahler_einstein=kahler_einstein, notes=notes, _recipes=_recipes,
+            _q0=_q0, _top_pairing=_top_pairing)
+        if _recipes is None:  # eager: the classes are given
+            self.__dict__.update(
+                ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
+                odd_xi=odd_xi, nef_rays=nef_rays, curves=curves,
+                factor_embeddings=factor_embeddings)
             if c1 is None and tangent_of is not None:
                 self.c1 = self.tangent.chern(1)
-        if metadata_only:
-            return
-        if odd_xi is not None and real_dim % 2 == 0:
+        if not (metadata_only or real_dim % 2 or self.lacks("odd_xi")):
             raise PreconditionUnmet(
                 "%s: a degree-1 class is only recorded in odd dimensions" % name)
-
-    # the fields a projective model makes; every other space sets them in
-    # __init__, which hides these recipes
-
-    @cached_property
-    def ring(self) -> Ring:
-        return self._model.ring
-
-    @cached_property
-    def c1(self) -> GradedClass:
-        return self._model.c1
-
-    @cached_property
-    def primitive_x(self) -> GradedClass | None:
-        return None if self._q0 is None else self._model.hs[0]
-
-    @cached_property
-    def spin_c(self) -> GradedClass:
-        if self._q0 is None:
-            return self._model.c1
-        return self._q0 * self._model.hs[0]
-
-    @cached_property
-    def nef_rays(self) -> tuple:
-        return self._model.nef_rays
-
-    @cached_property
-    def curves(self) -> tuple:
-        return self._model.curves
 
     @cached_property
     def tangent(self) -> ChernData | None:
@@ -195,12 +177,11 @@ class Space(Record, frozen=False):
         return todd_from_a_hat(self.c1, self.a_hat_cls)
 
     def lacks(self, name: str) -> bool:
-        """Whether the field ``name`` is None, answered without building a
-        model: a model always makes a ring, c1 and spin_c, and a primitive
-        class exactly when q0 is recorded."""
-        if self._model is None or name in self.__dict__:
+        """Whether the field ``name`` is None, answered for a ring-side
+        field of a lazy space from its recipes, building nothing."""
+        if name in self.__dict__ or name not in _RING_SIDE:
             return getattr(self, name) is None
-        return name == "primitive_x" and self._q0 is None
+        return name not in self._recipes
 
     def check_ring(self) -> None:
         """Refuse a space stored without a cohomology ring; builds none."""
@@ -213,21 +194,19 @@ class Space(Record, frozen=False):
         return self.ring
 
     def model_top_pairing(self) -> int | None:
-        """<x^n, [X]> of the primitive class x = H, n = half_dim, on a space
-        made from a projective model with one, read from the model's rows
-        with no ring built: a positive integer, X being nonempty.  None on
-        any other space."""
-        if self._model is None or self._q0 is None:
-            return None
-        return self._model.pairing[(self._model.dim,)]
+        """<H^n, [X]>, n = half_dim, read with no ring built from the rows
+        of a model X in one projective space: a positive integer, X being
+        nonempty.  None on any other space."""
+        return None if self._top_pairing is None else self._top_pairing()
 
     @property
     def half_dim(self) -> int:
         return self.real_dim // 2
 
 
-#: the fields of a model space that its model makes
-_MODEL_FIELDS = ("ring", "c1", "spin_c", "primitive_x", "nef_rays", "curves")
+#: the fields a lazy space makes by its recipes
+_RING_SIDE = frozenset(name for name in Space._fields
+                       if isinstance(vars(Space).get(name), _Made))
 
 
 def integrate(space: Space, cls: GradedClass) -> Fraction:
@@ -272,13 +251,7 @@ def quadric(n: int) -> Space:
 
 def circle() -> Space:
     """The circle, with its degree-1 generator normalized to <t> = 1."""
-    ring = truncated_polynomial_ring("t", 1, 1, 1)
-    t = ring.gen("t")
-    return Space(
-        name="S1", family="S", real_dim=1, b1=1, b2=0,
-        ring=ring, spin_c=ring.zero(), odd_xi=t,
-        a_hat_of=ring.one,
-    )
+    return _sphere("S1", 1, "t", "")
 
 
 def sphere(k: int) -> Space:
@@ -287,18 +260,21 @@ def sphere(k: int) -> Space:
         raise PreconditionUnmet("sphere needs k >= 1")
     if k == 1:
         return circle()
-    gname = "x" if k == 2 else "v"
-    ring = truncated_polynomial_ring(gname, k, 1, 1)
-    g = ring.gen(gname)
-    return Space(
-        name="S(%d)" % k, family="S", real_dim=k, b1=0,
-        b2=1 if k == 2 else 0,
-        ring=ring, spin_c=ring.zero(),
-        primitive_x=g if k == 2 else None,
-        odd_xi=None,
-        a_hat_of=ring.one,
-        notes="stably trivial tangent bundle",
-    )
+    return _sphere("S(%d)" % k, k, "x" if k == 2 else "v",
+                   "stably trivial tangent bundle")
+
+
+def _sphere(name: str, k: int, gname: str, notes: str) -> Space:
+    """The k-sphere, lazy: Q[g]/(g^2), g of degree k with <g> = 1, spin_c = 0
+    and A-hat = 1; g is S1's degree-1 class and S(2)'s primitive (q0 = 0)."""
+    ring = cache(partial(truncated_polynomial_ring, gname, k, 1, 1))
+    recipes = {"ring": ring, "spin_c": lambda: ring().zero()}
+    if k <= 2:
+        recipes["odd_xi" if k == 1 else "primitive_x"] = \
+            lambda: ring().gen(gname)
+    return Space(name=name, family="S", real_dim=k, b1=int(k == 1),
+                 b2=int(k == 2), a_hat_of=lambda: ring().one(), notes=notes,
+                 _recipes=recipes, _q0=0 if k == 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +283,77 @@ def sphere(k: int) -> Space:
 
 
 def product(x: Space, y: Space) -> Space:
-    """Product space with tensor ring and Kuenneth pairing.
+    """Product space with tensor ring and Kuenneth pairing, made lazily: a
+    factor without a ring is refused at once, and the recipes refer to the
+    factors and one shared tensor ring, never to the product.  q0 is the
+    primitive factor's, 0 on a product of two odd classes (a factor with
+    b2 = 0 has spin^c class 0 in real cohomology).
 
     Odd x odd products are allowed at construction time; the parity
     hypothesis of the product length bound is enforced where a length is
     actually requested.
     """
-    xr, yr = x.require_ring(), y.require_ring()
-    ring, lmap, rmap, lnames, rnames = tensor_ring(xr, yr)
-
-    b1 = x.b1 + y.b1
-    b2 = x.b2 + y.b2 + x.b1 * y.b1
+    x.check_ring()
+    y.check_ring()
     both_complex = x.is_complex and y.is_complex
 
+    @cache
+    def tensor():  # (ring, left map, right map, left names, right names)
+        return tensor_ring(x.ring, y.ring)
+
+    def left(cls):
+        return tensor()[1](cls)
+
+    def right(cls):
+        return tensor()[2](cls)
+
+    recipes = {"ring": lambda: tensor()[0],
+               "factor_embeddings": lambda: tensor()[1:3],
+               "spin_c": lambda: left(x.spin_c) + right(y.spin_c)}
+    if both_complex and not (x.lacks("c1") or y.lacks("c1")):
+        recipes["c1"] = lambda: left(x.c1) + right(y.c1)
+
+    q0 = None
+    if x.b1 * y.b1 == 0 and {x.b2, y.b2} == {0, 1}:
+        base, embed = (x, left) if x.b2 else (y, right)
+        if not base.lacks("primitive_x"):
+            recipes["primitive_x"] = lambda: embed(base.primitive_x)
+            q0 = base._q0
+    elif (x.b1, x.b2, y.b1, y.b2) == (1, 0, 1, 0) \
+            and not (x.lacks("odd_xi") or y.lacks("odd_xi")):
+        recipes["primitive_x"], q0 = \
+            lambda: left(x.odd_xi) * right(y.odd_xi), 0
+
+    if (x.real_dim + y.real_dim) % 2 == 1:  # one factor is odd
+        odd, odd_map = (x, left) if x.real_dim % 2 else (y, right)
+        if not odd.lacks("odd_xi"):
+            recipes["odd_xi"] = lambda: odd_map(odd.odd_xi)
+
+    if both_complex and x.b2 + y.b2 <= 2:
+        def cone():
+            return x.nef_rays and y.nef_rays and x.curves and y.curves
+
+        def renamed(curves, names, suffix):
+            return tuple(Curve(c.name + suffix,
+                               {names[k]: v for k, v in c.pairings.items()})
+                         for c in curves)
+        recipes["nef_rays"] = lambda: tuple(map(left, x.nef_rays)) \
+            + tuple(map(right, y.nef_rays)) if cone() else ()
+        recipes["curves"] = lambda: renamed(x.curves, tensor()[3], "_1") \
+            + renamed(y.curves, tensor()[4], "_2") if cone() else ()
+
     tangent_of = None
-    c1 = None
     if both_complex and x.tangent_of is not None and y.tangent_of is not None:
         def tangent_of():
             from .characteristic import ChernData
             return ChernData(
                 rank=x.tangent.rank + y.tangent.rank,
-                total=lmap(x.tangent.total) * rmap(y.tangent.total))
+                total=left(x.tangent.total) * right(y.tangent.total))
 
     def a_hat_of():
         if x.a_hat_cls is None or y.a_hat_cls is None:
             return None
-        return lmap(x.a_hat_cls) * rmap(y.a_hat_cls)
-
-    if both_complex and x.c1 is not None and y.c1 is not None:
-        c1 = lmap(x.c1) + rmap(y.c1)
+        return left(x.a_hat_cls) * right(y.a_hat_cls)
 
     koszul = None
     if both_complex and x.koszul is not None and y.koszul is not None:
@@ -345,46 +363,16 @@ def product(x: Space, y: Space) -> Space:
                   + tuple((0,) * len(xns) + row for row in yrows), xns + yns)
     elif x.is_complex and y.family == "S" and y.real_dim == 1:
         koszul = x.koszul  # <t, [S1]> = 1: X x S1 has X's index polynomial
-
-    primitive_x = None
-    if x.b2 == 1 and y.b2 == 0 and x.primitive_x is not None and x.b1 * y.b1 == 0:
-        primitive_x = lmap(x.primitive_x)
-    elif y.b2 == 1 and x.b2 == 0 and y.primitive_x is not None and x.b1 * y.b1 == 0:
-        primitive_x = rmap(y.primitive_x)
-    elif x.b2 == y.b2 == 0 and x.b1 == y.b1 == 1 \
-            and x.odd_xi is not None and y.odd_xi is not None:
-        primitive_x = lmap(x.odd_xi) * rmap(y.odd_xi)
-
-    odd_xi = None
-    if (x.real_dim + y.real_dim) % 2 == 1:
-        if x.odd_xi is not None and y.real_dim % 2 == 0:
-            odd_xi = lmap(x.odd_xi)
-        elif y.odd_xi is not None and x.real_dim % 2 == 0:
-            odd_xi = rmap(y.odd_xi)
-
-    nef_rays = ()
-    curves = ()
-    if both_complex and x.b2 + y.b2 <= 2 and x.nef_rays and y.nef_rays \
-            and x.curves and y.curves:
-        nef_rays = tuple(lmap(r) for r in x.nef_rays) + tuple(rmap(r) for r in y.nef_rays)
-        curves = tuple(
-            Curve(c.name + "_1", {lnames[k]: v for k, v in c.pairings.items()})
-            for c in x.curves
-        ) + tuple(
-            Curve(c.name + "_2", {rnames[k]: v for k, v in c.pairings.items()})
-            for c in y.curves
-        )
+    elif y.is_complex and x.family == "S" and x.real_dim == 1:
+        koszul = y.koszul  # and so has S1 x X
 
     return Space(
         name="%s * %s" % (x.name, y.name), family="product",
-        real_dim=x.real_dim + y.real_dim, b1=b1, b2=b2,
-        ring=ring, is_complex=both_complex,
+        real_dim=x.real_dim + y.real_dim, b1=x.b1 + y.b1,
+        b2=x.b2 + y.b2 + x.b1 * y.b1, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
-        tangent_of=tangent_of, c1=c1, a_hat_of=a_hat_of, koszul=koszul,
-        spin_c=lmap(x.spin_c) + rmap(y.spin_c), primitive_x=primitive_x,
-        odd_xi=odd_xi, nef_rays=nef_rays, curves=curves,
-        factor_embeddings=(lmap, rmap),
-    )
+        tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
+        _recipes=recipes, _q0=q0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +509,22 @@ def _model_space(rows, ns, lines, q0, **fields) -> Space:
     """The space of the complete intersection of ``rows`` in CP(ns), an empty
     one refused: its integers now, its ring and classes from a
     :class:`_ProjectiveModel` on first read.  ``q0`` is None for a space
-    without a primitive class; ``koszul`` records (rows, ns) for the
-    engine's Riemann-Roch closed forms."""
+    without a primitive class, whose spin_c is c1; ``koszul`` records
+    (rows, ns) for the engine's Riemann-Roch closed forms."""
     dim = _intersection_dim(rows, ns)
     model = _ProjectiveModel(rows, ns, dim, lines)
+    recipes = {name: partial(getattr, model, name)
+               for name in ("ring", "c1", "nef_rays", "curves")}
+    if q0 is None:
+        recipes["spin_c"] = recipes["c1"]
+    else:
+        recipes["primitive_x"] = lambda: model.hs[0]
+        recipes["spin_c"] = lambda: q0 * model.hs[0]
     return Space(
         real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
         tangent_of=model.tangent,
-        koszul=(tuple(map(tuple, rows)), tuple(ns)),
-        _model=model, _q0=q0, **fields)
+        koszul=(tuple(map(tuple, rows)), tuple(ns)), _recipes=recipes,
+        _q0=q0, _top_pairing=lambda: model.pairing.get((dim,)), **fields)
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -629,20 +624,20 @@ def twist_spin_c(space: Space, k: int) -> Space:
             "twisting needs b2 = 1 with a recorded primitive degree-2 class")
     if k == 0:
         return space
-    # the copied recipes make the untwisted tangent and A-hat, which do not
-    # see the spin^c class
+    # tangent and A-hat do not see the spin^c class: the twist keeps them
     changes = {"name": "%s twist(%d)" % (space.name, k),
                "notes": (space.notes + "; " if space.notes else "")
                + "twisted spin^c class"}
-    if space._model is None:
+    if space._q0 is None:  # the classes were given, to it or to a factor
         return space.replace(
             spin_c=space.spin_c + (2 * k) * space.primitive_x, **changes)
-    # the twist shares the model, so its ring and classes are the base's,
-    # and only q0 moves
+    # a lazy twist shares the other recipes, so the ring and classes
+    q0, primitive = space._q0 + 2 * k, space._recipes["primitive_x"]
     fields = {name: getattr(space, name) for name in space._fields
-              if name not in _MODEL_FIELDS}
-    fields.update(changes)
-    return Space(**fields, _model=space._model, _q0=space._q0 + 2 * k)
+              if name not in _RING_SIDE} | changes
+    return Space(**fields, _q0=q0, _top_pairing=space._top_pairing,
+                 _recipes=dict(space._recipes,
+                               spin_c=lambda: q0 * primitive()))
 
 
 # ---------------------------------------------------------------------------

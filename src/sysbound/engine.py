@@ -75,14 +75,17 @@ def todd_genus(space: Space) -> Fraction:
     return integrate(space, space.todd_cls)
 
 
+def _check_odd_class(space: Space) -> None:
+    """Refuse an odd space without its degree-1 class xi; builds nothing."""
+    if space.real_dim % 2 == 1 and space.lacks("odd_xi"):
+        raise MissingOddClass(
+            "%s is odd-dimensional but carries no degree-1 class with "
+            "xi * x^n nonzero" % space.name)
+
+
 def _xi_factor(space: Space) -> GradedClass:
-    if space.real_dim % 2 == 1:
-        if space.odd_xi is None:
-            raise MissingOddClass(
-                "%s is odd-dimensional but carries no degree-1 class with "
-                "xi * x^n nonzero" % space.name)
-        return space.odd_xi
-    return space.ring.one()
+    _check_odd_class(space)
+    return space.odd_xi if space.real_dim % 2 == 1 else space.ring.one()
 
 
 def index_polynomial(space: Space) -> IndexPolynomial:
@@ -119,15 +122,14 @@ def _twist_series(space: Space, base: GradedClass, cls: GradedClass,
 def _index_data(space: Space) -> int:
     """The integer q0 with c = q0 x, on a space with an index polynomial;
     an odd space must carry its degree-1 factor xi, checked before the
-    A-hat class is read.  A space made from a projective model answers from
-    its integers, with no ring built."""
+    A-hat class is read.  A lazy space with ``koszul`` data and a recorded
+    q0 answers from its integers, with no ring built."""
     space.check_ring()
     if space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "%s has no recorded primitive degree-2 class (b2 = 1 required)"
             % space.name)
-    if space.real_dim % 2:
-        _xi_factor(space)  # refuses an odd space without its class
+    _check_odd_class(space)
     if space.koszul is None and space.a_hat_cls is None:
         raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
     return _spin_c_multiple(space)
@@ -202,7 +204,7 @@ def _binomial(n: int, u: int) -> int:
 
 def _spin_c_multiple(space: Space) -> int:
     """The integer q0 with c = q0 * x in real cohomology: recorded on a
-    space made from a projective model, elsewhere read off the classes."""
+    lazy space, elsewhere read off the classes."""
     if space._q0 is not None:
         return space._q0
     x = space.primitive_x

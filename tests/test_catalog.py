@@ -216,6 +216,25 @@ def test_an_explicit_spin_c_class_wins_over_the_recorded_q0():
         twist_spin_c(projective_space(3), -1))
 
 
+@pytest.mark.parametrize("build, spin_c, length, coeffs, q0", [
+    (lambda: twist_spin_c(product(projective_space(3), circle()), 1),
+     "6*H", 4, (4, Fraction(13, 3), Fraction(3, 2), Fraction(1, 6)), 6),
+    (lambda: product(circle(), circle()), "0", 2, (0, 1), 0),
+])
+def test_a_lazy_product_answers_as_the_eager_route(build, spin_c, length,
+                                                   coeffs, q0):
+    # the values the products gave when they were built with every class;
+    # replace reads every field, so its copy is eager and reads q0 off its
+    # spin_c, and without koszul data the polynomial is integrated in the ring
+    for space in (build(), build().replace()):
+        assert repr(space.spin_c) == spin_c
+        assert engine.length(space) == length
+        poly = engine.index_polynomial(space)
+        assert (poly.coeffs, poly.q0) == (coeffs, q0)
+    eager = build().replace(koszul=None)
+    assert engine.index_polynomial(eager).coeffs == coeffs
+
+
 def test_metadata_spaces_reject_ring_operations():
     for space in (weighted_del_pezzo_x6(4), weighted_del_pezzo_x4(5),
                   weighted_mukai_x6(4), grassmann_section(3)):
@@ -382,3 +401,19 @@ def test_divisors_that_do_not_meet_are_refused():
                               "their divisors vanishes on CP(1)xCP(5)")
     # one hyperplane of each factor meets in a point times CP(4)
     assert complete_intersection([[1, 0], [0, 1]], [1, 5]).complex_dim == 4
+
+
+@pytest.mark.parametrize("desc", [
+    *BATCH_POOL, "S1", "S(2)", "S(3)", "S1 * S1", "S1 * CP(3)",
+    "CP(2) * S(2) * S1", "S(2).twist(1)", "Q(3).twist(1) * S1"])
+def test_lacks_answers_as_a_read_of_each_ring_side_field(desc):
+    # a lazy space's recipes are keyed by ring-side fields only, and lacks
+    # answers from them what a read of a field that may be None gives
+    space = parse_space(desc).build()
+    if space._recipes is not None:
+        assert set(space._recipes) <= catalog._RING_SIDE
+    for name in sorted(catalog._RING_SIDE):
+        if vars(catalog.Space)[name].default is not None:
+            continue  # nef_rays, curves, factor_embeddings: () without one
+        fresh = parse_space(desc).build()
+        assert fresh.lacks(name) is (getattr(fresh, name) is None), name

@@ -950,18 +950,54 @@ def ring_builds(monkeypatch):
     return built
 
 
+#: the pool's products and S1 * CP(n): their integers answer, as their
+#: factors' do
+_PRODUCTS = [d for d in BATCH_POOL if " * " in d] + [
+    "S1 * CP(%d)" % n for n in (1, 2, 3, 5)]
+
+
 @pytest.mark.parametrize("command", [("todd",), ("length",), ("index-poly",),
                                      ("bound", "--theorem", "thm1.1"),
                                      ("bound", "--theorem", "thm1.3")])
 def test_closed_form_replies_build_no_ring(command, ring_builds):
+    # thm1.3 splits X * N and integrates N's index pairing in its ring
     codes = set()
-    for desc in _PROJECTIVE:
+    for desc in _PROJECTIVE + (_PRODUCTS if command[-1] != "thm1.3" else []):
         code, out, err = _run([*command, "--space", desc])
         assert (code, bool(out), bool(err)) in ((0, True, False),
                                                  (1, False, True)), desc
         assert ring_builds == [], desc
         codes.add(code)
     assert codes == {0, 1}
+
+
+def test_only_projective_bundles_and_blowups_build_a_ring(ring_builds):
+    # one pass of the integer replies over the pool: a product, CP, Q, CI
+    # and twist answers from its integers, a PB or BlP is built whole
+    built = {}
+    for command in (("todd",), ("length",), ("index-poly",),
+                    ("bound", "--theorem", "thm1.1")):
+        for desc in BATCH_POOL:
+            _run([*command, "--space", desc])
+            if ring_builds:
+                built[desc] = built.get(desc, 0) + len(ring_builds)
+            del ring_builds[:]
+    assert built == {desc: 4 for desc in BATCH_POOL
+                     if desc.startswith(("PB(", "BlP("))}
+    assert len(built) == 14
+
+
+@pytest.mark.parametrize("factor", ["CP(3)", "Q(4)", "CP(2).twist(1)"])
+def test_circle_on_either_side_gives_the_same_reply(factor, ring_builds):
+    # <t, [S1]> = 1: S1 * X and X * S1 both take X's Koszul data
+    for command in ("index-poly", "length"):
+        left, right = (_run([command, "--space", desc])
+                       for desc in ("S1 * " + factor, factor + " * S1"))
+        assert left[0] == right[0] == 0 and left[2] == right[2] == ""
+        assert left[1].split("\n")[1:] == right[1].split("\n")[1:]
+        assert left[1].split("\n")[0].split(None, 1) == [
+            "space:", "S1 * " + factor]
+    assert ring_builds == []
 
 
 def test_thm1_3_reads_the_top_pairing_from_the_rows(ring_builds):
@@ -999,7 +1035,7 @@ collected = []
 gc.collect()
 gc.disable()
 try:
-    for desc in BATCH_POOL:
+    for desc in BATCH_POOL + ("CP(2) * S(2) * S1",):
         space = parse_space(desc).build()
         del space
         collected.append([desc, gc.collect()])
@@ -1017,9 +1053,10 @@ print(json.dumps([collected, len(gc.garbage)]))
 
 
 def test_dropped_spaces_leave_no_reference_cycles():
-    # a space, its twists and its model refer to one another in one
-    # direction only, so reference counting frees them: the cycle collector
-    # finds nothing, whether the model was built or not.  A fresh process,
+    # a space, its twists, its factors and their recipes refer to one
+    # another in one direction only, so reference counting frees them: the
+    # cycle collector finds nothing, whether the ring was built or not, on
+    # the pool and on a nested product.  A fresh process,
     # so each collection walks this check's heap and not the suite's.
     env = _child_env()
     env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
@@ -1028,7 +1065,8 @@ def test_dropped_spaces_leave_no_reference_cycles():
     assert proc.returncode == 0, proc.stderr
     collected, garbage = json.loads(proc.stdout)
     assert [desc for desc, _ in collected] == [
-        desc for desc in BATCH_POOL for _ in range(2)]
+        desc for desc in BATCH_POOL + ("CP(2) * S(2) * S1",)
+        for _ in range(2)]
     assert [(desc, found) for desc, found in collected if found] == []
     assert garbage == 0
 
