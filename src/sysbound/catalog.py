@@ -5,7 +5,7 @@ bound calculators consume: tangent Chern data, built on first read (or an
 explicit A-hat class for non-complex factors), the Koszul data of complete
 intersections, the distinguished characteristic class ``spin_c``, a
 primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
-dimensions, nef-cone data for the rank <= 2 families, and Betti/index
+dimensions, the nef-cone rays of the rank <= 2 families, and Betti/index
 metadata.  Each ring pairs its own top degree with the fundamental class.
 
 Projective spaces, quadrics, complete intersections, spheres, the circle,
@@ -44,32 +44,6 @@ if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
     from .characteristic import ChernData
 
 
-class Curve(Record):
-    """An extremal curve class as a linear functional on degree-2 classes."""
-
-    def __init__(self, name: str, pairings: dict):
-        self.__dict__.update(name=name, pairings=pairings)
-
-    def dot(self, cls: GradedClass) -> Fraction:
-        if not cls.is_homogeneous(2):
-            raise PreconditionUnmet(
-                "curve classes pair with homogeneous degree-2 classes only")
-        ring = cls.ring
-        total = Fraction(0)
-        for m, c in cls.terms.items():
-            support = [(i, e) for i, e in enumerate(m) if e]
-            if len(support) != 1 or support[0][1] != 1 \
-                    or ring.generators[support[0][0]].degree != 2:
-                raise PreconditionUnmet(
-                    "curve pairing needs a class linear in the degree-2 generators")
-            gname = ring.generators[support[0][0]].name
-            total += c * self.pairings.get(gname, Fraction(0))
-        return total
-
-    def __hash__(self):
-        return hash((self.name, tuple(sorted(self.pairings.items()))))
-
-
 class _Made:
     """A ring-side field of :class:`Space`, set by an eager space's
     ``__init__``.  On a lazy space the first read runs the recipe for it
@@ -103,20 +77,21 @@ class Space(Record, frozen=False):
     The catalog's lazy spaces are given ``_recipes`` instead: their integers
     (b1, b2, dimensions, complexness, ``koszul``, q0) are set at
     construction, and each ring-side field (``ring``, ``c1``, ``spin_c``,
-    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``curves``,
-    ``factor_embeddings``) is made by its recipe on first read, None (or
-    empty) without one.  ``_q0``, recorded on lazy spaces only, is the
-    integer with spin_c = q0 x for the primitive class x: a twist shares the
-    other recipes and moves q0 and spin_c.  :meth:`lacks` and
-    :meth:`check_ring` answer from the recipes and build nothing.
+    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``factor_embeddings``) is
+    made by its recipe on first read, None (or empty) without one.  ``_q0``,
+    recorded on lazy spaces only, is the integer with spin_c = q0 x for the
+    primitive class x: a twist shares the other recipes and moves q0 and
+    spin_c.  :meth:`lacks` and :meth:`check_ring` answer from the recipes
+    and build nothing.
 
     ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
     are those of the complete intersection of the divisors ``rows`` in
     CP(N_1) x ... x CP(N_m): on that space and its twists, on a product of
     such spaces, and, for the index polynomial, on its product with the
     circle in either order.  :mod:`sysbound.engine` reads them from the
-    Riemann-Roch closed form.  ``factor_embeddings`` are the (left, right)
-    class maps on products.
+    Riemann-Roch closed form, and :meth:`model_top_pairing` reads the degree
+    from rows in one projective space.  ``factor_embeddings`` are the
+    (left, right) class maps on products.
 
     ``Space.replace`` reads every field, so the copy is eager: its classes
     are the original's and its q0 is read off its own spin_c.  Kept values
@@ -124,7 +99,7 @@ class Space(Record, frozen=False):
     """
 
     ring, c1, spin_c, primitive_x, odd_xi = (_Made() for _ in range(5))
-    nef_rays, curves, factor_embeddings = (_Made(()) for _ in range(3))
+    nef_rays, factor_embeddings = _Made(()), _Made(())
 
     def __init__(self, name: str, family: str, real_dim: int, b1: int,
                  b2: int, ring: Ring | None = None, is_complex=False,
@@ -133,21 +108,20 @@ class Space(Record, frozen=False):
                  c1: GradedClass | None = None,
                  a_hat_of: Callable[[], GradedClass | None] | None = None,
                  koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
-                 fano_index=None, metadata_only=False, nef_rays=(), curves=(),
+                 fano_index=None, metadata_only=False, nef_rays=(),
                  kahler_einstein=None, notes="", factor_embeddings=(),
-                 _recipes: dict | None = None, _q0: int | None = None,
-                 _top_pairing: Callable[[], int] | None = None):
+                 _recipes: dict | None = None, _q0: int | None = None):
         self.__dict__.update(
             name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
             kahler_einstein=kahler_einstein, notes=notes, _recipes=_recipes,
-            _q0=_q0, _top_pairing=_top_pairing)
+            _q0=_q0)
         if _recipes is None:  # eager: the classes are given
             self.__dict__.update(
                 ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
-                odd_xi=odd_xi, nef_rays=nef_rays, curves=curves,
+                odd_xi=odd_xi, nef_rays=nef_rays,
                 factor_embeddings=factor_embeddings)
             if c1 is None and tangent_of is not None:
                 self.c1 = self.tangent.chern(1)
@@ -194,10 +168,12 @@ class Space(Record, frozen=False):
         return self.ring
 
     def model_top_pairing(self) -> int | None:
-        """<H^n, [X]>, n = half_dim, read with no ring built from the rows
-        of a model X in one projective space: a positive integer, X being
-        nonempty.  None on any other space."""
-        return None if self._top_pairing is None else self._top_pairing()
+        """<H^n, [X]>, n = half_dim, read with no ring built from ``koszul``
+        rows in one projective space: a positive integer, X being nonempty.
+        None on any other space."""
+        if self.koszul is None or len(self.koszul[1]) != 1:
+            return None
+        return _intersection_pairing(*self.koszul).get((self.half_dim,))
 
     @property
     def half_dim(self) -> int:
@@ -228,7 +204,7 @@ def projective_space(n: int) -> Space:
         raise PreconditionUnmet("projective space needs n >= 1; the point "
                                 "enters through the product identity instead")
     return _model_space(
-        [], [n], ("line",), n + 1,
+        [], [n], True, n + 1,
         name="CP(%d)" % n, family="CP", fano_index=n + 1, kahler_einstein=True,
     )
 
@@ -243,7 +219,7 @@ def quadric(n: int) -> Space:
     if n < 2:
         raise PreconditionUnmet("quadric needs n >= 2")
     return _model_space(
-        [[2]], [n + 1], ("line",), n,
+        [[2]], [n + 1], True, n,
         name="Q(%d)" % n, family="Q", fano_index=n, kahler_einstein=True,
         notes="H-subring model; middle cohomology omitted",
     )
@@ -298,7 +274,7 @@ def product(x: Space, y: Space) -> Space:
     both_complex = x.is_complex and y.is_complex
 
     @cache
-    def tensor():  # (ring, left map, right map, left names, right names)
+    def tensor():  # (ring, left map, right map)
         return tensor_ring(x.ring, y.ring)
 
     def left(cls):
@@ -308,7 +284,7 @@ def product(x: Space, y: Space) -> Space:
         return tensor()[2](cls)
 
     recipes = {"ring": lambda: tensor()[0],
-               "factor_embeddings": lambda: tensor()[1:3],
+               "factor_embeddings": lambda: tensor()[1:],
                "spin_c": lambda: left(x.spin_c) + right(y.spin_c)}
     if both_complex and not (x.lacks("c1") or y.lacks("c1")):
         recipes["c1"] = lambda: left(x.c1) + right(y.c1)
@@ -330,17 +306,9 @@ def product(x: Space, y: Space) -> Space:
             recipes["odd_xi"] = lambda: odd_map(odd.odd_xi)
 
     if both_complex and x.b2 + y.b2 <= 2:
-        def cone():
-            return x.nef_rays and y.nef_rays and x.curves and y.curves
-
-        def renamed(curves, names, suffix):
-            return tuple(Curve(c.name + suffix,
-                               {names[k]: v for k, v in c.pairings.items()})
-                         for c in curves)
         recipes["nef_rays"] = lambda: tuple(map(left, x.nef_rays)) \
-            + tuple(map(right, y.nef_rays)) if cone() else ()
-        recipes["curves"] = lambda: renamed(x.curves, tensor()[3], "_1") \
-            + renamed(y.curves, tensor()[4], "_2") if cone() else ()
+            + tuple(map(right, y.nef_rays)) \
+            if x.nef_rays and y.nef_rays else ()
 
     tangent_of = None
     if both_complex and x.tangent_of is not None and y.tangent_of is not None:
@@ -425,8 +393,6 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         ring=ring, tangent_of=tangent_of, c1=c1, is_complex=True,
         complex_dim=n, spin_c=expected_c1,
         nef_rays=(xi, f),
-        curves=(Curve("fiber_line", {"xi": Fraction(1)}),
-                Curve("section", {"f": Fraction(1)})),
         notes="ring ignores the odd cohomology of the base curve",
     )
 
@@ -444,16 +410,14 @@ class _ProjectiveModel:
     The ring stops at X's top degree 2 dim, with H_i^(min(N_i, dim)+1) = 0
     and the pairing of :func:`kernel._intersection_pairing`.  c1 = sum_i
     (N_i + 1 - sum of the rows' d_i) H_i by adjunction.  The tangent is the
-    Euler sequences' class over (1 + D_1)...(1 + D_r).  ``lines`` names one
-    extremal curve per factor, the line of that factor, where X records its
-    nef cone; the nef rays are then the H_i.
+    Euler sequences' class over (1 + D_1)...(1 + D_r).
 
     A model refers to no space, so a space and its twists share one, and
     dropping them frees it without the cycle collector.
     """
 
-    def __init__(self, rows, ns, dim: int, lines: tuple):
-        self.rows, self.ns, self.dim, self.lines = rows, ns, dim, lines
+    def __init__(self, rows, ns, dim: int):
+        self.rows, self.ns, self.dim = rows, ns, dim
         self.names = (("H",) if len(ns) == 1 else
                       tuple("H%d" % (i + 1) for i in range(len(ns))))
 
@@ -483,16 +447,6 @@ class _ProjectiveModel:
                     for i, (N, h) in enumerate(zip(self.ns, self.hs))),
                    self.ring.zero())
 
-    @property
-    def nef_rays(self) -> tuple:
-        return self.hs if self.lines else ()
-
-    @cached_property
-    def curves(self) -> tuple:
-        return tuple(Curve(line, {g: Fraction(1 if j == i else 0)
-                                  for j, g in enumerate(self.names)})
-                     for i, line in enumerate(self.lines))
-
     def tangent(self) -> ChernData:
         from .characteristic import ChernData, whitney_quotient
         ring, hs = self.ring, self.hs
@@ -505,16 +459,18 @@ class _ProjectiveModel:
                                 ChernData(rank=len(self.rows), total=normal))
 
 
-def _model_space(rows, ns, lines, q0, **fields) -> Space:
+def _model_space(rows, ns, cone: bool, q0, **fields) -> Space:
     """The space of the complete intersection of ``rows`` in CP(ns), an empty
     one refused: its integers now, its ring and classes from a
-    :class:`_ProjectiveModel` on first read.  ``q0`` is None for a space
-    without a primitive class, whose spin_c is c1; ``koszul`` records
-    (rows, ns) for the engine's Riemann-Roch closed forms."""
+    :class:`_ProjectiveModel` on first read.  ``cone`` records the nef cone,
+    whose rays are the H_i.  ``q0`` is None for a space without a primitive
+    class, whose spin_c is c1; ``koszul`` records (rows, ns) for the
+    engine's Riemann-Roch closed forms."""
     dim = _intersection_dim(rows, ns)
-    model = _ProjectiveModel(rows, ns, dim, lines)
-    recipes = {name: partial(getattr, model, name)
-               for name in ("ring", "c1", "nef_rays", "curves")}
+    model = _ProjectiveModel(rows, ns, dim)
+    recipes = {name: partial(getattr, model, name) for name in ("ring", "c1")}
+    if cone:
+        recipes["nef_rays"] = lambda: model.hs
     if q0 is None:
         recipes["spin_c"] = recipes["c1"]
     else:
@@ -524,7 +480,7 @@ def _model_space(rows, ns, lines, q0, **fields) -> Space:
         real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
         tangent_of=model.tangent,
         koszul=(tuple(map(tuple, rows)), tuple(ns)), _recipes=recipes,
-        _q0=q0, _top_pairing=lambda: model.pairing.get((dim,)), **fields)
+        _q0=q0, **fields)
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -566,8 +522,7 @@ def complete_intersection(multidegrees, ambient) -> Space:
 
     return _model_space(
         rows, ns,
-        tuple("line_%d" % (i + 1) for i in range(m))
-        if (m <= 2 and lefschetz) else (),
+        m <= 2 and lefschetz,
         index if (m == 1 and lefschetz) else None,
         name=name, family="CI",
         fano_index=index if m == 1 and lefschetz and index >= 1 else None,
@@ -605,8 +560,6 @@ def blowup_point(n: int) -> Space:
         ring=ring, is_complex=True, complex_dim=n,
         c1=c1, spin_c=c1,
         nef_rays=(H, H - E),
-        curves=(Curve("exceptional_line", {"H": Fraction(0), "E": Fraction(-1)}),
-                Curve("strict_line", {"H": Fraction(1), "E": Fraction(1)})),
         notes="tangent Chern data beyond c1 not tracked",
     )
 
@@ -635,7 +588,7 @@ def twist_spin_c(space: Space, k: int) -> Space:
     q0, primitive = space._q0 + 2 * k, space._recipes["primitive_x"]
     fields = {name: getattr(space, name) for name in space._fields
               if name not in _RING_SIDE} | changes
-    return Space(**fields, _q0=q0, _top_pairing=space._top_pairing,
+    return Space(**fields, _q0=q0,
                  _recipes=dict(space._recipes,
                                spin_c=lambda: q0 * primitive()))
 

@@ -1,10 +1,10 @@
 """Exact optimization on rank <= 2 nef cones and contraction enumeration.
 
-The nef cones of the catalog families are supplied in closed form (two-ray
-descriptions with their extremal curve classes); no general cone machinery is
-attempted.  The volume functional is optimized on the normalized segment
-between the rays with exact critical-point arithmetic: the critical equation
-is solved by rational-root extraction certified complete by Sturm counting.
+The nef cones of the catalog families are simplicial and supplied by their
+rays alone; no general cone machinery is attempted.  The volume functional is
+optimized on the normalized segment between the rays with exact
+critical-point arithmetic: the critical equation is solved by rational-root
+extraction certified complete by Sturm counting.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .values import Record
 
 
 class ConeProblem(Record):
-    """A space of Picard rank <= 2 with its nef rays and extremal curves."""
+    """A space of Picard rank <= 2 with the rays of its nef cone."""
 
-    def __init__(self, space: Space, rays: tuple, curves: tuple):
-        self.__dict__.update(space=space, rays=rays, curves=curves)
+    def __init__(self, space: Space, rays: tuple):
+        self.__dict__.update(space=space, rays=rays)
 
 
 class Unbounded(Record):
@@ -52,11 +52,10 @@ def cone_problem(space: Space) -> ConeProblem:
     if space.b2 > 2:
         raise UnsupportedRank("nef-cone optimization is catalogued for "
                               "Picard rank <= 2 only (b2 = %d)" % space.b2)
-    if not space.nef_rays or not space.curves:
+    if not space.nef_rays:
         raise UnsupportedRank("%s has no recorded nef-cone description"
                               % space.name)
-    return ConeProblem(space=space, rays=tuple(space.nef_rays),
-                       curves=tuple(space.curves))
+    return ConeProblem(space=space, rays=tuple(space.nef_rays))
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +104,16 @@ def _require_open_cone(problem: ConeProblem, alpha: GradedClass):
 
 
 def nef_threshold(problem: ConeProblem, alpha: GradedClass) -> Fraction:
-    """Smallest t with K_X + t alpha nef, by the two-ray curve pairings."""
-    _require_open_cone(problem, alpha)
-    space = problem.space
-    threshold = Fraction(0)
-    for curve in problem.curves:
-        k_dot = -curve.dot(space.c1)        # K_X . C
-        a_dot = curve.dot(alpha)
-        if a_dot <= 0:
-            raise PreconditionUnmet(
-                "class pairs nonpositively with the extremal curve %s"
-                % curve.name)
-        if k_dot < 0:
-            threshold = max(threshold, -k_dot / a_dot)
+    """Smallest t with K_X + t alpha nef.  With alpha = sum a_i R_i (all
+    a_i > 0) and c1 = sum k_i R_i in the rays, t alpha - c1 is nef exactly
+    when every t a_i - k_i >= 0, so t = max k_i / a_i over k_i > 0."""
+    coords = _require_open_cone(problem, alpha)
+    c1 = _ray_coordinates(problem, problem.space.c1)
+    if c1 is None:
+        raise PreconditionUnmet(
+            "the nef rays of %s do not span c1; no threshold is read off "
+            "them" % problem.space.name)
+    threshold = max((k / a for k, a in zip(c1, coords) if k > 0), default=0)
     if threshold == 0:
         raise PreconditionUnmet(
             "K_X pairs nonnegatively with every extremal curve; no finite "

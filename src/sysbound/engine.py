@@ -295,9 +295,10 @@ def product_length_bound(x: Space, n_factor: Space) -> int:
 
 
 def _n_factor_admissible(n_factor: Space) -> bool:
-    """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor."""
-    if n_factor.metadata_only or n_factor.a_hat_cls is None \
-            or n_factor.real_dim % 2 and n_factor.odd_xi is None:
+    """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor;
+    an odd one's eta is looked for before its A-hat class is read."""
+    if n_factor.metadata_only or n_factor.real_dim % 2 \
+            and n_factor.lacks("odd_xi") or n_factor.a_hat_cls is None:
         return False
     return n_factor.real_dim == 0 \
         or integrate(n_factor, _index_class(n_factor)) != 0
@@ -459,13 +460,15 @@ def _require_kahler(space: Space) -> int:
 
 def _require_condition_a(space: Space) -> int:
     """u^n nonzero (with xi in odd dimension); returns n = half_dim.  A space
-    made from a projective model reads <u^n, [X]> from its rows."""
+    with ``koszul`` rows in one projective space reads <xi u^n, [X]> from
+    them (xi = t on X' x S1 and S1 x X', where <t, [S1]> = 1)."""
     space.check_ring()
     n = space.half_dim
     if space.b2 != 1 or space.lacks("primitive_x"):
         raise PreconditionUnmet(
             "%s must have b2 = 1 with a degree-2 class u, u^n nonzero"
             % space.name)
+    _check_odd_class(space)
     pairing = space.model_top_pairing()
     if pairing is None:
         pairing = integrate(space, _xi_factor(space) * space.primitive_x ** n)

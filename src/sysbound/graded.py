@@ -430,10 +430,9 @@ def _nilpotent_series(x: GradedClass, coeff) -> GradedClass:
 def tensor_ring(left: Ring, right: Ring):
     """Tensor product ring with Kuenneth pairing.
 
-    Returns ``(ring, left_map, right_map, left_names, right_names)`` where
-    the maps send classes of the factors to the product ring and the name
-    dicts record how generators were renamed.  Colliding generator names are
-    suffixed with positional indices (H, H -> H1, H2).
+    Returns ``(ring, left_map, right_map)``, where the maps send classes of
+    the factors to the product ring.  Colliding generator names are suffixed
+    with positional indices (H, H -> H1, H2).
     """
     lnames = [g.name for g in left.generators]
     rnames = [g.name for g in right.generators]
@@ -510,9 +509,7 @@ def tensor_ring(left: Ring, right: Ring):
             raise RingMismatch("class does not belong to the right factor")
         return GradedClass(ring, {embed_right(m): c for m, c in cls.terms.items()})
 
-    left_names = {g.name: lmap_names[i] for i, g in enumerate(left.generators)}
-    right_names = {g.name: rmap_names[i] for i, g in enumerate(right.generators)}
-    return ring, left_map, right_map, left_names, right_names
+    return ring, left_map, right_map
 
 
 def truncated_polynomial_ring(name: str, degree_of_gen: int, max_power: int,

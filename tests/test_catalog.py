@@ -106,7 +106,7 @@ def test_ahat_multiplicative_across_product():
     p = product(x, y)
     # compare against the tensor of the factorwise classes
     from sysbound.graded import tensor_ring
-    ring, lmap, rmap, _, _ = tensor_ring(x.ring, y.ring)
+    ring, lmap, rmap = tensor_ring(x.ring, y.ring)
     assert p.a_hat_cls.terms == (lmap(x.a_hat_cls) * rmap(y.a_hat_cls)).terms
 
 
@@ -195,7 +195,7 @@ def test_a_twist_shares_its_base_model():
     q4 = quadric(4)
     up = twist_spin_c(twist_spin_c(q4, 1), 1)
     assert up.ring is q4.ring
-    for name in ("c1", "primitive_x", "nef_rays", "curves"):
+    for name in ("c1", "primitive_x", "nef_rays"):
         assert getattr(up, name) is getattr(q4, name), name
     H = q4.primitive_x
     assert (q4.spin_c, up.spin_c) == (4 * H, 8 * H)
@@ -414,6 +414,6 @@ def test_lacks_answers_as_a_read_of_each_ring_side_field(desc):
         assert set(space._recipes) <= catalog._RING_SIDE
     for name in sorted(catalog._RING_SIDE):
         if vars(catalog.Space)[name].default is not None:
-            continue  # nef_rays, curves, factor_embeddings: () without one
+            continue  # nef_rays, factor_embeddings: () without one
         fresh = parse_space(desc).build()
         assert fresh.lacks(name) is (getattr(fresh, name) is None), name

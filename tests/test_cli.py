@@ -1010,6 +1010,25 @@ def test_thm1_3_reads_the_top_pairing_from_the_rows(ring_builds):
     assert ring_builds == []
 
 
+_VANISHING = ("error: the factor %s has vanishing index pairing "
+              "<eta e^(c/2) A-hat(TN), [N]>\n")
+
+
+@pytest.mark.parametrize("desc, err", [
+    # an odd N without its degree-1 class is refused before its A-hat class
+    # is read: neither X's ring (its rows answer) nor the sphere's is built
+    *((desc, _VANISHING % desc.split(" * ")[1]) for desc in (
+        "CP(2) * S(3)", "CP(3) * S(5)", "Q(4) * S(3)", "Q(3) * S(3)")),
+    # X = CP(2) * S1 has the rows of CP(2), and <t u^2, [X]> = 1 is read
+    # from them
+    ("CP(2) * S1 * S(2)", "error: b2(N) = 0 is required so that b2(X x N) "
+     "= 1 (got b2 = 1 on S(2))\n")])
+def test_thm1_3_refusals_build_no_ring(desc, err, ring_builds):
+    assert _run(["bound", "--theorem", "thm1.3", "--space", desc]) == (
+        1, "", err)
+    assert ring_builds == []
+
+
 def test_phi_sup_builds_one_ring(ring_builds):
     # the answer integrates in the model's ring; a space without a nef cone
     # is refused before it is built

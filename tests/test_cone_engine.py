@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from batch_pool import BATCH_POOL
 from sysbound import cones, roots
-from sysbound.catalog import (Curve, Space, blowup_point, complete_intersection,
+from sysbound.catalog import (Space, blowup_point, complete_intersection,
                               integrate, product, proj_bundle_over_curve,
-                              projective_space, quadric)
+                              projective_space)
+from sysbound.cli import parse_space
 from sysbound.cones import (ConeProblem, Unbounded, bundle_profile_sup,
                             bundle_systole_profile, cone_problem,
                             multiproj_contractions, nef_threshold, phi,
@@ -18,6 +20,7 @@ from sysbound.errors import (CertificateFailed, DegenerateClass,
                              InvalidNormalization, PreconditionUnmet,
                              UnsupportedRank)
 from sysbound.graded import Generator, RingPresentation, make_ring
+from sysbound.grammar import ProductNode, TwistNode
 
 
 # -- exact root machinery -----------------------------------------------------
@@ -113,12 +116,7 @@ def _blowup_of_fano(n, degree, index):
     c1 = index * H - (n - 1) * E
     return Space(name="Bl_p V(%d,%d)" % (degree, index), family="BlP",
                  real_dim=2 * n, b1=0, b2=2, ring=ring, is_complex=True,
-                 complex_dim=n, c1=c1, spin_c=c1,
-                 nef_rays=(H, H - E),
-                 curves=(Curve("exceptional_line",
-                               {"H": Fraction(0), "E": Fraction(-1)}),
-                         Curve("strict_line",
-                               {"H": Fraction(1), "E": Fraction(1)})))
+                 complex_dim=n, c1=c1, spin_c=c1, nef_rays=(H, H - E))
 
 
 def test_phi_sup_blowup_of_cubic_is_bounded():
@@ -185,11 +183,11 @@ def test_classes_off_the_open_cone_are_degenerate():
     H, E = bl.ring.gen("H"), bl.ring.gen("E")
     assert prob.rays == (H, H - E)
     # the single ray H: E lies outside its span
-    single = ConeProblem(space=bl, rays=(H,), curves=prob.curves)
+    single = ConeProblem(space=bl, rays=(H,))
     assert cones._ray_coordinates(single, E) is None
     # dependent rays have no coordinates
     assert cones._ray_coordinates(
-        ConeProblem(space=bl, rays=(H, 2 * H), curves=prob.curves), H) is None
+        ConeProblem(space=bl, rays=(H, 2 * H)), H) is None
     # H is the boundary ray of the cone (H, H - E)
     assert cones._ray_coordinates(prob, H) == (1, 0)
     for problem, alpha in ((single, E), (prob, H)):
@@ -199,6 +197,17 @@ def test_classes_off_the_open_cone_are_degenerate():
     # 2H - E = H + (H - E) is interior
     assert cones._ray_coordinates(prob, 2 * H - E) == (1, 1)
     assert s_alpha(prob, 2 * H - E) == nef_threshold(prob, 2 * H - E) == 2
+
+
+def test_rays_that_do_not_span_c1_are_refused():
+    # 2H is in the open cone of the single ray H, but c1 = 4H - 2E is not in
+    # its span, so the rays give no threshold
+    bl = blowup_point(3)
+    H = bl.ring.gen("H")
+    with pytest.raises(PreconditionUnmet) as err:
+        nef_threshold(ConeProblem(space=bl, rays=(H,)), 2 * H)
+    assert str(err.value) == ("the nef rays of BlP(3) do not span c1; no "
+                              "threshold is read off them")
 
 
 def test_s_below_r_on_random_samples():
@@ -213,6 +222,121 @@ def test_s_below_r_on_random_samples():
             b = Fraction(rng.randint(1, 6), rng.randint(1, 3))
             alpha = a * r0 + b * r1
             assert s_alpha(prob, alpha) <= nef_threshold(prob, alpha)
+
+
+# -- the curve oracle ---------------------------------------------------------
+#
+# Each catalog cone is also cut out by its extremal curves, the dual
+# description (Kleiman's criterion; Lazarsfeld, Positivity I, 1.4): a class
+# is in the open cone when it pairs positively with each, and K_X + t alpha
+# is nef when t alpha - c1 pairs nonnegatively with each.  The curves are
+# written out here as their pairings with the ring's generators, in order.
+
+#: PB's fiber line and section (generators xi, f); BlP's exceptional and
+#: strict lines (generators H, E)
+_FAMILY_CURVES = {"PB": ((1, 0), (0, 1)), "BlP": ((0, -1), (1, 1))}
+
+
+def _curves(node):
+    """The extremal curves of the space a descriptor node builds: one line
+    per factor of a projective model, and a product's factors' curves, each
+    padded by zeros on the other factor's generators."""
+    if isinstance(node, TwistNode):  # a twist keeps the ring and the cone
+        return _curves(node.inner)
+    if isinstance(node, ProductNode):
+        left, right = _curves(node.left), _curves(node.right)
+        return (tuple(c + (0,) * len(right[0]) for c in left)
+                + tuple((0,) * len(left[0]) + c for c in right))
+    space = node.build()
+    m = len(space.ring.generators)
+    return _FAMILY_CURVES.get(space.family) or tuple(
+        tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def _dot(curve, cls):
+    """The pairing of a curve with a class linear in the generators."""
+    m = len(curve)
+    return sum(c * cls.coefficient(tuple(int(i == j) for j in range(m)))
+               for i, c in enumerate(curve))
+
+
+def _curve_threshold(space, curves, alpha):
+    """max (c1 . C) / (alpha . C) over the curves with c1 . C > 0: "outside"
+    when alpha pairs nonpositively with a curve, None when no curve pairs
+    positively with c1."""
+    pairs = [(_dot(c, space.c1), _dot(c, alpha)) for c in curves]
+    if any(a <= 0 for _, a in pairs):
+        return "outside"
+    return max((Fraction(k) / a for k, a in pairs if k > 0), default=None)
+
+
+def _ray_threshold(problem, alpha):
+    try:
+        return nef_threshold(problem, alpha)
+    except DegenerateClass as err:
+        assert "open nef cone" in str(err)
+        return "outside"
+    except PreconditionUnmet as err:
+        assert "no finite positive threshold" in str(err)
+        return None
+
+
+def _compare_with_curves(problem, curves, seed, count=24):
+    """nef_threshold against the curve oracle on seeded classes: half
+    positive combinations of the rays, half combinations of the generators
+    with coefficients of either sign; returns the oracle's values."""
+    rng = random.Random(seed)
+    ring = problem.space.ring
+    gens = [ring.gen(g.name) for g in ring.generators]
+    assert len(curves) == len(problem.rays) == len(gens)
+    seen = []
+    for trial in range(count):
+        basis, low = (problem.rays, 1) if trial % 2 else (gens, -3)
+        alpha = ring.zero()
+        for cls in basis:
+            alpha = alpha + Fraction(rng.randint(low, 6),
+                                     rng.randint(1, 3)) * cls
+        if not alpha.terms:
+            continue
+        expected = _curve_threshold(problem.space, curves, alpha)
+        assert _ray_threshold(problem, alpha) == expected, alpha
+        seen.append(expected)
+    return seen
+
+
+_ORACLE_EXTRAS = (
+    "PB(degrees=[0,2]; genus=3)", "PB(degrees=[0,1,1]; genus=2)",
+    "CP(2) * Q(3)", "Q(4).twist(1) * CP(1)",
+    "CI(degrees=[[3]]; ambient=[4]) * CP(2)",
+    # c1 = 0, c1 = -H and c1 = 0 H1 + 0 H2: no finite positive threshold
+    "CI(degrees=[[5]]; ambient=[4])", "CI(degrees=[[6]]; ambient=[4])",
+    "CI(degrees=[[3,3]]; ambient=[2,2])",
+    # c1 = 2 H2: one curve pairs positively with c1
+    "CI(degrees=[[4,1]]; ambient=[3,2])")
+
+
+def test_nef_threshold_matches_the_curve_oracle():
+    cones_seen, values = 0, []
+    for i, desc in enumerate(BATCH_POOL + _ORACLE_EXTRAS):
+        node = parse_space(desc)
+        try:
+            problem = cone_problem(node.build())
+        except UnsupportedRank:
+            assert desc in BATCH_POOL, desc
+            continue
+        cones_seen += 1
+        values += _compare_with_curves(problem, _curves(node), i)
+    # every pool cone, the extras, and each kind of reply
+    assert cones_seen == 67 + len(_ORACLE_EXTRAS)
+    assert "outside" in values and None in values
+    assert len([v for v in values if isinstance(v, Fraction)]) > 1000
+
+
+def test_nef_threshold_matches_the_curve_oracle_on_hand_made_cones():
+    for seed, (n, degree, index) in enumerate(((3, 3, 2), (4, 3, 3),
+                                               (3, 2, 3), (3, 5, 0))):
+        bl = _blowup_of_fano(n, degree, index)
+        _compare_with_curves(cone_problem(bl), _FAMILY_CURVES["BlP"], seed)
 
 
 # -- bundle profiles ----------------------------------------------------------

@@ -153,7 +153,6 @@ def test_ray_coordinates_match_sympy():
     space = product(product(projective_space(1), projective_space(1)),
                     projective_space(2))
     gens = [space.ring.gen(name) for name in ("H1", "H2", "H")]
-    curves = ()
     rng = random.Random(106)
 
     def combination(classes, low=-4, high=4):
@@ -174,7 +173,7 @@ def test_ray_coordinates_match_sympy():
         alpha = combination(rays if trial % 2 else gens)
         if not alpha.terms:
             continue
-        problem = ConeProblem(space=space, rays=tuple(rays), curves=curves)
+        problem = ConeProblem(space=space, rays=tuple(rays))
         monos = sorted({m for r in rays for m in r.terms} | set(alpha.terms))
         expected = solve([[r.coefficient(m) for r in rays] for m in monos],
                          [alpha.coefficient(m) for m in monos])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sysbound.catalog import Curve, Space, projective_space, quadric
+from sysbound.catalog import Space, projective_space, quadric
 from sysbound.characteristic import ChernData, PowerSums
 from sysbound.cones import (ConeProblem, ContractionReport, FactorReport,
                             Unbounded)
@@ -25,7 +25,7 @@ _POINT_REPR = (
     "Space(name='pt', family='point', real_dim=0, b1=0, b2=0, ring=None, "
     "is_complex=False, complex_dim=None, tangent_of=None, c1=None, "
     "a_hat_of=None, koszul=None, spin_c=None, primitive_x=None, odd_xi=None, "
-    "fano_index=None, metadata_only=False, nef_rays=(), curves=(), "
+    "fano_index=None, metadata_only=False, nef_rays=(), "
     "kahler_einstein=None, notes='', factor_embeddings=())")
 
 #: one instance of each class and its repr, as the classes print them
@@ -39,8 +39,8 @@ _SAMPLES = [
     (ProductNode(AtomNode("CP", (2,)), AtomNode("S", (1,))),
      "ProductNode(left=AtomNode(name='CP', args=(2,)), "
      "right=AtomNode(name='S', args=(1,)))"),
-    (ConeProblem(space=_POINT, rays=(), curves=()),
-     "ConeProblem(space=%s, rays=(), curves=())" % _POINT_REPR),
+    (ConeProblem(space=_POINT, rays=()),
+     "ConeProblem(space=%s, rays=())" % _POINT_REPR),
     (Unbounded(witness=_H), "Unbounded(witness=H)"),
     (FactorReport(factor=1, ambient_dim=3, degree_sum=2, k_negative=True,
                   fiber_dim=2, anticanonical_coeff=2),
@@ -58,8 +58,6 @@ _SAMPLES = [
     (RingPresentation([Generator("x", 2, False)], 4),
      "RingPresentation(generators=[Generator(name='x', degree=2, "
      "odd=False)], truncation=4, power_rules={}, pair_rules=(), pairing={})"),
-    (Curve("line", {"H": Fraction(1)}),
-     "Curve(name='line', pairings={'H': Fraction(1, 1)})"),
     (_POINT, _POINT_REPR),
     (NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]]),
      "NormedLattice(basis=[[Fraction(1, 1), Fraction(0, 1)], "
@@ -83,7 +81,7 @@ _MUTABLE = (Token, Space, RingPresentation, NormedLattice)
 
 
 def test_every_class_has_one_sample():
-    assert len(set(_IDS)) == len(_IDS) == 20
+    assert len(set(_IDS)) == len(_IDS) == 19
 
 
 @pytest.mark.parametrize("sample, text", _SAMPLES, ids=_IDS)
@@ -118,7 +116,7 @@ def test_frozen_classes_hash_and_refuse_assignment(sample, text):
     if cls is ConeProblem:  # its space is unhashable, so it is too
         with pytest.raises(TypeError):
             hash(sample)
-        assert hash(ConeProblem("pt", (), ())) == hash(("pt", (), ()))
+        assert hash(ConeProblem("pt", ())) == hash(("pt", ()))
     else:
         assert hash(sample) == hash(type(sample).replace(sample))
     name = sample._fields[0]
@@ -133,8 +131,6 @@ def test_own_methods_win_over_the_shared_ones():
     assert PiScaled(Fraction(1, 2), 1) == PiScaled(Fraction(1, 2), 1)
     assert PiScaled(Fraction(0), 3) == PiScaled(Fraction(0), 0) == 0
     assert hash(PiScaled(Fraction(0), 3)) == hash(PiScaled(Fraction(0), 0))
-    line = Curve("line", {"H": Fraction(1)})
-    assert hash(line) == hash(("line", (("H", Fraction(1)),)))
     assert str(Unbounded(_H)) == "UNBOUNDED"
 
 
