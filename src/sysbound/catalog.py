@@ -8,16 +8,16 @@ primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
 dimensions, the nef-cone rays of the rank <= 2 families, and Betti/index
 metadata.  Each ring pairs its own top degree with the fundamental class.
 
-Projective spaces, quadrics, complete intersections, spheres, the circle,
-their products and twists are lazy: each is its integers (dimension, Betti
-and index data, Koszul data, q0), set at construction, where an empty
-intersection is refused by a matching and a ring-less factor of a product
-at once.  The ring and classes are built on first read: the first three
-share one :class:`_ProjectiveModel` of the divisors in a product of
-projective spaces, a product tensors its factors' rings, and a twist shares
-its base's.  So the Todd genus, the length, the index polynomial and every
-bound read off the dimension, the length or the Fano index of these spaces
-build no ring; projective bundles and point blowups are built whole.
+Every space is its integers (dimension, Betti and index data, Koszul data,
+q0), set at construction, where an empty intersection is refused by a
+matching and a ring-less factor of a product at once, and its recipes,
+which build the ring and classes on first read.  Projective spaces,
+quadrics and complete intersections share one :class:`_ProjectiveModel` of
+the divisors in a product of projective spaces; a projective bundle and a
+point blowup each have one cached builder; a product tensors its factors'
+rings, and a twist shares its base's.  So the length, the index polynomial
+and every bound read off the dimension, the length, the Fano index or b2
+build no ring, nor does the Todd genus but on a projective bundle.
 ``sysbound.characteristic`` is imported only where a tangent or an A-hat
 class is built.
 
@@ -45,10 +45,9 @@ if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
 
 
 class _Made:
-    """A ring-side field of :class:`Space`, set by an eager space's
-    ``__init__``.  On a lazy space the first read runs the recipe for it
-    (``default`` without one) and keeps the value in the instance dict:
-    later reads are plain hits."""
+    """A ring-side field of :class:`Space`: the first read runs the space's
+    recipe for it (``default`` without one) and keeps the value in the
+    instance dict, so later reads are plain hits."""
 
     def __init__(self, default=None):
         self.default = default
@@ -67,22 +66,18 @@ class _Made:
 class Space(Record, frozen=False):
     """A catalog manifold; immutable by convention after construction.
 
-    Recipes run on the first read of the value they make, and the value is
-    kept: ``tangent_of`` makes ``tangent`` (the tangent Chern data), and
-    ``a_hat_of`` makes ``a_hat_cls``, which without a recipe is the A-hat
-    class of the tangent.  ``todd_cls`` is read off c1 and A-hat the same
-    way.  ``c1`` defaults to the tangent's first Chern class.
-
-    The public constructor is eager: it is given the ring and the classes.
-    The catalog's lazy spaces are given ``_recipes`` instead: their integers
-    (b1, b2, dimensions, complexness, ``koszul``, q0) are set at
-    construction, and each ring-side field (``ring``, ``c1``, ``spin_c``,
-    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``factor_embeddings``) is
-    made by its recipe on first read, None (or empty) without one.  ``_q0``,
-    recorded on lazy spaces only, is the integer with spin_c = q0 x for the
-    primitive class x: a twist shares the other recipes and moves q0 and
-    spin_c.  :meth:`lacks` and :meth:`check_ring` answer from the recipes
-    and build nothing.
+    The integers (b1, b2, dimensions, complexness, ``koszul``, q0) are set at
+    construction.  Recipes run on the first read of the value they make, and
+    the value is kept: each ring-side field (``ring``, ``c1``, ``spin_c``,
+    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``factor_embeddings``) has
+    one in ``_recipes``, or is None (or empty).  The catalog gives
+    ``_recipes``; a class given to the public constructor becomes a recipe
+    that returns it, and c1 defaults to the tangent's first Chern class.
+    ``tangent_of`` makes ``tangent``, ``a_hat_of`` makes ``a_hat_cls`` (the
+    tangent's A-hat class without one), and ``todd_cls`` is read off both.
+    ``_q0``, recorded by the catalog only, is the integer with spin_c = q0 x
+    for the primitive class x.  :meth:`lacks` and :meth:`check_ring` answer
+    from the recipes and build nothing.
 
     ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
     are those of the complete intersection of the divisors ``rows`` in
@@ -93,9 +88,9 @@ class Space(Record, frozen=False):
     from rows in one projective space.  ``factor_embeddings`` are the
     (left, right) class maps on products.
 
-    ``Space.replace`` reads every field, so the copy is eager: its classes
-    are the original's and its q0 is read off its own spin_c.  Kept values
-    are not fields, so it never copies a value computed for another space.
+    ``Space.replace`` reads every field, so the copy is given the original's
+    classes and reads its q0 off its own spin_c.  Kept values are not
+    fields, so it never copies a value computed for another space.
     """
 
     ring, c1, spin_c, primitive_x, odd_xi = (_Made() for _ in range(5))
@@ -116,15 +111,15 @@ class Space(Record, frozen=False):
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
-            kahler_einstein=kahler_einstein, notes=notes, _recipes=_recipes,
-            _q0=_q0)
-        if _recipes is None:  # eager: the classes are given
-            self.__dict__.update(
-                ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
-                odd_xi=odd_xi, nef_rays=nef_rays,
-                factor_embeddings=factor_embeddings)
-            if c1 is None and tangent_of is not None:
-                self.c1 = self.tangent.chern(1)
+            kahler_einstein=kahler_einstein, notes=notes, _q0=_q0)
+        given = dict(ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
+                     odd_xi=odd_xi, nef_rays=nef_rays,
+                     factor_embeddings=factor_embeddings)
+        self._recipes = {field: lambda value=value: value
+                         for field, value in given.items() if value is not None}
+        if tangent_of is not None:  # c1 defaults to the tangent's
+            self._recipes.setdefault("c1", lambda: tangent_of().chern(1))
+        self._recipes.update(_recipes or {})
         if not (metadata_only or real_dim % 2 or self.lacks("odd_xi")):
             raise PreconditionUnmet(
                 "%s: a degree-1 class is only recorded in odd dimensions" % name)
@@ -145,14 +140,14 @@ class Space(Record, frozen=False):
     @cached_property
     def todd_cls(self) -> GradedClass | None:
         """Todd = exp(c1/2) * A-hat on complex spaces carrying both."""
-        if not self.is_complex or self.c1 is None or self.a_hat_cls is None:
+        if not self.is_complex or self.a_hat_cls is None or self.c1 is None:
             return None
         from .characteristic import todd_from_a_hat
         return todd_from_a_hat(self.c1, self.a_hat_cls)
 
     def lacks(self, name: str) -> bool:
         """Whether the field ``name`` is None, answered for a ring-side
-        field of a lazy space from its recipes, building nothing."""
+        field not yet read from the recipes, building nothing."""
         if name in self.__dict__ or name not in _RING_SIDE:
             return getattr(self, name) is None
         return name not in self._recipes
@@ -180,7 +175,7 @@ class Space(Record, frozen=False):
         return self.real_dim // 2
 
 
-#: the fields a lazy space makes by its recipes
+#: the fields a space makes by its recipes
 _RING_SIDE = frozenset(name for name in Space._fields
                        if isinstance(vars(Space).get(name), _Made))
 
@@ -362,39 +357,36 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         raise PreconditionUnmet("projective bundle needs at least two degrees")
     if genus < 0:
         raise PreconditionUnmet("genus must be nonnegative")
-    e = sum(degrees)
-    gens = [Generator("xi", 2, False), Generator("f", 2, False)]
-    top = (n - 1, 1)
-    rhs = {top: Fraction(e)} if e else {}
-    ring = make_ring(RingPresentation(
-        generators=gens,
-        truncation=2 * n,
-        power_rules={"xi": (n, rhs), "f": (2, {})},
-        pairing={top: Fraction(1)},
-    ))
-    xi, f = ring.gen("xi"), ring.gen("f")
-    # the tangent's total Chern class; it becomes ChernData on first read
-    total = 1 + (2 - 2 * genus) * f
-    for d in degrees:
-        total = total * (1 + xi - d * f)
+    e, top = sum(degrees), (n - 1, 1)
+
+    @cache
+    def made():  # (ring, c1, nef rays, the tangent's total Chern class)
+        ring = make_ring(RingPresentation(
+            generators=[Generator("xi", 2, False), Generator("f", 2, False)],
+            truncation=2 * n, pairing={top: Fraction(1)},
+            power_rules={"xi": (n, {top: Fraction(e)} if e else {}),
+                         "f": (2, {})}))
+        xi, f = ring.gen("xi"), ring.gen("f")
+        total = 1 + (2 - 2 * genus) * f
+        for d in degrees:
+            total = total * (1 + xi - d * f)
+        c1 = total.component(2)
+        expected_c1 = n * xi + (2 - 2 * genus - e) * f
+        if c1 != expected_c1:
+            raise CertificateFailed(
+                "first Chern class certificate: c1 = %s, closed form %s"
+                % (c1, expected_c1))
+        return ring, c1, (xi, f), total
 
     def tangent_of():
         from .characteristic import ChernData
-        return ChernData(rank=n, total=total)
-    c1 = total.component(2)
-    expected_c1 = n * xi + (2 - 2 * genus - e) * f
-    if c1 != expected_c1:
-        raise CertificateFailed(
-            "first Chern class certificate: c1 = %s, closed form %s"
-            % (c1, expected_c1))
+        return ChernData(rank=n, total=made()[3])
     return Space(
         name="PB(degrees=%s; genus=%d)" % (degrees, genus), family="PB",
-        real_dim=2 * n, b1=2 * genus, b2=2,
-        ring=ring, tangent_of=tangent_of, c1=c1, is_complex=True,
-        complex_dim=n, spin_c=expected_c1,
-        nef_rays=(xi, f),
+        real_dim=2 * n, b1=2 * genus, b2=2, tangent_of=tangent_of,
+        is_complex=True, complex_dim=n,
         notes="ring ignores the odd cohomology of the base curve",
-    )
+        _recipes=_two_ray_recipes(made))
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +538,31 @@ def blowup_point(n: int) -> Space:
     """
     if n < 2:
         raise PreconditionUnmet("point blowup needs n >= 2")
-    gens = [Generator("H", 2, False), Generator("E", 2, False)]
-    ring = make_ring(RingPresentation(
-        generators=gens, truncation=2 * n,
-        power_rules={"H": (n + 1, {}), "E": (n + 1, {})},
-        pair_rules=[("H", "E")],
-        pairing={(n, 0): Fraction(1), (0, n): Fraction((-1) ** (n + 1))},
-    ))
-    H, E = ring.gen("H"), ring.gen("E")
-    c1 = (n + 1) * H - (n - 1) * E
+
+    @cache
+    def made():  # (ring, c1, nef rays)
+        ring = make_ring(RingPresentation(
+            generators=[Generator("H", 2, False), Generator("E", 2, False)],
+            truncation=2 * n, pair_rules=[("H", "E")],
+            power_rules={"H": (n + 1, {}), "E": (n + 1, {})},
+            pairing={(n, 0): Fraction(1), (0, n): Fraction((-1) ** (n + 1))}))
+        H, E = ring.gen("H"), ring.gen("E")
+        return ring, (n + 1) * H - (n - 1) * E, (H, H - E)
+
     return Space(
         name="BlP(%d)" % n, family="BlP", real_dim=2 * n, b1=0, b2=2,
-        ring=ring, is_complex=True, complex_dim=n,
-        c1=c1, spin_c=c1,
-        nef_rays=(H, H - E),
+        is_complex=True, complex_dim=n,
         notes="tangent Chern data beyond c1 not tracked",
-    )
+        _recipes=_two_ray_recipes(made))
+
+
+def _two_ray_recipes(made) -> dict:
+    """The recipes of a PB or BlP, read off its builder ``made``, whose value
+    starts (ring, c1, nef rays); spin_c is c1."""
+    recipes = {"ring": lambda: made()[0], "c1": lambda: made()[1],
+               "nef_rays": lambda: made()[2]}
+    recipes["spin_c"] = recipes["c1"]
+    return recipes
 
 
 # ---------------------------------------------------------------------------
@@ -570,27 +571,25 @@ def blowup_point(n: int) -> Space:
 
 
 def twist_spin_c(space: Space, k: int) -> Space:
-    """Replace the characteristic class c by c + 2k x; parity is preserved."""
+    """Replace the characteristic class c by c + 2k x; parity is preserved.
+    The twist shares every recipe but spin_c's, and the tangent and A-hat,
+    which do not see the spin^c class; it moves q0 where it is recorded."""
     space.check_ring()
     if space.b2 != 1 or space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "twisting needs b2 = 1 with a recorded primitive degree-2 class")
     if k == 0:
         return space
-    # tangent and A-hat do not see the spin^c class: the twist keeps them
-    changes = {"name": "%s twist(%d)" % (space.name, k),
-               "notes": (space.notes + "; " if space.notes else "")
-               + "twisted spin^c class"}
-    if space._q0 is None:  # the classes were given, to it or to a factor
-        return space.replace(
-            spin_c=space.spin_c + (2 * k) * space.primitive_x, **changes)
-    # a lazy twist shares the other recipes, so the ring and classes
-    q0, primitive = space._q0 + 2 * k, space._recipes["primitive_x"]
+    spin_c, primitive = space._recipes["spin_c"], space._recipes["primitive_x"]
     fields = {name: getattr(space, name) for name in space._fields
-              if name not in _RING_SIDE} | changes
-    return Space(**fields, _q0=q0,
-                 _recipes=dict(space._recipes,
-                               spin_c=lambda: q0 * primitive()))
+              if name not in _RING_SIDE}
+    fields.update(name="%s twist(%d)" % (space.name, k),
+                  notes=(space.notes + "; " if space.notes else "")
+                  + "twisted spin^c class")
+    return Space(**fields,
+                 _q0=None if space._q0 is None else space._q0 + 2 * k,
+                 _recipes=dict(space._recipes, spin_c=lambda: spin_c()
+                               + (2 * k) * primitive()))
 
 
 # ---------------------------------------------------------------------------

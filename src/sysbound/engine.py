@@ -122,8 +122,8 @@ def _twist_series(space: Space, base: GradedClass, cls: GradedClass,
 def _index_data(space: Space) -> int:
     """The integer q0 with c = q0 x, on a space with an index polynomial;
     an odd space must carry its degree-1 factor xi, checked before the
-    A-hat class is read.  A lazy space with ``koszul`` data and a recorded
-    q0 answers from its integers, with no ring built."""
+    A-hat class is read.  A space with ``koszul`` data and a recorded q0
+    answers from its integers, with no ring built."""
     space.check_ring()
     if space.lacks("primitive_x"):
         raise NoPrimitiveClass(
@@ -203,8 +203,8 @@ def _binomial(n: int, u: int) -> int:
 
 
 def _spin_c_multiple(space: Space) -> int:
-    """The integer q0 with c = q0 * x in real cohomology: recorded on a
-    lazy space, elsewhere read off the classes."""
+    """The integer q0 with c = q0 * x in real cohomology: recorded by the
+    catalog, elsewhere read off the classes."""
     if space._q0 is not None:
         return space._q0
     x = space.primitive_x

@@ -21,6 +21,7 @@ from sysbound.errors import (CalculatorError, EmptyIntersection,
                              MetadataOnlySpace, NoPrimitiveClass,
                              PreconditionUnmet)
 from sysbound.graded import Generator, RingPresentation, make_ring
+from test_index_engine import _cp2_model, _k3_model
 
 
 def test_projective_space_data():
@@ -224,15 +225,16 @@ def test_an_explicit_spin_c_class_wins_over_the_recorded_q0():
 def test_a_lazy_product_answers_as_the_eager_route(build, spin_c, length,
                                                    coeffs, q0):
     # the values the products gave when they were built with every class;
-    # replace reads every field, so its copy is eager and reads q0 off its
-    # spin_c, and without koszul data the polynomial is integrated in the ring
+    # replace reads every field, so its copy is given the classes and reads
+    # q0 off its spin_c, and without koszul data the polynomial is
+    # integrated in the ring
     for space in (build(), build().replace()):
         assert repr(space.spin_c) == spin_c
         assert engine.length(space) == length
         poly = engine.index_polynomial(space)
         assert (poly.coeffs, poly.q0) == (coeffs, q0)
-    eager = build().replace(koszul=None)
-    assert engine.index_polynomial(eager).coeffs == coeffs
+    given = build().replace(koszul=None)
+    assert engine.index_polynomial(given).coeffs == coeffs
 
 
 def test_metadata_spaces_reject_ring_operations():
@@ -403,17 +405,28 @@ def test_divisors_that_do_not_meet_are_refused():
     assert complete_intersection([[1, 0], [0, 1]], [1, 5]).complex_dim == 4
 
 
+#: spaces built with given classes by the public constructor
+_GIVEN = {
+    "K3-model": _k3_model, "CP2-model": _cp2_model,
+    "point": lambda: catalog.Space(name="pt", family="point", real_dim=0,
+                                   b1=0, b2=0),
+    "S1 by hand": lambda: catalog.Space(
+        name="S1", family="S", real_dim=1, b1=1, b2=0,
+        ring=circle().ring, odd_xi=circle().odd_xi)}
+
+
 @pytest.mark.parametrize("desc", [
     *BATCH_POOL, "S1", "S(2)", "S(3)", "S1 * S1", "S1 * CP(3)",
-    "CP(2) * S(2) * S1", "S(2).twist(1)", "Q(3).twist(1) * S1"])
+    "CP(2) * S(2) * S1", "S(2).twist(1)", "Q(3).twist(1) * S1", *_GIVEN])
 def test_lacks_answers_as_a_read_of_each_ring_side_field(desc):
-    # a lazy space's recipes are keyed by ring-side fields only, and lacks
-    # answers from them what a read of a field that may be None gives
-    space = parse_space(desc).build()
-    if space._recipes is not None:
-        assert set(space._recipes) <= catalog._RING_SIDE
+    # every space's recipes are keyed by ring-side fields only, and lacks
+    # answers from them what a read of a field that may be None gives, on
+    # the space and on its copy, whose recipes are the classes it is given
+    def build():
+        return _GIVEN[desc]() if desc in _GIVEN else parse_space(desc).build()
+    assert set(build()._recipes) <= catalog._RING_SIDE
     for name in sorted(catalog._RING_SIDE):
         if vars(catalog.Space)[name].default is not None:
             continue  # nef_rays, factor_embeddings: () without one
-        fresh = parse_space(desc).build()
-        assert fresh.lacks(name) is (getattr(fresh, name) is None), name
+        for fresh in (build(), build().replace()):
+            assert fresh.lacks(name) is (getattr(fresh, name) is None), name

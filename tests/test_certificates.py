@@ -5,7 +5,9 @@ is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
 certificate, the ellipsoid fit's positive-definiteness check and, on a
 reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
-certificates, and the decimal writer's refinement of its pi enclosure. The guard test keeps ``assert`` out of the package source.
+certificates, the decimal writer's refinement of its pi enclosure, and a
+projective bundle's first-Chern-class certificate.  The guard test keeps
+``assert`` out of the package source.
 """
 
 import ast
@@ -23,7 +25,7 @@ _PACKAGE = Path(sysbound.__file__).resolve().parent
 _FORCE_FAILURES = r'''
 import ast, io, json, sys
 from fractions import Fraction
-from sysbound import catalog, cones, lattices, pushforward, values
+from sysbound import catalog, cones, graded, lattices, pushforward, values
 from sysbound.cli import run_command
 from sysbound.errors import CertificateFailed
 
@@ -111,6 +113,30 @@ decimal = [outcome(lambda: values.decimal_text(Fraction(1), 1, 3)),
                        out=dec_out, err=dec_err),
            dec_out.getvalue(), dec_err.getvalue()]
 values._pi_bounds = pi_bounds
+# a projective bundle's c1 read off its tangent doubled: its builder's
+# first-Chern-class certificate fails on the first read of a class, and a
+# reply refused on b2 = 2 reads none and builds no ring
+component = graded.GradedClass.component
+graded.GradedClass.component = lambda cls, degree: 2 * component(cls, degree)
+ring_init, rings = graded.Ring.__init__, []
+
+
+def counted(ring, presentation):
+    rings.append(presentation)
+    ring_init(ring, presentation)
+
+
+graded.Ring.__init__ = counted
+bundle_certificate = {}
+for argv in (["phi-sup"], ["bound", "--theorem", "thm1.3"]):
+    pb_out, pb_err = io.StringIO(), io.StringIO()
+    del rings[:]
+    pb_code = run_command(argv + ["--space", "PB(degrees=[0,1]; genus=0)"],
+                          out=pb_out, err=pb_err)
+    bundle_certificate[argv[0]] = [pb_code, pb_out.getvalue(),
+                                   pb_err.getvalue(), len(rings)]
+graded.GradedClass.component = component
+graded.Ring.__init__ = ring_init
 print(json.dumps({
     "optimized": not __debug__,
     "decimal": decimal,
@@ -124,6 +150,7 @@ print(json.dumps({
     "bundle_cli": [bp_code, bp_err.getvalue()],
     "kz": kz_reports,
     "fit": fit,
+    "bundle_certificate": bundle_certificate,
 }))
 '''
 
@@ -177,6 +204,11 @@ def test_forced_certificate_failures_raise_under_optimize():
     assert code == 1
     assert err == ("error: bundle supremum certificate: the profile may "
                    "decrease in x on x <= 1\n")
+    assert report["bundle_certificate"] == {
+        "phi-sup": [1, "", "error: first Chern class certificate: c1 = "
+                    "2*f + 4*xi, closed form f + 2*xi\n", 1],
+        "bound": [1, "", "error: PB(degrees=[0, 1]; genus=0) must have b2 = 1 "
+                  "with a degree-2 class u, u^n nonzero\n", 0]}
 
 
 def test_package_has_no_assert_statements():

@@ -971,20 +971,21 @@ def test_closed_form_replies_build_no_ring(command, ring_builds):
     assert codes == {0, 1}
 
 
-def test_only_projective_bundles_and_blowups_build_a_ring(ring_builds):
-    # one pass of the integer replies over the pool: a product, CP, Q, CI
-    # and twist answers from its integers, a PB or BlP is built whole
+def test_only_todd_on_a_projective_bundle_builds_a_ring(ring_builds):
+    # one pass of the integer replies over the pool: every space answers
+    # from its integers or is refused on them, and only a PB's Todd genus
+    # integrates in its ring
     built = {}
     for command in (("todd",), ("length",), ("index-poly",),
                     ("bound", "--theorem", "thm1.1")):
         for desc in BATCH_POOL:
             _run([*command, "--space", desc])
             if ring_builds:
-                built[desc] = built.get(desc, 0) + len(ring_builds)
+                built[command[0], desc] = len(ring_builds)
             del ring_builds[:]
-    assert built == {desc: 4 for desc in BATCH_POOL
-                     if desc.startswith(("PB(", "BlP("))}
-    assert len(built) == 14
+    assert built == {("todd", desc): 1 for desc in BATCH_POOL
+                     if desc.startswith("PB(")}
+    assert len(built) == 8
 
 
 @pytest.mark.parametrize("factor", ["CP(3)", "Q(4)", "CP(2).twist(1)"])
@@ -1014,17 +1015,28 @@ _VANISHING = ("error: the factor %s has vanishing index pairing "
               "<eta e^(c/2) A-hat(TN), [N]>\n")
 
 
-@pytest.mark.parametrize("desc, err", [
+#: projective bundles and point blowups: b2 = 2 refuses them from integers
+_TWO_RAYS = ("PB(degrees=[0,1]; genus=0)", "PB(degrees=[1,1,1,1]; genus=2)",
+             "BlP(2)", "BlP(7)")
+
+
+@pytest.mark.parametrize("theorem, desc, err", [
     # an odd N without its degree-1 class is refused before its A-hat class
     # is read: neither X's ring (its rows answer) nor the sphere's is built
-    *((desc, _VANISHING % desc.split(" * ")[1]) for desc in (
+    *(("thm1.3", desc, _VANISHING % desc.split(" * ")[1]) for desc in (
         "CP(2) * S(3)", "CP(3) * S(5)", "Q(4) * S(3)", "Q(3) * S(3)")),
     # X = CP(2) * S1 has the rows of CP(2), and <t u^2, [X]> = 1 is read
     # from them
-    ("CP(2) * S1 * S(2)", "error: b2(N) = 0 is required so that b2(X x N) "
-     "= 1 (got b2 = 1 on S(2))\n")])
-def test_thm1_3_refusals_build_no_ring(desc, err, ring_builds):
-    assert _run(["bound", "--theorem", "thm1.3", "--space", desc]) == (
+    ("thm1.3", "CP(2) * S1 * S(2)", "error: b2(N) = 0 is required so that "
+     "b2(X x N) = 1 (got b2 = 1 on S(2))\n"),
+    # b2 = 2 on a projective bundle or a blowup is read off its integers
+    *(("thm1.3", desc, "error: %s must have b2 = 1 with a degree-2 class u, "
+       "u^n nonzero\n" % desc.replace(",", ", ")) for desc in _TWO_RAYS),
+    *(("thm5.6", desc, "error: the index-refined bound needs X diffeomorphic "
+       "to a Fano manifold with b2 = 1 and recorded Fano index\n")
+      for desc in _TWO_RAYS)])
+def test_thm1_3_refusals_build_no_ring(theorem, desc, err, ring_builds):
+    assert _run(["bound", "--theorem", theorem, "--space", desc]) == (
         1, "", err)
     assert ring_builds == []
 
@@ -1044,17 +1056,22 @@ def test_phi_sup_builds_one_ring(ring_builds):
     assert answered > len(_PROJECTIVE) // 2
 
 
+#: a nested product, and products of a PB and a BlP with the circle
+_CYCLE_EXTRA = ("CP(2) * S(2) * S1", "BlP(3) * S1",
+                "PB(degrees=[0,1]; genus=1) * S1")
+
 _NO_CYCLES = r'''
 import gc, json
 from batch_pool import BATCH_POOL
 from sysbound import catalog
 from sysbound.cli import parse_space
 
+EXTRA = %r
 collected = []
 gc.collect()
 gc.disable()
 try:
-    for desc in BATCH_POOL + ("CP(2) * S(2) * S1",):
+    for desc in BATCH_POOL + EXTRA:
         space = parse_space(desc).build()
         del space
         collected.append([desc, gc.collect()])
@@ -1063,20 +1080,22 @@ try:
                    if space.b2 == 1 and not space.lacks("primitive_x")
                    else space)
         repr(twisted), repr(space), space.tangent, space.a_hat_cls
+        if not space.lacks("ring"):
+            space.ring, space.c1, space.nef_rays
         del space, twisted
         collected.append([desc, gc.collect()])
 finally:
     gc.enable()
 print(json.dumps([collected, len(gc.garbage)]))
-'''
+''' % (_CYCLE_EXTRA,)
 
 
 def test_dropped_spaces_leave_no_reference_cycles():
     # a space, its twists, its factors and their recipes refer to one
     # another in one direction only, so reference counting frees them: the
     # cycle collector finds nothing, whether the ring was built or not, on
-    # the pool and on a nested product.  A fresh process,
-    # so each collection walks this check's heap and not the suite's.
+    # the pool and on ``_CYCLE_EXTRA``.  A fresh process, so each collection
+    # walks this check's heap and not the suite's.
     env = _child_env()
     env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
     proc = subprocess.run([sys.executable, "-c", _NO_CYCLES],
@@ -1084,8 +1103,7 @@ def test_dropped_spaces_leave_no_reference_cycles():
     assert proc.returncode == 0, proc.stderr
     collected, garbage = json.loads(proc.stdout)
     assert [desc for desc, _ in collected] == [
-        desc for desc in BATCH_POOL + ("CP(2) * S(2) * S1",)
-        for _ in range(2)]
+        desc for desc in BATCH_POOL + _CYCLE_EXTRA for _ in range(2)]
     assert [(desc, found) for desc, found in collected if found] == []
     assert garbage == 0
 

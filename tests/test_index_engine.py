@@ -176,21 +176,55 @@ def test_length_window_bound():
         assert length(space) <= space.half_dim + 1
 
 
-def test_length_zero_encodes_obstruction():
-    # a K3-like surface: c1 = 0, c2 = 24 x^2, A-hat genus 2
+def _k3_model():
+    """A K3-like surface built with given classes: c1 = 0, c2 = 24 x^2,
+    A-hat genus 2."""
     ring = truncated_polynomial_ring("x", 2, 2, 1)
     x = ring.gen("x")
     tangent = ChernData(rank=2, total=1 + 24 * x ** 2)
     from sysbound.characteristic import a_hat
-    k3 = Space(name="K3-model", family="custom", real_dim=4, b1=0, b2=1,
-               ring=ring, is_complex=True, complex_dim=2,
-               tangent_of=lambda: tangent, c1=ring.zero(),
-               a_hat_of=lambda: a_hat(tangent),
-               spin_c=ring.zero(), primitive_x=x)
+    return Space(name="K3-model", family="custom", real_dim=4, b1=0, b2=1,
+                 ring=ring, is_complex=True, complex_dim=2,
+                 tangent_of=lambda: tangent, c1=ring.zero(),
+                 a_hat_of=lambda: a_hat(tangent),
+                 spin_c=ring.zero(), primitive_x=x)
+
+
+def _cp2_model():
+    """CP(2) built by hand: its c1 is read off the given tangent."""
+    ring = truncated_polynomial_ring("x", 2, 2, 1)
+    x = ring.gen("x")
+    tangent = ChernData(rank=2, total=1 + 3 * x + 3 * x ** 2)
+    return Space(name="CP2-model", family="custom", real_dim=4, b1=0, b2=1,
+                 ring=ring, is_complex=True, complex_dim=2,
+                 tangent_of=lambda: tangent, spin_c=3 * x, primitive_x=x)
+
+
+def test_length_zero_encodes_obstruction():
+    k3 = _k3_model()
     assert integrate(k3, k3.a_hat_cls) == 2
     assert length(k3) == 0
     with pytest.raises(LichnerowiczObstruction):
         systolic_bound(k3, None, "prop5.1")
+
+
+@pytest.mark.parametrize("build, c1, spin_c, poly, twice, todd, size", [
+    (_cp2_model, "3*x", "5*x", "3 + 5/2*a + 1/2*a^2", "6 + 7/2*a + 1/2*a^2",
+     1, 3),
+    (_k3_model, "0", "2*x", "5/2 + a + 1/2*a^2", "4 + 2*a + 1/2*a^2", 2, 0)],
+    ids=["CP2-model", "K3-model"])
+def test_a_twist_keeps_the_given_classes(build, c1, spin_c, poly, twice, todd,
+                                         size):
+    # the twist shares the recipes of the given classes, the c1 read off the
+    # tangent among them, on the space and on its copy alike
+    for space in (build(), build().replace(notes="copied")):
+        twisted = twist_spin_c(space, 1)
+        assert twisted.ring is space.ring
+        assert twisted.primitive_x is space.primitive_x
+        assert (repr(twisted.c1), repr(twisted.spin_c)) == (c1, spin_c)
+        assert str(index_polynomial(twisted)) == poly
+        assert str(index_polynomial(twist_spin_c(twisted, 1))) == twice
+        assert (todd_genus(twisted), length(twisted)) == (todd, size)
 
 
 def test_product_length_bound():
