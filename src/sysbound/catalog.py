@@ -21,6 +21,18 @@ build no ring, nor does the Todd genus but on a projective bundle.
 ``sysbound.characteristic`` is imported only where a tangent or an A-hat
 class is built.
 
+A complex space also records its top intersection form on H^2
+(:class:`forms.Form`) from the same integers: the pairings <D^e, [X]> of the top
+monomials in its degree-2 generators, and c1 and the nef rays as integer
+coordinate vectors.  A model takes the pairing from its rows, a point
+blowup and a projective bundle from closed forms (the bundle's c1
+certified ring-free), a product of two such spaces the Kuenneth product of
+their forms, and a twist its base's; a space given its classes by the
+public constructor reads its form off its ring.  The volume functional,
+phi-sup and the nef threshold read a class's numbers off the form
+(:mod:`sysbound.cones`), so they build no ring; the classes c1 and the nef
+rays are made from the form's vectors when the ring is built.
+
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
 operations that need a ring reject them.
@@ -33,15 +45,16 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
-from .errors import (CertificateFailed, MetadataOnlySpace, NoPrimitiveClass,
-                     PreconditionUnmet, RingMismatch)
-from .graded import (GradedClass, Generator, Ring, RingPresentation, make_ring,
-                     tensor_ring, truncated_polynomial_ring)
+from .errors import (CertificateFailed, MetadataOnlySpace, MissingSpinCClass,
+                     NoPrimitiveClass, PreconditionUnmet, RingMismatch)
+from .graded import (GradedClass, Generator, Ring, RingPresentation,
+                     make_ring, tensor_ring, truncated_polynomial_ring)
 from .kernel import _intersection_dim, _intersection_pairing
 from .values import Record
 
-if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built
-    from .characteristic import ChernData
+if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built,
+    from .characteristic import ChernData  # and forms where a form is read
+    from .forms import Form
 
 
 class _Made:
@@ -88,9 +101,13 @@ class Space(Record, frozen=False):
     from rows in one projective space.  ``factor_embeddings`` are the
     (left, right) class maps on products.
 
+    ``_form_of``, recorded by the catalog only, makes :attr:`form`, the top
+    intersection form; without it the form is read off the ring.
+
     ``Space.replace`` reads every field, so the copy is given the original's
-    classes and reads its q0 off its own spin_c.  Kept values are not
-    fields, so it never copies a value computed for another space.
+    classes, reads its q0 off its own spin_c and its form off its ring.
+    Kept values are not fields, so it never copies a value computed for
+    another space.
     """
 
     ring, c1, spin_c, primitive_x, odd_xi = (_Made() for _ in range(5))
@@ -105,13 +122,15 @@ class Space(Record, frozen=False):
                  koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
                  fano_index=None, metadata_only=False, nef_rays=(),
                  kahler_einstein=None, notes="", factor_embeddings=(),
-                 _recipes: dict | None = None, _q0: int | None = None):
+                 _recipes: dict | None = None, _q0: int | None = None,
+                 _form_of: Callable[[], Form] | None = None):
         self.__dict__.update(
             name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
-            kahler_einstein=kahler_einstein, notes=notes, _q0=_q0)
+            kahler_einstein=kahler_einstein, notes=notes, _q0=_q0,
+            _form_of=_form_of)
         given = dict(ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
                      odd_xi=odd_xi, nef_rays=nef_rays,
                      factor_embeddings=factor_embeddings)
@@ -136,6 +155,16 @@ class Space(Record, frozen=False):
             return None
         from .characteristic import a_hat
         return a_hat(self.tangent)
+
+    @cached_property
+    def form(self) -> Form:
+        """The top intersection form on H^2 (:class:`forms.Form`): recorded
+        by the catalog from integers it has, with no ring built, or read
+        off the ring."""
+        if self._form_of is not None:
+            return self._form_of()
+        from .forms import ring_form
+        return ring_form(self)
 
     @cached_property
     def todd_cls(self) -> GradedClass | None:
@@ -186,6 +215,16 @@ def integrate(space: Space, cls: GradedClass) -> Fraction:
     if cls.ring is not ring:
         raise RingMismatch("class does not live on %s" % space.name)
     return ring.integrate_top(cls)
+
+
+def _made_recipes(made) -> dict:
+    """The recipes of a space with a recorded form, read off ``made()``,
+    whose value starts (ring, c1, nef rays), the classes made from the form;
+    spin_c is c1."""
+    recipes = {"ring": lambda: made()[0], "c1": lambda: made()[1],
+               "nef_rays": lambda: made()[2]}
+    recipes["spin_c"] = recipes["c1"]
+    return recipes
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +344,11 @@ def product(x: Space, y: Space) -> Space:
             + tuple(map(right, y.nef_rays)) \
             if x.nef_rays and y.nef_rays else ()
 
+    form_of = None
+    if both_complex and not (x._form_of is None or y._form_of is None):
+        def form_of():
+            return x.form.kunneth(y.form, x.b2 + y.b2 <= 2)
+
     tangent_of = None
     if both_complex and x.tangent_of is not None and y.tangent_of is not None:
         def tangent_of():
@@ -335,7 +379,7 @@ def product(x: Space, y: Space) -> Space:
         b2=x.b2 + y.b2 + x.b1 * y.b1, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
         tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
-        _recipes=recipes, _q0=q0)
+        _recipes=recipes, _q0=q0, _form_of=form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +403,19 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         raise PreconditionUnmet("genus must be nonnegative")
     e, top = sum(degrees), (n - 1, 1)
 
+    def form():  # c1 certified against the closed form
+        from .forms import Form
+        form = Form(("xi", "f"), {top: 1, (n, 0): e} if e else {top: 1},
+                    _first_chern([(0, 2 - 2 * genus)]
+                                 + [(1, -d) for d in degrees]),
+                    ((1, 0), (0, 1)))
+        closed = (n, 2 - 2 * genus - e)
+        if form.c1 != closed:
+            raise CertificateFailed(
+                "first Chern class certificate: c1 = %s, closed form %s"
+                % (form.text(form.c1), form.text(closed)))
+        return form
+
     @cache
     def made():  # (ring, c1, nef rays, the tangent's total Chern class)
         ring = make_ring(RingPresentation(
@@ -366,16 +423,11 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
             truncation=2 * n, pairing={top: Fraction(1)},
             power_rules={"xi": (n, {top: Fraction(e)} if e else {}),
                          "f": (2, {})}))
-        xi, f = ring.gen("xi"), ring.gen("f")
+        pb = form()
+        c1, xi, f = pb.classes(ring, (pb.c1,) + pb.rays)
         total = 1 + (2 - 2 * genus) * f
         for d in degrees:
             total = total * (1 + xi - d * f)
-        c1 = total.component(2)
-        expected_c1 = n * xi + (2 - 2 * genus - e) * f
-        if c1 != expected_c1:
-            raise CertificateFailed(
-                "first Chern class certificate: c1 = %s, closed form %s"
-                % (c1, expected_c1))
         return ring, c1, (xi, f), total
 
     def tangent_of():
@@ -386,7 +438,13 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         real_dim=2 * n, b1=2 * genus, b2=2, tangent_of=tangent_of,
         is_complex=True, complex_dim=n,
         notes="ring ignores the odd cohomology of the base curve",
-        _recipes=_two_ray_recipes(made))
+        _recipes=_made_recipes(made), _form_of=form)
+
+
+def _first_chern(factors) -> tuple:
+    """The degree-2 part of the product of the classes 1 + v over the
+    coordinate vectors v of degree-2 classes: the sum of the v."""
+    return tuple(map(sum, zip(*factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +457,28 @@ class _ProjectiveModel:
     (multidegrees) in CP(N_1) x ... x CP(N_m), of complex dimension ``dim``,
     each part made on first read and kept.
 
-    The ring stops at X's top degree 2 dim, with H_i^(min(N_i, dim)+1) = 0
-    and the pairing of :func:`kernel._intersection_pairing`.  c1 = sum_i
-    (N_i + 1 - sum of the rows' d_i) H_i by adjunction.  The tangent is the
-    Euler sequences' class over (1 + D_1)...(1 + D_r).
+    The form pairs by :func:`kernel._intersection_pairing`, c1 = sum_i
+    (N_i + 1 - sum of the rows' d_i) H_i by adjunction, and the nef rays
+    are the H_i where ``cone`` records them.  The ring stops at X's top
+    degree 2 dim, with H_i^(min(N_i, dim)+1) = 0 and the form's pairing.
+    The tangent is the Euler sequences' class over (1 + D_1)...(1 + D_r).
 
     A model refers to no space, so a space and its twists share one, and
     dropping them frees it without the cycle collector.
     """
 
-    def __init__(self, rows, ns, dim: int):
-        self.rows, self.ns, self.dim = rows, ns, dim
+    def __init__(self, rows, ns, dim: int, cone: bool):
+        self.rows, self.ns, self.dim, self.cone = rows, ns, dim, cone
         self.names = (("H",) if len(ns) == 1 else
                       tuple("H%d" % (i + 1) for i in range(len(ns))))
 
     @cached_property
-    def pairing(self) -> dict:
-        """<H^e, [X]> of each top monomial H^e, read from the rows."""
-        return _intersection_pairing(self.rows, self.ns)
+    def form(self) -> Form:
+        from .forms import Form, _units
+        return Form(self.names, _intersection_pairing(self.rows, self.ns),
+                    tuple(N + 1 - sum(row[i] for row in self.rows)
+                          for i, N in enumerate(self.ns)),
+                    _units(len(self.ns)) if self.cone else ())
 
     @cached_property
     def hs(self) -> tuple:
@@ -426,7 +488,7 @@ class _ProjectiveModel:
             truncation=2 * self.dim,
             power_rules={name: (min(N, self.dim) + 1, {})
                          for name, N in zip(self.names, self.ns)},
-            pairing=self.pairing))
+            pairing=self.form.pairing))
         return tuple(ring.gen(name) for name in self.names)
 
     @property
@@ -434,10 +496,11 @@ class _ProjectiveModel:
         return self.hs[0].ring
 
     @cached_property
-    def c1(self) -> GradedClass:
-        return sum(((N + 1 - sum(row[i] for row in self.rows)) * h
-                    for i, (N, h) in enumerate(zip(self.ns, self.hs))),
-                   self.ring.zero())
+    def classes(self) -> tuple:
+        """(c1, nef rays), made in the ring from the form."""
+        c1, *rays = self.form.classes(self.ring,
+                                      (self.form.c1,) + self.form.rays)
+        return c1, tuple(rays)
 
     def tangent(self) -> ChernData:
         from .characteristic import ChernData, whitney_quotient
@@ -453,26 +516,22 @@ class _ProjectiveModel:
 
 def _model_space(rows, ns, cone: bool, q0, **fields) -> Space:
     """The space of the complete intersection of ``rows`` in CP(ns), an empty
-    one refused: its integers now, its ring and classes from a
+    one refused: its integers now, its form, ring and classes from a
     :class:`_ProjectiveModel` on first read.  ``cone`` records the nef cone,
     whose rays are the H_i.  ``q0`` is None for a space without a primitive
     class, whose spin_c is c1; ``koszul`` records (rows, ns) for the
     engine's Riemann-Roch closed forms."""
     dim = _intersection_dim(rows, ns)
-    model = _ProjectiveModel(rows, ns, dim)
-    recipes = {name: partial(getattr, model, name) for name in ("ring", "c1")}
-    if cone:
-        recipes["nef_rays"] = lambda: model.hs
-    if q0 is None:
-        recipes["spin_c"] = recipes["c1"]
-    else:
+    model = _ProjectiveModel(rows, ns, dim, cone)
+    recipes = _made_recipes(lambda: (model.ring, *model.classes))
+    if q0 is not None:
         recipes["primitive_x"] = lambda: model.hs[0]
         recipes["spin_c"] = lambda: q0 * model.hs[0]
     return Space(
         real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
         tangent_of=model.tangent,
         koszul=(tuple(map(tuple, rows)), tuple(ns)), _recipes=recipes,
-        _q0=q0, **fields)
+        _q0=q0, _form_of=partial(getattr, model, "form"), **fields)
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -539,30 +598,27 @@ def blowup_point(n: int) -> Space:
     if n < 2:
         raise PreconditionUnmet("point blowup needs n >= 2")
 
+    def form():
+        from .forms import Form
+        return Form(("H", "E"), {(n, 0): 1, (0, n): (-1) ** (n + 1)},
+                    (n + 1, 1 - n), ((1, 0), (1, -1)))
+
     @cache
     def made():  # (ring, c1, nef rays)
+        f = form()
         ring = make_ring(RingPresentation(
             generators=[Generator("H", 2, False), Generator("E", 2, False)],
             truncation=2 * n, pair_rules=[("H", "E")],
             power_rules={"H": (n + 1, {}), "E": (n + 1, {})},
-            pairing={(n, 0): Fraction(1), (0, n): Fraction((-1) ** (n + 1))}))
-        H, E = ring.gen("H"), ring.gen("E")
-        return ring, (n + 1) * H - (n - 1) * E, (H, H - E)
+            pairing=f.pairing))
+        c1, *rays = f.classes(ring, (f.c1,) + f.rays)
+        return ring, c1, tuple(rays)
 
     return Space(
         name="BlP(%d)" % n, family="BlP", real_dim=2 * n, b1=0, b2=2,
         is_complex=True, complex_dim=n,
         notes="tangent Chern data beyond c1 not tracked",
-        _recipes=_two_ray_recipes(made))
-
-
-def _two_ray_recipes(made) -> dict:
-    """The recipes of a PB or BlP, read off its builder ``made``, whose value
-    starts (ring, c1, nef rays); spin_c is c1."""
-    recipes = {"ring": lambda: made()[0], "c1": lambda: made()[1],
-               "nef_rays": lambda: made()[2]}
-    recipes["spin_c"] = recipes["c1"]
-    return recipes
+        _recipes=_made_recipes(made), _form_of=form)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +628,17 @@ def _two_ray_recipes(made) -> dict:
 
 def twist_spin_c(space: Space, k: int) -> Space:
     """Replace the characteristic class c by c + 2k x; parity is preserved.
-    The twist shares every recipe but spin_c's, and the tangent and A-hat,
-    which do not see the spin^c class; it moves q0 where it is recorded."""
+    The twist shares every recipe but spin_c's, the form, and the tangent
+    and A-hat, which do not see the spin^c class; it moves q0 where it is
+    recorded.  A space without a spin^c class is refused before any recipe
+    is read."""
     space.check_ring()
     if space.b2 != 1 or space.lacks("primitive_x"):
         raise NoPrimitiveClass(
             "twisting needs b2 = 1 with a recorded primitive degree-2 class")
+    if space.lacks("spin_c"):
+        raise MissingSpinCClass(
+            "%s carries no spin^c class to twist" % space.name)
     if k == 0:
         return space
     spin_c, primitive = space._recipes["spin_c"], space._recipes["primitive_x"]
@@ -586,7 +647,7 @@ def twist_spin_c(space: Space, k: int) -> Space:
     fields.update(name="%s twist(%d)" % (space.name, k),
                   notes=(space.notes + "; " if space.notes else "")
                   + "twisted spin^c class")
-    return Space(**fields,
+    return Space(**fields, _form_of=space._form_of,
                  _q0=None if space._q0 is None else space._q0 + 2 * k,
                  _recipes=dict(space._recipes, spin_c=lambda: spin_c()
                                + (2 * k) * primitive()))

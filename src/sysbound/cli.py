@@ -240,7 +240,7 @@ def _cmd_phi_sup(node, args):
     from . import cones
     result = cones.phi_sup(cones.cone_problem(node.build()))
     if isinstance(result, cones.Unbounded):
-        return [("phi_sup", "UNBOUNDED"), ("witness", repr(result.witness))]
+        return [("phi_sup", "UNBOUNDED"), ("witness", result.witness_text)]
     return [("phi_sup", result)]
 
 

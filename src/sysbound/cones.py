@@ -1,7 +1,14 @@
 """Exact optimization on rank <= 2 nef cones and contraction enumeration.
 
 The nef cones of the catalog families are simplicial and supplied by their
-rays alone; no general cone machinery is attempted.  The volume functional is
+rays alone; no general cone machinery is attempted.  Every number the
+volume functional needs is read off the space's top intersection form on
+H^2 (:class:`forms.Form`) by one evaluator, :func:`_segment`: the
+pairings <alpha^n> and <c1 alpha^(n-1)> of a class, and along a segment of
+classes their coefficients in its parameter.  A class enters as its
+coordinate vector, so ``phi_sup``, ``nef_threshold`` and the bundle profile
+build no ring, and ``phi``, ``s_alpha`` and the engine's volume, average
+scalar curvature and width bound multiply no classes.  The functional is
 optimized on the normalized segment between the rays with exact
 critical-point arithmetic: the critical equation is solved by rational-root
 extraction certified complete by Sturm counting.
@@ -10,85 +17,194 @@ extraction certified complete by Sturm counting.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
-from math import comb
+from math import comb, factorial, prod
+from operator import add, sub
 
 from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
-                     PreconditionUnmet, UnsupportedRank)
+                     PreconditionUnmet, RingMismatch, UnsupportedRank)
 from .kernel import _intersection_dim, _solve_linear, _sparse_mul
 from .values import Record
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
-# imported where a space is integrated or built, so the contraction report and
-# the bundle supremum, which take no space, load no catalog.
+# imported where a bundle is built, so the contraction report and the bundle
+# supremum, which take no space, load no catalog.
 
 
 class ConeProblem(Record):
-    """A space of Picard rank <= 2 with the rays of its nef cone."""
+    """A space of Picard rank <= 2 with the rays of its nef cone.
 
-    def __init__(self, space: Space, rays: tuple):
-        self.__dict__.update(space=space, rays=rays)
+    :func:`cone_problem` records the rays as coordinate vectors of the
+    space's form and makes their classes on first read; a problem built
+    with class rays reads their coordinates off them."""
+
+    def __init__(self, space: Space, rays: tuple | None = None,
+                 _coordinates: tuple | None = None):
+        self.__dict__["space"] = space
+        if rays is not None:
+            self.__dict__["rays"] = rays
+        if _coordinates is not None:
+            self.__dict__["coordinates"] = _coordinates
+
+    @cached_property
+    def rays(self) -> tuple:
+        return tuple(self.space.nef_rays)
+
+    @cached_property
+    def coordinates(self) -> tuple:
+        """The rays' coordinate vectors in the space's form."""
+        return tuple(_coordinates(self.space, ray) for ray in self.rays)
 
 
 class Unbounded(Record):
-    """Verdict of phi_sup on a cone containing a non-big nef direction."""
+    """Verdict of phi_sup on a cone containing a non-big nef direction: the
+    ``witness`` is the problem's ray ``_index``, made on first read."""
 
-    def __init__(self, witness: GradedClass):
-        self.__dict__.update(witness=witness)
+    def __init__(self, witness: GradedClass | None = None,
+                 _problem: ConeProblem | None = None, _index: int = 0):
+        self.__dict__.update(_problem=_problem, _index=_index)
+        if witness is not None:
+            self.__dict__["witness"] = witness
+
+    @cached_property
+    def witness(self) -> GradedClass:
+        return self._problem.rays[self._index]
+
+    @property
+    def witness_text(self) -> str:
+        """The witness as its ring prints it, read off the form when it is
+        a ray of the problem."""
+        if self._problem is None:
+            return repr(self.witness)
+        return self._problem.space.form.text(
+            self._problem.coordinates[self._index])
 
     def __str__(self):
         return "UNBOUNDED"
 
 
 def cone_problem(space: Space) -> ConeProblem:
-    """The space's cone data; a space of Picard rank above 2 is refused
-    before any ring is built."""
+    """The space's cone data, read off its form; a space of Picard rank
+    above 2 or without a recorded cone is refused with no ring built."""
     space.check_ring()
-    if not space.is_complex or space.lacks("c1"):
+    if not space.is_complex or space.complex_dim is None \
+            or space.lacks("c1"):
         raise UnsupportedRank("%s is not a complex catalog space with c1 data"
                               % space.name)
     if space.b2 > 2:
         raise UnsupportedRank("nef-cone optimization is catalogued for "
                               "Picard rank <= 2 only (b2 = %d)" % space.b2)
-    if not space.nef_rays:
+    rays = space.form.rays
+    if not rays:
         raise UnsupportedRank("%s has no recorded nef-cone description"
                               % space.name)
-    return ConeProblem(space=space, rays=tuple(space.nef_rays))
+    return ConeProblem(space=space, _coordinates=rays)
 
 
 # ---------------------------------------------------------------------------
-# the volume functional
+# the volume functional, read off the intersection form
 # ---------------------------------------------------------------------------
+
+
+def _segment(form, base, step=None):
+    """``(num, den)``: <c1 a_t^(n-1)> and <a_t^n> as sparse polynomials
+    {(j,): coefficient of t^j} for the class a_t = base + t step (constant
+    without ``step``), given by coordinate vectors in the basis D_1, ...,
+    D_m of ``form``.
+
+    By the multinomial theorem, a_t^n pairs to the sum over the top
+    monomials D^e of <D^e> C(n; e) prod_i a_i^e_i, a_i the i-th coordinate
+    of a_t; and c1 a_t^(n-1) to the sum over the same e and each i with
+    e_i > 0 of <D^e> c1_i C(n-1; e - 1_i) a_i^(e_i-1) prod_{j != i}
+    a_j^e_j.  Each a_i^k that depends on t is expanded by the binomial
+    theorem as a sparse polynomial in t, and the products are
+    ``kernel._sparse_mul``'s, all in the arithmetic of the coordinates, so
+    integer data stays in the integers.
+    A form without c1 gives num = {}."""
+    step = step or (0,) * len(base)
+    num, den = {}, {}
+    for e, value in form.pairing.items():
+        _accumulate(den, value, e, base, step)
+        for i, c in enumerate(form.c1 or ()):
+            if c and e[i]:
+                _accumulate(num, value * c, e[:i] + (e[i] - 1,) + e[i + 1:],
+                            base, step)
+    return num, den
+
+
+def _accumulate(acc, value, e, base, step):
+    """acc += value C(|e|; e) prod_i (base_i + t step_i)^e_i."""
+    scale = value * (factorial(sum(e)) // prod(map(factorial, e)))
+    term = {(0,): 1}
+    for k, b, s in zip(e, base, step):
+        if not s:
+            scale *= b ** k
+        elif k:
+            term = _sparse_mul(term, {(j,): comb(k, j) * b ** (k - j) * s ** j
+                                      for j in range(k + 1)})
+    for mono, c in term.items():
+        acc[mono] = acc.get(mono, 0) + scale * c
+
+
+def _numbers(form, vector):
+    """``(<c1 a^(n-1)>, <a^n>)`` for the class a with coordinates
+    ``vector`` in ``form``."""
+    num, den = _segment(form, vector)
+    return Fraction(num.get((0,), 0)), Fraction(den.get((0,), 0))
+
+
+def _coordinates(space: Space, cls: GradedClass) -> tuple:
+    """The coordinate vector of a degree-2 class of the space's ring in the
+    basis of its form."""
+    if cls.ring is not space.ring:
+        raise RingMismatch("class does not live on %s" % space.name)
+    coords = space.form.coordinates(cls)
+    if len(cls.terms) != sum(1 for c in coords if c):
+        raise DegenerateClass("a cone class must be homogeneous of degree 2")
+    return coords
+
+
+def _require_c1(space: Space) -> None:
+    """Refuse a space without a ring, c1 or complex dimension; builds
+    nothing."""
+    space.check_ring()
+    if space.lacks("c1") or space.complex_dim is None:
+        raise PreconditionUnmet("%s has no first Chern class data" % space.name)
 
 
 def phi(space: Space, alpha: GradedClass) -> Fraction:
     """(c1 . alpha^(n-1))^n / (alpha^n)^(n-1); homogeneous of degree zero."""
-    space.require_ring()
-    if space.c1 is None or space.complex_dim is None:
-        raise PreconditionUnmet("%s has no first Chern class data" % space.name)
+    _require_c1(space)
     if not alpha.is_homogeneous(2):
         raise DegenerateClass("the argument must be homogeneous of degree 2")
-    from .catalog import integrate
-    n = space.complex_dim
-    top = integrate(space, alpha ** n)
+    return _phi(space, _coordinates(space, alpha))
+
+
+def _phi(space: Space, vector) -> Fraction:
+    """phi at the class with coordinates ``vector`` in the space's form."""
+    mixed, top = _numbers(space.form, vector)
     if top == 0:
         raise DegenerateClass("alpha^n = 0: the volume functional is undefined")
-    mixed = integrate(space, space.c1 * alpha ** (n - 1))
-    if mixed < 0:
-        mixed = Fraction(0)
-    return mixed ** n / top ** (n - 1)
+    n = space.complex_dim
+    return max(mixed, Fraction(0)) ** n / top ** (n - 1)
 
 
 def _ray_coordinates(problem: ConeProblem, alpha: GradedClass):
     """Coordinates of a degree-2 class in the ray basis, or None when the
-    rays are dependent or alpha lies outside their span: one equation per
-    monomial, solved exactly by ``kernel._solve_linear``."""
-    rays = problem.rays
-    monos = sorted({m for r in rays for m in r.terms} | set(alpha.terms))
-    coords = _solve_linear([[r.coefficient(m) for r in rays] for m in monos],
-                           [alpha.coefficient(m) for m in monos])
+    rays are dependent or alpha lies outside their span."""
+    return _in_rays(problem, _coordinates(problem.space, alpha))
+
+
+def _in_rays(problem: ConeProblem, vector):
+    """The coordinates of ``vector`` (in the form) in the ray basis, or
+    None: one equation per basis class, solved exactly by
+    ``kernel._solve_linear``."""
+    rays = problem.coordinates
+    coords = _solve_linear([[ray[i] for ray in rays]
+                            for i in range(len(vector))], vector)
     return None if coords is None else tuple(coords)
 
 
@@ -108,7 +224,8 @@ def nef_threshold(problem: ConeProblem, alpha: GradedClass) -> Fraction:
     a_i > 0) and c1 = sum k_i R_i in the rays, t alpha - c1 is nef exactly
     when every t a_i - k_i >= 0, so t = max k_i / a_i over k_i > 0."""
     coords = _require_open_cone(problem, alpha)
-    c1 = _ray_coordinates(problem, problem.space.c1)
+    c1 = problem.space.form.c1
+    c1 = None if c1 is None else _in_rays(problem, c1)
     if c1 is None:
         raise PreconditionUnmet(
             "the nef rays of %s do not span c1; no threshold is read off "
@@ -124,13 +241,11 @@ def nef_threshold(problem: ConeProblem, alpha: GradedClass) -> Fraction:
 def s_alpha(problem: ConeProblem, alpha: GradedClass) -> Fraction:
     """The ratio (c1 . alpha^(n-1)) / alpha^n; always <= nef_threshold."""
     _require_open_cone(problem, alpha)
-    from .catalog import integrate
     space = problem.space
-    n = space.complex_dim
-    top = integrate(space, alpha ** n)
+    mixed, top = _numbers(space.form, _coordinates(space, alpha))
     if top == 0:
         raise DegenerateClass("alpha^n = 0")
-    value = integrate(space, space.c1 * alpha ** (n - 1)) / top
+    value = mixed / top
     threshold = nef_threshold(problem, alpha)
     if value > threshold:
         raise CertificateFailed(
@@ -150,50 +265,42 @@ def phi_sup(problem: ConeProblem):
     Returns an exact Fraction, or :class:`Unbounded` with a witness nef class
     alpha0 != 0 with alpha0^n = 0 whose c1-pairing stays positive.
     """
-    from .catalog import integrate
     space = problem.space
+    _require_c1(space)
     n = space.complex_dim
-    rays = problem.rays
+    form = space.form
+    rays = problem.coordinates
 
     if len(rays) == 1:
-        return phi(space, rays[0])
+        return _phi(space, rays[0])
     if len(rays) != 2:
         raise UnsupportedRank("phi_sup handles one or two extremal rays")
 
-    interior = rays[0] + rays[1]
-    for ray in rays:
-        top = integrate(space, ray ** n)
+    interior = tuple(map(add, *rays))
+    for index, ray in enumerate(rays):
+        top = _numbers(form, ray)[1]
         if top < 0:
             raise PreconditionUnmet("nef ray with negative top power")
         if top == 0:
-            # non-big direction: certify the positive c1-asymptotics
-            d = None
-            for k in range(n - 1, -1, -1):
-                if integrate(space, ray ** k * interior ** (n - k)) != 0:
-                    d = k
-                    break
-            if d is None or d == 0:
+            # non-big direction: certify the positive c1-asymptotics at the
+            # highest power d = n - j of the ray that still pairs.  Along
+            # ray + t interior, den[j] = C(n, j) <ray^(n-j) interior^j> and
+            # num[j] = C(n-1, j) <c1 ray^(n-1-j) interior^j>.
+            num, den = _segment(form, ray, interior)
+            j = min((j for (j,), c in den.items() if j and c), default=None)
+            if j is None or j == n:
                 raise PreconditionUnmet(
                     "degenerate nef ray on %s" % space.name)
-            c2 = integrate(space, space.c1 * ray ** d * interior ** (n - 1 - d))
-            if c2 <= 0:
+            if num.get((j - 1,), 0) <= 0:
                 raise PreconditionUnmet(
                     "non-big ray with nonpositive c1 pairing; outside the "
                     "catalogued Fano families")
-            return Unbounded(witness=ray)
+            return Unbounded(_problem=problem, _index=index)
 
-    # both rays big: optimize on the segment alpha_t = R0 + t d, d = R1 - R0.
-    # The t^k coefficient of <c1 alpha_t^(n-1)> is C(n-1, k) <c1 d^k
-    # R0^(n-1-k)>, and that of <alpha_t^n> is C(n, k) <d^k R0^(n-k)>.
-    base, d = rays[0], rays[1] - rays[0]
-    base_pows, d_pows = [space.ring.one()], [space.ring.one()]
-    for _ in range(n):
-        base_pows.append(base_pows[-1] * base)
-        d_pows.append(d_pows[-1] * d)
-    num = roots.trim([comb(n - 1, k) * integrate(
-        space, space.c1 * d_pows[k] * base_pows[n - 1 - k]) for k in range(n)])
-    den = roots.trim([comb(n, k) * integrate(
-        space, d_pows[k] * base_pows[n - k]) for k in range(n + 1)])
+    # both rays big: optimize on the segment alpha_t = R0 + t d, d = R1 - R0
+    num, den = (roots.trim([poly.get((j,), 0) for j in range(n + 1)])
+                for poly in _segment(form, rays[0],
+                                     tuple(map(sub, rays[1], rays[0]))))
 
     # the critical equation of num^n / den^(n-1): n num' den - (n-1) num den'
     g = roots.trim([n * a - (n - 1) * b for a, b in zip_longest(
@@ -233,10 +340,11 @@ def bundle_systole_profile(degrees, genus: int, a, b):
 
     Returns ``(sys_value, product_with_s)`` where sys_value is min(a, b) for
     genus 0 and a for genus >= 1, and the product multiplies it with
-    s(alpha) for alpha = a xi + b f.  Genus 0 expects the normalization
-    0 = d_1 <= d_2 <= ... of the splitting degrees.
+    s(alpha) for alpha = a xi + b f, read off the bundle's form.  Genus 0
+    expects the normalization 0 = d_1 <= d_2 <= ... of the splitting
+    degrees.
     """
-    from .catalog import integrate, proj_bundle_over_curve
+    from .catalog import proj_bundle_over_curve
 
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
@@ -249,13 +357,10 @@ def bundle_systole_profile(degrees, genus: int, a, b):
     space = proj_bundle_over_curve(degrees, genus)
     n = space.complex_dim
     e = sum(degrees)
-    xi = space.ring.gen("xi")
-    f = space.ring.gen("f")
-    alpha = a * xi + b * f
-    top = integrate(space, alpha ** n)
+    mixed, top = _numbers(space.form, (a, b))
     if top == 0:
         raise DegenerateClass("alpha^n = 0 for the chosen (a, b)")
-    s_val = integrate(space, space.c1 * alpha ** (n - 1)) / top
+    s_val = mixed / top
 
     # closed forms used as an internal consistency check
     expected_a_s = (n - 1) - Fraction(2 * (genus - 1) * a, a * e + n * b)

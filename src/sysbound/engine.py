@@ -309,12 +309,20 @@ def _n_factor_admissible(n_factor: Space) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_kahler_input(space: Space, alpha: GradedClass):
-    space.require_ring()
+def _pairings(space: Space, alpha: GradedClass):
+    """``(<c1 alpha^(n-1)>, <alpha^n>)``, read off the space's form by the
+    cone engine's evaluator, for a Kaehler class alpha; the second is
+    refused at 0."""
+    space.check_ring()
     if not alpha.is_homogeneous(2):
         raise DegenerateClass("a Kaehler class must be homogeneous of degree 2")
-    if space.c1 is None:
+    if space.lacks("c1"):
         raise MetadataOnlySpace("%s has no first Chern class data" % space.name)
+    from .cones import _coordinates, _numbers
+    mixed, top = _numbers(space.form, _coordinates(space, alpha))
+    if top == 0:
+        raise DegenerateClass("alpha^n = 0: the class is degenerate")
+    return mixed, top
 
 
 def avg_scalar_curvature(space: Space, alpha: GradedClass,
@@ -324,23 +332,16 @@ def avg_scalar_curvature(space: Space, alpha: GradedClass,
     ``scale`` multiplies the class: passing scale=PI evaluates at pi*alpha,
     which is how the catalog normalizes Kaehler-Einstein classes.
     """
-    _check_kahler_input(space, alpha)
+    mixed, top = _pairings(space, alpha)
     n = space.complex_dim
-    top = integrate(space, alpha ** n)
-    if top == 0:
-        raise DegenerateClass("alpha^n = 0: the class is degenerate")
-    mixed = integrate(space, space.c1 * alpha ** (n - 1))
-    ratio = PiScaled(Fraction(mixed, 1) / top) / scale
+    ratio = PiScaled(mixed / top) / scale
     return PiScaled(Fraction(4 * n), 1) * ratio
 
 
 def volume(space: Space, alpha: GradedClass, scale: PiScaled = ONE) -> PiScaled:
     """Symplectic volume alpha^n / n! of the scaled class."""
-    _check_kahler_input(space, alpha)
+    _, top = _pairings(space, alpha)
     n = space.complex_dim
-    top = integrate(space, alpha ** n)
-    if top == 0:
-        raise DegenerateClass("alpha^n = 0: the class is degenerate")
     return (scale ** n) * PiScaled(Fraction(top, math.factorial(n)))
 
 

@@ -53,6 +53,10 @@ class MetadataOnlySpace(CalculatorError):
     pass
 
 
+class MissingSpinCClass(CalculatorError):
+    """A spin^c twist was asked of a space that carries no spin^c class."""
+
+
 # index engine
 
 class MissingOddClass(CalculatorError):

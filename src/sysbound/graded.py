@@ -427,15 +427,10 @@ def _nilpotent_series(x: GradedClass, coeff) -> GradedClass:
     return out
 
 
-def tensor_ring(left: Ring, right: Ring):
-    """Tensor product ring with Kuenneth pairing.
-
-    Returns ``(ring, left_map, right_map)``, where the maps send classes of
-    the factors to the product ring.  Colliding generator names are suffixed
-    with positional indices (H, H -> H1, H2).
-    """
-    lnames = [g.name for g in left.generators]
-    rnames = [g.name for g in right.generators]
+def _tensor_names(lnames, rnames):
+    """The generator names of a tensor product, as lists for the left and
+    the right factor: colliding names are suffixed with positional indices
+    (H, H -> H1, H2)."""
     collide = set(lnames) & set(rnames)
     used = set()
     counter = {}
@@ -452,17 +447,20 @@ def tensor_ring(left: Ring, right: Ring):
         used.add(new)
         return new
 
-    gens = []
-    lmap_names = []
-    for g in left.generators:
-        nm = fresh(g.name)
-        lmap_names.append(nm)
-        gens.append(Generator(nm, g.degree, g.odd))
-    rmap_names = []
-    for g in right.generators:
-        nm = fresh(g.name)
-        rmap_names.append(nm)
-        gens.append(Generator(nm, g.degree, g.odd))
+    return [fresh(name) for name in lnames], [fresh(name) for name in rnames]
+
+
+def tensor_ring(left: Ring, right: Ring):
+    """Tensor product ring with Kuenneth pairing.
+
+    Returns ``(ring, left_map, right_map)``, where the maps send classes of
+    the factors to the product ring, and the generators are named by
+    :func:`_tensor_names`.
+    """
+    lmap_names, rmap_names = _tensor_names(
+        [g.name for g in left.generators], [g.name for g in right.generators])
+    gens = [Generator(nm, g.degree, g.odd) for nm, g in zip(
+        lmap_names + rmap_names, left.generators + right.generators)]
 
     nl, nr = len(left.generators), len(right.generators)
 

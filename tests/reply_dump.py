@@ -1,0 +1,77 @@
+"""Print every reply of a fixed set of CLI runs, for a byte-identity diff.
+
+Run it once against each checkout and compare the two dumps::
+
+    PYTHONPATH=<checkout>/src python tests/reply_dump.py > replies.txt
+    diff parent.txt change.txt
+
+The runs are every ``CLI_INVOCATIONS`` entry of the benchmark, and then,
+over every ``BATCH_POOL`` descriptor, the five batch commands, ``phi`` with
+each of ``ALPHA_TEXTS``, and the ``--alpha`` selectors with their default
+class and with each of ``ALPHA_TEXTS``; every descriptor run is made in
+table, CSV and JSON format, and each batch command also reads the whole pool
+as one ``--batch`` run per format.  Each run prints its argv, its exit code,
+its stdout and its stderr.  Runs are made in this process through
+``sysbound.cli.run_command``.  Standard library only.
+"""
+
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS  # noqa: E402
+
+from sysbound.cli import run_command  # noqa: E402
+
+#: class texts for ``phi`` and the ``--alpha`` selectors: each names the
+#: generators of some pool family and is refused on the others
+ALPHA_TEXTS = ("H", "2*H - E", "3*H - E", "xi + 2*f", "2*xi + f",
+               "H1 + 2*H2", "1/2*H", "pi*H", "pi^2*H1 + 3*pi^2*H2")
+
+ALPHA_SELECTORS = ("thm1.4", "thm1.8", "rbar")
+
+FORMATS = ("table", "csv", "json")
+
+
+def reply(argv, stdin=""):
+    """``(exit code, stdout, stderr)`` of one run with ``stdin``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        code = run_command(list(argv), out=out, err=err)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def runs():
+    """Every ``(argv, stdin)`` of the dump, in order."""
+    for argv in CLI_INVOCATIONS:
+        yield argv, ""
+    commands = list(BATCH_COMMANDS) + [("phi", "--alpha", text)
+                                       for text in ALPHA_TEXTS]
+    for theorem in ALPHA_SELECTORS:
+        commands.append(("bound", "--theorem", theorem))
+        commands += [("bound", "--theorem", theorem, "--alpha", text)
+                     for text in ALPHA_TEXTS]
+    for fmt in FORMATS:
+        for command in BATCH_COMMANDS:
+            yield (*command, "--batch", "--format", fmt), \
+                "".join(desc + "\n" for desc in BATCH_POOL)
+        for command in commands:
+            for desc in BATCH_POOL:
+                yield (*command, "--space", desc, "--format", fmt), ""
+
+
+def main():
+    write = sys.stdout.write
+    for argv, stdin in runs():
+        code, out, err = reply(argv, stdin)
+        write("$ sysbound %s\n" % " ".join(map(repr, argv)))
+        write("exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out, err))
+
+
+if __name__ == "__main__":
+    main()

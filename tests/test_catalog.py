@@ -18,9 +18,10 @@ from sysbound.catalog import (blowup_point, circle, complete_intersection,
                               weighted_del_pezzo_x4, weighted_del_pezzo_x6,
                               weighted_mukai_x6)
 from sysbound.errors import (CalculatorError, EmptyIntersection,
-                             MetadataOnlySpace, NoPrimitiveClass,
-                             PreconditionUnmet)
-from sysbound.graded import Generator, RingPresentation, make_ring
+                             MetadataOnlySpace, MissingSpinCClass,
+                             NoPrimitiveClass, PreconditionUnmet)
+from sysbound.graded import (Generator, RingPresentation, make_ring,
+                             truncated_polynomial_ring)
 from test_index_engine import _cp2_model, _k3_model
 
 
@@ -188,6 +189,19 @@ def test_twist_spin_c():
 
     with pytest.raises(NoPrimitiveClass):
         twist_spin_c(blowup_point(2), 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, -2])
+def test_a_twist_needs_a_spin_c_class(k):
+    # a space built with a primitive class but no spin^c class is refused by
+    # name before any recipe is read
+    ring = truncated_polynomial_ring("x", 2, 2, 1)
+    space = catalog.Space(name="m", family="c", real_dim=4, b1=0, b2=1,
+                          ring=ring, primitive_x=ring.gen("x"))
+    with pytest.raises(MissingSpinCClass) as err:
+        twist_spin_c(space, k)
+    assert str(err.value) == "m carries no spin^c class to twist"
+    assert "primitive_x" not in vars(space)
 
 
 def test_a_twist_shares_its_base_model():

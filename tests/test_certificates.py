@@ -5,9 +5,10 @@ is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
 certificate, the ellipsoid fit's positive-definiteness check and, on a
 reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
-certificates, the decimal writer's refinement of its pi enclosure, and a
-projective bundle's first-Chern-class certificate.  The guard test keeps
-``assert`` out of the package source.
+certificates, the decimal writer's refinement of its pi enclosure, a
+projective bundle's first-Chern-class certificate, and, on the intersection
+form, the Sturm count of phi-sup and the bundle profile's closed form.  The
+guard test keeps ``assert`` out of the package source.
 """
 
 import ast
@@ -25,7 +26,8 @@ _PACKAGE = Path(sysbound.__file__).resolve().parent
 _FORCE_FAILURES = r'''
 import ast, io, json, sys
 from fractions import Fraction
-from sysbound import catalog, cones, graded, lattices, pushforward, values
+from sysbound import (catalog, cones, graded, lattices, pushforward, roots,
+                      values)
 from sysbound.cli import run_command
 from sysbound.errors import CertificateFailed
 
@@ -113,11 +115,13 @@ decimal = [outcome(lambda: values.decimal_text(Fraction(1), 1, 3)),
                        out=dec_out, err=dec_err),
            dec_out.getvalue(), dec_err.getvalue()]
 values._pi_bounds = pi_bounds
-# a projective bundle's c1 read off its tangent doubled: its builder's
-# first-Chern-class certificate fails on the first read of a class, and a
-# reply refused on b2 = 2 reads none and builds no ring
-component = graded.GradedClass.component
-graded.GradedClass.component = lambda cls, degree: 2 * component(cls, degree)
+# a projective bundle's c1 doubled where its total Chern class is expanded:
+# the first-Chern-class certificate fails on the first read of the form,
+# with no ring built, and on the first read of c1 after the ring is built
+# for the Todd class; a reply refused on b2 = 2 reads neither
+first_chern = catalog._first_chern
+catalog._first_chern = lambda factors: tuple(2 * c for c in
+                                             first_chern(factors))
 ring_init, rings = graded.Ring.__init__, []
 
 
@@ -128,14 +132,32 @@ def counted(ring, presentation):
 
 graded.Ring.__init__ = counted
 bundle_certificate = {}
-for argv in (["phi-sup"], ["bound", "--theorem", "thm1.3"]):
+for argv in (["phi-sup"], ["todd"], ["bound", "--theorem", "thm1.3"]):
     pb_out, pb_err = io.StringIO(), io.StringIO()
     del rings[:]
     pb_code = run_command(argv + ["--space", "PB(degrees=[0,1]; genus=0)"],
                           out=pb_out, err=pb_err)
     bundle_certificate[argv[0]] = [pb_code, pb_out.getvalue(),
                                    pb_err.getvalue(), len(rings)]
-graded.GradedClass.component = component
+catalog._first_chern = first_chern
+# the Sturm count of phi-sup's critical equation left without its rational
+# root, and the bundle profile's s(alpha) read off a doubled c1 pairing: both
+# refusals come from the intersection form, with no ring built
+rational_roots = roots.rational_roots
+roots.rational_roots = lambda p: []
+numbers = cones._numbers
+cones._numbers = lambda form, v: (2 * numbers(form, v)[0], numbers(form, v)[1])
+form_route = {}
+for argv in (["phi-sup", "--space",
+              "CI(degrees=[[1,1],[1,1],[1,1]]; ambient=[3,3])"],
+             ["bundle-profile", "--degrees", "[0,1]"]):
+    fr_out, fr_err = io.StringIO(), io.StringIO()
+    del rings[:]
+    fr_code = run_command(argv, out=fr_out, err=fr_err)
+    form_route[argv[0]] = [fr_code, fr_out.getvalue(), fr_err.getvalue(),
+                           len(rings)]
+roots.rational_roots = rational_roots
+cones._numbers = numbers
 graded.Ring.__init__ = ring_init
 print(json.dumps({
     "optimized": not __debug__,
@@ -151,6 +173,7 @@ print(json.dumps({
     "kz": kz_reports,
     "fit": fit,
     "bundle_certificate": bundle_certificate,
+    "form_route": form_route,
 }))
 '''
 
@@ -204,11 +227,19 @@ def test_forced_certificate_failures_raise_under_optimize():
     assert code == 1
     assert err == ("error: bundle supremum certificate: the profile may "
                    "decrease in x on x <= 1\n")
+    message = ("error: first Chern class certificate: c1 = 2*f + 4*xi, "
+               "closed form f + 2*xi\n")
     assert report["bundle_certificate"] == {
-        "phi-sup": [1, "", "error: first Chern class certificate: c1 = "
-                    "2*f + 4*xi, closed form f + 2*xi\n", 1],
+        "phi-sup": [1, "", message, 0], "todd": [1, "", message, 1],
         "bound": [1, "", "error: PB(degrees=[0, 1]; genus=0) must have b2 = 1 "
                   "with a degree-2 class u, u^n nonzero\n", 0]}
+    assert report["form_route"] == {
+        "phi-sup": [1, "", "error: the critical equation on the nef segment "
+                    "of X_{(1,1);(1,1);(1,1)} in CP(3)xCP(3) has a "
+                    "non-rational root; refusing to approximate (polynomial "
+                    "has 1 roots in (0,1) but only 0 rational ones)\n", 0],
+        "bundle-profile": [1, "", "error: bundle closed-form certificate: "
+                           "a s(alpha) = 10/3, closed form 5/3\n", 0]}
 
 
 def test_package_has_no_assert_statements():

@@ -872,7 +872,7 @@ def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
             cli._reply(cli._DISPATCH[args.command], args)
     assert built.keys() == spaces.keys()
     assert all(built[n] is s for n, s in spaces.items())
-    kept = {"tangent", "a_hat_cls", "todd_cls"}
+    kept = {"tangent", "a_hat_cls", "todd_cls", "form"}
     for node, space in spaces.items():
         for name, value in before[node].items():
             assert getattr(space, name) is value, (node.unparse(), name)
@@ -972,12 +972,12 @@ def test_closed_form_replies_build_no_ring(command, ring_builds):
 
 
 def test_only_todd_on_a_projective_bundle_builds_a_ring(ring_builds):
-    # one pass of the integer replies over the pool: every space answers
-    # from its integers or is refused on them, and only a PB's Todd genus
-    # integrates in its ring
+    # one pass of the integer replies and phi-sup over the pool: every
+    # space answers from its integers or its intersection form or is
+    # refused on them, and only a PB's Todd genus integrates in its ring
     built = {}
     for command in (("todd",), ("length",), ("index-poly",),
-                    ("bound", "--theorem", "thm1.1")):
+                    ("bound", "--theorem", "thm1.1"), ("phi-sup",)):
         for desc in BATCH_POOL:
             _run([*command, "--space", desc])
             if ring_builds:
@@ -1041,19 +1041,17 @@ def test_thm1_3_refusals_build_no_ring(theorem, desc, err, ring_builds):
     assert ring_builds == []
 
 
-def test_phi_sup_builds_one_ring(ring_builds):
-    # the answer integrates in the model's ring; a space without a nef cone
-    # is refused before it is built
+def test_phi_sup_builds_no_ring(ring_builds):
+    # every reply, an answer or a refusal, is read off the space's integers
+    # and its intersection form; a model without a nef cone is refused
     answered = 0
-    for desc in _PROJECTIVE:
+    for desc in _PROJECTIVE + list(BATCH_POOL):
         code, _, err = _run(["phi-sup", "--space", desc])
-        if code == 0:
-            answered += 1
-        else:
+        answered += code == 0
+        if code and desc in _PROJECTIVE:
             assert "no recorded nef-cone" in err or "twisting" in err, desc
-        assert len(ring_builds) == (code == 0), desc
-        del ring_builds[:]
-    assert answered > len(_PROJECTIVE) // 2
+        assert ring_builds == [], (desc, err)
+    assert answered == 186 + 66  # the projective variants, then the pool
 
 
 #: a nested product, and products of a PB and a BlP with the circle
@@ -1259,14 +1257,17 @@ def test_outputs_are_identical_under_optimize():
 
 
 #: the package's engine modules; ``cli``, ``errors`` and ``values`` are not
-_ENGINES = frozenset(("catalog", "characteristic", "cones", "engine", "graded",
-                      "lattices", "pushforward", "roots"))
+_ENGINES = frozenset(("catalog", "characteristic", "cones", "engine", "forms",
+                      "graded", "lattices", "pushforward", "roots"))
 #: engines a cold process must not load, by subcommand; the subcommands that
-#: build a space load neither the lattice nor the pushforward engine, and
-#: the benchmark's spaces answer them without characteristic classes
+#: build a space load neither the lattice nor the pushforward engine, the
+#: benchmark's spaces answer them without characteristic classes, and only
+#: the volume functional reads an intersection form
 _NOT_LOADED = {
-    **dict.fromkeys(("bound", "length", "index-poly", "todd", "phi",
-                     "phi-sup"),
+    **dict.fromkeys(("bound", "length", "index-poly", "todd"),
+                    frozenset(("characteristic", "forms", "lattices",
+                               "pushforward"))),
+    **dict.fromkeys(("phi", "phi-sup"),
                     frozenset(("characteristic", "lattices", "pushforward"))),
     "catalog": _ENGINES,
     "lattice": _ENGINES - {"lattices"},

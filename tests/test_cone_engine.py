@@ -1,12 +1,14 @@
 """Nef-cone optimization, thresholds, bundle profiles, contractions."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from batch_pool import BATCH_POOL
-from sysbound import cones, roots
+from sysbound import cones, engine, roots
 from sysbound.catalog import (Space, blowup_point, complete_intersection,
                               integrate, product, proj_bundle_over_curve,
                               projective_space)
@@ -15,12 +17,15 @@ from sysbound.cones import (ConeProblem, Unbounded, bundle_profile_sup,
                             bundle_systole_profile, cone_problem,
                             multiproj_contractions, nef_threshold, phi,
                             phi_sup, s_alpha)
-from sysbound.errors import (CertificateFailed, DegenerateClass,
-                             DimensionTooLow, EmptyIntersection,
-                             InvalidNormalization, PreconditionUnmet,
+from sysbound.errors import (CalculatorError, CertificateFailed,
+                             DegenerateClass, DimensionTooLow,
+                             EmptyIntersection, InvalidNormalization,
+                             IrrationalCriticalPoint, PreconditionUnmet,
                              UnsupportedRank)
 from sysbound.graded import Generator, RingPresentation, make_ring
 from sysbound.grammar import ProductNode, TwistNode
+from sysbound.kernel import _solve_linear
+from sysbound.values import ONE, PI, PiScaled
 
 
 # -- exact root machinery -----------------------------------------------------
@@ -143,6 +148,238 @@ def test_phi_sup_blowup_of_quadric():
     assert result == 64
     assert phi(bl, H - E) == 64
     assert phi(bl, H) == 54
+
+
+# -- the ring oracle -----------------------------------------------------------
+#
+# The library reads the volume functional's numbers off each space's
+# intersection form.  The oracle integrates products of classes in the ring
+# instead, on the same rays and classes.
+
+
+def _ring_numbers(space, alpha):
+    """(<c1 alpha^(n-1)>, <alpha^n>), integrated in the ring."""
+    n = space.complex_dim
+    return (integrate(space, space.c1 * alpha ** (n - 1)),
+            integrate(space, alpha ** n))
+
+
+def _ring_phi(space, alpha):
+    mixed, top = _ring_numbers(space, alpha)
+    if top == 0:
+        raise DegenerateClass("alpha^n = 0: the volume functional is undefined")
+    n = space.complex_dim
+    return max(mixed, Fraction(0)) ** n / top ** (n - 1)
+
+
+def _ring_phi_sup(problem):
+    """phi_sup integrated in the ring on the problem's class rays."""
+    space = problem.space
+    n = space.complex_dim
+    rays = problem.rays
+    if len(rays) == 1:
+        return _ring_phi(space, rays[0])
+    interior = rays[0] + rays[1]
+    for ray in rays:
+        top = integrate(space, ray ** n)
+        if top < 0:
+            raise PreconditionUnmet("nef ray with negative top power")
+        if top == 0:
+            d = next((k for k in range(n - 1, -1, -1) if integrate(
+                space, ray ** k * interior ** (n - k)) != 0), None)
+            if d is None or d == 0:
+                raise PreconditionUnmet(
+                    "degenerate nef ray on %s" % space.name)
+            if integrate(space, space.c1 * ray ** d
+                         * interior ** (n - 1 - d)) <= 0:
+                raise PreconditionUnmet(
+                    "non-big ray with nonpositive c1 pairing; outside the "
+                    "catalogued Fano families")
+            return Unbounded(witness=ray)
+    base, d = rays[0], rays[1] - rays[0]
+    num = roots.trim([math.comb(n - 1, k) * integrate(
+        space, space.c1 * d ** k * base ** (n - 1 - k)) for k in range(n)])
+    den = roots.trim([math.comb(n, k) * integrate(
+        space, d ** k * base ** (n - k)) for k in range(n + 1)])
+    g = roots.trim([n * a - (n - 1) * b for a, b in zip_longest(
+        roots.multiply(roots.derivative(num), den),
+        roots.multiply(num, roots.derivative(den)), fillvalue=0)])
+    candidates = [Fraction(0), Fraction(1)]
+    if g:
+        try:
+            candidates += roots.roots_in_unit_interval(g)
+        except ValueError:
+            raise IrrationalCriticalPoint(space.name) from None
+    best = Fraction(0)
+    for t in candidates:
+        d_val = roots.evaluate(den, t)
+        if d_val <= 0:
+            raise PreconditionUnmet("non-big class in the interior of the "
+                                    "nef cone of %s" % space.name)
+        n_val = roots.evaluate(num, t)
+        if n_val > 0:
+            best = max(best, n_val ** n / d_val ** (n - 1))
+    return best
+
+
+def _ring_ray_coordinates(problem, alpha):
+    """alpha in the ray basis, one equation per monomial of the classes."""
+    rays = problem.rays
+    monos = sorted({m for r in rays for m in r.terms} | set(alpha.terms))
+    coords = _solve_linear([[r.coefficient(m) for r in rays] for m in monos],
+                           [alpha.coefficient(m) for m in monos])
+    return None if coords is None else tuple(coords)
+
+
+def _outcome(call):
+    """A value, an ``Unbounded`` as its witness class and printed text, or
+    a domain error as its type and message."""
+    try:
+        value = call()
+    except CalculatorError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, Unbounded):
+        return "UNBOUNDED", value.witness, value.witness_text
+    return value
+
+
+def _hand_made_cones():
+    """The blowups of the cubic and the quadric threefolds, and of the cubic
+    fourfold, built with their rings: their forms are read off the rings."""
+    return [_blowup_of_fano(3, 3, 2), _blowup_of_fano(4, 3, 3),
+            _blowup_of_fano(3, 2, 3)]
+
+
+_FORM_EXTRAS = ("PB(degrees=[0,2]; genus=3)", "PB(degrees=[0,1,1]; genus=2)",
+                "PB(degrees=[0,0,3]; genus=0)", "CP(2) * Q(3)",
+                "Q(4).twist(1) * CP(1)", "CP(1) * BlP(2)", "BlP(3) * CP(1)",
+                "CI(degrees=[[3]]; ambient=[4]) * CP(2)",
+                "CI(degrees=[[2,1],[1,2]]; ambient=[3,3])")
+
+
+def test_phi_sup_matches_the_ring_oracle():
+    answered = 0
+    for desc in BATCH_POOL + _FORM_EXTRAS:
+        space = parse_space(desc).build()
+        try:
+            problem = cone_problem(space)
+        except UnsupportedRank:
+            continue
+        ours = _outcome(lambda: phi_sup(problem))
+        oracle = _outcome(lambda: _ring_phi_sup(ConeProblem(
+            space=space, rays=problem.rays)))
+        if isinstance(oracle, tuple) and oracle[0] == "UNBOUNDED":
+            assert ours[1] == oracle[1] and ours[2] == repr(oracle[1]), desc
+        else:
+            assert ours == oracle, desc
+        answered += not isinstance(ours, tuple) or ours[0] == "UNBOUNDED"
+    assert answered >= 66
+    for space in _hand_made_cones():
+        problem = cone_problem(space)
+        assert phi_sup(problem) == _ring_phi_sup(problem)
+
+
+def _open_cone_classes(problem, rng, count):
+    """``count`` seeded positive combinations of the problem's rays."""
+    for _ in range(count):
+        yield sum((Fraction(rng.randint(1, 9), rng.randint(1, 4)) * ray
+                   for ray in problem.rays), problem.rays[0].ring.zero())
+
+
+def test_kahler_numbers_match_the_ring_oracle():
+    rng = random.Random(35)
+    spaces = [parse_space(desc).build() for desc in BATCH_POOL + _FORM_EXTRAS]
+    seen = 0
+    for space in spaces + _hand_made_cones():
+        try:
+            problem = cone_problem(space)
+        except UnsupportedRank:
+            continue
+        n = space.complex_dim
+        for alpha in _open_cone_classes(problem, rng, 6):
+            mixed, top = _ring_numbers(space, alpha)
+            assert _outcome(lambda: phi(space, alpha)) == _outcome(
+                lambda: _ring_phi(space, alpha)), (space.name, alpha)
+            coords = _ring_ray_coordinates(problem, alpha)
+            c1 = _ring_ray_coordinates(problem, space.c1)
+            threshold = None if c1 is None else max(
+                (k / a for k, a in zip(c1, coords) if k > 0), default=0)
+            if threshold is None:
+                threshold = ("PreconditionUnmet", "the nef rays of %s do not "
+                             "span c1; no threshold is read off them"
+                             % space.name)
+            elif threshold == 0:
+                threshold = ("PreconditionUnmet", "K_X pairs nonnegatively "
+                             "with every extremal curve; no finite positive "
+                             "threshold")
+            assert _outcome(lambda: nef_threshold(problem, alpha)) \
+                == threshold, (space.name, alpha)
+            if top == 0:
+                assert _outcome(lambda: s_alpha(problem, alpha)) == (
+                    "DegenerateClass", "alpha^n = 0")
+                continue
+            if not isinstance(threshold, tuple):
+                assert mixed / top <= threshold
+                threshold = mixed / top
+            assert _outcome(lambda: s_alpha(problem, alpha)) == threshold
+            for scale in (ONE, PI):
+                assert engine.volume(space, alpha, scale) == scale ** n \
+                    * PiScaled(top / math.factorial(n))
+                rbar = PiScaled(Fraction(4 * n), 1) \
+                    * (PiScaled(mixed / top) / scale)
+                assert engine.avg_scalar_curvature(space, alpha, scale) == rbar
+                if rbar.q > 0:
+                    assert engine.gromov_width_bound(space, alpha, scale) \
+                        == PiScaled(Fraction(8 * n * n), 1) / rbar
+            seen += 1
+    assert seen > 450
+
+
+def test_a_form_read_off_the_ring_is_the_recorded_one():
+    # a copy made by the public constructor is given the classes alone, so
+    # it reads its form off its ring; the recorded form prints each ray as
+    # the ring does
+    compared = 0
+    for desc in BATCH_POOL + _FORM_EXTRAS:
+        space = parse_space(desc).build()
+        if space._form_of is None:
+            continue
+        recorded = space.form
+        copy = space.replace()
+        assert copy._form_of is None
+        assert copy.form == recorded, desc
+        assert [recorded.text(r) for r in recorded.rays] == list(
+            map(repr, space.nef_rays)), desc
+        compared += 1
+    assert compared == 70 + len(_FORM_EXTRAS)  # all but the 5 non-complex
+
+
+def test_a_form_read_off_a_ring_with_odd_generators():
+    # CP(1) x T^2 as a complex surface: the degree-2 classes are H and
+    # a b, with <H a b, [X]> = 1 and (a b)^2 = 0
+    ring = make_ring(RingPresentation(
+        generators=[Generator("H", 2, False), Generator("a", 1, True),
+                    Generator("b", 1, True)],
+        truncation=4, power_rules={"H": (2, {})},
+        pairing={(1, 1, 1): Fraction(1)}))
+    H, a, b = ring.gen("H"), ring.gen("a"), ring.gen("b")
+    space = Space(name="CP1 x T2", family="custom", real_dim=4, b1=2, b2=2,
+                  ring=ring, is_complex=True, complex_dim=2, c1=2 * H,
+                  nef_rays=(H, a * b))
+    form = space.form
+    assert form.names == ("H", "a*b")
+    assert form.pairing == {(1, 1): 1}
+    rng = random.Random(36)
+    for _ in range(12):
+        alpha = rng.randint(1, 5) * H + rng.randint(1, 5) * a * b
+        assert phi(space, alpha) == _ring_phi(space, alpha)
+        assert engine.volume(space, alpha) == PiScaled(
+            _ring_numbers(space, alpha)[1] / 2)
+    problem = cone_problem(space)
+    assert _outcome(lambda: phi_sup(problem)) == _outcome(
+        lambda: _ring_phi_sup(problem)) == (
+        "PreconditionUnmet", "non-big ray with nonpositive c1 pairing; "
+        "outside the catalogued Fano families")
 
 
 def test_unsupported_rank_rejected():
