@@ -17,7 +17,11 @@ the divisors in a product of projective spaces; a projective bundle and a
 point blowup each have one cached builder; a product tensors its factors'
 rings, and a twist shares its base's.  So the length, the index polynomial
 and every bound read off the dimension, the length, the Fano index or b2
-build no ring, nor does the Todd genus but on a projective bundle.
+build no ring, nor does the Todd genus of a model, of a projective bundle,
+or of a product of two models or of two bundles: a bundle over a curve of
+genus g records it as 1 - g, since pi_* O = O and the higher direct
+images vanish, after certifying its first Chern class in integers.  A
+product of a bundle with a model integrates its Todd class in its ring.
 ``sysbound.characteristic`` is imported only where a tangent or an A-hat
 class is built.
 
@@ -48,7 +52,8 @@ from typing import TYPE_CHECKING, Callable
 from .errors import (CertificateFailed, MetadataOnlySpace, MissingSpinCClass,
                      NoPrimitiveClass, PreconditionUnmet, RingMismatch)
 from .graded import (GradedClass, Generator, Ring, RingPresentation,
-                     make_ring, tensor_ring, truncated_polynomial_ring)
+                     _format_terms, make_ring, tensor_ring,
+                     truncated_polynomial_ring)
 from .kernel import _intersection_dim, _intersection_pairing
 from .values import Record
 
@@ -103,6 +108,9 @@ class Space(Record, frozen=False):
 
     ``_form_of``, recorded by the catalog only, makes :attr:`form`, the top
     intersection form; without it the form is read off the ring.
+    ``_todd_of``, recorded by the catalog only, makes the Todd genus as an
+    integer where a closed form gives it: on a projective bundle and on a
+    product of two; a twist shares its base's.
 
     ``Space.replace`` reads every field, so the copy is given the original's
     classes, reads its q0 off its own spin_c and its form off its ring.
@@ -123,14 +131,15 @@ class Space(Record, frozen=False):
                  fano_index=None, metadata_only=False, nef_rays=(),
                  kahler_einstein=None, notes="", factor_embeddings=(),
                  _recipes: dict | None = None, _q0: int | None = None,
-                 _form_of: Callable[[], Form] | None = None):
+                 _form_of: Callable[[], Form] | None = None,
+                 _todd_of: Callable[[], int] | None = None):
         self.__dict__.update(
             name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
             kahler_einstein=kahler_einstein, notes=notes, _q0=_q0,
-            _form_of=_form_of)
+            _form_of=_form_of, _todd_of=_todd_of)
         given = dict(ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
                      odd_xi=odd_xi, nef_rays=nef_rays,
                      factor_embeddings=factor_embeddings)
@@ -349,6 +358,11 @@ def product(x: Space, y: Space) -> Space:
         def form_of():
             return x.form.kunneth(y.form, x.b2 + y.b2 <= 2)
 
+    todd_of = None  # the Todd genus is multiplicative
+    if not (x._todd_of is None or y._todd_of is None):
+        def todd_of():
+            return x._todd_of() * y._todd_of()
+
     tangent_of = None
     if both_complex and x.tangent_of is not None and y.tangent_of is not None:
         def tangent_of():
@@ -379,7 +393,7 @@ def product(x: Space, y: Space) -> Space:
         b2=x.b2 + y.b2 + x.b1 * y.b1, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
         tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
-        _recipes=recipes, _q0=q0, _form_of=form_of)
+        _recipes=recipes, _q0=q0, _form_of=form_of, _todd_of=todd_of)
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +417,26 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         raise PreconditionUnmet("genus must be nonnegative")
     e, top = sum(degrees), (n - 1, 1)
 
-    def form():  # c1 certified against the closed form
-        from .forms import Form
-        form = Form(("xi", "f"), {top: 1, (n, 0): e} if e else {top: 1},
-                    _first_chern([(0, 2 - 2 * genus)]
-                                 + [(1, -d) for d in degrees]),
-                    ((1, 0), (0, 1)))
+    def c1():  # in (xi, f), certified against the closed form
+        c1 = _first_chern([(0, 2 - 2 * genus)] + [(1, -d) for d in degrees])
         closed = (n, 2 - 2 * genus - e)
-        if form.c1 != closed:
+        if c1 != closed:
+            text = [_format_terms((c, name) for c, name
+                                  in zip(v[::-1], ("f", "xi")) if c)
+                    for v in (c1, closed)]  # as the ring prints them
             raise CertificateFailed(
                 "first Chern class certificate: c1 = %s, closed form %s"
-                % (form.text(form.c1), form.text(closed)))
-        return form
+                % tuple(text))
+        return c1
+
+    def form():
+        from .forms import Form
+        return Form(("xi", "f"), {top: 1, (n, 0): e} if e else {top: 1},
+                    c1(), ((1, 0), (0, 1)))
+
+    def todd_of():  # chi(O) = chi(O_C) = 1 - g: pi_* O = O, R^i pi_* O = 0
+        c1()
+        return 1 - genus
 
     @cache
     def made():  # (ring, c1, nef rays, the tangent's total Chern class)
@@ -438,7 +460,7 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         real_dim=2 * n, b1=2 * genus, b2=2, tangent_of=tangent_of,
         is_complex=True, complex_dim=n,
         notes="ring ignores the odd cohomology of the base curve",
-        _recipes=_made_recipes(made), _form_of=form)
+        _recipes=_made_recipes(made), _form_of=form, _todd_of=todd_of)
 
 
 def _first_chern(factors) -> tuple:
@@ -647,7 +669,7 @@ def twist_spin_c(space: Space, k: int) -> Space:
     fields.update(name="%s twist(%d)" % (space.name, k),
                   notes=(space.notes + "; " if space.notes else "")
                   + "twisted spin^c class")
-    return Space(**fields, _form_of=space._form_of,
+    return Space(**fields, _form_of=space._form_of, _todd_of=space._todd_of,
                  _q0=None if space._q0 is None else space._q0 + 2 * k,
                  _recipes=dict(space._recipes, spin_c=lambda: spin_c()
                                + (2 * k) * primitive()))

@@ -10,15 +10,15 @@ coordinate vector, so ``phi_sup``, ``nef_threshold`` and the bundle profile
 build no ring, and ``phi``, ``s_alpha`` and the engine's volume, average
 scalar curvature and width bound multiply no classes.  The functional is
 optimized on the normalized segment between the rays with exact
-critical-point arithmetic: the critical equation is solved by rational-root
-extraction certified complete by Sturm counting.
+critical-point arithmetic: the coefficients stay in the arithmetic of the
+form, integers on every catalog space, and the critical equation's roots
+are isolated and tested for rationality in integers (:mod:`roots`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from math import comb, factorial, prod
 from operator import add, sub
 
@@ -298,17 +298,17 @@ def phi_sup(problem: ConeProblem):
             return Unbounded(_problem=problem, _index=index)
 
     # both rays big: optimize on the segment alpha_t = R0 + t d, d = R1 - R0
-    num, den = (roots.trim([poly.get((j,), 0) for j in range(n + 1)])
+    num, den = ([poly.get((j,), 0) for j in range(n + 1)]
                 for poly in _segment(form, rays[0],
                                      tuple(map(sub, rays[1], rays[0]))))
 
     # the critical equation of num^n / den^(n-1): n num' den - (n-1) num den'
-    g = roots.trim([n * a - (n - 1) * b for a, b in zip_longest(
+    g = [n * a - (n - 1) * b for a, b in zip(
         roots.multiply(roots.derivative(num), den),
-        roots.multiply(num, roots.derivative(den)), fillvalue=0)])
+        roots.multiply(num, roots.derivative(den)))]
 
     candidates = [Fraction(0), Fraction(1)]
-    if g:
+    if any(g):
         try:
             candidates += roots.roots_in_unit_interval(g)
         except ValueError as exc:

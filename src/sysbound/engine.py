@@ -65,10 +65,14 @@ class IndexPolynomial(RationalPolynomial):
 
 
 def todd_genus(space: Space) -> Fraction:
-    """Integral of the Todd class; the holomorphic Euler characteristic."""
+    """Integral of the Todd class; the holomorphic Euler characteristic.
+    A closed form answers where the catalog records one: the Riemann-Roch
+    sum of ``koszul`` data, or the integer ``_todd_of`` makes."""
     space.check_ring()
     if space.is_complex and space.koszul is not None:
         return Fraction(_koszul_value(*space.koszul, 0))
+    if space._todd_of is not None:
+        return Fraction(space._todd_of())
     if not space.is_complex or space.todd_cls is None:
         raise MetadataOnlySpace(
             "%s carries no complex tangent data for a Todd genus" % space.name)

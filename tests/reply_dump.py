@@ -10,8 +10,9 @@ over every ``BATCH_POOL`` descriptor, the five batch commands, ``phi`` with
 each of ``ALPHA_TEXTS``, and the ``--alpha`` selectors with their default
 class and with each of ``ALPHA_TEXTS``; every descriptor run is made in
 table, CSV and JSON format, and each batch command also reads the whole pool
-as one ``--batch`` run per format.  Each run prints its argv, its exit code,
-its stdout and its stderr.  Runs are made in this process through
+as one ``--batch`` run per format.  Last come ``todd`` and ``phi-sup`` on
+the ``EXTRA_SPACES`` in each format.  Each run prints its argv, its exit
+code, its stdout and its stderr.  Runs are made in this process through
 ``sysbound.cli.run_command``.  Standard library only.
 """
 
@@ -33,6 +34,19 @@ ALPHA_TEXTS = ("H", "2*H - E", "3*H - E", "xi + 2*f", "2*xi + f",
 ALPHA_SELECTORS = ("thm1.4", "thm1.8", "rbar")
 
 FORMATS = ("table", "csv", "json")
+
+#: projective bundles of genus 0 to 3, a product of one with CP(1) and of
+#: two, and complete intersections whose critical equations have large
+#: coefficients
+EXTRA_SPACES = tuple(
+    "PB(degrees=%s; genus=%d)" % (degrees, genus) for genus in range(4)
+    for degrees in ("[0,0]", "[0,1]", "[1,3]", "[-2,0,5]", "[0,1,2]",
+                    "[1,1,1,1]")) + (
+    "PB(degrees=[0,1]; genus=2) * CP(1)",
+    "PB(degrees=[0,2,3]; genus=3) * PB(degrees=[1,1]; genus=2)",
+    "CI(degrees=[[3,2],[4,7],[4,7],[7,4]]; ambient=[4,4])",
+    "CI(degrees=[[3,2],[4,7],[4,7],[7,4],[9,5]]; ambient=[5,5])",
+    "CI(degrees=[[31,2],[4,37],[4,7],[7,4]]; ambient=[4,4])")
 
 
 def reply(argv, stdin=""):
@@ -63,6 +77,10 @@ def runs():
         for command in commands:
             for desc in BATCH_POOL:
                 yield (*command, "--space", desc, "--format", fmt), ""
+    for fmt in FORMATS:
+        for command in ("todd", "phi-sup"):
+            for desc in EXTRA_SPACES:
+                yield (command, "--space", desc, "--format", fmt), ""
 
 
 def main():

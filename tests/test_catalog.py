@@ -178,6 +178,33 @@ def test_proj_bundle_todd_genus_is_one_minus_genus():
         assert integrate(pb, pb.todd_cls) == 1 - genus
 
 
+@pytest.mark.parametrize("genus", range(4))
+def test_proj_bundle_todd_closed_form_matches_the_ring(genus, monkeypatch):
+    # 1 - g is read with no ring built, on a bundle and on a product of two
+    # bundles; a product with CP(1) integrates in its ring; each value is
+    # the Todd class integrated in the ring of a fresh copy of the space
+    rings = []
+    init = catalog.Ring.__init__
+
+    def counted(ring, presentation):
+        rings.append(presentation)
+        init(ring, presentation)
+    monkeypatch.setattr(catalog.Ring, "__init__", counted)
+    makers = [partial(proj_bundle_over_curve, degrees, genus)
+              for degrees in ([0, 0], [0, 1], [0, 2], [1, 3], [-2, 0, 5],
+                              [0, 1, 2], [1, 1, 1, 1])]
+    makers += [lambda: product(proj_bundle_over_curve([0, 1], genus),
+                               projective_space(1)),
+               lambda: product(proj_bundle_over_curve([0, 2, 3], genus),
+                               proj_bundle_over_curve([1, 1], 2))]
+    for make in makers:
+        space, fresh = make(), make()
+        del rings[:]
+        value = engine.todd_genus(space)
+        assert bool(rings) == space.name.endswith(" * CP(1)"), space.name
+        assert value == integrate(fresh, fresh.todd_cls), space.name
+
+
 def test_twist_spin_c():
     cp2 = projective_space(2)
     assert twist_spin_c(cp2, 0) is cp2

@@ -7,7 +7,8 @@ certificate, the ellipsoid fit's positive-definiteness check and, on a
 reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
 certificates, the decimal writer's refinement of its pi enclosure, a
 projective bundle's first-Chern-class certificate, and, on the intersection
-form, the Sturm count of phi-sup and the bundle profile's closed form.  The
+form, phi-sup's rationality test and root-isolation parity check and the
+bundle profile's closed form.  The
 guard test keeps ``assert`` out of the package source.
 """
 
@@ -116,9 +117,9 @@ decimal = [outcome(lambda: values.decimal_text(Fraction(1), 1, 3)),
            dec_out.getvalue(), dec_err.getvalue()]
 values._pi_bounds = pi_bounds
 # a projective bundle's c1 doubled where its total Chern class is expanded:
-# the first-Chern-class certificate fails on the first read of the form,
-# with no ring built, and on the first read of c1 after the ring is built
-# for the Todd class; a reply refused on b2 = 2 reads neither
+# the first-Chern-class certificate fails in the catalog's integers, on the
+# first read of the form and before the Todd genus is read off the genus,
+# with no ring built either way; a reply refused on b2 = 2 reads neither
 first_chern = catalog._first_chern
 catalog._first_chern = lambda factors: tuple(2 * c for c in
                                              first_chern(factors))
@@ -140,11 +141,12 @@ for argv in (["phi-sup"], ["todd"], ["bound", "--theorem", "thm1.3"]):
     bundle_certificate[argv[0]] = [pb_code, pb_out.getvalue(),
                                    pb_err.getvalue(), len(rings)]
 catalog._first_chern = first_chern
-# the Sturm count of phi-sup's critical equation left without its rational
-# root, and the bundle profile's s(alpha) read off a doubled c1 pairing: both
-# refusals come from the intersection form, with no ring built
-rational_roots = roots.rational_roots
-roots.rational_roots = lambda p: []
+# phi-sup's critical equation isolated, but its root's rationality test
+# never finding the fraction, and the bundle profile's s(alpha) read off a
+# doubled c1 pairing: both refusals come from the intersection form, with
+# no ring built
+rational_root = roots._rational_root
+roots._rational_root = lambda p, c, k, q: None
 numbers = cones._numbers
 cones._numbers = lambda form, v: (2 * numbers(form, v)[0], numbers(form, v)[1])
 form_route = {}
@@ -156,8 +158,21 @@ for argv in (["phi-sup", "--space",
     fr_code = run_command(argv, out=fr_out, err=fr_err)
     form_route[argv[0]] = [fr_code, fr_out.getvalue(), fr_err.getvalue(),
                            len(rings)]
-roots.rational_roots = rational_roots
+roots._rational_root = rational_root
 cones._numbers = numbers
+# the sign variations of the root isolation miscounted, as none or always
+# two: the parity check against the signs at the ends refuses either
+variations = roots._variations
+isolation = {}
+for count in (0, 2):
+    roots._variations = lambda p, count=count: count
+    del rings[:]
+    ri_out, ri_err = io.StringIO(), io.StringIO()
+    isolation[count] = [run_command(
+        ["phi-sup", "--space", "CI(degrees=[[1,1],[1,1],[1,1]]; ambient=[3,3])"],
+        out=ri_out, err=ri_err), ri_out.getvalue(), ri_err.getvalue(),
+        len(rings)]
+roots._variations = variations
 graded.Ring.__init__ = ring_init
 print(json.dumps({
     "optimized": not __debug__,
@@ -174,6 +189,7 @@ print(json.dumps({
     "fit": fit,
     "bundle_certificate": bundle_certificate,
     "form_route": form_route,
+    "isolation": isolation,
 }))
 '''
 
@@ -230,7 +246,7 @@ def test_forced_certificate_failures_raise_under_optimize():
     message = ("error: first Chern class certificate: c1 = 2*f + 4*xi, "
                "closed form f + 2*xi\n")
     assert report["bundle_certificate"] == {
-        "phi-sup": [1, "", message, 0], "todd": [1, "", message, 1],
+        "phi-sup": [1, "", message, 0], "todd": [1, "", message, 0],
         "bound": [1, "", "error: PB(degrees=[0, 1]; genus=0) must have b2 = 1 "
                   "with a degree-2 class u, u^n nonzero\n", 0]}
     assert report["form_route"] == {
@@ -240,6 +256,10 @@ def test_forced_certificate_failures_raise_under_optimize():
                     "has 1 roots in (0,1) but only 0 rational ones)\n", 0],
         "bundle-profile": [1, "", "error: bundle closed-form certificate: "
                            "a s(alpha) = 10/3, closed form 5/3\n", 0]}
+    assert report["isolation"] == {
+        str(count): [1, "", "error: root isolation certificate: %d sign "
+                     "variations on (0, 1), of the wrong parity for the "
+                     "signs at its ends\n" % count, 0] for count in (0, 2)}
 
 
 def test_package_has_no_assert_statements():

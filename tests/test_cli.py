@@ -971,10 +971,10 @@ def test_closed_form_replies_build_no_ring(command, ring_builds):
     assert codes == {0, 1}
 
 
-def test_only_todd_on_a_projective_bundle_builds_a_ring(ring_builds):
+def test_no_batch_reply_builds_a_ring(ring_builds):
     # one pass of the integer replies and phi-sup over the pool: every
     # space answers from its integers or its intersection form or is
-    # refused on them, and only a PB's Todd genus integrates in its ring
+    # refused on them; a PB's Todd genus is 1 - g
     built = {}
     for command in (("todd",), ("length",), ("index-poly",),
                     ("bound", "--theorem", "thm1.1"), ("phi-sup",)):
@@ -983,9 +983,7 @@ def test_only_todd_on_a_projective_bundle_builds_a_ring(ring_builds):
             if ring_builds:
                 built[command[0], desc] = len(ring_builds)
             del ring_builds[:]
-    assert built == {("todd", desc): 1 for desc in BATCH_POOL
-                     if desc.startswith("PB(")}
-    assert len(built) == 8
+    assert built == {}
 
 
 @pytest.mark.parametrize("factor", ["CP(3)", "Q(4)", "CP(2).twist(1)"])
@@ -1154,6 +1152,29 @@ def test_a_large_complete_intersection_answers_from_its_rows():
     assert todd_s < 0.5 and sup_s < 0.5, (todd_s, sup_s)
 
 
+#: complete intersections in CP(4)xCP(4) and CP(5)xCP(5) whose critical
+#: equations have large coefficients: a trial-division search for their
+#: rational roots took from one to five seconds
+_LARGE_COEFFICIENT_CIS = (
+    "CI(degrees=[[3,2],[4,7],[4,7],[7,4]]; ambient=[4,4])",
+    "CI(degrees=[[3,2],[4,7],[4,7],[7,4],[9,5]]; ambient=[5,5])",
+    "CI(degrees=[[31,2],[4,37],[4,7],[7,4]]; ambient=[4,4])")
+
+
+def test_phi_sup_with_large_coefficients_answers_quickly():
+    # after one reply that loads the cone engine, each answers within 50 ms
+    argvs = [["phi-sup", "--space", desc]
+             for desc in ("CP(2)",) + _LARGE_COEFFICIENT_CIS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    for desc, (code, out, err, seconds) in zip(
+            _LARGE_COEFFICIENT_CIS, json.loads(proc.stdout)[1:]):
+        assert (code, out, err) == (
+            0, "space:    %s\nphi_sup:  0\n" % desc, ""), desc
+        assert seconds < 0.05, (desc, seconds)
+
+
 # -- README examples in a fresh interpreter ---------------------------------
 
 #: the README's CLI examples, one or more per subcommand (the sweep shortened
@@ -1278,12 +1299,12 @@ _NOT_LOADED = {
 
 
 #: a projective bundle answers these without characteristic classes, or
-#: refuses them (exit 1: b2 = 2, no primitive class); only ``todd`` reads
-#: its tangent
+#: refuses them (exit 1: b2 = 2, no primitive class); ``todd`` reads its
+#: genus and reads no form
 _PB_INVOCATIONS = tuple(
     (command, *options, "--space", "PB(degrees=[0,1,2]; genus=1)")
     for command, *options in (("bound", "--theorem", "thm1.1"), ("phi-sup",),
-                              ("length",), ("index-poly",)))
+                              ("length",), ("index-poly",), ("todd",)))
 
 
 def test_a_cold_process_loads_only_the_engine_its_subcommand_runs():

@@ -7,6 +7,7 @@ from itertools import zip_longest
 
 import pytest
 
+import sturm_oracle
 from batch_pool import BATCH_POOL
 from sysbound import cones, engine, roots
 from sysbound.catalog import (Space, blowup_point, complete_intersection,
@@ -36,15 +37,17 @@ def test_sturm_counts():
     p = roots.multiply(roots.multiply([Fraction(-1, 2), Fraction(1)],
                                       [Fraction(-1, 3), Fraction(1)]),
                        [Fraction(-5), Fraction(1)])
-    assert roots.count_real_roots(p, 0, 1) == 2
-    assert roots.count_real_roots(p, 1, 10) == 1
-    assert roots.rational_roots(p) == [Fraction(1, 3), Fraction(1, 2), Fraction(5)]
+    assert sturm_oracle.count_real_roots(p, 0, 1) == 2
+    assert sturm_oracle.count_real_roots(p, 1, 10) == 1
+    assert sturm_oracle.rational_roots(p) == [Fraction(1, 3), Fraction(1, 2),
+                                              Fraction(5)]
     assert roots.roots_in_unit_interval(p) == [Fraction(1, 3), Fraction(1, 2)]
 
 
 def test_sturm_flags_irrational_roots():
     # t^2 - 1/2 has a root 1/sqrt(2) in (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has 1 roots in \\(0,1\\) but only "
+                       "0 rational ones"):
         roots.roots_in_unit_interval([Fraction(-1, 2), Fraction(0), Fraction(1)])
 
 
@@ -52,8 +55,109 @@ def test_squarefree_and_multiple_roots():
     # (t - 1/2)^2: counted once
     p = roots.multiply([Fraction(-1, 2), Fraction(1)],
                        [Fraction(-1, 2), Fraction(1)])
-    assert roots.count_real_roots(p, 0, 1) == 1
+    assert sturm_oracle.count_real_roots(p, 0, 1) == 1
     assert roots.roots_in_unit_interval(p) == [Fraction(1, 2)]
+
+
+def test_simplest_fraction_has_the_least_denominator():
+    # against a scan of the denominators, on every interval between two
+    # fractions with denominators up to 7, and up to infinity
+    ends = sorted({Fraction(a, b) for b in range(1, 8) for a in range(0, 15)})
+    for i, lo in enumerate(ends):
+        for hi in ends[i + 1:] + [None]:
+            v = next(v for v in range(1, 100) if hi is None or
+                     math.floor(lo * v) + 1 < hi * v)
+            u = math.floor(lo * v) + 1
+            got = roots._simplest(lo.numerator, lo.denominator,
+                                  *((hi.numerator, hi.denominator)
+                                    if hi is not None else (1, 0)))
+            assert got == (u, v), (lo, hi)
+
+
+def _integer_route(p):
+    """The package's roots of p in (0, 1), or its refusal's message."""
+    try:
+        return roots.roots_in_unit_interval(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _sturm_route(p):
+    """The same, from the Sturm count and the rational-root theorem."""
+    rational, total = sturm_oracle.roots_in_unit_interval(p)
+    if total == len(rational):
+        return rational
+    return ("polynomial has %d roots in (0,1) but only %d rational ones"
+            % (total, len(rational)))
+
+
+def test_integer_isolation_matches_the_sturm_route_on_the_pool(monkeypatch):
+    # every critical equation phi-sup solves over the benchmark's pool
+    equations = []
+    solve = roots.roots_in_unit_interval
+    monkeypatch.setattr(roots, "roots_in_unit_interval",
+                        lambda g: equations.append(g) or solve(g))
+    for desc in BATCH_POOL:
+        try:
+            phi_sup(cone_problem(parse_space(desc).build()))
+        except CalculatorError:
+            pass
+    assert len(equations) == 2
+    for g in equations:
+        assert solve(g) == _sturm_route(g), g
+
+
+def _seeded_polynomials(count, seed):
+    """Products of degree at most 8 of small factors, some repeated:
+    linear factors with roots in and around (0, 1), dyadic ones, t and
+    t - 1, irreducible quadratics (some with roots in (0, 1)) and random
+    dense factors."""
+    rng = random.Random(seed)
+    quadratics = ([-1, 0, 2], [-1, 0, 3], [1, -4, 2], [2, -6, 3], [1, 1, 1],
+                  [-1, 1, 1], [1, -3, 1])
+    for _ in range(count):
+        p = [rng.choice((1, -1, 2, -3, 6))]
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(6)
+            if kind == 0:
+                v = rng.randint(1, 12)
+                factor = [-rng.randint(-2, v + 2), v]
+            elif kind == 1:
+                factor = rng.choice(quadratics)
+            elif kind == 2:
+                k = rng.randint(1, 5)
+                factor = [-rng.randint(1, 2 ** k - 1), 2 ** k]
+            elif kind == 3:
+                factor = rng.choice(([0, 1], [-1, 1]))
+            else:
+                factor = [rng.randint(-6, 6) for _ in range(rng.randint(2, 4))]
+                factor[-1] = factor[-1] or 1
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                if len(p) + len(factor) <= 10:
+                    p = roots.multiply(p, factor)
+        yield p
+
+
+def test_integer_isolation_matches_the_sturm_route_on_seeded_polynomials():
+    outcomes = set()
+    for p in _seeded_polynomials(400, 25):
+        expected = _sturm_route(p)
+        assert _integer_route(p) == expected, p
+        outcomes.add(type(expected))
+    assert outcomes == {list, str}
+
+
+def test_integer_isolation_ignores_scale_and_the_ends():
+    # a Fraction polynomial and its integer multiple have the same roots;
+    # a root at 0 or 1 is no root of the open interval
+    p = roots.multiply([Fraction(-1, 3), Fraction(1)], [Fraction(-3, 4), 1])
+    assert roots.roots_in_unit_interval(p) == [Fraction(1, 3), Fraction(3, 4)]
+    assert roots.roots_in_unit_interval([3 * 4 * c for c in p]) == \
+        [Fraction(1, 3), Fraction(3, 4)]
+    assert roots.roots_in_unit_interval(roots.multiply(p, [0, -1, 1])) == \
+        [Fraction(1, 3), Fraction(3, 4)]
+    with pytest.raises(ZeroDivisionError):
+        roots.roots_in_unit_interval([0, 0])
 
 
 # -- the volume functional ----------------------------------------------------
@@ -206,10 +310,10 @@ def _ring_phi_sup(problem):
         roots.multiply(num, roots.derivative(den)), fillvalue=0)])
     candidates = [Fraction(0), Fraction(1)]
     if g:
-        try:
-            candidates += roots.roots_in_unit_interval(g)
-        except ValueError:
-            raise IrrationalCriticalPoint(space.name) from None
+        rational, total = sturm_oracle.roots_in_unit_interval(g)
+        if total != len(rational):
+            raise IrrationalCriticalPoint(space.name)
+        candidates += rational
     best = Fraction(0)
     for t in candidates:
         d_val = roots.evaluate(den, t)
