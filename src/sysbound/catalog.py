@@ -18,12 +18,19 @@ point blowup each have one cached builder; a product tensors its factors'
 rings, and a twist shares its base's.  So the length, the index polynomial
 and every bound read off the dimension, the length, the Fano index or b2
 build no ring, nor does the Todd genus of a model, of a projective bundle,
-or of a product of two models or of two bundles: a bundle over a curve of
-genus g records it as 1 - g, since pi_* O = O and the higher direct
-images vanish, after certifying its first Chern class in integers.  A
-product of a bundle with a model integrates its Todd class in its ring.
-``sysbound.characteristic`` is imported only where a tangent or an A-hat
-class is built.
+or of a product of such spaces: a model records it as its Koszul sum at
+t = 0, and a bundle over a curve of genus g as 1 - g, since pi_* O = O and
+the higher direct images vanish, after certifying its first Chern class in
+integers; a product multiplies its factors'.  Each space also records its
+ring's generator names and degrees, which an ``--alpha`` text is read
+against.
+
+The modules behind a ring load with it: ``sysbound.graded`` is imported
+only in the recipes that build a ring (a sphere's, a product's tensor ring,
+a model's, a bundle's and a blowup's), and ``sysbound.characteristic`` only
+where a tangent or an A-hat class is built.  So no reply on a catalog
+descriptor loads either; they serve spaces built by hand and the tests'
+oracles.
 
 A complex space also records its top intersection form on H^2
 (:class:`forms.Form`) from the same integers: the pairings <D^e, [X]> of the top
@@ -51,15 +58,14 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import (CertificateFailed, MetadataOnlySpace, MissingSpinCClass,
                      NoPrimitiveClass, PreconditionUnmet, RingMismatch)
-from .graded import (GradedClass, Generator, Ring, RingPresentation,
-                     _format_terms, make_ring, tensor_ring,
-                     truncated_polynomial_ring)
-from .kernel import _intersection_dim, _intersection_pairing
-from .values import Record
+from .kernel import (_checked_rows, _intersection_dim, _intersection_pairing,
+                     _koszul_value)
+from .values import Record, _format_terms, _tensor_names
 
-if TYPE_CHECKING:  # characteristic loads where a tangent or A-hat is built,
-    from .characteristic import ChernData  # and forms where a form is read
-    from .forms import Form
+if TYPE_CHECKING:  # graded loads where a ring is built, characteristic
+    from .characteristic import ChernData  # where a tangent or A-hat is,
+    from .forms import Form  # and forms where a form is read
+    from .graded import GradedClass, Ring
 
 
 class _Made:
@@ -109,8 +115,10 @@ class Space(Record, frozen=False):
     ``_form_of``, recorded by the catalog only, makes :attr:`form`, the top
     intersection form; without it the form is read off the ring.
     ``_todd_of``, recorded by the catalog only, makes the Todd genus as an
-    integer where a closed form gives it: on a projective bundle and on a
-    product of two; a twist shares its base's.
+    integer where a closed form gives it: on a model, a projective bundle
+    and a product of two such spaces; a twist shares its base's.
+    ``_generators_of``, recorded by the catalog only, names the ring's
+    generators with their degrees (:meth:`generators`).
 
     ``Space.replace`` reads every field, so the copy is given the original's
     classes, reads its q0 off its own spin_c and its form off its ring.
@@ -132,14 +140,16 @@ class Space(Record, frozen=False):
                  kahler_einstein=None, notes="", factor_embeddings=(),
                  _recipes: dict | None = None, _q0: int | None = None,
                  _form_of: Callable[[], Form] | None = None,
-                 _todd_of: Callable[[], int] | None = None):
+                 _todd_of: Callable[[], int] | None = None,
+                 _generators_of: Callable[[], tuple] | None = None):
         self.__dict__.update(
             name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
             kahler_einstein=kahler_einstein, notes=notes, _q0=_q0,
-            _form_of=_form_of, _todd_of=_todd_of)
+            _form_of=_form_of, _todd_of=_todd_of,
+            _generators_of=_generators_of)
         given = dict(ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
                      odd_xi=odd_xi, nef_rays=nef_rays,
                      factor_embeddings=factor_embeddings)
@@ -189,6 +199,20 @@ class Space(Record, frozen=False):
         if name in self.__dict__ or name not in _RING_SIDE:
             return getattr(self, name) is None
         return name not in self._recipes
+
+    def generators(self) -> tuple:
+        """The ring's generators as ``(name, degree)`` pairs, in order:
+        recorded by the catalog, with no ring built, or read off the ring."""
+        if self._generators_of is not None:
+            return self._generators_of()
+        return tuple((g.name, g.degree) for g in self.require_ring().generators)
+
+    def has_kahler_data(self) -> bool:
+        """Whether the space has a ring, c1 and a complex dimension, the
+        data the Kaehler evaluators read a class's coordinates in its form
+        with; builds nothing."""
+        return not (self.metadata_only or self.lacks("ring")
+                    or self.lacks("c1") or self.complex_dim is None)
 
     def check_ring(self) -> None:
         """Refuse a space stored without a cohomology ring; builds none."""
@@ -286,14 +310,20 @@ def sphere(k: int) -> Space:
 def _sphere(name: str, k: int, gname: str, notes: str) -> Space:
     """The k-sphere, lazy: Q[g]/(g^2), g of degree k with <g> = 1, spin_c = 0
     and A-hat = 1; g is S1's degree-1 class and S(2)'s primitive (q0 = 0)."""
-    ring = cache(partial(truncated_polynomial_ring, gname, k, 1, 1))
+    ring = cache(partial(_sphere_ring, gname, k))
     recipes = {"ring": ring, "spin_c": lambda: ring().zero()}
     if k <= 2:
         recipes["odd_xi" if k == 1 else "primitive_x"] = \
             lambda: ring().gen(gname)
     return Space(name=name, family="S", real_dim=k, b1=int(k == 1),
                  b2=int(k == 2), a_hat_of=lambda: ring().one(), notes=notes,
-                 _recipes=recipes, _q0=0 if k == 2 else None)
+                 _recipes=recipes, _q0=0 if k == 2 else None,
+                 _generators_of=lambda: ((gname, k),))
+
+
+def _sphere_ring(gname: str, k: int) -> Ring:
+    from .graded import truncated_polynomial_ring
+    return truncated_polynomial_ring(gname, k, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +348,7 @@ def product(x: Space, y: Space) -> Space:
 
     @cache
     def tensor():  # (ring, left map, right map)
+        from .graded import tensor_ring
         return tensor_ring(x.ring, y.ring)
 
     def left(cls):
@@ -358,6 +389,13 @@ def product(x: Space, y: Space) -> Space:
         def form_of():
             return x.form.kunneth(y.form, x.b2 + y.b2 <= 2)
 
+    def generators_of():  # named as tensor_ring names them
+        xgens, ygens = x.generators(), y.generators()
+        lnames, rnames = _tensor_names([name for name, _ in xgens],
+                                       [name for name, _ in ygens])
+        return tuple(zip(lnames + rnames,
+                         [degree for _, degree in xgens + ygens]))
+
     todd_of = None  # the Todd genus is multiplicative
     if not (x._todd_of is None or y._todd_of is None):
         def todd_of():
@@ -393,7 +431,8 @@ def product(x: Space, y: Space) -> Space:
         b2=x.b2 + y.b2 + x.b1 * y.b1, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
         tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
-        _recipes=recipes, _q0=q0, _form_of=form_of, _todd_of=todd_of)
+        _recipes=recipes, _q0=q0, _form_of=form_of, _todd_of=todd_of,
+        _generators_of=generators_of)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +479,7 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
 
     @cache
     def made():  # (ring, c1, nef rays, the tangent's total Chern class)
+        from .graded import Generator, RingPresentation, make_ring
         ring = make_ring(RingPresentation(
             generators=[Generator("xi", 2, False), Generator("f", 2, False)],
             truncation=2 * n, pairing={top: Fraction(1)},
@@ -460,7 +500,8 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         real_dim=2 * n, b1=2 * genus, b2=2, tangent_of=tangent_of,
         is_complex=True, complex_dim=n,
         notes="ring ignores the odd cohomology of the base curve",
-        _recipes=_made_recipes(made), _form_of=form, _todd_of=todd_of)
+        _recipes=_made_recipes(made), _form_of=form, _todd_of=todd_of,
+        _generators_of=lambda: (("xi", 2), ("f", 2)))
 
 
 def _first_chern(factors) -> tuple:
@@ -480,8 +521,9 @@ class _ProjectiveModel:
     each part made on first read and kept.
 
     The form pairs by :func:`kernel._intersection_pairing`, c1 = sum_i
-    (N_i + 1 - sum of the rows' d_i) H_i by adjunction, and the nef rays
-    are the H_i where ``cone`` records them.  The ring stops at X's top
+    (N_i + 1 - sum of the rows' d_i) H_i by adjunction, the nef rays are
+    the H_i where ``cone`` records them, and H_1 is the primitive class
+    where ``primitive`` does.  The ring stops at X's top
     degree 2 dim, with H_i^(min(N_i, dim)+1) = 0 and the form's pairing.
     The tangent is the Euler sequences' class over (1 + D_1)...(1 + D_r).
 
@@ -489,22 +531,34 @@ class _ProjectiveModel:
     dropping them frees it without the cycle collector.
     """
 
-    def __init__(self, rows, ns, dim: int, cone: bool):
-        self.rows, self.ns, self.dim, self.cone = rows, ns, dim, cone
+    def __init__(self, rows, ns, dim: int, cone: bool, primitive: bool):
+        self.rows, self.ns, self.dim = rows, ns, dim
+        self.cone, self.primitive = cone, primitive
         self.names = (("H",) if len(ns) == 1 else
                       tuple("H%d" % (i + 1) for i in range(len(ns))))
 
     @cached_property
     def form(self) -> Form:
         from .forms import Form, _units
+        units = _units(len(self.ns))
         return Form(self.names, _intersection_pairing(self.rows, self.ns),
                     tuple(N + 1 - sum(row[i] for row in self.rows)
                           for i, N in enumerate(self.ns)),
-                    _units(len(self.ns)) if self.cone else ())
+                    units if self.cone else (),
+                    x=units[0] if self.primitive else None)
+
+    def generators(self) -> tuple:
+        """The ring's generators, the H_i of degree 2."""
+        return tuple((name, 2) for name in self.names)
+
+    def todd(self) -> int:
+        """The Todd genus chi(X, O): the Koszul sum at t = 0."""
+        return _koszul_value(self.rows, self.ns, 0)
 
     @cached_property
     def hs(self) -> tuple:
         """The hyperplane classes, in the ring built here."""
+        from .graded import Generator, RingPresentation, make_ring
         ring = make_ring(RingPresentation(
             generators=[Generator(name, 2, False) for name in self.names],
             truncation=2 * self.dim,
@@ -542,9 +596,10 @@ def _model_space(rows, ns, cone: bool, q0, **fields) -> Space:
     :class:`_ProjectiveModel` on first read.  ``cone`` records the nef cone,
     whose rays are the H_i.  ``q0`` is None for a space without a primitive
     class, whose spin_c is c1; ``koszul`` records (rows, ns) for the
-    engine's Riemann-Roch closed forms."""
+    engine's Riemann-Roch closed forms, and the Todd genus is their Koszul
+    sum at t = 0."""
     dim = _intersection_dim(rows, ns)
-    model = _ProjectiveModel(rows, ns, dim, cone)
+    model = _ProjectiveModel(rows, ns, dim, cone, q0 is not None)
     recipes = _made_recipes(lambda: (model.ring, *model.classes))
     if q0 is not None:
         recipes["primitive_x"] = lambda: model.hs[0]
@@ -553,7 +608,19 @@ def _model_space(rows, ns, cone: bool, q0, **fields) -> Space:
         real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
         tangent_of=model.tangent,
         koszul=(tuple(map(tuple, rows)), tuple(ns)), _recipes=recipes,
-        _q0=q0, _form_of=partial(getattr, model, "form"), **fields)
+        _q0=q0, _form_of=partial(getattr, model, "form"),
+        _todd_of=model.todd,
+        _generators_of=model.generators, **fields)
+
+
+#: the refusals of (rows, ns) by the catalog, in its order
+_CI_CHECKS = (
+    (("no factor", "small factor"),
+     "ambient factors must have positive dimension"),
+    (("no row",), "need at least one hypersurface"),
+    (("width",), "each multidegree row needs %d entries"),
+    (("negative",), "multidegrees must be nonnegative"),
+    (("zero",), "each hypersurface needs a nonzero multidegree"))
 
 
 def complete_intersection(multidegrees, ambient) -> Space:
@@ -567,20 +634,8 @@ def complete_intersection(multidegrees, ambient) -> Space:
     complex dimension >= 3, so the b2/index metadata and the primitive class
     are only claimed there.
     """
-    rows = [[int(d) for d in row] for row in multidegrees]
-    ns = [int(N) for N in ambient]
-    if not ns or any(N < 1 for N in ns):
-        raise PreconditionUnmet("ambient factors must have positive dimension")
+    rows, ns = _checked_rows(multidegrees, ambient, _CI_CHECKS)
     m = len(ns)
-    if not rows:
-        raise PreconditionUnmet("need at least one hypersurface")
-    for row in rows:
-        if len(row) != m:
-            raise PreconditionUnmet("each multidegree row needs %d entries" % m)
-        if any(d < 0 for d in row):
-            raise PreconditionUnmet("multidegrees must be nonnegative")
-        if not any(row):
-            raise PreconditionUnmet("each hypersurface needs a nonzero multidegree")
     dim = sum(ns) - len(rows)
     lefschetz = dim >= 3
     index = ns[0] + 1 - sum(row[0] for row in rows)  # -K = index * H if m = 1
@@ -627,6 +682,7 @@ def blowup_point(n: int) -> Space:
 
     @cache
     def made():  # (ring, c1, nef rays)
+        from .graded import Generator, RingPresentation, make_ring
         f = form()
         ring = make_ring(RingPresentation(
             generators=[Generator("H", 2, False), Generator("E", 2, False)],
@@ -640,7 +696,8 @@ def blowup_point(n: int) -> Space:
         name="BlP(%d)" % n, family="BlP", real_dim=2 * n, b1=0, b2=2,
         is_complex=True, complex_dim=n,
         notes="tangent Chern data beyond c1 not tracked",
-        _recipes=_made_recipes(made), _form_of=form)
+        _recipes=_made_recipes(made), _form_of=form,
+        _generators_of=lambda: (("H", 2), ("E", 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +727,7 @@ def twist_spin_c(space: Space, k: int) -> Space:
                   notes=(space.notes + "; " if space.notes else "")
                   + "twisted spin^c class")
     return Space(**fields, _form_of=space._form_of, _todd_of=space._todd_of,
+                 _generators_of=space._generators_of,
                  _q0=None if space._q0 is None else space._q0 + 2 * k,
                  _recipes=dict(space._recipes, spin_c=lambda: spin_c()
                                + (2 * k) * primitive()))

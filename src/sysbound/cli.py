@@ -29,10 +29,16 @@ choice, so help, usage and errors read as the full parser's; bare
 
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
-catalog, and ``catalog`` loads no engine.  No data class generates code at
-import (they are plain classes on ``values.Record``), and ``json`` loads only
-where JSON is written (``--format json``) or read (``--gram``,
-``--vertices``, ``--basis``, ``--degrees``).
+catalog, ``catalog`` and an empty ``--batch`` load no engine, and no reply
+on a catalog descriptor loads the graded rings (``graded``) or the
+characteristic classes.  ``--alpha`` is read as a coordinate vector in the
+space's intersection form, and ``phi`` and the ``--alpha`` selectors take
+that vector (``cones.phi_at``, the ``engine`` ``*_at`` functions).  The
+length, the Todd genus and the bounds read off integers do not load
+``roots`` either.  No data class generates code at import (they are plain
+classes on ``values.Record``), and ``json`` loads only where JSON is
+written (``--format json``) or read (``--gram``, ``--vertices``,
+``--basis``, ``--degrees``).
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ def parse_space(text: str):
 def parse_alpha(space: Space, text: str):
     """Parse a linear combination of degree-2 generators, with a pi scale.
 
-    Returns ``(GradedClass, pi_exponent)``; all terms must carry the same
+    Returns ``(vector, pi_exponent)``: the class's coordinate vector in the
+    space's form (``grammar.parse_alpha``); all terms must carry the same
     power of pi.
     """
     from . import grammar
@@ -174,12 +181,12 @@ def _render(rows, fmt: str, approx: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-#: --theorem choices that take a degree-2 class: the ``engine`` function,
-#: looked up when called, and the label of its row
+#: --theorem choices that take a degree-2 class: the ``engine`` function of
+#: its coordinate vector, looked up when called, and the label of its row
 _ALPHA_SELECTORS = {
-    "thm1.4": ("gromov_width_bound", "gromov_width_bound"),
-    "thm1.8": ("volume", "volume"),
-    "rbar": ("avg_scalar_curvature", "average_scalar_curvature"),
+    "thm1.4": ("gromov_width_bound_at", "gromov_width_bound"),
+    "thm1.8": ("volume_at", "volume"),
+    "rbar": ("avg_scalar_curvature_at", "average_scalar_curvature"),
 }
 
 
@@ -233,7 +240,7 @@ def _cmd_phi(node, args):
     if pi_exp:
         raise CalculatorError("the volume functional is scale-invariant; "
                               "drop the pi factor")
-    return [("alpha", args.alpha.strip()), ("phi", cones.phi(space, alpha))]
+    return [("alpha", args.alpha.strip()), ("phi", cones.phi_at(space, alpha))]
 
 
 def _cmd_phi_sup(node, args):

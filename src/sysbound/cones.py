@@ -8,7 +8,11 @@ pairings <alpha^n> and <c1 alpha^(n-1)> of a class, and along a segment of
 classes their coefficients in its parameter.  A class enters as its
 coordinate vector, so ``phi_sup``, ``nef_threshold`` and the bundle profile
 build no ring, and ``phi``, ``s_alpha`` and the engine's volume, average
-scalar curvature and width bound multiply no classes.  The functional is
+scalar curvature and width bound multiply no classes.  ``phi_at`` and the
+engine's ``*_at`` evaluators take the vector itself, as the CLI reads it
+off an ``--alpha`` text (``grammar.parse_alpha``), so they meet no ring;
+the class-taking functions read a class's vector (:func:`_class_vector`)
+and call them.  The functional is
 optimized on the normalized segment between the rays with exact
 critical-point arithmetic: the coefficients stay in the arithmetic of the
 form, integers on every catalog space, and the critical equation's roots
@@ -26,7 +30,8 @@ from . import roots
 from .errors import (CertificateFailed, DegenerateClass, DimensionTooLow,
                      InvalidNormalization, IrrationalCriticalPoint,
                      PreconditionUnmet, RingMismatch, UnsupportedRank)
-from .kernel import _intersection_dim, _solve_linear, _sparse_mul
+from .kernel import (_checked_rows, _intersection_dim, _solve_linear,
+                     _sparse_mul)
 from .values import Record
 
 # ``Space`` and ``GradedClass`` appear in annotations only.  ``catalog`` is
@@ -167,20 +172,41 @@ def _coordinates(space: Space, cls: GradedClass) -> tuple:
     return coords
 
 
+def _class_vector(space: Space, cls: GradedClass):
+    """The vector the evaluators at coordinates take for the class ``cls``:
+    None when it is not homogeneous of degree 2, and else its coordinates
+    in the space's form.  A space without Kaehler data
+    (``Space.has_kahler_data``) gets (), which the evaluators refuse before
+    they read a vector; one without a ring gets it before ``cls`` is read,
+    as they refuse it first."""
+    if space.metadata_only or space.lacks("ring"):
+        return ()
+    if not cls.is_homogeneous(2):
+        return None
+    return _coordinates(space, cls) if space.has_kahler_data() else ()
+
+
 def _require_c1(space: Space) -> None:
     """Refuse a space without a ring, c1 or complex dimension; builds
     nothing."""
     space.check_ring()
-    if space.lacks("c1") or space.complex_dim is None:
+    if not space.has_kahler_data():
         raise PreconditionUnmet("%s has no first Chern class data" % space.name)
 
 
 def phi(space: Space, alpha: GradedClass) -> Fraction:
-    """(c1 . alpha^(n-1))^n / (alpha^n)^(n-1); homogeneous of degree zero."""
+    """(c1 . alpha^(n-1))^n / (alpha^n)^(n-1); homogeneous of degree zero:
+    :func:`phi_at` alpha's coordinates."""
+    return phi_at(space, _class_vector(space, alpha))
+
+
+def phi_at(space: Space, vector) -> Fraction:
+    """phi at the class with coordinates ``vector`` in the space's form, as
+    :func:`_class_vector` gives them (None: a class off degree 2)."""
     _require_c1(space)
-    if not alpha.is_homogeneous(2):
+    if vector is None:
         raise DegenerateClass("the argument must be homogeneous of degree 2")
-    return _phi(space, _coordinates(space, alpha))
+    return _phi(space, vector)
 
 
 def _phi(space: Space, vector) -> Fraction:
@@ -466,6 +492,15 @@ class ContractionReport(Record):
                              factors=factors)
 
 
+#: the refusals of (rows, ns) by the contraction report, in its order
+_CONTRACTION_CHECKS = (
+    (("no row", "no factor"), "need at least one hypersurface and one factor"),
+    (("width",), "each multidegree row needs %d entries"),
+    (("negative", "zero"),
+     "multidegrees must be nonnegative and each row nonzero"),
+    (("small factor",), "ambient factors must have positive dimension"))
+
+
 def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
     """Coordinate-projection report for a multiprojective complete intersection.
 
@@ -474,20 +509,8 @@ def multiproj_contractions(ambient, multidegrees) -> ContractionReport:
     Hypersurfaces that do not meet raise EmptyIntersection, as building the
     space does.
     """
-    ns = [int(N) for N in ambient]
-    rows = [[int(d) for d in row] for row in multidegrees]
-    m = len(ns)
+    rows, ns = _checked_rows(multidegrees, ambient, _CONTRACTION_CHECKS)
     r = len(rows)
-    if r == 0 or m == 0:
-        raise PreconditionUnmet("need at least one hypersurface and one factor")
-    for row in rows:
-        if len(row) != m:
-            raise PreconditionUnmet("each multidegree row needs %d entries" % m)
-        if any(d < 0 for d in row) or not any(row):
-            raise PreconditionUnmet("multidegrees must be nonnegative and "
-                                    "each row nonzero")
-    if any(N < 1 for N in ns):
-        raise PreconditionUnmet("ambient factors must have positive dimension")
     dim = sum(ns) - r
     if dim < 3:
         raise DimensionTooLow(

@@ -2,35 +2,44 @@
 
 All outputs are exact: rationals, rational polynomials, or :class:`PiScaled`
 values q * pi^k.  Decimal rendering is left entirely to the CLI.
+
+``roots`` is imported where a polynomial is made or evaluated, and
+``graded`` where an index class is, so the closed-form replies (the length
+and Todd genus of a model, the bounds read off integers) load neither.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import catalog, roots
+from . import catalog
 from .catalog import Space, integrate
 from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
                      PreconditionUnmet, WindowExhausted)
-from .graded import GradedClass, _format_terms, exp_class
-from .kernel import _sparse_mul
-from .values import ONE, PI, SELECTORS, PiScaled
+from .kernel import _binomial, _koszul_value, _signed_degrees
+from .values import ONE, PI, SELECTORS, PiScaled, _format_terms
+
+if TYPE_CHECKING:
+    from .graded import GradedClass
 
 
 class RationalPolynomial:
     """Dense univariate polynomial with Fraction coefficients."""
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(roots.trim(coeffs))
+        from .roots import trim
+        self.coeffs = tuple(trim(coeffs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, value):
-        return roots.evaluate(self.coeffs, Fraction(value))
+        from .roots import evaluate
+        return evaluate(self.coeffs, Fraction(value))
 
     def __eq__(self, other):
         if isinstance(other, RationalPolynomial):
@@ -107,6 +116,7 @@ def index_polynomial(space: Space) -> IndexPolynomial:
 
 def _index_class(space: Space) -> GradedClass:
     """xi e^(c/2) A-hat(TX), xi = 1 on an even space."""
+    from .graded import exp_class
     return (_xi_factor(space) * exp_class(space.spin_c * Fraction(1, 2))
             * space.a_hat_cls)
 
@@ -150,15 +160,6 @@ def _twice_shift(space: Space, q0: int) -> int:
     return q0 - ns[0] - 1 + sum(row[0] for row in rows)
 
 
-def _signed_degrees(rows, m):
-    """The signed multidegrees d_S of the Koszul sum: the terms of
-    prod over the rows of (1 - z^row), in m variables."""
-    signed = {(0,) * m: 1}
-    for row in rows:
-        signed = _sparse_mul(signed, {(0,) * m: 1, tuple(row): -1})
-    return signed
-
-
 def _koszul_chi(rows, ns, twice_shift=0):
     """Coefficients in a of chi(X, O((a + twice_shift / 2) H_1)) on the
     complete intersection X of the divisors ``rows`` in CP(N_1) x ... x
@@ -186,24 +187,6 @@ def _koszul_chi(rows, ns, twice_shift=0):
         total = [t + p for t, p in zip(total, poly)]
     scale = den ** ns[0] * math.prod(math.factorial(N) for N in ns)
     return [Fraction(t, scale) for t in total]
-
-
-def _koszul_value(rows, ns, t: int) -> int:
-    """chi(X, O(t H_1)) at an integer t, for X as in :func:`_koszul_chi`:
-    the same Koszul sum, each binomial evaluated where it stands."""
-    return sum(sign * _binomial(ns[0], t - d[0])
-               * math.prod(_binomial(N, -di) for N, di in zip(ns[1:], d[1:]))
-               for d, sign in _signed_degrees(rows, len(ns)).items())
-
-
-def _binomial(n: int, u: int) -> int:
-    """The polynomial C(n + u, n) = (u + 1)...(u + n) / n! at an integer u:
-    it vanishes at u = -n, ..., -1, and is (-1)^n C(-u - 1, n) below."""
-    if u >= 0:
-        return math.comb(n + u, n)
-    if u >= -n:
-        return 0
-    return (-1) ** n * math.comb(-u - 1, n)
 
 
 def _spin_c_multiple(space: Space) -> int:
@@ -260,10 +243,11 @@ def length(space: Space) -> int:
             if 2 * lo <= -q0 <= 2 * hi:
                 start = min(q0 + 2 * hi, -q0 - 2 * lo) + 1
     else:
-        nums = roots.numerators(index_polynomial(space).coeffs)
+        from .roots import evaluate, numerators
+        nums = numerators(index_polynomial(space).coeffs)
 
         def pairing(a):
-            return roots.evaluate(nums, a)
+            return evaluate(nums, a)
     n = space.half_dim
     # window |q0 + 2a| <= n + 1 suffices: it holds at least n + 1 twist
     # points, more than a nonzero polynomial of degree <= n has zeros
@@ -300,9 +284,17 @@ def product_length_bound(x: Space, n_factor: Space) -> int:
 
 def _n_factor_admissible(n_factor: Space) -> bool:
     """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor;
-    an odd one's eta is looked for before its A-hat class is read."""
+    an odd one's eta is looked for before its A-hat class is read.  On a
+    sphere S^k with b2 = 0 (every one but S(2), the one a twist applies
+    to), spin_c = 0 and A-hat = 1, so the pairing is <t, [S1]> = 1 on the
+    circle and <1, [S^k]> = 0 on an even sphere: it is read off the
+    dimension, with no ring built."""
     if n_factor.metadata_only or n_factor.real_dim % 2 \
-            and n_factor.lacks("odd_xi") or n_factor.a_hat_cls is None:
+            and n_factor.lacks("odd_xi"):
+        return False
+    if n_factor.family == "S" and n_factor.b2 == 0:
+        return n_factor.real_dim == 1
+    if n_factor.a_hat_cls is None:
         return False
     return n_factor.real_dim == 0 \
         or integrate(n_factor, _index_class(n_factor)) != 0
@@ -313,17 +305,17 @@ def _n_factor_admissible(n_factor: Space) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pairings(space: Space, alpha: GradedClass):
-    """``(<c1 alpha^(n-1)>, <alpha^n>)``, read off the space's form by the
-    cone engine's evaluator, for a Kaehler class alpha; the second is
-    refused at 0."""
+def _pairings(space: Space, vector):
+    """``(<c1 a^(n-1)>, <a^n>)`` for the Kaehler class a with coordinates
+    ``vector`` in the space's form (None: a class off degree 2), read by
+    the cone engine's evaluator; the second is refused at 0."""
     space.check_ring()
-    if not alpha.is_homogeneous(2):
+    if vector is None:
         raise DegenerateClass("a Kaehler class must be homogeneous of degree 2")
     if space.lacks("c1"):
         raise MetadataOnlySpace("%s has no first Chern class data" % space.name)
-    from .cones import _coordinates, _numbers
-    mixed, top = _numbers(space.form, _coordinates(space, alpha))
+    from .cones import _numbers
+    mixed, top = _numbers(space.form, vector)
     if top == 0:
         raise DegenerateClass("alpha^n = 0: the class is degenerate")
     return mixed, top
@@ -336,7 +328,15 @@ def avg_scalar_curvature(space: Space, alpha: GradedClass,
     ``scale`` multiplies the class: passing scale=PI evaluates at pi*alpha,
     which is how the catalog normalizes Kaehler-Einstein classes.
     """
-    mixed, top = _pairings(space, alpha)
+    from .cones import _class_vector
+    return avg_scalar_curvature_at(space, _class_vector(space, alpha), scale)
+
+
+def avg_scalar_curvature_at(space: Space, vector,
+                            scale: PiScaled = ONE) -> PiScaled:
+    """:func:`avg_scalar_curvature` at the class with coordinates
+    ``vector`` in the space's form, as ``cones._class_vector`` gives them."""
+    mixed, top = _pairings(space, vector)
     n = space.complex_dim
     ratio = PiScaled(mixed / top) / scale
     return PiScaled(Fraction(4 * n), 1) * ratio
@@ -344,7 +344,13 @@ def avg_scalar_curvature(space: Space, alpha: GradedClass,
 
 def volume(space: Space, alpha: GradedClass, scale: PiScaled = ONE) -> PiScaled:
     """Symplectic volume alpha^n / n! of the scaled class."""
-    _, top = _pairings(space, alpha)
+    from .cones import _class_vector
+    return volume_at(space, _class_vector(space, alpha), scale)
+
+
+def volume_at(space: Space, vector, scale: PiScaled = ONE) -> PiScaled:
+    """:func:`volume` at the class with coordinates ``vector``."""
+    _, top = _pairings(space, vector)
     n = space.complex_dim
     return (scale ** n) * PiScaled(Fraction(top, math.factorial(n)))
 
@@ -352,8 +358,15 @@ def volume(space: Space, alpha: GradedClass, scale: PiScaled = ONE) -> PiScaled:
 def gromov_width_bound(space: Space, alpha: GradedClass,
                        scale: PiScaled = ONE) -> PiScaled:
     """The width bound 8 pi n^2 / Rbar(alpha)."""
+    from .cones import _class_vector
+    return gromov_width_bound_at(space, _class_vector(space, alpha), scale)
+
+
+def gromov_width_bound_at(space: Space, vector,
+                          scale: PiScaled = ONE) -> PiScaled:
+    """:func:`gromov_width_bound` at the class with coordinates ``vector``."""
     n = space.complex_dim
-    rbar = avg_scalar_curvature(space, alpha, scale)
+    rbar = avg_scalar_curvature_at(space, vector, scale)
     if rbar.q <= 0:
         raise DegenerateClass("the width bound needs positive average "
                               "scalar curvature")

@@ -12,7 +12,9 @@ The catalog imports this module where a form is first made: for the
 volume functional and the cone engine, and for the c1 and nef-ray classes
 of a model, a point blowup or a projective bundle, which are made from
 their form's vectors.  So ``length``, ``index-poly`` and the bounds read off
-integers never compile it.
+integers never compile it.  It imports no ring module: a class or a ring is
+only ever handed to it, so ``phi``, ``phi-sup`` and the ``--alpha``
+selectors read a catalog space's form without loading ``graded``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 
-from .graded import GradedClass, Ring, _format_terms, _tensor_names
-from .values import Record
+from .values import Record, _format_terms, _tensor_names
 
-# ``Space`` appears in annotations only.
+# ``Space``, ``Ring`` and ``GradedClass`` appear in annotations only.
 
 
 def _units(m: int) -> tuple:
@@ -35,15 +36,16 @@ class Form(Record):
     """The top intersection form on H^2 of a complex space X of dimension
     n, in a basis D_1, ..., D_m of degree-2 classes: their ``names``, the
     ``pairing`` sending each exponent tuple e with |e| = n to <D^e, [X]>
-    (zeros left out), and c1 (None without one) and the nef rays as
-    coordinate vectors.  ``monos`` are the D_i as monomials of X's ring: its
-    generators, in order, unless the form is read off a ring.  A ring is
-    met only when a class is made or read."""
+    (zeros left out), and c1 (None without one), the nef rays and the
+    primitive class x (None without one) as coordinate vectors.  ``monos``
+    are the D_i as monomials of X's ring: its generators, in order, unless
+    the form is read off a ring.  A ring is met only when a class is made
+    or read."""
 
-    def __init__(self, names, pairing: dict, c1, rays, monos=None):
+    def __init__(self, names, pairing: dict, c1, rays, monos=None, x=None):
         self.__dict__.update(
             names=tuple(names), pairing=pairing, c1=c1, rays=tuple(rays),
-            monos=_units(len(names)) if monos is None else tuple(monos))
+            monos=_units(len(names)) if monos is None else tuple(monos), x=x)
 
     def classes(self, ring: Ring, vectors) -> tuple:
         """The classes in ``ring`` with the coordinate vectors ``vectors``."""
@@ -53,6 +55,15 @@ class Form(Record):
     def coordinates(self, cls: GradedClass) -> tuple:
         """The coefficients of ``cls`` on the basis, ints where integral."""
         return tuple(cls.terms.get(m, 0) for m in self.monos)
+
+    def vector(self, coefficients) -> tuple:
+        """The coordinates of the class sum_i c_i g_i, ``coefficients``
+        holding c_i for each generator g_i of X's ring, in order, with c_i
+        = 0 wherever g_i is not of degree 2.  A generator is its own
+        monomial in normal form, as in every catalog ring, so the class is
+        read off the basis monomials that are generators."""
+        return tuple(coefficients[m.index(1)] if sum(m) == 1 else 0
+                     for m in self.monos)
 
     def text(self, vector) -> str:
         """The class with coordinates ``vector`` as its ring prints it."""
@@ -64,7 +75,8 @@ class Form(Record):
         """The form of the product with ``other``, its basis named as the
         tensor ring's generators: the pairings multiply, c1 is the sum, and
         the rays are both factors' where ``rays`` holds and each factor has
-        some."""
+        some.  A complex catalog space has b2 >= 1, so the product has no
+        primitive class."""
         left, right = _tensor_names(self.names, other.names)
         zl, zr = (0,) * len(self.names), (0,) * len(other.names)
         return Form(
@@ -102,4 +114,6 @@ def ring_form(space: Space) -> Form:
     form = Form(map(ring.monomial_str, monos), pairing, None, (), monos)
     return form.replace(
         c1=None if space.lacks("c1") else form.coordinates(space.c1),
-        rays=map(form.coordinates, space.nef_rays))
+        rays=map(form.coordinates, space.nef_rays),
+        x=None if space.lacks("primitive_x")
+        else form.coordinates(space.primitive_x))

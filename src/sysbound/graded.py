@@ -24,7 +24,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidPresentation, NotDegreeTwo, RingMismatch
-from .values import Record
+from .values import Record, _format_terms, _tensor_names
 
 Monomial = tuple  # tuple[int, ...], exponents per generator
 
@@ -382,15 +382,6 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _format_terms(terms):
-    """``c*m + ...`` from (coefficient, monomial text) pairs with nonzero
-    coefficients, the monomial "1" standing for the unit: a unit coefficient
-    is left out, and "+ -" reads "- ".  No terms print as "0"."""
-    bits = [str(c) if m == "1" else m if c == 1 else "-" + m if c == -1
-            else "%s*%s" % (c, m) for c, m in terms]
-    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
-
-
 def make_ring(presentation: RingPresentation) -> Ring:
     """Validate a presentation and return a ring handle."""
     return Ring(presentation)
@@ -425,29 +416,6 @@ def _nilpotent_series(x: GradedClass, coeff) -> GradedClass:
             break
         out = out + term * coeff(k)
     return out
-
-
-def _tensor_names(lnames, rnames):
-    """The generator names of a tensor product, as lists for the left and
-    the right factor: colliding names are suffixed with positional indices
-    (H, H -> H1, H2)."""
-    collide = set(lnames) & set(rnames)
-    used = set()
-    counter = {}
-
-    def fresh(name):
-        if name not in collide and name not in used:
-            used.add(name)
-            return name
-        k = counter.get(name, 0) + 1
-        while "%s%d" % (name, k) in used:
-            k += 1
-        counter[name] = k
-        new = "%s%d" % (name, k)
-        used.add(new)
-        return new
-
-    return [fresh(name) for name in lnames], [fresh(name) for name in rnames]
 
 
 def tensor_ring(left: Ring, right: Ring):

@@ -287,37 +287,53 @@ def parse_space(text: str):
 
 
 def parse_alpha(space: Space, text: str):
-    """Parse a linear combination of degree-2 generators, with a pi scale.
+    """Parse a linear combination of generators, with a pi scale, into the
+    class's coordinate vector in the space's form (:class:`forms.Form`),
+    with no ring built.
 
-    Returns ``(GradedClass, pi_exponent)``; all terms must carry the same
-    power of pi.
+    Returns ``(vector, pi_exponent)``; all terms must carry the same power
+    of pi.  The vector is None for a class with a part off degree 2 (a
+    generator of another degree), and () on a space without Kaehler data
+    (``Space.has_kahler_data``), whose form no evaluator reads: the vector
+    that ``cones._class_vector`` makes of the parsed class.
     """
-    space.require_ring()
+    space.check_ring()
+    generators = space.generators()
+    index = {name: i for i, (name, _) in enumerate(generators)}
     p = _Parser(text, _CLASS_PUNCT, " in class expression")
-    total = space.ring.zero()
+    coefficients = [0] * len(generators)
     pi_exponent = None
     tok = p.peek()
     if tok.kind in ("+", "-"):
         p.next()
     while True:
         sign = -1 if tok.kind == "-" else 1
-        coeff, pi_exp, gen = _parse_term(p, space.ring)
+        coeff, pi_exp, name = _parse_term(p, index)
         if pi_exponent is None:
             pi_exponent = pi_exp
         elif pi_exponent != pi_exp:
             raise ParseError("all terms must carry the same power of pi",
                              p.peek().pos)
-        total = total + sign * coeff * gen
+        coefficients[index[name]] += sign * coeff
         tok = p.next()
         if tok.kind == "END":
-            return total, pi_exponent
+            break
         if tok.kind not in ("+", "-"):
             raise ParseError("unexpected token in class expression", tok.pos)
+    coefficients = [c.numerator if c.denominator == 1 else c
+                    for c in map(Fraction, coefficients)]
+    if any(c for c, (_, degree) in zip(coefficients, generators)
+           if degree != 2):
+        return None, pi_exponent
+    if not space.has_kahler_data():
+        return (), pi_exponent
+    return space.form.vector(coefficients), pi_exponent
 
 
-def _parse_term(p: _Parser, ring):
+def _parse_term(p: _Parser, index):
     """``factor (* factor)*``, a factor being ``n``, ``n/d``, ``pi``,
-    ``pi^e`` or one generator name; returns ``(coeff, pi_exp, generator)``."""
+    ``pi^e`` or one generator name, a key of ``index``; returns ``(coeff,
+    pi_exp, name)``."""
     coeff = Fraction(1)
     pi_exp = 0
     name = None
@@ -342,14 +358,16 @@ def _parse_term(p: _Parser, ring):
     if name is None:
         raise ParseError("each term needs a degree-2 generator name",
                          p.peek().pos)
-    if name not in ring.index:
+    if name not in index:
         raise ParseError("unknown generator %r (ring has %s)"
-                         % (name, ", ".join(ring.gen_names())), p.peek().pos)
-    return coeff, pi_exp, ring.gen(name)
+                         % (name, ", ".join(index)), p.peek().pos)
+    return coeff, pi_exp, name
 
 
 def _default_alpha(space: Space):
-    if space.primitive_x is not None:
-        return space.primitive_x, 1
-    raise CalculatorError(
-        "no default class on %s; pass --alpha explicitly" % space.name)
+    """The primitive class x at scale pi, as :func:`parse_alpha` gives a
+    class: its coordinate vector is recorded in the space's form."""
+    if space.lacks("primitive_x"):
+        raise CalculatorError(
+            "no default class on %s; pass --alpha explicitly" % space.name)
+    return (space.form.x if space.has_kahler_data() else ()), 1

@@ -8,10 +8,12 @@ entries become that pair.  The determinant, inverse and rank take integer
 rows and run on Python ints throughout, the inverse coming back as integer
 rows over one denominator; only ``_solve_linear``, for the cone engine,
 clears its rational rows itself.  Sparse polynomials are dicts {exponent
-tuple: coefficient} with one product.  The intersection numbers of a
-complete intersection in a product of projective spaces come from a product
-truncated as it goes, after a matching has decided that the intersection is
-not empty.
+tuple: coefficient} with one product.  A complete intersection in a
+product of projective spaces is given by multidegree rows that one
+validator checks, for the catalog and the contraction report alike.  Its
+intersection numbers come from a product truncated as it goes, after a
+matching has decided that the intersection is not empty, and its
+holomorphic Euler characteristics from the Koszul sum at an integer twist.
 Dense univariate polynomials live in ``roots``.
 """
 
@@ -132,6 +134,46 @@ def _sparse_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+# ---------------------------------------------------------------------------
+# complete intersections in products of projective spaces
+# ---------------------------------------------------------------------------
+
+
+def _checked_rows(multidegrees, ambient, checks):
+    """``(rows, ns)``: the multidegree rows and the factor dimensions
+    N_1, ..., N_m of a complete intersection, as lists of ints, refused
+    with ``PreconditionUnmet`` at the first fault that ``checks`` names.
+
+    ``checks`` are ``(faults, message)`` pairs in the order they are made,
+    a message's ``%d`` standing for m.  The faults are "no row", "no
+    factor", "small factor" (some N_i < 1), and the first faulty row's
+    first of "width" (not m entries), "negative" (an entry below 0) and
+    "zero" (no entry above 0).
+    """
+    rows = [[int(d) for d in row] for row in multidegrees]
+    ns = [int(N) for N in ambient]
+    found = {"no row"} if not rows else set()
+    if not ns:
+        found.add("no factor")
+    elif min(ns) < 1:
+        found.add("small factor")
+    for row in rows:
+        if len(row) != len(ns):
+            found.add("width")
+        elif row and min(row) < 0:
+            found.add("negative")
+        elif not any(row):
+            found.add("zero")
+        else:
+            continue
+        break
+    if found:
+        for faults, message in checks:
+            if found.intersection(faults):
+                raise PreconditionUnmet(message.replace("%d", str(len(ns))))
+    return rows, ns
+
+
 def _intersection_dim(rows, ns):
     """The complex dimension of the complete intersection X of the divisors
     ``rows`` (multidegrees) in CP(N_1) x ... x CP(N_m), after refusing an
@@ -196,3 +238,32 @@ def _intersection_pairing(rows, ns):
         products = out
     return {tuple(N - e for N, e in zip(ns, mono)): c
             for mono, c in products.items()}
+
+
+def _signed_degrees(rows, m):
+    """The signed multidegrees d_S of the Koszul sum: the terms of
+    prod over the rows of (1 - z^row), in m variables."""
+    signed = {(0,) * m: 1}
+    for row in rows:
+        signed = _sparse_mul(signed, {(0,) * m: 1, tuple(row): -1})
+    return signed
+
+
+def _koszul_value(rows, ns, t: int) -> int:
+    """chi(X, O(t H_1)) at an integer t on the complete intersection X of
+    the divisors ``rows`` in CP(N_1) x ... x CP(N_m): the Koszul sum of
+    ``engine._koszul_chi``, each binomial evaluated where it stands.  At
+    t = 0 it is the Todd genus of X."""
+    return sum(sign * _binomial(ns[0], t - d[0])
+               * math.prod(_binomial(N, -di) for N, di in zip(ns[1:], d[1:]))
+               for d, sign in _signed_degrees(rows, len(ns)).items())
+
+
+def _binomial(n: int, u: int) -> int:
+    """The polynomial C(n + u, n) = (u + 1)...(u + n) / n! at an integer u:
+    it vanishes at u = -n, ..., -1, and is (-1)^n C(-u - 1, n) below."""
+    if u >= 0:
+        return math.comb(n + u, n)
+    if u >= -n:
+        return 0
+    return (-1) ** n * math.comb(-u - 1, n)

@@ -5,7 +5,11 @@ A leaf module: it imports only the standard library and ``errors``, so the
 CLI can parse its arguments and print any result without loading an engine.
 ``engine`` re-exports the value type and the selectors; ``Record`` serves
 data classes.  ``_digit_limit`` is the interpreter's int/text digit limit,
-which both the descriptor tokenizer and the CLI's printing check.
+which both the descriptor tokenizer and the CLI's printing check.  The two
+string helpers of the graded rings live here too, so that the catalog and
+the intersection forms name and print classes without loading ``graded``:
+``_format_terms`` writes a linear combination and ``_tensor_names`` names
+the generators of a tensor product.
 """
 
 from __future__ import annotations
@@ -183,6 +187,38 @@ def _pi_bounds(bits: int):
             weight, j = -weight, j + 1
         error += abs(weight) * (j + 1)
     return (total - error) >> guard, -(-(total + error) >> guard)
+
+
+def _format_terms(terms):
+    """``c*m + ...`` from (coefficient, monomial text) pairs with nonzero
+    coefficients, the monomial "1" standing for the unit: a unit coefficient
+    is left out, and "+ -" reads "- ".  No terms print as "0"."""
+    bits = [str(c) if m == "1" else m if c == 1 else "-" + m if c == -1
+            else "%s*%s" % (c, m) for c, m in terms]
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
+def _tensor_names(lnames, rnames):
+    """The generator names of a tensor product, as lists for the left and
+    the right factor: colliding names are suffixed with positional indices
+    (H, H -> H1, H2)."""
+    collide = set(lnames) & set(rnames)
+    used = set()
+    counter = {}
+
+    def fresh(name):
+        if name not in collide and name not in used:
+            used.add(name)
+            return name
+        k = counter.get(name, 0) + 1
+        while "%s%d" % (name, k) in used:
+            k += 1
+        counter[name] = k
+        new = "%s%d" % (name, k)
+        used.add(new)
+        return new
+
+    return [fresh(name) for name in lnames], [fresh(name) for name in rnames]
 
 
 ONE = PiScaled(Fraction(1), 0)

@@ -10,8 +10,12 @@ over every ``BATCH_POOL`` descriptor, the five batch commands, ``phi`` with
 each of ``ALPHA_TEXTS``, and the ``--alpha`` selectors with their default
 class and with each of ``ALPHA_TEXTS``; every descriptor run is made in
 table, CSV and JSON format, and each batch command also reads the whole pool
-as one ``--batch`` run per format.  Last come ``todd`` and ``phi-sup`` on
-the ``EXTRA_SPACES`` in each format.  Each run prints its argv, its exit
+as one ``--batch`` run per format.  Then come ``todd`` and ``phi-sup`` on
+the ``EXTRA_SPACES`` in each format.  Last, in each format, every
+``SELECTORS`` bound runs over the pool and over X * N for every pool space
+X and each of the ``SPHERES`` N, and on X * N ``phi`` and the volume bound
+run with the class H, with N's generator, and (the volume bound) with the
+default class.  Each run prints its argv, its exit
 code, its stdout and its stderr.  Runs are made in this process through
 ``sysbound.cli.run_command``.  Standard library only.
 """
@@ -25,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS  # noqa: E402
 
 from sysbound.cli import run_command  # noqa: E402
+from sysbound.values import SELECTORS  # noqa: E402
 
 #: class texts for ``phi`` and the ``--alpha`` selectors: each names the
 #: generators of some pool family and is refused on the others
@@ -47,6 +52,10 @@ EXTRA_SPACES = tuple(
     "CI(degrees=[[3,2],[4,7],[4,7],[7,4]]; ambient=[4,4])",
     "CI(degrees=[[3,2],[4,7],[4,7],[7,4],[9,5]]; ambient=[5,5])",
     "CI(degrees=[[31,2],[4,37],[4,7],[7,4]]; ambient=[4,4])")
+
+
+#: the second factors N of the X * N runs, with the name of N's generator
+SPHERES = (("S1", "t"), ("S(2)", "x"), ("S(3)", "v"), ("S(4)", "v"))
 
 
 def reply(argv, stdin=""):
@@ -81,6 +90,25 @@ def runs():
         for command in ("todd", "phi-sup"):
             for desc in EXTRA_SPACES:
                 yield (command, "--space", desc, "--format", fmt), ""
+    for fmt in FORMATS:
+        for theorem in SELECTORS:
+            for desc in BATCH_POOL:
+                yield ("bound", "--theorem", theorem, "--space", desc,
+                       "--format", fmt), ""
+        for sphere, generator in SPHERES:
+            products = ["%s * %s" % (desc, sphere) for desc in BATCH_POOL]
+            for theorem in SELECTORS:
+                for desc in products:
+                    yield ("bound", "--theorem", theorem, "--space", desc,
+                           "--format", fmt), ""
+            for command in [("phi", "--alpha", "H"),
+                            ("phi", "--alpha", generator),
+                            ("bound", "--theorem", "thm1.8"),
+                            ("bound", "--theorem", "thm1.8", "--alpha", "H"),
+                            ("bound", "--theorem", "thm1.8", "--alpha",
+                             generator)]:
+                for desc in products:
+                    yield (*command, "--space", desc, "--format", fmt), ""
 
 
 def main():

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from batch_pool import BATCH_POOL
 
-from sysbound import catalog, cones, engine
+from sysbound import catalog, cones, engine, graded
 from sysbound.characteristic import ChernData, a_hat, whitney_quotient
 from sysbound.cli import parse_space
 from sysbound.catalog import (blowup_point, circle, complete_intersection,
@@ -127,6 +127,39 @@ def test_complete_intersection_examples():
         complete_intersection([[1]] * 5, [4])
 
 
+_AMBIENT = "ambient factors must have positive dimension"
+_NONNEGATIVE_NONZERO = "multidegrees must be nonnegative and each row nonzero"
+
+
+@pytest.mark.parametrize("rows, ns, built, report", [
+    ([], [3], "need at least one hypersurface",
+     "need at least one hypersurface and one factor"),
+    ([[1]], [], _AMBIENT, "need at least one hypersurface and one factor"),
+    ([], [0], _AMBIENT, "need at least one hypersurface and one factor"),
+    ([[1, 2]], [0], _AMBIENT, "each multidegree row needs 1 entries"),
+    ([[-1]], [0], _AMBIENT, _NONNEGATIVE_NONZERO),
+    ([[0]], [3], "each hypersurface needs a nonzero multidegree",
+     _NONNEGATIVE_NONZERO),
+    ([[-1, 0]], [3, 3], "multidegrees must be nonnegative",
+     _NONNEGATIVE_NONZERO),
+    ([[1], [1, 1]], [3], "each multidegree row needs 1 entries",
+     "each multidegree row needs 1 entries"),
+    ([[0], [1, 1]], [3], "each hypersurface needs a nonzero multidegree",
+     _NONNEGATIVE_NONZERO),
+    ([[1, 1], [0, 0]], [3, 0], _AMBIENT, _NONNEGATIVE_NONZERO),
+    ([[2]], [-1, 3], _AMBIENT, "each multidegree row needs 2 entries")])
+def test_rows_and_ambient_are_refused_in_each_callers_order(rows, ns, built,
+                                                             report):
+    # one validator, the catalog's and the contraction report's messages
+    # and orders of checks: the first fault each finds is the one it names
+    with pytest.raises(PreconditionUnmet) as exc:
+        complete_intersection(rows, ns)
+    assert str(exc.value) == built
+    with pytest.raises(PreconditionUnmet) as exc:
+        cones.multiproj_contractions(ns, rows)
+    assert str(exc.value) == report
+
+
 def test_complete_intersection_twisted_pairing():
     # <H^dim, [X]> equals the Bezout degree = product of total degrees
     x = complete_intersection([[2], [3]], [6])
@@ -180,16 +213,17 @@ def test_proj_bundle_todd_genus_is_one_minus_genus():
 
 @pytest.mark.parametrize("genus", range(4))
 def test_proj_bundle_todd_closed_form_matches_the_ring(genus, monkeypatch):
-    # 1 - g is read with no ring built, on a bundle and on a product of two
-    # bundles; a product with CP(1) integrates in its ring; each value is
-    # the Todd class integrated in the ring of a fresh copy of the space
+    # 1 - g is read with no ring built, on a bundle, on a product of two
+    # bundles and on a product with CP(1), whose Todd genus is its Koszul
+    # value at 0; each value is the Todd class integrated in the ring of a
+    # fresh copy of the space
     rings = []
-    init = catalog.Ring.__init__
+    init = graded.Ring.__init__
 
     def counted(ring, presentation):
         rings.append(presentation)
         init(ring, presentation)
-    monkeypatch.setattr(catalog.Ring, "__init__", counted)
+    monkeypatch.setattr(graded.Ring, "__init__", counted)
     makers = [partial(proj_bundle_over_curve, degrees, genus)
               for degrees in ([0, 0], [0, 1], [0, 2], [1, 3], [-2, 0, 5],
                               [0, 1, 2], [1, 1, 1, 1])]
@@ -201,7 +235,7 @@ def test_proj_bundle_todd_closed_form_matches_the_ring(genus, monkeypatch):
         space, fresh = make(), make()
         del rings[:]
         value = engine.todd_genus(space)
-        assert bool(rings) == space.name.endswith(" * CP(1)"), space.name
+        assert rings == [], space.name
         assert value == integrate(fresh, fresh.todd_cls), space.name
 
 

@@ -20,7 +20,9 @@ import sysbound
 from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
-from sysbound import catalog, characteristic, cli, graded, values
+from reply_dump import ALPHA_TEXTS
+from sysbound import (catalog, characteristic, cli, cones, grammar, graded,
+                      values)
 from sysbound.cli import (parse_alpha, parse_json_value, parse_space,
                           run_command)
 from sysbound.grammar import AtomNode, ProductNode, TwistNode
@@ -154,24 +156,25 @@ def test_parse_error_texts(text, message, position, expected):
     assert exc.value.expected == expected
 
 
-def test_parse_alpha_expressions():
+def test_parse_alpha_expressions(ring_builds):
+    # a class parses to its coordinates in the space's form, no ring built
     from sysbound.catalog import blowup_point, projective_space
     bl = blowup_point(3)
-    cls, pi_exp = parse_alpha(bl, "2*H - E")
-    assert cls == 2 * bl.ring.gen("H") - bl.ring.gen("E")
-    assert pi_exp == 0
+    assert parse_alpha(bl, "2*H - E") == ((2, -1), 0)
     cp2 = projective_space(2)
-    cls, pi_exp = parse_alpha(cp2, "pi*H")
-    assert cls == cp2.ring.gen("H") and pi_exp == 1
-    cls, pi_exp = parse_alpha(cp2, "1/2*pi^2*H")
-    assert cls == Fraction(1, 2) * cp2.ring.gen("H") and pi_exp == 2
+    assert parse_alpha(cp2, "pi*H") == ((1,), 1)
+    vector, pi_exp = parse_alpha(cp2, "1/2*pi^2*H")
+    assert vector == (Fraction(1, 2),) and pi_exp == 2
     with pytest.raises(ParseError):
         parse_alpha(cp2, "2*Z")
     # "-2" is one integer in a descriptor (genus=-1) but minus 2 here
     p1xp1 = catalog.product(projective_space(1), projective_space(1))
-    cls, pi_exp = parse_alpha(p1xp1, "H1 -2*H2")
-    assert cls == p1xp1.ring.gen("H1") - 2 * p1xp1.ring.gen("H2")
-    assert pi_exp == 0
+    assert parse_alpha(p1xp1, "H1 -2*H2") == ((1, -2), 0)
+    # a class off degree 2 is None; a space without c1 has no form to read
+    circle_product = catalog.product(projective_space(2), catalog.circle())
+    assert parse_alpha(circle_product, "H + t") == (None, 0)
+    assert parse_alpha(circle_product, "H + t - t") == ((), 0)
+    assert ring_builds == []
 
 
 @pytest.mark.parametrize("text, message, position", [
@@ -192,6 +195,115 @@ def test_parse_alpha_error_texts(text, message, position):
     assert str(exc.value) == "%s at offset %d" % (message, position)
     assert exc.value.position == position
     assert exc.value.expected == ()
+
+
+def _ring_parse_alpha(space, text):
+    """The ring route the CLI parsed ``--alpha`` by, kept as the oracle:
+    ``(class, pi exponent)``, the class built in the space's ring."""
+    from sysbound.grammar import _CLASS_PUNCT, _Parser
+    ring = space.require_ring()
+    p = _Parser(text, _CLASS_PUNCT, " in class expression")
+    total, pi_exponent = ring.zero(), None
+    tok = p.peek()
+    if tok.kind in ("+", "-"):
+        p.next()
+    while True:
+        sign = -1 if tok.kind == "-" else 1
+        coeff, pi_exp, name = Fraction(1), 0, None
+        while p.peek().kind in ("INT", "NAME"):
+            factor = p.next()
+            if factor.kind == "INT":
+                den = p.operand("/", "a denominator")
+                if den is not None and int(den.text) == 0:
+                    raise ParseError("zero denominator", den.pos)
+                coeff *= Fraction(int(factor.text),
+                                  1 if den is None else int(den.text))
+            elif factor.text == "pi":
+                power = p.operand("^", "an exponent")
+                pi_exp += 1 if power is None else int(power.text)
+            elif name is not None:
+                raise ParseError("term has two generator names", factor.pos)
+            else:
+                name = factor.text
+            if p.peek().kind != "*":
+                break
+            p.next()
+        if name is None:
+            raise ParseError("each term needs a degree-2 generator name",
+                             p.peek().pos)
+        if name not in ring.index:
+            raise ParseError("unknown generator %r (ring has %s)" % (
+                name, ", ".join(ring.gen_names())), p.peek().pos)
+        if pi_exponent is None:
+            pi_exponent = pi_exp
+        elif pi_exponent != pi_exp:
+            raise ParseError("all terms must carry the same power of pi",
+                             p.peek().pos)
+        total = total + sign * coeff * ring.gen(name)
+        tok = p.next()
+        if tok.kind == "END":
+            return total, pi_exponent
+        if tok.kind not in ("+", "-"):
+            raise ParseError("unexpected token in class expression", tok.pos)
+
+
+def _parsed(parse, space, text):
+    """``parse(space, text)``, or its ParseError's text and offset."""
+    try:
+        return parse(space, text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+#: the pool, its products with a sphere (S1, S(2), S(3) and S(4) in turn),
+#: and a twist and products of models and bundles
+_ALPHA_SPACES = list(BATCH_POOL) + [
+    "%s * %s" % (desc, ("S1", "S(2)", "S(3)", "S(4)")[i % 4])
+    for i, desc in enumerate(BATCH_POOL)] + [
+    "CP(2).twist(1)", "S(2) * S(2)", "S1 * S1 * CP(1)", "CP(1) * CP(1)",
+    "BlP(2) * CP(1)", "PB(degrees=[0,1]; genus=1) * CP(2)"]
+
+#: ``ALPHA_TEXTS`` and texts that name odd and sphere generators, cancel,
+#: or are malformed
+_ORACLE_TEXTS = ALPHA_TEXTS + (
+    "t", "x", "v", "H + t", "H + t - t", "2*H - 2*H", "H1 + x", "-1/3*H2",
+    "xi - xi + f", "H1 + H2 + H3", "E", "2*Z", "pi*H - E", "H*E", "1/0*H")
+
+
+def test_alpha_vectors_match_the_ring_parsed_classes(ring_builds):
+    # the vector route on a fresh space, the ring route on another; a
+    # refusal is the same text at the same offset, and an answer is the
+    # ring class's vector as the evaluators read it
+    compared = set()
+    for desc in _ALPHA_SPACES:
+        for text in _ORACLE_TEXTS:
+            got = _parsed(parse_alpha, parse_space(desc).build(), text)
+            assert ring_builds == [], (desc, text)
+            space = parse_space(desc).build()
+            want = _parsed(_ring_parse_alpha, space, text)
+            if isinstance(want[0], graded.GradedClass):
+                want = (cones._class_vector(space, want[0]), want[1])
+                compared.add("none" if want[0] is None else
+                             "empty" if want[0] == () else "vector")
+            assert got == want, (desc, text)
+            del ring_builds[:]
+    assert compared == {"none", "empty", "vector"}
+
+
+def test_the_default_class_is_the_recorded_primitive_vector(ring_builds):
+    for desc in _ALPHA_SPACES:
+        try:
+            got = grammar._default_alpha(parse_space(desc).build())
+        except CalculatorError as exc:
+            got = str(exc)
+        assert ring_builds == [], desc
+        space = parse_space(desc).build()
+        want = str(CalculatorError("no default class on %s; pass --alpha "
+                                   "explicitly" % space.name)) \
+            if space.primitive_x is None else \
+            (cones._class_vector(space, space.primitive_x), 1)
+        assert got == want, desc
+        del ring_builds[:]
 
 
 _VOCABULARY = {
@@ -960,9 +1072,10 @@ _PRODUCTS = [d for d in BATCH_POOL if " * " in d] + [
                                      ("bound", "--theorem", "thm1.1"),
                                      ("bound", "--theorem", "thm1.3")])
 def test_closed_form_replies_build_no_ring(command, ring_builds):
-    # thm1.3 splits X * N and integrates N's index pairing in its ring
+    # thm1.3 splits X * N and reads a sphere N's index pairing off its
+    # dimension
     codes = set()
-    for desc in _PROJECTIVE + (_PRODUCTS if command[-1] != "thm1.3" else []):
+    for desc in _PROJECTIVE + _PRODUCTS:
         code, out, err = _run([*command, "--space", desc])
         assert (code, bool(out), bool(err)) in ((0, True, False),
                                                  (1, False, True)), desc
@@ -984,6 +1097,24 @@ def test_no_batch_reply_builds_a_ring(ring_builds):
                 built[command[0], desc] = len(ring_builds)
             del ring_builds[:]
     assert built == {}
+
+
+def test_no_catalog_reply_builds_a_ring(ring_builds):
+    # every subcommand on every pool descriptor: phi and the --alpha
+    # selectors read the class's coordinates off the text and the default
+    # class off the form
+    commands = list(BATCH_COMMANDS) + [("phi-sup",), ("contractions",)] + [
+        ("bound", "--theorem", theorem) for theorem in values.SELECTORS
+        + tuple(cli._ALPHA_SELECTORS)] + [
+        ("phi", "--alpha", text) for text in ALPHA_TEXTS] + [
+        ("bound", "--theorem", theorem, "--alpha", text)
+        for theorem in cli._ALPHA_SELECTORS for text in ALPHA_TEXTS]
+    codes = set()
+    for command in commands:
+        for desc in BATCH_POOL:
+            codes.add(_run([*command, "--space", desc])[0])
+            assert ring_builds == [], (command, desc)
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("factor", ["CP(3)", "Q(4)", "CP(2).twist(1)"])
@@ -1282,14 +1413,18 @@ _ENGINES = frozenset(("catalog", "characteristic", "cones", "engine", "forms",
                       "graded", "lattices", "pushforward", "roots"))
 #: engines a cold process must not load, by subcommand; the subcommands that
 #: build a space load neither the lattice nor the pushforward engine, the
-#: benchmark's spaces answer them without characteristic classes, and only
-#: the volume functional reads an intersection form
+#: benchmark's spaces answer them without rings or characteristic classes,
+#: only the volume functional reads an intersection form, and only a
+#: polynomial or the cone engine needs ``roots``
 _NOT_LOADED = {
-    **dict.fromkeys(("bound", "length", "index-poly", "todd"),
-                    frozenset(("characteristic", "forms", "lattices",
-                               "pushforward"))),
+    **dict.fromkeys(("bound", "length", "todd"),
+                    frozenset(("characteristic", "forms", "graded",
+                               "lattices", "pushforward", "roots"))),
+    "index-poly": frozenset(("characteristic", "forms", "graded", "lattices",
+                             "pushforward")),
     **dict.fromkeys(("phi", "phi-sup"),
-                    frozenset(("characteristic", "lattices", "pushforward"))),
+                    frozenset(("characteristic", "graded", "lattices",
+                               "pushforward"))),
     "catalog": _ENGINES,
     "lattice": _ENGINES - {"lattices"},
     "pushforward": _ENGINES - {"pushforward"} | {"kernel"},

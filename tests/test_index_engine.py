@@ -22,10 +22,11 @@ from sysbound.errors import (CalculatorError, DegenerateClass,
                              KunnethViolation, LichnerowiczObstruction,
                              MetadataOnlySpace, MissingOddClass,
                              PreconditionUnmet)
-from sysbound import roots
-from sysbound.engine import _binomial, _koszul_chi, _koszul_value
+from sysbound import engine, graded, roots
+from sysbound.engine import _koszul_chi
 from sysbound.graded import exp_class, truncated_polynomial_ring
-from sysbound.kernel import (_intersection_dim, _intersection_pairing,
+from sysbound.kernel import (_binomial, _intersection_dim,
+                             _intersection_pairing, _koszul_value,
                              _sparse_mul)
 
 
@@ -522,7 +523,8 @@ def test_koszul_values_agree_with_the_expansion_and_the_ring(desc):
     for t in range(-10, 11):
         value = _koszul_value(rows, ns, t)
         assert value == roots.evaluate(expanded, t) == ring_route(t), t
-    assert todd_genus(space) == _koszul_value(rows, ns, 0)
+    assert todd_genus(space) == _koszul_value(rows, ns, 0) \
+        == space._todd_of()
 
 
 def test_koszul_binomial_below_the_ambient_dimension():
@@ -532,6 +534,38 @@ def test_koszul_binomial_below_the_ambient_dimension():
         for u in range(-12, 8):
             assert _binomial(n, u) == math.prod(range(u + 1, u + n + 1)) \
                 // math.factorial(n)
+
+
+def _ring_sphere_pairing(n_factor):
+    """The index pairing's nonvanishing on N in its ring: an odd N without
+    its degree-1 class is refused first, as ``_n_factor_admissible``
+    refuses it."""
+    if n_factor.real_dim % 2 and n_factor.lacks("odd_xi"):
+        return False
+    return integrate(n_factor, engine._index_class(n_factor)) != 0
+
+
+def test_sphere_pairings_match_the_a_hat_route(monkeypatch):
+    # 1 on S1 and 0 on S(2k), read off the dimension; S(2) has b2 = 1 and
+    # twists, and keeps the ring route, as does every other N
+    rings = []
+    init = graded.Ring.__init__
+
+    def counted(ring, presentation):
+        rings.append(presentation)
+        init(ring, presentation)
+    monkeypatch.setattr(graded.Ring, "__init__", counted)
+    for k in range(1, 10):
+        got = engine._n_factor_admissible(sphere(k))
+        assert rings == [] or k == 2, k
+        assert got == _ring_sphere_pairing(sphere(k)) == (k == 1), k
+        del rings[:]
+    for make in (lambda: twist_spin_c(sphere(2), 1),
+                 lambda: product(sphere(2), sphere(2)),
+                 lambda: product(circle(), sphere(4)),
+                 lambda: projective_space(2)):
+        assert engine._n_factor_admissible(make()) \
+            == _ring_sphere_pairing(make()), make().name
 
 
 def test_length_of_a_large_projective_space():

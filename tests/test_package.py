@@ -2,13 +2,18 @@
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from batch_pool import CLI_INVOCATIONS
+from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS
+from reply_dump import ALPHA_TEXTS
 from test_cli import _PB_INVOCATIONS, _child_env
+
+from sysbound.cli import _ALPHA_SELECTORS
+from sysbound.values import SELECTORS
 
 import sysbound
 
@@ -182,6 +187,100 @@ def test_a_batch_compiles_the_grammar_with_its_first_line():
                           text=True, env=_child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[False, True]\n"), \
         proc.stderr
+
+
+_LATE_IMPORTS = r'''
+import io, json, sys
+from sysbound.cli import run_command
+
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("sysbound.")}
+
+
+def lines(descriptors, late):
+    yield "CP(1)\n"  # the benchmark's prime line
+    for desc in descriptors:
+        before = loaded()
+        yield desc + "\n"
+        late[desc] = sorted(loaded() - before)  # read with the next line
+
+
+command, descriptors = json.loads(sys.argv[1])
+late = {}
+sys.stdin = lines(descriptors, late)
+run_command(command + ["--batch"], out=io.StringIO(), err=io.StringIO())
+print(json.dumps({desc: mods for desc, mods in late.items() if mods}))
+'''
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS, ids=" ".join)
+def test_no_batch_line_after_the_prime_line_imports_a_module(command):
+    # after the CP(1) line every pool line finds what it runs loaded, so no
+    # timed line of a batch compiles a module
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATE_IMPORTS,
+         json.dumps([list(command), list(BATCH_POOL)])],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {}
+
+
+_EVERY_REPLY = r'''
+import io, json, sys
+from sysbound.cli import run_command
+
+commands, descriptors = json.loads(sys.argv[1])
+codes = set()
+for command in commands:
+    for desc in descriptors:
+        codes.add(run_command(command + ["--space", desc], out=io.StringIO(),
+                              err=io.StringIO()))
+print(json.dumps([sorted(codes), sorted(m for m in sys.modules
+                                        if m.startswith("sysbound."))]))
+'''
+
+
+def test_no_reply_on_a_pool_descriptor_loads_graded_or_characteristic():
+    # every subcommand on every pool descriptor, phi and the volume bound
+    # with each ALPHA_TEXTS entry, and the --alpha selectors with the
+    # default class, in one fresh interpreter: the rings and characteristic
+    # classes never load
+    commands = [list(command) for command in BATCH_COMMANDS] + [
+        ["phi-sup"], ["contractions"]] + [
+        ["bound", "--theorem", theorem] for theorem in SELECTORS
+        + tuple(_ALPHA_SELECTORS)] + [
+        [*command, "--alpha", text] for text in ALPHA_TEXTS
+        for command in (["phi"], ["bound", "--theorem", "thm1.8"])]
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVERY_REPLY,
+         json.dumps([commands, list(BATCH_POOL)])],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 1, 2]
+    assert "sysbound.cones" in loaded and "sysbound.engine" in loaded
+    assert not {"sysbound.graded", "sysbound.characteristic"} & set(loaded)
+
+
+_EMPTY_BATCH = r'''
+import io, sys
+from sysbound.cli import run_command
+
+sys.stdin = iter(())
+run_command(sys.argv[1:] + ["--batch"], out=io.StringIO())
+print(" ".join(sorted(m for m in sys.modules if m.startswith("sysbound."))))
+'''
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS, ids=" ".join)
+def test_an_empty_batch_loads_no_catalog(command):
+    proc = subprocess.run([sys.executable, "-c", _EMPTY_BATCH, *command],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sysbound.cli", "sysbound.errors",
+                                   "sysbound.values"]
 
 
 def test_pyproject_declares_no_runtime_dependency():
