@@ -57,7 +57,8 @@ from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable
 
 from .errors import (CertificateFailed, MetadataOnlySpace, MissingSpinCClass,
-                     NoPrimitiveClass, PreconditionUnmet, RingMismatch)
+                     NoPrimitiveClass, PreconditionUnmet, RewrittenGenerator,
+                     RingMismatch)
 from .kernel import (_checked_rows, _intersection_dim, _intersection_pairing,
                      _koszul_value)
 from .values import Record, _format_terms, _tensor_names
@@ -202,10 +203,21 @@ class Space(Record, frozen=False):
 
     def generators(self) -> tuple:
         """The ring's generators as ``(name, degree)`` pairs, in order:
-        recorded by the catalog, with no ring built, or read off the ring."""
+        recorded by the catalog, with no ring built, or read off the ring.
+        Each is its own monomial in normal form, or zero, as the class
+        parser and ``Form.vector`` read it; a ring whose power rule of cap
+        1 rewrites a generator is refused."""
         if self._generators_of is not None:
             return self._generators_of()
-        return tuple((g.name, g.degree) for g in self.require_ring().generators)
+        ring = self.require_ring()
+        for i, g in enumerate(ring.generators):
+            unit = tuple(int(j == i) for j in range(len(ring.generators)))
+            if ring._normal_form(unit) not in ((unit, 1), None):
+                raise RewrittenGenerator(
+                    "generator %r of %s's ring is rewritten to %r by a power "
+                    "rule; a class expression reads each generator as itself"
+                    % (g.name, self.name, ring.gen(g.name)))
+        return tuple((g.name, g.degree) for g in ring.generators)
 
     def has_kahler_data(self) -> bool:
         """Whether the space has a ring, c1 and a complex dimension, the

@@ -25,6 +25,11 @@ class InvalidPresentation(CalculatorError):
     pass
 
 
+class RewrittenGenerator(InvalidPresentation):
+    """A power rule of cap 1 rewrites a generator of a ring built by hand,
+    so a class expression cannot read that generator as itself."""
+
+
 class RingMismatch(CalculatorError):
     pass
 

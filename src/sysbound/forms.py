@@ -60,8 +60,9 @@ class Form(Record):
         """The coordinates of the class sum_i c_i g_i, ``coefficients``
         holding c_i for each generator g_i of X's ring, in order, with c_i
         = 0 wherever g_i is not of degree 2.  A generator is its own
-        monomial in normal form, as in every catalog ring, so the class is
-        read off the basis monomials that are generators."""
+        monomial in normal form, or zero (``Space.generators`` refuses any
+        other ring), so the class is read off the basis monomials that are
+        generators."""
         return tuple(coefficients[m.index(1)] if sum(m) == 1 else 0
                      for m in self.monos)
 

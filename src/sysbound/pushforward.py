@@ -10,10 +10,12 @@ lambda of j with at most k rows, mu = lambda + (r-k)^k, and f^mu the number
 of standard tableaux of shape mu (hook length formula, Frame, Robinson and
 Thrall 1954).  By the bialternant formula (Macdonald, I.3), (sum x_I)^M is
 sum_mu f^mu s_mu(x_I), and the other r-k roots must contribute exactly
-delta_(r-k).  Each (k, r, j) is checked once against the fixed-point sum
-at x_i = 2^(i-1); a mismatch raises.  The primitive component, the
-coefficient of p_j once p_1..p_(j-1) are killed, is a hook sum
-(Murnaghan-Nakayama, I.7) and needs at least j variables.
+delta_(r-k).  Each (k, r, j) is checked in full against the fixed-point
+sum at x_i = 2^(i-1), from inputs computed once per process (the fixed
+points per (k, r), s_lambda there per (lambda, r), f^mu per shape mu); a
+mismatch raises.  The primitive component, the coefficient of p_j once
+p_1..p_(j-1) are killed, is a hook sum (Murnaghan-Nakayama, I.7) and needs
+at least j variables.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .values import Record
 #: empirically at (k, r, j) = (1, 2, 1); all cross-checks are modulo it
 SEGRE_SIGN = 1
 
+#: checked before any memo below is filled, so they bound its keys (15 (k, r),
+#: 102 (lambda, r), 182 mu) and the printed class (462 terms at r = j = 6)
 _MAX_R = 6
 _MAX_J = 6
 
@@ -48,12 +52,8 @@ class SymmetricPolynomial(Record):
         """Coefficients are constant on S_r orbits of exponent tuples (the
         adjacent transpositions generate S_r)."""
         coeffs = dict(self.terms)
-        for alpha, c in coeffs.items():
-            for i in range(self.nvars - 1):
-                swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2:]
-                if coeffs.get(swapped, 0) != c:
-                    return False
-        return True
+        return all(coeffs.get(a[:i] + (a[i + 1], a[i]) + a[i + 2:], 0) == c
+                   for a, c in coeffs.items() for i in range(self.nvars - 1))
 
     def evaluate(self, values) -> Fraction:
         if len(values) != self.nvars:
@@ -61,9 +61,6 @@ class SymmetricPolynomial(Record):
         values = [Fraction(v) for v in values]
         return sum((c * math.prod(v ** e for v, e in zip(values, alpha))
                     for alpha, c in self.terms), Fraction(0))
-
-    def total_degree(self):
-        return max((sum(alpha) for alpha, _ in self.terms), default=0)
 
     def __str__(self):
         """The terms as sympy prints the expression: ``-x1 - x2``, ``1``."""
@@ -85,32 +82,42 @@ def _cells(mu):
             for i, p in enumerate(mu) for c in range(p)]
 
 
+@functools.lru_cache(maxsize=None)
 def _standard_tableaux(mu) -> int:
     """f^mu = |mu|! / prod of the hook lengths (Frame-Robinson-Thrall)."""
     return math.factorial(sum(mu)) // math.prod(h for h, _ in _cells(mu))
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_points(k: int, r: int):
+    """V, the Vandermonde at x_i = 2^(i-1), and for each k-subset I the pair
+    (-sum_I x_i, V / prod (x_l - x_i) over i in I, l not in I): V is a
+    multiple of each product, so the weight is an integer."""
+    xs = [2 ** i for i in range(r)]
+    v = math.prod(b - a for a, b in itertools.combinations(xs, 2))
+    return v, tuple((-sum(xs[i] for i in I), v // math.prod(
+        xs[l] - xs[i] for i in I for l in range(r) if l not in I))
+        for I in itertools.combinations(range(r), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _specialization(lam, r: int) -> int:
+    """s_lam(1, 2, ..., 2^(r-1)) = 2^n(lam) prod (2^(r+c) - 1) / (2^h - 1)
+    over the contents c and hook lengths h of lam's cells (Macdonald, I.3)."""
+    cells = _cells(lam)
+    return ((1 << sum(i * p for i, p in enumerate(lam)))
+            * math.prod(2 ** (r + c) - 1 for _, c in cells)
+            // math.prod(2 ** h - 1 for h, _ in cells))
+
+
 def _check_at_fixed_point(k: int, r: int, j: int, coeffs):
     """Raise unless V(x) sum d_lambda s_lambda(x) equals V(x) times the
-    localization sum at x_i = 2^(i-1), V the Vandermonde.  V is a multiple
-    of every fixed point's denominator, so the left side is a sum of
-    integers with no Schur function in it.  On the right, s_lambda there is
-    2^n(lambda) prod (2^(r+c) - 1) / (2^h - 1) over the contents c and hook
-    lengths h of its cells (Macdonald, I.3 Example 1), never zero, so a
-    change to any one coefficient breaks the match."""
-    xs = [2 ** i for i in range(r)]
-    vandermonde = math.prod(b - a for a, b in itertools.combinations(xs, 2))
-    left = sum((-sum(xs[i] for i in subset)) ** (k * (r - k) + j) * vandermonde
-               // math.prod(xs[l] - xs[i] for i in subset
-                            for l in range(r) if l not in subset)
-               for subset in itertools.combinations(range(r), k))
-    right = 0
-    for lam, d in coeffs:
-        cells = _cells(lam)
-        right += ((d << sum(i * p for i, p in enumerate(lam)))
-                  * math.prod(2 ** (r + c) - 1 for _, c in cells)
-                  // math.prod(2 ** h - 1 for h, _ in cells))
-    if left != vandermonde * right:
+    localization sum at x_i = 2^(i-1), V the Vandermonde.  The left side is
+    a sum of integers, with no Schur function in it; no s_lambda on the
+    right is zero, so a change to any one coefficient breaks the match."""
+    v, points = _fixed_points(k, r)
+    if sum(s ** (k * (r - k) + j) * w for s, w in points) != v * sum(
+            d * _specialization(lam, r) for lam, d in coeffs):
         raise NonPolynomialResult(
             "localization sum for (k, r, j) = (%d, %d, %d) does not match "
             "its Schur coefficients at x_i = 2^(i-1); this contradicts the "
@@ -128,12 +135,14 @@ def _schur_coefficients(k: int, r: int, j: int):
     if r > _MAX_R or j > _MAX_J:
         raise PreconditionUnmet(
             "desk-scale caps: r <= %d, j <= %d" % (_MAX_R, _MAX_J))
-    # lam runs over the partitions of j padded with zeros to k rows
-    coeffs = tuple(sorted(
-        (tuple(p for p in lam if p),
-         (-1) ** j * _standard_tableaux([p + r - k for p in lam]))
-        for lam in itertools.combinations_with_replacement(
-            range(j, -1, -1), k) if sum(lam) == j))
+    # lambda padded to k rows: each part at most the last, at least rest/rows
+    lams = [((), j)]
+    for rows in range(k, 0, -1):
+        lams = [(lam + (p,), left - p) for lam, left in lams
+                for p in range(-(-left // rows), min(lam[-1:] + (left,)) + 1)]
+    coeffs = tuple((tuple(p for p in lam if p), (-1) ** j
+                    * _standard_tableaux(tuple(p + r - k for p in lam)))
+                   for lam, _ in lams)
     _check_at_fixed_point(k, r, j, coeffs)
     return coeffs
 
@@ -210,19 +219,10 @@ def segre_pushforward(chern: ChernData, b: int) -> GradedClass:
 
 def segre_series_at(roots_values, b: int) -> Fraction:
     """Independent oracle: s_b for numeric Chern roots via series inversion."""
-    prec = b + 1
     coeffs = [Fraction(1)] + [Fraction(0)] * b
-    for x in roots_values:
-        new = [Fraction(0)] * prec
-        for i in range(prec):
-            new[i] += coeffs[i]
-            if i + 1 < prec:
-                new[i + 1] += coeffs[i] * Fraction(x)
-        coeffs = new
-    inv = [Fraction(1)] + [Fraction(0)] * b
-    for n in range(1, prec):
-        acc = Fraction(0)
-        for m in range(1, n + 1):
-            acc += coeffs[m] * inv[n - m]
-        inv[n] = -acc
+    for x in map(Fraction, roots_values):  # times 1 + x t, through t^b
+        coeffs = [c + x * p for c, p in zip(coeffs, [0] + coeffs)]
+    inv = [Fraction(1)]
+    for n in range(1, b + 1):
+        inv.append(-sum(coeffs[m] * inv[n - m] for m in range(1, n + 1)))
     return inv[b]

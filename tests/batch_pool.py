@@ -59,6 +59,12 @@ def golden_batch():
     return _golden("batch")
 
 
+def golden_pushforward():
+    """The recorded primitive coefficient of each table case: "k,r,b" ->
+    the value as ``str`` prints the Fraction."""
+    return _golden("pushforward")
+
+
 _module = _load("bench_inputs")
 BATCH_POOL = _module.BATCH_POOL
 BATCH_COMMANDS = _module.BATCH_COMMANDS

@@ -11,13 +11,15 @@ each of ``ALPHA_TEXTS``, and the ``--alpha`` selectors with their default
 class and with each of ``ALPHA_TEXTS``; every descriptor run is made in
 table, CSV and JSON format, and each batch command also reads the whole pool
 as one ``--batch`` run per format.  Then come ``todd`` and ``phi-sup`` on
-the ``EXTRA_SPACES`` in each format.  Last, in each format, every
+the ``EXTRA_SPACES`` in each format.  Next, in each format, every
 ``SELECTORS`` bound runs over the pool and over X * N for every pool space
 X and each of the ``SPHERES`` N, and on X * N ``phi`` and the volume bound
 run with the class H, with N's generator, and (the volume bound) with the
-default class.  Each run prints its argv, its exit
-code, its stdout and its stderr.  Runs are made in this process through
-``sysbound.cli.run_command``.  Standard library only.
+default class.  Last, in each format, ``pushforward`` runs on every
+``PUSHFORWARD_CASES`` entry, with and without ``--primitive`` (which refuses
+j = 0 and j > r before the class is printed).  Each run prints its argv,
+its exit code, its stdout and its stderr.  Runs are made in this process
+through ``sysbound.cli.run_command``.  Standard library only.
 """
 
 import io
@@ -56,6 +58,11 @@ EXTRA_SPACES = tuple(
 
 #: the second factors N of the X * N runs, with the name of N's generator
 SPHERES = (("S1", "t"), ("S(2)", "x"), ("S(3)", "v"), ("S(4)", "v"))
+
+#: every (k, r, j) inside the pushforward caps r <= 6, j <= 6, and one past
+#: each cap, which is refused
+PUSHFORWARD_CASES = tuple((k, r, j) for r in range(2, 7) for k in range(1, r)
+                          for j in range(7)) + ((1, 7, 1), (1, 6, 7))
 
 
 def reply(argv, stdin=""):
@@ -109,6 +116,11 @@ def runs():
                              generator)]:
                 for desc in products:
                     yield (*command, "--space", desc, "--format", fmt), ""
+    for fmt in FORMATS:
+        for k, r, j in PUSHFORWARD_CASES:
+            for flags in ((), ("--primitive",)):
+                yield ("pushforward", "--k", str(k), "--r", str(r), "--j",
+                       str(j), *flags, "--format", fmt), ""
 
 
 def main():

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from sysbound.cli import (parse_alpha, parse_json_value, parse_space,
                           run_command)
 from sysbound.grammar import AtomNode, ProductNode, TwistNode
 from sysbound.engine import PiScaled
-from sysbound.errors import CalculatorError, ParseError
+from sysbound.errors import CalculatorError, ParseError, RewrittenGenerator
 
 
 def _run(argv):
@@ -195,6 +196,34 @@ def test_parse_alpha_error_texts(text, message, position):
     assert str(exc.value) == "%s at offset %d" % (message, position)
     assert exc.value.position == position
     assert exc.value.expected == ()
+
+
+def test_parse_alpha_refuses_a_ring_that_rewrites_a_generator():
+    # with the rule a -> 3b the class a is 3b, of vector (3,) and phi 4;
+    # read as its own monomial it would have vector (0,)
+    ring = graded.make_ring(graded.RingPresentation(
+        generators=[graded.Generator("a", 2, False),
+                    graded.Generator("b", 2, False)],
+        truncation=4, power_rules={"a": (1, {(0, 1): 3})},
+        pairing={(0, 2): 1}))
+    b = ring.gen("b")
+    space = catalog.Space(name="m", family="hand", real_dim=4, b1=0, b2=1,
+                          ring=ring, is_complex=True, complex_dim=2, c1=2 * b)
+    assert cones._class_vector(space, ring.gen("a")) == (3,)
+    assert cones.phi(space, ring.gen("a")) == 4
+    for text in ("a", "b", "2*Z"):
+        with pytest.raises(RewrittenGenerator, match=re.escape(
+                "generator 'a' of m's ring is rewritten to 3*b by a power "
+                "rule; a class expression reads each generator as itself")):
+            parse_alpha(space, text)
+    # a generator that a rule sends to zero is its own class, zero
+    killed = catalog.Space(
+        name="k", family="hand", real_dim=4, b1=0, b2=1, is_complex=True,
+        complex_dim=2, ring=graded.make_ring(graded.RingPresentation(
+            generators=[graded.Generator("b", 2, False),
+                        graded.Generator("z", 2, False)],
+            truncation=4, power_rules={"z": (1, {})}, pairing={(2, 0): 1})))
+    assert killed.generators() == (("b", 2), ("z", 2))
 
 
 def _ring_parse_alpha(space, text):

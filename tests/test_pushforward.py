@@ -2,23 +2,31 @@
 
 import functools
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from batch_pool import golden_pushforward
 from sympy import Integer, Rational, Symbol, expand, symbols
 from sympy.polys.polyfuncs import symmetrize
 from sympy_oracle import as_expr, as_poly
+from test_cli import _child_env
 
 from sysbound.catalog import projective_space
 from sysbound.characteristic import ChernData
 from sysbound.errors import (NonPolynomialResult, PreconditionUnmet,
                              TooFewVariables)
 from sysbound.kernel import _sparse_mul
-from sysbound.pushforward import (SEGRE_SIGN, SymmetricPolynomial,
-                                  _check_at_fixed_point, _schur_coefficients,
-                                  bracket_formula, localization_pushforward,
+from sysbound.pushforward import (_MAX_J, _MAX_R, SEGRE_SIGN,
+                                  SymmetricPolynomial, _check_at_fixed_point,
+                                  _fixed_points, _schur_coefficients,
+                                  _schur_monomials, _specialization,
+                                  _standard_tableaux, bracket_formula,
+                                  localization_pushforward,
                                   primitive_coefficient, segre_pushforward,
                                   segre_series_at)
 
@@ -286,8 +294,71 @@ def test_segre_contains_product_monomial():
         assert s2 == (n1 * a1 + n2 * a2) ** 2 - (n1 * n2) * (a1 * a2)
 
 
+#: the 40 cases of the primitive-coefficient table, in table order
+_TABLE = [(k, r, b) for r in range(2, 6) for k in range(1, r)
+          for b in range(1, r + 1)]
+
+_MEMOS = (_fixed_points, _specialization, _standard_tableaux,
+          _schur_coefficients, _schur_monomials)
+
+
 def test_localization_caps():
-    with pytest.raises(PreconditionUnmet):
-        localization_pushforward(1, 7, 1)
+    # r = 6 and j = 6 answer; r = 7 and j = 7 are refused before any memo
+    # takes an entry
+    assert (_MAX_R, _MAX_J) == (6, 6)
+    for k, r, j in ((1, 6, 1), (5, 6, 0), (1, 2, 6), (3, 6, 6)):
+        assert localization_pushforward(k, r, j).is_symmetric()
+    assert primitive_coefficient(3, 6, 3) == 0 != primitive_coefficient(3, 6, 6)
+    sizes = [memo.cache_info().currsize for memo in _MEMOS]
+    caps = r"^desk-scale caps: r <= 6, j <= 6$"
+    for k, r, j in ((1, 7, 1), (6, 7, 0), (1, 2, 7), (3, 6, 7)):
+        with pytest.raises(PreconditionUnmet, match=caps):
+            localization_pushforward(k, r, j)
+    for k, b in ((1, 1), (3, 7)):
+        with pytest.raises(PreconditionUnmet, match=caps):
+            primitive_coefficient(k, 7, b)
+    assert [memo.cache_info().currsize for memo in _MEMOS] == sizes
     with pytest.raises(PreconditionUnmet):
         localization_pushforward(2, 2, 1)
+
+
+def test_memoized_fixed_point_data_match_the_fraction_oracles():
+    # the per-(k, r) weights against the defining sum in Fractions, and each
+    # s_lambda(1, 2, ..., 2^(r-1)) against its monomial expansion
+    for k, r, j in _ALL_CASES:
+        coeffs = _schur_coefficients(k, r, j)
+        xs = [2 ** i for i in range(r)]
+        vandermonde = math.prod(b - a for a, b in itertools.combinations(xs, 2))
+        v, points = _fixed_points(k, r)
+        assert v == vandermonde
+        left = sum(s ** (k * (r - k) + j) * w for s, w in points)
+        assert left == vandermonde * _localization_sum(
+            k, r, j, list(map(Fraction, xs))), (k, r, j)
+        for lam, _ in coeffs:
+            assert _specialization(lam, r) == sum(
+                c * math.prod(x ** e for x, e in zip(xs, alpha))
+                for alpha, c in _schur_monomials(lam, r)), (lam, r)
+
+
+_TABLE_CHILD = r'''
+import json, sys
+from sysbound.pushforward import primitive_coefficient
+print(json.dumps([str(primitive_coefficient(*case))
+                  for case in json.loads(sys.argv[1])]))
+'''
+
+
+def test_table_in_reverse_order_from_a_cold_memo_answers_the_same():
+    # a memo keyed on too few indices would answer a case with the data of
+    # one met before it, so the order would show
+    def cold(cases):
+        proc = subprocess.run([sys.executable, "-c", _TABLE_CHILD,
+                               json.dumps(cases)], capture_output=True,
+                              text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return dict(zip(cases, json.loads(proc.stdout)))
+
+    forward = cold(_TABLE)
+    assert cold(_TABLE[::-1]) == forward
+    assert forward == {case: golden_pushforward()["%d,%d,%d" % case]
+                       for case in _TABLE}
