@@ -20,8 +20,16 @@ default class.  Last, in each format, ``pushforward`` runs on every
 j = 0 and j > r before the class is printed).  Each run prints its argv,
 its exit code, its stdout and its stderr.  Runs are made in this process
 through ``sysbound.cli.run_command``.  Standard library only.
+
+With ``--digests`` it prints instead one line per block of runs: the
+SHA-256 of the block's dump text, the block's subcommand, ``--theorem`` and
+``--format`` (``-`` where a run gives none), and its number of runs, in the
+order blocks first appear.  ``tests/golden_replies.txt`` is that output::
+
+    PYTHONPATH=src python tests/reply_dump.py --digests > tests/golden_replies.txt
 """
 
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -123,13 +131,42 @@ def runs():
                        str(j), *flags, "--format", fmt), ""
 
 
-def main():
-    write = sys.stdout.write
+def dumped(argv, stdin=""):
+    """The dump text of one run."""
+    code, out, err = reply(argv, stdin)
+    return "$ sysbound %s\nexit %d\n--- stdout\n%s--- stderr\n%s" % (
+        " ".join(map(repr, argv)), code, out, err)
+
+
+def block(argv) -> str:
+    """The block of a run: its subcommand, ``--theorem`` and ``--format``
+    values, ``-`` for one it does not give."""
+    def value(flag):
+        return argv[argv.index(flag) + 1] if flag in argv else "-"
+    return "%s %s %s" % (argv[0], value("--theorem"), value("--format"))
+
+
+def digests() -> dict:
+    """block -> (SHA-256 hex digest of its runs' dump text, number of
+    runs), blocks in the order they first appear."""
+    hashes, counts = {}, {}
     for argv, stdin in runs():
-        code, out, err = reply(argv, stdin)
-        write("$ sysbound %s\n" % " ".join(map(repr, argv)))
-        write("exit %d\n--- stdout\n%s--- stderr\n%s" % (code, out, err))
+        key = block(argv)
+        hashes.setdefault(key, hashlib.sha256()).update(
+            dumped(argv, stdin).encode())
+        counts[key] = counts.get(key, 0) + 1
+    return {key: (h.hexdigest(), counts[key]) for key, h in hashes.items()}
+
+
+def main(args):
+    write = sys.stdout.write
+    if args == ["--digests"]:
+        for key, (digest, count) in digests().items():
+            write("%s %s %d\n" % (digest, key, count))
+        return
+    for argv, stdin in runs():
+        write(dumped(argv, stdin))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
