@@ -1,48 +1,48 @@
 """Constructors for the manifold catalog.
 
-A :class:`Space` bundles a ring presentation with the topological data the
-bound calculators consume: tangent Chern data, built on first read (or an
-explicit A-hat class for non-complex factors), the Koszul data of complete
-intersections, the distinguished characteristic class ``spin_c``, a
-primitive degree-2 generator when b2 = 1, an optional degree-1 class for odd
-dimensions, the nef-cone rays of the rank <= 2 families, and Betti/index
-metadata.  Each ring pairs its own top degree with the fundamental class.
-
-Every space is its integers (dimension, Betti and index data, Koszul data,
-q0), set at construction, where an empty intersection is refused by a
-matching and a ring-less factor of a product at once, and its recipes,
-which build the ring and classes on first read.  Projective spaces,
-quadrics and complete intersections share one :class:`_ProjectiveModel` of
-the divisors in a product of projective spaces; a projective bundle and a
-point blowup each have one cached builder; a product tensors its factors'
-rings, and a twist shares its base's.  So the length, the index polynomial
-and every bound read off the dimension, the length, the Fano index or b2
-build no ring, nor does the Todd genus of a model, of a projective bundle,
-or of a product of such spaces: a model records it as its Koszul sum at
-t = 0, and a bundle over a curve of genus g as 1 - g, since pi_* O = O and
-the higher direct images vanish, after certifying its first Chern class in
-integers; a product multiplies its factors'.  Each space also records its
+A :class:`Space` is its integers and one table of recipes.  The integers
+(dimension, Betti and index data, complexness, the Koszul data of a
+complete intersection) are set at construction, where an empty
+intersection is refused by a matching and a ring-less factor of a product
+at once.  Every other value is a field made on first read and kept: the
+ring and its classes (spin_c, the primitive degree-2 class when b2 = 1, the
+degree-1 class of an odd space, c1, the nef rays of the rank <= 2 families,
+a product's factor embeddings), the tangent Chern data and the A-hat and
+Todd classes, the top intersection form on H^2 (:class:`forms.Form`), the
 ring's generator names and degrees, which an ``--alpha`` text is read
-against.
+against, the integer q0 with spin_c = q0 x, the Todd genus, the top pairing
+<xi x^n, [X]> and the index pairing <eta e^(c/2) A-hat, [N]> of a second
+factor.  A field's recipe, where the catalog records one, is a closed form;
+without one the field's rule reads the value off the ring.  So which space
+has which closed form is decided here alone, and the engines only read
+values.
+
+The closed forms come from integers the catalog already has.  Projective
+spaces, quadrics and complete intersections share one
+:class:`_ProjectiveModel` of the divisors in a product of projective
+spaces: the form pairs by the rows, c1 is read by adjunction, the Todd
+genus is the Koszul sum at t = 0 and, in one projective space, the top
+pairing is the degree.  A projective bundle over a curve of genus g records
+its form, c1 certified in integers, and its Todd genus 1 - g, since pi_* O
+= O and the higher direct images vanish; a point blowup records its form; a
+sphere its generator and its index pairing, 1 on the circle and 0 on an
+even sphere.  A product builds its recipes from its factors' values: the
+Kuenneth product of the forms, the product of the Todd genera, the
+primitive factor's q0 and, times the circle, that factor's top pairing,
+as <t, [S1]> = 1.  A twist shares its base's recipes but those of spin_c,
+q0 and the index pairing, which see the spin^c class.  A space given its
+classes by the public constructor, and every copy ``Space.replace`` makes,
+reads the rest off its ring.  So the length, the index polynomial, the
+Todd genus and every bound read off integers build no ring on a catalog
+space, and the volume functional, phi-sup and the nef threshold read a
+class's numbers off the form (:mod:`sysbound.cones`).
 
 The modules behind a ring load with it: ``sysbound.graded`` is imported
 only in the recipes that build a ring (a sphere's, a product's tensor ring,
-a model's, a bundle's and a blowup's), and ``sysbound.characteristic`` only
-where a tangent or an A-hat class is built.  So no reply on a catalog
-descriptor loads either; they serve spaces built by hand and the tests'
-oracles.
-
-A complex space also records its top intersection form on H^2
-(:class:`forms.Form`) from the same integers: the pairings <D^e, [X]> of the top
-monomials in its degree-2 generators, and c1 and the nef rays as integer
-coordinate vectors.  A model takes the pairing from its rows, a point
-blowup and a projective bundle from closed forms (the bundle's c1
-certified ring-free), a product of two such spaces the Kuenneth product of
-their forms, and a twist its base's; a space given its classes by the
-public constructor reads its form off its ring.  The volume functional,
-phi-sup and the nef threshold read a class's numbers off the form
-(:mod:`sysbound.cones`), so they build no ring; the classes c1 and the nef
-rays are made from the form's vectors when the ring is built.
+a model's, a bundle's and a blowup's) and in the rules, and
+``sysbound.characteristic`` only where a tangent, an A-hat or a Todd class
+is built.  So no reply on a catalog descriptor loads either; they serve
+spaces built by hand and the tests' oracles.
 
 Weighted-projective hypersurfaces and the Grassmannian linear section enter
 the catalog as metadata-only spaces (dimension and index, no ring); the
@@ -70,12 +70,13 @@ if TYPE_CHECKING:  # graded loads where a ring is built, characteristic
 
 
 class _Made:
-    """A ring-side field of :class:`Space`: the first read runs the space's
-    recipe for it (``default`` without one) and keeps the value in the
-    instance dict, so later reads are plain hits."""
+    """A derived field of :class:`Space`: the first read runs the space's
+    recipe for it, or without one the field's ``rule`` on the space (None
+    when the field has no rule), and keeps the value in the instance dict,
+    so later reads are plain hits."""
 
-    def __init__(self, default=None):
-        self.default = default
+    def __init__(self, rule=None):
+        self.rule = rule
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -83,52 +84,160 @@ class _Made:
     def __get__(self, space, owner=None):
         if space is None:
             return self
-        value = space._recipes.get(self.name, lambda: self.default)()
+        recipe = space._recipes.get(self.name)
+        if recipe is not None:
+            value = recipe()
+        else:
+            value = None if self.rule is None else self.rule(space)
         space.__dict__[self.name] = value
         return value
+
+
+def _empty(space) -> tuple:
+    return ()
+
+
+def _tangent_a_hat(space: Space) -> GradedClass | None:
+    """The tangent's A-hat class, None without a tangent."""
+    if space.tangent is None:
+        return None
+    from .characteristic import a_hat
+    return a_hat(space.tangent)
+
+
+def _todd_class(space: Space) -> GradedClass | None:
+    """Todd = exp(c1/2) * A-hat on complex spaces carrying both."""
+    if not space.is_complex or space.a_hat_cls is None or space.c1 is None:
+        return None
+    from .characteristic import todd_from_a_hat
+    return todd_from_a_hat(space.c1, space.a_hat_cls)
+
+
+def _ring_form(space: Space) -> Form:
+    from .forms import ring_form
+    return ring_form(space)
+
+
+def _ring_generators(space: Space) -> tuple:
+    """The ring's generators as ``(name, degree)`` pairs, in order.  Each
+    is its own monomial in normal form, or zero, as the class parser and
+    ``Form.vector`` read it; a ring whose power rule of cap 1 rewrites a
+    generator is refused."""
+    ring = space.require_ring()
+    for i, g in enumerate(ring.generators):
+        unit = tuple(int(j == i) for j in range(len(ring.generators)))
+        if ring._normal_form(unit) not in ((unit, 1), None):
+            raise RewrittenGenerator(
+                "generator %r of %s's ring is rewritten to %r by a power "
+                "rule; a class expression reads each generator as itself"
+                % (g.name, space.name, ring.gen(g.name)))
+    return tuple((g.name, g.degree) for g in ring.generators)
+
+
+def _ring_q0(space: Space) -> int:
+    """The integer q0 with spin_c = q0 x in real cohomology, read off the
+    classes."""
+    x = space.primitive_x
+    c = space.spin_c
+    if c.is_zero():
+        return 0
+    for mono, xc in x.terms.items():
+        cc = c.coefficient(mono)
+        if cc:
+            q0 = cc / xc
+            break
+    else:
+        raise NoPrimitiveClass("characteristic class is not a multiple of x")
+    if c != q0 * x:
+        raise NoPrimitiveClass(
+            "characteristic class of %s is not proportional to the primitive "
+            "generator" % space.name)
+    if q0.denominator != 1:
+        raise NoPrimitiveClass("characteristic class must be an integral "
+                               "multiple of the primitive generator")
+    return int(q0)
+
+
+def _ring_todd(space: Space) -> Fraction:
+    """The integral of the Todd class."""
+    if not space.is_complex or space.todd_cls is None:
+        raise MetadataOnlySpace(
+            "%s carries no complex tangent data for a Todd genus" % space.name)
+    return integrate(space, space.todd_cls)
+
+
+def _xi(space: Space) -> GradedClass:
+    """The degree-1 class xi of an odd space, 1 on an even one."""
+    return space.odd_xi if space.real_dim % 2 else space.ring.one()
+
+
+def _index_class(space: Space) -> GradedClass:
+    """xi e^(c/2) A-hat(TX), xi = 1 on an even space."""
+    from .graded import exp_class
+    return (_xi(space) * exp_class(space.spin_c * Fraction(1, 2))
+            * space.a_hat_cls)
+
+
+def _ring_top_pairing(space: Space) -> Fraction:
+    """<xi x^n, [X]> for the primitive class x, n = half_dim."""
+    return integrate(space, _xi(space) * space.primitive_x ** space.half_dim)
+
+
+def _ring_index_pairing(space: Space) -> Fraction | None:
+    """<xi e^(c/2) A-hat, [X]>, 1 on a point; None on an odd space without
+    its xi, looked for before the A-hat class is read, and on a space
+    without one."""
+    if space.real_dim % 2 and space.lacks("odd_xi") or space.a_hat_cls is None:
+        return None
+    return 1 if space.real_dim == 0 else integrate(space, _index_class(space))
 
 
 class Space(Record, frozen=False):
     """A catalog manifold; immutable by convention after construction.
 
-    The integers (b1, b2, dimensions, complexness, ``koszul``, q0) are set at
-    construction.  Recipes run on the first read of the value they make, and
-    the value is kept: each ring-side field (``ring``, ``c1``, ``spin_c``,
-    ``primitive_x``, ``odd_xi``, ``nef_rays``, ``factor_embeddings``) has
-    one in ``_recipes``, or is None (or empty).  The catalog gives
-    ``_recipes``; a class given to the public constructor becomes a recipe
-    that returns it, and c1 defaults to the tangent's first Chern class.
-    ``tangent_of`` makes ``tangent``, ``a_hat_of`` makes ``a_hat_cls`` (the
-    tangent's A-hat class without one), and ``todd_cls`` is read off both.
-    ``_q0``, recorded by the catalog only, is the integer with spin_c = q0 x
-    for the primitive class x.  :meth:`lacks` and :meth:`check_ring` answer
-    from the recipes and build nothing.
+    The integers (b1, b2, dimensions, complexness, ``koszul``) are set at
+    construction.  Every other value is a :class:`_Made` field, made on
+    first read and kept: by the space's recipe for it in ``_recipes`` where
+    there is one, and else by the field's rule, which reads it off the ring,
+    or leaves a ring or class the space has no recipe for None (the nef
+    rays and factor embeddings empty).  The catalog gives ``_recipes``; the
+    public constructor turns a class it is given into a recipe that returns
+    it, ``tangent_of`` into the recipe of ``tangent`` (and of c1, the
+    tangent's first Chern class, where none is given) and ``a_hat_of`` into
+    that of ``a_hat_cls``.  :meth:`lacks` and :meth:`check_ring` answer from
+    the recipes and build nothing.
 
-    ``koszul`` is ``(rows, ns)`` when the index polynomial and the Todd genus
-    are those of the complete intersection of the divisors ``rows`` in
-    CP(N_1) x ... x CP(N_m): on that space and its twists, on a product of
-    such spaces, and, for the index polynomial, on its product with the
-    circle in either order.  :mod:`sysbound.engine` reads them from the
-    Riemann-Roch closed form, and :meth:`model_top_pairing` reads the degree
-    from rows in one projective space.  ``factor_embeddings`` are the
-    (left, right) class maps on products.
+    The fields read off the ring by a rule without a recipe: ``a_hat_cls``
+    (the tangent's), ``todd_cls`` (exp(c1/2) A-hat), ``form``
+    (``forms.ring_form``), ``generators`` (the ring's, as ``(name,
+    degree)`` pairs), ``q0`` (the integer with spin_c = q0 x for the
+    primitive class x), ``todd`` (the Todd genus), ``top_pairing`` (<xi
+    x^n, [X]>, xi = 1 on an even space) and ``index_pairing`` (<xi e^(c/2)
+    A-hat, [X]>, whose nonvanishing thm1.3 and thm5.6 ask of a second
+    factor).
 
-    ``_form_of``, recorded by the catalog only, makes :attr:`form`, the top
-    intersection form; without it the form is read off the ring.
-    ``_todd_of``, recorded by the catalog only, makes the Todd genus as an
-    integer where a closed form gives it: on a model, a projective bundle
-    and a product of two such spaces; a twist shares its base's.
-    ``_generators_of``, recorded by the catalog only, names the ring's
-    generators with their degrees (:meth:`generators`).
+    ``koszul`` is ``(rows, ns)`` when the index polynomial is that of the
+    complete intersection of the divisors ``rows`` in CP(N_1) x ... x
+    CP(N_m): on that space and its twists, on a product of such spaces, and
+    on its product with the circle in either order.  :mod:`sysbound.engine`
+    reads it from the Riemann-Roch closed form.  ``factor_embeddings`` are
+    the (left, right) class maps on products.
 
     ``Space.replace`` reads every field, so the copy is given the original's
-    classes, reads its q0 off its own spin_c and its form off its ring.
-    Kept values are not fields, so it never copies a value computed for
-    another space.
+    classes, ``tangent_of`` and ``a_hat_of``, and reads the rest off its
+    ring.  Kept values are not fields, so it never copies a value computed
+    for another space.
     """
 
-    ring, c1, spin_c, primitive_x, odd_xi = (_Made() for _ in range(5))
-    nef_rays, factor_embeddings = _Made(()), _Made(())
+    ring, c1, spin_c, primitive_x, odd_xi, tangent = (
+        _Made() for _ in range(6))
+    nef_rays, factor_embeddings = _Made(_empty), _Made(_empty)
+    a_hat_cls, todd_cls, form = (
+        _Made(_tangent_a_hat), _Made(_todd_class), _Made(_ring_form))
+    generators, q0, todd = (
+        _Made(_ring_generators), _Made(_ring_q0), _Made(_ring_todd))
+    top_pairing, index_pairing = (
+        _Made(_ring_top_pairing), _Made(_ring_index_pairing))
 
     def __init__(self, name: str, family: str, real_dim: int, b1: int,
                  b2: int, ring: Ring | None = None, is_complex=False,
@@ -139,60 +248,27 @@ class Space(Record, frozen=False):
                  koszul=None, spin_c=None, primitive_x=None, odd_xi=None,
                  fano_index=None, metadata_only=False, nef_rays=(),
                  kahler_einstein=None, notes="", factor_embeddings=(),
-                 _recipes: dict | None = None, _q0: int | None = None,
-                 _form_of: Callable[[], Form] | None = None,
-                 _todd_of: Callable[[], int] | None = None,
-                 _generators_of: Callable[[], tuple] | None = None):
+                 _recipes: dict | None = None):
         self.__dict__.update(
             name=name, family=family, real_dim=real_dim, b1=b1, b2=b2,
             is_complex=is_complex, complex_dim=complex_dim,
             tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
             fano_index=fano_index, metadata_only=metadata_only,
-            kahler_einstein=kahler_einstein, notes=notes, _q0=_q0,
-            _form_of=_form_of, _todd_of=_todd_of,
-            _generators_of=_generators_of)
+            kahler_einstein=kahler_einstein, notes=notes)
         given = dict(ring=ring, c1=c1, spin_c=spin_c, primitive_x=primitive_x,
                      odd_xi=odd_xi, nef_rays=nef_rays,
                      factor_embeddings=factor_embeddings)
         self._recipes = {field: lambda value=value: value
                          for field, value in given.items() if value is not None}
         if tangent_of is not None:  # c1 defaults to the tangent's
+            self._recipes["tangent"] = tangent_of
             self._recipes.setdefault("c1", lambda: tangent_of().chern(1))
+        if a_hat_of is not None:
+            self._recipes["a_hat_cls"] = a_hat_of
         self._recipes.update(_recipes or {})
         if not (metadata_only or real_dim % 2 or self.lacks("odd_xi")):
             raise PreconditionUnmet(
                 "%s: a degree-1 class is only recorded in odd dimensions" % name)
-
-    @cached_property
-    def tangent(self) -> ChernData | None:
-        return None if self.tangent_of is None else self.tangent_of()
-
-    @cached_property
-    def a_hat_cls(self) -> GradedClass | None:
-        if self.a_hat_of is not None:
-            return self.a_hat_of()
-        if self.tangent is None:
-            return None
-        from .characteristic import a_hat
-        return a_hat(self.tangent)
-
-    @cached_property
-    def form(self) -> Form:
-        """The top intersection form on H^2 (:class:`forms.Form`): recorded
-        by the catalog from integers it has, with no ring built, or read
-        off the ring."""
-        if self._form_of is not None:
-            return self._form_of()
-        from .forms import ring_form
-        return ring_form(self)
-
-    @cached_property
-    def todd_cls(self) -> GradedClass | None:
-        """Todd = exp(c1/2) * A-hat on complex spaces carrying both."""
-        if not self.is_complex or self.a_hat_cls is None or self.c1 is None:
-            return None
-        from .characteristic import todd_from_a_hat
-        return todd_from_a_hat(self.c1, self.a_hat_cls)
 
     def lacks(self, name: str) -> bool:
         """Whether the field ``name`` is None, answered for a ring-side
@@ -200,24 +276,6 @@ class Space(Record, frozen=False):
         if name in self.__dict__ or name not in _RING_SIDE:
             return getattr(self, name) is None
         return name not in self._recipes
-
-    def generators(self) -> tuple:
-        """The ring's generators as ``(name, degree)`` pairs, in order:
-        recorded by the catalog, with no ring built, or read off the ring.
-        Each is its own monomial in normal form, or zero, as the class
-        parser and ``Form.vector`` read it; a ring whose power rule of cap
-        1 rewrites a generator is refused."""
-        if self._generators_of is not None:
-            return self._generators_of()
-        ring = self.require_ring()
-        for i, g in enumerate(ring.generators):
-            unit = tuple(int(j == i) for j in range(len(ring.generators)))
-            if ring._normal_form(unit) not in ((unit, 1), None):
-                raise RewrittenGenerator(
-                    "generator %r of %s's ring is rewritten to %r by a power "
-                    "rule; a class expression reads each generator as itself"
-                    % (g.name, self.name, ring.gen(g.name)))
-        return tuple((g.name, g.degree) for g in ring.generators)
 
     def has_kahler_data(self) -> bool:
         """Whether the space has a ring, c1 and a complex dimension, the
@@ -236,20 +294,12 @@ class Space(Record, frozen=False):
         self.check_ring()
         return self.ring
 
-    def model_top_pairing(self) -> int | None:
-        """<H^n, [X]>, n = half_dim, read with no ring built from ``koszul``
-        rows in one projective space: a positive integer, X being nonempty.
-        None on any other space."""
-        if self.koszul is None or len(self.koszul[1]) != 1:
-            return None
-        return _intersection_pairing(*self.koszul).get((self.half_dim,))
-
     @property
     def half_dim(self) -> int:
         return self.real_dim // 2
 
 
-#: the fields a space makes by its recipes
+#: the init fields a space makes by its recipes
 _RING_SIDE = frozenset(name for name in Space._fields
                        if isinstance(vars(Space).get(name), _Made))
 
@@ -262,14 +312,14 @@ def integrate(space: Space, cls: GradedClass) -> Fraction:
     return ring.integrate_top(cls)
 
 
-def _made_recipes(made) -> dict:
-    """The recipes of a space with a recorded form, read off ``made()``,
-    whose value starts (ring, c1, nef rays), the classes made from the form;
-    spin_c is c1."""
-    recipes = {"ring": lambda: made()[0], "c1": lambda: made()[1],
-               "nef_rays": lambda: made()[2]}
-    recipes["spin_c"] = recipes["c1"]
-    return recipes
+def _made_recipes(made, **recipes) -> dict:
+    """The recipes of a space with a recorded form: the ring and classes
+    read off ``made()``, whose value starts (ring, c1, nef rays), the
+    classes made from the form, spin_c = c1, and then ``recipes``."""
+    def c1():
+        return made()[1]
+    return {"ring": lambda: made()[0], "c1": c1, "spin_c": c1,
+            "nef_rays": lambda: made()[2], **recipes}
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +371,22 @@ def sphere(k: int) -> Space:
 
 def _sphere(name: str, k: int, gname: str, notes: str) -> Space:
     """The k-sphere, lazy: Q[g]/(g^2), g of degree k with <g> = 1, spin_c = 0
-    and A-hat = 1; g is S1's degree-1 class and S(2)'s primitive (q0 = 0)."""
+    and A-hat = 1; g is S1's degree-1 class and S(2)'s primitive (q0 = 0).
+    So the index pairing is <t, [S1]> = 1 on the circle and <1, [S^k]> = 0
+    on an even sphere."""
     ring = cache(partial(_sphere_ring, gname, k))
-    recipes = {"ring": ring, "spin_c": lambda: ring().zero()}
+    recipes = {"ring": ring, "spin_c": lambda: ring().zero(),
+               "generators": lambda: ((gname, k),)}
     if k <= 2:
         recipes["odd_xi" if k == 1 else "primitive_x"] = \
             lambda: ring().gen(gname)
+    if k == 2:
+        recipes["q0"] = lambda: 0
+    if k == 1 or k % 2 == 0:
+        recipes["index_pairing"] = lambda: int(k == 1)
     return Space(name=name, family="S", real_dim=k, b1=int(k == 1),
                  b2=int(k == 2), a_hat_of=lambda: ring().one(), notes=notes,
-                 _recipes=recipes, _q0=0 if k == 2 else None,
-                 _generators_of=lambda: ((gname, k),))
+                 _recipes=recipes)
 
 
 def _sphere_ring(gname: str, k: int) -> Ring:
@@ -346,9 +402,12 @@ def _sphere_ring(gname: str, k: int) -> Ring:
 def product(x: Space, y: Space) -> Space:
     """Product space with tensor ring and Kuenneth pairing, made lazily: a
     factor without a ring is refused at once, and the recipes refer to the
-    factors and one shared tensor ring, never to the product.  q0 is the
-    primitive factor's, 0 on a product of two odd classes (a factor with
-    b2 = 0 has spin^c class 0 in real cohomology).
+    factors and one shared tensor ring, never to the product.  They read the
+    factors' values: q0 is the primitive factor's, 0 on a product of two odd
+    classes (a factor with b2 = 0 has spin^c class 0 in real cohomology);
+    the form is the Kuenneth product of two recorded forms and the Todd
+    genus the product of two recorded genera; and times the circle the
+    primitive factor's recorded top pairing is kept.
 
     Odd x odd products are allowed at construction time; the parity
     hypothesis of the product length bound is enforced where a length is
@@ -375,16 +434,19 @@ def product(x: Space, y: Space) -> Space:
     if both_complex and not (x.lacks("c1") or y.lacks("c1")):
         recipes["c1"] = lambda: left(x.c1) + right(y.c1)
 
-    q0 = None
     if x.b1 * y.b1 == 0 and {x.b2, y.b2} == {0, 1}:
-        base, embed = (x, left) if x.b2 else (y, right)
+        base, embed, other = (x, left, y) if x.b2 else (y, right, x)
         if not base.lacks("primitive_x"):
             recipes["primitive_x"] = lambda: embed(base.primitive_x)
-            q0 = base._q0
+            if "q0" in base._recipes:
+                recipes["q0"] = lambda: base.q0
+            if "top_pairing" in base._recipes and other.family == "S" \
+                    and other.real_dim == 1:  # xi = t and <t, [S1]> = 1
+                recipes["top_pairing"] = lambda: base.top_pairing
     elif (x.b1, x.b2, y.b1, y.b2) == (1, 0, 1, 0) \
             and not (x.lacks("odd_xi") or y.lacks("odd_xi")):
-        recipes["primitive_x"], q0 = \
-            lambda: left(x.odd_xi) * right(y.odd_xi), 0
+        recipes["primitive_x"] = lambda: left(x.odd_xi) * right(y.odd_xi)
+        recipes["q0"] = lambda: 0
 
     if (x.real_dim + y.real_dim) % 2 == 1:  # one factor is odd
         odd, odd_map = (x, left) if x.real_dim % 2 else (y, right)
@@ -396,22 +458,18 @@ def product(x: Space, y: Space) -> Space:
             + tuple(map(right, y.nef_rays)) \
             if x.nef_rays and y.nef_rays else ()
 
-    form_of = None
-    if both_complex and not (x._form_of is None or y._form_of is None):
-        def form_of():
-            return x.form.kunneth(y.form, x.b2 + y.b2 <= 2)
+    if both_complex and "form" in x._recipes and "form" in y._recipes:
+        recipes["form"] = lambda: x.form.kunneth(y.form, x.b2 + y.b2 <= 2)
 
-    def generators_of():  # named as tensor_ring names them
-        xgens, ygens = x.generators(), y.generators()
-        lnames, rnames = _tensor_names([name for name, _ in xgens],
-                                       [name for name, _ in ygens])
-        return tuple(zip(lnames + rnames,
-                         [degree for _, degree in xgens + ygens]))
+    def generators():  # named as tensor_ring names them
+        lnames, rnames = _tensor_names([name for name, _ in x.generators],
+                                       [name for name, _ in y.generators])
+        return tuple(zip(lnames + rnames, [
+            degree for _, degree in x.generators + y.generators]))
+    recipes["generators"] = generators
 
-    todd_of = None  # the Todd genus is multiplicative
-    if not (x._todd_of is None or y._todd_of is None):
-        def todd_of():
-            return x._todd_of() * y._todd_of()
+    if "todd" in x._recipes and "todd" in y._recipes:  # it is multiplicative
+        recipes["todd"] = lambda: x.todd * y.todd
 
     tangent_of = None
     if both_complex and x.tangent_of is not None and y.tangent_of is not None:
@@ -443,8 +501,7 @@ def product(x: Space, y: Space) -> Space:
         b2=x.b2 + y.b2 + x.b1 * y.b1, is_complex=both_complex,
         complex_dim=(x.complex_dim + y.complex_dim) if both_complex else None,
         tangent_of=tangent_of, a_hat_of=a_hat_of, koszul=koszul,
-        _recipes=recipes, _q0=q0, _form_of=form_of, _todd_of=todd_of,
-        _generators_of=generators_of)
+        _recipes=recipes)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +542,7 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         return Form(("xi", "f"), {top: 1, (n, 0): e} if e else {top: 1},
                     c1(), ((1, 0), (0, 1)))
 
-    def todd_of():  # chi(O) = chi(O_C) = 1 - g: pi_* O = O, R^i pi_* O = 0
+    def todd():  # chi(O) = chi(O_C) = 1 - g: pi_* O = O, R^i pi_* O = 0
         c1()
         return 1 - genus
 
@@ -512,8 +569,8 @@ def proj_bundle_over_curve(degrees, genus: int = 0) -> Space:
         real_dim=2 * n, b1=2 * genus, b2=2, tangent_of=tangent_of,
         is_complex=True, complex_dim=n,
         notes="ring ignores the odd cohomology of the base curve",
-        _recipes=_made_recipes(made), _form_of=form, _todd_of=todd_of,
-        _generators_of=lambda: (("xi", 2), ("f", 2)))
+        _recipes=_made_recipes(made, form=form, todd=todd,
+                               generators=lambda: (("xi", 2), ("f", 2))))
 
 
 def _first_chern(factors) -> tuple:
@@ -607,22 +664,25 @@ def _model_space(rows, ns, cone: bool, q0, **fields) -> Space:
     one refused: its integers now, its form, ring and classes from a
     :class:`_ProjectiveModel` on first read.  ``cone`` records the nef cone,
     whose rays are the H_i.  ``q0`` is None for a space without a primitive
-    class, whose spin_c is c1; ``koszul`` records (rows, ns) for the
-    engine's Riemann-Roch closed forms, and the Todd genus is their Koszul
-    sum at t = 0."""
+    class, whose spin_c is c1; a primitive class lives in one projective
+    space, where the top pairing is the degree <H^dim, [X]>.  ``koszul``
+    records (rows, ns) for the engine's Riemann-Roch closed forms."""
     dim = _intersection_dim(rows, ns)
     model = _ProjectiveModel(rows, ns, dim, cone, q0 is not None)
-    recipes = _made_recipes(lambda: (model.ring, *model.classes))
+    recipes = _made_recipes(
+        lambda: (model.ring, *model.classes),
+        form=partial(getattr, model, "form"), generators=model.generators,
+        todd=model.todd)
     if q0 is not None:
-        recipes["primitive_x"] = lambda: model.hs[0]
-        recipes["spin_c"] = lambda: q0 * model.hs[0]
+        recipes.update(
+            primitive_x=lambda: model.hs[0],
+            spin_c=lambda: q0 * model.hs[0], q0=lambda: q0,
+            top_pairing=lambda: _intersection_pairing(rows, ns)[(dim,)])
     return Space(
         real_dim=2 * dim, b1=0, b2=len(ns), is_complex=True, complex_dim=dim,
         tangent_of=model.tangent,
         koszul=(tuple(map(tuple, rows)), tuple(ns)), _recipes=recipes,
-        _q0=q0, _form_of=partial(getattr, model, "form"),
-        _todd_of=model.todd,
-        _generators_of=model.generators, **fields)
+        **fields)
 
 
 #: the refusals of (rows, ns) by the catalog, in its order
@@ -708,8 +768,8 @@ def blowup_point(n: int) -> Space:
         name="BlP(%d)" % n, family="BlP", real_dim=2 * n, b1=0, b2=2,
         is_complex=True, complex_dim=n,
         notes="tangent Chern data beyond c1 not tracked",
-        _recipes=_made_recipes(made), _form_of=form,
-        _generators_of=lambda: (("H", 2), ("E", 2)))
+        _recipes=_made_recipes(made, form=form,
+                               generators=lambda: (("H", 2), ("E", 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +779,9 @@ def blowup_point(n: int) -> Space:
 
 def twist_spin_c(space: Space, k: int) -> Space:
     """Replace the characteristic class c by c + 2k x; parity is preserved.
-    The twist shares every recipe but spin_c's, the form, and the tangent
-    and A-hat, which do not see the spin^c class; it moves q0 where it is
-    recorded.  A space without a spin^c class is refused before any recipe
-    is read."""
+    The twist shares every recipe but those that see the spin^c class: it
+    moves spin_c and q0, and reads its index pairing off its ring.  A space
+    without a spin^c class is refused before any recipe is read."""
     space.check_ring()
     if space.b2 != 1 or space.lacks("primitive_x"):
         raise NoPrimitiveClass(
@@ -738,11 +797,10 @@ def twist_spin_c(space: Space, k: int) -> Space:
     fields.update(name="%s twist(%d)" % (space.name, k),
                   notes=(space.notes + "; " if space.notes else "")
                   + "twisted spin^c class")
-    return Space(**fields, _form_of=space._form_of, _todd_of=space._todd_of,
-                 _generators_of=space._generators_of,
-                 _q0=None if space._q0 is None else space._q0 + 2 * k,
-                 _recipes=dict(space._recipes, spin_c=lambda: spin_c()
-                               + (2 * k) * primitive()))
+    recipes = dict(space._recipes, q0=lambda: space.q0 + 2 * k,
+                   spin_c=lambda: spin_c() + (2 * k) * primitive())
+    recipes.pop("index_pairing", None)
+    return Space(**fields, _recipes=recipes)
 
 
 # ---------------------------------------------------------------------------

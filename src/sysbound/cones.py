@@ -115,22 +115,22 @@ def cone_problem(space: Space) -> ConeProblem:
 
 
 def _segment(form, base, step=None):
-    """``(num, den)``: <c1 a_t^(n-1)> and <a_t^n> as sparse polynomials
-    {(j,): coefficient of t^j} for the class a_t = base + t step (constant
-    without ``step``), given by coordinate vectors in the basis D_1, ...,
-    D_m of ``form``.
+    """``(num, den)``: <c1 a_t^(n-1)> and <a_t^n> as coefficient lists
+    [c_0, ..., c_n] in t for the class a_t = base + t step (constant without
+    ``step``), given by coordinate vectors in the basis D_1, ..., D_m of
+    ``form``, whose top monomials have degree n.
 
     By the multinomial theorem, a_t^n pairs to the sum over the top
     monomials D^e of <D^e> C(n; e) prod_i a_i^e_i, a_i the i-th coordinate
     of a_t; and c1 a_t^(n-1) to the sum over the same e and each i with
     e_i > 0 of <D^e> c1_i C(n-1; e - 1_i) a_i^(e_i-1) prod_{j != i}
     a_j^e_j.  Each a_i^k that depends on t is expanded by the binomial
-    theorem as a sparse polynomial in t, and the products are
-    ``kernel._sparse_mul``'s, all in the arithmetic of the coordinates, so
-    integer data stays in the integers.
-    A form without c1 gives num = {}."""
+    theorem as a polynomial in t, and the products are ``roots.multiply``'s,
+    all in the arithmetic of the coordinates, so integer data stays in the
+    integers.  A form without c1 gives num = 0."""
     step = step or (0,) * len(base)
-    num, den = {}, {}
+    n = max(map(sum, form.pairing), default=0)
+    num, den = [0] * (n + 1), [0] * (n + 1)
     for e, value in form.pairing.items():
         _accumulate(den, value, e, base, step)
         for i, c in enumerate(form.c1 or ()):
@@ -141,24 +141,25 @@ def _segment(form, base, step=None):
 
 
 def _accumulate(acc, value, e, base, step):
-    """acc += value C(|e|; e) prod_i (base_i + t step_i)^e_i."""
+    """acc += value C(|e|; e) prod_i (base_i + t step_i)^e_i, on the
+    coefficient list ``acc`` of length at least |e| + 1."""
     scale = value * (factorial(sum(e)) // prod(map(factorial, e)))
-    term = {(0,): 1}
+    term = [1]
     for k, b, s in zip(e, base, step):
         if not s:
             scale *= b ** k
         elif k:
-            term = _sparse_mul(term, {(j,): comb(k, j) * b ** (k - j) * s ** j
-                                      for j in range(k + 1)})
-    for mono, c in term.items():
-        acc[mono] = acc.get(mono, 0) + scale * c
+            term = roots.multiply(term, [comb(k, j) * b ** (k - j) * s ** j
+                                         for j in range(k + 1)])
+    for j, c in enumerate(term):
+        acc[j] += scale * c
 
 
 def _numbers(form, vector):
     """``(<c1 a^(n-1)>, <a^n>)`` for the class a with coordinates
     ``vector`` in ``form``."""
     num, den = _segment(form, vector)
-    return Fraction(num.get((0,), 0)), Fraction(den.get((0,), 0))
+    return Fraction(num[0]), Fraction(den[0])
 
 
 def _coordinates(space: Space, cls: GradedClass) -> tuple:
@@ -313,20 +314,18 @@ def phi_sup(problem: ConeProblem):
             # ray + t interior, den[j] = C(n, j) <ray^(n-j) interior^j> and
             # num[j] = C(n-1, j) <c1 ray^(n-1-j) interior^j>.
             num, den = _segment(form, ray, interior)
-            j = min((j for (j,), c in den.items() if j and c), default=None)
+            j = min((j for j, c in enumerate(den) if j and c), default=None)
             if j is None or j == n:
                 raise PreconditionUnmet(
                     "degenerate nef ray on %s" % space.name)
-            if num.get((j - 1,), 0) <= 0:
+            if num[j - 1] <= 0:
                 raise PreconditionUnmet(
                     "non-big ray with nonpositive c1 pairing; outside the "
                     "catalogued Fano families")
             return Unbounded(_problem=problem, _index=index)
 
     # both rays big: optimize on the segment alpha_t = R0 + t d, d = R1 - R0
-    num, den = ([poly.get((j,), 0) for j in range(n + 1)]
-                for poly in _segment(form, rays[0],
-                                     tuple(map(sub, rays[1], rays[0]))))
+    num, den = _segment(form, rays[0], tuple(map(sub, rays[1], rays[0])))
 
     # the critical equation of num^n / den^(n-1): n num' den - (n-1) num den'
     g = [n * a - (n - 1) * b for a, b in zip(

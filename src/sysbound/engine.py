@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import catalog
-from .catalog import Space, integrate
+from .catalog import Space, _index_class, integrate
 from .errors import (DegenerateClass, KunnethViolation, LichnerowiczObstruction,
                      MetadataOnlySpace, MissingOddClass, NoPrimitiveClass,
                      PreconditionUnmet, WindowExhausted)
@@ -74,18 +74,10 @@ class IndexPolynomial(RationalPolynomial):
 
 
 def todd_genus(space: Space) -> Fraction:
-    """Integral of the Todd class; the holomorphic Euler characteristic.
-    A closed form answers where the catalog records one: the Riemann-Roch
-    sum of ``koszul`` data, or the integer ``_todd_of`` makes."""
+    """Integral of the Todd class; the holomorphic Euler characteristic, as
+    the space gives it (``Space.todd``)."""
     space.check_ring()
-    if space.is_complex and space.koszul is not None:
-        return Fraction(_koszul_value(*space.koszul, 0))
-    if space._todd_of is not None:
-        return Fraction(space._todd_of())
-    if not space.is_complex or space.todd_cls is None:
-        raise MetadataOnlySpace(
-            "%s carries no complex tangent data for a Todd genus" % space.name)
-    return integrate(space, space.todd_cls)
+    return Fraction(space.todd)
 
 
 def _check_odd_class(space: Space) -> None:
@@ -94,11 +86,6 @@ def _check_odd_class(space: Space) -> None:
         raise MissingOddClass(
             "%s is odd-dimensional but carries no degree-1 class with "
             "xi * x^n nonzero" % space.name)
-
-
-def _xi_factor(space: Space) -> GradedClass:
-    _check_odd_class(space)
-    return space.odd_xi if space.real_dim % 2 == 1 else space.ring.one()
 
 
 def index_polynomial(space: Space) -> IndexPolynomial:
@@ -114,13 +101,6 @@ def index_polynomial(space: Space) -> IndexPolynomial:
         space, _index_class(space), space.primitive_x, space.half_dim), q0)
 
 
-def _index_class(space: Space) -> GradedClass:
-    """xi e^(c/2) A-hat(TX), xi = 1 on an even space."""
-    from .graded import exp_class
-    return (_xi_factor(space) * exp_class(space.spin_c * Fraction(1, 2))
-            * space.a_hat_cls)
-
-
 def _twist_series(space: Space, base: GradedClass, cls: GradedClass,
                   top: int) -> list:
     """[<base cls^k, [X]> / k! for k = 0, ..., top]: the coefficients of
@@ -134,10 +114,9 @@ def _twist_series(space: Space, base: GradedClass, cls: GradedClass,
 
 
 def _index_data(space: Space) -> int:
-    """The integer q0 with c = q0 x, on a space with an index polynomial;
-    an odd space must carry its degree-1 factor xi, checked before the
-    A-hat class is read.  A space with ``koszul`` data and a recorded q0
-    answers from its integers, with no ring built."""
+    """The integer q0 with c = q0 x (``Space.q0``), on a space with an
+    index polynomial; an odd space must carry its degree-1 factor xi,
+    checked before the A-hat class is read."""
     space.check_ring()
     if space.lacks("primitive_x"):
         raise NoPrimitiveClass(
@@ -146,7 +125,7 @@ def _index_data(space: Space) -> int:
     _check_odd_class(space)
     if space.koszul is None and space.a_hat_cls is None:
         raise MetadataOnlySpace("%s carries no A-hat data" % space.name)
-    return _spin_c_multiple(space)
+    return space.q0
 
 
 def _twice_shift(space: Space, q0: int) -> int:
@@ -187,32 +166,6 @@ def _koszul_chi(rows, ns, twice_shift=0):
         total = [t + p for t, p in zip(total, poly)]
     scale = den ** ns[0] * math.prod(math.factorial(N) for N in ns)
     return [Fraction(t, scale) for t in total]
-
-
-def _spin_c_multiple(space: Space) -> int:
-    """The integer q0 with c = q0 * x in real cohomology: recorded by the
-    catalog, elsewhere read off the classes."""
-    if space._q0 is not None:
-        return space._q0
-    x = space.primitive_x
-    c = space.spin_c
-    if c.is_zero():
-        return 0
-    for mono, xc in x.terms.items():
-        cc = c.coefficient(mono)
-        if cc:
-            q0 = cc / xc
-            break
-    else:
-        raise NoPrimitiveClass("characteristic class is not a multiple of x")
-    if c != q0 * x:
-        raise NoPrimitiveClass(
-            "characteristic class of %s is not proportional to the primitive "
-            "generator" % space.name)
-    if q0.denominator != 1:
-        raise NoPrimitiveClass("characteristic class must be an integral "
-                               "multiple of the primitive generator")
-    return int(q0)
 
 
 def length(space: Space) -> int:
@@ -283,21 +236,10 @@ def product_length_bound(x: Space, n_factor: Space) -> int:
 
 
 def _n_factor_admissible(n_factor: Space) -> bool:
-    """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor;
-    an odd one's eta is looked for before its A-hat class is read.  On a
-    sphere S^k with b2 = 0 (every one but S(2), the one a twist applies
-    to), spin_c = 0 and A-hat = 1, so the pairing is <t, [S1]> = 1 on the
-    circle and <1, [S^k]> = 0 on an even sphere: it is read off the
-    dimension, with no ring built."""
-    if n_factor.metadata_only or n_factor.real_dim % 2 \
-            and n_factor.lacks("odd_xi"):
-        return False
-    if n_factor.family == "S" and n_factor.b2 == 0:
-        return n_factor.real_dim == 1
-    if n_factor.a_hat_cls is None:
-        return False
-    return n_factor.real_dim == 0 \
-        or integrate(n_factor, _index_class(n_factor)) != 0
+    """Nonvanishing of <eta e^(c/2) A-hat(TN), [N]> for the second factor,
+    as the space gives it (``Space.index_pairing``, None on an odd N
+    without its eta and on one without A-hat data)."""
+    return not n_factor.metadata_only and bool(n_factor.index_pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +419,8 @@ def _require_kahler(space: Space) -> int:
 
 
 def _require_condition_a(space: Space) -> int:
-    """u^n nonzero (with xi in odd dimension); returns n = half_dim.  A space
-    with ``koszul`` rows in one projective space reads <xi u^n, [X]> from
-    them (xi = t on X' x S1 and S1 x X', where <t, [S1]> = 1)."""
+    """<xi u^n, [X]> nonzero (xi = 1 in even dimension), as the space gives
+    it (``Space.top_pairing``); returns n = half_dim."""
     space.check_ring()
     n = space.half_dim
     if space.b2 != 1 or space.lacks("primitive_x"):
@@ -487,10 +428,7 @@ def _require_condition_a(space: Space) -> int:
             "%s must have b2 = 1 with a degree-2 class u, u^n nonzero"
             % space.name)
     _check_odd_class(space)
-    pairing = space.model_top_pairing()
-    if pairing is None:
-        pairing = integrate(space, _xi_factor(space) * space.primitive_x ** n)
-    if pairing == 0:
+    if space.top_pairing == 0:
         raise PreconditionUnmet(
             "the top pairing of the degree-2 class of %s vanishes"
             % space.name)

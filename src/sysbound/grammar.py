@@ -298,7 +298,7 @@ def parse_alpha(space: Space, text: str):
     that ``cones._class_vector`` makes of the parsed class.
     """
     space.check_ring()
-    generators = space.generators()
+    generators = space.generators
     index = {name: i for i, (name, _) in enumerate(generators)}
     p = _Parser(text, _CLASS_PUNCT, " in class expression")
     coefficients = [0] * len(generators)

@@ -77,7 +77,10 @@ class SymmetricPolynomial(Record):
 
 def _cells(mu):
     """(hook length, content) of each cell of the Young diagram mu."""
-    conjugate = [sum(p > c for p in mu) for c in range(mu[0] if mu else 0)]
+    conjugate = [0] * (mu[0] if mu else 0)  # the column lengths
+    for p in mu:
+        for c in range(p):
+            conjugate[c] += 1
     return [(p - c + conjugate[c] - i - 1, c - i)
             for i, p in enumerate(mu) for c in range(p)]
 

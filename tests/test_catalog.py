@@ -494,14 +494,17 @@ _GIVEN = {
     *BATCH_POOL, "S1", "S(2)", "S(3)", "S1 * S1", "S1 * CP(3)",
     "CP(2) * S(2) * S1", "S(2).twist(1)", "Q(3).twist(1) * S1", *_GIVEN])
 def test_lacks_answers_as_a_read_of_each_ring_side_field(desc):
-    # every space's recipes are keyed by ring-side fields only, and lacks
-    # answers from them what a read of a field that may be None gives, on
-    # the space and on its copy, whose recipes are the classes it is given
+    # every space's recipes are keyed by made fields only, and lacks
+    # answers from them what a read of a ring-side field that may be None
+    # gives, on the space and on its copy, whose recipes are the classes it
+    # is given
     def build():
         return _GIVEN[desc]() if desc in _GIVEN else parse_space(desc).build()
-    assert set(build()._recipes) <= catalog._RING_SIDE
+    made = {name for name, field in vars(catalog.Space).items()
+            if isinstance(field, catalog._Made)}
+    assert set(build()._recipes) <= made
     for name in sorted(catalog._RING_SIDE):
-        if vars(catalog.Space)[name].default is not None:
+        if vars(catalog.Space)[name].rule is not None:
             continue  # nef_rays, factor_embeddings: () without one
         for fresh in (build(), build().replace()):
             assert fresh.lacks(name) is (getattr(fresh, name) is None), name

@@ -21,6 +21,7 @@ import sysbound
 from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
+import reply_dump
 from reply_dump import ALPHA_TEXTS
 from sysbound import (catalog, characteristic, cli, cones, grammar, graded,
                       values)
@@ -223,7 +224,7 @@ def test_parse_alpha_refuses_a_ring_that_rewrites_a_generator():
             generators=[graded.Generator("b", 2, False),
                         graded.Generator("z", 2, False)],
             truncation=4, power_rules={"z": (1, {})}, pairing={(2, 0): 1})))
-    assert killed.generators() == (("b", 2), ("z", 2))
+    assert killed.generators == (("b", 2), ("z", 2))
 
 
 def _ring_parse_alpha(space, text):
@@ -1013,7 +1014,8 @@ def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
             cli._reply(cli._DISPATCH[args.command], args)
     assert built.keys() == spaces.keys()
     assert all(built[n] is s for n, s in spaces.items())
-    kept = {"tangent", "a_hat_cls", "todd_cls", "form"}
+    kept = {"tangent", "a_hat_cls", "todd_cls", "form", "generators", "q0",
+            "todd", "top_pairing", "index_pairing"}
     for node, space in spaces.items():
         for name, value in before[node].items():
             assert getattr(space, name) is value, (node.unparse(), name)
@@ -1033,6 +1035,28 @@ def test_cli_invocations_print_the_recorded_bytes():
     for entry in recorded:
         code, out, _ = _run(entry["argv"])
         assert (code, out) == (entry["code"], entry["stdout"]), entry["argv"]
+
+
+def _golden_replies() -> dict:
+    """``tests/golden_replies.txt``: block -> (SHA-256 of the block's dump
+    text, number of runs), as ``reply_dump.digests`` gives them."""
+    out = {}
+    path = Path(__file__).resolve().parent / "golden_replies.txt"
+    for line in path.read_text().splitlines():
+        digest, command, theorem, fmt, count = line.split()
+        out["%s %s %s" % (command, theorem, fmt)] = (digest, int(count))
+    return out
+
+
+def test_every_dump_block_prints_the_recorded_replies():
+    # every reply of tests/reply_dump.py, one digest per block of runs (one
+    # subcommand, --theorem and --format); an output changed on purpose
+    # re-records the file with ``reply_dump.py --digests``
+    recorded, now = _golden_replies(), reply_dump.digests()
+    differ = [key for key in recorded.keys() | now.keys()
+              if recorded.get(key) != now.get(key)]
+    assert not differ, "blocks whose replies differ from the record: %s" % (
+        ", ".join(sorted(differ)))
 
 
 @pytest.mark.parametrize("command", BATCH_COMMANDS, ids=" ".join)

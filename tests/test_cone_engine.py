@@ -9,10 +9,10 @@ import pytest
 
 import sturm_oracle
 from batch_pool import BATCH_POOL
-from sysbound import cones, engine, roots
+from sysbound import cones, engine, graded, roots
 from sysbound.catalog import (Space, blowup_point, complete_intersection,
                               integrate, product, proj_bundle_over_curve,
-                              projective_space)
+                              projective_space, twist_spin_c)
 from sysbound.cli import parse_space
 from sysbound.cones import (ConeProblem, Unbounded, bundle_profile_sup,
                             bundle_systole_profile, cone_problem,
@@ -439,23 +439,64 @@ def test_kahler_numbers_match_the_ring_oracle():
     assert seen > 450
 
 
-def test_a_form_read_off_the_ring_is_the_recorded_one():
-    # a copy made by the public constructor is given the classes alone, so
-    # it reads its form off its ring; the recorded form prints each ray as
-    # the ring does
-    compared = 0
-    for desc in BATCH_POOL + _FORM_EXTRAS:
-        space = parse_space(desc).build()
-        if space._form_of is None:
-            continue
-        recorded = space.form
-        copy = space.replace()
-        assert copy._form_of is None
-        assert copy.form == recorded, desc
-        assert [recorded.text(r) for r in recorded.rays] == list(
-            map(repr, space.nef_rays)), desc
-        compared += 1
-    assert compared == 70 + len(_FORM_EXTRAS)  # all but the 5 non-complex
+#: the values a space may record a closed form for; without one, each is
+#: read off the ring by its field's rule
+_RECORDED = ("form", "generators", "q0", "todd", "top_pairing",
+             "index_pairing")
+
+
+def _recorded_inputs():
+    """``(label, build)`` for every pool descriptor, form extra and sphere
+    S(k), k <= 4, a twist of each b2 = 1 space among them, and the products
+    of all of these with ``S1`` and ``S(2)``."""
+    inputs = [(desc, lambda desc=desc: parse_space(desc).build())
+              for desc in BATCH_POOL + _FORM_EXTRAS
+              + ("S1", "S(2)", "S(3)", "S(4)")]
+    for desc, build in list(inputs):
+        space = build()
+        if space.b2 == 1 and not (space.metadata_only
+                                  or space.lacks("primitive_x")):
+            inputs.append(("%s twist" % desc, lambda build=build:
+                           twist_spin_c(build(), 1)))
+    for label, build in list(inputs):
+        if not build().metadata_only:
+            for sphere in ("S1", "S(2)"):
+                inputs.append(("%s * %s" % (label, sphere), lambda build=build,
+                               sphere=sphere: product(
+                                   build(), parse_space(sphere).build())))
+    return inputs
+
+
+def test_a_form_read_off_the_ring_is_the_recorded_one(monkeypatch):
+    # every recorded value, read with no ring built, is what the ring rule
+    # gives: a copy made by the public constructor is given the classes
+    # alone, so it reads each value off its ring.  The recorded form prints
+    # each ray as the ring does
+    rings = []
+    init = graded.Ring.__init__
+
+    def counted(ring, presentation):
+        rings.append(presentation)
+        init(ring, presentation)
+    monkeypatch.setattr(graded.Ring, "__init__", counted)
+    compared = dict.fromkeys(_RECORDED, 0)
+    for label, build in _recorded_inputs():
+        for name in _RECORDED:
+            space = build()
+            if name not in space._recipes:
+                continue
+            del rings[:]
+            recorded = getattr(space, name)
+            assert rings == [], (label, name)
+            copy = space.replace()
+            assert name not in copy._recipes
+            assert getattr(copy, name) == recorded, (label, name)
+            if name == "form":
+                assert [recorded.text(r) for r in recorded.rays] == list(
+                    map(repr, space.nef_rays)), label
+            compared[name] += 1
+    assert compared == {"form": 124, "generators": 414, "q0": 198,
+                        "todd": 116, "top_pairing": 186, "index_pairing": 3}
 
 
 def test_a_form_read_off_a_ring_with_odd_generators():

@@ -523,8 +523,7 @@ def test_koszul_values_agree_with_the_expansion_and_the_ring(desc):
     for t in range(-10, 11):
         value = _koszul_value(rows, ns, t)
         assert value == roots.evaluate(expanded, t) == ring_route(t), t
-    assert todd_genus(space) == _koszul_value(rows, ns, 0) \
-        == space._todd_of()
+    assert todd_genus(space) == _koszul_value(rows, ns, 0) == space.todd
 
 
 def test_koszul_binomial_below_the_ambient_dimension():
