@@ -3,9 +3,10 @@
 All outputs are exact: rationals, rational polynomials, or :class:`PiScaled`
 values q * pi^k.  Decimal rendering is left entirely to the CLI.
 
-``roots`` is imported where a polynomial is made or evaluated, and
-``graded`` where an index class is, so the closed-form replies (the length
-and Todd genus of a model, the bounds read off integers) load neither.
+``roots`` is imported where a polynomial is made or evaluated, and the
+catalog loads ``graded`` where an index class is, so the closed-form
+replies (the length and Todd genus of a model, the bounds read off
+integers) load neither.
 """
 
 from __future__ import annotations
