@@ -67,6 +67,7 @@ def golden_pushforward():
 
 _module = _load("bench_inputs")
 BATCH_POOL = _module.BATCH_POOL
+LATTICE_POOL = _module.lattice_pool()
 BATCH_COMMANDS = _module.BATCH_COMMANDS
 CLI_INVOCATIONS = _module.CLI_INVOCATIONS
 batch_key = _module.batch_key

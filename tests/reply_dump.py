@@ -15,9 +15,12 @@ the ``EXTRA_SPACES`` in each format.  Next, in each format, every
 ``SELECTORS`` bound runs over the pool and over X * N for every pool space
 X and each of the ``SPHERES`` N, and on X * N ``phi`` and the volume bound
 run with the class H, with N's generator, and (the volume bound) with the
-default class.  Last, in each format, ``pushforward`` runs on every
+default class.  Then, in each format, ``pushforward`` runs on every
 ``PUSHFORWARD_CASES`` entry, with and without ``--primitive`` (which refuses
-j = 0 and j > r before the class is printed).  Each run prints its argv,
+j = 0 and j > r before the class is printed).  Last, in each format,
+``lattice`` runs on every ``LATTICE_POOL`` lattice of the benchmark: its
+basis as ``--basis`` with the identity ``--gram`` or with its polytope's
+``--vertices``.  Each run prints its argv,
 its exit code, its stdout and its stderr.  Runs are made in this process
 through ``sysbound.cli.run_command``.  Standard library only.
 
@@ -31,12 +34,14 @@ order blocks first appear.  ``tests/golden_replies.txt`` is that output::
 
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from batch_pool import BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS  # noqa: E402
+from batch_pool import (BATCH_COMMANDS, BATCH_POOL,  # noqa: E402
+                        CLI_INVOCATIONS, LATTICE_POOL)
 
 from sysbound.cli import run_command  # noqa: E402
 from sysbound.values import SELECTORS  # noqa: E402
@@ -129,6 +134,16 @@ def runs():
             for flags in ((), ("--primitive",)):
                 yield ("pushforward", "--k", str(k), "--r", str(r), "--j",
                        str(j), *flags, "--format", fmt), ""
+    for fmt in FORMATS:
+        for specs in LATTICE_POOL.values():
+            for spec in specs:
+                r = spec["rank"]
+                norm = (("--vertices", json.dumps(spec["vertices"]))
+                        if "vertices" in spec else
+                        ("--gram", json.dumps([[int(i == j) for j in range(r)]
+                                               for i in range(r)])))
+                yield ("lattice", *norm, "--basis", json.dumps(spec["basis"]),
+                       "--format", fmt), ""
 
 
 def dumped(argv, stdin=""):
