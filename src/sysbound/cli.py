@@ -582,9 +582,13 @@ def run_command(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     code = 0
+    # an empty text is not written: on an unbuffered stream it would still
+    # cost a write(2)
     for reply_code, text, error in _replies(args):
-        out.write(text)
-        err.write(error)
+        if text:
+            out.write(text)
+        if error:
+            err.write(error)
         code = max(code, reply_code)
     return code
 

@@ -16,7 +16,9 @@ is built directly from the inverse's rows, which are already cleared,
 without going through the constructor again.  Values are ints until they
 leave the engine, where they become Fractions: the public basis, form and
 vertices, a minimum, a norm, a dual vector, ``euclidean_form()`` and
-``lattice_gram()``.
+``lattice_gram()``.  The constructor keeps its validated inputs as the
+public basis, form and vertices; any other lattice, a dual, makes each of
+them from its integer rows when it is first read.
 
 What depends on the unit ball alone is computed once per distinct norm in
 a process and shared by every lattice, and every dual, built on it: the
@@ -39,6 +41,9 @@ criterion).  LLL's size reduction, Lovasz test and swaps, and the size
 reduction that ends a KZ reduction, update them in place with exact integer
 divisions; LLL hands the data of its reduced rows to the enumeration, the
 shortest vector and KZ, so no Gram matrix is rebuilt or factored twice.
+KZ recurses on projected lattices, and only the outermost call size-reduces
+the transform and certifies it unimodular (see :func:`kz_transform` for why
+once suffices).
 Enumeration is exact Fincke-Pohst on the same data, each range from an
 integer square root.  Each lattice keeps its minima, its LLL run and its
 dual.
@@ -191,8 +196,10 @@ class NormedLattice(Record, frozen=False):
     # The form or the vertices are cleared once too and looked up in the
     # norm memo; the shared ``_Norm`` is kept as ``_norm``, and a polytope's
     # facet normals pulled back to lattice coordinates as ``_coeff_normals``.
-    # ``==`` and the repr leave these out.  A dual lattice is built from its
-    # rows by ``_dual``.
+    # ``==`` and the repr leave these out.  The public ``basis``, ``gram``
+    # and ``vertices`` are the validated inputs, seeded here; a lattice built
+    # from its rows alone, as ``_dual`` builds one, makes each from the rows
+    # on first read.
     def __init__(self, basis: list, gram: list | None = None,
                  vertices: list | None = None):
         self.basis = [[Fraction(x) for x in row] for row in basis]
@@ -231,19 +238,33 @@ class NormedLattice(Record, frozen=False):
                                den, r)
             self._coeff_normals = _pulled_back(self._basis, self._norm.normals)
 
+    @cached_property
+    def basis(self):
+        return _fractions(*self._basis)
+
+    @cached_property
+    def gram(self):
+        norm = self._norm
+        return _fractions(*norm.rows) if norm.normals is None else None
+
+    @cached_property
+    def vertices(self):
+        norm = self._norm
+        return None if norm.normals is None else _fractions(*norm.rows)
+
     # -- norms ------------------------------------------------------------
 
     @property
     def rank(self):
-        return len(self.basis)
+        return len(self._basis[0])
 
     @property
     def kind(self):
-        return "euclidean" if self.gram is not None else "polytope"
+        return "euclidean" if self._norm.normals is None else "polytope"
 
     def lattice_gram(self):
         """Gram matrix of the basis vectors (Euclidean norm only)."""
-        if self.gram is None:
+        if self._norm.normals is not None:
             raise PreconditionUnmet("polytope lattices have no Gram matrix")
         (b, d), (f, e) = self._basis, self._norm.rows
         return _fractions(_int_gram(b, f), d * d * e)
@@ -261,7 +282,7 @@ class NormedLattice(Record, frozen=False):
         return [Fraction(sum(map(mul, coeffs, col)), d) for col in zip(*rows)]
 
     def norm_sq(self, ambient_vec):
-        if self.gram is None:
+        if self._norm.normals is not None:
             raise PreconditionUnmet("polytope norms are not squared-rational")
         self._check_length(ambient_vec, "vector")
         (xs,), d = _cleared([[Fraction(x) for x in ambient_vec]])
@@ -291,7 +312,7 @@ class NormedLattice(Record, frozen=False):
         (1/sqrt(c)) |v|_Q <= ||v|| <= |v|_Q, c the exact largest v^T Q v
         over the vertices.
         """
-        if self.gram is not None:
+        if self._norm.normals is None:
             return self.gram
         return _fractions(*self._norm.ellipsoid[0])
 
@@ -304,7 +325,7 @@ class NormedLattice(Record, frozen=False):
         form = F / e, and the LLL run of those rows (see
         :func:`lll_transform`)."""
         norm = self._norm
-        form = norm.rows if self.gram is not None else norm.ellipsoid[0]
+        form = norm.rows if norm.normals is None else norm.ellipsoid[0]
         (b, d), (f, e) = self._basis, form
         gram = _int_gram(b, f)
         return gram, d * d * e, lll_transform(gram)
@@ -322,7 +343,7 @@ class NormedLattice(Record, frozen=False):
         """
         r = self.rank
         gram, scale, (w, lam, d) = self._lll
-        if self.gram is not None:
+        if self._norm.normals is None:
             radius = Fraction(max(_row_norms(w, gram)), scale)
             vectors, s = enumerate_short_vectors(lam, d, radius, scale)
         else:
@@ -357,19 +378,16 @@ class NormedLattice(Record, frozen=False):
         and a symmetric polytope's normals are closed under negation).  Its
         norm is ``self._norm.dual``, shared by every dual on the same norm.
         The dual form's positive-definiteness is certified again by its own LLL
-        run, whose integral Gram-Schmidt pass raises on a minor <= 0.
+        run, whose integral Gram-Schmidt pass raises on a minor <= 0.  It
+        holds integer rows only: its public basis, form and vertices become
+        Fractions on first read, and the ``lattice`` subcommand reads none.
         """
         dual = NormedLattice.__new__(NormedLattice)
         rows, den = _mat_inv(*self._basis)
         dual._basis = [list(col) for col in zip(*rows)], den
-        dual.basis = _fractions(*dual._basis)
         dual._norm = norm = self._norm.dual
-        dual.gram = dual.vertices = dual._coeff_normals = None
-        if norm.normals is None:
-            dual.gram = _fractions(*norm.rows)
-        else:
-            dual.vertices = _fractions(*norm.rows)
-            dual._coeff_normals = _pulled_back(dual._basis, norm.normals)
+        dual._coeff_normals = (None if norm.normals is None else
+                               _pulled_back(dual._basis, norm.normals))
         return dual
 
 
@@ -796,33 +814,50 @@ def shortest_vector(gram, lll):
     return coeffs
 
 
-def kz_transform(gram, lll):
-    """Integer row transform W with W * basis KZ-reduced, for a
-    positive-definite integer Gram matrix; ``lll`` is the LLL run
-    ``lll_transform(gram)``.
+def _kz_rows(gram, lll):
+    """The KZ transform of :func:`kz_transform` before its size reduction
+    and its certificate: the first row is a shortest vector and, recursively,
+    the others lift the projected lattice's rows.
 
-    The first vector is a shortest vector; recursively, each Gram-Schmidt
-    vector is shortest in the projected lattice, and the final basis is
-    size-reduced (|mu_ij| <= 1/2).  The projected form is the Schur
-    complement g_00 g_ij - g_i0 g_j0 of the first vector, in integers,
-    divided by its content; a positive multiple of a form reduces alike.
+    The projected form is the Schur complement g_00 g_ij - g_i0 g_j0 of the
+    first vector, in integers, divided by its content; a positive multiple
+    of a form reduces alike.
     """
     r = len(gram)
-    if r == 1:
-        return [[1]]
     t1 = _complete_unimodular(shortest_vector(gram, lll))
+    if r == 2:
+        # a rank-1 projection is KZ-reduced as it stands
+        return t1
     g1 = _int_gram(t1, gram)
     a = g1[0][0]
     projected = [[a * g1[i][j] - g1[i][0] * g1[j][0] for j in range(1, r)]
                  for i in range(1, r)]
     content = math.gcd(*(x for row in projected for x in row))
     projected = [[x // content for x in row] for row in projected]
-    # a rank-1 projection needs no LLL run: it is KZ-reduced as it stands
-    sub = (kz_transform(projected, lll_transform(projected)) if r > 2
-           else [[1]])
-    w = [t1[0]] + [_combine(row, t1[1:]) for row in sub]
+    sub = _kz_rows(projected, lll_transform(projected))
+    return [t1[0]] + [_combine(row, t1[1:]) for row in sub]
+
+
+def kz_transform(gram, lll):
+    """Integer row transform W with W * basis KZ-reduced, for a
+    positive-definite integer Gram matrix; ``lll`` is the LLL run
+    ``lll_transform(gram)``.
+
+    The first vector is a shortest vector; recursively, each Gram-Schmidt
+    vector is shortest in the projected lattice (:func:`_kz_rows`), and the
+    final basis is size-reduced (|mu_ij| <= 1/2).  Size reduction and the
+    unimodularity certificate run once, on the whole transform, and once is
+    enough.  Each level's rows are diag(1, sub) t1, both factors integer,
+    so |det W| = 1 forces every level's t1 and sub, every completion
+    included, to be unimodular.  Size reduction maps each row to the one
+    member of its coset modulo the earlier rows with every mu_ij in
+    [-1/2, 1/2), so reducing the inner levels too would give the same rows.
+    """
+    if len(gram) == 1:
+        return [[1]]
+    w = _kz_rows(gram, lll)
     lam, d = _integral_gs(_int_gram(w, gram))
-    for i in range(1, r):
+    for i in range(1, len(w)):
         _reduce_row(w, lam, d, i)
     det = _det(w)
     if abs(det) != 1:

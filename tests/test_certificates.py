@@ -5,7 +5,8 @@ is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
 certificate, the ellipsoid fit's positive-definiteness check and, on a
 reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
-certificates, the decimal writer's refinement of its pi enclosure, a
+certificates (KZ's unimodularity also broken below the top level of its
+recursion only), the decimal writer's refinement of its pi enclosure, a
 projective bundle's first-Chern-class certificate, and, on the intersection
 form, phi-sup's rationality test and root-isolation parity check and the
 bundle profile's closed form.  The
@@ -56,11 +57,38 @@ def broken(name, replacement):
         setattr(lattices, name, real)
 
 
-# the KZ transform's last row doubled, so its determinant is 2; the
-# enumeration finding nothing; its first vector doubled, so not primitive
+def below_the_top(real):
+    """``_complete_unimodular`` with its last row doubled on every call but
+    the first, the top level of a KZ transform."""
+    calls = []
+
+    def complete(v):
+        calls.append(v)
+        t = real(v)
+        return t if len(calls) == 1 else t[:-1] + [[2 * x for x in t[-1]]]
+    return complete
+
+
+def kz_of_a3(replacement):
+    """The KZ transform of the A3 root lattice's Gram matrix, with
+    ``lattices._complete_unimodular`` replaced while it runs."""
+    gram = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    lll = lattices.lll_transform(gram)
+    real = lattices._complete_unimodular
+    lattices._complete_unimodular = replacement(real)
+    try:
+        return outcome(lambda: lattices.kz_transform(gram, lll))
+    finally:
+        lattices._complete_unimodular = real
+
+
+# the KZ transform's last row doubled, so its determinant is 2, and the same
+# below the top level only; the enumeration finding nothing; its first
+# vector doubled, so not primitive
 kz_reports = {
     "unimodularity": broken("_complete_unimodular", lambda real: lambda v: (
         lambda t: t[:-1] + [[2 * x for x in t[-1]]])(real(v))),
+    "inner_unimodularity": kz_of_a3(below_the_top),
     "shortest_vector": broken("enumerate_short_vectors",
                               lambda real: lambda *args: ([], 1)),
     "primitivity": broken("enumerate_short_vectors", lambda real: lambda *args: (
@@ -226,6 +254,9 @@ def test_forced_certificate_failures_raise_under_optimize():
     assert report["kz"] == {
         "unimodularity": ["CertificateFailed", "unimodularity certificate: "
                           "the KZ transform has determinant 2"],
+        "inner_unimodularity": ["CertificateFailed", "unimodularity "
+                                "certificate: the KZ transform has "
+                                "determinant 2"],
         "shortest_vector": ["CertificateFailed", "shortest-vector "
                             "certificate: no vector within the shortest "
                             "reduced basis norm 2"],

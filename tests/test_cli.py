@@ -988,6 +988,35 @@ def test_a_repeated_batch_line_replays_its_first_reply(monkeypatch):
     assert code == max(single[d][0] for d in lines) == 2
 
 
+class _CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("lines, to_out", [
+    (("CP(2)", "Q(3)", "S1 * CP(1)", "CP(5)"), True),
+    (("CP(", "S1", "BlP(3)", "Q(1)"), False)], ids=("answers", "errors"))
+def test_a_batch_writes_only_nonempty_texts(monkeypatch, lines, to_out):
+    # one write per line, to stdout for an answer and to stderr for an
+    # error, and none of an empty text to the other stream
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("".join(d + "\n" for d in lines)))
+    out, err = _CountingStream(), _CountingStream()
+    run_command(["length", "--batch"], out=out, err=err)
+    assert (out.writes, err.writes) == ((len(lines), 0) if to_out
+                                        else (0, len(lines)))
+    single = [_run(["length", "--space", desc]) for desc in lines]
+    assert out.getvalue() == "".join(s[1] for s in single)
+    assert err.getvalue() == "".join(s[2] for s in single)
+
+
 def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
     # every command runs on the same built spaces, each node built once and
     # handed to every handler that names it; afterwards each init field is

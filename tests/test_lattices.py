@@ -29,8 +29,8 @@ import pytest
 
 from sympy_oracle import as_matrix
 from sysbound import lattices
-from sysbound.errors import (BoundViolated, PreconditionUnmet, RankTooLarge,
-                             TooManyVertices)
+from sysbound.errors import (BoundViolated, CertificateFailed,
+                             PreconditionUnmet, RankTooLarge, TooManyVertices)
 from sysbound.lattices import (NormedLattice, dual_lattice, kz_transform,
                                lll_transform, random_basis, reduced_dual_basis,
                                successive_minima, transference_check,
@@ -257,6 +257,31 @@ def test_lll_and_kz_are_unimodular():
         lll = lll_transform(gram)
         for transform in (lll[0], kz_transform(gram, lll)):
             assert abs(_det(transform)) == 1
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_one_kz_certificate_covers_every_level(monkeypatch, r):
+    # a completion with its last row doubled below the top level only: the
+    # certificate on the whole transform sees each one, as determinant +-2
+    # per inner level
+    real, lengths = lattices._complete_unimodular, []
+
+    def complete(v):
+        lengths.append(len(v))
+        t = real(v)
+        return t if len(lengths) == 1 else t[:-1] + [[2 * x for x in t[-1]]]
+
+    gram = [[2 if i == j else 1 for j in range(r)] for i in range(r)]
+    lll = lll_transform(gram)
+    kz_transform(gram, lll)
+    monkeypatch.setattr(lattices, "_complete_unimodular", complete)
+    with pytest.raises(CertificateFailed) as caught:
+        kz_transform(gram, lll)
+    assert lengths == list(range(r, 1, -1))
+    prefix = "unimodularity certificate: the KZ transform has determinant "
+    message = str(caught.value)
+    assert message.startswith(prefix)
+    assert abs(int(message[len(prefix):])) == 2 ** (r - 2)
 
 
 def test_kz_first_vector_is_shortest():
@@ -757,6 +782,31 @@ def test_a_pool_pass_clears_each_matrix_once(monkeypatch):
     assert combined and not any(combined), combined.count(True)
 
 
+def test_a_pool_pass_makes_no_fraction_copies(monkeypatch):
+    # the lattice sequence reads no dual's public basis, form or vertices,
+    # and makes them for no lattice: every value it returns is a minimum, a
+    # norm or a vector, made Fraction by Fraction
+    from batch_pool import bench_child, golden_lattices
+    real, copies = lattices._fractions, []
+
+    def counted(rows, den):
+        copies.append(len(rows))
+        return real(rows, den)
+
+    monkeypatch.setattr(lattices, "_fractions", counted)
+    child = bench_child()
+    pool = child.bench_inputs.lattice_pool()
+    golden = golden_lattices()
+    for kind, specs in pool.items():
+        for spec, expected in zip(specs, golden[kind]):
+            assert child.lattice_op(lattices, spec) == expected, kind
+    assert copies == []
+    # the counter sees a copy made on first read, and only one
+    dual = dual_lattice(NormedLattice(basis=_identity(2), gram=_identity(2)))
+    assert dual.basis is dual.basis
+    assert copies == [2]
+
+
 def test_the_float_loop_sees_only_floats(monkeypatch):
     # the exact algebra runs on kernel's integer elimination; the float
     # Gauss-Jordan loop belongs to the ellipsoid fit alone.  Every module
@@ -1006,7 +1056,10 @@ def test_minima_in_lll_coordinates_match_the_combine_then_scan_oracle():
 
 def test_the_direct_dual_matches_the_constructor():
     # the dual is built from the inverse's rows; the constructor, given the
-    # dual's public basis and form or vertices, clears and checks them anew
+    # dual's public basis and form or vertices, clears and checks them anew.
+    # A KZ run on the dual reads none of those public values; read after it,
+    # they are the constructor's on the inverse-transpose basis with the
+    # inverse form or the primal's facet normals
     rng = random.Random(83)
 
     def rational_basis(r):
@@ -1027,11 +1080,20 @@ def test_the_direct_dual_matches_the_constructor():
                                        vertices=vertices))
     for lat in cases:
         dual = dual_lattice(lat)
+        reduced_dual_basis(lat)
+        assert not {"basis", "gram", "vertices"} & dual.__dict__.keys()
+        basis = [list(col) for col in zip(*_inverse(lat.basis))]
         if lat.kind == "euclidean":
+            expected = NormedLattice(basis=basis, gram=_inverse(lat.gram))
             built = NormedLattice(basis=dual.basis, gram=dual.gram)
         else:
+            expected = NormedLattice(basis=basis, vertices=[
+                list(a) for a in _oracle_facet_normals(lat.vertices,
+                                                       lat.rank)])
             built = NormedLattice(basis=dual.basis, vertices=dual.vertices)
-        assert dual == built
+        assert (dual.basis, dual.gram, dual.vertices) == (
+            expected.basis, expected.gram, expected.vertices)
+        assert dual == built == expected
         assert dual._basis == built._basis
         assert dual._norm.rows == built._norm.rows
         assert dual._norm.normals == built._norm.normals
