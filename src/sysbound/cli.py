@@ -23,9 +23,10 @@ lines.
 
 One table, ``_SUBCOMMANDS``, gives each subcommand its handler and its
 arguments.  When the first argument names a subcommand, ``run_command``
-builds the parser of that subcommand alone, whose usage still lists every
-choice, so help, usage and errors read as the full parser's; bare
+parses with the parser of that subcommand alone, whose usage still lists
+every choice, so help, usage and errors read as the full parser's; bare
 ``sysbound``, a leading ``-h`` and an unknown command get the full parser.
+Each parser is built on first use and kept for the process.
 
 Each subcommand imports the engine it runs on first use, so one process loads
 only the modules its subcommand calls: ``lattice --gram`` never loads the
@@ -47,6 +48,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CalculatorError, ParseError, ValueTooLarge
 from .values import SELECTORS, PiScaled, _digit_limit, decimal_text
@@ -493,6 +495,7 @@ _DISPATCH = {name: _command(handler, space)
              for name, (handler, space, _, _) in _SUBCOMMANDS.items()}
 
 
+@lru_cache(maxsize=None)
 def _build_parser(command=None):
     """The parser of every subcommand, or of ``command`` alone.
 
@@ -501,6 +504,14 @@ def _build_parser(command=None):
     (``unrecognized arguments``) reads as the full parser's.  Only the full
     parser can report a missing or unknown command; it keeps argparse's own
     name for the argument, ``command``, in those messages.
+
+    Each parser is built once per process and kept, at most one per
+    subcommand and one full parser.  A kept parser answers every call
+    alike: ``parse_args`` fills a new namespace each time and leaves the
+    parser as it was, and help, usage and error texts are formatted when
+    they are printed, at the terminal width of that moment.  The one text
+    made at build time is a subcommand's ``prog``, ``sysbound <command>``,
+    which no width wraps.
     """
     parser = argparse.ArgumentParser(
         prog="sysbound",

@@ -943,6 +943,79 @@ def test_dispatch_and_parser_name_the_same_subcommands():
             full.format_usage()
 
 
+# -- a parser is built once per process and kept -------------------------------
+
+
+@pytest.mark.parametrize("first, second, stdin", [
+    (["bound", "--theorem", "thm1.1", "--space", "CP(3)", "--approx", "12"],
+     ["bound", "--theorem", "thm1.1", "--space", "CP(3)"], ""),
+    (["length", "--batch", "--format", "csv"],
+     ["length", "--space", "Q(4)"], "CP(2)\nBlP(3)\nQ(5)\n"),
+], ids=["approx-then-none", "batch-then-space"])
+def test_a_kept_parser_replies_as_fresh_processes(first, second, stdin,
+                                                  monkeypatch):
+    # the second call parses with the parser the first one built and used:
+    # no flag and no --batch line of the first may reach its namespace
+    fresh = []
+    for argv in (first, second):
+        proc = subprocess.run([sys.executable, "-m", "sysbound", *argv],
+                              input=stdin, capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    kept = [_run(first), _run(second)]
+    assert cli._build_parser(first[0]) is cli._build_parser(second[0])
+    assert kept == fresh
+
+
+def _help_text(argv, capsys):
+    code = run_command(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and not err
+    return out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lattice", "--help"],
+                                  ["bound", "-h"]])
+def test_help_is_formatted_at_the_width_of_each_call(argv, capsys,
+                                                     monkeypatch):
+    # the kept parser is built under the first width and then prints at
+    # each call's width, as a parser built for that call does
+    cli._build_parser.cache_clear()
+    texts = []
+    for columns in ("52", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        kept = _help_text(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            assert kept == _help_text(argv, capsys), columns
+        texts.append(kept)
+    assert texts[0] != texts[1]
+    # a subcommand's prog is the one text formatted when the parser is built
+    command = argv[0] if argv[0] in cli._DISPATCH else None
+    [action] = [a for a in cli._build_parser(command)._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in action.choices.items():
+        assert parser.prog == "sysbound " + name
+
+
+def test_a_pool_pass_builds_one_parser_per_subcommand(monkeypatch):
+    cli._build_parser.cache_clear()
+    runs = [list(argv) for argv in CLI_INVOCATIONS]
+    runs += [[*command, "--space", desc, "--format", "json"]
+             for command in BATCH_COMMANDS for desc in BATCH_POOL[::4]]
+    for argv in runs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        _run(argv)
+    for command in BATCH_COMMANDS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "".join(desc + "\n" for desc in BATCH_POOL)))
+        _run([*command, "--batch"])
+    info = cli._build_parser.cache_info()
+    assert info.misses == info.currsize == len(cli._DISPATCH)
+    assert info.hits == len(runs) + len(BATCH_COMMANDS) - info.misses
+
+
 # -- one batch keeps each line's reply ----------------------------------------
 
 #: a twist between two reads of its untwisted space: a value kept on CP(3)
