@@ -20,14 +20,15 @@ default class.  Then, in each format, ``pushforward`` runs on every
 j = 0 and j > r before the class is printed).  Last, in each format,
 ``lattice`` runs on every ``LATTICE_POOL`` lattice of the benchmark: its
 basis as ``--basis`` with the identity ``--gram`` or with its polytope's
-``--vertices``.  Each run prints its argv,
+``--vertices``.  After them, in each format, come the ``SWEEPS`` runs of
+``lattice --sweep`` and its ``SWEEP_REFUSALS``.  Each run prints its argv,
 its exit code, its stdout and its stderr.  Runs are made in this process
 through ``sysbound.cli.run_command``.  Standard library only.
 
 With ``--digests`` it prints instead one line per block of runs: the
-SHA-256 of the block's dump text, the block's subcommand, ``--theorem`` and
-``--format`` (``-`` where a run gives none), and its number of runs, in the
-order blocks first appear.  ``tests/golden_replies.txt`` is that output::
+SHA-256 of the block's dump text, the block's subcommand, its ``--theorem``
+value (``--sweep`` for a sweep run), its ``--format`` (``-`` where a run
+gives none), and its number of runs, in the order blocks first appear.  ``tests/golden_replies.txt`` is that output::
 
     PYTHONPATH=src python tests/reply_dump.py --digests > tests/golden_replies.txt
 """
@@ -76,6 +77,19 @@ SPHERES = (("S1", "t"), ("S(2)", "x"), ("S(3)", "v"), ("S(4)", "v"))
 #: each cap, which is refused
 PUSHFORWARD_CASES = tuple((k, r, j) for r in range(2, 7) for k in range(1, r)
                           for j in range(7)) + ((1, 7, 1), (1, 6, 7))
+
+#: ``lattice --sweep`` at two seeds and two rank ranges; a sweep prints only
+#: its counts, so these runs hold the dual KZ norms of the lattices it draws
+SWEEPS = tuple(("--sweep", "40", "--seed", seed, "--min-rank", "2",
+                "--max-rank", top) for seed in ("0", "7") for top in ("4", "5"))
+
+#: the sweep's refusals: its parse errors, and a rank above the cap, which
+#: the lattice constructor refuses
+SWEEP_REFUSALS = (("--sweep", "0"), ("--sweep", "-1"),
+                  ("--sweep", "3", "--min-rank", "0"),
+                  ("--sweep", "3", "--min-rank", "4", "--max-rank", "2"),
+                  ("--sweep", "3", "--gram", "[[1]]"),
+                  ("--sweep", "2", "--min-rank", "6", "--max-rank", "6"))
 
 
 def reply(argv, stdin=""):
@@ -144,6 +158,9 @@ def runs():
                                                for i in range(r)])))
                 yield ("lattice", *norm, "--basis", json.dumps(spec["basis"]),
                        "--format", fmt), ""
+    for fmt in FORMATS:
+        for flags in SWEEPS + SWEEP_REFUSALS:
+            yield ("lattice", *flags, "--format", fmt), ""
 
 
 def dumped(argv, stdin=""):
@@ -154,11 +171,13 @@ def dumped(argv, stdin=""):
 
 
 def block(argv) -> str:
-    """The block of a run: its subcommand, ``--theorem`` and ``--format``
-    values, ``-`` for one it does not give."""
+    """The block of a run: its subcommand, its ``--theorem`` value or
+    ``--sweep`` for a sweep run, and its ``--format`` value, ``-`` for one
+    it does not give."""
     def value(flag):
         return argv[argv.index(flag) + 1] if flag in argv else "-"
-    return "%s %s %s" % (argv[0], value("--theorem"), value("--format"))
+    selector = "--sweep" if "--sweep" in argv else value("--theorem")
+    return "%s %s %s" % (argv[0], selector, value("--format"))
 
 
 def digests() -> dict:
