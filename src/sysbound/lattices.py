@@ -16,9 +16,10 @@ is built directly from the inverse's rows, which are already cleared,
 without going through the constructor again.  Values are ints until they
 leave the engine, where they become Fractions: the public basis, form and
 vertices, a minimum, a norm, a dual vector, ``euclidean_form()`` and
-``lattice_gram()``.  The constructor keeps its validated inputs as the
-public basis, form and vertices; any other lattice, a dual, makes each of
-them from its integer rows when it is first read.
+``lattice_gram()``.  The constructor clears an int entry as it is and reads
+any other entry as ``Fraction(x)``; every lattice, a dual too, makes its
+public basis, form and vertices from its own integer rows when each is
+first read, the vertices in the order given.
 
 What depends on the unit ball alone is computed once per distinct norm in
 a process and shared by every lattice, and every dual, built on it: the
@@ -45,8 +46,16 @@ KZ recurses on projected lattices, and only the outermost call size-reduces
 the transform and certifies it unimodular (see :func:`kz_transform` for why
 once suffices).
 Enumeration is exact Fincke-Pohst on the same data, each range from an
-integer square root.  Each lattice keeps its minima, its LLL run and its
-dual.
+integer square root.  It walks half the ball: by central symmetry it
+visits only the vectors whose last nonzero coordinate is positive, lists
+each +-pair by its member whose first nonzero coordinate is positive, and
+sorts them by (size, coordinates reversed), the order a walk over the whole
+ball gives.  Each lattice keeps its minima, the ball its Euclidean minima
+are scanned from, its LLL run and its dual.  KZ's top-level shortest vector
+of a Euclidean dual is the first vector of the dual's kept ball when the
+transference check has listed it: both read the dual's one LLL run, and the
+ball up to the shortest reduced row is a prefix of the ball up to the
+longest.  Otherwise KZ enumerates it; either way it is certified.
 
 The minima are scanned in LLL coordinates: each enumerated vector x is
 measured once, as an integer over one scale, and the minima are read off by
@@ -163,6 +172,12 @@ def _fractions(rows, den):
     return [[Fraction(x, den) for x in row] for row in rows]
 
 
+def _entries(m):
+    """The rows of an input matrix for ``_cleared``: an int entry as it is,
+    any other entry as ``Fraction(x)``."""
+    return [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+
+
 def _pulled_back(basis, normals):
     """Functionals a pulled back through the rows of a basis, as integer
     rows over one denominator: <a, c B> = <B a, c>, so with basis = B / d
@@ -192,48 +207,48 @@ class NormedLattice(Record, frozen=False):
     every lattice on it; the basis and its reductions are the lattice's own.
     """
 
-    # The basis is cleared once here to ``(rows, den)``, kept as ``_basis``.
-    # The form or the vertices are cleared once too and looked up in the
-    # norm memo; the shared ``_Norm`` is kept as ``_norm``, and a polytope's
-    # facet normals pulled back to lattice coordinates as ``_coeff_normals``.
-    # ``==`` and the repr leave these out.  The public ``basis``, ``gram``
-    # and ``vertices`` are the validated inputs, seeded here; a lattice built
-    # from its rows alone, as ``_dual`` builds one, makes each from the rows
-    # on first read.
+    # The basis is cleared once here to ``(rows, den)``, kept as ``_basis``,
+    # and the form or the vertices, in the order given, as ``_form``; an int
+    # entry is cleared as it is, any other read as ``Fraction(x)`` first.
+    # The form or the vertices are looked up in the norm memo; the shared
+    # ``_Norm`` is kept as ``_norm``, and a polytope's facet normals pulled
+    # back to lattice coordinates as ``_coeff_normals``.  ``==`` and the repr
+    # leave these out.  The public ``basis``, ``gram`` and ``vertices`` are
+    # made from ``_basis`` and ``_form`` on first read, never from the
+    # shared norm, whose vertex rows are sorted; ``_dual`` sets both too.
     def __init__(self, basis: list, gram: list | None = None,
                  vertices: list | None = None):
-        self.basis = [[Fraction(x) for x in row] for row in basis]
-        self.gram, self.vertices = gram, vertices
-        r = len(self.basis)
+        rows = _entries(basis)
+        r = len(rows)
         if r == 0:
             raise PreconditionUnmet("the lattice basis is empty; rank must be "
                                     "at least 1")
         if r > MAX_RANK:
             raise RankTooLarge("rank %d exceeds the desk-scale cap %d"
                                % (r, MAX_RANK))
-        if any(len(row) != r for row in self.basis):
+        if any(len(row) != r for row in rows):
             raise PreconditionUnmet("basis must be a square matrix")
-        self._basis = _cleared(self.basis)
+        self._basis = _cleared(rows)
         if _det(self._basis[0]) == 0:
             raise PreconditionUnmet("basis must be nonsingular")
-        if (self.gram is None) == (self.vertices is None):
+        if (gram is None) == (vertices is None):
             raise PreconditionUnmet("give exactly one of gram and vertices")
-        if self.gram is not None:
-            self.gram = [[Fraction(x) for x in row] for row in self.gram]
-            if len(self.gram) != r or any(len(row) != r for row in self.gram):
+        if gram is not None:
+            rows = _entries(gram)
+            if len(rows) != r or any(len(row) != r for row in rows):
                 raise PreconditionUnmet(
                     "the Gram matrix is %dx%s but the basis has rank %d"
-                    % (len(self.gram), _lengths(self.gram), r))
-            rows, den = _cleared(self.gram)
+                    % (len(rows), _lengths(rows), r))
+            self._form = rows, den = _cleared(rows)
             self._norm = _norm("euclidean", tuple(map(tuple, rows)), den, r)
             self._coeff_normals = None
         else:
-            self.vertices = [[Fraction(x) for x in v] for v in self.vertices]
-            if any(len(v) != r for v in self.vertices):
+            rows = _entries(vertices)
+            if any(len(v) != r for v in rows):
                 raise PreconditionUnmet(
                     "the vertices have %s coordinates but the basis has rank %d"
-                    % (_lengths(self.vertices), r))
-            rows, den = _cleared(self.vertices)
+                    % (_lengths(rows), r))
+            self._form = rows, den = _cleared(rows)
             self._norm = _norm("polytope", tuple(sorted(map(tuple, rows))),
                                den, r)
             self._coeff_normals = _pulled_back(self._basis, self._norm.normals)
@@ -244,13 +259,11 @@ class NormedLattice(Record, frozen=False):
 
     @cached_property
     def gram(self):
-        norm = self._norm
-        return _fractions(*norm.rows) if norm.normals is None else None
+        return _fractions(*self._form) if self.kind == "euclidean" else None
 
     @cached_property
     def vertices(self):
-        norm = self._norm
-        return None if norm.normals is None else _fractions(*norm.rows)
+        return None if self.kind == "euclidean" else _fractions(*self._form)
 
     # -- norms ------------------------------------------------------------
 
@@ -344,8 +357,8 @@ class NormedLattice(Record, frozen=False):
         r = self.rank
         gram, scale, (w, lam, d) = self._lll
         if self._norm.normals is None:
-            radius = Fraction(max(_row_norms(w, gram)), scale)
-            vectors, s = enumerate_short_vectors(lam, d, radius, scale)
+            vectors, s = self._ball
+            s *= scale
         else:
             normals, s = _pulled_back((w, 1), self._coeff_normals)
             # row i of W is the unit vector e_i in these coordinates; every
@@ -369,6 +382,14 @@ class NormedLattice(Record, frozen=False):
         return [Fraction(size, s) for size in minima]
 
     @cached_property
+    def _ball(self):
+        """The Euclidean minima's enumeration of the LLL run, up to the
+        longest reduced row's norm in the integer Gram matrix; a dual's is
+        read again by :func:`reduced_dual_basis`."""
+        gram, _, (w, lam, d) = self._lll
+        return enumerate_short_vectors(lam, d, max(_row_norms(w, gram)))
+
+    @cached_property
     def _dual(self):
         """The dual lattice with the dual norm; see :func:`dual_lattice`.
 
@@ -386,6 +407,7 @@ class NormedLattice(Record, frozen=False):
         rows, den = _mat_inv(*self._basis)
         dual._basis = [list(col) for col in zip(*rows)], den
         dual._norm = norm = self._norm.dual
+        dual._form = norm.rows
         dual._coeff_normals = (None if norm.normals is None else
                                _pulled_back(dual._basis, norm.normals))
         return dual
@@ -631,9 +653,12 @@ def _certified_ellipsoid_form(vertices, normals, r):
 
 def enumerate_short_vectors(lam, d, bound, scale=1):
     """``(vectors, s)``: all nonzero x in Z^r with x^T G x <= bound, one per
-    +-pair, each as ``(x, n)`` with x^T G x = n / s exactly, sorted by n;
-    G = gram / scale, and ``(lam, d)`` is the integral Gram-Schmidt data of
-    the integer rows ``gram``.
+    +-pair, each as ``(x, n)`` with x^T G x = n / s exactly; G = gram /
+    scale, and ``(lam, d)`` is the integral Gram-Schmidt data of the integer
+    rows ``gram``.  Of each pair the x whose first nonzero coordinate is
+    positive is listed, and the list is sorted by n, ties by
+    (x_(r-1), ..., x_0) ascending: the key is (n, x reversed).  So for any
+    smaller bound the list is a prefix of this one.
 
     Fincke-Pohst in integers.  With mu_jl = lam_jl / e_l, e_l = d_(l+1),
     and bstar_l = d_(l+1) / d_l, level l adds to x^T gram x the term
@@ -642,6 +667,12 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     denominator s = lcm(d_l d_(l+1)) it is m_l (e_l x_l + n_l)^2 / s with
     m_l an integer, so the budget is kept as floor(s scale bound) minus
     integer terms and each level's range comes from one integer square root.
+
+    The walk visits one x of each pair, the one whose last nonzero
+    coordinate is positive: for each top level t, x_t runs over 1, 2, ...
+    with every deeper coordinate zero, so n_t = 0, and the levels below run
+    over their whole ranges.  Each visited x is listed as the pair's
+    representative, x or -x.
     """
     r = len(lam)
     e = d[1:]
@@ -649,34 +680,50 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     m = [s // (a * b) for a, b in zip(d, e)]
     s *= scale
     budget = bound.numerator * s // bound.denominator
-    out = []
+    # (n, representative reversed), so that a plain sort gives the order
+    found = []
     coords = [0] * r
 
     def descend(level, remaining):
-        if level < 0:
-            for x in coords:
-                if x > 0:
-                    out.append((tuple(coords), budget - remaining))
-                    break
-                if x < 0:
-                    break
-            return
         n = 0
         for j in range(level + 1, r):
             n += lam[j][level] * coords[j]
         e_l, m_l = e[level], m[level]
         w = math.isqrt(remaining // m_l)
         # the x with |e_l x + n| <= w
-        for x in range(-((w + n) // e_l), (w - n) // e_l + 1):
-            coords[level] = x
+        xs = range(-((w + n) // e_l), (w - n) // e_l + 1)
+        if level:
+            for x in xs:
+                coords[level] = x
+                t = e_l * x + n
+                descend(level - 1, remaining - m_l * t * t)
+            coords[level] = 0
+            return
+        # x_0 settles the sign: positive keeps the vector, negative negates
+        # it, and zero leaves it to the first nonzero of x_1, x_2, ...
+        deeper = tuple(coords[:0:-1])
+        negated = tuple([-c for c in deeper])
+        zero = deeper if next(c for c in coords[1:] if c) > 0 else negated
+        spent = budget - remaining
+        for x in xs:
             t = e_l * x + n
-            descend(level - 1, remaining - m_l * t * t)
-        coords[level] = 0
+            found.append((spent + m_l * t * t,
+                          deeper + (x,) if x > 0 else
+                          negated + (-x,) if x < 0 else zero + (0,)))
 
     if budget >= 0:
-        descend(r - 1, budget)
-    out.sort(key=lambda item: item[1])
-    return out, s
+        for top in range(r):
+            e_t, m_t = e[top], m[top]
+            for x in range(1, math.isqrt(budget // m_t) // e_t + 1):
+                t = e_t * x
+                if top:
+                    coords[top] = x
+                    descend(top - 1, budget - m_t * t * t)
+                else:
+                    found.append((m_t * t * t, (0,) * (r - 1) + (x,)))
+            coords[top] = 0
+    found.sort()
+    return [(key[::-1], n) for n, key in found], s
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +842,20 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(gram, lll):
+def shortest_vector(gram, lll, ball=None):
     """A shortest nonzero coefficient vector of the integer Gram matrix
-    ``gram``, from its LLL run ``lll_transform(gram)``."""
+    ``gram``, from its LLL run ``lll_transform(gram)``.
+
+    It is the first vector the enumeration up to the shortest reduced row
+    lists.  ``ball``, if given, is ``enumerate_short_vectors(lam, d, top)``
+    of the same run for an integer top at least that norm: that list is a
+    prefix of it, so its first vector is the same.  Either way the vector
+    is certified within the shortest row and primitive.
+    """
     w, lam, d = lll
     bound = min(_row_norms(w, gram))
-    vectors, _ = enumerate_short_vectors(lam, d, bound)
-    if not vectors:
+    vectors, s = ball or enumerate_short_vectors(lam, d, bound)
+    if not vectors or vectors[0][1] > bound * s:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
             "reduced basis norm %s" % bound)
@@ -814,17 +868,17 @@ def shortest_vector(gram, lll):
     return coeffs
 
 
-def _kz_rows(gram, lll):
+def _kz_rows(gram, lll, ball=None):
     """The KZ transform of :func:`kz_transform` before its size reduction
-    and its certificate: the first row is a shortest vector and, recursively,
-    the others lift the projected lattice's rows.
+    and its certificate: the first row is a shortest vector and,
+    recursively, the others lift the projected lattice's rows.
 
     The projected form is the Schur complement g_00 g_ij - g_i0 g_j0 of the
     first vector, in integers, divided by its content; a positive multiple
     of a form reduces alike.
     """
     r = len(gram)
-    t1 = _complete_unimodular(shortest_vector(gram, lll))
+    t1 = _complete_unimodular(shortest_vector(gram, lll, ball))
     if r == 2:
         # a rank-1 projection is KZ-reduced as it stands
         return t1
@@ -838,10 +892,11 @@ def _kz_rows(gram, lll):
     return [t1[0]] + [_combine(row, t1[1:]) for row in sub]
 
 
-def kz_transform(gram, lll):
+def kz_transform(gram, lll, ball=None):
     """Integer row transform W with W * basis KZ-reduced, for a
     positive-definite integer Gram matrix; ``lll`` is the LLL run
-    ``lll_transform(gram)``.
+    ``lll_transform(gram)``; the top level's shortest vector is read from
+    ``ball`` if given (see :func:`shortest_vector`).
 
     The first vector is a shortest vector; recursively, each Gram-Schmidt
     vector is shortest in the projected lattice (:func:`_kz_rows`), and the
@@ -855,7 +910,7 @@ def kz_transform(gram, lll):
     """
     if len(gram) == 1:
         return [[1]]
-    w = _kz_rows(gram, lll)
+    w = _kz_rows(gram, lll, ball)
     lam, d = _integral_gs(_int_gram(w, gram))
     for i in range(1, len(w)):
         _reduce_row(w, lam, d, i)
@@ -976,13 +1031,17 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
 
     The certificate compares against a lambda_1 obtained by independent
     exhaustive enumeration, not against any by-product of the reduction.
+
+    KZ takes a Euclidean dual's top-level shortest vector from the ball
+    the transference check listed for the dual's minima; with no ball
+    listed (``lattice --sweep``, a bare call) it enumerates.
     """
     r = lattice.rank
     dual = dual_lattice(lattice)
     if lattice.kind == "euclidean":
         # the dual's own form is the inverse form: share its kept LLL run
         gram, scale, lll = dual._lll
-        w = kz_transform(gram, lll)
+        w = kz_transform(gram, lll, vars(dual).get("_ball"))
         norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
         gram = _int_gram(dual._basis[0], lattice._norm.ellipsoid_inverse[0])

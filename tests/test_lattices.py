@@ -19,11 +19,15 @@ read results back as Fractions with ``_over``.
 import ast
 import inspect
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -466,6 +470,226 @@ def test_enumeration_matches_a_box_scan():
     assert scanned >= 20
 
 
+def _full_walk(lam, d, bound, scale=1):
+    """Oracle: the Fincke-Pohst walk over every x, both members of each
+    +-pair, keeping the one whose first nonzero coordinate is positive; it
+    visits x in (x_(r-1), ..., x_0) order, and a stable sort by n keeps
+    that order among ties."""
+    r = len(lam)
+    e = d[1:]
+    s = math.lcm(*(a * b for a, b in zip(d, e)))
+    m = [s // (a * b) for a, b in zip(d, e)]
+    s *= scale
+    budget = bound.numerator * s // bound.denominator
+    out = []
+    coords = [0] * r
+
+    def descend(level, remaining):
+        if level < 0:
+            first = next((x for x in coords if x), 0)
+            if first > 0:
+                out.append((tuple(coords), budget - remaining))
+            return
+        n = sum(lam[j][level] * coords[j] for j in range(level + 1, r))
+        e_l, m_l = e[level], m[level]
+        w = math.isqrt(remaining // m_l)
+        for x in range(-((w + n) // e_l), (w - n) // e_l + 1):
+            coords[level] = x
+            t = e_l * x + n
+            descend(level - 1, remaining - m_l * t * t)
+        coords[level] = 0
+
+    if budget >= 0:
+        descend(r - 1, budget)
+    out.sort(key=lambda item: item[1])
+    return out, s
+
+
+def _pool_pass_enumerations():
+    """The arguments of every ``enumerate_short_vectors`` call of one pass
+    of the benchmark's lattice sequence over its pool, from a cold norm
+    memo."""
+    from batch_pool import bench_child, golden_lattices
+    child = bench_child()
+    golden = golden_lattices()
+    real, calls = lattices.enumerate_short_vectors, []
+
+    def spy(lam, d, bound, scale=1):
+        calls.append(([list(row) for row in lam], list(d), bound, scale))
+        return real(lam, d, bound, scale)
+
+    lattices._norm.cache_clear()
+    lattices.enumerate_short_vectors = spy
+    try:
+        for kind, specs in child.bench_inputs.lattice_pool().items():
+            for spec, expected in zip(specs, golden[kind]):
+                assert child.lattice_op(lattices, spec) == expected, kind
+    finally:
+        lattices.enumerate_short_vectors = real
+    return calls
+
+
+def test_the_half_walk_lists_what_the_full_walk_lists_over_a_pool_pass():
+    # the whole list, ties in their order included, on every call
+    from sysbound.lattices import enumerate_short_vectors
+    calls = _pool_pass_enumerations()
+    assert len(calls) > 800
+    tied = 0
+    for args in calls:
+        listed = enumerate_short_vectors(*args)
+        assert listed == _full_walk(*args), args
+        sizes = [n for _, n in listed[0]]
+        tied += len(sizes) - len(set(sizes))
+    assert tied > 1000
+
+
+def _tied_grams():
+    """Gram matrices with many vectors of one length: the integer lattices,
+    the hexagonal and A3 root lattices, D4, and scaled copies."""
+    grams = [_identity(r) for r in range(1, 6)]
+    grams += [[[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+              [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+               [0, -1, 0, 2]]]
+    grams += [[[3 * x for x in row] for row in gram] for gram in grams[4:]]
+    return [[[Fraction(x) for x in row] for row in gram] for gram in grams]
+
+
+def test_the_half_walk_lists_what_the_full_walk_lists_at_every_bound():
+    # random and tied lattices, bounds below, at and above the LLL row
+    # norms, and a zero budget, on the LLL run's data; on the unreduced
+    # Gram-Schmidt data, whose walk spans wider ranges, up to the shortest
+    # row.  Each bound is given over the Gram matrix's scale and, rounded
+    # down, as an integer
+    from sysbound.lattices import enumerate_short_vectors, _row_norms
+    rng = random.Random(83)
+    compared = 0
+    for gram in _tied_grams() + list(_seeded_grams(24, 89)):
+        ints, scale = _cleared_ints(gram)
+        w, lam, d = lll_transform(ints)
+        low, high = (Fraction(n, scale) for n in
+                     (min(_row_norms(w, ints)), max(_row_norms(w, ints))))
+        below = low * Fraction(rng.randint(1, 9), 10)
+        runs = [((lam, d), bound) for bound in
+                (Fraction(0), below, low, high,
+                 high * Fraction(rng.randint(11, 20), 10))]
+        runs += [(_integral_gs(ints), bound) for bound in (below, low)]
+        for data, bound in runs:
+            for args in ((*data, bound, scale),
+                         (*data, bound.numerator * scale // bound.denominator)):
+                listed = enumerate_short_vectors(*args)
+                assert listed == _full_walk(*args), (gram, bound)
+                compared += bool(listed[0])
+    assert compared > 200
+    # Z^4's ball of radius 2 holds the 4 pairs +-e_i and the 12 pairs
+    # +-(e_i +- e_j), each listed by its member with a positive first
+    # nonzero coordinate
+    vectors, s = enumerate_short_vectors(*_integral_gs(_identity(4)),
+                                         Fraction(2))
+    assert len(vectors) == 16 and s == 1
+    assert all(next(x for x in v if x) > 0 for v, _ in vectors)
+    assert enumerate_short_vectors(*_integral_gs(_identity(3)),
+                                   Fraction(-1)) == ([], 1)
+
+
+def _ball_and_kz(lat):
+    """The dual's listed ball, after the transference check, and the KZ
+    transform of the dual with and without it."""
+    transference_check(lat)
+    dual = dual_lattice(lat)
+    gram, _, lll = dual._lll
+    ball = vars(dual)["_ball"]
+    return ball, kz_transform(gram, lll, ball), kz_transform(gram, lll)
+
+
+def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
+    # on every Euclidean pool dual and on sweep lattices: the listed ball's
+    # first vector is shortest_vector's, and the whole transform is the one
+    # KZ makes by enumerating
+    from sysbound.lattices import shortest_vector, _combine
+    rng = random.Random(0)
+    cases = [lat for lat in _pool_lattices() if lat.kind == "euclidean"]
+    for _ in range(40):
+        r = rng.randint(2, 5)
+        cases.append(NormedLattice(basis=random_basis(r, rng),
+                                   gram=_identity(r)))
+    for lat in cases:
+        ball, with_ball, enumerated = _ball_and_kz(lat)
+        gram, _, lll = dual_lattice(lat)._lll
+        top = shortest_vector(gram, lll)
+        assert _combine(ball[0][0][0], lll[0]) == top
+        assert with_ball[0] == top and with_ball == enumerated
+    # a sweep lists no ball, and its reduced dual basis is the one a
+    # lattice whose ball was listed gets
+    rng = random.Random(7)
+    for _ in range(24):
+        r = rng.randint(2, 5)
+        basis = random_basis(r, rng)
+        swept = NormedLattice(basis=basis, gram=_identity(r))
+        listed = NormedLattice(basis=basis, gram=_identity(r))
+        transference_check(listed)
+        assert reduced_dual_basis(swept) == reduced_dual_basis(listed)
+        assert "_ball" not in vars(dual_lattice(swept))
+        assert "_ball" in vars(dual_lattice(listed))
+
+
+_LISTED_BALL_CERTIFICATES = r'''
+import json
+from sysbound import lattices
+from sysbound.errors import CertificateFailed
+
+
+def outcome(ball):
+    """KZ of the hexagonal dual after its transference check, with the
+    listed ball replaced by ``ball(listed)``."""
+    lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
+    lattices.transference_check(lat)
+    dual = lattices.dual_lattice(lat)
+    vectors, s = dual._ball
+    dual._ball = ball(vectors), s
+    try:
+        lattices.reduced_dual_basis(lat)
+    except CertificateFailed as exc:
+        return ["CertificateFailed", str(exc)]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["passed", ""]
+
+
+print(json.dumps({
+    "optimized": not __debug__,
+    "listed": outcome(lambda vectors: vectors),
+    "doubled": outcome(lambda vectors: [
+        (tuple(2 * x for x in v), n) for v, n in vectors]),
+    "empty": outcome(lambda vectors: []),
+    "too_long": outcome(lambda vectors: [(v, n + 1) for v, n in vectors]),
+}))
+'''
+
+
+def test_a_listed_ball_is_certified_under_optimize():
+    # the top-level vector read from a listed ball still goes through the
+    # nonempty-ball and primitivity certificates, also under python -O: a
+    # ball whose vectors are doubled, one that is empty, and one whose first
+    # vector lies past the shortest reduced row
+    env = dict(os.environ)
+    package = str(Path(lattices.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           _LISTED_BALL_CERTIFICATES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report.pop("optimized") is True
+    empty = ["CertificateFailed", "shortest-vector certificate: no vector "
+             "within the shortest reduced basis norm 2"]
+    assert report == {
+        "listed": ["passed", ""],
+        "doubled": ["CertificateFailed", "primitivity certificate: shortest "
+                    "vector [2, 0] has content 2"],
+        "empty": empty, "too_long": empty}
+
+
 def test_gram_product_matches_fraction_products():
     rng = random.Random(47)
     for trial in range(60):
@@ -805,6 +1029,123 @@ def test_a_pool_pass_makes_no_fraction_copies(monkeypatch):
     dual = dual_lattice(NormedLattice(basis=_identity(2), gram=_identity(2)))
     assert dual.basis is dual.basis
     assert copies == [2]
+
+
+def test_a_pool_pass_reads_no_integer_input_as_a_fraction(monkeypatch):
+    # the pool's bases, forms and vertices are ints, which the constructor
+    # clears as they are; it reads an entry as a Fraction only where the
+    # entry is not an int.  The counter sees what the constructor makes
+    from batch_pool import bench_child, golden_lattices
+    made, building = [], []
+    real_init = NormedLattice.__init__
+
+    def counted(*args):
+        if building:
+            made.append(type(args[0]) if len(args) == 1 else args)
+        return Fraction(*args)
+
+    def counted_init(self, *args, **kwargs):
+        building.append(1)
+        try:
+            real_init(self, *args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(lattices, "Fraction", counted)
+    monkeypatch.setattr(NormedLattice, "__init__", counted_init)
+    lattices._norm.cache_clear()
+    child = bench_child()
+    golden = golden_lattices()
+    for kind, specs in child.bench_inputs.lattice_pool().items():
+        for spec, expected in zip(specs, golden[kind]):
+            assert child.lattice_op(lattices, spec) == expected, kind
+    assert made == []
+    NormedLattice(basis=[[1, 0.5], [0, "1/3"]], gram=[[2, Fraction(1)],
+                                                     [1, True]])
+    assert made == [float, str, Fraction, bool]
+
+
+#: lattice inputs whose entries are ints, Fractions, strings, floats and
+#: bools, with vertices listed in no sorted order
+_MIXED_INPUTS = [
+    ([[1, 0], [0, 1]], {"gram": [[2, 1], [1, 2]]}),
+    ([[Fraction(1, 2), 3], [-1, "2/3"]], {"gram": [[1.5, 0], [0, True]]}),
+    ([[2, 1, 0], [0, 1, 0], [1, 1, 1]],
+     {"vertices": [[0, 0, -1], [1, 0, 0], [0, -1, 0], [0, 0, 1], [-1, 0, 0],
+                   [0, 1, 0]]}),
+    ([["1/3", 0], [0, 1]],
+     {"vertices": [[Fraction(1, 2), 0], [0, 1], [-0.5, 0], [0, -1]]}),
+]
+
+
+@pytest.mark.parametrize("basis, norm", _MIXED_INPUTS)
+def test_the_public_fields_are_the_inputs_read_as_fractions(basis, norm):
+    # basis, gram and vertices read as Fraction(x) entry by entry, in the
+    # order given: ==, the repr and replace see the inputs
+    lat = NormedLattice(basis=basis, **norm)
+    given = {"basis": basis, "gram": None, "vertices": None, **norm}
+    expected = {name: None if rows is None else
+                [[Fraction(x) for x in row] for row in rows]
+                for name, rows in given.items()}
+    for name, value in expected.items():
+        got = getattr(lat, name)
+        assert got == value, name
+        assert got is getattr(lat, name)
+        if value is not None:
+            assert {type(x) for row in got for x in row} == {Fraction}
+    if lat.vertices is not None:
+        assert lat.vertices != sorted(lat.vertices)
+    assert repr(lat) == "NormedLattice(basis=%r, gram=%r, vertices=%r)" % (
+        expected["basis"], expected["gram"], expected["vertices"])
+    assert lat == NormedLattice(**{name: value for name, value
+                                   in expected.items()})
+    assert lat == lat.replace()
+
+
+_I2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("basis, norm, error, message", [
+    # the basis entries are read first, before its shape is checked
+    ([[1, "x"]], {"gram": [[1]]}, ValueError,
+     "Invalid literal for Fraction: 'x'"),
+    ([[1, None], [0, 1]], {"gram": "never read"}, TypeError,
+     "argument should be a string or a Rational instance"),
+    ([[float("nan"), 0], [0, 1]], {"gram": _I2}, ValueError,
+     "cannot convert NaN to integer ratio"),
+    # then the basis, before the form or the vertices are read
+    ([], {"gram": [["bad"]]}, PreconditionUnmet,
+     "the lattice basis is empty; rank must be at least 1"),
+    (_identity(6), {"gram": [["bad"]]}, RankTooLarge,
+     "rank 6 exceeds the desk-scale cap 5"),
+    ([[1, 2]], {"gram": [["bad"]]}, PreconditionUnmet,
+     "basis must be a square matrix"),
+    ([[1, 2], [2, 4]], {"gram": _I2, "vertices": _I2}, PreconditionUnmet,
+     "basis must be nonsingular"),
+    (_I2, {"gram": _I2, "vertices": _I2}, PreconditionUnmet,
+     "give exactly one of gram and vertices"),
+    (_I2, {}, PreconditionUnmet, "give exactly one of gram and vertices"),
+    # a form's or a vertex list's entries, then its shape, then its norm
+    (_I2, {"gram": [[1, "y"], [0]]}, ValueError,
+     "Invalid literal for Fraction: 'y'"),
+    (_I2, {"gram": [[1, 0], [0]]}, PreconditionUnmet,
+     "the Gram matrix is 2x1/2 but the basis has rank 2"),
+    (_I2, {"gram": [[1, 2], [2, 1]]}, PreconditionUnmet,
+     "the Euclidean form must be symmetric positive-definite (leading "
+     "principal minors positive)"),
+    (_I2, {"vertices": [[1, "z"], [0]]}, ValueError,
+     "Invalid literal for Fraction: 'z'"),
+    (_I2, {"vertices": [[1, 0, 0], [-1, 0, 0]]}, PreconditionUnmet,
+     "the vertices have 3 coordinates but the basis has rank 2"),
+    (_I2, {"vertices": [[1, 0], [0, 1]]}, PreconditionUnmet,
+     "polytope vertex list must be closed under negation"),
+    (_I2, {"vertices": [[1, 0], [-1, 0]]}, PreconditionUnmet,
+     "polytope is not full-dimensional"),
+])
+def test_the_constructor_refuses_in_its_order(basis, norm, error, message):
+    with pytest.raises(error) as caught:
+        NormedLattice(basis, **norm)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_the_float_loop_sees_only_floats(monkeypatch):
