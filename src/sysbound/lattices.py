@@ -854,7 +854,8 @@ def shortest_vector(gram, lll, ball=None):
     """
     w, lam, d = lll
     bound = min(_row_norms(w, gram))
-    vectors, s = ball or enumerate_short_vectors(lam, d, bound)
+    vectors, s = (enumerate_short_vectors(lam, d, bound) if ball is None
+                  else ball)
     if not vectors or vectors[0][1] > bound * s:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
