@@ -908,6 +908,10 @@ def kz_transform(gram, lll, ball=None):
     included, to be unimodular.  Size reduction maps each row to the one
     member of its coset modulo the earlier rows with every mu_ij in
     [-1/2, 1/2), so reducing the inner levels too would give the same rows.
+    The certificate reads the size reduction's Gram-Schmidt pass: its last
+    minor is det(W gram W^T) = det(W)^2 det(gram), and the LLL run's is
+    det(gram), which LLL's swaps leave as it is, so the two are equal iff
+    |det W| = 1.
     """
     if len(gram) == 1:
         return [[1]]
@@ -915,11 +919,10 @@ def kz_transform(gram, lll, ball=None):
     lam, d = _integral_gs(_int_gram(w, gram))
     for i in range(1, len(w)):
         _reduce_row(w, lam, d, i)
-    det = _det(w)
-    if abs(det) != 1:
+    if d[-1] != lll[2][-1]:
         raise CertificateFailed(
             "unimodularity certificate: the KZ transform has determinant %s"
-            % det)
+            % _det(w))
     return w
 
 
