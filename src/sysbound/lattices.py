@@ -50,11 +50,11 @@ integer square root.  It walks half the ball: by central symmetry it
 visits only the vectors whose last nonzero coordinate is positive, lists
 each +-pair by its member whose first nonzero coordinate is positive, and
 sorts them by (size, coordinates reversed), the order a walk over the whole
-ball gives.  Each lattice keeps its minima, the ball its Euclidean minima
-are scanned from, its LLL run and its dual.  KZ's top-level shortest vector
-of a Euclidean dual is the first vector of the dual's kept ball when the
-transference check has listed it: both read the dual's one LLL run, and the
-ball up to the shortest reduced row is a prefix of the ball up to the
+ball gives.  Each lattice keeps its minima, its LLL run and its dual, and
+the first vector of the ball its Euclidean minima are read from.  That
+vector is KZ's top-level shortest vector of a Euclidean dual whose minima
+the transference check has listed: both read the dual's one LLL run, and
+the ball up to the shortest reduced row is a prefix of the ball up to the
 longest.  Otherwise KZ enumerates it; either way it is certified.
 
 The minima are scanned in LLL coordinates: each enumerated vector x is
@@ -86,7 +86,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import (BoundViolated, CertificateFailed, EuclideanizationFailed,
                      PreconditionUnmet, RankTooLarge, TooManyVertices)
@@ -357,7 +357,10 @@ class NormedLattice(Record, frozen=False):
         r = self.rank
         gram, scale, (w, lam, d) = self._lll
         if self._norm.normals is None:
-            vectors, s = self._ball
+            vectors, s = enumerate_short_vectors(lam, d,
+                                                 max(_row_norms(w, gram)))
+            # the first vector, KZ's top-level one (see reduced_dual_basis)
+            self._ball_head = vectors[:1], s
             s *= scale
         else:
             normals, s = _pulled_back((w, 1), self._coeff_normals)
@@ -380,14 +383,6 @@ class NormedLattice(Record, frozen=False):
                 "successive-minima certificate: vectors up to the longest "
                 "reduced basis norm span rank %d < %d" % (len(minima), r))
         return [Fraction(size, s) for size in minima]
-
-    @cached_property
-    def _ball(self):
-        """The Euclidean minima's enumeration of the LLL run, up to the
-        longest reduced row's norm in the integer Gram matrix; a dual's is
-        read again by :func:`reduced_dual_basis`."""
-        gram, _, (w, lam, d) = self._lll
-        return enumerate_short_vectors(lam, d, max(_row_norms(w, gram)))
 
     @cached_property
     def _dual(self):
@@ -672,7 +667,8 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     coordinate is positive: for each top level t, x_t runs over 1, 2, ...
     with every deeper coordinate zero, so n_t = 0, and the levels below run
     over their whole ranges.  Each visited x is listed as the pair's
-    representative, x or -x.
+    representative, x or -x, so the list is sorted by n and each run of
+    equal n is put in order after.
     """
     r = len(lam)
     e = d[1:]
@@ -680,7 +676,6 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     m = [s // (a * b) for a, b in zip(d, e)]
     s *= scale
     budget = bound.numerator * s // bound.denominator
-    # (n, representative reversed), so that a plain sort gives the order
     found = []
     coords = [0] * r
 
@@ -701,15 +696,14 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
             return
         # x_0 settles the sign: positive keeps the vector, negative negates
         # it, and zero leaves it to the first nonzero of x_1, x_2, ...
-        deeper = tuple(coords[:0:-1])
+        deeper = tuple(coords[1:])
         negated = tuple([-c for c in deeper])
-        zero = deeper if next(c for c in coords[1:] if c) > 0 else negated
+        zero = deeper if next(c for c in deeper if c) > 0 else negated
         spent = budget - remaining
         for x in xs:
             t = e_l * x + n
-            found.append((spent + m_l * t * t,
-                          deeper + (x,) if x > 0 else
-                          negated + (-x,) if x < 0 else zero + (0,)))
+            found.append(((x,) + deeper if x > 0 else (-x,) + negated if x < 0
+                          else (0,) + zero, spent + m_l * t * t))
 
     if budget >= 0:
         for top in range(r):
@@ -720,10 +714,21 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
                     coords[top] = x
                     descend(top - 1, budget - m_t * t * t)
                 else:
-                    found.append((m_t * t * t, (0,) * (r - 1) + (x,)))
+                    found.append(((x,) + (0,) * (r - 1), m_t * t * t))
             coords[top] = 0
-    found.sort()
-    return [(key[::-1], n) for n, key in found], s
+    found.sort(key=itemgetter(1))
+    start = 0
+    for i in range(1, len(found) + 1):
+        if i == len(found) or found[i][1] != found[start][1]:
+            if i - start > 1:
+                found[start:i] = sorted(found[start:i], key=_reversed_coords)
+            start = i
+    return found, s
+
+
+def _reversed_coords(item):
+    """(x_(r-1), ..., x_0) of an enumerated ``(x, n)``."""
+    return item[0][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +852,11 @@ def shortest_vector(gram, lll, ball=None):
     ``gram``, from its LLL run ``lll_transform(gram)``.
 
     It is the first vector the enumeration up to the shortest reduced row
-    lists.  ``ball``, if given, is ``enumerate_short_vectors(lam, d, top)``
-    of the same run for an integer top at least that norm: that list is a
-    prefix of it, so its first vector is the same.  Either way the vector
-    is certified within the shortest row and primitive.
+    lists.  ``ball``, if given, is ``(vectors[:1], s)`` of
+    ``enumerate_short_vectors(lam, d, top)`` on the same run, for an integer
+    top at least that norm: the shorter list is a prefix of that one, so
+    its first vector is the same.  Either way the vector is certified
+    within the shortest row and primitive.
     """
     w, lam, d = lll
     bound = min(_row_norms(w, gram))
@@ -1037,15 +1043,16 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     exhaustive enumeration, not against any by-product of the reduction.
 
     KZ takes a Euclidean dual's top-level shortest vector from the ball
-    the transference check listed for the dual's minima; with no ball
-    listed (``lattice --sweep``, a bare call) it enumerates.
+    the transference check listed for the dual's minima, whose first
+    vector the dual keeps; with no ball listed (``lattice --sweep``, a bare
+    call) it enumerates.
     """
     r = lattice.rank
     dual = dual_lattice(lattice)
     if lattice.kind == "euclidean":
         # the dual's own form is the inverse form: share its kept LLL run
         gram, scale, lll = dual._lll
-        w = kz_transform(gram, lll, vars(dual).get("_ball"))
+        w = kz_transform(gram, lll, getattr(dual, "_ball_head", None))
         norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
         gram = _int_gram(dual._basis[0], lattice._norm.ellipsoid_inverse[0])

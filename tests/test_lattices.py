@@ -592,20 +592,22 @@ def test_the_half_walk_lists_what_the_full_walk_lists_at_every_bound():
 
 
 def _ball_and_kz(lat):
-    """The dual's listed ball, after the transference check, and the KZ
-    transform of the dual with and without it."""
+    """The head the dual keeps of its listed ball, after the transference
+    check, and the KZ transform of the dual with and without it."""
     transference_check(lat)
     dual = dual_lattice(lat)
     gram, _, lll = dual._lll
-    ball = vars(dual)["_ball"]
-    return ball, kz_transform(gram, lll, ball), kz_transform(gram, lll)
+    head = dual._ball_head
+    return head, kz_transform(gram, lll, head), kz_transform(gram, lll)
 
 
 def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
-    # on every Euclidean pool dual and on sweep lattices: the listed ball's
-    # first vector is shortest_vector's, and the whole transform is the one
-    # KZ makes by enumerating
-    from sysbound.lattices import shortest_vector, _combine
+    # on every Euclidean pool dual and on sweep lattices: the kept head is
+    # the first vector of the ball the dual's minima were read from, it is
+    # shortest_vector's, and the whole transform is the one KZ makes by
+    # enumerating
+    from sysbound.lattices import (enumerate_short_vectors, shortest_vector,
+                                   _combine, _row_norms)
     rng = random.Random(0)
     cases = [lat for lat in _pool_lattices() if lat.kind == "euclidean"]
     for _ in range(40):
@@ -613,11 +615,14 @@ def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
         cases.append(NormedLattice(basis=random_basis(r, rng),
                                    gram=_identity(r)))
     for lat in cases:
-        ball, with_ball, enumerated = _ball_and_kz(lat)
+        head, with_head, enumerated = _ball_and_kz(lat)
         gram, _, lll = dual_lattice(lat)._lll
+        vectors, s = enumerate_short_vectors(*lll[1:],
+                                             max(_row_norms(lll[0], gram)))
+        assert head == (vectors[:1], s)
         top = shortest_vector(gram, lll)
-        assert _combine(ball[0][0][0], lll[0]) == top
-        assert with_ball[0] == top and with_ball == enumerated
+        assert _combine(head[0][0][0], lll[0]) == top
+        assert with_head[0] == top and with_head == enumerated
     # a sweep lists no ball, and its reduced dual basis is the one a
     # lattice whose ball was listed gets
     rng = random.Random(7)
@@ -628,8 +633,8 @@ def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
         listed = NormedLattice(basis=basis, gram=_identity(r))
         transference_check(listed)
         assert reduced_dual_basis(swept) == reduced_dual_basis(listed)
-        assert "_ball" not in vars(dual_lattice(swept))
-        assert "_ball" in vars(dual_lattice(listed))
+        assert "_ball_head" not in vars(dual_lattice(swept))
+        assert "_ball_head" in vars(dual_lattice(listed))
 
 
 _LISTED_BALL_CERTIFICATES = r'''
@@ -644,8 +649,8 @@ def outcome(ball):
     lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
     lattices.transference_check(lat)
     dual = lattices.dual_lattice(lat)
-    vectors, s = dual._ball
-    dual._ball = ball(vectors), s
+    vectors, s = dual._ball_head
+    dual._ball_head = ball(vectors), s
     try:
         lattices.reduced_dual_basis(lat)
     except CertificateFailed as exc:
