@@ -359,7 +359,8 @@ class NormedLattice(Record, frozen=False):
         if self._norm.normals is None:
             vectors, s = enumerate_short_vectors(lam, d,
                                                  max(_row_norms(w, gram)))
-            # the first vector, KZ's top-level one (see reduced_dual_basis)
+            # the first vector, KZ's top-level one for a dual; ``==`` and
+            # the repr leave it out (see reduced_dual_basis)
             self._ball_head = vectors[:1], s
             s *= scale
         else:
@@ -721,14 +722,10 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     for i in range(1, len(found) + 1):
         if i == len(found) or found[i][1] != found[start][1]:
             if i - start > 1:
-                found[start:i] = sorted(found[start:i], key=_reversed_coords)
+                found[start:i] = sorted(found[start:i],
+                                        key=lambda item: item[0][::-1])
             start = i
     return found, s
-
-
-def _reversed_coords(item):
-    """(x_(r-1), ..., x_0) of an enumerated ``(x, n)``."""
-    return item[0][::-1]
 
 
 # ---------------------------------------------------------------------------
