@@ -59,7 +59,7 @@ def main():
     sys.setprofile(profile)
     try:
         import reply_dump
-        for argv, stdin in reply_dump.runs():
+        for argv, stdin, _ in reply_dump.runs():
             reply_dump.reply(argv, stdin)
     finally:
         sys.setprofile(None)

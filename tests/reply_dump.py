@@ -21,14 +21,19 @@ j = 0 and j > r before the class is printed).  Last, in each format,
 ``lattice`` runs on every ``LATTICE_POOL`` lattice of the benchmark: its
 basis as ``--basis`` with the identity ``--gram`` or with its polytope's
 ``--vertices``.  After them, in each format, come the ``SWEEPS`` runs of
-``lattice --sweep`` and its ``SWEEP_REFUSALS``.  Each run prints its argv,
+``lattice --sweep`` and its ``SWEEP_REFUSALS``.  Last, in each format,
+``lattice`` runs on every lattice the ``SWEEPS`` draw, as ``--basis`` with
+the identity ``--gram``: a sweep prints only its counts, and these runs
+print each drawn lattice's reduced dual basis.  Each run prints its argv,
 its exit code, its stdout and its stderr.  Runs are made in this process
 through ``sysbound.cli.run_command``.  Standard library only.
 
 With ``--digests`` it prints instead one line per block of runs: the
 SHA-256 of the block's dump text, the block's subcommand, its ``--theorem``
-value (``--sweep`` for a sweep run), its ``--format`` (``-`` where a run
-gives none), and its number of runs, in the order blocks first appear.  ``tests/golden_replies.txt`` is that output::
+value (``--sweep`` for a sweep run, ``drawn`` for a run on a lattice a
+sweep draws), its ``--format`` (``-`` where a run gives none), and its
+number of runs, in the order blocks first appear.
+``tests/golden_replies.txt`` is that output::
 
     PYTHONPATH=src python tests/reply_dump.py --digests > tests/golden_replies.txt
 """
@@ -36,6 +41,7 @@ gives none), and its number of runs, in the order blocks first appear.  ``tests/
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -79,7 +85,8 @@ PUSHFORWARD_CASES = tuple((k, r, j) for r in range(2, 7) for k in range(1, r)
                           for j in range(7)) + ((1, 7, 1), (1, 6, 7))
 
 #: ``lattice --sweep`` at two seeds and two rank ranges; a sweep prints only
-#: its counts, so these runs hold the dual KZ norms of the lattices it draws
+#: its counts, so these runs hold the dual KZ norms of the lattices it draws,
+#: and the ``drawn`` block prints each of those lattices in full
 SWEEPS = tuple(("--sweep", "40", "--seed", seed, "--min-rank", "2",
                 "--max-rank", top) for seed in ("0", "7") for top in ("4", "5"))
 
@@ -103,8 +110,35 @@ def reply(argv, stdin=""):
     return code, out.getvalue(), err.getvalue()
 
 
+def drawn_bases():
+    """The basis of every lattice the ``SWEEPS`` draw, in order, drawn as
+    ``lattice --sweep`` draws them."""
+    from sysbound.lattices import random_basis
+    for flags in SWEEPS:
+        value = dict(zip(flags[::2], map(int, flags[1::2])))
+        rng = random.Random(value["--seed"])
+        for _ in range(value["--sweep"]):
+            rank = rng.randint(value["--min-rank"], value["--max-rank"])
+            yield random_basis(rank, rng)
+
+
 def runs():
-    """Every ``(argv, stdin)`` of the dump, in order."""
+    """Every ``(argv, stdin, block)`` of the dump, in order; see
+    :func:`block`."""
+    for argv, stdin in _flagged_runs():
+        yield argv, stdin, block(argv)
+    for fmt in FORMATS:
+        for basis in drawn_bases():
+            r = len(basis)
+            yield ("lattice", "--gram",
+                   json.dumps([[int(i == j) for j in range(r)]
+                               for i in range(r)]),
+                   "--basis", json.dumps(basis), "--format", fmt), "", \
+                "lattice drawn " + fmt
+
+
+def _flagged_runs():
+    """Every ``(argv, stdin)`` of the dump whose block its flags name."""
     for argv in CLI_INVOCATIONS:
         yield argv, ""
     commands = list(BATCH_COMMANDS) + [("phi", "--alpha", text)
@@ -171,9 +205,9 @@ def dumped(argv, stdin=""):
 
 
 def block(argv) -> str:
-    """The block of a run: its subcommand, its ``--theorem`` value or
-    ``--sweep`` for a sweep run, and its ``--format`` value, ``-`` for one
-    it does not give."""
+    """The block of a run other than a ``drawn`` one: its subcommand, its
+    ``--theorem`` value or ``--sweep`` for a sweep run, and its ``--format``
+    value, ``-`` for one it does not give."""
     def value(flag):
         return argv[argv.index(flag) + 1] if flag in argv else "-"
     selector = "--sweep" if "--sweep" in argv else value("--theorem")
@@ -184,8 +218,7 @@ def digests() -> dict:
     """block -> (SHA-256 hex digest of its runs' dump text, number of
     runs), blocks in the order they first appear."""
     hashes, counts = {}, {}
-    for argv, stdin in runs():
-        key = block(argv)
+    for argv, stdin, key in runs():
         hashes.setdefault(key, hashlib.sha256()).update(
             dumped(argv, stdin).encode())
         counts[key] = counts.get(key, 0) + 1
@@ -198,7 +231,7 @@ def main(args):
         for key, (digest, count) in digests().items():
             write("%s %s %d\n" % (digest, key, count))
         return
-    for argv, stdin in runs():
+    for argv, stdin, _ in runs():
         write(dumped(argv, stdin))
 
 
