@@ -24,8 +24,8 @@ first read, the vertices in the order given.
 What depends on the unit ball alone is computed once per distinct norm in
 a process and shared by every lattice, and every dual, built on it: the
 positive-definiteness check and the inverse form of a Euclidean norm; the
-negation check, the facet normals, the certified ellipsoid and its inverse,
-and the polar norm of a polytope.  They live in a bounded memo keyed on the
+negation check, the facet normals, the certified ellipsoid and the polar
+norm of a polytope.  They live in a bounded memo keyed on the
 cleared rows (at most ``MAX_NORMS`` norms, the least recently used dropped
 first), and a lattice's dual takes its norm's dual.  The sandwich
 certificate is a property of the norm, so it holds for every lattice that
@@ -40,8 +40,9 @@ lam_ij = d_(j+1) mu_ij, mu the Gram-Schmidt coefficients.  One pass computes
 them and is also the positive-definiteness test (every d_i > 0, Sylvester's
 criterion).  LLL's size reduction, Lovasz test and swaps, and the size
 reduction that ends a KZ reduction, update them in place with exact integer
-divisions; LLL hands the data of its reduced rows to the enumeration, the
-shortest vector and KZ, so no Gram matrix is rebuilt or factored twice.
+divisions; LLL hands the data and the norms of its reduced rows to the
+enumeration, the shortest vector and KZ, so no Gram matrix is rebuilt or
+factored twice.
 KZ recurses on projected lattices, and only the outermost call size-reduces
 the transform and certifies it unimodular (see :func:`kz_transform` for why
 once suffices).
@@ -50,12 +51,7 @@ integer square root.  It walks half the ball: by central symmetry it
 visits only the vectors whose last nonzero coordinate is positive, lists
 each +-pair by its member whose first nonzero coordinate is positive, and
 sorts them by (size, coordinates reversed), the order a walk over the whole
-ball gives.  Each lattice keeps its minima, its LLL run and its dual, and
-the first vector of the ball its Euclidean minima are read from.  That
-vector is KZ's top-level shortest vector of a Euclidean dual whose minima
-the transference check has listed: both read the dual's one LLL run, and
-the ball up to the shortest reduced row is a prefix of the ball up to the
-longest.  Otherwise KZ enumerates it; either way it is certified.
+ball gives.  Each lattice keeps its minima, its LLL run and its dual.
 
 The minima are scanned in LLL coordinates: each enumerated vector x is
 measured once, as an integer over one scale, and the minima are read off by
@@ -70,14 +66,16 @@ The polytope half runs on the same rows.  Facet enumeration solves each
 r-subset of the vertex rows by one integer elimination, tests support in
 ints and returns the normals as integer rows over one denominator; the
 polar test, the pull-back and the ellipsoid sandwich read those rows.  For
-polytope norms the search region comes from an inscribed ellipsoid E whose
-sandwich (E inside the ball, ball inside sqrt(c) E) is verified exactly,
-with c the largest vertex value v^T Q v; the search budget uses that c.
-The ellipsoid itself is fitted in plain Python floats, with a float
-Gauss-Jordan loop of its own, since only the certificate matters.  The
-dual's unit ball is the polar polytope, whose facet normals are the primal's
-extreme vertices (polar duality; Ziegler, Lectures on Polytopes, section
-2.3), so only input polytopes enumerate facets.
+polytope norms the search region comes from an inscribed ellipsoid E_Q
+whose sandwich (E_Q inside the ball, ball inside sqrt(c) E_Q) is verified
+exactly, with c the largest vertex value v^T Q v; the search budget uses
+that c.  An input polytope's candidate forms are fitted in plain Python
+floats, with a float Gauss-Jordan loop of its own, since only the
+certificate matters.  The dual's unit ball is the polar polytope, whose
+facet normals are the primal's extreme vertices (polar duality; Ziegler,
+Lectures on Polytopes, section 2.3) and whose one candidate is the primal's
+Q: the polar of E_Q is E_(Q^-1), so its certificate gives c Q^-1 with the
+same c.  Only input polytopes enumerate facets or run the fit.
 """
 
 from __future__ import annotations
@@ -202,7 +200,7 @@ class NormedLattice(Record, frozen=False):
     ``basis`` rows generate the lattice in ambient coordinates.  Exactly one
     of ``gram`` (ambient Euclidean form) and ``vertices`` (unit-ball vertex
     list, closed under negation) must be given.  The norm's data (facets,
-    polar, certified ellipsoid and its inverse, inverse form) is computed
+    polar, certified ellipsoid, inverse form) is computed
     once per distinct norm in a process, in a bounded memo, and shared by
     every lattice on it; the basis and its reductions are the lattice's own.
     """
@@ -355,23 +353,20 @@ class NormedLattice(Record, frozen=False):
         their denominator.  Sizes stay ints until the r minima are found.
         """
         r = self.rank
-        gram, scale, (w, lam, d) = self._lll
+        gram, scale, (w, lam, d, norms) = self._lll
         if self._norm.normals is None:
-            vectors, s = enumerate_short_vectors(lam, d,
-                                                 max(_row_norms(w, gram)))
-            # the first vector, KZ's top-level one for a dual; ``==`` and
-            # the repr leave it out (see reduced_dual_basis)
-            self._ball_head = vectors[:1], s
+            vectors, s = enumerate_short_vectors(lam, d, max(norms))
             s *= scale
         else:
             normals, s = _pulled_back((w, 1), self._coeff_normals)
             # row i of W is the unit vector e_i in these coordinates; every
             # vector of norm at most top / s has v^T Q v <= c (top / s)^2,
-            # Q = euclidean_form(), by the sandwich |v|_Q^2 <= c ||v||^2
+            # Q = euclidean_form(), by the sandwich |v|_Q^2 <= c ||v||^2;
+            # the enumeration measures scale |v|_Q^2
             top = max(map(max, normals))
             found, _ = enumerate_short_vectors(
-                lam, d, self._norm.ellipsoid[1] * Fraction(top, s) ** 2,
-                scale)
+                lam, d, self._norm.ellipsoid[1] * Fraction(top, s) ** 2
+                * scale)
             vectors = []
             for x, _ in found:
                 size = max(sum(map(mul, a, x)) for a in normals)
@@ -419,25 +414,24 @@ class _Norm:
 
     ``rows`` is the Euclidean form or the vertex list and ``normals`` a
     polytope's facet normals (None for a Euclidean norm), each as integer
-    rows over one denominator that no routine mutates.  The certified
-    ellipsoid, its inverse and the dual norm are computed on first read and
+    rows over one denominator that no routine mutates.  ``primal`` is the
+    norm whose dual this one is, None for a norm built from its inputs.  The
+    certified ellipsoid and the dual norm are computed on first read and
     kept; one that raises keeps nothing and raises again on the next read.
     """
 
-    def __init__(self, rows, normals, r):
-        self.rows, self.normals, self.r = rows, normals, r
+    def __init__(self, rows, normals, r, primal):
+        self.rows, self.normals, self.r, self.primal = rows, normals, r, primal
 
     @cached_property
     def ellipsoid(self):
-        """((rows, den), c) of the certified inscribed ellipsoid."""
-        return _certified_ellipsoid_form(self.rows, self.normals, self.r)
-
-    @cached_property
-    def ellipsoid_inverse(self):
-        """Q^-1 for the certified form Q, as integer rows over one
-        denominator: the form of the polar ellipsoid, comparable to the
-        dual norm."""
-        return _mat_inv(*self.ellipsoid[0])
+        """((rows, den), c) of the certified inscribed ellipsoid.  A polar
+        norm's one candidate is its primal's certified form, any other
+        polytope's are the fit's (see :func:`_certified_ellipsoid_form`)."""
+        candidates = (_fitted_forms(self.normals, self.r)
+                      if self.primal is None else [self.primal.ellipsoid[0]])
+        return _certified_ellipsoid_form(self.rows, self.normals, self.r,
+                                         candidates)
 
     @cached_property
     def dual(self):
@@ -445,9 +439,10 @@ class _Norm:
         vertices are this polytope's facet normals and whose facet normals
         are its extreme vertices."""
         if self.normals is None:
-            return _Norm(_mat_inv(*self.rows), None, self.r)
+            return _Norm(_mat_inv(*self.rows), None, self.r, self)
         return _Norm(self.normals,
-                     _polar_normals(self.rows, self.normals, self.r), self.r)
+                     _polar_normals(self.rows, self.normals, self.r), self.r,
+                     self)
 
 
 @lru_cache(maxsize=MAX_NORMS)
@@ -467,12 +462,12 @@ def _norm(kind, rows, den, r):
             raise PreconditionUnmet(
                 "the Euclidean form must be symmetric positive-definite "
                 "(leading principal minors positive)")
-        return _Norm(form, None, r)
+        return _Norm(form, None, r, None)
     if {tuple(-x for x in v) for v in rows} != set(rows):
         raise PreconditionUnmet(
             "polytope vertex list must be closed under negation")
     vertices = [list(v) for v in rows], den
-    return _Norm(vertices, _facet_normals(vertices, r), r)
+    return _Norm(vertices, _facet_normals(vertices, r), r, None)
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +563,19 @@ def _gauss_jordan(rows, ncols):
     return m, rank
 
 
-def _certified_ellipsoid_form(vertices, normals, r):
-    """``((rows, den), c)``: a rational PD form Q = rows / den and the exact
-    c = max v^T Q v over the vertices, with E_Q inside K inside sqrt(c) E_Q;
-    the vertices and normals are integer rows over one denominator each.
+def _fitted_forms(normals, r):
+    """Candidate forms for :func:`_certified_ellipsoid_form`, from a float
+    fit of the facet normals.
 
     Khachiyan's iteration (Math. Oper. Res. 21, 1996) fits, in floats, the
     minimal enclosing ellipsoid of the polar vertex set (the facet normals):
     weights u on the points, moment matrix M = sum u_i p_i p_i^T, and a step
     toward the first point of largest p^T M^-1 p until that is at most r.
-    The polar set's enclosing form M^-1 / r is rationalized, rescaled so E_Q
-    is exactly inscribed, and c is then computed exactly on the vertices.
-    The first round with c <= r (John's bound) is returned; failing that,
-    the round with the smallest c.
+    Each of six rounds iterates longer and yields the enclosing form
+    M^-1 / r, rationalized with a finer denominator limit, symmetrized and
+    cleared.
     """
     points, e = normals
-    rows, den = vertices
     # p p^T of each point, flattened row by row, and each entry over the
     # points; int / int true division is correctly rounded, as float() of
     # the exact Fraction is
@@ -602,7 +594,6 @@ def _certified_ellipsoid_form(vertices, normals, r):
             raise EuclideanizationFailed("polar vertex set is degenerate")
         return [x for row in reduced for x in row[r:]]
 
-    best = None
     for rounds in range(6):
         for _ in range(400 * (rounds + 1)):
             minv = moment_inverse()
@@ -618,20 +609,35 @@ def _certified_ellipsoid_form(vertices, normals, r):
         minv = moment_inverse()
         w = [[Fraction(minv[i * r + j] / r).limit_denominator(limit)
               for j in range(r)] for i in range(r)]
-        w = [[(w[i][j] + w[j][i]) / 2 for j in range(r)] for i in range(r)]
-        # w = W / f: the largest a^T w a over the normals A / e is one
-        # Fraction, and w / scale = W s / (f t) for scale = t / s; c over
-        # the vertices V / D is one Fraction too
-        wrows, f = _cleared(w)
+        yield _cleared([[(w[i][j] + w[j][i]) / 2 for j in range(r)]
+                        for i in range(r)])
+
+
+def _certified_ellipsoid_form(vertices, normals, r, candidates):
+    """``((rows, den), c)``: a rational PD form Q = rows / den and the exact
+    c = max v^T Q v over the vertices, with E_Q inside K inside sqrt(c) E_Q,
+    from the first candidate with c <= r (John's bound), or failing that the
+    one with the smallest c.  Each candidate W, like the vertices and the
+    normals, is integer rows over one denominator; it is rescaled so the
+    largest a^T W a over the normals is exactly 1, which puts E_Q, Q = W^-1,
+    inside K, and passed over unless it is then positive definite.
+    """
+    points, e = normals
+    rows, den = vertices
+    e2 = e * e
+    best = None
+    for wrows, f in candidates:
+        # the largest a^T w a over the normals A / e, for w = W / f, is one
+        # Fraction, and w / scale = W s / (f t) for scale = t / s (a scale
+        # <= 0 leaves W not positive definite); c over the vertices V / D is
+        # one Fraction too
         scale = Fraction(max(_int_quad(wrows, a) for a in points), e2 * f)
-        if scale <= 0:
-            continue
         wrows = [[x * scale.denominator for x in row] for row in wrows]
         if not _is_positive_definite(wrows):
             continue
         q = _mat_inv(wrows, f * scale.numerator)
-        qrows, f = q
-        c = Fraction(max(_int_quad(qrows, v) for v in rows), den * den * f)
+        qrows, g = q
+        c = Fraction(max(_int_quad(qrows, v) for v in rows), den * den * g)
         if c <= r:
             return q, c
         if best is None or c < best[1]:
@@ -647,22 +653,22 @@ def _certified_ellipsoid_form(vertices, normals, r):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_short_vectors(lam, d, bound, scale=1):
-    """``(vectors, s)``: all nonzero x in Z^r with x^T G x <= bound, one per
-    +-pair, each as ``(x, n)`` with x^T G x = n / s exactly; G = gram /
-    scale, and ``(lam, d)`` is the integral Gram-Schmidt data of the integer
-    rows ``gram``.  Of each pair the x whose first nonzero coordinate is
-    positive is listed, and the list is sorted by n, ties by
-    (x_(r-1), ..., x_0) ascending: the key is (n, x reversed).  So for any
-    smaller bound the list is a prefix of this one.
+def enumerate_short_vectors(lam, d, bound):
+    """``(vectors, s)``: all nonzero x in Z^r with x^T gram x <= bound, an
+    int or a Fraction, one per +-pair, each as ``(x, n)`` with
+    x^T gram x = n / s exactly; ``(lam, d)`` is the integral Gram-Schmidt
+    data of the integer rows ``gram``.  Of each pair the x whose first
+    nonzero coordinate is positive is listed, and the list is sorted by n,
+    ties by (x_(r-1), ..., x_0) ascending: the key is (n, x reversed).  So
+    for any smaller bound the list is a prefix of this one.
 
     Fincke-Pohst in integers.  With mu_jl = lam_jl / e_l, e_l = d_(l+1),
     and bstar_l = d_(l+1) / d_l, level l adds to x^T gram x the term
     bstar_l (x_l + n_l / e_l)^2 = (e_l x_l + n_l)^2 / (d_l d_(l+1)), n_l the
     integer sum of lam_jl x_j over the deeper coordinates.  Over the common
     denominator s = lcm(d_l d_(l+1)) it is m_l (e_l x_l + n_l)^2 / s with
-    m_l an integer, so the budget is kept as floor(s scale bound) minus
-    integer terms and each level's range comes from one integer square root.
+    m_l an integer, so the budget is kept as floor(s bound) minus integer
+    terms and each level's range comes from one integer square root.
 
     The walk visits one x of each pair, the one whose last nonzero
     coordinate is positive: for each top level t, x_t runs over 1, 2, ...
@@ -675,7 +681,6 @@ def enumerate_short_vectors(lam, d, bound, scale=1):
     e = d[1:]
     s = math.lcm(*(a * b for a, b in zip(d, e)))
     m = [s // (a * b) for a, b in zip(d, e)]
-    s *= scale
     budget = bound.numerator * s // bound.denominator
     found = []
     coords = [0] * r
@@ -769,9 +774,10 @@ def _swap_rows(w, lam, d, k):
 
 
 def lll_transform(gram):
-    """The LLL run ``(w, lam, d)`` of a positive-definite integer Gram
-    matrix: integer rows W with W * basis LLL-reduced, and the integral
-    Gram-Schmidt data (see :func:`_integral_gs`) of W gram W^T.
+    """The LLL run ``(w, lam, d, norms)`` of a positive-definite integer
+    Gram matrix: integer rows W with W * basis LLL-reduced, the integral
+    Gram-Schmidt data (see :func:`_integral_gs`) of W gram W^T, and its
+    diagonal, the norms of the reduced rows.
 
     The run depends only on the form, so any positive multiple of it gives
     the same W.  The data is computed once and then updated in place under
@@ -795,7 +801,7 @@ def lll_transform(gram):
         else:
             _swap_rows(w, lam, d, k)
             k = max(k - 1, 1)
-    return w, lam, d
+    return w, lam, d, _row_norms(w, gram)
 
 
 def _row_norms(w, gram):
@@ -844,21 +850,16 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(gram, lll, ball=None):
+def shortest_vector(gram, lll):
     """A shortest nonzero coefficient vector of the integer Gram matrix
     ``gram``, from its LLL run ``lll_transform(gram)``.
 
     It is the first vector the enumeration up to the shortest reduced row
-    lists.  ``ball``, if given, is ``(vectors[:1], s)`` of
-    ``enumerate_short_vectors(lam, d, top)`` on the same run, for an integer
-    top at least that norm: the shorter list is a prefix of that one, so
-    its first vector is the same.  Either way the vector is certified
-    within the shortest row and primitive.
+    lists, certified within that row and primitive.
     """
-    w, lam, d = lll
-    bound = min(_row_norms(w, gram))
-    vectors, s = (enumerate_short_vectors(lam, d, bound) if ball is None
-                  else ball)
+    w, lam, d, norms = lll
+    bound = min(norms)
+    vectors, s = enumerate_short_vectors(lam, d, bound)
     if not vectors or vectors[0][1] > bound * s:
         raise CertificateFailed(
             "shortest-vector certificate: no vector within the shortest "
@@ -872,7 +873,7 @@ def shortest_vector(gram, lll, ball=None):
     return coeffs
 
 
-def _kz_rows(gram, lll, ball=None):
+def _kz_rows(gram, lll):
     """The KZ transform of :func:`kz_transform` before its size reduction
     and its certificate: the first row is a shortest vector and,
     recursively, the others lift the projected lattice's rows.
@@ -882,7 +883,7 @@ def _kz_rows(gram, lll, ball=None):
     of a form reduces alike.
     """
     r = len(gram)
-    t1 = _complete_unimodular(shortest_vector(gram, lll, ball))
+    t1 = _complete_unimodular(shortest_vector(gram, lll))
     if r == 2:
         # a rank-1 projection is KZ-reduced as it stands
         return t1
@@ -896,11 +897,10 @@ def _kz_rows(gram, lll, ball=None):
     return [t1[0]] + [_combine(row, t1[1:]) for row in sub]
 
 
-def kz_transform(gram, lll, ball=None):
+def kz_transform(gram, lll):
     """Integer row transform W with W * basis KZ-reduced, for a
     positive-definite integer Gram matrix; ``lll`` is the LLL run
-    ``lll_transform(gram)``; the top level's shortest vector is read from
-    ``ball`` if given (see :func:`shortest_vector`).
+    ``lll_transform(gram)``.
 
     The first vector is a shortest vector; recursively, each Gram-Schmidt
     vector is shortest in the projected lattice (:func:`_kz_rows`), and the
@@ -918,7 +918,7 @@ def kz_transform(gram, lll, ball=None):
     """
     if len(gram) == 1:
         return [[1]]
-    w = _kz_rows(gram, lll, ball)
+    w = _kz_rows(gram, lll)
     lam, d = _integral_gs(_int_gram(w, gram))
     for i in range(1, len(w)):
         _reduce_row(w, lam, d, i)
@@ -1039,25 +1039,23 @@ def reduced_dual_basis(lattice: NormedLattice) -> ReducedDualBasis:
     The certificate compares against a lambda_1 obtained by independent
     exhaustive enumeration, not against any by-product of the reduction.
 
-    KZ takes a Euclidean dual's top-level shortest vector from the ball
-    the transference check listed for the dual's minima, whose first
-    vector the dual keeps; with no ball listed (``lattice --sweep``, a bare
-    call) it enumerates.
+    KZ reduces the dual's basis in the dual's Euclidean form, from the
+    dual's kept LLL run: the inverse form, or the polar's certified form
+    c Q^-1, which reduces as Q^-1 does.  The two kinds of norm differ only
+    in how each reduced row is measured: a Euclidean dual norm squared in
+    the inverse form, a polytope dual norm on the polar's facet normals.
     """
     r = lattice.rank
     dual = dual_lattice(lattice)
-    if lattice.kind == "euclidean":
-        # the dual's own form is the inverse form: share its kept LLL run
-        gram, scale, lll = dual._lll
-        w = kz_transform(gram, lll, getattr(dual, "_ball_head", None))
+    gram, scale, lll = dual._lll
+    w = kz_transform(gram, lll)
+    squared = lattice.kind == "euclidean"
+    if squared:
         norms = tuple(Fraction(n, scale) for n in _row_norms(w, gram))
     else:
-        gram = _int_gram(dual._basis[0], lattice._norm.ellipsoid_inverse[0])
-        w = kz_transform(gram, lll_transform(gram))
         norms = tuple(dual._coefficient_norm(row) for row in w)
     vectors = [tuple(dual.vector(row)) for row in w]
     l1 = successive_minima(lattice, 1)
-    squared = lattice.kind == "euclidean"
     power, product = ((4, "||u||^2 lambda1^2") if squared
                       else (2, "||u||* lambda1"))
     bound = Fraction(r) ** power

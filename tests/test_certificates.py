@@ -3,13 +3,15 @@
 A bare ``assert`` vanishes under ``-O``, so every certificate in the package
 is an ordinary check that raises. The subprocess test breaks several of
 them on purpose and runs with ``-O``, among them the successive-minima
-certificate, the ellipsoid fit's positive-definiteness check and, on a
-reduced dual basis, KZ's unimodularity, shortest-vector and primitivity
+certificate, the ellipsoid certificate's positive-definiteness check, on
+the fit's candidates and on a polar norm's candidate, and, on a reduced
+dual basis, KZ's unimodularity, shortest-vector and primitivity
 certificates (KZ's unimodularity also broken below the top level of its
-recursion only), the decimal writer's refinement of its pi enclosure, a
-projective bundle's first-Chern-class certificate, and, on the intersection
-form, phi-sup's rationality test and root-isolation parity check and the
-bundle profile's closed form.  The
+recursion only; the shortest vector given an empty listing and one whose
+first vector lies past the shortest reduced row), the decimal writer's
+refinement of its pi enclosure, a projective bundle's first-Chern-class
+certificate, and, on the intersection form, phi-sup's rationality test and
+root-isolation parity check and the bundle profile's closed form.  The
 guard test keeps ``assert`` out of the package source.
 """
 
@@ -83,14 +85,19 @@ def kz_of_a3(replacement):
 
 
 # the KZ transform's last row doubled, so its determinant is 2, and the same
-# below the top level only; the enumeration finding nothing; its first
-# vector doubled, so not primitive
+# below the top level only; the enumeration finding nothing, or listing
+# vectors past the shortest reduced row; its first vector doubled, so not
+# primitive
 kz_reports = {
     "unimodularity": broken("_complete_unimodular", lambda real: lambda v: (
         lambda t: t[:-1] + [[2 * x for x in t[-1]]])(real(v))),
     "inner_unimodularity": kz_of_a3(below_the_top),
     "shortest_vector": broken("enumerate_short_vectors",
                               lambda real: lambda *args: ([], 1)),
+    "past_the_row": broken("enumerate_short_vectors",
+                           lambda real: lambda lam, d, bound: (
+        lambda vectors, s: ([(vec, bound * s + 1) for vec, _ in vectors],
+                            s))(*real(lam, d, bound))),
     "primitivity": broken("enumerate_short_vectors", lambda real: lambda *args: (
         lambda vectors, s: ([(tuple(2 * x for x in vec), spent)
                              for vec, spent in vectors], s))(*real(*args))),
@@ -134,6 +141,12 @@ again = lattices.NormedLattice(basis=[[1, 1], [0, 1]],
                                vertices=[[0, -1], [-1, 0], [0, 1], [1, 0]])
 fit = [broken_fit, [[str(x) for x in row] for row in square.euclidean_form()],
        again._norm is square._norm]
+# a polar norm's one candidate is its primal's certified form: a primal form
+# that is not positive definite leaves the polar with none
+rhombus = lattices.NormedLattice(basis=[[1, 0], [0, 1]],
+                                 vertices=[[2, 0], [0, 1], [-2, 0], [0, -1]])
+rhombus._norm.ellipsoid = (([[1, 0], [0, -1]], 1), Fraction(1))
+fit.append(outcome(lattices.dual_lattice(rhombus).euclidean_form))
 # an enclosure of pi that never narrows: the decimal writer stops refining
 pi_bounds = values._pi_bounds
 values._pi_bounds = lambda bits: (3 << bits, 4 << bits)
@@ -260,12 +273,14 @@ def test_forced_certificate_failures_raise_under_optimize():
         "shortest_vector": ["CertificateFailed", "shortest-vector "
                             "certificate: no vector within the shortest "
                             "reduced basis norm 2"],
+        "past_the_row": ["CertificateFailed", "shortest-vector "
+                         "certificate: no vector within the shortest "
+                         "reduced basis norm 2"],
         "primitivity": ["CertificateFailed", "primitivity certificate: "
                         "shortest vector [2, 0] has content 2"]}
-    assert report["fit"] == [
-        ["EuclideanizationFailed",
-         "no positive-definite inscribed ellipsoid form found"],
-        [["2", "0"], ["0", "2"]], True]
+    refused = ["EuclideanizationFailed",
+               "no positive-definite inscribed ellipsoid form found"]
+    assert report["fit"] == [refused, [["2", "0"], ["0", "2"]], True, refused]
     message = ("decimal certificate: 8 refinements of the pi enclosure did "
                "not round q * pi^1")
     assert report["decimal"] == [["CertificateFailed", message], 1, "",

@@ -462,15 +462,15 @@ def test_enumeration_matches_a_box_scan():
             first = next((c for c in x if c), 0)
             if first > 0 and value <= bound:
                 expected.append((x, value))
-        spent, s = enumerate_short_vectors(*_integral_gs(ints), bound, scale)
-        found = [(x, Fraction(n, s)) for x, n in spent]
+        spent, s = enumerate_short_vectors(*_integral_gs(ints), bound * scale)
+        found = [(x, Fraction(n, s * scale)) for x, n in spent]
         assert sorted(found) == sorted(expected)
         assert [v for _, v in found] == sorted(v for _, v in found)
         scanned += 1
     assert scanned >= 20
 
 
-def _full_walk(lam, d, bound, scale=1):
+def _full_walk(lam, d, bound):
     """Oracle: the Fincke-Pohst walk over every x, both members of each
     +-pair, keeping the one whose first nonzero coordinate is positive; it
     visits x in (x_(r-1), ..., x_0) order, and a stable sort by n keeps
@@ -479,7 +479,6 @@ def _full_walk(lam, d, bound, scale=1):
     e = d[1:]
     s = math.lcm(*(a * b for a, b in zip(d, e)))
     m = [s // (a * b) for a, b in zip(d, e)]
-    s *= scale
     budget = bound.numerator * s // bound.denominator
     out = []
     coords = [0] * r
@@ -514,9 +513,9 @@ def _pool_pass_enumerations():
     golden = golden_lattices()
     real, calls = lattices.enumerate_short_vectors, []
 
-    def spy(lam, d, bound, scale=1):
-        calls.append(([list(row) for row in lam], list(d), bound, scale))
-        return real(lam, d, bound, scale)
+    def spy(lam, d, bound):
+        calls.append(([list(row) for row in lam], list(d), bound))
+        return real(lam, d, bound)
 
     lattices._norm.cache_clear()
     lattices.enumerate_short_vectors = spy
@@ -558,23 +557,22 @@ def test_the_half_walk_lists_what_the_full_walk_lists_at_every_bound():
     # random and tied lattices, bounds below, at and above the LLL row
     # norms, and a zero budget, on the LLL run's data; on the unreduced
     # Gram-Schmidt data, whose walk spans wider ranges, up to the shortest
-    # row.  Each bound is given over the Gram matrix's scale and, rounded
-    # down, as an integer
-    from sysbound.lattices import enumerate_short_vectors, _row_norms
+    # row.  Each bound is given on the cleared integer rows as a Fraction
+    # and, rounded down, as an integer
+    from sysbound.lattices import enumerate_short_vectors
     rng = random.Random(83)
     compared = 0
     for gram in _tied_grams() + list(_seeded_grams(24, 89)):
         ints, scale = _cleared_ints(gram)
-        w, lam, d = lll_transform(ints)
-        low, high = (Fraction(n, scale) for n in
-                     (min(_row_norms(w, ints)), max(_row_norms(w, ints))))
+        w, lam, d, norms = lll_transform(ints)
+        low, high = (Fraction(n, scale) for n in (min(norms), max(norms)))
         below = low * Fraction(rng.randint(1, 9), 10)
         runs = [((lam, d), bound) for bound in
                 (Fraction(0), below, low, high,
                  high * Fraction(rng.randint(11, 20), 10))]
         runs += [(_integral_gs(ints), bound) for bound in (below, low)]
         for data, bound in runs:
-            for args in ((*data, bound, scale),
+            for args in ((*data, bound * scale),
                          (*data, bound.numerator * scale // bound.denominator)):
                 listed = enumerate_short_vectors(*args)
                 assert listed == _full_walk(*args), (gram, bound)
@@ -591,23 +589,11 @@ def test_the_half_walk_lists_what_the_full_walk_lists_at_every_bound():
                                    Fraction(-1)) == ([], 1)
 
 
-def _ball_and_kz(lat):
-    """The head the dual keeps of its listed ball, after the transference
-    check, and the KZ transform of the dual with and without it."""
-    transference_check(lat)
-    dual = dual_lattice(lat)
-    gram, _, lll = dual._lll
-    head = dual._ball_head
-    return head, kz_transform(gram, lll, head), kz_transform(gram, lll)
-
-
-def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
-    # on every Euclidean pool dual and on sweep lattices: the kept head is
-    # the first vector of the ball the dual's minima were read from, it is
-    # shortest_vector's, and the whole transform is the one KZ makes by
-    # enumerating
-    from sysbound.lattices import (enumerate_short_vectors, shortest_vector,
-                                   _combine, _row_norms)
+def test_kz_takes_its_top_vector_from_shortest_vector():
+    # on every Euclidean pool dual and on 40 random lattices: KZ's first row
+    # is the first vector the enumeration up to the shortest reduced row
+    # lists, the one shortest_vector certifies
+    from sysbound.lattices import shortest_vector
     rng = random.Random(0)
     cases = [lat for lat in _pool_lattices() if lat.kind == "euclidean"]
     for _ in range(40):
@@ -615,84 +601,18 @@ def test_kz_takes_its_top_vector_from_the_listed_dual_ball():
         cases.append(NormedLattice(basis=random_basis(r, rng),
                                    gram=_identity(r)))
     for lat in cases:
-        head, with_head, enumerated = _ball_and_kz(lat)
         gram, _, lll = dual_lattice(lat)._lll
-        vectors, s = enumerate_short_vectors(*lll[1:],
-                                             max(_row_norms(lll[0], gram)))
-        assert head == (vectors[:1], s)
-        top = shortest_vector(gram, lll)
-        assert _combine(head[0][0][0], lll[0]) == top
-        assert with_head[0] == top and with_head == enumerated
-    # a sweep lists no ball, and its reduced dual basis is the one a
-    # lattice whose ball was listed gets
+        assert kz_transform(gram, lll)[0] == shortest_vector(gram, lll)
+    # the reduced dual basis does not depend on whether the dual's minima
+    # were read first
     rng = random.Random(7)
     for _ in range(24):
         r = rng.randint(2, 5)
         basis = random_basis(r, rng)
-        swept = NormedLattice(basis=basis, gram=_identity(r))
-        listed = NormedLattice(basis=basis, gram=_identity(r))
-        transference_check(listed)
-        assert reduced_dual_basis(swept) == reduced_dual_basis(listed)
-        assert "_ball_head" not in vars(dual_lattice(swept))
-        assert "_ball_head" in vars(dual_lattice(listed))
-
-
-_LISTED_BALL_CERTIFICATES = r'''
-import json
-from sysbound import lattices
-from sysbound.errors import CertificateFailed
-
-
-def outcome(ball):
-    """KZ of the hexagonal dual after its transference check, with the
-    listed ball replaced by ``ball(listed)``."""
-    lat = lattices.NormedLattice(basis=[[1, 0], [0, 1]], gram=[[2, 1], [1, 2]])
-    lattices.transference_check(lat)
-    dual = lattices.dual_lattice(lat)
-    vectors, s = dual._ball_head
-    dual._ball_head = ball(vectors), s
-    try:
-        lattices.reduced_dual_basis(lat)
-    except CertificateFailed as exc:
-        return ["CertificateFailed", str(exc)]
-    except Exception as exc:
-        return [type(exc).__name__, str(exc)]
-    return ["passed", ""]
-
-
-print(json.dumps({
-    "optimized": not __debug__,
-    "listed": outcome(lambda vectors: vectors),
-    "doubled": outcome(lambda vectors: [
-        (tuple(2 * x for x in v), n) for v, n in vectors]),
-    "empty": outcome(lambda vectors: []),
-    "too_long": outcome(lambda vectors: [(v, n + 1) for v, n in vectors]),
-}))
-'''
-
-
-def test_a_listed_ball_is_certified_under_optimize():
-    # the top-level vector read from a listed ball still goes through the
-    # nonempty-ball and primitivity certificates, also under python -O: a
-    # ball whose vectors are doubled, one that is empty, and one whose first
-    # vector lies past the shortest reduced row
-    env = dict(os.environ)
-    package = str(Path(lattices.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c",
-                           _LISTED_BALL_CERTIFICATES],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report.pop("optimized") is True
-    empty = ["CertificateFailed", "shortest-vector certificate: no vector "
-             "within the shortest reduced basis norm 2"]
-    assert report == {
-        "listed": ["passed", ""],
-        "doubled": ["CertificateFailed", "primitivity certificate: shortest "
-                    "vector [2, 0] has content 2"],
-        "empty": empty, "too_long": empty}
+        bare = NormedLattice(basis=basis, gram=_identity(r))
+        checked = NormedLattice(basis=basis, gram=_identity(r))
+        transference_check(checked)
+        assert reduced_dual_basis(bare) == reduced_dual_basis(checked)
 
 
 def test_gram_product_matches_fraction_products():
@@ -716,11 +636,13 @@ def test_lll_and_kz_match_the_rebuild_oracle():
         expected = _oracle_lll(gram)
         ints, _ = _cleared_ints(gram)
         lll = lll_transform(ints)
-        w, lam, d = lll
+        w, lam, d, norms = lll
         assert w == expected, gram
-        # the integral data kept through the run is that of the rows
+        # the integral data kept through the run is that of the rows, and
+        # the norms are its diagonal
         reduced = _gram_product(w, ints)
         assert _as_fractions(lam, d) == _oracle_gs(reduced), gram
+        assert norms == [reduced[i][i] for i in range(len(w))], gram
         assert kz_transform(ints, lll) == _oracle_kz(gram), gram
         # a positive multiple of the form reduces exactly alike
         tripled = [[3 * x for x in row] for row in ints]
@@ -806,8 +728,9 @@ def test_the_lll_data_are_ints(monkeypatch):
 
     def checked(gram):
         run = real(gram)
-        w, lam, d = run
-        entries = [x for m in (gram, w, lam, [d]) for row in m for x in row]
+        w, lam, d, norms = run
+        entries = [x for m in (gram, w, lam, [d, norms]) for row in m
+                   for x in row]
         assert all(type(x) is int for x in entries), entries
         ranks.append(len(gram))
         return run
@@ -904,6 +827,38 @@ def test_each_gram_matrix_is_lll_reduced_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 80
     for lat in done:
         assert dual_lattice(lat) is dual_lattice(lat)
+
+
+def test_each_lll_run_measures_its_rows_once(monkeypatch):
+    # an LLL run carries the norms of its reduced rows, which the minima
+    # (the longest) and KZ's shortest vector (the shortest) both read: over
+    # a pool pass every run measures its rows once, and the one other
+    # measure per request is of a Euclidean reduced dual basis's KZ rows.
+    # Measuring the dual's rows for its minima and again for KZ made one
+    # more per Euclidean request
+    from batch_pool import bench_child, golden_lattices
+    runs, measured = [], []
+    real_lll, real_norms = lattices.lll_transform, lattices._row_norms
+
+    def counted_lll(gram):
+        runs.append(len(gram))
+        return real_lll(gram)
+
+    def counted_norms(w, gram):
+        measured.append(len(gram))
+        return real_norms(w, gram)
+
+    monkeypatch.setattr(lattices, "lll_transform", counted_lll)
+    monkeypatch.setattr(lattices, "_row_norms", counted_norms)
+    child = bench_child()
+    golden = golden_lattices()
+    euclidean = 0
+    for kind, specs in child.bench_inputs.lattice_pool().items():
+        for spec, expected in zip(specs, golden[kind]):
+            assert child.lattice_op(lattices, spec) == expected, kind
+            euclidean += spec["kind"] == "euclidean"
+    assert euclidean == 192 and len(runs) > 2 * 288
+    assert len(measured) == len(runs) + euclidean
 
 
 def test_reduced_dual_basis_integer_lattice():
@@ -1159,7 +1114,8 @@ def test_the_float_loop_sees_only_floats(monkeypatch):
     # binding it gets a checker, then the polytope pool lattices, from an
     # empty norm memo, and the cone engine over the batch pool run through
     # it.  The memo fits each distinct polytope once, the hexagon and the
-    # cross-polytope, and the loop runs in each fit.
+    # cross-polytope, and the loop runs in each fit; the polars, whose
+    # ellipsoids the reduced dual bases read, run no fit.
     import importlib
     import io
     import pkgutil
@@ -1172,7 +1128,8 @@ def test_the_float_loop_sees_only_floats(monkeypatch):
     def checked(rows, ncols):
         entries = [x for row in rows for x in row]
         assert all(type(x) is float for x in entries), entries
-        calls.append(ncols)
+        # the fit this loop runs in, counted from 1
+        calls.append(len(fits))
         return real(rows, ncols)
 
     binding = []
@@ -1184,26 +1141,21 @@ def test_the_float_loop_sees_only_floats(monkeypatch):
             binding.append(info.name)
             monkeypatch.setattr(module, "_gauss_jordan", checked)
     assert binding == ["lattices"]
-    real_fit = lattices._certified_ellipsoid_form
-    loops = []
+    real_fit, fits = lattices._fitted_forms, []
 
-    def counted_fit(vertices, normals, r):
-        before = len(calls)
-        try:
-            return real_fit(vertices, normals, r)
-        finally:
-            loops.append(len(calls) - before)
+    def counted_fit(normals, r):
+        fits.append(normals)
+        return real_fit(normals, r)
 
-    monkeypatch.setattr(lattices, "_certified_ellipsoid_form", counted_fit)
+    monkeypatch.setattr(lattices, "_fitted_forms", counted_fit)
     lattices._norm.cache_clear()
     child = bench_child()
     pool = child.bench_inputs.lattice_pool()
     for kind in ("hexagon", "cross"):
         for spec in pool[kind]:
             child.lattice_op(lattices, spec)
-    assert len(loops) == 2 and all(loops), loops
+    assert len(fits) == 2 and set(calls) == {1, 2}, (len(fits), set(calls))
     fitted = len(calls)
-    assert fitted == sum(loops)
     for descriptor in BATCH_POOL:
         for argv in (["phi-sup", "--space", descriptor],
                      ["contractions", "--space", descriptor],
@@ -1331,17 +1283,17 @@ def _scored_vectors(lattice):
     size.  Each enumerated vector is combined back to its coefficients and
     measured there as a Fraction, where the library measures it in LLL
     coordinates in ints."""
-    gram, scale, (w, lam, d) = lattice._lll
+    gram, scale, (w, lam, d, _) = lattice._lll
     if lattice.gram is not None:
         radius = budget = Fraction(max(lattices._row_norms(w, gram)), scale)
     else:
         radius = max(lattice._coefficient_norm(row) for row in w)
         budget = lattice._norm.ellipsoid[1] * radius ** 2
-    vectors, s = lattices.enumerate_short_vectors(lam, d, budget, scale)
+    vectors, s = lattices.enumerate_short_vectors(lam, d, budget * scale)
     scored = []
     for vec, spent in vectors:
         coeffs = tuple(lattices._combine(vec, w))
-        value = Fraction(spent, s)
+        value = Fraction(spent, s * scale)
         if lattice.gram is None:
             value = lattice._coefficient_norm(coeffs)
             if value > radius:
@@ -1641,7 +1593,7 @@ def test_polytope_entries_are_read_as_cleared_ints():
     # and a lattice keeps every matrix, its dual's too, as such rows
     from sysbound.kernel import _cleared
     from sysbound.lattices import (_certified_ellipsoid_form, _facet_normals,
-                                   _polar_normals)
+                                   _fitted_forms, _polar_normals)
     probe = _Opaque(1, 2)
     for op in (lambda: probe + 1, lambda: 1 - probe, lambda: probe * probe,
                lambda: probe == probe, lambda: probe < 1, lambda: -probe,
@@ -1664,10 +1616,13 @@ def test_polytope_entries_are_read_as_cleared_ints():
         assert _is_int_pair(polar)
         assert polar == _polar_normals(
             _cleared_ints(vertices), _cleared_ints(_tuples(normals)), r)
-        form = _certified_ellipsoid_form(cleared, normals, r)
+        form = _certified_ellipsoid_form(cleared, normals, r,
+                                         _fitted_forms(normals, r))
         assert _is_int_pair(form[0])
+        normal_ints = _cleared_ints(_tuples(normals))
         assert form == _certified_ellipsoid_form(
-            _cleared_ints(vertices), _cleared_ints(_tuples(normals)), r)
+            _cleared_ints(vertices), normal_ints, r,
+            _fitted_forms(normal_ints, r))
         lat = NormedLattice(basis=_opaque(_identity(r)),
                             vertices=_opaque(vertices))
         assert lat._norm.ellipsoid == form
@@ -1675,14 +1630,14 @@ def test_polytope_entries_are_read_as_cleared_ints():
         assert all(_is_int_pair(pair) for pair in (
             lat._basis, lat._norm.rows, lat._norm.normals, lat._coeff_normals,
             dual._basis, dual._norm.rows, dual._norm.normals,
-            dual._coeff_normals))
+            dual._coeff_normals, dual._norm.ellipsoid[0]))
 
 
 def test_ellipsoid_sandwich_on_rational_polytopes():
     # the certified form is exactly inscribed (the largest a^T Q^-1 a over
     # the normals is 1) and c is the largest v^T Q v over the vertices,
     # both recomputed here in Fractions, on vertices with denominators
-    from sysbound.lattices import _certified_ellipsoid_form
+    from sysbound.lattices import _certified_ellipsoid_form, _fitted_forms
     rng = random.Random(79)
     cases = [[[Fraction(x, 2) for x in v] for v in _HEX_VERTICES],
              [[Fraction(x, 5) for x in v] for v in _SLACK_VERTICES]]
@@ -1690,8 +1645,10 @@ def test_ellipsoid_sandwich_on_rational_polytopes():
     for vertices in cases:
         r = len(vertices[0])
         normals = _oracle_facet_normals(vertices, r)
+        normal_ints = _cleared_ints(normals)
         form, c = _certified_ellipsoid_form(_cleared_ints(vertices),
-                                            _cleared_ints(normals), r)
+                                            normal_ints, r,
+                                            _fitted_forms(normal_ints, r))
         q = _over(form)
         qinv = _inverse(q)
         assert max(_fraction_quad(qinv, a) for a in normals) == 1
@@ -1762,6 +1719,55 @@ def test_polytope_reduced_dual_basis():
         assert norm * result.lambda1 <= 4
 
 
+#: a thin rhombus, (+-1/1000, 0) and (0, +-1)
+_RHOMBUS_VERTICES = [[Fraction(1, 1000), 0], [0, 1], [Fraction(-1, 1000), 0],
+                     [0, -1]]
+
+
+def test_the_polar_ellipsoid_is_certified_from_the_primal_form():
+    # a polar norm's one candidate is its primal's certified form Q, and the
+    # certificate gives c Q^-1 with the primal's c, exactly inscribed.  On
+    # the pool's 96 polytope lattices, the hexagon, the cross-polytope and a
+    # thin rhombus: the dual minima are those read with a polar ellipsoid
+    # fitted by the float stage, run here as the oracle, and the reduced
+    # dual basis is KZ's on the dual basis in the form Q^-1
+    from sysbound.lattices import _certified_ellipsoid_form, _fitted_forms
+    cases = [lat for lat in _pool_lattices() if lat.kind == "polytope"]
+    assert len(cases) == 96
+    for vertices in (_HEX_VERTICES, _CROSS_3_VERTICES, _RHOMBUS_VERTICES):
+        cases.append(NormedLattice(basis=_identity(len(vertices[0])),
+                                   vertices=vertices))
+    fitted = {}
+    for lat in cases:
+        r = lat.rank
+        dual = dual_lattice(lat)
+        (q, c), polar = lat._norm.ellipsoid, dual._norm
+        derived = _over(polar.ellipsoid[0])
+        assert polar.ellipsoid[1] == c
+        assert derived == [[c * x for x in row] for row in _inverse(_over(q))]
+        assert max(_fraction_quad(_inverse(derived), a)
+                   for a in _over(polar.normals)) == 1
+        assert max(_fraction_quad(derived, v) for v in _over(polar.rows)) == c
+        # the same polar built from its vertices is fitted, once per
+        # distinct polar in the norm memo
+        oracle = NormedLattice(basis=dual.basis, vertices=dual.vertices)
+        norm = oracle._norm
+        if norm not in fitted:
+            fitted[norm] = _certified_ellipsoid_form(
+                norm.rows, norm.normals, r, _fitted_forms(norm.normals, r))
+        assert norm.ellipsoid == fitted[norm]
+        assert [successive_minima(dual, j) for j in range(1, r + 1)] == [
+            successive_minima(oracle, j) for j in range(1, r + 1)]
+        gram = _int_gram(dual._basis[0], _mat_inv(*q)[0])
+        w = kz_transform(gram, lll_transform(gram))
+        reduced = reduced_dual_basis(lat)
+        assert reduced.vectors == [tuple(dual.vector(row)) for row in w]
+        assert reduced.dual_norms == tuple(dual._coefficient_norm(row)
+                                           for row in w)
+    # the pool's cross-polytope is this one
+    assert len(fitted) == 4
+
+
 # -- the norm memo ------------------------------------------------------------
 
 
@@ -1814,25 +1820,27 @@ def test_a_cold_pool_pass_enumerates_and_fits_each_polytope_once(
         monkeypatch):
     # the pool's polytope lattices share two vertex lists, the hexagon and
     # the cross-polytope; a hexagon listed in another order is the same
-    # norm.  The shared rows are read, never written: after the pass they
-    # still equal what the inputs clear to, and the kept facets and fits
-    # what a fresh enumeration and fit return
+    # norm.  The pass reads each polytope dual's minima too, whose polar
+    # ellipsoid is certified from the primal's and not fitted.  The shared
+    # rows are read, never written: after the pass they still equal what
+    # the inputs clear to, and the kept facets and fits what a fresh
+    # enumeration and fit return
     from batch_pool import bench_child, golden_lattices
     from sysbound.kernel import _cleared
     enumerated, fitted = [], []
     real_facets = lattices._facet_normals
-    real_fit = lattices._certified_ellipsoid_form
+    real_fit = lattices._fitted_forms
 
     def counted_facets(vertices, r):
         enumerated.append(frozenset(map(tuple, vertices[0])))
         return real_facets(vertices, r)
 
-    def counted_fit(vertices, normals, r):
-        fitted.append(frozenset(map(tuple, vertices[0])))
-        return real_fit(vertices, normals, r)
+    def counted_fit(normals, r):
+        fitted.append(tuple(map(tuple, normals[0])))
+        return real_fit(normals, r)
 
     monkeypatch.setattr(lattices, "_facet_normals", counted_facets)
-    monkeypatch.setattr(lattices, "_certified_ellipsoid_form", counted_fit)
+    monkeypatch.setattr(lattices, "_fitted_forms", counted_fit)
     lattices._norm.cache_clear()
     child = bench_child()
     pool = child.bench_inputs.lattice_pool()
@@ -1840,14 +1848,19 @@ def test_a_cold_pool_pass_enumerates_and_fits_each_polytope_once(
     for kind, specs in pool.items():
         for spec, expected in zip(specs, golden[kind]):
             assert child.lattice_op(lattices, spec) == expected, kind
+            if spec["kind"] != "euclidean":
+                dual = dual_lattice(NormedLattice(basis=spec["basis"],
+                                                  vertices=spec["vertices"]))
+                for j in range(1, spec["rank"] + 1):
+                    successive_minima(dual, j)
     reordered = NormedLattice(basis=_identity(2),
                               vertices=pool["hexagon"][0]["vertices"][::-1])
     successive_minima(reordered, 1)
     distinct = {frozenset(map(tuple, spec["vertices"]))
                 for kind in ("hexagon", "cross") for spec in pool[kind]}
     assert len(enumerated) == len(set(enumerated)) == len(distinct) == 2
-    assert len(fitted) == len(set(fitted)) == 2
-    assert set(enumerated) == set(fitted) == distinct
+    assert set(enumerated) == distinct
+    normals = []
     for kind in ("hexagon", "cross"):
         spec = pool[kind][0]
         norm = NormedLattice(basis=spec["basis"],
@@ -1856,8 +1869,12 @@ def test_a_cold_pool_pass_enumerates_and_fits_each_polytope_once(
                               for v in spec["vertices"]])
         assert norm.rows == (sorted(rows), den)
         assert norm.normals == real_facets(norm.rows, spec["rank"])
-        assert norm.ellipsoid == real_fit(norm.rows, norm.normals,
-                                          spec["rank"])
+        assert norm.ellipsoid == lattices._certified_ellipsoid_form(
+            norm.rows, norm.normals, spec["rank"],
+            real_fit(norm.normals, spec["rank"]))
+        normals.append(tuple(map(tuple, norm.normals[0])))
+    # one fit per distinct primal norm, none for a polar
+    assert fitted == normals
 
 
 @pytest.mark.parametrize("norm, error, message", [
