@@ -17,7 +17,7 @@ X and each of the ``SPHERES`` N, and on X * N ``phi`` and the volume bound
 run with the class H, with N's generator, and (the volume bound) with the
 default class.  Then, in each format, ``pushforward`` runs on every
 ``PUSHFORWARD_CASES`` entry, with and without ``--primitive`` (which refuses
-j = 0 and j > r before the class is printed).  Last, in each format,
+j = 0 and j > r before the class is printed).  Next, in each format,
 ``lattice`` runs on every ``LATTICE_POOL`` lattice of the benchmark: its
 basis as ``--basis`` with the identity ``--gram`` or with its polytope's
 ``--vertices``.  After them, in each format, come the ``SWEEPS`` runs of

@@ -19,15 +19,11 @@ read results back as Fractions with ``_over``.
 import ast
 import inspect
 import itertools
-import json
 import math
-import os
 import random
-import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
