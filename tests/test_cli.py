@@ -1090,6 +1090,76 @@ def test_a_batch_writes_only_nonempty_texts(monkeypatch, lines, to_out):
     assert err.getvalue() == "".join(s[2] for s in single)
 
 
+def _length_answer(space, fmt):
+    """The stdout of ``length`` on ``space``, whose length is 3."""
+    if fmt == "table":
+        return "space:   %s\nlength:  3\n" % space
+    return ('{\n  "space": "%s",\n  "length": {\n    "numerator": 3,\n'
+            '    "denominator": 1,\n    "pi_exponent": 0\n  }\n}\n' % space)
+
+
+_TRAILING_Q = ("parse error: trailing input 'Q' at offset 6 (expected *, end "
+               "of input)\n")
+
+#: raw stdin bytes of a batch, and the reply of each of its nonblank lines:
+#: the space it answers, or the stderr line it is refused with
+_STDIN_CASES = {
+    "crlf": (b"CP(2)\r\nQ(3)\r\n", ["CP(2)", "Q(3)"]),
+    "lone-cr": (b"CP(2)\rQ(3)\n", [_TRAILING_Q]),
+    "vertical-tab": (b"CP(2)\x0bQ(3)\n\x0bQ(3)\x0b\n", [_TRAILING_Q, "Q(3)"]),
+    "blank": (b"\n   \n\t\n\x0c\r\n", []),
+    "whitespace-variants": (b"CP(2)\n  CP(2)\nCP(2) \t\n\tCP(2)\r\n\nCP(2)\n",
+                            ["CP(2)"] * 5),
+    "non-ascii": ("CP(é)\nQ(3)\n".encode(),
+                  ["parse error: unexpected 'é' at offset 3 (expected "
+                   "INT)\n", "Q(3)"]),
+    "undecodable": (b"\xff\nCP(2)\n",
+                    ["parse error: unexpected character '\\udcff' at offset "
+                     "0\n", "CP(2)"]),
+    "no-final-newline": (b"CP(2)\nQ(3)", ["CP(2)", "Q(3)"]),
+}
+
+
+def _utf8_env(**extra):
+    """``_child_env`` in UTF-8 mode: stdin and stdout are UTF-8 with
+    ``surrogateescape``, stderr with ``backslashreplace``."""
+    env = _child_env()
+    env.pop("PYTHONIOENCODING", None)
+    env.update(PYTHONUTF8="1", **extra)
+    return env
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("case", list(_STDIN_CASES))
+def test_a_batch_process_reads_stdin_as_text_mode_lines(case, fmt):
+    # a process's stdin splits only on \n, translates no \r and decodes
+    # with the stream's own settings; each line is then stripped
+    data, replies = _STDIN_CASES[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sysbound", "length", "--batch", "--format",
+         fmt], input=data, capture_output=True, env=_utf8_env(), timeout=60)
+    answers = [r for r in replies if not r.startswith("parse error")]
+    assert proc.stdout == "".join(
+        _length_answer(space, fmt) for space in answers).encode()
+    assert proc.stderr == "".join(
+        r for r in replies if r not in answers).encode()
+    assert proc.returncode == (2 if len(answers) < len(replies) else 0)
+
+
+def test_a_strict_stdin_stops_a_batch_at_its_undecodable_line():
+    # with a strict decoder the undecodable line ends the process with
+    # UnicodeDecodeError; the lines before it may have been answered
+    # (decoding line by line) or not (decoding the read chunk whole), and
+    # no line after it is
+    proc = subprocess.run(
+        [sys.executable, "-m", "sysbound", "length", "--batch"],
+        input=b"CP(2)\n\xff\nQ(3)\n", capture_output=True,
+        env=_utf8_env(PYTHONIOENCODING="utf-8:strict"), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout in (b"", _length_answer("CP(2)", "table").encode())
+    assert proc.stderr.splitlines()[-1].startswith(b"UnicodeDecodeError: ")
+
+
 def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
     # every command runs on the same built spaces, each node built once and
     # handed to every handler that names it; afterwards each init field is
