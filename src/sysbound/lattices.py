@@ -850,9 +850,9 @@ def _complete_unimodular(v):
     return t
 
 
-def shortest_vector(gram, lll):
-    """A shortest nonzero coefficient vector of the integer Gram matrix
-    ``gram``, from its LLL run ``lll_transform(gram)``.
+def shortest_vector(lll):
+    """A shortest nonzero coefficient vector of an integer Gram matrix,
+    read from its LLL run ``lll_transform(gram)`` alone.
 
     It is the first vector the enumeration up to the shortest reduced row
     lists, certified within that row and primitive.
@@ -883,7 +883,7 @@ def _kz_rows(gram, lll):
     of a form reduces alike.
     """
     r = len(gram)
-    t1 = _complete_unimodular(shortest_vector(gram, lll))
+    t1 = _complete_unimodular(shortest_vector(lll))
     if r == 2:
         # a rank-1 projection is KZ-reduced as it stands
         return t1
