@@ -17,9 +17,11 @@ A run is a value.  Each subcommand handler maps its arguments to rows
 turns a run into ``(exit code, stdout text, stderr text)``, mapping a parse
 error to 2 and a domain error to 1.  ``run_command`` only writes the replies:
 the ``--approx`` check's, then one run's, or one per ``--batch`` line.  A
-reply depends on its line alone, so a batch keeps each line's reply and a
-repeated line replays it, errors included; nothing else is shared between
-lines.
+reply depends on its stripped line alone, so a batch keeps each line's
+reply, errors included, encoded once for its stream: it reads raw lines
+from the binary layer of stdin and writes bytes, and a repeated line is
+replayed with one dict lookup and one ``write``.  Nothing else is shared
+between lines.
 
 One table, ``_SUBCOMMANDS``, gives each subcommand its handler and its
 arguments.  When the first argument names a subcommand, ``run_command``
@@ -560,31 +562,84 @@ def _reply(command, args):
         return 1, "", "error: %s\n" % exc
 
 
-def _replies(args):
+def _replies(args, out, err):
     """The reply of each run one invocation makes: the ``--approx`` check,
-    then the subcommand once, or once per distinct nonblank line of a
-    ``--batch``, a repeated line yielding its first reply again."""
+    then the subcommand once, or once per line of a ``--batch``.
+
+    A batch's replies are bytes, encoded for ``out`` and ``err``
+    (:func:`_batch_replies`); the others are text."""
     check = _reply(_check_approx, args)
-    yield check
+    batch = getattr(args, "batch", False)
+    yield _encoded(check, out, err) if batch else check
     if check[0]:
         return
     command = _DISPATCH[args.command]
-    if getattr(args, "batch", False):
-        replies = {}  # a line's reply depends on the line alone
-        for line in sys.stdin:
-            args.space = line.strip()
-            if args.space:
-                if args.space not in replies:
-                    replies[args.space] = _reply(command, args)
-                yield replies[args.space]
+    if batch:
+        yield from _batch_replies(command, args, out, err)
     elif hasattr(args, "space") and not args.space:
         yield 2, "", "error: --space is required (or use --batch)\n"
     else:
         yield _reply(command, args)
 
 
+def _encoded(reply, out, err):
+    """``reply`` with its texts encoded as ``out`` and ``err`` encode."""
+    code, text, error = reply
+    return (code, text.encode(out.encoding, out.errors),
+            error.encode(err.encoding, err.errors))
+
+
+def _batch_replies(command, args, out, err):
+    """The reply of each line of ``sys.stdin``, read as raw lines from its
+    binary layer and encoded for ``out`` and ``err``.
+
+    A reply depends on the stripped line alone.  A raw line seen before
+    replays its reply with one lookup.  A new raw line is decoded with
+    stdin's own encoding and errors, as its text layer would decode it on
+    POSIX, where it splits only on ``\\n`` and translates no newline; it is
+    then stripped, and computed only if no earlier line stripped to the same
+    text.  A blank line's reply is empty.
+    """
+    stdin = sys.stdin
+    encoding, errors = stdin.encoding, stdin.errors
+    replies = {}  # raw line -> reply
+    by_text = {}  # stripped line -> reply
+    for line in stdin.buffer:
+        reply = replies.get(line)
+        if reply is None:
+            args.space = line.decode(encoding, errors).strip()
+            reply = by_text.get(args.space)
+            if reply is None:
+                reply = (_encoded(_reply(command, args), out, err)
+                         if args.space else (0, b"", b""))
+                by_text[args.space] = reply
+            replies[line] = reply
+        yield reply
+
+
+def _byte_writer(stream):
+    """The ``write`` of the binary layer of the text stream ``stream``,
+    after what its text layer holds; on a line-buffered stream (a terminal,
+    stderr) each write is flushed, as the text layer flushes a line."""
+    stream.flush()
+    buffer = stream.buffer
+    if not stream.line_buffering:
+        return buffer.write
+
+    def write(data):
+        buffer.write(data)
+        buffer.flush()
+    return write
+
+
 def run_command(argv, out=None, err=None) -> int:
-    """Run one CLI invocation; returns the exit code without exiting."""
+    """Run one CLI invocation; returns the exit code without exiting.
+
+    A ``--batch`` reads the binary layer of ``sys.stdin`` and writes each
+    reply with one ``write`` to the binary layers of ``out`` and ``err``, so
+    its streams must have one (``io.TextIOWrapper``, as a process's
+    standard streams are); other runs write text.
+    """
     out = out or sys.stdout
     err = err or sys.stderr
     command = argv[0] if argv and argv[0] in _DISPATCH else None
@@ -592,14 +647,18 @@ def run_command(argv, out=None, err=None) -> int:
         args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "batch", False):
+        write_out, write_err = _byte_writer(out), _byte_writer(err)
+    else:
+        write_out, write_err = out.write, err.write
     code = 0
-    # an empty text is not written: on an unbuffered stream it would still
+    # an empty reply is not written: on an unbuffered stream it would still
     # cost a write(2)
-    for reply_code, text, error in _replies(args):
+    for reply_code, text, error in _replies(args, out, err):
         if text:
-            out.write(text)
+            write_out(text)
         if error:
-            err.write(error)
+            write_err(error)
         code = max(code, reply_code)
     return code
 

@@ -26,7 +26,9 @@ basis as ``--basis`` with the identity ``--gram`` or with its polytope's
 the identity ``--gram``: a sweep prints only its counts, and these runs
 print each drawn lattice's reduced dual basis.  Each run prints its argv,
 its exit code, its stdout and its stderr.  Runs are made in this process
-through ``sysbound.cli.run_command``.  Standard library only.
+through ``sysbound.cli.run_command``, on UTF-8 text streams over bytes, so
+a batch reads and writes the binary layer as a process's batch does.
+Standard library only.
 
 With ``--digests`` it prints instead one line per block of runs: the
 SHA-256 of the block's dump text, the block's subcommand, its ``--theorem``
@@ -99,15 +101,27 @@ SWEEP_REFUSALS = (("--sweep", "0"), ("--sweep", "-1"),
                   ("--sweep", "2", "--min-rank", "6", "--max-rank", "6"))
 
 
+def text_stream(text=""):
+    """A UTF-8 text stream over bytes, holding ``text``: like a process's
+    standard streams, it has the binary layer a batch reads and writes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
+def written(stream):
+    """The text written to a :func:`text_stream`."""
+    stream.flush()
+    return stream.buffer.getvalue().decode()
+
+
 def reply(argv, stdin=""):
     """``(exit code, stdout, stderr)`` of one run with ``stdin``."""
-    out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    out, err = text_stream(), text_stream()
+    saved, sys.stdin = sys.stdin, text_stream(stdin)
     try:
         code = run_command(list(argv), out=out, err=err)
     finally:
         sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    return code, written(out), written(err)
 
 
 def drawn_bases():

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import select
 import shlex
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from batch_pool import (BATCH_COMMANDS, BATCH_POOL, CLI_INVOCATIONS,
                         batch_key, golden_batch, golden_cli)
 
 import reply_dump
-from reply_dump import ALPHA_TEXTS
+from reply_dump import ALPHA_TEXTS, text_stream, written
 from sysbound import (catalog, characteristic, cli, cones, grammar, graded,
                       values)
 from sysbound.cli import (parse_alpha, parse_json_value, parse_space,
@@ -33,9 +34,10 @@ from sysbound.errors import CalculatorError, ParseError, RewrittenGenerator
 
 
 def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
+    """``(exit code, stdout, stderr)`` of one run on ``sys.stdin``."""
+    out, err = text_stream(), text_stream()
     code = run_command(argv, out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
+    return code, written(out), written(err)
 
 
 # -- grammar ------------------------------------------------------------------
@@ -699,9 +701,8 @@ def test_error_messages_name_the_hypothesis():
 
 
 def test_batch_mode(monkeypatch):
-    import io as _io
     import sys as _sys
-    monkeypatch.setattr(_sys, "stdin", _io.StringIO("CP(2)\nQ(3)\n"))
+    monkeypatch.setattr(_sys, "stdin", text_stream("CP(2)\nQ(3)\n"))
     code, out, _ = _run(["length", "--batch"])
     assert code == 0
     values = [l.split()[-1] for l in out.splitlines() if l.startswith("length")]
@@ -862,7 +863,7 @@ def test_a_thin_rhombus_is_refused_fast_in_bounded_memory():
 
 
 def test_batch_continues_past_a_bad_alpha(monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nBlP(3)\n"))
+    monkeypatch.setattr(sys, "stdin", text_stream("CP(2)\nBlP(3)\n"))
     code, out, err = _run(["phi", "--batch", "--alpha", "1/0*H"])
     assert code == 2 and out == ""
     assert err.splitlines() == ["parse error: zero denominator at offset 2"] * 2
@@ -872,7 +873,7 @@ def test_batch_continues_past_a_bad_alpha(monkeypatch):
 def test_batch_exit_code_is_the_maximum_severity(monkeypatch, lines):
     # one parse error (exit 2) and one domain error (exit 1), in either order
     import sys as _sys
-    monkeypatch.setattr(_sys, "stdin", io.StringIO(lines))
+    monkeypatch.setattr(_sys, "stdin", text_stream(lines))
     code, _, err = _run(["length", "--batch"])
     assert code == 2
     kinds = {line.split(":")[0] for line in err.splitlines()}
@@ -962,7 +963,7 @@ def test_a_kept_parser_replies_as_fresh_processes(first, second, stdin,
                               input=stdin, capture_output=True, text=True,
                               env=_child_env(), timeout=60)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", text_stream(stdin))
     kept = [_run(first), _run(second)]
     assert cli._build_parser(first[0]) is cli._build_parser(second[0])
     assert kept == fresh
@@ -1005,10 +1006,10 @@ def test_a_pool_pass_builds_one_parser_per_subcommand(monkeypatch):
     runs += [[*command, "--space", desc, "--format", "json"]
              for command in BATCH_COMMANDS for desc in BATCH_POOL[::4]]
     for argv in runs:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.setattr(sys, "stdin", text_stream(""))
         _run(argv)
     for command in BATCH_COMMANDS:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(
+        monkeypatch.setattr(sys, "stdin", text_stream(
             "".join(desc + "\n" for desc in BATCH_POOL)))
         _run([*command, "--batch"])
     info = cli._build_parser.cache_info()
@@ -1032,7 +1033,7 @@ def test_batch_output_does_not_depend_on_order_or_repeats(monkeypatch, command):
     for order, lines in orders.items():
         lines = _LEAD + lines
         monkeypatch.setattr(sys, "stdin",
-                            io.StringIO("".join(d + "\n" for d in lines)))
+                            text_stream("".join(d + "\n" for d in lines)))
         code, out, err = _run([*command, "--batch", "--format", "json"])
         assert code == max(single[d][0] for d in lines), order
         assert out == "".join(single[d][1] for d in lines), order
@@ -1053,7 +1054,7 @@ def test_a_repeated_batch_line_replays_its_first_reply(monkeypatch):
         return handler(args)
     monkeypatch.setitem(cli._DISPATCH, "length", counted)
     monkeypatch.setattr(sys, "stdin",
-                        io.StringIO("".join(d + "\n" for d in lines)))
+                        text_stream("".join(d + "\n" for d in lines)))
     code, out, err = _run(["length", "--batch"])
     assert calls == list(dict.fromkeys(lines))
     assert out == "".join(single[d][1] for d in lines)
@@ -1061,33 +1062,65 @@ def test_a_repeated_batch_line_replays_its_first_reply(monkeypatch):
     assert code == max(single[d][0] for d in lines) == 2
 
 
-class _CountingStream(io.StringIO):
-    """A text stream that counts its ``write`` calls."""
+def test_a_replayed_line_computes_nothing(monkeypatch):
+    # raw repeats and whitespace variants of an answer, a parse error and a
+    # domain error: each distinct stripped line is computed and parsed once
+    lines = ("CP(2)\n", "CP(2)\n", "  CP(2)\n", "CP(2)\r\n", "\tCP(2) \n",
+             "CP(\n", " CP(\n", "CP(\n", "\n", " \n", "BlP(3)\n",
+             "BlP(3) \n", "CP(2)\n", "CP(  \n", "CP(2)")
+    replied, parsed = [], []
+    reply, parse = cli._reply, grammar.parse_space
+
+    def counted_reply(command, args):
+        if command is not cli._check_approx:
+            replied.append(args.space)
+        return reply(command, args)
+
+    def counted_parse(text):
+        parsed.append(text)
+        return parse(text)
+    monkeypatch.setattr(cli, "_reply", counted_reply)
+    monkeypatch.setattr(grammar, "parse_space", counted_parse)
+    monkeypatch.setattr(sys, "stdin", text_stream("".join(lines)))
+    code, out, err = _run(["length", "--batch"])
+    assert replied == parsed == ["CP(2)", "CP(", "BlP(3)"]
+    monkeypatch.undo()
+    single = {desc: _run(["length", "--space", desc])
+              for desc in ("CP(2)", "CP(", "BlP(3)")}
+    stripped = [line.strip() for line in lines if line.strip()]
+    assert out == "".join(single[d][1] for d in stripped)
+    assert err == "".join(single[d][2] for d in stripped)
+    assert code == 2
+
+
+class _CountingBytes(io.BytesIO):
+    """A byte stream that counts its ``write`` calls."""
 
     def __init__(self):
         super().__init__()
         self.writes = 0
 
-    def write(self, text):
+    def write(self, data):
         self.writes += 1
-        return super().write(text)
+        return super().write(data)
 
 
 @pytest.mark.parametrize("lines, to_out", [
     (("CP(2)", "Q(3)", "S1 * CP(1)", "CP(5)"), True),
     (("CP(", "S1", "BlP(3)", "Q(1)"), False)], ids=("answers", "errors"))
 def test_a_batch_writes_only_nonempty_texts(monkeypatch, lines, to_out):
-    # one write per line, to stdout for an answer and to stderr for an
-    # error, and none of an empty text to the other stream
+    # one write per line to the binary layer, of stdout for an answer and
+    # of stderr for an error, and none of an empty reply to the other
     monkeypatch.setattr(sys, "stdin",
-                        io.StringIO("".join(d + "\n" for d in lines)))
-    out, err = _CountingStream(), _CountingStream()
+                        text_stream("".join(d + "\n" for d in lines)))
+    out, err = (io.TextIOWrapper(_CountingBytes(), encoding="utf-8")
+                for _ in range(2))
     run_command(["length", "--batch"], out=out, err=err)
-    assert (out.writes, err.writes) == ((len(lines), 0) if to_out
-                                        else (0, len(lines)))
+    assert (out.buffer.writes, err.buffer.writes) == (
+        (len(lines), 0) if to_out else (0, len(lines)))
     single = [_run(["length", "--space", desc]) for desc in lines]
-    assert out.getvalue() == "".join(s[1] for s in single)
-    assert err.getvalue() == "".join(s[2] for s in single)
+    assert written(out) == "".join(s[1] for s in single)
+    assert written(err) == "".join(s[2] for s in single)
 
 
 def _length_answer(space, fmt):
@@ -1158,6 +1191,31 @@ def test_a_strict_stdin_stops_a_batch_at_its_undecodable_line():
     assert proc.returncode == 1
     assert proc.stdout in (b"", _length_answer("CP(2)", "table").encode())
     assert proc.stderr.splitlines()[-1].startswith(b"UnicodeDecodeError: ")
+
+
+def test_a_buffered_batch_process_sends_each_error_line_at_once():
+    # without PYTHONUNBUFFERED stderr is still line-buffered: a client
+    # reads a refused line's error while the batch waits for the next line
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sysbound", "length", "--batch"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    try:
+        proc.stdin.write(b"CP(\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stderr], [], [], 60)
+        assert ready == [proc.stderr]
+        assert os.read(proc.stderr.fileno(), 4096) == (
+            b"parse error: unexpected 'end of input' at offset 3 (expected "
+            b"INT)\n")
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+        proc.stderr.close()
+    assert proc.returncode == 2
 
 
 def test_batch_commands_leave_built_spaces_unchanged(monkeypatch):
@@ -1757,7 +1815,7 @@ def test_an_approximation_past_the_float_range_is_a_domain_error(
     code, out, _ = _run([*_PAST_FLOAT, "--space", "CP(40)"])
     assert code == 0 and "(~ " in out  # the table prints its decimals
     # a batch answers the lines after it
-    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(40)\nCP(2)\n"))
+    monkeypatch.setattr(sys, "stdin", text_stream("CP(40)\nCP(2)\n"))
     code, out, err = _run([*_PAST_FLOAT, "--batch", "--format", "json"])
     assert (code, err) == (1, _TOO_LARGE)
     assert out == _run([*_PAST_FLOAT, "--space", "CP(2)", "--format",
@@ -1884,7 +1942,7 @@ def test_an_integer_past_the_digit_limit_is_a_parse_error(argv, offset,
 
 
 def test_a_batch_continues_past_a_long_integer(monkeypatch, digit_limit):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(%s)\nCP(2)\n" % _LONG))
+    monkeypatch.setattr(sys, "stdin", text_stream("CP(%s)\nCP(2)\n" % _LONG))
     code, out, err = _run(["length", "--batch"])
     assert (code, out) == (2, _run(["length", "--space", "CP(2)"])[1])
     assert err == "parse error: integer exceeds the 4300-digit limit at offset 3\n"
@@ -1899,7 +1957,7 @@ def test_a_result_past_the_digit_limit_is_a_domain_error(fmt, monkeypatch,
     # the coefficients of the index polynomial hold the square of the twist
     argv = ["index-poly", "--format", fmt]
     assert _run([*argv, "--space", _BIG_TWIST]) == (1, "", _TOO_LARGE)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_BIG_TWIST + "\nCP(2)\n"))
+    monkeypatch.setattr(sys, "stdin", text_stream(_BIG_TWIST + "\nCP(2)\n"))
     code, out, err = _run([*argv, "--batch"])
     assert (code, err) == (1, _TOO_LARGE)
     assert out == _run([*argv, "--space", "CP(2)"])[1]
@@ -1907,7 +1965,7 @@ def test_a_result_past_the_digit_limit_is_a_domain_error(fmt, monkeypatch,
 
 def test_approx_past_the_digit_limit(monkeypatch, digit_limit):
     # refused once, before a batch reads a line
-    monkeypatch.setattr(sys, "stdin", io.StringIO("CP(2)\nQ(3)\n"))
+    monkeypatch.setattr(sys, "stdin", text_stream("CP(2)\nQ(3)\n"))
     assert _run(["length", "--batch", "--approx", "4301"]) == (
         2, "", "parse error: --approx 4301 exceeds the 4300-digit limit at "
                "offset 0\n")

@@ -160,22 +160,34 @@ def test_a_cold_process_imports_no_dataclasses_and_json_only_for_json():
             assert "sysbound.characteristic" not in imported, argv
 
 
-_BATCH = r'''
-import io, sys
+#: a stdin whose binary layer yields ``lines`` as they are read
+_STDIN = r'''
+import io, sys, types
 from sysbound.cli import run_command
 
+
+def stdin(lines):
+    return types.SimpleNamespace(buffer=lines, encoding="utf-8",
+                                 errors="strict")
+
+
+def stream():
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+'''
+
+_BATCH = _STDIN + r'''
 held = []
 
 
 def lines():
     held.append("sysbound.grammar" in sys.modules)
-    yield "CP(1)\n"
+    yield b"CP(1)\n"
     held.append("sysbound.grammar" in sys.modules)
-    yield "Q(3)\n"
+    yield b"Q(3)\n"
 
 
-sys.stdin = lines()
-run_command(["length", "--batch"], out=io.StringIO())
+sys.stdin = stdin(lines())
+run_command(["length", "--batch"], out=stream())
 print(held)
 '''
 
@@ -189,9 +201,8 @@ def test_a_batch_compiles_the_grammar_with_its_first_line():
         proc.stderr
 
 
-_LATE_IMPORTS = r'''
-import io, json, sys
-from sysbound.cli import run_command
+_LATE_IMPORTS = _STDIN + r'''
+import json
 
 
 def loaded():
@@ -199,17 +210,17 @@ def loaded():
 
 
 def lines(descriptors, late):
-    yield "CP(1)\n"  # the benchmark's prime line
+    yield b"CP(1)\n"  # the benchmark's prime line
     for desc in descriptors:
         before = loaded()
-        yield desc + "\n"
+        yield desc.encode() + b"\n"
         late[desc] = sorted(loaded() - before)  # read with the next line
 
 
 command, descriptors = json.loads(sys.argv[1])
 late = {}
-sys.stdin = lines(descriptors, late)
-run_command(command + ["--batch"], out=io.StringIO(), err=io.StringIO())
+sys.stdin = stdin(lines(descriptors, late))
+run_command(command + ["--batch"], out=stream(), err=stream())
 print(json.dumps({desc: mods for desc, mods in late.items() if mods}))
 '''
 
@@ -263,12 +274,9 @@ def test_no_reply_on_a_pool_descriptor_loads_graded_or_characteristic():
     assert not {"sysbound.graded", "sysbound.characteristic"} & set(loaded)
 
 
-_EMPTY_BATCH = r'''
-import io, sys
-from sysbound.cli import run_command
-
-sys.stdin = iter(())
-run_command(sys.argv[1:] + ["--batch"], out=io.StringIO())
+_EMPTY_BATCH = _STDIN + r'''
+sys.stdin = stdin(iter(()))
+run_command(sys.argv[1:] + ["--batch"], out=stream())
 print(" ".join(sorted(m for m in sys.modules if m.startswith("sysbound."))))
 '''
 
