@@ -583,10 +583,11 @@ def _replies(args, out, err):
 
 
 def _encoded(reply, out, err):
-    """``reply`` with its texts encoded as ``out`` and ``err`` encode."""
+    """``reply`` with its texts encoded as ``out`` and ``err`` encode; an
+    empty text, which is not written, stays empty in any encoding."""
     code, text, error = reply
-    return (code, text.encode(out.encoding, out.errors),
-            error.encode(err.encoding, err.errors))
+    return (code, text.encode(out.encoding, out.errors) if text else b"",
+            error.encode(err.encoding, err.errors) if error else b"")
 
 
 def _batch_replies(command, args, out, err):
@@ -599,8 +600,19 @@ def _batch_replies(command, args, out, err):
     POSIX, where it splits only on ``\\n`` and translates no newline; it is
     then stripped, and computed only if no earlier line stripped to the same
     text.  A blank line's reply is empty.
+
+    Raw lines and kept bytes need an ASCII-compatible encoding that writes
+    no signature; a batch on a stream encoded otherwise (UTF-16, UTF-8-SIG)
+    is refused before it reads a line.
     """
     stdin = sys.stdin
+    for name, stream in (("stdin", stdin), ("stdout", out), ("stderr", err)):
+        if "\n".encode(stream.encoding) != b"\n":
+            yield _encoded((2, "", "error: --batch reads and writes raw lines "
+                            "and needs an ASCII-compatible encoding without "
+                            "a signature; %s is %s\n" % (
+                                name, stream.encoding)), out, err)
+            return
     encoding, errors = stdin.encoding, stdin.errors
     replies = {}  # raw line -> reply
     by_text = {}  # stripped line -> reply

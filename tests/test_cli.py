@@ -1193,6 +1193,35 @@ def test_a_strict_stdin_stops_a_batch_at_its_undecodable_line():
     assert proc.stderr.splitlines()[-1].startswith(b"UnicodeDecodeError: ")
 
 
+def _unfit(name, encoding):
+    return ("error: --batch reads and writes raw lines and needs an "
+            "ASCII-compatible encoding without a signature; %s is %s\n"
+            % (name, encoding))
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_a_batch_refuses_an_encoding_it_cannot_split(encoding, monkeypatch):
+    # a raw line split on b"\n" is not a line of UTF-16 text, and a kept
+    # reply encoded with a signature would repeat it: the batch reads no
+    # line and answers nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "sysbound", "length", "--batch"],
+        input="CP(2)\n".encode(encoding), capture_output=True,
+        env=_utf8_env(PYTHONIOENCODING=encoding), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == _unfit("stdin", encoding).encode(encoding)
+    # in a process the three streams share PYTHONIOENCODING; here only
+    # stdout has the encoding
+    monkeypatch.setattr(sys, "stdin", text_stream("CP(2)\n"))
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), \
+        text_stream()
+    assert run_command(["length", "--batch"], out=out, err=err) == 2
+    out.flush()
+    assert (out.buffer.getvalue(), written(err)) == (
+        b"", _unfit("stdout", encoding))
+    assert sys.stdin.tell() == 0
+
+
 def test_a_buffered_batch_process_sends_each_error_line_at_once():
     # without PYTHONUNBUFFERED stderr is still line-buffered: a client
     # reads a refused line's error while the batch waits for the next line
