@@ -160,7 +160,8 @@ def test_a_cold_process_imports_no_dataclasses_and_json_only_for_json():
             assert "sysbound.characteristic" not in imported, argv
 
 
-#: a stdin whose binary layer yields ``lines`` as they are read
+#: the batch scripts' preamble: a stdin whose binary layer yields ``lines``
+#: as they are read, and an output stream with a binary layer
 _STDIN = r'''
 import io, sys, types
 from sysbound.cli import run_command
